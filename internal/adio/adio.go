@@ -317,7 +317,7 @@ func twoPhaseReadBlocking(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	ot := r.World().Obs()
 	var buf []byte
 	if aggrIdx >= 0 {
-		buf = make([]byte, p.CB)
+		buf = make([]byte, pl.MaxExtent(aggrIdx))
 	}
 	receiving := hooks == nil || !hooks.SuppressShuffle
 	expectPos := 0
@@ -363,8 +363,9 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 	var bufs [2][]byte
 	myIters := 0
 	if aggrIdx >= 0 {
-		bufs[0] = make([]byte, p.CB)
-		bufs[1] = make([]byte, p.CB)
+		n := pl.MaxExtent(aggrIdx)
+		bufs[0] = make([]byte, n)
+		bufs[1] = make([]byte, n)
 		myIters = len(pl.Iters[aggrIdx])
 	}
 

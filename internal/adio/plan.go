@@ -209,6 +209,21 @@ func (pl *Plan) AggrIndex(r int) int {
 	return -1
 }
 
+// MaxExtent returns the largest covering extent (ReadHi - ReadLo) over
+// aggregator a's iterations: the collective buffer the aggregator actually
+// needs, which is at most CB and far below it when the whole request is
+// small. Sizing the buffer by it instead of CB leaves every iteration's
+// ext = buf[:ReadHi-ReadLo] the same prefix of a fresh zeroed buffer.
+func (pl *Plan) MaxExtent(a int) int64 {
+	var n int64
+	for i := range pl.Iters[a] {
+		if it := &pl.Iters[a][i]; it.ReadHi-it.ReadLo > n {
+			n = it.ReadHi - it.ReadLo
+		}
+	}
+	return n
+}
+
 // Expect returns owner o's expected incoming messages as (iteration,
 // aggregator-index) entries sorted by iteration then aggregator.
 func (pl *Plan) Expect(o int) []expectEntry { return pl.expect[o] }

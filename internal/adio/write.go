@@ -28,7 +28,7 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	aggrIdx := pl.AggrIndex(me)
 	var buf []byte
 	if aggrIdx >= 0 {
-		buf = make([]byte, p.CB)
+		buf = make([]byte, pl.MaxExtent(aggrIdx))
 	}
 
 	// pendingLocal holds this rank's owner==aggregator messages between the

@@ -111,7 +111,8 @@ type Cluster struct {
 	decAdmit decAdmitTag      // admission reason in flight (AdmitBackfilled)
 	schedQ   *Queue           // the scheduler's queue view, for snapshots
 
-	pending    pendQueue    // FIFO admission queue (tombstoned; see pendqueue.go)
+	pending    pendQueue    // arrival-ordered admission queue (see pendqueue.go)
+	admitWork  int          // heap comparisons made by the indexed policies (scaling gate)
 	futureSubs int          // SubmitAt callbacks not yet fired
 	results    []*JobResult // every submission, in submission order
 	assign     []*sim.Mailbox[*JobContext]

@@ -40,22 +40,35 @@ func (c *Cluster) decisionsOn() bool { return c.obs.DecisionsEnabled() }
 
 // newDecision fills the common fields of a decision record for jr at the
 // current virtual time: round, policy, job identity, width, wait so far,
-// and the free-rank snapshot.
+// and a snapshot of the free-rank set as it stands now.
 func (c *Cluster) newDecision(jr *JobResult, outcome decision.Outcome) decision.Record {
+	free, ranks := c.schedQ.freeSnapshot()
+	return c.decisionAt(jr, outcome, free, ranks)
+}
+
+// freeSnapshot renders the free-rank set for decision records. Formatting
+// it is the expensive part of a record, so a caller emitting many records
+// against one pool state (a round's skip records) takes it once.
+func (q *Queue) freeSnapshot() (free int, ranks string) {
+	if q == nil {
+		return 0, ""
+	}
+	return q.pool.free, decision.FormatRanks(q.pool.ranks(nil))
+}
+
+// decisionAt is newDecision against a free-rank snapshot the caller took.
+func (c *Cluster) decisionAt(jr *JobResult, outcome decision.Outcome, free int, ranks string) decision.Record {
 	now := c.env.Now()
-	rec := decision.Record{
+	return decision.Record{
 		Round: c.decRound, T: now, Policy: c.policy.Name(),
-		Job: jr.Job.Name, Seq: jr.pid - 1,
+		Job: jr.Job.Name, Seq: jr.Seq(),
 		Outcome:      outcome,
 		Width:        jr.Job.Ranks,
 		Wait:         now - jr.Submit,
 		BlockedBySeq: -1,
+		Free:         free,
+		FreeRanks:    ranks,
 	}
-	if q := c.schedQ; q != nil {
-		rec.Free = q.pool.free
-		rec.FreeRanks = decision.FormatRanks(q.pool.ranks(nil))
-	}
-	return rec
 }
 
 // blameRecord attaches the blocking job to a record (nil leaves it absent).
@@ -65,13 +78,13 @@ func blameRecord(rec *decision.Record, by *JobResult) {
 	}
 }
 
-// Blame records the policy's typed reason for leaving pending job i queued
+// Blame records the policy's typed reason for leaving pending job h queued
 // this round, overriding the mechanical inference in the round's skip
 // records: reason, the blocking job's submission sequence (-1 for none),
 // and — for shadow-reservation blames — the reserved start time. Cleared
 // when the round's skip records are emitted. A no-op unless decision
 // tracing is enabled, so policies may call it unconditionally.
-func (q *Queue) Blame(i int, reason decision.Reason, blockedSeq int, shadow float64) {
+func (q *Queue) Blame(h *JobResult, reason decision.Reason, blockedSeq int, shadow float64) {
 	c := q.c
 	if !c.decisionsOn() {
 		return
@@ -83,22 +96,24 @@ func (q *Queue) Blame(i int, reason decision.Reason, blockedSeq int, shadow floa
 	if blockedSeq >= 0 && blockedSeq < len(c.results) {
 		by = c.results[blockedSeq]
 	}
-	c.decBlame[c.pending.at(i).pid-1] = decBlame{reason: reason, blocked: by, shadow: shadow}
+	c.decBlame[h.Seq()] = decBlame{reason: reason, blocked: by, shadow: shadow}
 }
 
 // blameHeadOfLine tags every pending job that would fit right now as
 // head-of-line blocked behind the policy's chosen-but-unfitting best
-// choice. Reordering policies (priority, fairshare) call this before
-// blocking the queue, because the mechanical inference below assumes
-// queue-order consideration.
-func blameHeadOfLine(q *Queue, best int) {
-	if !q.c.decisionsOn() {
+// choice. admitBest calls it before blocking the queue, because the
+// mechanical inference in emitSkipDecisions assumes queue-order
+// consideration; when best is the queue head (always, under fifo) that
+// inference already names it and nothing needs tagging. Like the skip
+// records it feeds, it is O(pending) per blocked round and runs only under
+// decision tracing.
+func blameHeadOfLine(q *Queue, best *JobResult) {
+	if !q.c.decisionsOn() || best == q.Head() {
 		return
 	}
-	bseq := q.c.pending.at(best).pid - 1
-	for i := 0; i < q.Len(); i++ {
-		if i != best && q.Fits(i) {
-			q.Blame(i, decision.HeadOfLine, bseq, 0)
+	for h := q.Head(); h != nil; h = q.Next(h) {
+		if h != best && q.Fits(h) {
+			q.Blame(h, decision.HeadOfLine, best.Seq(), 0)
 		}
 	}
 }
@@ -124,22 +139,23 @@ func earliestEndingRunning(q *Queue) *JobResult {
 	return best
 }
 
-// rankBlocker picks the running job whose completion first accumulates
-// enough free ranks for width, walking the running set in estimated-
-// completion order (ties by admission order, no-estimate jobs last). With
-// every estimate unknown this degrades to admission order — still a
-// deterministic, honest "waiting on this job's ranks" answer.
-func rankBlocker(q *Queue, width int) *JobResult {
-	idx := make([]int, len(q.running))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return estEndOf(q.running[idx[a]]) < estEndOf(q.running[idx[b]])
+// runningByEstEnd returns the running set in estimated-completion order
+// (ties by admission order, no-estimate jobs last): rankBlocker's walk order.
+func runningByEstEnd(q *Queue) []*JobResult {
+	order := append(make([]*JobResult, 0, len(q.running)), q.running...)
+	sort.SliceStable(order, func(a, b int) bool {
+		return estEndOf(order[a]) < estEndOf(order[b])
 	})
+	return order
+}
+
+// rankBlocker picks the running job whose completion first accumulates
+// enough free ranks for width, walking byEnd (runningByEstEnd). With every
+// estimate unknown this degrades to admission order — still a
+// deterministic, honest "waiting on this job's ranks" answer.
+func rankBlocker(q *Queue, byEnd []*JobResult, width int) *JobResult {
 	avail := q.pool.free
-	for _, i := range idx {
-		r := q.running[i]
+	for _, r := range byEnd {
 		avail += len(r.Ranks)
 		if avail >= width {
 			return r
@@ -151,59 +167,59 @@ func rankBlocker(q *Queue, width int) *JobResult {
 	return nil
 }
 
-// headBlocker is the mechanical head-of-line cause under queue-order
-// policies: the first earlier pending job that does not itself fit, falling
-// back to the queue head.
-func headBlocker(c *Cluster, q *Queue, jr *JobResult) *JobResult {
-	var blocker *JobResult
-	c.pending.each(func(p *JobResult) bool {
-		if p == jr {
-			return false
-		}
-		if p.Job.Ranks > q.pool.free {
-			blocker = p
-			return false
-		}
-		return true
-	})
-	if blocker != nil {
-		return blocker
-	}
-	if first := c.pending.first(); first != nil && first != jr {
-		return first
-	}
-	return nil
-}
-
 // emitSkipDecisions closes one admission round: every job still pending
 // gets a skip record carrying the policy's Blame when one was recorded, or
 // a mechanically inferred reason otherwise — concurrency cap first (it
-// blocks regardless of width), then insufficient ranks, then head-of-line.
-// Runs after Policy.Admit at every round; the blame map is always cleared
-// so stale blames cannot leak across rounds.
+// blocks regardless of width), then insufficient ranks, then head-of-line
+// (behind the first earlier pending job that does not itself fit, falling
+// back to the queue head). Runs after Policy.Admit at every round; the blame
+// map is always cleared so stale blames cannot leak across rounds.
+//
+// One record per pending job per round is the documented O(pending) price
+// of tracing; what must not scale with it is the work per record, so
+// everything that cannot change inside the loop — the free-rank rendering,
+// the cap blocker, the running set's completion order, the first unfitting
+// job of the walk so far — is computed once per round.
 func (c *Cluster) emitSkipDecisions(q *Queue) {
 	if !c.decisionsOn() {
 		clear(c.decBlame)
 		return
 	}
-	c.pending.each(func(jr *JobResult) bool {
-		rec := c.newDecision(jr, decision.Skip)
-		if bl, ok := c.decBlame[jr.pid-1]; ok {
+	free, ranks := q.freeSnapshot()
+	capFree := q.CapFree()
+	var capBlocker, unfit *JobResult
+	if !capFree {
+		capBlocker = earliestEndingRunning(q)
+	}
+	var byEnd []*JobResult
+	head := c.pending.first()
+	for jr := head; jr != nil; jr = c.pending.next(jr) {
+		rec := c.decisionAt(jr, decision.Skip, free, ranks)
+		if bl, ok := c.decBlame[jr.Seq()]; ok {
 			rec.Reason = bl.reason
 			rec.Shadow = bl.shadow
 			blameRecord(&rec, bl.blocked)
-		} else if !q.CapFree() {
+		} else if !capFree {
 			rec.Reason = decision.ConcurrencyCap
-			blameRecord(&rec, earliestEndingRunning(q))
-		} else if jr.Job.Ranks > q.pool.free {
+			blameRecord(&rec, capBlocker)
+		} else if jr.Job.Ranks > free {
 			rec.Reason = decision.InsufficientRanks
-			blameRecord(&rec, rankBlocker(q, jr.Job.Ranks))
+			if byEnd == nil {
+				byEnd = runningByEstEnd(q)
+			}
+			blameRecord(&rec, rankBlocker(q, byEnd, jr.Job.Ranks))
 		} else {
 			rec.Reason = decision.HeadOfLine
-			blameRecord(&rec, headBlocker(c, q, jr))
+			if unfit != nil {
+				blameRecord(&rec, unfit)
+			} else if jr != head {
+				blameRecord(&rec, head)
+			}
+		}
+		if unfit == nil && jr.Job.Ranks > free {
+			unfit = jr
 		}
 		c.obs.Decision(rec)
-		return true
-	})
+	}
 	clear(c.decBlame)
 }

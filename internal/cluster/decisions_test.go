@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"math"
 	"reflect"
 	"testing"
 
@@ -24,13 +25,27 @@ func TestQueueViewAccessors(t *testing.T) {
 	if q.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", q.Len())
 	}
-	want := []QueuedJob{
-		{Name: "a0", Width: 4, Deadline: 10, Priority: 2, EstCost: 3,
-			Tenant: "alice", Seq: 0},
-		{Name: "b0", Width: 2, Tenant: "bob", Seq: 1},
+	a0, b0 := q.Head(), q.Next(q.Head())
+	if a0 != c.results[0] || b0 != c.results[1] || q.Next(b0) != nil {
+		t.Fatalf("Head/Next walk = %v, %v; want the two submissions in arrival order", a0, b0)
 	}
-	if got := q.QueuedJobs(); !reflect.DeepEqual(got, want) {
-		t.Fatalf("QueuedJobs = %+v, want %+v", got, want)
+	if !q.Pending(a0) || !q.Pending(b0) {
+		t.Fatalf("submitted jobs not Pending")
+	}
+	var arrived []*JobResult
+	q.Arrivals(func(h *JobResult) { arrived = append(arrived, h) })
+	q.Arrivals(func(h *JobResult) { arrived = append(arrived, h) }) // reports each once
+	if !reflect.DeepEqual(arrived, []*JobResult{a0, b0}) {
+		t.Fatalf("Arrivals = %v, want each pending job once in arrival order", arrived)
+	}
+	if a0.Seq() != 0 || a0.Tenant() != "alice" || a0.AbsDeadline() != 10 ||
+		a0.Job.Ranks != 4 || a0.Job.Priority != 2 || a0.Job.EstCost != 3 {
+		t.Fatalf("handle a0 = seq %d tenant %q deadline %v job %+v",
+			a0.Seq(), a0.Tenant(), a0.AbsDeadline(), a0.Job)
+	}
+	if b0.Seq() != 1 || b0.Tenant() != "bob" || !math.IsInf(b0.AbsDeadline(), 1) {
+		t.Fatalf("handle b0 = seq %d tenant %q deadline %v",
+			b0.Seq(), b0.Tenant(), b0.AbsDeadline())
 	}
 	if got := q.FreeRanks(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
 		t.Fatalf("FreeRanks = %v, want 0-7", got)
@@ -38,7 +53,7 @@ func TestQueueViewAccessors(t *testing.T) {
 	if q.Free() != 8 || q.PoolSize() != 8 {
 		t.Fatalf("Free/PoolSize = %d/%d, want 8/8", q.Free(), q.PoolSize())
 	}
-	if !q.Fits(0) || !q.Fits(1) {
+	if !q.Fits(a0) || !q.Fits(b0) {
 		t.Fatalf("both jobs should fit an empty 8-rank pool")
 	}
 
@@ -47,7 +62,7 @@ func TestQueueViewAccessors(t *testing.T) {
 	if got := q.FreeRanks(); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
 		t.Fatalf("FreeRanks after take = %v, want 4-7", got)
 	}
-	if !q.Fits(0) || !q.Fits(1) {
+	if !q.Fits(a0) || !q.Fits(b0) {
 		t.Fatalf("both jobs still fit 4 free ranks with the cap open")
 	}
 	// Fill the single concurrency slot: the cap must close and nothing fits.
@@ -55,7 +70,7 @@ func TestQueueViewAccessors(t *testing.T) {
 	if q.CapFree() {
 		t.Fatalf("CapFree with MaxConcurrent=1 and one running job")
 	}
-	if q.Fits(0) || q.Fits(1) {
+	if q.Fits(a0) || q.Fits(b0) {
 		t.Fatalf("jobs fit past a closed concurrency cap")
 	}
 

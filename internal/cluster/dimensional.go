@@ -34,7 +34,7 @@ type tenantMetrics struct {
 // tenantMx returns jr's cached (tenant, class) handle bundle, creating it on
 // the pair's first scheduling event. Only called under c.obs != nil.
 func (c *Cluster) tenantMx(jr *JobResult) *tenantMetrics {
-	tn, cl := labelOrDefault(jr.tenant()), labelOrDefault(jr.Job.Class)
+	tn, cl := labelOrDefault(jr.Tenant()), labelOrDefault(jr.Job.Class)
 	key := tn + "\x00" + cl
 	mx := c.tenantMxCache[key]
 	if mx == nil {
@@ -59,7 +59,7 @@ func (c *Cluster) tenantMx(jr *JobResult) *tenantMetrics {
 func queuedSpanAttrs(jr *JobResult) []obs.Attr {
 	attrs := make([]obs.Attr, 1, 3)
 	attrs[0] = obs.S("job", jr.Job.Name)
-	if tn := jr.tenant(); tn != "" {
+	if tn := jr.Tenant(); tn != "" {
 		attrs = append(attrs, obs.S("tenant", tn))
 	}
 	if jr.Job.Class != "" {

@@ -79,24 +79,47 @@ type mixOutcome struct {
 	events   []byte // JSONL event log; nil unless traced
 }
 
+// mixRun is how one mix is executed: the registered policy, tenant t1's
+// fair-share weight, whether the JSONL event log is captured (traced) and
+// whether decision records are interleaved into it (explain), and an
+// optional hook run on the fresh cluster before any submission.
+type mixRun struct {
+	policy   string
+	t1Weight float64
+	traced   bool
+	explain  bool
+	setup    func(*Cluster)
+}
+
 // runMix executes mix under the named policy. EstCost is set to the exact
 // duration; t1Weight sets tenant t1's fair-share weight.
 func runMix(t *testing.T, policy string, mix []mixJob, t1Weight float64, traced bool) mixOutcome {
 	t.Helper()
-	spec := Spec{Ranks: harnessRanks, RanksPerNode: 4, Policy: policy}
+	return runMixWith(t, mix, mixRun{policy: policy, t1Weight: t1Weight, traced: traced})
+}
+
+func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
+	t.Helper()
+	spec := Spec{Ranks: harnessRanks, RanksPerNode: 4, Policy: run.policy}
 	var buf bytes.Buffer
 	var sink *obs.JSONLSink
-	if traced {
+	if run.traced {
 		ot := obs.New()
 		sink = obs.NewJSONLSink(&buf)
 		ot.SetSink(sink)
+		if run.explain {
+			ot.EnableDecisions()
+		}
 		spec.Obs = ot
 	}
 	c := New(spec)
+	if run.setup != nil {
+		run.setup(c)
+	}
 	sessions := map[string]*Session{
 		"t1": c.Session("t1"), "t2": c.Session("t2"),
 	}
-	sessions["t1"].SetWeight(t1Weight)
+	sessions["t1"].SetWeight(run.t1Weight)
 	for _, mj := range mix {
 		j := &Job{Name: mj.name, Ranks: mj.width, Deadline: mj.deadline,
 			Priority: mj.prio, EstCost: mj.dur, Main: pureCompute(mj.dur)}
@@ -113,10 +136,10 @@ func runMix(t *testing.T, policy string, mix []mixJob, t1Weight float64, traced 
 	}
 	results, err := c.Run()
 	if err != nil {
-		t.Fatalf("policy %s: Run: %v", policy, err)
+		t.Fatalf("policy %s: Run: %v", run.policy, err)
 	}
 	out := mixOutcome{results: results, makespan: c.Now(), sched: c.SchedStats()}
-	if traced {
+	if run.traced {
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}

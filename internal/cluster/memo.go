@@ -199,7 +199,7 @@ func (c *Cluster) memoAdmit(jr *JobResult, now float64) {
 	c.memo.running[meta.memoKey] = jr
 	c.memo.stats.Misses++
 
-	c.pending.removeWhere(func(p *JobResult) bool {
+	c.pending.sweep(func(p *JobResult) bool {
 		return c.memoAttach(jr, p, now)
 	})
 }

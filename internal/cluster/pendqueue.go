@@ -1,146 +1,120 @@
 package cluster
 
 // pendQueue is the scheduler's pending-job queue: arrival order, O(1) push,
-// and O(1) amortized removal at any logical position. The previous
-// representation was a plain slice with splice removal
-// (append(pending[:i], pending[i+1:]...)) — O(queue) per removal, O(queue²)
-// for a round that drains the queue, which made 50k-job arrival streams
-// infeasible (see BenchmarkPendingQueueDrain50k).
+// and O(1) amortized removal of any entry by handle. An entry is its
+// *JobResult; while queued it remembers its own slot (JobResult.slot), so
+// removal needs no search and no position→slot translation — the cost that
+// made a deep backlog O(pending²) when policies addressed jobs by index.
 //
-// Representation: removals tombstone the slot (nil) instead of shifting the
-// tail; a head index skips leading tombstones and a deferred compaction pass
-// reclaims the rest once more than half the slice is dead, so the cost of
-// every removal is O(1) amortized. Policies address jobs by *logical* index
-// (position among live entries, in arrival order) exactly as they addressed
-// the old slice, so admission order — and therefore every trace and event
-// log — is byte-identical. Logical→physical resolution uses a cursor
-// remembering the last resolved position: policies scan indices in
-// nondecreasing order, so resolution is O(1) amortized; arbitrary access
-// patterns stay correct and merely degrade to O(distance).
+// Removals tombstone the slot (nil) instead of shifting the tail; head skips
+// leading tombstones and a deferred compaction reclaims the rest once more
+// than half the slice is dead, re-stamping the survivors' slots, so a handle
+// stays valid for as long as its job is queued. Arrival order is the slice
+// order and is never disturbed.
 type pendQueue struct {
 	items []*JobResult // arrival order; nil = removed (tombstone)
-	head  int          // first possibly-live slot; items[:head] are all dead
+	head  int          // items[:head] are all dead; items[head] is live
 	dead  int          // tombstone count at slots >= head
-	// Sequential-scan cursor: items[curPhys] is live and is logical index
-	// curLog. curPhys == -1 (or a stale slot) marks the cursor invalid.
-	curLog  int
-	curPhys int
+	fresh int          // items[fresh:] have not been reported by arrivals yet
 }
 
 // push appends an arrival to the tail.
-func (p *pendQueue) push(jr *JobResult) { p.items = append(p.items, jr) }
+func (p *pendQueue) push(jr *JobResult) {
+	p.items = append(p.items, jr)
+	jr.slot = len(p.items)
+}
 
 // Len returns the number of live pending jobs.
 func (p *pendQueue) Len() int { return len(p.items) - p.head - p.dead }
 
-// norm advances head past tombstones so items[head] is live, and resets the
-// backing slice once the queue empties so slots are reused.
-func (p *pendQueue) norm() {
-	for p.head < len(p.items) && p.items[p.head] == nil {
-		p.head++
-		p.dead--
-	}
-	if p.head == len(p.items) {
-		p.items = p.items[:0]
-		p.head, p.dead, p.curPhys = 0, 0, -1
-	}
+// has reports whether jr is queued.
+func (p *pendQueue) has(jr *JobResult) bool {
+	return jr.slot > 0 && jr.slot <= len(p.items) && p.items[jr.slot-1] == jr
 }
 
-// cursorValid reports whether the cursor names a live slot.
-func (p *pendQueue) cursorValid() bool {
-	return p.curPhys >= p.head && p.curPhys < len(p.items) &&
-		p.items[p.curPhys] != nil
-}
-
-// phys resolves logical index i (0 <= i < Len()) to its physical slot.
-func (p *pendQueue) phys(i int) int {
-	if i < 0 || i >= p.Len() {
-		panic("cluster: pending-queue index out of range")
-	}
-	p.norm()
-	log, ph := 0, p.head
-	if p.cursorValid() && p.curLog <= i {
-		log, ph = p.curLog, p.curPhys
-	}
-	for {
-		if p.items[ph] != nil {
-			if log == i {
-				p.curLog, p.curPhys = i, ph
-				return ph
-			}
-			log++
-		}
-		ph++
-	}
-}
-
-// at returns the pending job at logical index i.
-func (p *pendQueue) at(i int) *JobResult { return p.items[p.phys(i)] }
-
-// first returns the head job, or nil when the queue is empty.
+// first returns the earliest-arrived pending job, or nil on an empty queue.
 func (p *pendQueue) first() *JobResult {
-	p.norm()
 	if p.head < len(p.items) {
 		return p.items[p.head]
 	}
 	return nil
 }
 
-// removeAt removes and returns the job at logical index i. The entries
-// behind it keep their arrival order; their logical indices shift down by
-// one, and the cursor is re-aimed at the new occupant of index i so a policy
-// continuing its scan at the same index stays O(1).
-func (p *pendQueue) removeAt(i int) *JobResult {
-	ph := p.phys(i)
-	jr := p.items[ph]
-	p.items[ph] = nil
+// next returns the pending job that arrived after jr, or nil at the tail.
+// jr must be queued: step past an entry before removing it.
+func (p *pendQueue) next(jr *JobResult) *JobResult {
+	if !p.has(jr) {
+		panic("cluster: pending-queue walk from a job that is not queued")
+	}
+	for _, n := range p.items[jr.slot:] {
+		if n != nil {
+			return n
+		}
+	}
+	return nil
+}
+
+// remove takes jr out of the queue; the rest keep their arrival order.
+func (p *pendQueue) remove(jr *JobResult) {
+	if !p.has(jr) {
+		panic("cluster: pending-queue removal of a job that is not queued")
+	}
+	p.kill(jr)
+	p.settle()
+}
+
+// sweep visits every live job in arrival order and removes those for which
+// drop returns true (the memo layer's admission sweep). drop must not touch
+// the queue.
+func (p *pendQueue) sweep(drop func(*JobResult) bool) {
+	for _, jr := range p.items[p.head:] {
+		if jr != nil && drop(jr) {
+			p.kill(jr)
+		}
+	}
+	p.settle()
+}
+
+func (p *pendQueue) kill(jr *JobResult) {
+	p.items[jr.slot-1], jr.slot = nil, 0
 	p.dead++
-	np := ph + 1
-	for np < len(p.items) && p.items[np] == nil {
-		np++
-	}
-	if np < len(p.items) {
-		p.curLog, p.curPhys = i, np
-	} else {
-		p.curPhys = -1
-	}
-	p.norm()
-	p.maybeCompact()
-	return jr
 }
 
-// each visits the live jobs in arrival order; fn returning false stops the
-// walk early.
-func (p *pendQueue) each(fn func(*JobResult) bool) {
-	for _, jr := range p.items[p.head:] {
-		if jr != nil && !fn(jr) {
-			return
+// settle restores the invariants after removals: head on a live slot, and
+// tombstones compacted away once they outnumber the live entries beyond a
+// small floor (always when the queue empties, so slots are reused). Each
+// compaction halves the slice, so it amortizes to O(1) per removal.
+func (p *pendQueue) settle() {
+	for p.head < len(p.items) && p.items[p.head] == nil {
+		p.head++
+		p.dead--
+	}
+	if w := p.head + p.dead; p.head < len(p.items) && (w <= 32 || w <= len(p.items)/2) {
+		return
+	}
+	live, fresh := p.items[:0], 0
+	for i, jr := range p.items {
+		if jr == nil {
+			continue
+		}
+		if i < p.fresh {
+			fresh++
+		}
+		live = append(live, jr)
+		jr.slot = len(live)
+	}
+	clear(p.items[len(live):])
+	p.items, p.head, p.dead, p.fresh = live, 0, 0, fresh
+}
+
+// arrivals reports, in arrival order, every still-queued job pushed since
+// the previous call: how an indexing policy learns of new entries without a
+// hook on the submit path.
+func (p *pendQueue) arrivals(fn func(*JobResult)) {
+	for _, jr := range p.items[p.fresh:] {
+		if jr != nil {
+			fn(jr)
 		}
 	}
-}
-
-// removeWhere visits every live job in arrival order and removes those for
-// which drop returns true, compacting the queue in the same pass (the memo
-// layer's admission sweep).
-func (p *pendQueue) removeWhere(drop func(*JobResult) bool) {
-	live := p.items[:0]
-	for _, jr := range p.items[p.head:] {
-		if jr != nil && !drop(jr) {
-			live = append(live, jr)
-		}
-	}
-	for i := len(live); i < len(p.items); i++ {
-		p.items[i] = nil
-	}
-	p.items = live
-	p.head, p.dead, p.curPhys = 0, 0, -1
-}
-
-// maybeCompact reclaims tombstoned slots once they outnumber the live
-// entries (beyond a small floor, so tiny queues never bother). Each
-// compaction halves the slice, so its cost amortizes to O(1) per removal.
-func (p *pendQueue) maybeCompact() {
-	if w := p.head + p.dead; w > 32 && w > len(p.items)/2 {
-		p.removeWhere(func(*JobResult) bool { return false })
-	}
+	p.fresh = len(p.items)
 }

@@ -6,84 +6,118 @@ import (
 )
 
 // pendModel is the reference implementation the tombstoned queue must match:
-// the pre-refactor plain slice with splice removal.
-type pendModel []*JobResult
+// a plain slice in arrival order with search-and-splice removal, plus the
+// count of tail entries Arrivals has not reported yet.
+type pendModel struct {
+	jobs  []*JobResult
+	fresh int
+}
 
-func (m *pendModel) push(jr *JobResult) { *m = append(*m, jr) }
-func (m pendModel) Len() int            { return len(m) }
-func (m pendModel) at(i int) *JobResult { return m[i] }
-func (m *pendModel) removeAt(i int) *JobResult {
-	jr := (*m)[i]
-	*m = append((*m)[:i], (*m)[i+1:]...)
-	return jr
+func (m *pendModel) push(jr *JobResult) { m.jobs = append(m.jobs, jr); m.fresh++ }
+func (m *pendModel) Len() int           { return len(m.jobs) }
+func (m *pendModel) remove(jr *JobResult) {
+	for i, x := range m.jobs {
+		if x == jr {
+			if i >= len(m.jobs)-m.fresh {
+				m.fresh--
+			}
+			m.jobs = append(m.jobs[:i], m.jobs[i+1:]...)
+			return
+		}
+	}
+	panic("pendModel: remove of absent job")
 }
 
 func newPendJob(id int) *JobResult {
 	return &JobResult{Job: &Job{Name: "j"}, pid: id + 1}
 }
 
+// checkPendWalk asserts that first/next visit exactly the model's jobs in
+// arrival order and that every visited handle reports itself queued.
+func checkPendWalk(t *testing.T, q *pendQueue, m *pendModel, label string) {
+	t.Helper()
+	if q.Len() != m.Len() {
+		t.Fatalf("%s: Len %d, want %d", label, q.Len(), m.Len())
+	}
+	i := 0
+	for jr := q.first(); jr != nil; jr = q.next(jr) {
+		if i >= m.Len() || jr != m.jobs[i] {
+			t.Fatalf("%s: walk index %d = pid %d, model disagrees", label, i, jr.pid)
+		}
+		if !q.has(jr) {
+			t.Fatalf("%s: walked job pid %d not has()", label, jr.pid)
+		}
+		i++
+	}
+	if i != m.Len() {
+		t.Fatalf("%s: walk visited %d jobs, want %d", label, i, m.Len())
+	}
+}
+
 // TestPendQueueDifferential drives pendQueue and the splice-slice model with
-// the same random operation stream and checks they agree on every
-// observation: Len, at(i) for every index, removal order, and the removeWhere
-// sweep. Policies only ever see the queue through these operations, so
-// agreement here is what "byte-identical traces" rests on.
+// the same random operation stream — pushes, removals by handle from random
+// positions, removeWhere sweeps, arrival drains — dense enough that
+// compaction fires between any two of them, and checks they agree on every
+// observation: Len, the first/next walk, has() of live and removed handles,
+// and the set Arrivals reports. Policies only ever see the queue through
+// these operations, so agreement here is what "byte-identical traces" rests
+// on; in particular a handle taken before a compaction must still remove the
+// right job after it.
 func TestPendQueueDifferential(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		var q pendQueue
 		var m pendModel
+		var gone []*JobResult
 		next := 0
-		for op := 0; op < 2000; op++ {
-			switch k := rng.Intn(10); {
-			case k < 4: // push
-				q.push(newPendJob(next))
-				m.push(newPendJob(next))
+		for op := 0; op < 4000; op++ {
+			switch k := rng.Intn(12); {
+			case k < 5: // push
+				jr := newPendJob(next)
+				q.push(jr)
+				m.push(jr)
 				next++
-			case k < 7: // removeAt
+			case k < 9: // remove by handle, anywhere in the queue
 				if m.Len() == 0 {
 					continue
 				}
-				i := rng.Intn(m.Len())
-				got, want := q.removeAt(i), m.removeAt(i)
-				if got.pid != want.pid {
-					t.Fatalf("seed %d op %d: removeAt(%d) = pid %d, want %d",
-						seed, op, i, got.pid, want.pid)
-				}
-			case k < 8: // random access
-				if m.Len() == 0 {
-					continue
-				}
-				i := rng.Intn(m.Len())
-				if got, want := q.at(i), m.at(i); got.pid != want.pid {
-					t.Fatalf("seed %d op %d: at(%d) = pid %d, want %d",
-						seed, op, i, got.pid, want.pid)
-				}
-			case k < 9: // removeWhere sweep (the memo-admission path)
+				jr := m.jobs[rng.Intn(m.Len())]
+				q.remove(jr)
+				m.remove(jr)
+				gone = append(gone, jr)
+			case k < 10: // sweep (the memo-admission path)
 				mod := 2 + rng.Intn(3)
-				q.removeWhere(func(jr *JobResult) bool { return jr.pid%mod == 0 })
-				keep := m[:0]
-				for _, jr := range m {
-					if jr.pid%mod != 0 {
-						keep = append(keep, jr)
+				q.sweep(func(jr *JobResult) bool { return jr.pid%mod == 0 })
+				for _, jr := range append([]*JobResult(nil), m.jobs...) {
+					if jr.pid%mod == 0 {
+						m.remove(jr)
+						gone = append(gone, jr)
 					}
 				}
-				m = keep
-			default: // full scan, in order (each + at must agree)
+			case k < 11: // arrivals drain: each still-queued new entry, once, in order
+				want := m.jobs[m.Len()-m.fresh:]
 				i := 0
-				q.each(func(jr *JobResult) bool {
-					if jr.pid != m[i].pid {
-						t.Fatalf("seed %d op %d: each index %d = pid %d, want %d",
-							seed, op, i, jr.pid, m[i].pid)
+				q.arrivals(func(jr *JobResult) {
+					if i >= len(want) || jr != want[i] {
+						t.Fatalf("seed %d op %d: arrival %d = pid %d, model disagrees", seed, op, i, jr.pid)
 					}
 					i++
-					return true
 				})
-				if i != m.Len() {
-					t.Fatalf("seed %d op %d: each visited %d jobs, want %d", seed, op, i, m.Len())
+				if i != len(want) {
+					t.Fatalf("seed %d op %d: %d arrivals reported, want %d", seed, op, i, len(want))
 				}
+				m.fresh = 0
+			default:
+				checkPendWalk(t, &q, &m, "walk")
 			}
 			if q.Len() != m.Len() {
 				t.Fatalf("seed %d op %d: Len %d, want %d", seed, op, q.Len(), m.Len())
+			}
+		}
+		checkPendWalk(t, &q, &m, "final")
+		for _, jr := range gone {
+			if q.has(jr) {
+				t.Fatalf("seed %d: removed job pid %d still has()", seed, jr.pid)
 			}
 		}
 	}
@@ -94,27 +128,32 @@ func TestPendQueueScanOrderAfterRemovals(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		q.push(newPendJob(i))
 	}
-	// Remove every other job during an ascending scan — the easy-backfill
-	// access pattern ("continue at the same index after a removal").
-	for i := 0; i < q.Len(); {
-		if q.at(i).pid%2 == 0 {
-			q.removeAt(i)
-			continue
+	// Remove every other job during an arrival-order walk — the easy-backfill
+	// access pattern (step past the candidate, then remove it). Fifty
+	// removals out of a hundred cross the compaction threshold mid-walk, so
+	// the held "next" handle must survive being moved.
+	for next := q.first(); next != nil; {
+		jr := next
+		next = q.next(jr)
+		if jr.pid%2 == 0 {
+			q.remove(jr)
 		}
-		i++
 	}
 	if q.Len() != 50 {
 		t.Fatalf("Len = %d, want 50", q.Len())
 	}
-	for i := 0; i < q.Len(); i++ {
-		if want := 2*i + 1; q.at(i).pid != want {
-			t.Fatalf("at(%d) = pid %d, want %d", i, q.at(i).pid, want)
+	want := 1
+	for jr := q.first(); jr != nil; jr = q.next(jr) {
+		if jr.pid != want {
+			t.Fatalf("walk = pid %d, want %d", jr.pid, want)
 		}
+		want += 2
 	}
 	// Drain from the head; arrival order must hold.
 	prev := 0
 	for q.Len() > 0 {
-		jr := q.removeAt(0)
+		jr := q.first()
+		q.remove(jr)
 		if jr.pid <= prev {
 			t.Fatalf("drain out of order: pid %d after %d", jr.pid, prev)
 		}
@@ -125,19 +164,23 @@ func TestPendQueueScanOrderAfterRemovals(t *testing.T) {
 	}
 }
 
-// The committed evidence for the pending-queue fix: draining a 50k-job queue
-// through the scheduler's removal verb. The old splice representation
+// The committed evidence for the pending-queue representation: draining a
+// 50k-job queue through the scheduler's removal verb. Splice removal
 // (BenchmarkPendingSpliceDrain50k) moves O(queue) pointers per removal —
 // O(queue²) per drained round — while the tombstoned queue is O(1) amortized.
-// At 50k jobs the gap is far beyond the required 10x.
 
 const benchQueueLen = 50_000
 
-func BenchmarkPendingQueueDrain50k(b *testing.B) {
+func benchPendJobs() []*JobResult {
 	jobs := make([]*JobResult, benchQueueLen)
 	for i := range jobs {
 		jobs[i] = newPendJob(i)
 	}
+	return jobs
+}
+
+func BenchmarkPendingQueueDrain50k(b *testing.B) {
+	jobs := benchPendJobs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		var q pendQueue
@@ -145,16 +188,13 @@ func BenchmarkPendingQueueDrain50k(b *testing.B) {
 			q.push(jr)
 		}
 		for q.Len() > 0 {
-			q.removeAt(0)
+			q.remove(q.first())
 		}
 	}
 }
 
 func BenchmarkPendingSpliceDrain50k(b *testing.B) {
-	jobs := make([]*JobResult, benchQueueLen)
-	for i := range jobs {
-		jobs[i] = newPendJob(i)
-	}
+	jobs := benchPendJobs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		var m pendModel
@@ -162,51 +202,27 @@ func BenchmarkPendingSpliceDrain50k(b *testing.B) {
 			m.push(jr)
 		}
 		for m.Len() > 0 {
-			m.removeAt(0)
+			m.remove(m.jobs[0])
 		}
 	}
 }
 
-// Mid-queue removals in ascending scan order — the memo/backfill round shape
-// (consider each job, pluck some out of the middle).
+// Mid-queue removals during an arrival-order walk — the memo/backfill round
+// shape (consider each job, pluck some out of the middle).
 func BenchmarkPendingQueueSweep50k(b *testing.B) {
-	jobs := make([]*JobResult, benchQueueLen)
-	for i := range jobs {
-		jobs[i] = newPendJob(i)
-	}
+	jobs := benchPendJobs()
 	b.ResetTimer()
 	for n := 0; n < b.N; n++ {
 		var q pendQueue
 		for _, jr := range jobs {
 			q.push(jr)
 		}
-		for i := 0; i < q.Len(); {
-			if q.at(i).pid%2 == 0 {
-				q.removeAt(i)
-				continue
+		for next := q.first(); next != nil; {
+			jr := next
+			next = q.next(jr)
+			if jr.pid%2 == 0 {
+				q.remove(jr)
 			}
-			i++
-		}
-	}
-}
-
-func BenchmarkPendingSpliceSweep50k(b *testing.B) {
-	jobs := make([]*JobResult, benchQueueLen)
-	for i := range jobs {
-		jobs[i] = newPendJob(i)
-	}
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		var m pendModel
-		for _, jr := range jobs {
-			m.push(jr)
-		}
-		for i := 0; i < m.Len(); {
-			if m.at(i).pid%2 == 0 {
-				m.removeAt(i)
-				continue
-			}
-			i++
 		}
 	}
 }

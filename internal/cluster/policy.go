@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -21,12 +22,29 @@ import (
 // pending job to consider next, whether it may start now, and on which
 // ranks.
 //
-// Contract (enforced by the property harness in harness_test.go):
+// Pending jobs are addressed by handle — the job's *JobResult — never by
+// queue position, and every verb (Expired, Fits, Drop, TryMemo, Admit, Blame)
+// takes one. A policy may hold handles across rounds in whatever ordered
+// index its discipline needs (DESIGN.md §11 has the full contract):
 //
-//   - Determinism: a policy's decisions must be a pure function of the Queue
-//     state. Ties must be broken by submission sequence (QueuedJob.Seq),
-//     never by map iteration or randomness: the same Spec and job list must
-//     produce bit-identical schedules and event logs on every run.
+//   - Arrivals are pulled: Queue.Arrivals reports each new pending job once,
+//     in arrival order, so an indexing policy calls it at the top of a round.
+//   - Removals are discovered: a verb removes the handle it is given, and
+//     Admit's memo sweep may remove any number of others behind the policy's
+//     back. Check Queue.Pending before acting on a held handle and discard
+//     it when false (lazy deletion); a handle never re-enters the queue.
+//   - Keys are static and totally ordered: a job's width, priority, absolute
+//     deadline, estimate, tenant and Seq are fixed at submission and finite
+//     (NaN/Inf are refused at Submit and SetWeight). Only Queue.Usage moves,
+//     and UsageObserver says when.
+//
+// Contract (enforced by the property harness in harness_test.go and, for the
+// indexed policies, by the linear-scan oracles in oracle_test.go):
+//
+//   - Determinism: decisions are a pure function of the Queue state, ties
+//     broken by submission sequence (JobResult.Seq), never by map iteration
+//     or randomness: the same Spec and job list produce bit-identical
+//     schedules and event logs on every run.
 //   - No double booking: Admit only places jobs on free ranks (the Queue
 //     panics otherwise) and never admits past the concurrency cap.
 //   - Work conservation: when the machine is idle and jobs are pending,
@@ -35,26 +53,18 @@ import (
 //   - No starvation on a finite queue: every job is eventually considered,
 //     so every non-deadline-dropped job eventually runs.
 //
-// Four built-in policies ship with the cluster:
+// Built-in policies, their index, and the cost of consuming one job from N
+// pending over T tenants (each type's comment has the discipline):
 //
-//   - "fifo" (default): strict arrival order onto the lowest-numbered free
-//     ranks; a head that does not fit blocks the queue. Byte-identical to
-//     the pre-policy-refactor scheduler (pinned by the golden event log in
-//     internal/experiments/testdata).
-//   - "easy-backfill": FCFS with EASY (aggressive) backfilling — a blocked
-//     head gets a reservation at the earliest time enough ranks free up
-//     (computed from running jobs' EstCost estimates), and jobs behind it
-//     may start early only when provably unable to delay that reservation:
-//     they finish before it, or they use only ranks the reservation does
-//     not need.
-//   - "priority": highest Job.Priority first; within a priority, the most
-//     urgent absolute deadline first, then FCFS. The best job blocks the
-//     queue when it does not fit (no skipping), so admission stays
-//     starvation-free.
-//   - "fairshare": per-tenant deficit ordering — each tenant's bucket is
-//     charged width x service (estimated at admission, trued up at
-//     completion), and the pending job of the least-charged tenant,
-//     normalized by Session weight, is served first; FCFS within a tenant.
+//   - "fifo" (default): the queue head; O(1).
+//   - "priority": one heap under priBefore; O(log N).
+//   - "fairshare": a min-Seq heap per tenant under a tenant heap keyed
+//     (usage/weight, head Seq); O(log N + log T).
+//   - "easy-backfill": none — O(1) while the head fits, an O(N) walk per
+//     round in which it is blocked (the walk's side effects are the log).
+//
+// With decision tracing on (-explain) every policy also pays O(N) per round
+// for the per-pending-job skip records: the documented price of tracing.
 
 // Policy decides admission order and rank placement for the scheduler.
 // Admit runs one admission round: inspect the queue, drop expired jobs it
@@ -71,24 +81,12 @@ type Policy interface {
 	Admit(q *Queue)
 }
 
-// QueuedJob is a policy's read-only view of one pending submission.
-type QueuedJob struct {
-	Name     string
-	Width    int     // ranks the job needs
-	Submit   float64 // arrival time (virtual seconds)
-	Deadline float64 // relative deadline (0 = none); absolute = Submit + Deadline
-	Priority int     // higher = more urgent (priority policy)
-	EstCost  float64 // estimated service seconds (0 = unknown)
-	Tenant   string  // owning session name ("" = direct submission)
-	Seq      int     // global submission sequence, for FCFS tie-breaks
-}
-
-// RunningJob is a policy's view of one admitted, still-running job.
-type RunningJob struct {
-	Width  int
-	Start  float64
-	EstEnd float64 // Start + EstCost; +Inf when the job carried no estimate
-	Tenant string
+// UsageObserver is implemented by a policy that keeps tenants ordered by
+// Queue.Usage: the Queue calls UsageChanged wherever a tenant's charge moves
+// (an admission's estimate, a completion's true-up), so the policy re-fixes
+// that one tenant instead of re-deriving every key each round.
+type UsageObserver interface {
+	UsageChanged(q *Queue, tenant string)
 }
 
 // Queue is the scheduler's admission state as seen by a Policy: the pending
@@ -96,10 +94,9 @@ type RunningJob struct {
 // (Drop, TryMemo, Admit) that keep the scheduler's bookkeeping and
 // telemetry identical no matter which policy drives them.
 //
-// Indices are positions in the current pending queue; every Drop, TryMemo
-// (returning true), and Admit mutates the queue (Admit may additionally
-// absorb later jobs into the admitted one via the memo layer), so a policy
-// must re-read indices after any mutation.
+// A pending job is its *JobResult handle: Job.Ranks, Job.Priority and
+// Job.EstCost are read off it directly; Seq, Tenant and AbsDeadline are its
+// accessors.
 type Queue struct {
 	c       *Cluster
 	pool    rankPool
@@ -107,17 +104,15 @@ type Queue struct {
 }
 
 // rankPool tracks the free world ranks as a bitset: O(1) take/put and
-// lowest-free-first placement via trailing-zero scans over 64-rank words,
-// replacing the per-admission linear scan over a []bool. Placement order is
-// identical to the scan (ascending rank), so schedules are unchanged.
+// lowest-free-first placement (ascending rank) via trailing-zero scans over
+// 64-rank words.
 type rankPool struct {
 	words []uint64
-	n     int // pool size
 	free  int // free count
 }
 
 func newRankPool(n int) rankPool {
-	p := rankPool{words: make([]uint64, (n+63)/64), n: n, free: n}
+	p := rankPool{words: make([]uint64, (n+63)/64), free: n}
 	for i := 0; i < n; i++ {
 		p.words[i>>6] |= 1 << uint(i&63)
 	}
@@ -174,35 +169,24 @@ func (q *Queue) Now() float64 { return q.c.env.Now() }
 // Len returns the number of pending jobs.
 func (q *Queue) Len() int { return q.c.pending.Len() }
 
-// Job returns the policy view of pending job i.
-func (q *Queue) Job(i int) QueuedJob {
-	jr := q.c.pending.at(i)
-	return QueuedJob{
-		Name:     jr.Job.Name,
-		Width:    jr.Job.Ranks,
-		Submit:   jr.Submit,
-		Deadline: jr.Job.Deadline,
-		Priority: jr.Job.Priority,
-		EstCost:  jr.Job.EstCost,
-		Tenant:   jr.tenant(),
-		Seq:      jr.pid - 1,
-	}
-}
+// Head returns the earliest-arrived pending job, or nil when none is.
+func (q *Queue) Head() *JobResult { return q.c.pending.first() }
 
-// QueuedJobs returns the policy view of every pending job, in queue order.
-func (q *Queue) QueuedJobs() []QueuedJob {
-	out := make([]QueuedJob, q.Len())
-	for i := range out {
-		out[i] = q.Job(i)
-	}
-	return out
-}
+// Next returns the pending job that arrived after h, or nil at the tail.
+// Together with Head it walks the queue in arrival order; h must still be
+// pending, so step past a handle before handing it to a removing verb.
+func (q *Queue) Next(h *JobResult) *JobResult { return q.c.pending.next(h) }
 
-// Expired reports whether pending job i's deadline has passed.
-func (q *Queue) Expired(i int) bool {
-	jr := q.c.pending.at(i)
-	return jr.Job.Deadline > 0 && q.Now() > jr.Submit+jr.Job.Deadline
-}
+// Arrivals calls fn, in arrival order, with every pending job that joined
+// the queue since the previous call.
+func (q *Queue) Arrivals(fn func(h *JobResult)) { q.c.pending.arrivals(fn) }
+
+// Pending reports whether h is still queued — false once it was dropped,
+// served from the memo layer, admitted, or absorbed by another admission.
+func (q *Queue) Pending(h *JobResult) bool { return q.c.pending.has(h) }
+
+// Expired reports whether pending job h's deadline has passed.
+func (q *Queue) Expired(h *JobResult) bool { return q.Now() > h.AbsDeadline() }
 
 // Free returns the number of free ranks.
 func (q *Queue) Free() int { return q.pool.free }
@@ -221,26 +205,10 @@ func (q *Queue) CapFree() bool {
 	return q.c.spec.MaxConcurrent <= 0 || len(q.running) < q.c.spec.MaxConcurrent
 }
 
-// Fits reports whether pending job i can be admitted right now: enough free
+// Fits reports whether pending job h can be admitted right now: enough free
 // ranks and concurrency-cap headroom.
-func (q *Queue) Fits(i int) bool {
-	return q.c.pending.at(i).Job.Ranks <= q.pool.free && q.CapFree()
-}
-
-// Running returns the admitted-and-running set in admission order.
-func (q *Queue) Running() []RunningJob {
-	out := make([]RunningJob, len(q.running))
-	for i, jr := range q.running {
-		est := math.Inf(1)
-		if jr.Job.EstCost > 0 {
-			est = jr.Start + jr.Job.EstCost
-		}
-		out[i] = RunningJob{
-			Width: len(jr.Ranks), Start: jr.Start, EstEnd: est,
-			Tenant: jr.tenant(),
-		}
-	}
-	return out
+func (q *Queue) Fits(h *JobResult) bool {
+	return h.Job.Ranks <= q.pool.free && q.CapFree()
 }
 
 // Usage returns the tenant's accumulated rank-seconds of delivered service
@@ -257,15 +225,24 @@ func (q *Queue) Weight(tenant string) float64 {
 	return 1
 }
 
-// Drop removes expired pending job i from the queue with
+// charge moves tenant's service charge by delta rank-seconds and tells a
+// usage-indexing policy.
+func (q *Queue) charge(tenant string, delta float64) {
+	q.c.tenantUse[tenant] += delta
+	if o, ok := q.c.policy.(UsageObserver); ok {
+		o.UsageChanged(q, tenant)
+	}
+}
+
+// Drop removes expired pending job jr from the queue with
 // ErrDeadlineExpired. Panics if the job's deadline has not passed — a
 // policy may never drop a live job.
-func (q *Queue) Drop(i int) {
-	if !q.Expired(i) {
-		panic(fmt.Sprintf("cluster: policy dropped unexpired job %q", q.c.pending.at(i).Job.Name))
+func (q *Queue) Drop(jr *JobResult) {
+	if !q.Expired(jr) {
+		panic(fmt.Sprintf("cluster: policy dropped unexpired job %q", jr.Job.Name))
 	}
 	c := q.c
-	jr := c.pending.removeAt(i)
+	c.pending.remove(jr)
 	j := jr.Job
 	now := c.env.Now()
 	jr.Start, jr.End = now, now
@@ -293,43 +270,39 @@ func (q *Queue) Drop(i int) {
 	}
 }
 
-// TryMemo serves pending job i from the memo layer when possible (cached
+// TryMemo serves pending job h from the memo layer when possible (cached
 // result, or attach to an identical in-flight job); it reports whether the
 // job was consumed and removed from the queue.
-func (q *Queue) TryMemo(i int) bool {
+func (q *Queue) TryMemo(h *JobResult) bool {
 	c := q.c
-	if !c.memoTryComplete(c.pending.at(i), c.env.Now()) {
+	if !c.memoTryComplete(h, c.env.Now()) {
 		return false
 	}
-	c.pending.removeAt(i)
+	c.pending.remove(h)
 	return true
 }
 
-// Admit starts pending job i now. ranks selects the placement: nil places
+// Admit starts pending job jr now. ranks selects the placement: nil places
 // the job on the lowest-numbered free ranks; an explicit slice must name
 // exactly the job's width of distinct free ranks. Panics when the job does
-// not fit (check Fits first) or the placement is invalid. The admitted
-// job's result is returned; the pending queue is re-indexed, and may
-// additionally have lost jobs absorbed by the memo layer onto the admitted
-// donor.
-func (q *Queue) Admit(i int, ranks []int) *JobResult {
+// not fit (check Fits first) or the placement is invalid. jr leaves the
+// queue, and so may any number of other pending jobs the memo layer absorbs
+// onto it as their donor. Returns jr.
+func (q *Queue) Admit(jr *JobResult, ranks []int) *JobResult {
 	c := q.c
-	jr := c.pending.at(i)
 	j := jr.Job
 	if j.Ranks > q.pool.free || !q.CapFree() {
 		panic(fmt.Sprintf("cluster: policy admitted job %q (width %d) with %d free ranks",
 			j.Name, j.Ranks, q.pool.free))
 	}
 	now := c.env.Now()
-	// Snapshot the free set before placement: the decision record describes
-	// the state the admission decision was made against.
-	var preFree int
-	var preFreeStr string
+	// Started before placement: the decision record describes the free set
+	// the admission decision was made against.
+	var rec decision.Record
 	if c.decisionsOn() {
-		preFree = q.pool.free
-		preFreeStr = decision.FormatRanks(q.pool.ranks(nil))
+		rec = c.newDecision(jr, decision.Admit)
 	}
-	c.pending.removeAt(i)
+	c.pending.remove(jr)
 	var members []int
 	if ranks == nil {
 		members = q.pool.takeLowest(j.Ranks, make([]int, 0, j.Ranks))
@@ -351,13 +324,11 @@ func (q *Queue) Admit(i int, ranks []int) *JobResult {
 	q.running = append(q.running, jr)
 	jr.Start = now
 	jr.Ranks = members
-	c.tenantUse[jr.tenant()] += float64(j.Ranks) * j.EstCost
+	q.charge(jr.Tenant(), float64(j.Ranks)*j.EstCost)
 	// Admission decision record, before memoAdmit so the donor's record
 	// precedes any memo-wait/coalesce records of jobs it absorbs. A policy
 	// admitting through AdmitBackfilled tags the record via c.decAdmit.
 	if c.decisionsOn() {
-		rec := c.newDecision(jr, decision.Admit)
-		rec.Free, rec.FreeRanks = preFree, preFreeStr
 		placed := append([]int(nil), members...)
 		sort.Ints(placed)
 		rec.Ranks = decision.FormatRanks(placed)
@@ -413,16 +384,16 @@ func (q *Queue) Admit(i int, ranks []int) *JobResult {
 	return jr
 }
 
-// AdmitBackfilled admits pending job i as an EASY backfill ahead of a
+// AdmitBackfilled admits pending job h as an EASY backfill ahead of a
 // blocked head holding a reservation at shadow: the same mechanism as
 // Admit, plus the backfill telemetry (counter + event-log instant) and the
 // decision record's "backfill" tag. Instant and record are derived from the
 // same job and shadow values in one place, so the event log and the
 // decision stream can never disagree about a backfill.
-func (q *Queue) AdmitBackfilled(i int, ranks []int, shadow float64) *JobResult {
+func (q *Queue) AdmitBackfilled(h *JobResult, ranks []int, shadow float64) *JobResult {
 	c := q.c
 	c.decAdmit = decAdmitTag{reason: decision.Backfill, shadow: shadow, set: true}
-	jr := q.Admit(i, ranks)
+	jr := q.Admit(h, ranks)
 	c.decAdmit = decAdmitTag{}
 	if ot := c.obs; ot != nil {
 		ot.Metrics().Counter("cluster_jobs_backfilled").Inc()
@@ -440,14 +411,10 @@ func (q *Queue) complete(jr *JobResult) {
 	for _, wr := range jr.Ranks {
 		q.pool.put(wr)
 	}
-	for i, r := range q.running {
-		if r == jr {
-			q.running = append(q.running[:i], q.running[i+1:]...)
-			break
-		}
+	if i := slices.Index(q.running, jr); i >= 0 {
+		q.running = slices.Delete(q.running, i, i+1)
 	}
-	q.c.tenantUse[jr.tenant()] +=
-		float64(len(jr.Ranks)) * ((jr.End - jr.Start) - jr.Job.EstCost)
+	q.charge(jr.Tenant(), float64(len(jr.Ranks))*((jr.End-jr.Start)-jr.Job.EstCost))
 }
 
 // metricLabel sanitizes a tenant name into a metric-name suffix: lowercase
@@ -502,8 +469,8 @@ func (c *Cluster) Policy() Policy { return c.policy }
 var policyFactories = map[string]func(*Cluster) Policy{
 	"fifo":          func(c *Cluster) Policy { return &fifoPolicy{} },
 	"easy-backfill": func(c *Cluster) Policy { return &easyBackfill{c: c} },
-	"priority":      func(c *Cluster) Policy { return &priorityPolicy{} },
-	"fairshare":     func(c *Cluster) Policy { return &fairsharePolicy{} },
+	"priority":      func(c *Cluster) Policy { return newPriorityPolicy(c) },
+	"fairshare":     func(c *Cluster) Policy { return newFairsharePolicy(c) },
 }
 
 // RegisterPolicy adds a scheduling policy under name, for Spec.Policy
@@ -542,26 +509,33 @@ func newPolicy(name string, c *Cluster) Policy {
 // ---------------------------------------------------------------------------
 // fifo
 
-// fifoPolicy is the pre-refactor scheduler's discipline, verbatim: admit
-// from the head while it fits onto the lowest-numbered free ranks; a head
-// that does not fit blocks the queue.
+// fifoPolicy is the pre-refactor scheduler's discipline: admit from the head
+// while it fits onto the lowest-numbered free ranks; a head that does not fit
+// blocks the queue. Its index is the queue itself — best is the head.
 type fifoPolicy struct{}
 
 func (*fifoPolicy) Name() string { return "fifo" }
 
-func (*fifoPolicy) Admit(q *Queue) {
-	for q.Len() > 0 {
-		if q.Expired(0) {
-			q.Drop(0)
+func (*fifoPolicy) Admit(q *Queue) { admitBest(q, (*Queue).Head) }
+
+// admitBest is the round fifo, priority and fairshare share: take the
+// discipline's best pending job, drop it if expired, serve it from the memo
+// layer if possible, start it if it fits, and otherwise block the queue
+// behind it — no skipping, which is what keeps the three starvation-free.
+func admitBest(q *Queue, best func(*Queue) *JobResult) {
+	for h := best(q); h != nil; h = best(q) {
+		if q.Expired(h) {
+			q.Drop(h)
 			continue
 		}
-		if q.TryMemo(0) {
+		if q.TryMemo(h) {
 			continue
 		}
-		if !q.Fits(0) {
-			return // strict FIFO: the head blocks the queue
+		if !q.Fits(h) {
+			blameHeadOfLine(q, h)
+			return
 		}
-		q.Admit(0, nil)
+		q.Admit(h, nil)
 	}
 }
 
@@ -578,6 +552,13 @@ const slackEps = 1e-9
 // reservation, or they need no more than the ranks the reservation leaves
 // spare. With honest estimates (EstCost >= actual service time) the head
 // starts no later than under plain FIFO.
+//
+// It keeps no index. A blocked round walks every pending job behind the head
+// in arrival order, and that walk is not only a search: each visited
+// candidate is deadline-dropped or served from the memo layer on the way,
+// and those side effects (and their order) are part of the event log. So a
+// blocked round stays O(pending) by design; what the walk no longer pays is
+// a per-candidate struct copy or a position lookup.
 type easyBackfill struct {
 	c       *Cluster
 	haveRes bool
@@ -592,17 +573,16 @@ func (*easyBackfill) Name() string { return "easy-backfill" }
 
 func (p *easyBackfill) Admit(q *Queue) {
 admit:
-	for q.Len() > 0 {
-		if q.Expired(0) {
-			q.Drop(0)
+	for head := q.Head(); head != nil; head = q.Head() {
+		if q.Expired(head) {
+			q.Drop(head)
 			continue
 		}
-		if q.TryMemo(0) {
+		if q.TryMemo(head) {
 			continue
 		}
-		head := q.Job(0)
-		if q.Fits(0) {
-			if p.haveRes && p.resSeq == head.Seq {
+		if q.Fits(head) {
+			if p.haveRes && p.resSeq == head.Seq() {
 				// The formerly blocked head starts: record how much earlier
 				// than its reservation it made it (>= 0 with honest
 				// estimates — backfilling never delayed it).
@@ -613,7 +593,7 @@ admit:
 					ot.Metrics().Histogram("cluster_reservation_slack_seconds").Observe(slack)
 				}
 			}
-			q.Admit(0, nil)
+			q.Admit(head, nil)
 			continue
 		}
 		// With a concurrency cap, a backfilled job would occupy the slot the
@@ -621,34 +601,32 @@ admit:
 		if p.c.spec.MaxConcurrent > 0 {
 			return
 		}
-		shadow, extra, ok := easyReservation(q, head.Width)
+		shadow, extra, ok := easyReservation(q, head.Job.Ranks)
 		if !ok {
 			return // running jobs without estimates: no safe reservation
 		}
-		p.haveRes, p.resSeq, p.resAt = true, head.Seq, shadow
+		p.haveRes, p.resSeq, p.resAt = true, head.Seq(), shadow
 		// Scan candidates behind the head in FCFS order for safe backfills.
-		for i := 1; i < q.Len(); {
-			if q.Expired(i) {
-				q.Drop(i)
+		for next := q.Next(head); next != nil; {
+			cand := next
+			next = q.Next(cand) // step first: the verbs below may remove cand
+			if q.Expired(cand) {
+				q.Drop(cand)
 				continue
 			}
-			if q.TryMemo(i) {
+			if q.TryMemo(cand) {
 				continue
 			}
-			cand := q.Job(i)
-			safe := cand.Width <= extra ||
-				(cand.EstCost > 0 && q.Now()+cand.EstCost <= shadow+slackEps)
-			if cand.Width <= q.Free() {
-				if safe {
-					q.AdmitBackfilled(i, nil, shadow)
+			if j := cand.Job; j.Ranks <= q.Free() {
+				if j.Ranks <= extra || (j.EstCost > 0 && q.Now()+j.EstCost <= shadow+slackEps) {
+					q.AdmitBackfilled(cand, nil, shadow)
 					p.backfilled++
 					continue admit // queue and free set changed: restart the round
 				}
 				// Fits the free ranks but could delay the head's reservation:
 				// the typed cause for this round's skip record.
-				q.Blame(i, decision.ShadowReservation, p.resSeq, shadow)
+				q.Blame(cand, decision.ShadowReservation, p.resSeq, shadow)
 			}
-			i++
 		}
 		return
 	}
@@ -662,19 +640,16 @@ admit:
 func easyReservation(q *Queue, width int) (shadow float64, extra int, ok bool) {
 	avail := q.Free()
 	shadow = q.Now()
-	running := q.Running()
-	sort.SliceStable(running, func(i, j int) bool {
-		return running[i].EstEnd < running[j].EstEnd
-	})
-	for _, r := range running {
+	for _, r := range runningByEstEnd(q) {
 		if avail >= width {
 			break
 		}
-		if math.IsInf(r.EstEnd, 1) {
+		end := estEndOf(r)
+		if math.IsInf(end, 1) {
 			return 0, 0, false
 		}
-		avail += r.Width
-		shadow = r.EstEnd
+		avail += len(r.Ranks)
+		shadow = end
 	}
 	if avail < width {
 		return 0, 0, false
@@ -689,53 +664,45 @@ func easyReservation(q *Queue, width int) (shadow float64, extra int, ok bool) {
 // the most urgent absolute deadline first (none = least urgent), then FCFS.
 // The chosen job blocks the queue when it does not fit — no skipping — so
 // admission order is deterministic and starvation-free on a finite queue.
-type priorityPolicy struct{}
+//
+// The order is static per job, so the policy keeps every pending handle in
+// one heap under priBefore and never re-keys; handles removed behind its
+// back are discarded when they surface at the top.
+type priorityPolicy struct{ heap minHeap[*JobResult] }
+
+func newPriorityPolicy(c *Cluster) *priorityPolicy {
+	return &priorityPolicy{heap: minHeap[*JobResult]{less: func(a, b *JobResult) bool {
+		c.admitWork++
+		return priBefore(a, b)
+	}}}
+}
 
 func (*priorityPolicy) Name() string { return "priority" }
 
 // priBefore reports whether a should be served before b.
-func priBefore(a, b QueuedJob) bool {
-	if a.Priority != b.Priority {
-		return a.Priority > b.Priority
+func priBefore(a, b *JobResult) bool {
+	if a.Job.Priority != b.Job.Priority {
+		return a.Job.Priority > b.Job.Priority
 	}
-	da, db := absDeadline(a), absDeadline(b)
-	if da != db {
+	if da, db := a.AbsDeadline(), b.AbsDeadline(); da != db {
 		return da < db
 	}
-	return a.Seq < b.Seq
+	return a.Seq() < b.Seq()
 }
 
-// absDeadline returns the job's absolute deadline (+Inf when it has none).
-func absDeadline(j QueuedJob) float64 {
-	if j.Deadline <= 0 {
-		return math.Inf(1)
+// best returns the pending job to consider next, or nil.
+func (p *priorityPolicy) best(q *Queue) *JobResult {
+	q.Arrivals(p.heap.push)
+	for p.heap.len() > 0 {
+		if h := p.heap.top(); q.Pending(h) {
+			return h
+		}
+		p.heap.pop()
 	}
-	return j.Submit + j.Deadline
+	return nil
 }
 
-func (*priorityPolicy) Admit(q *Queue) {
-	for q.Len() > 0 {
-		best := 0
-		bj := q.Job(0)
-		for i := 1; i < q.Len(); i++ {
-			if ji := q.Job(i); priBefore(ji, bj) {
-				best, bj = i, ji
-			}
-		}
-		if q.Expired(best) {
-			q.Drop(best)
-			continue
-		}
-		if q.TryMemo(best) {
-			continue
-		}
-		if !q.Fits(best) {
-			blameHeadOfLine(q, best)
-			return
-		}
-		q.Admit(best, nil)
-	}
-}
+func (p *priorityPolicy) Admit(q *Queue) { admitBest(q, p.best) }
 
 // ---------------------------------------------------------------------------
 // fairshare
@@ -746,33 +713,91 @@ func (*priorityPolicy) Admit(q *Queue) {
 // smallest weight-normalized charge is served first, FCFS within a tenant.
 // A flooding tenant therefore pays for its own queue: its charge races
 // ahead and other tenants' jobs are interleaved in front of its backlog.
-type fairsharePolicy struct{}
+//
+// Two levels of index: each tenant holds its pending handles in a min-Seq
+// heap (arrival order is not Seq order under SubmitAt), and the tenants with
+// anything pending sit in a heap keyed (usage/weight, head Seq). A tenant is
+// re-fixed only when its key moves: UsageChanged, a new head arriving, or
+// its stale head surfacing at the top. A head removed behind the policy's
+// back only makes its tenant sort too early, never too late, so cleaning
+// the top until it is live yields the true minimum.
+type fairsharePolicy struct {
+	tenants map[string]*fsTenant
+	heap    minHeap[*fsTenant]
+}
+
+type fsTenant struct {
+	jobs minHeap[*JobResult]
+	key  float64 // Usage/Weight as of the last UsageChanged
+	pos  int     // index in the tenant heap, -1 while nothing is pending
+}
+
+func newFairsharePolicy(c *Cluster) *fairsharePolicy {
+	return &fairsharePolicy{
+		tenants: make(map[string]*fsTenant),
+		heap: minHeap[*fsTenant]{
+			less: func(a, b *fsTenant) bool {
+				c.admitWork++
+				if a.key != b.key {
+					return a.key < b.key
+				}
+				return a.jobs.top().Seq() < b.jobs.top().Seq()
+			},
+			moved: func(t *fsTenant, i int) { t.pos = i },
+		},
+	}
+}
 
 func (*fairsharePolicy) Name() string { return "fairshare" }
 
-func (*fairsharePolicy) Admit(q *Queue) {
-	for q.Len() > 0 {
-		best := 0
-		bj := q.Job(0)
-		bKey := q.Usage(bj.Tenant) / q.Weight(bj.Tenant)
-		for i := 1; i < q.Len(); i++ {
-			ji := q.Job(i)
-			key := q.Usage(ji.Tenant) / q.Weight(ji.Tenant)
-			if key < bKey || (key == bKey && ji.Seq < bj.Seq) {
-				best, bj, bKey = i, ji, key
-			}
+func (p *fairsharePolicy) tenant(q *Queue, name string) *fsTenant {
+	t := p.tenants[name]
+	if t == nil {
+		t = &fsTenant{pos: -1, key: q.Usage(name) / q.Weight(name)}
+		t.jobs.less = func(a, b *JobResult) bool {
+			q.c.admitWork++
+			return a.Seq() < b.Seq()
 		}
-		if q.Expired(best) {
-			q.Drop(best)
-			continue
-		}
-		if q.TryMemo(best) {
-			continue
-		}
-		if !q.Fits(best) {
-			blameHeadOfLine(q, best)
-			return
-		}
-		q.Admit(best, nil)
+		p.tenants[name] = t
+	}
+	return t
+}
+
+// UsageChanged re-keys one tenant (UsageObserver).
+func (p *fairsharePolicy) UsageChanged(q *Queue, name string) {
+	t := p.tenant(q, name)
+	t.key = q.Usage(name) / q.Weight(name)
+	if t.pos >= 0 {
+		p.heap.fix(t.pos)
 	}
 }
+
+func (p *fairsharePolicy) arrive(q *Queue, h *JobResult) {
+	t := p.tenant(q, h.Tenant())
+	t.jobs.push(h)
+	switch {
+	case t.pos < 0:
+		p.heap.push(t)
+	case t.jobs.top() == h:
+		p.heap.fix(t.pos)
+	}
+}
+
+// best returns the pending job to consider next, or nil.
+func (p *fairsharePolicy) best(q *Queue) *JobResult {
+	q.Arrivals(func(h *JobResult) { p.arrive(q, h) })
+	for p.heap.len() > 0 {
+		t := p.heap.top()
+		if q.Pending(t.jobs.top()) {
+			return t.jobs.top()
+		}
+		if t.jobs.pop(); t.jobs.len() == 0 {
+			p.heap.pop()
+		} else {
+			p.heap.fix(0)
+		}
+	}
+	return nil
+}
+
+func (p *fairsharePolicy) Admit(q *Queue) { admitBest(q, p.best) }

@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -174,4 +176,60 @@ func TestFairshareInterleavesTenants(t *testing.T) {
 	if got := strings.Join(order(2), ""); got != "abb"+"aaa" {
 		t.Errorf("weighted order %q, want abb-aaa", got)
 	}
+}
+
+// TestNonFiniteOrderingInputsRejected: every value an ordered index compares
+// must be finite, so NaN and ±Inf are refused where they enter — Submit /
+// SubmitAt for a job's estimate, deadline and arrival time, SetWeight for a
+// tenant's weight — with a panic naming the job or session, the convention
+// prepare and SetWeight already follow.
+func TestNonFiniteOrderingInputsRejected(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	job := func(est, deadline float64) *Job {
+		return &Job{Name: "bad-job", Ranks: 1, EstCost: est, Deadline: deadline, Main: pureCompute(1)}
+	}
+	cases := []struct {
+		name string
+		do   func(c *Cluster)
+		want string // substring of the panic message
+	}{
+		{"EstCost NaN", func(c *Cluster) { c.Submit(job(nan, 0)) }, `job "bad-job" has EstCost NaN`},
+		{"EstCost +Inf", func(c *Cluster) { c.Submit(job(inf, 0)) }, `job "bad-job" has EstCost +Inf`},
+		{"EstCost -Inf", func(c *Cluster) { c.Submit(job(-inf, 0)) }, `job "bad-job" has EstCost -Inf`},
+		{"Deadline NaN", func(c *Cluster) { c.Submit(job(1, nan)) }, `job "bad-job" has Deadline NaN`},
+		{"Deadline +Inf", func(c *Cluster) { c.SubmitAt(2, job(1, inf)) }, `job "bad-job" has Deadline +Inf`},
+		{"SubmitAt NaN", func(c *Cluster) { c.SubmitAt(nan, job(1, 0)) }, `job "bad-job" has submit time NaN`},
+		{"session Submit EstCost NaN", func(c *Cluster) { c.Session("s").Submit(job(nan, 0)) }, `job "bad-job" has EstCost NaN`},
+		{"weight NaN", func(c *Cluster) { c.Session("s").SetWeight(nan) }, `session "s" fair-share weight NaN`},
+		{"weight +Inf", func(c *Cluster) { c.Session("s").SetWeight(inf) }, `session "s" fair-share weight +Inf`},
+		{"weight -Inf", func(c *Cluster) { c.Session("s").SetWeight(-inf) }, `session "s" fair-share weight -Inf`},
+		{"weight zero", func(c *Cluster) { c.Session("s").SetWeight(0) }, `session "s" fair-share weight 0`},
+		{"weight negative", func(c *Cluster) { c.Session("s").SetWeight(-1) }, `session "s" fair-share weight -1`},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				msg := fmt.Sprint(recover())
+				if !strings.Contains(msg, tc.want) {
+					t.Fatalf("panic %q, want one containing %q", msg, tc.want)
+				}
+			}()
+			tc.do(New(Spec{Ranks: 2, RanksPerNode: 2, Policy: "fairshare"}))
+		})
+	}
+	// Finite values, including the "none" zeros, still pass.
+	c := New(Spec{Ranks: 2, RanksPerNode: 2, Policy: "fairshare"})
+	s := c.Session("s").SetWeight(0.5)
+	s.Submit(job(0, 0))
+	c.SubmitAt(1, job(2.5, 10))
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	// Weights are part of the tenant order's key: fixed once Run starts.
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, `session "s" SetWeight after Run`) {
+			t.Fatalf("SetWeight after Run: panic %q", msg)
+		}
+	}()
+	s.SetWeight(2)
 }

@@ -3,6 +3,7 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/adio"
 	"repro/internal/cc"
@@ -75,6 +76,7 @@ type JobResult struct {
 	CoalescedWith *JobResult
 
 	session *Session
+	slot    int        // 1 + index in the pending queue while queued, else 0
 	pid     int        // Perfetto process id (submission index + 1)
 	runSpan obs.SpanID // open "run" span while the job executes
 	cc      *ccMeta    // memo/coalescing metadata; nil for non-CC jobs
@@ -84,13 +86,26 @@ type JobResult struct {
 // (submission index + 1; pid 0 is the cluster scheduler).
 func (jr *JobResult) TracePID() int { return jr.pid }
 
-// tenant is the scheduling-policy tenant label: the owning session's name,
+// Seq is the job's global submission sequence (0-based), the FCFS tie-break
+// every policy must use.
+func (jr *JobResult) Seq() int { return jr.pid - 1 }
+
+// Tenant is the scheduling-policy tenant label: the owning session's name,
 // or "" for jobs submitted directly on the cluster.
-func (jr *JobResult) tenant() string {
+func (jr *JobResult) Tenant() string {
 	if jr.session != nil {
 		return jr.session.name
 	}
 	return ""
+}
+
+// AbsDeadline is the job's absolute deadline in virtual seconds, +Inf when
+// it has none.
+func (jr *JobResult) AbsDeadline() float64 {
+	if jr.Job.Deadline <= 0 {
+		return math.Inf(1)
+	}
+	return jr.Submit + jr.Job.Deadline
 }
 
 // Timing accessor sentinels: a job that was never admitted (the cluster
@@ -208,6 +223,17 @@ func (c *Cluster) prepare(j *Job, submit float64) *JobResult {
 	if cp.Ranks < 0 || cp.Ranks > c.spec.Ranks {
 		panic(fmt.Sprintf("cluster: job %q needs %d ranks on a %d-rank cluster",
 			cp.Name, cp.Ranks, c.spec.Ranks))
+	}
+	// Total order at the door: the policies' ordered indexes compare these
+	// values, and a NaN compares false both ways — the job's place in the
+	// order would silently depend on queue position.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"EstCost", cp.EstCost}, {"Deadline", cp.Deadline}, {"submit time", submit}} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			panic(fmt.Sprintf("cluster: job %q has %s %v (must be finite)", cp.Name, f.name, f.v))
+		}
 	}
 	jr := &JobResult{Job: &cp, Submit: submit, Start: -1, End: -1,
 		pid: len(c.results) + 1}

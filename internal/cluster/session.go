@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/cc"
 )
@@ -31,12 +32,18 @@ func (s *Session) Name() string { return s.name }
 // SetWeight sets the session's fair-share weight (default 1): under the
 // "fairshare" scheduling policy, a tenant of weight w is entitled to a
 // w-proportional slice of delivered service, so its jobs are preferred
-// until its weight-normalized charge catches up. Panics unless w > 0;
-// returns s for chaining. Sessions sharing a name share the weight (last
-// call wins).
+// until its weight-normalized charge catches up. Must be called before Run
+// (the policy orders tenants by usage/weight and re-keys one only when its
+// usage moves). Panics unless w is finite and > 0 — a NaN weight would make
+// every comparison against the tenant false and its place in the order an
+// accident of queue position; returns s for chaining. Sessions sharing a
+// name share the weight (last call wins).
 func (s *Session) SetWeight(w float64) *Session {
-	if w <= 0 {
-		panic(fmt.Sprintf("cluster: session %q fair-share weight %v (must be > 0)", s.name, w))
+	if s.c.ran {
+		panic(fmt.Sprintf("cluster: session %q SetWeight after Run", s.name))
+	}
+	if !(w > 0) || math.IsInf(w, 0) {
+		panic(fmt.Sprintf("cluster: session %q fair-share weight %v (must be finite and > 0)", s.name, w))
 	}
 	s.c.tenantWeight[s.name] = w
 	return s
