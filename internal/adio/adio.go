@@ -132,6 +132,36 @@ type Hooks struct {
 	// is still called (it accumulates state aggregator-side), but nothing is
 	// sent or received — the all-to-one reduce of the paper's §III-C.
 	SuppressShuffle bool
+	// ExtUnused declares that Transform does not read ext because it obtains
+	// the extent's contents some other way (internal/cc asks a
+	// generator-backed dataset for values). With hooks nothing else reads the
+	// collective buffer, so the aggregator then only charges each extent's
+	// read — timing, OST contention, statistics and spans are those of the
+	// materialising read — allocates no collective buffer, and hands
+	// Transform a nil ext.
+	ExtUnused bool
+}
+
+// collectiveBuffer allocates one collective buffer for aggregator aggrIdx,
+// sized by the largest extent it reads; nil for a non-aggregator and when the
+// hooks declare ext unused.
+func collectiveBuffer(pl *Plan, aggrIdx int, hooks *Hooks) []byte {
+	if aggrIdx < 0 || (hooks != nil && hooks.ExtUnused) {
+		return nil
+	}
+	return make([]byte, pl.MaxExtent(aggrIdx))
+}
+
+// readExtent starts the read of it's covering extent into buf and returns the
+// filled prefix and the read's completion time. With a nil buf
+// (Hooks.ExtUnused) the read is charged and nothing is materialised.
+func readExtent(cl *pfs.Client, f *pfs.File, it *Iter, buf []byte) (ext []byte, done float64) {
+	n := it.ReadHi - it.ReadLo
+	if buf == nil {
+		return nil, cl.ChargeReadAsync(f, it.ReadLo, n)
+	}
+	ext = buf[:n]
+	return ext, cl.ReadSparseAsync(f, ext, it.ReadLo, pieceRuns(it))
 }
 
 // ExchangeRequests allgathers every rank's offset list (phase 0 of two-phase
@@ -315,10 +345,7 @@ func twoPhaseReadBlocking(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
-	var buf []byte
-	if aggrIdx >= 0 {
-		buf = make([]byte, pl.MaxExtent(aggrIdx))
-	}
+	buf := collectiveBuffer(pl, aggrIdx, hooks)
 	receiving := hooks == nil || !hooks.SuppressShuffle
 	expectPos := 0
 	for k := 0; k < pl.MaxIters; k++ {
@@ -326,9 +353,9 @@ func twoPhaseReadBlocking(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 		if aggrIdx >= 0 && k < len(pl.Iters[aggrIdx]) {
 			it := &pl.Iters[aggrIdx][k]
 			if !it.Empty() {
-				ext := buf[:it.ReadHi-it.ReadLo]
 				t0 := r.Now()
-				cl.ReadSparse(f, ext, it.ReadLo, pieceRuns(it))
+				ext, done := readExtent(cl, f, it, buf)
+				cl.AwaitIO(done)
 				tRead := r.Now()
 				var transformed map[int]Payload
 				if hooks != nil {
@@ -360,12 +387,9 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
-	var bufs [2][]byte
+	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, hooks), collectiveBuffer(pl, aggrIdx, hooks)}
 	myIters := 0
 	if aggrIdx >= 0 {
-		n := pl.MaxExtent(aggrIdx)
-		bufs[0] = make([]byte, n)
-		bufs[1] = make([]byte, n)
 		myIters = len(pl.Iters[aggrIdx])
 	}
 
@@ -386,8 +410,7 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 			return
 		}
 		it := &pl.Iters[aggrIdx][nextRead]
-		pendingExt = bufs[readSeq%2][:it.ReadHi-it.ReadLo]
-		pendingDone = cl.ReadSparseAsync(f, pendingExt, it.ReadLo, pieceRuns(it))
+		pendingExt, pendingDone = readExtent(cl, f, it, bufs[readSeq%2])
 		pendingIter = nextRead
 		readSeq++
 		nextRead++

@@ -339,24 +339,55 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 			c.Barrier(r)
 		}
 	} else {
-		vals, err = io.DS.GetVaraAll(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params)
+		vals, err = io.DS.GetVaraAllScratch(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params)
 	}
 	if err != nil {
 		return Result{}, err
 	}
-	// Computation stage: the whole local subset at once.
+	// Computation stage: the whole local subset at once. The host does the
+	// fold before the rank is charged for it: Absorb moves no virtual time,
+	// and once it has run the values are dead, which is what lets the
+	// collective read above hand them over in a scratch the next rank reuses.
+	elems := int64(len(vals))
+	st := op.Absorb(op.Zero(), Subset{Slab: io.Slab, Data: vals})
 	tm0 := r.Now()
-	r.Compute(float64(len(vals)) * io.SecPerElem)
+	r.Compute(float64(elems) * io.SecPerElem)
 	if ot := r.World().Obs(); ot != nil {
 		ot.SpanRank(r.Rank(), "cc.map", "cc", tm0, r.Now(),
-			obs.I("elems", int64(len(vals))))
+			obs.I("elems", elems))
 	}
 	if io.Stats != nil {
-		io.Stats.MapElements += int64(len(vals))
-		io.Stats.MapSeconds += float64(len(vals)) * io.SecPerElem
+		io.Stats.MapElements += elems
+		io.Stats.MapSeconds += float64(elems) * io.SecPerElem
 	}
-	st := op.Absorb(op.Zero(), Subset{Slab: io.Slab, Data: vals})
 	return finalReduce(r, c, io, op, st)
+}
+
+// valueSource is where the map's values come from: the one place the runtime
+// tells a generator-backed dataset from one holding real bytes. The former
+// yields an element run's values directly, bit-identical to decoding its
+// bytes, so its aggregators are told not to materialise extents at all
+// (adio.Hooks.ExtUnused). Any other dataset is a mutable store whose bytes
+// were read into the collective buffer when the extent's read was issued, and
+// are decoded from there. Either way the values land in one scratch, valid
+// until the next call.
+type valueSource struct {
+	ds      *ncfile.Dataset
+	varID   int
+	typ     ncfile.Type
+	scratch []float64
+}
+
+// values returns the values of the elements elemRun, which occupy the file
+// bytes pc inside iteration it's extent ext (nil when synthetic).
+func (vs *valueSource) values(elemRun, pc layout.Run, it *adio.Iter, ext []byte) []float64 {
+	if vs.ds.Synthetic() {
+		vs.scratch = vs.ds.SynthValues(vs.varID, elemRun.Offset, elemRun.Length, vs.scratch)
+	} else {
+		raw := ext[pc.Offset-it.ReadLo : pc.End()-it.ReadLo]
+		vs.scratch = ncfile.DecodeValues(vs.typ, raw, vs.scratch)
+	}
+	return vs.scratch
 }
 
 // runCollectiveComputing is the paper's Figure 7 runtime: map inside the
@@ -368,6 +399,12 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		return Result{}, err
 	}
 	io.Params = io.Params.Defaults()
+	// The map consumes whole elements, so no collective-buffer window may cut
+	// one. Every run starts on an element and windows are laid from a run's
+	// start, so a buffer of whole elements suffices; file domains get the
+	// same treatment where the plans are built.
+	sz := v.Type.Size()
+	io.Params.CB = max(io.Params.CB/sz, 1) * sz
 	aggrs := io.Aggregators
 	if aggrs == nil {
 		aggrs = adio.DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
@@ -398,14 +435,25 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		return Result{}, fmt.Errorf("cc: RebalanceRounds %d requires a shared Params.PlanCache",
 			io.Mitigate.RebalanceRounds)
 	}
+	// File-domain boundaries fall on multiples of align from the hull's
+	// start: whole elements at least, whole stripes for rebalanced rounds
+	// unless the caller chose an alignment.
+	f := io.DS.File()
+	align := io.Params.Align
+	if align <= 0 {
+		align = sz
+		if rounds > 1 {
+			align = f.StripeSize()
+		}
+	}
+	align = (align + sz - 1) / sz * sz
 	var pl *adio.Plan
 	if rounds == 1 {
-		pl = adio.SharedPlan(io.Params.PlanCache, reqs, aggrs, io.Params.CB, io.Params.Align)
+		pl = adio.SharedPlan(io.Params.PlanCache, reqs, aggrs, io.Params.CB, align)
 	}
 
 	me := c.RankOf(r)
 	ot := r.World().Obs()
-	sz := v.Type.Size()
 	elemBase := v.Offset
 	par := float64(io.MapParallelism)
 	if par <= 0 {
@@ -420,7 +468,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	if io.Reduce == AllToOne {
 		perOwner = make(map[int]*partialMsg)
 	}
-	var scratch []float64
+	vs := valueSource{ds: io.DS, varID: io.VarID, typ: v.Type}
 
 	transform := func(aggrIdx, iter int, it *adio.Iter, ext []byte) map[int]adio.Payload {
 		out := map[int]adio.Payload{}
@@ -442,12 +490,11 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 					Length: pc.Run.Length / sz,
 				}
 				slabs := layout.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
-				raw := ext[pc.Run.Offset-it.ReadLo : pc.Run.End()-it.ReadLo]
-				scratch = ncfile.DecodeValues(v.Type, raw, scratch)
+				data := vs.values(elemRun, pc.Run, it, ext)
 				pos := int64(0)
 				// Construction cost: per subset plus the decode memcopy.
 				r.Sys(float64(len(slabs))*constructCostPerSubset +
-					float64(len(raw))/io.Params.PackRate)
+					float64(pc.Run.Length)/io.Params.PackRate)
 				t1 := r.Now()
 				if io.Stats != nil {
 					io.Stats.ConstructSeconds += t1 - t0
@@ -455,7 +502,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 				t0 = t1
 				for _, slab := range slabs {
 					n := slab.NumElems()
-					st = op.Absorb(st, Subset{Slab: slab, Data: scratch[pos : pos+n]})
+					st = op.Absorb(st, Subset{Slab: slab, Data: data[pos : pos+n]})
 					pos += n
 				}
 				elems += elemRun.Length
@@ -513,7 +560,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		return out
 	}
 
-	hooks := &adio.Hooks{Transform: transform}
+	hooks := &adio.Hooks{Transform: transform, ExtUnused: io.DS.Synthetic()}
 	if io.Reduce == AllToOne {
 		hooks.SuppressShuffle = true
 	} else {
@@ -533,7 +580,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	}
 
 	if rounds == 1 {
-		err = adio.CollectiveReadPlanned(r, c, cl, io.DS.File(), adio.Request{Runs: runs},
+		err = adio.CollectiveReadPlanned(r, c, cl, f, adio.Request{Runs: runs},
 			pl, io.Params, hooks)
 		if err != nil {
 			return Result{}, err
@@ -546,11 +593,6 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		// straggling stripes spread across more aggregators. The first rank
 		// reaching a round builds its plan (via the shared keyed cache), so
 		// every rank executes the identical — deterministic — plan.
-		f := io.DS.File()
-		align := io.Params.Align
-		if align <= 0 {
-			align = f.StripeSize()
-		}
 		band := (hullHi - hullLo + int64(rounds) - 1) / int64(rounds)
 		if rem := band % align; rem != 0 {
 			band += align - rem

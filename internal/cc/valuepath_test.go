@@ -1,0 +1,366 @@
+package cc
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"repro/internal/adio"
+	"repro/internal/fabric"
+	"repro/internal/layout"
+	"repro/internal/mpi"
+	"repro/internal/ncfile"
+	"repro/internal/pfs"
+	"repro/internal/sim"
+)
+
+// unroundedAt is a dataset content whose values no float32 holds exactly, so
+// a value path that forgot the element type's rounding disagrees with the
+// bytes in (nearly) every element.
+func unroundedAt(coords []int64) float64 {
+	var h int64 = 1469598103934665603
+	for _, c := range coords {
+		h ^= c
+		h *= 1099511628211
+	}
+	return float64(h%100003) / 7
+}
+
+// twinGeometry is the machine and file of the value-path differential: six
+// ranks on two nodes (two default aggregators), 256-byte stripes over four
+// OSTs so the 3.7 KB variable spans fifteen stripes, and two access regions
+// inside 8x9x13: one of partial rows, so every run starts and ends mid-row,
+// and one of whole rows, whose five-row runs the 128-element collective-buffer
+// windows cut mid-row into pieces that go on across row ends.
+var twinGeometry = struct {
+	ranks   int
+	ty      ncfile.Type
+	dims    []int64
+	regions []layout.Slab
+	window  layout.Slab
+}{
+	ranks: 6,
+	ty:    ncfile.Float32,
+	dims:  []int64{8, 9, 13},
+	regions: []layout.Slab{
+		{Start: []int64{1, 0, 2}, Count: []int64{6, 9, 9}},
+		{Start: []int64{1, 2, 0}, Count: []int64{6, 5, 13}},
+	},
+	window: layout.Slab{Start: []int64{2, 3, 4}, Count: []int64{3, 4, 5}},
+}
+
+// newTwin builds the machine over a dataset with unroundedAt contents: served
+// by a generator when image is nil, else from a MemBackend holding image (the same
+// file's bytes, see synthImage). slowOST injects the fault plan's straggler.
+func newTwin(t *testing.T, image []byte, slowOST bool) *testbed {
+	t.Helper()
+	g := twinGeometry
+	env := sim.NewEnv()
+	w := mpi.NewWorld(env, g.ranks, fabric.Params{RanksPerNode: 4})
+	fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: 256})
+	if slowOST {
+		fs.SlowOSTWindow(1, 8, 0, math.Inf(1))
+	}
+	var s ncfile.Schema
+	id, err := s.AddVar("v", g.ty, g.dims)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds *ncfile.Dataset
+	if image == nil {
+		ds, err = ncfile.SynthDataset(fs, "data", &s, []ncfile.ValueFn{unroundedAt}, 4, 0, 0)
+	} else {
+		mem := pfs.NewMemBackend(0)
+		if ds, err = ncfile.Create(fs, "data", &s, mem, 4, 0, 0); err == nil {
+			v, _ := ds.Var(id)
+			mem.WriteAt(image[v.Offset:v.Offset+v.Bytes()], v.Offset)
+		}
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id}
+}
+
+// synthImage is the generator-served file's bytes, built without the
+// generator path: the value function element by element through EncodeValues.
+// The value path and the synthetic backend share their row walk, so bytes read
+// back through the backend could not tell a fault in it.
+func synthImage(t *testing.T) []byte {
+	t.Helper()
+	tb := newTwin(t, nil, false)
+	v, _ := tb.ds.Var(tb.id)
+	vals := make([]float64, v.NumElems())
+	coords := make([]int64, len(v.Dims))
+	for e := range vals {
+		vals[e] = unroundedAt(layout.OffsetToCoords(v.Dims, int64(e), coords))
+	}
+	image := make([]byte, tb.ds.File().Size())
+	copy(image[v.Offset:], ncfile.EncodeValues(v.Type, vals))
+	return image
+}
+
+// twinOutcome is everything a run exposes that the choice of value source
+// must not move.
+type twinOutcome struct {
+	results   []Result
+	consumers []Result
+	makespan  float64
+	stats     Stats
+	bytesRead int64
+	requests  int64
+	timeouts  int64
+	retries   int64
+}
+
+// TestValuePathMatchesBytePathEndToEnd runs every operator under both reduce
+// modes, both protocols, and with and without a fault plan (a straggling OST
+// met by timeout/retry and rebalanced rounds), once on a generator-backed
+// dataset — the value path: no extent materialised, no bytes decoded — and
+// once on a MemBackend copy of the same bytes — the byte path — and demands
+// identical results to the bit, virtual makespan, cc.Stats and file-system
+// counters. It fails if ncfile.SynthValues drops the Float32 rounding (the
+// sums differ in the low bits) or the clipping of a run to its row (the
+// second region's pieces start mid-row and cross row ends).
+func TestValuePathMatchesBytePathEndToEnd(t *testing.T) {
+	g := twinGeometry
+	image := synthImage(t)
+	hist := Histogram{Lo: -15000, Hi: 15000, Bins: 9}
+	ops := []Op{Sum{}, Mean{}, hist, MinLoc{}, Variance{},
+		PerIndex{Inner: Max{}, Keys: 1}, Fuse{Ops: []Op{Sum{}, MaxLoc{}}}}
+
+	run := func(image []byte, slabs []layout.Slab, io IO, op Op, faults, consumers bool) twinOutcome {
+		tb := newTwin(t, image, faults)
+		var out twinOutcome
+		io.Stats = &out.stats
+		io.Params.PlanCache = &adio.PlanCache{}
+		if faults {
+			io.Mitigate = Mitigation{ReadTimeout: 1e-3, MaxRetries: 2, Backoff: 1e-4,
+				RebalanceRounds: 3, FlagThreshold: 2}
+		}
+		if consumers {
+			out.consumers = make([]Result, 2)
+			io.Consumers = []Consumer{
+				{Op: MinLoc{}, OnResult: func(r Result) { out.consumers[0] = r }},
+				{Op: WindowOp{Op: hist, Window: g.window}, SecPerElem: 1e-8,
+					OnResult: func(r Result) { out.consumers[1] = r }},
+			}
+		}
+		out.results = runObjectGetVara(t, tb, slabs, io, op)
+		out.makespan = tb.env.Now()
+		out.bytesRead, out.requests = tb.fs.BytesRead, tb.fs.Requests
+		out.timeouts, out.retries = tb.fs.Timeouts, tb.fs.Retries
+		return out
+	}
+
+	var sawTimeout, sawRebalance bool
+	for ri, region := range g.regions {
+		slabs := splitSlab(region, g.ranks)
+		for i, op := range ops {
+			for _, reduce := range []ReduceMode{AllToOne, AllToAll} {
+				for _, pipeline := range []bool{true, false} {
+					for _, faults := range []bool{false, true} {
+						// The last operator also carries piggybacked consumers.
+						consumers := i == len(ops)-1
+						name := fmt.Sprintf("region %d/%s/reduce=%d/pipeline=%v/faults=%v", ri, op.Name(), reduce, pipeline, faults)
+						io := IO{Reduce: reduce, SecPerElem: 2e-8,
+							Params: adio.Params{CB: 512, Pipeline: pipeline}}
+						vals := run(nil, slabs, io, op, faults, consumers)
+						byts := run(image, slabs, io, op, faults, consumers)
+						if diff := vals.diff(byts); diff != "" {
+							t.Errorf("%s: value path vs byte path: %s", name, diff)
+						}
+						if vals.stats.MapElements != region.NumElems() {
+							t.Errorf("%s: mapped %d elements, region has %d", name, vals.stats.MapElements, region.NumElems())
+						}
+						sawTimeout = sawTimeout || vals.timeouts > 0
+						sawRebalance = sawRebalance || vals.stats.Rebalances > 0
+					}
+				}
+			}
+		}
+	}
+	if !sawTimeout || !sawRebalance {
+		t.Errorf("fault plan never bit: timeouts seen %v, rebalances seen %v", sawTimeout, sawRebalance)
+	}
+}
+
+// diff names the first field in which two outcomes differ, or "".
+func (a twinOutcome) diff(b twinOutcome) string {
+	sameResult := func(x, y Result) bool {
+		return math.Float64bits(x.Value) == math.Float64bits(y.Value) &&
+			x.Root == y.Root && reflect.DeepEqual(x.State, y.State)
+	}
+	for i := range a.results {
+		if !sameResult(a.results[i], b.results[i]) {
+			return fmt.Sprintf("rank %d result %+v != %+v", i, a.results[i], b.results[i])
+		}
+	}
+	for i := range a.consumers {
+		if !sameResult(a.consumers[i], b.consumers[i]) {
+			return fmt.Sprintf("consumer %d result %+v != %+v", i, a.consumers[i], b.consumers[i])
+		}
+	}
+	switch {
+	case math.Float64bits(a.makespan) != math.Float64bits(b.makespan):
+		return fmt.Sprintf("makespan %v != %v", a.makespan, b.makespan)
+	case a.stats != b.stats:
+		return fmt.Sprintf("stats %+v != %+v", a.stats, b.stats)
+	case a.bytesRead != b.bytesRead || a.requests != b.requests:
+		return fmt.Sprintf("fs read %d B in %d requests != %d B in %d", a.bytesRead, a.requests, b.bytesRead, b.requests)
+	case a.timeouts != b.timeouts || a.retries != b.retries:
+		return fmt.Sprintf("fs timeouts/retries %d/%d != %d/%d", a.timeouts, a.retries, b.timeouts, b.retries)
+	}
+	return ""
+}
+
+// TestMapNeverCutsAnElement: file domains and collective-buffer windows are
+// placed in bytes, but the map consumes whole elements. Three aggregators
+// over a 1540-byte hull, and buffer sizes that are no multiple of the element
+// size, used to cut float32 elements and silently fold garbage.
+func TestMapNeverCutsAnElement(t *testing.T) {
+	dims := []int64{7, 5, 11}
+	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{7, 5, 11}}
+	const n = 8
+	slabs := splitSlab(whole, n)
+	want := Sum{}.Value(truth(Sum{}, dims, slabs))
+	for _, aggrs := range [][]int{nil, {0, 1, 2}} {
+		for _, cb := range []int64{128, 129, 1001, 3} {
+			for _, rounds := range []int{0, 3} {
+				tb := newTestbed(t, n, ncfile.Float32, dims)
+				io := IO{Reduce: AllToOne, Aggregators: aggrs,
+					Params:   adio.Params{CB: cb, Align: 6, PlanCache: &adio.PlanCache{}},
+					Mitigate: Mitigation{RebalanceRounds: rounds}}
+				if rounds == 0 {
+					io.Params.Align = 0
+				}
+				res := runObjectGetVara(t, tb, slabs, io, Sum{})
+				if res[0].Value != want {
+					t.Errorf("aggregators %v, cb %d, rounds %d: sum %v, want %v", aggrs, cb, rounds, res[0].Value, want)
+				}
+			}
+		}
+	}
+}
+
+// TestZeroAllocCCTransformSynthetic: the transform's value step — everything
+// between an aggregator iteration and the operator's Absorb — allocates
+// nothing in steady state on a generator-backed dataset (no extent, no decode
+// buffer), and nothing on the byte path either once its scratch has grown.
+func TestZeroAllocCCTransformSynthetic(t *testing.T) {
+	image := synthImage(t)
+	for _, img := range [][]byte{nil, image} {
+		tb := newTwin(t, img, false)
+		v, _ := tb.ds.Var(tb.id)
+		vs := valueSource{ds: tb.ds, varID: tb.id, typ: v.Type}
+		synthetic := tb.ds.Synthetic()
+		if synthetic != (img == nil) {
+			t.Fatalf("synthetic = %v for image %v", synthetic, img != nil)
+		}
+		// One piece: elements [20, 420) of the variable, inside an extent
+		// that starts three elements earlier.
+		sz := v.Type.Size()
+		elemRun := layout.Run{Offset: 20, Length: 400}
+		pc := layout.Run{Offset: v.Offset + 20*sz, Length: 400 * sz}
+		it := &adio.Iter{ReadLo: pc.Offset - 3*sz, ReadHi: pc.End()}
+		var ext []byte
+		if !synthetic {
+			ext = image[it.ReadLo:it.ReadHi]
+		}
+		var sum float64
+		step := func() {
+			for _, x := range vs.values(elemRun, pc, it, ext) {
+				sum += x
+			}
+		}
+		step() // warm-up grows the scratch
+		if allocs := testing.AllocsPerRun(50, step); allocs != 0 {
+			t.Errorf("synthetic=%v: %v allocs per value step, want 0", synthetic, allocs)
+		}
+	}
+}
+
+// allocBed is the machine of the allocation bounds: eight ranks on two nodes
+// (two aggregators) over a generator-backed 512 Ki-element float32 variable,
+// each rank reading an eighth of it through 256 KiB collective buffers.
+type allocBed struct {
+	tb    *testbed
+	slabs []layout.Slab
+	elems uint64
+}
+
+const allocBedCB = 256 << 10
+
+func newAllocBed(t *testing.T) *allocBed {
+	t.Helper()
+	const n = 8
+	dims := []int64{64, 64, 128}
+	env := sim.NewEnv()
+	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
+	fs := pfs.New(env, pfs.Params{NumOSTs: 4})
+	var s ncfile.Schema
+	id, _ := s.AddVar("v", ncfile.Float32, dims)
+	ds, err := ncfile.SynthDataset(fs, "data", &s, []ncfile.ValueFn{unroundedAt}, 4, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: dims}
+	return &allocBed{tb: &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id},
+		slabs: splitSlab(whole, n), elems: uint64(whole.NumElems())}
+}
+
+// steadyAlloc returns the bytes one whole object I/O allocates, measured on
+// the second of two passes so scratches and pooled messages have grown.
+func (b *allocBed) steadyAlloc(t *testing.T, io IO) uint64 {
+	t.Helper()
+	var got uint64
+	for i := 0; i < 2; i++ {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res := runObjectGetVara(t, b.tb, b.slabs, io, Sum{})
+		runtime.ReadMemStats(&after)
+		if res[0].Value == 0 {
+			t.Fatal("empty result")
+		}
+		got = after.TotalAlloc - before.TotalAlloc
+	}
+	return got
+}
+
+// allocSlack covers what does not scale with the data: plans, slab lists,
+// messages, the rank goroutines' bookkeeping.
+const allocSlack = 1 << 20
+
+// TestTraditionalLegAllocBound: a traditional (Block) object I/O allocates
+// its request bytes (every rank's byte buffer) and the aggregators'
+// collective buffers, but no per-element float64 term: the decoded values
+// live in a scratch the ranks share, because each rank folds them before it
+// next yields. Before that, every rank allocated 8 bytes per element on top.
+func TestTraditionalLegAllocBound(t *testing.T) {
+	b := newAllocBed(t)
+	got := b.steadyAlloc(t, IO{Block: true, Params: adio.Params{CB: allocBedCB}})
+	requestBytes := b.elems * 4
+	collective := uint64(2 * allocBedCB) // two aggregators, one buffer each
+	if bound := requestBytes + collective + allocSlack; got > bound {
+		t.Fatalf("traditional leg over %d elements allocated %d B, bound %d B (request %d + collective %d + slack %d); a per-element float64 term would add %d",
+			b.elems, got, bound, requestBytes, collective, allocSlack, 8*b.elems)
+	}
+}
+
+// TestCCLegSyntheticAllocBound: collective computing over a generator-backed
+// dataset allocates each aggregator's value scratch (8 bytes per element of
+// its largest piece) and nothing that scales with the extents read: no
+// collective buffers (the pipelined protocol would hold two per aggregator)
+// and no request bytes.
+func TestCCLegSyntheticAllocBound(t *testing.T) {
+	b := newAllocBed(t)
+	got := b.steadyAlloc(t, IO{Reduce: AllToOne, Params: adio.Params{CB: allocBedCB, Pipeline: true}})
+	scratch := uint64(2 * 8 * allocBedCB / 4) // two aggregators, a buffer's worth of float32 elements each
+	if bound := scratch + allocSlack; got > bound {
+		t.Fatalf("cc leg over %d elements allocated %d B, bound %d B (value scratch %d + slack %d); materialised extents would add %d",
+			b.elems, got, bound, scratch, allocSlack, 4*allocBedCB)
+	}
+}

@@ -181,11 +181,13 @@ func TestSplitAlongDim(t *testing.T) {
 // TestRowGensMatchScalarFns pins the hoisted row generators to the scalar
 // value functions bit for bit: the base-term grouping and the partial FNV
 // hash must reproduce the per-element arithmetic exactly, including at rows
-// crossing the sin-table period and hash-collision-prone coordinates.
+// crossing the sin-table period and hash-collision-prone coordinates. The
+// rows starting far beyond 2^32 pin lonWaveTable's claim that the longitude
+// term depends on x mod 256 alone.
 func TestRowGensMatchScalarFns(t *testing.T) {
 	rows4 := [][]int64{
 		{0, 0, 0, 0}, {3, 17, 2, 250}, {359, 1, 0, 0}, {360, 1023, 99, 1000},
-		{719, 512, 50, 5}, {1023, 7, 3, 1020},
+		{719, 512, 50, 5}, {1023, 7, 3, 1020}, {11, 5, 7, 1<<40 - 30},
 	}
 	out := make([]float64, 64)
 	for _, start := range rows4 {
@@ -201,6 +203,7 @@ func TestRowGensMatchScalarFns(t *testing.T) {
 	}
 	rows3 := [][]int64{
 		{0, 0, 0}, {100, 700, 120}, {360, 0, 255}, {204799, 1023, 1000},
+		{5, 9, 1<<33 + 250}, {5, 9, 1<<52 - 40},
 	}
 	for _, start := range rows3 {
 		gen3D{}.FillRow(start, out)

@@ -254,6 +254,10 @@ type Dataset struct {
 	name        map[string]int
 	globalAttrs []Attr
 	varAttrs    map[int][]Attr
+	synth       *synth // non-nil for generator-backed datasets (SynthDatasetGen)
+	// decoded is the scratch GetVaraAllScratch returns its values in; shared
+	// by every rank reading this dataset, for the reason synth's scratch is.
+	decoded []float64
 }
 
 // Create lays out the schema, writes the header (for mem-backed files), and
@@ -395,19 +399,47 @@ func EncodeValues(t Type, vals []float64) []byte {
 // member of c must call it. aggrs and p configure the two-phase protocol.
 func (ds *Dataset) GetVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
-	v, err := ds.Var(id)
+	t, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
 	if err != nil {
 		return nil, err
+	}
+	return DecodeValues(t, raw, nil), nil
+}
+
+// GetVaraAllScratch is GetVaraAll for a caller that consumes the values
+// before it next yields to the simulation kernel (any Compute, Sys, message
+// or I/O call): the returned slice is a per-dataset scratch that the next
+// rank to finish reading the dataset overwrites. In exchange a collective
+// read decodes into one buffer instead of allocating 8 bytes per element on
+// every rank.
+func (ds *Dataset) GetVaraAllScratch(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
+	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
+	t, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
+	if err != nil {
+		return nil, err
+	}
+	// The scratch is picked up here, after the read's last yield.
+	ds.decoded = DecodeValues(t, raw, ds.decoded)
+	return ds.decoded, nil
+}
+
+// readVaraAll collectively reads the hyperslab's raw bytes, concatenated in
+// file order.
+func (ds *Dataset) readVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
+	id int, slab layout.Slab, aggrs []int, p adio.Params) (Type, []byte, error) {
+	v, err := ds.Var(id)
+	if err != nil {
+		return 0, nil, err
 	}
 	runs, err := ds.ByteRuns(id, slab)
 	if err != nil {
-		return nil, err
+		return 0, nil, err
 	}
 	buf := make([]byte, layout.TotalLength(runs))
 	if err := adio.CollectiveRead(r, c, cl, ds.file, adio.Request{Runs: runs, Buf: buf}, aggrs, p); err != nil {
-		return nil, err
+		return 0, nil, err
 	}
-	return DecodeValues(v.Type, buf, nil), nil
+	return v.Type, buf, nil
 }
 
 // GetVara independently reads the hyperslab (with data sieving).

@@ -27,7 +27,7 @@ type Gen interface {
 // fnGen adapts a plain per-element ValueFn to the Gen interface.
 type fnGen struct {
 	fn     ValueFn
-	coords []int64 // scratch; the sim is single-threaded per dataset
+	coords []int64 // scratch; see synth for why one per dataset is enough
 }
 
 func (g *fnGen) FillRow(coords []int64, out []float64) {
@@ -65,6 +65,11 @@ func SynthDataset(fs *pfs.FS, name string, s *Schema, fns []ValueFn,
 // producers that fill whole runs along the fastest dimension per call, so
 // per-row invariants (seasonal terms, partial hashes) are hoisted out of the
 // element loop. gens is indexed by variable id; a nil entry yields zeros.
+//
+// The file is immutable (its backend rejects writes) and its contents are a
+// pure function of (variable, coordinates), which is what lets the dataset
+// serve the same data two ways: as bytes through its backend, and as values
+// through SynthValues without the bytes ever existing.
 func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 	stripeCount int, stripeSize int64, firstOST int) (*Dataset, error) {
 	if len(s.vars) == 0 {
@@ -74,94 +79,98 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 		return nil, fmt.Errorf("ncfile: %d value generators for %d variables", len(gens), len(s.vars))
 	}
 	size := s.Layout()
-	vars := append([]Var(nil), s.vars...)
-	sort.Slice(vars, func(i, j int) bool { return vars[i].Offset < vars[j].Offset })
-	// Map sorted position back to schema id for gens lookup.
-	genOf := make([]Gen, len(vars))
-	for i, v := range vars {
-		id, _ := idOf(s, v.Name)
-		genOf[i] = gens[id]
+	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...)}
+	f := fs.Create(name, pfs.NewSynthBackend(size, sy.fill), stripeCount, stripeSize, firstOST)
+	ds, err := newDataset(f, s.vars, s.globalAttrs, s.varAttrs)
+	if err != nil {
+		return nil, err
 	}
-	// Scratch buffers shared across fills: the simulation serializes all
-	// reads of one dataset, so one set per dataset suffices.
-	var fv fillState
-	fill := func(off int64, p []byte) {
-		for i := range p {
-			p[i] = 0
-		}
-		lo, hi := off, off+int64(len(p))
-		// First variable whose data extends past lo.
-		i := sort.Search(len(vars), func(i int) bool {
-			return vars[i].Offset+vars[i].Bytes() > lo
-		})
-		for ; i < len(vars) && vars[i].Offset < hi; i++ {
-			fv.fillVar(&vars[i], genOf[i], lo, hi, p)
-		}
-	}
-	backend := pfs.NewSynthBackend(size, fill)
-	f := fs.Create(name, backend, stripeCount, stripeSize, firstOST)
-	return newDataset(f, s.vars, s.globalAttrs, s.varAttrs)
+	ds.synth = sy
+	return ds, nil
 }
 
-func idOf(s *Schema, name string) (int, bool) {
-	for i, v := range s.vars {
-		if v.Name == name {
-			return i, true
-		}
-	}
-	return 0, false
-}
-
-// fillState carries the per-dataset scratch of fillVar between calls so
-// steady-state synthetic reads allocate nothing.
-type fillState struct {
+// synth is the generator side of a synthetic dataset: the variables in file
+// order (Layout assigns offsets in schema order, so that is id order), their
+// generators, and the scratch both read paths use. One set of scratch per
+// dataset suffices because a dataset lives in one FS and so one sim.Env,
+// whose kernel runs one process at a time, and neither path yields to the
+// kernel between filling the scratch and consuming it.
+type synth struct {
+	vars   []Var
+	gens   []Gen // by variable id; nil = zeros
 	coords []int64
 	vals   []float64
 }
 
-// fillVar writes the bytes of v that fall within [lo, hi) into
-// p[...] (p corresponds to file range [lo, hi)). Values are produced
-// row-by-row through g and encoded with direct little-endian stores for
-// whole elements; only the (at most two) elements cut by the extent edges
-// take the byte-wise path.
-func (fv *fillState) fillVar(v *Var, g Gen, lo, hi int64, p []byte) {
-	vlo, vhi := v.Offset, v.Offset+v.Bytes()
-	if lo > vlo {
-		vlo = lo
+// Synthetic reports whether the dataset is generator-backed, i.e. whether
+// SynthValues can stand in for reading and decoding its bytes.
+func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
+
+// SynthValues returns the values of the n consecutive elements of variable id
+// starting at linear element index first — what DecodeValues returns for
+// those elements' bytes, bit for bit, without producing the bytes: the
+// generator writes straight into out (reused when its capacity suffices, as
+// with DecodeValues) and the element type's encode/decode round trip
+// (float64 -> type -> float64) is applied in place. The dataset must be
+// Synthetic and the element range inside the variable.
+func (ds *Dataset) SynthValues(id int, first, n int64, out []float64) []float64 {
+	if int64(cap(out)) < n {
+		out = make([]float64, n)
 	}
-	if hi < vhi {
-		vhi = hi
-	}
-	if vhi <= vlo {
-		return
-	}
+	out = out[:n]
+	v := &ds.vars[id]
+	g := ds.synth.gens[id]
 	if g == nil {
-		return // p is pre-zeroed; all types encode value 0 as zero bytes
+		clear(out)
+		return out
 	}
-	sz := v.Type.Size()
-	firstElem := (vlo - v.Offset) / sz
-	lastElem := (vhi - v.Offset + sz - 1) / sz // exclusive
+	ds.synth.rows(v, first, first+n, func(e, m int64, coords []int64) {
+		row := out[e-first : e-first+m]
+		g.FillRow(coords, row)
+		roundTrip(v.Type, row) // while the row is still in cache
+	})
+	return out
+}
+
+// roundTrip replaces each value by what storing it as t and reading it back
+// yields. The conversions are the ones EncodeValues and DecodeValues apply;
+// the little-endian bit moves between them change nothing.
+func roundTrip(t Type, vals []float64) {
+	switch t {
+	case Float32:
+		for i, v := range vals {
+			vals[i] = float64(float32(v))
+		}
+	case Int32:
+		for i, v := range vals {
+			vals[i] = float64(int32(v))
+		}
+	case Int64:
+		for i, v := range vals {
+			vals[i] = float64(int64(v))
+		}
+	}
+}
+
+// rows calls fn once per maximal run of elements [e, e+n) of v within
+// [first, last) that stays in one row of the fastest dimension, with the
+// coordinates of element e. coords is scratch: valid during the call only.
+func (sy *synth) rows(v *Var, first, last int64, fn func(e, n int64, coords []int64)) {
 	nd := len(v.Dims)
-	if len(fv.coords) != nd {
-		fv.coords = make([]int64, nd)
+	if len(sy.coords) != nd {
+		sy.coords = make([]int64, nd)
 	}
-	coords := layout.OffsetToCoords(v.Dims, firstElem, fv.coords)
+	coords := layout.OffsetToCoords(v.Dims, first, sy.coords)
 	lastDim := v.Dims[nd-1]
-	for e := firstElem; e < lastElem; {
-		// One run along the fastest dimension, clipped to the extent.
+	for e := first; e < last; {
 		n := lastDim - coords[nd-1]
-		if e+n > lastElem {
-			n = lastElem - e
+		if e+n > last {
+			n = last - e
 		}
-		if int64(cap(fv.vals)) < n {
-			fv.vals = make([]float64, n)
-		}
-		vals := fv.vals[:n]
-		g.FillRow(coords, vals)
-		fv.encodeRow(v, e, vals, lo, hi, p)
+		fn(e, n, coords)
 		e += n
 		// Odometer increment by n: the run ends at a row boundary (or at
-		// lastElem, in which case the loop exits and coords are dead).
+		// last, in which case the loop exits and coords are dead).
 		coords[nd-1] += n
 		for d := nd - 1; d > 0 && coords[d] >= v.Dims[d]; d-- {
 			coords[d] = 0
@@ -170,9 +179,54 @@ func (fv *fillState) fillVar(v *Var, g Gen, lo, hi int64, p []byte) {
 	}
 }
 
+// fill is the backend's content function: p receives the file bytes
+// [off, off+len(p)). Every byte of p is written exactly once — generated
+// where a generator covers it, zero elsewhere (the header page, alignment
+// padding, variables without a generator, anything past the last variable) —
+// so p's previous contents never matter and nothing is cleared first.
+func (sy *synth) fill(off int64, p []byte) {
+	lo, hi := off, off+int64(len(p))
+	pos := lo // bytes of p before pos are final
+	// First variable whose data extends past lo.
+	i := sort.Search(len(sy.vars), func(i int) bool {
+		return sy.vars[i].Offset+sy.vars[i].Bytes() > lo
+	})
+	for ; i < len(sy.vars) && sy.vars[i].Offset < hi; i++ {
+		v := &sy.vars[i]
+		vlo, vhi := max(v.Offset, lo), min(v.Offset+v.Bytes(), hi)
+		clear(p[pos-lo : vlo-lo])
+		if g := sy.gens[i]; g != nil {
+			sy.fillVar(v, g, vlo, vhi, lo, p)
+		} else {
+			clear(p[vlo-lo : vhi-lo]) // every type encodes 0 as zero bytes
+		}
+		pos = vhi
+	}
+	clear(p[pos-lo:])
+}
+
+// fillVar writes v's bytes in the file range [vlo, vhi) — non-empty and
+// inside both v and p's range, which starts at file offset lo. Values are
+// produced row by row through g and encoded with direct little-endian
+// stores for whole elements; only the (at most two) elements cut by the
+// range's edges take the byte-wise path.
+func (sy *synth) fillVar(v *Var, g Gen, vlo, vhi, lo int64, p []byte) {
+	sz := v.Type.Size()
+	firstElem := (vlo - v.Offset) / sz
+	lastElem := (vhi - v.Offset + sz - 1) / sz // exclusive
+	sy.rows(v, firstElem, lastElem, func(e, n int64, coords []int64) {
+		if int64(cap(sy.vals)) < n {
+			sy.vals = make([]float64, n)
+		}
+		vals := sy.vals[:n]
+		g.FillRow(coords, vals)
+		encodeRow(v, e, vals, lo, p)
+	})
+}
+
 // encodeRow stores vals for the consecutive elements starting at element
-// index e of v, clipping to the file range [lo, hi) covered by p.
-func (fv *fillState) encodeRow(v *Var, e int64, vals []float64, lo, hi int64, p []byte) {
+// index e of v, clipping to the file range p covers (from offset lo).
+func encodeRow(v *Var, e int64, vals []float64, lo int64, p []byte) {
 	sz := v.Type.Size()
 	base := v.Offset + e*sz - lo // byte pos of element e within p (may be <0)
 	n := int64(len(vals))

@@ -255,12 +255,11 @@ func NewMemBackend(size int64) *MemBackend {
 
 // ReadAt implements Backend; reads past EOF yield zeros.
 func (m *MemBackend) ReadAt(p []byte, off int64) {
-	for i := range p {
-		p[i] = 0
-	}
+	n := 0
 	if off < int64(len(m.data)) {
-		copy(p, m.data[off:])
+		n = copy(p, m.data[off:])
 	}
+	clear(p[n:])
 }
 
 // WriteAt implements Backend, growing the store as needed.
@@ -530,19 +529,34 @@ func (cl *Client) transfer(f *File, buf []byte, off int64, write bool) float64 {
 // overhead; the returned completion time is when the data is in buf. Used by
 // the non-blocking two-phase pipeline to overlap reading with shuffling.
 func (cl *Client) ReadAsync(f *File, buf []byte, off int64) (done float64) {
-	if len(buf) == 0 {
+	// The bytes are taken when the read is issued, before the client's
+	// first yield: a write that lands while the request is in flight is not
+	// seen.
+	f.backend.ReadAt(buf, off)
+	return cl.ChargeReadAsync(f, off, int64(len(buf)))
+}
+
+// ChargeReadAsync models one contiguous asynchronous read of [off, off+n) and
+// returns its completion time, moving no data: the issue overhead on the
+// client, one request per stripe piece, the OST reservations with the
+// client's timeout/retry policy, FS.BytesRead/Requests, the latency
+// histogram and the pfs.read span are exactly ReadAsync's. A caller that can
+// obtain the extent's contents without its bytes (a generator-backed file
+// feeding a map) charges the read this way; ReadAsync and ReadSparseAsync
+// are this plus the backend fill.
+func (cl *Client) ChargeReadAsync(f *File, off, n int64) (done float64) {
+	if n == 0 {
 		return cl.proc.Now()
 	}
 	p := cl.fs.params
 	t0 := cl.proc.Now()
 	toBefore, rtBefore := cl.Retry.Timeouts, cl.Retry.Retries
 	var npieces int
-	f.pieces(off, int64(len(buf)), func(po, pl int64) { npieces++ })
+	f.pieces(off, n, func(po, pl int64) { npieces++ })
 	issueDone := t0 + float64(npieces)*p.ClientOverhead
-	end := cl.reserveAll(f, off, int64(len(buf)), issueDone, true)
+	end := cl.reserveAll(f, off, n, issueDone, true)
 	cl.fs.Requests += int64(npieces)
-	f.backend.ReadAt(buf, off)
-	cl.fs.BytesRead += int64(len(buf))
+	cl.fs.BytesRead += n
 	cl.proc.SleepUntil(issueDone)
 	cl.tracer.Record(cl.rank, trace.Sys, t0, cl.proc.Now())
 	// The span covers only the issue portion: the rank is free until AwaitIO,
@@ -553,7 +567,7 @@ func (cl *Client) ReadAsync(f *File, buf []byte, off int64) (done float64) {
 	if ot := cl.obs; ot != nil {
 		cl.histRead.Observe(end - t0)
 		ot.SpanRank(cl.rank, "pfs.read", "pfs", t0, cl.proc.Now(),
-			obs.I("bytes", int64(len(buf))), obs.I("pieces", int64(npieces)),
+			obs.I("bytes", n), obs.I("pieces", int64(npieces)),
 			obs.I("timeouts", cl.Retry.Timeouts-toBefore),
 			obs.I("retries", cl.Retry.Retries-rtBefore),
 			obs.I("async", 1))
@@ -575,31 +589,13 @@ func (cl *Client) AwaitIO(done float64) {
 // Proc returns the client's simulated process.
 func (cl *Client) Proc() *sim.Proc { return cl.proc }
 
-// ReadSparse models one contiguous read of [off, off+len(buf)) — identical
-// timing, statistics and OST contention to Read — but materializes only the
-// given piece ranges (absolute file offsets, sorted, within the extent) into
-// buf. Two-phase I/O reads covering extents whose holes are never consumed;
-// skipping their generation makes synthetic paper-scale runs affordable
-// without changing anything observable.
-func (cl *Client) ReadSparse(f *File, buf []byte, off int64, pieces []layout.Run) float64 {
-	done := cl.ReadSparseAsync(f, buf, off, pieces)
-	cl.AwaitIO(done)
-	return cl.proc.Now()
-}
-
-// ReadSparseAsync is to ReadSparse what ReadAsync is to Read.
+// ReadSparseAsync models one contiguous read of [off, off+len(buf)) —
+// identical timing, statistics and OST contention to ReadAsync — but
+// materializes only the given piece ranges (absolute file offsets, sorted,
+// within the extent) into buf. Two-phase I/O reads covering extents whose
+// holes are never consumed; skipping their generation makes synthetic
+// paper-scale runs affordable without changing anything observable.
 func (cl *Client) ReadSparseAsync(f *File, buf []byte, off int64, pieces []layout.Run) (done float64) {
-	if len(buf) == 0 {
-		return cl.proc.Now()
-	}
-	p := cl.fs.params
-	t0 := cl.proc.Now()
-	toBefore, rtBefore := cl.Retry.Timeouts, cl.Retry.Retries
-	var npieces int
-	f.pieces(off, int64(len(buf)), func(po, pl int64) { npieces++ })
-	issueDone := t0 + float64(npieces)*p.ClientOverhead
-	end := cl.reserveAll(f, off, int64(len(buf)), issueDone, true)
-	cl.fs.Requests += int64(npieces)
 	for _, pc := range pieces {
 		lo := pc.Offset - off
 		if lo < 0 || pc.End()-off > int64(len(buf)) {
@@ -607,17 +603,5 @@ func (cl *Client) ReadSparseAsync(f *File, buf []byte, off int64, pieces []layou
 		}
 		f.backend.ReadAt(buf[lo:lo+pc.Length], pc.Offset)
 	}
-	cl.fs.BytesRead += int64(len(buf))
-	cl.proc.SleepUntil(issueDone)
-	cl.tracer.Record(cl.rank, trace.Sys, t0, cl.proc.Now())
-	// Issue-portion span only; see ReadAsync.
-	if ot := cl.obs; ot != nil {
-		cl.histRead.Observe(end - t0)
-		ot.SpanRank(cl.rank, "pfs.read", "pfs", t0, cl.proc.Now(),
-			obs.I("bytes", int64(len(buf))), obs.I("pieces", int64(npieces)),
-			obs.I("timeouts", cl.Retry.Timeouts-toBefore),
-			obs.I("retries", cl.Retry.Retries-rtBefore),
-			obs.I("async", 1))
-	}
-	return end
+	return cl.ChargeReadAsync(f, off, int64(len(buf)))
 }

@@ -28,14 +28,26 @@ func TestMemBackendRoundTrip(t *testing.T) {
 	}
 }
 
+// ReadAt clears nothing up front: it must overwrite every byte of a dirty
+// destination, with data up to EOF and zeros from there on.
 func TestMemBackendReadPastEOFZeros(t *testing.T) {
 	m := NewMemBackend(2)
-	m.WriteAt([]byte{9, 9}, 0)
-	got := make([]byte, 4)
-	got[3] = 77 // stale garbage must be cleared
-	m.ReadAt(got, 1)
-	if !bytes.Equal(got, []byte{9, 0, 0, 0}) {
-		t.Fatalf("got %v", got)
+	m.WriteAt([]byte{9, 8}, 0)
+	cases := []struct {
+		off  int64
+		want []byte
+	}{
+		{0, []byte{9, 8}},       // wholly inside
+		{1, []byte{8, 0, 0, 0}}, // across EOF
+		{2, []byte{0, 0, 0}},    // starting at EOF
+		{5, []byte{0, 0}},       // wholly past EOF
+	}
+	for _, c := range cases {
+		got := bytes.Repeat([]byte{0xAA}, len(c.want))
+		m.ReadAt(got, c.off)
+		if !bytes.Equal(got, c.want) {
+			t.Fatalf("ReadAt(off %d) = %v, want %v", c.off, got, c.want)
+		}
 	}
 }
 

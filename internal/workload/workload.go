@@ -291,7 +291,9 @@ func Generate(spec Spec) (*Trace, error) {
 		dsZ := newZipf(len(spec.Datasets), c.DatasetSkew)
 		winZ := newZipf(c.Windows, c.WindowSkew)
 		t := 0.0
-		for idx := 0; ; idx++ {
+		// A cohort's arrivals come in (t, idx) order, so none beyond its
+		// first MaxJobs can be among the merged stream's first MaxJobs.
+		for idx := 0; spec.MaxJobs <= 0 || idx < spec.MaxJobs; idx++ {
 			// Interarrival: a mean-1 draw scaled by the instantaneous rate
 			// (rate modulation by time-scaling, evaluated at the previous
 			// arrival — the standard nonhomogeneous-renewal approximation).

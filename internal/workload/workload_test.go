@@ -83,21 +83,46 @@ func TestGenerateOrderedAndShaped(t *testing.T) {
 }
 
 // TestMaxJobsTruncation: MaxJobs keeps the first N submissions of the
-// untruncated stream.
+// untruncated stream. Generate stops every cohort at MaxJobs arrivals rather
+// than materialising the horizon, so the capped stream is compared, as trace
+// bytes, with the uncapped one cut to length — over seeds, over rates that
+// put the cap early or late in the horizon, and over caps from one job (a
+// single cohort's first arrival must win) to more than the stream holds.
 func TestMaxJobsTruncation(t *testing.T) {
-	full := mustGenerate(t, smallSpec(5))
-	if len(full.Jobs) < 20 {
-		t.Fatalf("stream too small to test truncation: %d", len(full.Jobs))
+	traceBytes := func(tr *Trace) []byte {
+		var buf bytes.Buffer
+		if err := Write(&buf, tr); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes()
 	}
-	spec := smallSpec(5)
-	spec.MaxJobs = 20
-	cut := mustGenerate(t, spec)
-	if len(cut.Jobs) != 20 {
-		t.Fatalf("truncated to %d jobs, want 20", len(cut.Jobs))
-	}
-	full.Jobs = full.Jobs[:20]
-	if d := Diff(full, cut, 3); d != nil {
-		t.Fatalf("truncation is not a prefix: %v", d)
+	for _, seed := range []uint64{5, 6, 99} {
+		for _, rate := range []float64{1, 8, 40} {
+			spec := smallSpec(seed)
+			spec.Horizon = 10
+			for i := range spec.Cohorts {
+				spec.Cohorts[i].Rate *= rate
+			}
+			full := mustGenerate(t, spec)
+			if len(full.Jobs) < 150 {
+				t.Fatalf("seed %d rate %g: stream too small to test truncation: %d", seed, rate, len(full.Jobs))
+			}
+			for _, cap := range []int{1, 20, 120, len(full.Jobs) + 7} {
+				spec.MaxJobs = cap
+				cut := mustGenerate(t, spec)
+				want := *full
+				if cap < len(full.Jobs) {
+					want.Jobs = full.Jobs[:cap]
+				}
+				if len(cut.Jobs) != len(want.Jobs) {
+					t.Fatalf("seed %d rate %g cap %d: %d jobs, want %d", seed, rate, cap, len(cut.Jobs), len(want.Jobs))
+				}
+				if !bytes.Equal(traceBytes(cut), traceBytes(&want)) {
+					t.Fatalf("seed %d rate %g cap %d: capped stream is not the uncapped stream's prefix: %v",
+						seed, rate, cap, Diff(&want, cut, 3))
+				}
+			}
+		}
 	}
 }
 
