@@ -2,6 +2,8 @@ package cluster_test
 
 import (
 	"bytes"
+	"runtime"
+	"slices"
 	"sort"
 	"testing"
 
@@ -181,5 +183,32 @@ func TestIndexedPoliciesMatchOracleOnDeepStreams(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestStreamLogsIdenticalAcrossHostParallelism: simulated processes switch
+// as coroutines, so the host scheduler orders nothing and a deep stream's
+// event and decision logs are the same bytes at GOMAXPROCS 1, 2 and 8.
+func TestStreamLogsIdenticalAcrossHostParallelism(t *testing.T) {
+	v := streamVariant{name: "few-tenants-weighted", clients: 3, weights: []float64{4, 0.5, 1, 2.5}}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	var want streamLog
+	for i, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		got := runStream(t, "fairshare", v, false)
+		if i == 0 {
+			want = got
+			continue
+		}
+		if !bytes.Equal(got.events, want.events) {
+			t.Fatalf("GOMAXPROCS=%d event log differs from GOMAXPROCS=1:\n%s", procs,
+				cluster.FirstLogDiff(got.events, want.events))
+		}
+		if !slices.Equal(got.decisions, want.decisions) { // equal records are equal lines (see eventsOnly)
+			t.Fatalf("GOMAXPROCS=%d decision records differ from GOMAXPROCS=1", procs)
+		}
+	}
+	if len(want.events) == 0 || len(want.decisions) == 0 {
+		t.Fatalf("nothing recorded: %d event bytes, %d decisions", len(want.events), len(want.decisions))
 	}
 }

@@ -1,10 +1,13 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // --- event queue edge cases ---
@@ -175,7 +178,112 @@ func TestDeadlockErrorContent(t *testing.T) {
 	}
 }
 
+// --- the coroutine hand-off at its edges ---
+
+// TestProcPanicReachesRunCaller: a panic in a process body unwinds out of
+// Run, in Run's caller, carrying its value — not out of a foreign goroutine
+// where nothing could recover it.
+func TestProcPanicReachesRunCaller(t *testing.T) {
+	type boom struct{ at float64 }
+	e := NewEnv()
+	e.Spawn("bystander", func(p *Proc) { p.Sleep(5) })
+	e.Spawn("bomb", func(p *Proc) {
+		p.Sleep(2)
+		panic(boom{p.Now()})
+	})
+	defer func() {
+		if r := recover(); r != (boom{2}) {
+			t.Fatalf("recovered %#v from Run, want %#v", r, boom{2})
+		}
+	}()
+	err := e.Run()
+	t.Fatalf("Run returned %v past a panicking process", err)
+}
+
+// TestProcGoexitEndsRunGoroutine: runtime.Goexit in a process body (what
+// t.FailNow does) ends the goroutine that called Run, deferred calls
+// included, instead of leaving it waiting for a process that will never
+// hand control back.
+func TestProcGoexitEndsRunGoroutine(t *testing.T) {
+	done := make(chan struct{})
+	returned := false
+	go func() {
+		defer close(done)
+		e := NewEnv()
+		e.Spawn("bystander", func(p *Proc) { p.Sleep(5) })
+		e.Spawn("quitter", func(p *Proc) {
+			p.Sleep(2)
+			runtime.Goexit()
+		})
+		e.Run()
+		returned = true
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Run's goroutine is still alive 10 s after a process called Goexit")
+	}
+	if returned {
+		t.Fatal("Run returned normally past a process that called Goexit")
+	}
+}
+
+// TestSpawnStartsNowInSeqOrder: a process spawned from inside a process or
+// from an At callback starts at the instant it was spawned, after everything
+// already queued for that instant and before anything queued later.
+func TestSpawnStartsNowInSeqOrder(t *testing.T) {
+	e := NewEnv()
+	var order []string
+	mark := func(s string, now float64) { order = append(order, fmt.Sprintf("%s@%g", s, now)) }
+	e.Spawn("parent", func(p *Proc) {
+		p.Sleep(2)
+		e.Spawn("child", func(c *Proc) { mark("child", c.Now()) })
+		e.At(p.Now(), func() {
+			mark("callback", e.Now())
+			e.Spawn("grandchild", func(c *Proc) { mark("grandchild", c.Now()) })
+		})
+		e.Spawn("sibling", func(c *Proc) { mark("sibling", c.Now()) })
+		mark("parent", p.Now()) // spawning does not yield
+	})
+	e.Spawn("peer", func(p *Proc) { // queued for t=2 before parent spawns anything
+		p.Sleep(2)
+		mark("peer", p.Now())
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	got := strings.Join(order, " ")
+	want := "parent@2 peer@2 child@2 callback@2 sibling@2 grandchild@2"
+	if got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
 // --- steady-state allocation contracts (gated in nightly CI) ---
+
+// TestSleepSwitchZeroAlloc: a virtual context switch between two live
+// processes (park one, pop the other's wake-up, resume it, and back) touches
+// no allocator once the event queue has its capacity.
+func TestSleepSwitchZeroAlloc(t *testing.T) {
+	e := NewEnv()
+	measuring := true
+	e.Spawn("other", func(p *Proc) {
+		for measuring {
+			p.Sleep(1)
+		}
+	})
+	n := -1.0
+	e.Spawn("measured", func(p *Proc) {
+		n = testing.AllocsPerRun(1000, func() { p.Sleep(1) })
+		measuring = false
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("a Sleep switch between two live processes allocates %v per op, want 0", n)
+	}
+}
 
 func TestEventQueueSteadyStateZeroAlloc(t *testing.T) {
 	var q eventQueue
@@ -208,6 +316,20 @@ func TestMailboxSteadyStateZeroAlloc(t *testing.T) {
 	})
 	if n != 0 {
 		t.Fatalf("mailbox send/tryrecv allocates %v per op in steady state, want 0", n)
+	}
+	// Recv of a ready message is the same fast path with a process attached:
+	// it must not build the Block reason it will not use.
+	e.Spawn("recv", func(p *Proc) {
+		n = testing.AllocsPerRun(1000, func() {
+			mb.Send(1, 8, 0)
+			mb.Recv(p)
+		})
+	})
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if n != 0 {
+		t.Fatalf("mailbox send/recv of a ready message allocates %v per op, want 0", n)
 	}
 }
 

@@ -1,9 +1,16 @@
 // Package sim provides a deterministic, sequential discrete-event
-// simulation kernel. Simulated processes are ordinary goroutines, but the
-// scheduler runs exactly one of them at a time and hands control between
-// them in virtual-timestamp order, so a simulation is fully deterministic:
-// the same program produces the same event order and the same virtual
-// timings on every run.
+// simulation kernel. Each simulated process is a coroutine (iter.Pull): Run
+// pops the next event in (time, seq) order and switches straight to its
+// process, which switches straight back when it sleeps, blocks or returns —
+// no host run queue, no wake-up of another thread. Exactly one of Run and
+// the processes executes at any moment, and which one is decided by the
+// event queue alone, so the same program produces the same event order and
+// virtual timings on every run and at any GOMAXPROCS.
+//
+// A panic in a process body surfaces from Run, in Run's caller, with its
+// value; runtime.Goexit (t.FailNow) in a body ends the goroutine that called
+// Run, defers and all. Processes still parked when Run reports a deadlock
+// stay parked: nothing may resume user code past its Block.
 //
 // The kernel knows nothing about networks, file systems or MPI; it provides
 // three primitives on which those models are built:
@@ -24,20 +31,20 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math"
 	"sort"
 )
 
 // Env is a simulation environment. It owns the virtual clock and the event
 // queue. Create one with NewEnv, add processes with Spawn, then call Run.
-// An Env must not be shared between real OS threads; all access happens from
-// the goroutine that calls Run and from the (serialized) process goroutines.
+// An Env must not be shared between goroutines: all access happens from the
+// one that calls Run and from the process coroutines it switches to.
 type Env struct {
 	now     float64
 	seq     uint64
 	queue   eventQueue
-	yield   chan struct{} // token returned by the running process
-	live    int           // spawned processes that have not finished
+	live    int // spawned processes that have not finished
 	blocked map[*Proc]blockedInfo
 	procSeq int
 	stale   uint64 // cancelled wake-ups discarded at pop time
@@ -51,12 +58,7 @@ type blockedInfo struct {
 }
 
 // NewEnv returns an empty environment with the clock at 0.
-func NewEnv() *Env {
-	return &Env{
-		yield:   make(chan struct{}),
-		blocked: make(map[*Proc]blockedInfo),
-	}
-}
+func NewEnv() *Env { return &Env{blocked: make(map[*Proc]blockedInfo)} }
 
 // Now returns the current virtual time in seconds.
 func (e *Env) Now() float64 { return e.now }
@@ -185,13 +187,14 @@ func (e *Env) At(t float64, fn func()) {
 }
 
 // Proc is a simulated process. All Proc methods must be called only from the
-// process's own goroutine (the function passed to Spawn), never from outside
-// the simulation or from another process.
+// process's own body (the function passed to Spawn), never from outside the
+// simulation or from another process.
 type Proc struct {
 	env      *Env
 	name     string
 	id       int
-	resume   chan struct{}
+	next     func() (struct{}, bool) // Run resumes the body: switch to the coroutine
+	yield    func(struct{}) bool     // the body parks: switch back to Run
 	gen      uint64
 	finished bool
 	scale    func(now, d float64) float64
@@ -210,24 +213,20 @@ func (p *Proc) Now() float64 { return p.env.now }
 // time. The returned Proc must be used only inside fn.
 func (e *Env) Spawn(name string, fn func(p *Proc)) *Proc {
 	e.procSeq++
-	p := &Proc{env: e, name: name, id: e.procSeq, resume: make(chan struct{})}
+	p := &Proc{env: e, name: name, id: e.procSeq}
 	e.live++
-	go func() {
-		<-p.resume
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		fn(p)
 		p.finished = true
 		e.live--
-		e.yield <- struct{}{}
-	}()
+	})
 	e.schedule(e.now, p)
 	return p
 }
 
-// yieldAndWait hands the scheduler token back and parks until resumed.
-func (p *Proc) yieldAndWait() {
-	p.env.yield <- struct{}{}
-	<-p.resume
-}
+// yieldAndWait switches back to Run and parks until Run resumes p.
+func (p *Proc) yieldAndWait() { p.yield(struct{}{}) }
 
 // SleepUntil advances the process's clock to t. If t is in the past it
 // returns immediately.
@@ -339,14 +338,13 @@ func (e *Env) Run() error {
 			continue
 		}
 		if _, stillBlocked := e.blocked[p]; stillBlocked {
-			// Every live event for p was scheduled while p was parked on its
-			// resume channel and off the blocked map; gen filtering removes
-			// the rest. Reaching here is a kernel bug, not a user error.
+			// Every live event for p was scheduled while p was parked in its
+			// yield and off the blocked map; gen filtering removes the rest.
+			// Reaching here is a kernel bug, not a user error.
 			panic("sim: scheduled wake-up for a process parked in Block")
 		}
 		p.gen++
-		p.resume <- struct{}{}
-		<-e.yield
+		p.next()
 	}
 	if len(e.blocked) > 0 {
 		d := &DeadlockError{
@@ -418,14 +416,15 @@ type Message[T any] struct {
 // arity-independent.
 type Mailbox[T any] struct {
 	env     *Env
-	name    string
 	q       []Message[T]
 	waiters []*Proc
+	// Block reasons, built once: only a deadlock report reads them.
+	whyEmpty, whyPending string
 }
 
 // NewMailbox returns an empty mailbox with payload type T owned by e.
 func NewMailbox[T any](e *Env, name string) *Mailbox[T] {
-	return &Mailbox[T]{env: e, name: name}
+	return &Mailbox[T]{env: e, whyEmpty: "recv " + name, whyPending: "recv(pending) " + name}
 }
 
 // Len returns the number of queued messages (ready or not).
@@ -454,7 +453,7 @@ func (mb *Mailbox[T]) Send(payload T, bytes int64, ready float64) {
 // earliest-ready one, advancing p's clock to its ready time.
 func (mb *Mailbox[T]) Recv(p *Proc) Message[T] {
 	for {
-		why := "recv " + mb.name
+		why := mb.whyEmpty
 		if len(mb.q) > 0 {
 			if mb.q[0].Ready <= p.env.now {
 				return mb.pop()
@@ -463,7 +462,7 @@ func (mb *Mailbox[T]) Recv(p *Proc) Message[T] {
 			// re-wakes us sooner via the waiters list. The timer guards on
 			// gen so it becomes a no-op if anything woke p first.
 			p.env.timerAt(mb.q[0].Ready, p, p.gen)
-			why = "recv(pending) " + mb.name
+			why = mb.whyPending
 		}
 		mb.waiters = append(mb.waiters, p)
 		p.Block(why)
