@@ -44,9 +44,10 @@
 //	ccexp workload -workload jobs=50000 -trace-out stream.wl.jsonl
 //	ccexp workload -trace-in stream.wl.jsonl
 //
-// -explain records a per-round scheduler decision trace (repro.decisions.v1
-// lines interleaved into -events, served live at /decisions with -serve) and
-// prints the per-job wait attribution after the run. The explain experiment
+// -explain records the scheduler's decision trace (repro.decisions.v2 lines
+// interleaved into -events, served live at /decisions with -serve: every
+// admission, drop and memo service, and a skip whenever a waiting job's cause
+// changes) and prints the per-job wait attribution after the run. The explain experiment
 // goes further: it replays the recorded submission stream under alternative
 // policies and reports counterfactual start-time deltas for one job. Flags
 // may follow the experiment name, so the natural spelling works:

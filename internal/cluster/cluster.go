@@ -107,7 +107,8 @@ type Cluster struct {
 	// Decision tracing (decisions.go); all dormant unless the obs tracer has
 	// decision tracing enabled.
 	decRound int              // admission-round counter (1-based in records)
-	decBlame map[int]decBlame // per-round policy blames, keyed by job seq
+	decBlame map[int]decCause // per-round policy blames, keyed by job seq
+	decHeld  []decCause       // by job seq: the cause of the job's last written skip
 	decAdmit decAdmitTag      // admission reason in flight (AdmitBackfilled)
 	schedQ   *Queue           // the scheduler's queue view, for snapshots
 

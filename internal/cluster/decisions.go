@@ -10,21 +10,24 @@ import (
 // This file is the scheduler's decision-trace emission: when decision
 // tracing is enabled on the installed obs tracer (obs.Tracer.EnableDecisions
 // — opt-in, driven by the CLIs' -explain flag and by -serve), every
-// admission-loop round records one typed decision.Record per pending job
-// (admitted / dropped / memo-served / skipped-with-reason), with the
-// blocking job and a free-rank snapshot attached. Emission happens at the
+// admission-loop round records a typed decision.Record for each job it
+// admits, drops or serves from the memo layer, with the blocking job and a
+// free-rank snapshot attached, and closes with the round's skips: one Round
+// record, then a Skip record for each pending job whose cause is not the one
+// last written for it (see closeDecisionRound). Emission happens at the
 // same program points as the existing event-log instants (deadline-drop,
 // backfill, memo-hit, memo-wait, coalesce-attach), from the same values, so
 // the two streams can never disagree. Recording is observation only: it
 // never touches the virtual clock or the schedule, so enabling it leaves
 // results, makespans, and the repro.events.v1 event stream bit-identical.
 
-// decBlame is a policy-supplied typed skip reason for one pending job,
-// valid for the current round only (see Queue.Blame).
-type decBlame struct {
+// decCause is why a pending job stays queued at one round: what a skip
+// record says beyond naming the job. Two rounds give a job the same cause
+// exactly when their skip lines would differ only in round, time and wait.
+type decCause struct {
 	reason  decision.Reason
 	blocked *JobResult // may be nil
-	shadow  float64
+	shadow  float64    // the reservation's start; 0 unless reason is ShadowReservation
 }
 
 // decAdmitTag carries a policy-supplied admission reason (backfill + shadow
@@ -38,27 +41,12 @@ type decAdmitTag struct {
 // decisionsOn reports whether scheduler decision tracing is enabled.
 func (c *Cluster) decisionsOn() bool { return c.obs.DecisionsEnabled() }
 
-// newDecision fills the common fields of a decision record for jr at the
-// current virtual time: round, policy, job identity, width, wait so far,
-// and a snapshot of the free-rank set as it stands now.
+// newDecision fills the common fields of a job's terminal decision record
+// at the current virtual time: round, policy, job identity, width, wait so
+// far, and a snapshot of the free-rank set as it stands now.
 func (c *Cluster) newDecision(jr *JobResult, outcome decision.Outcome) decision.Record {
-	free, ranks := c.schedQ.freeSnapshot()
-	return c.decisionAt(jr, outcome, free, ranks)
-}
-
-// freeSnapshot renders the free-rank set for decision records. Formatting
-// it is the expensive part of a record, so a caller emitting many records
-// against one pool state (a round's skip records) takes it once.
-func (q *Queue) freeSnapshot() (free int, ranks string) {
-	if q == nil {
-		return 0, ""
-	}
-	return q.pool.free, decision.FormatRanks(q.pool.ranks(nil))
-}
-
-// decisionAt is newDecision against a free-rank snapshot the caller took.
-func (c *Cluster) decisionAt(jr *JobResult, outcome decision.Outcome, free int, ranks string) decision.Record {
 	now := c.env.Now()
+	free, ranks := c.schedQ.freeSnapshot()
 	return decision.Record{
 		Round: c.decRound, T: now, Policy: c.policy.Name(),
 		Job: jr.Job.Name, Seq: jr.Seq(),
@@ -71,6 +59,14 @@ func (c *Cluster) decisionAt(jr *JobResult, outcome decision.Outcome, free int, 
 	}
 }
 
+// freeSnapshot renders the free-rank set for decision records.
+func (q *Queue) freeSnapshot() (free int, ranks string) {
+	if q == nil {
+		return 0, ""
+	}
+	return q.pool.free, decision.FormatRanks(q.pool.ranks(nil))
+}
+
 // blameRecord attaches the blocking job to a record (nil leaves it absent).
 func blameRecord(rec *decision.Record, by *JobResult) {
 	if by != nil {
@@ -79,34 +75,37 @@ func blameRecord(rec *decision.Record, by *JobResult) {
 }
 
 // Blame records the policy's typed reason for leaving pending job h queued
-// this round, overriding the mechanical inference in the round's skip
-// records: reason, the blocking job's submission sequence (-1 for none),
-// and — for shadow-reservation blames — the reserved start time. Cleared
-// when the round's skip records are emitted. A no-op unless decision
-// tracing is enabled, so policies may call it unconditionally.
+// this round, overriding the mechanical inference when the round is closed:
+// reason, the blocking job's submission sequence (-1 for none), and — for
+// shadow-reservation blames — the reserved start time. Cleared when the
+// round closes. A no-op unless decision tracing is enabled, so policies may
+// call it unconditionally.
 func (q *Queue) Blame(h *JobResult, reason decision.Reason, blockedSeq int, shadow float64) {
 	c := q.c
 	if !c.decisionsOn() {
 		return
 	}
 	if c.decBlame == nil {
-		c.decBlame = make(map[int]decBlame)
+		c.decBlame = make(map[int]decCause)
 	}
 	var by *JobResult
 	if blockedSeq >= 0 && blockedSeq < len(c.results) {
 		by = c.results[blockedSeq]
 	}
-	c.decBlame[h.Seq()] = decBlame{reason: reason, blocked: by, shadow: shadow}
+	if reason != decision.ShadowReservation {
+		shadow = 0
+	}
+	c.decBlame[h.Seq()] = decCause{reason: reason, blocked: by, shadow: shadow}
 }
 
 // blameHeadOfLine tags every pending job that would fit right now as
 // head-of-line blocked behind the policy's chosen-but-unfitting best
 // choice. admitBest calls it before blocking the queue, because the
-// mechanical inference in emitSkipDecisions assumes queue-order
+// mechanical inference in closeDecisionRound assumes queue-order
 // consideration; when best is the queue head (always, under fifo) that
-// inference already names it and nothing needs tagging. Like the skip
-// records it feeds, it is O(pending) per blocked round and runs only under
-// decision tracing.
+// inference already names it and nothing needs tagging. Like the cause walk
+// it feeds, it is O(pending) per blocked round and runs only under decision
+// tracing.
 func blameHeadOfLine(q *Queue, best *JobResult) {
 	if !q.c.decisionsOn() || best == q.Head() {
 		return
@@ -167,59 +166,86 @@ func rankBlocker(q *Queue, byEnd []*JobResult, width int) *JobResult {
 	return nil
 }
 
-// emitSkipDecisions closes one admission round: every job still pending
-// gets a skip record carrying the policy's Blame when one was recorded, or
-// a mechanically inferred reason otherwise — concurrency cap first (it
-// blocks regardless of width), then insufficient ranks, then head-of-line
-// (behind the first earlier pending job that does not itself fit, falling
-// back to the queue head). Runs after Policy.Admit at every round; the blame
-// map is always cleared so stale blames cannot leak across rounds.
+// closeDecisionRound closes one admission round for the decision trace.
+// Every job still pending has a cause this round — the policy's Blame when
+// one was recorded, or a mechanically inferred one otherwise: concurrency cap
+// first (it blocks regardless of width), then insufficient ranks, then
+// head-of-line (behind the first earlier pending job that does not itself
+// fit, falling back to the queue head). Runs after Policy.Admit at every
+// round; the blame map is always cleared so stale blames cannot leak across
+// rounds.
 //
-// One record per pending job per round is the documented O(pending) price
-// of tracing; what must not scale with it is the work per record, so
-// everything that cannot change inside the loop — the free-rank rendering,
-// the cap blocker, the running set's completion order, the first unfitting
-// job of the walk so far — is computed once per round.
-func (c *Cluster) emitSkipDecisions(q *Queue) {
-	if !c.decisionsOn() {
+// What is written is bounded by what changed, not by what waits: a round
+// that leaves nothing pending writes nothing; otherwise one Round record
+// (time, free-rank snapshot, pending count), then a Skip record for each
+// job whose cause differs from the one last written for it (decHeld — a
+// job's first skipped round always differs). A skip holds until the job's
+// next record, so a job blocked behind the same running job for a thousand
+// rounds is one line, and a reader recovers its wait at any of them as the
+// round's time minus the skip's submit. The cause walk itself stays
+// O(pending) per round — it is how a change is noticed — so everything that
+// cannot change inside it (the cap blocker, the running set's completion
+// order, the first unfitting job so far) is computed once per round, and a
+// Record is built only for a cause that changed.
+func (c *Cluster) closeDecisionRound(q *Queue) {
+	head := c.pending.first()
+	if !c.decisionsOn() || head == nil {
 		clear(c.decBlame)
 		return
 	}
+	now, policy := c.env.Now(), c.policy.Name()
 	free, ranks := q.freeSnapshot()
+	c.obs.Decision(decision.Record{
+		Round: c.decRound, T: now, Policy: policy, Outcome: decision.Round,
+		BlockedBySeq: -1, Free: free, FreeRanks: ranks, Pending: c.pending.Len(),
+	})
+	if n := len(c.results) - len(c.decHeld); n > 0 {
+		c.decHeld = append(c.decHeld, make([]decCause, n)...)
+	}
 	capFree := q.CapFree()
 	var capBlocker, unfit *JobResult
 	if !capFree {
 		capBlocker = earliestEndingRunning(q)
 	}
 	var byEnd []*JobResult
-	head := c.pending.first()
 	for jr := head; jr != nil; jr = c.pending.next(jr) {
-		rec := c.decisionAt(jr, decision.Skip, free, ranks)
+		var cause decCause
 		if bl, ok := c.decBlame[jr.Seq()]; ok {
-			rec.Reason = bl.reason
-			rec.Shadow = bl.shadow
-			blameRecord(&rec, bl.blocked)
+			cause = bl
 		} else if !capFree {
-			rec.Reason = decision.ConcurrencyCap
-			blameRecord(&rec, capBlocker)
+			cause = decCause{reason: decision.ConcurrencyCap, blocked: capBlocker}
 		} else if jr.Job.Ranks > free {
-			rec.Reason = decision.InsufficientRanks
 			if byEnd == nil {
 				byEnd = runningByEstEnd(q)
 			}
-			blameRecord(&rec, rankBlocker(q, byEnd, jr.Job.Ranks))
+			cause = decCause{reason: decision.InsufficientRanks,
+				blocked: rankBlocker(q, byEnd, jr.Job.Ranks)}
 		} else {
-			rec.Reason = decision.HeadOfLine
+			cause.reason = decision.HeadOfLine
 			if unfit != nil {
-				blameRecord(&rec, unfit)
+				cause.blocked = unfit
 			} else if jr != head {
-				blameRecord(&rec, head)
+				cause.blocked = head
 			}
 		}
 		if unfit == nil && jr.Job.Ranks > free {
 			unfit = jr
 		}
-		c.obs.Decision(rec)
+		if held := &c.decHeld[jr.Seq()]; *held != cause || held.reason == "" {
+			*held = cause
+			rec := decision.Record{
+				Round: c.decRound, T: now, Policy: policy,
+				Job: jr.Job.Name, Seq: jr.Seq(),
+				Outcome: decision.Skip, Reason: cause.reason,
+				Width:        jr.Job.Ranks,
+				Wait:         now - jr.Submit,
+				Submit:       jr.Submit,
+				BlockedBySeq: -1,
+				Shadow:       cause.shadow,
+			}
+			blameRecord(&rec, cause.blocked)
+			c.obs.Decision(rec)
+		}
 	}
 	clear(c.decBlame)
 }

@@ -3,12 +3,14 @@ package cluster
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/climate"
 	"repro/internal/obs"
 	"repro/internal/obs/decision"
+	"repro/internal/obs/decision/decisiontest"
 )
 
 // TestQueueViewAccessors pins the policy-facing Queue view against
@@ -109,6 +111,7 @@ func decisionWorkload(ot *obs.Tracer) (*Cluster, []*JobResult) {
 // event logs (events + interleaved decision lines) and byte-identical
 // decision-only logs.
 func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
+	var inMemory []decision.Record
 	run := func() ([]byte, []byte) {
 		var buf bytes.Buffer
 		ot := obs.New()
@@ -122,6 +125,7 @@ func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
+		inMemory = ot.Decisions()
 		return buf.Bytes(), decision.AppendLog(nil, ot.Decisions())
 	}
 	log1, dec1 := run()
@@ -142,6 +146,16 @@ func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(decision.AppendLog(nil, recs), dec1) {
 		t.Fatalf("decision lines in the event log differ from the tracer's records")
+	}
+	// ... as values too: what the scheduler holds in memory (a skip's wait,
+	// which its line does not carry, included) is what a reader recovers.
+	if !reflect.DeepEqual(recs, inMemory) {
+		for i := range recs {
+			if i >= len(inMemory) || recs[i] != inMemory[i] {
+				t.Fatalf("record %d read back as %+v, the tracer holds %+v", i, recs[i], inMemory[i:])
+			}
+		}
+		t.Fatalf("read %d records, the tracer holds %d", len(recs), len(inMemory))
 	}
 }
 
@@ -262,4 +276,49 @@ func TestDecisionRecordsMatchEventInstants(t *testing.T) {
 		memoWorkload(c)
 		return c
 	}, []string{"memo-hit", "memo-wait", "coalesce-attach"})
+}
+
+// TestHeldSkipsExpandOnHarnessMixes: over the property harness's 200 mixes
+// and every registered policy — fifo's head-of-line skips, EASY's
+// shadow-reservation blames and backfills, the reordering policies'
+// head-of-line tags, deadline drops — the decision stream the run wrote
+// (a skip only when its cause changes) expands to a self-consistent
+// skip-per-pending-job-per-round stream, every round's pending count is the
+// number of skips in force, and decision.Attribute folds the two forms to
+// the same bits and agrees with the v1 fold on the expansion.
+func TestHeldSkipsExpandOnHarnessMixes(t *testing.T) {
+	nseeds := 200
+	if testing.Short() {
+		nseeds = 50
+	}
+	written, expanded, shadows := 0, 0, 0
+	for seed := 0; seed < nseeds; seed++ {
+		mix := genMix(rand.New(rand.NewSource(int64(seed))))
+		for _, pol := range PolicyNames() {
+			out := runMixWith(t, mix, mixRun{policy: pol, t1Weight: 1, traced: true, explain: true})
+			recs, err := decision.ReadLog(bytes.NewReader(out.events))
+			if err != nil {
+				t.Fatalf("seed %d policy %s: %v", seed, pol, err)
+			}
+			v1, err := decisiontest.CheckFoldsAgree(recs)
+			if err != nil {
+				t.Fatalf("seed %d policy %s: %v", seed, pol, err)
+			}
+			written += len(recs)
+			expanded += len(v1)
+			for _, r := range recs {
+				if r.Reason == decision.ShadowReservation {
+					shadows++
+				}
+			}
+		}
+	}
+	// Vacuity: skips were held (the expansion is larger than what was
+	// written, Round records included) and the shadow-time half of a cause
+	// was exercised.
+	if expanded <= written || shadows == 0 {
+		t.Fatalf("%d records written expand to %d, %d shadow-reservation skips: nothing held or nothing blamed",
+			written, expanded, shadows)
+	}
+	t.Logf("%d records written expand to %d (%d shadow-reservation skips)", written, expanded, shadows)
 }

@@ -280,11 +280,11 @@ func (c *Cluster) scheduler(p *sim.Proc) {
 		// serves what it can from the memo layer, and starts every pending
 		// job it decides should run now. Decision tracing stamps each round
 		// (decisions.go): admissions/drops/memo completions record their
-		// outcome inline in the verbs, and emitSkipDecisions closes the
-		// round with a typed record per still-pending job.
+		// outcome inline in the verbs, and closeDecisionRound closes the
+		// round with the skips whose cause changed.
 		c.decRound++
 		c.policy.Admit(q)
-		c.emitSkipDecisions(q)
+		c.closeDecisionRound(q)
 
 		if len(q.running) == 0 && c.pending.Len() == 0 && c.futureSubs == 0 {
 			break

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -135,5 +136,45 @@ func TestClusterEventLogDeterminism(t *testing.T) {
 		if kinds[k] == 0 {
 			t.Errorf("no %q events in cluster log (kinds %v)", k, kinds)
 		}
+	}
+}
+
+// TestPublishCostIndependentOfDecisionStream: publishing a live frame after
+// a run allocates the same whether the decision stream holds what the run
+// recorded or a hundred thousand records more — the frame views the stream,
+// it does not copy it.
+func TestPublishCostIndependentOfDecisionStream(t *testing.T) {
+	c, ot := obsCluster(t, 4, 1)
+	ot.SetLive(obs.NewLive())
+	ot.EnableDecisions()
+	c.SubmitCC(ccSumJob("sum0", 2, 0, 8))
+	c.SubmitCC(ccSumJob("sum1", 2, 8, 8))
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	publish := func() { c.publishTelemetry(c.env.Now(), 0, 0) }
+	short := testing.AllocsPerRun(20, publish)
+	bytesPer := func() uint64 {
+		var a, b runtime.MemStats
+		runtime.ReadMemStats(&a)
+		for i := 0; i < 20; i++ {
+			publish()
+		}
+		runtime.ReadMemStats(&b)
+		return (b.TotalAlloc - a.TotalAlloc) / 20
+	}
+	shortBytes := bytesPer()
+	rec := ot.Decisions()[0]
+	for i := 0; i < 100_000; i++ {
+		ot.Decision(rec)
+	}
+	if long := testing.AllocsPerRun(20, publish); long != short {
+		t.Errorf("publish allocates %v times with a long decision stream, %v with a short one", long, short)
+	}
+	if longBytes := bytesPer(); longBytes > shortBytes+shortBytes/10+1024 {
+		t.Errorf("publish allocates %d bytes with a long decision stream, %d with a short one", longBytes, shortBytes)
+	}
+	if f := ot.Live().Latest(); len(f.Decisions) != len(ot.Decisions()) {
+		t.Errorf("latest frame holds %d decisions, stream %d", len(f.Decisions), len(ot.Decisions()))
 	}
 }

@@ -1,11 +1,24 @@
-// Package decision is the scheduler's explainability record: one typed,
-// byte-deterministic Record per (admission round, pending job) stating what
-// the scheduler did with the job — admitted it, served it from the memo
-// layer, dropped it, or skipped it — and *why*, with the blocking job and a
-// free-rank snapshot attached. Records serialize to canonical JSONL
-// ("repro.decisions.v1" lines, interleavable with the repro.events.v1 event
-// log), so two identical runs produce byte-identical decision logs, and a
-// recorded log can be re-read and attributed offline.
+// Package decision is the scheduler's explainability record: typed,
+// byte-deterministic Records stating what the scheduler did with each pending
+// job — admitted it, served it from the memo layer, dropped it, or skipped it
+// — and *why*, with the blocking job and a free-rank snapshot attached.
+//
+// The stream is bounded by what changes, not by what waits. A job's terminal
+// record (admit, drop, memo-hit, memo-wait, coalesce) is written when it
+// happens. A round that leaves jobs pending writes one Round record — the
+// round's time, free-rank snapshot and pending count — and then a Skip record
+// only for each job whose cause (reason, blocking job, shadow time) differs
+// from the one last written for it. A skip holds until the job's next record:
+// at every later Round record the job is still pending for the same cause,
+// and its wait there is that round's T minus the skip's Submit. Attribute
+// folds exactly that reading.
+//
+// Records serialize to canonical JSONL ("repro.decisions.v2" lines,
+// interleavable with the repro.events.v1 event log), so two identical runs
+// produce byte-identical decision logs, and a recorded log can be re-read and
+// attributed offline. Logs written as repro.decisions.v1 — one skip line per
+// pending job per round, no Round records — stay readable, and Attribute
+// gives them the same meaning they always had.
 //
 // The package is deliberately below internal/obs in the import graph: obs
 // mirrors records into its event sink, the cluster scheduler emits them, and
@@ -14,19 +27,24 @@
 package decision
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
 	"sort"
 	"strconv"
 	"strings"
+
+	"repro/internal/jsonl"
 )
 
 // Schema is the versioned identifier carried in every decision line ("v"
 // field). Bump the suffix when the serialized shape changes incompatibly.
-const Schema = "repro.decisions.v1"
+const Schema = "repro.decisions.v2"
+
+// SchemaV1 is the previous line format, which the readers still accept: every
+// line carries wait, free and free_ranks, skips repeat every round, and there
+// are no Round records.
+const SchemaV1 = "repro.decisions.v1"
 
 // Outcome is what the scheduler did with a pending job at one round.
 type Outcome string
@@ -34,7 +52,8 @@ type Outcome string
 const (
 	// Admit: the job started on its placement ranks this round.
 	Admit Outcome = "admit"
-	// Skip: the job stayed pending; Reason says why.
+	// Skip: the job stayed pending; Reason says why. The record holds until
+	// the job's next one.
 	Skip Outcome = "skip"
 	// Drop: the job's deadline expired while queued and it was removed.
 	Drop Outcome = "drop"
@@ -45,6 +64,10 @@ const (
 	// Coalesce: the job's operator was fused onto an overlapping donor's
 	// physical pass (BlockedBy).
 	Coalesce Outcome = "coalesce"
+	// Round is not about one job: it closes an admission round that left
+	// Pending jobs queued, and carries the round's free-rank snapshot for
+	// every skip in force.
+	Round Outcome = "round"
 )
 
 // Reason is the typed cause attached to an outcome.
@@ -74,29 +97,39 @@ const (
 	Backfill Reason = "backfill"
 )
 
-// Record is one scheduler decision. T and Wait are virtual seconds; Seq is
-// the job's global submission sequence (trace pid - 1). BlockedBySeq is -1
-// when no blocking job applies. FreeRanks and Ranks are compact rank-set
-// strings (FormatRanks); Free is the free-rank count at decision time
-// (before placement, for admissions). Shadow is the EASY reservation's
+// Record is one scheduler decision. T, Wait and Submit are virtual seconds;
+// Seq is the job's global submission sequence (trace pid - 1). BlockedBySeq
+// is -1 when no blocking job applies. FreeRanks and Ranks are compact
+// rank-set strings (FormatRanks); Free is the free-rank count at decision
+// time (before placement, for admissions). Shadow is the EASY reservation's
 // start time and is only meaningful (and only serialized) for the
 // ShadowReservation and Backfill reasons.
+//
+// Which fields a line carries follows from the Outcome. A Round record has
+// Round, T, Policy, Free, FreeRanks and Pending and names no job. A Skip
+// record names the job, its cause and its Submit time, from which Wait is
+// T - Submit here and at any later round; the free-rank snapshot it was
+// decided against is the preceding Round record's. Every other outcome
+// carries Wait, Free and FreeRanks itself. (A v1 skip line carries Wait, Free
+// and FreeRanks and no Submit; it is read as written.)
 type Record struct {
-	Round        int     `json:"round"`
-	T            float64 `json:"t"`
-	Policy       string  `json:"policy"`
-	Job          string  `json:"job"`
-	Seq          int     `json:"seq"`
-	Outcome      Outcome `json:"outcome"`
-	Reason       Reason  `json:"reason,omitempty"`
-	BlockedBy    string  `json:"blocked_by,omitempty"`
-	BlockedBySeq int     `json:"blocked_seq,omitempty"`
-	Width        int     `json:"width"`
-	Wait         float64 `json:"wait"`
-	Free         int     `json:"free"`
-	FreeRanks    string  `json:"free_ranks"`
-	Ranks        string  `json:"ranks,omitempty"`
-	Shadow       float64 `json:"shadow,omitempty"`
+	Round        int
+	T            float64
+	Policy       string
+	Job          string
+	Seq          int
+	Outcome      Outcome
+	Reason       Reason
+	BlockedBy    string
+	BlockedBySeq int
+	Width        int
+	Wait         float64
+	Submit       float64
+	Free         int
+	FreeRanks    string
+	Ranks        string
+	Shadow       float64
+	Pending      int
 }
 
 // Sink receives decision records as they are emitted. The obs JSONL event
@@ -105,50 +138,74 @@ type Sink interface {
 	EmitDecision(Record)
 }
 
-// dfloat renders a float deterministically (shortest round-trip form,
-// matching the event log's float rendering).
-func dfloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-// dstr renders s as a JSON string literal.
-func dstr(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
-}
+// linePrefix opens every line AppendJSON writes.
+const linePrefix = `{"e":"decision","v":"` + Schema + `","round":`
 
 // AppendJSON appends r's canonical JSONL serialization (no trailing
 // newline) to dst. The byte layout is a pure function of the Record value:
-// field order fixed, floats in shortest round-trip form, optional fields
-// present exactly when meaningful — so identical decision streams serialize
-// to identical bytes.
+// the outcome picks the line's fields, their order is fixed, floats are in
+// shortest round-trip form, optional fields are present exactly when
+// meaningful — so identical decision streams serialize to identical bytes.
 func AppendJSON(dst []byte, r Record) []byte {
-	var b strings.Builder
-	b.WriteString(`{"e":"decision","v":` + dstr(Schema))
-	b.WriteString(`,"round":` + strconv.Itoa(r.Round))
-	b.WriteString(`,"t":` + dfloat(r.T))
-	b.WriteString(`,"policy":` + dstr(r.Policy))
-	b.WriteString(`,"job":` + dstr(r.Job))
-	b.WriteString(`,"seq":` + strconv.Itoa(r.Seq))
-	b.WriteString(`,"outcome":` + dstr(string(r.Outcome)))
+	dst = append(dst, linePrefix...)
+	dst = jsonl.AppendInt(dst, r.Round)
+	dst = append(dst, `,"t":`...)
+	dst = jsonl.AppendFloat(dst, r.T)
+	dst = append(dst, `,"policy":`...)
+	dst = jsonl.AppendString(dst, r.Policy)
+	if r.Outcome == Round {
+		dst = append(dst, `,"outcome":"round"`...)
+		dst = appendFree(dst, r)
+		dst = append(dst, `,"pending":`...)
+		dst = jsonl.AppendInt(dst, r.Pending)
+		return append(dst, '}')
+	}
+	dst = append(dst, `,"job":`...)
+	dst = jsonl.AppendString(dst, r.Job)
+	dst = append(dst, `,"seq":`...)
+	dst = jsonl.AppendInt(dst, r.Seq)
+	dst = append(dst, `,"outcome":`...)
+	dst = jsonl.AppendString(dst, string(r.Outcome))
 	if r.Reason != "" {
-		b.WriteString(`,"reason":` + dstr(string(r.Reason)))
+		dst = append(dst, `,"reason":`...)
+		dst = jsonl.AppendString(dst, string(r.Reason))
 	}
 	if r.BlockedBySeq >= 0 && r.BlockedBy != "" {
-		b.WriteString(`,"blocked_by":` + dstr(r.BlockedBy))
-		b.WriteString(`,"blocked_seq":` + strconv.Itoa(r.BlockedBySeq))
+		dst = append(dst, `,"blocked_by":`...)
+		dst = jsonl.AppendString(dst, r.BlockedBy)
+		dst = append(dst, `,"blocked_seq":`...)
+		dst = jsonl.AppendInt(dst, r.BlockedBySeq)
 	}
-	b.WriteString(`,"width":` + strconv.Itoa(r.Width))
-	b.WriteString(`,"wait":` + dfloat(r.Wait))
-	b.WriteString(`,"free":` + strconv.Itoa(r.Free))
-	b.WriteString(`,"free_ranks":` + dstr(r.FreeRanks))
+	dst = append(dst, `,"width":`...)
+	dst = jsonl.AppendInt(dst, r.Width)
+	if r.Outcome == Skip {
+		dst = append(dst, `,"submit":`...)
+		dst = jsonl.AppendFloat(dst, r.Submit)
+	} else {
+		dst = append(dst, `,"wait":`...)
+		dst = jsonl.AppendFloat(dst, r.Wait)
+		dst = appendFree(dst, r)
+	}
 	if r.Ranks != "" {
-		b.WriteString(`,"ranks":` + dstr(r.Ranks))
+		dst = append(dst, `,"ranks":`...)
+		dst = jsonl.AppendString(dst, r.Ranks)
 	}
-	if r.Reason == ShadowReservation || r.Reason == Backfill {
-		b.WriteString(`,"shadow":` + dfloat(r.Shadow))
+	if hasShadow(r.Reason) {
+		dst = append(dst, `,"shadow":`...)
+		dst = jsonl.AppendFloat(dst, r.Shadow)
 	}
-	b.WriteString("}")
-	return append(dst, b.String()...)
+	return append(dst, '}')
 }
+
+func appendFree(dst []byte, r Record) []byte {
+	dst = append(dst, `,"free":`...)
+	dst = jsonl.AppendInt(dst, r.Free)
+	dst = append(dst, `,"free_ranks":`...)
+	return jsonl.AppendString(dst, r.FreeRanks)
+}
+
+// hasShadow reports whether records with this reason carry a shadow time.
+func hasShadow(r Reason) bool { return r == ShadowReservation || r == Backfill }
 
 // AppendLog appends every record as one canonical JSONL line (with trailing
 // newlines) — the exact bytes a Sink-connected event log carries for the
@@ -167,66 +224,127 @@ func (r Record) MarshalJSON() ([]byte, error) {
 	return AppendJSON(nil, r), nil
 }
 
-// bareRecord strips Record's methods so the wire decode does not recurse
-// into Record.UnmarshalJSON.
-type bareRecord Record
-
-// wireRecord is the decode shape: Record plus the line discriminator and
-// schema fields.
-type wireRecord struct {
-	E string `json:"e"`
-	V string `json:"v"`
-	bareRecord
-}
-
 // UnmarshalJSON parses a canonical decision line back into r.
 func (r *Record) UnmarshalJSON(b []byte) error {
-	w := wireRecord{bareRecord: bareRecord{BlockedBySeq: -1}}
-	if err := json.Unmarshal(b, &w); err != nil {
+	var d jsonl.Dec
+	d.Reset(b)
+	return Decode(&d, r)
+}
+
+// Decode reads the decision line d stands at the start of into r. Keys may
+// come in any order and unknown keys are skipped; a line that is not a
+// decision record, or names a schema other than Schema or SchemaV1, is an
+// error. What comes back is what AppendJSON would write again: fields the
+// line's outcome does not carry are zero, whatever the line said, and
+// BlockedBySeq is -1 without a blocking job.
+func Decode(d *jsonl.Dec, r *Record) error {
+	*r = Record{}
+	var typ, schema string
+	for d.Object(); d.NextKey(); {
+		switch string(d.Key()) {
+		case "e":
+			typ = d.String()
+		case "v":
+			schema = d.String()
+		case "round":
+			r.Round = d.Int()
+		case "t":
+			r.T = d.Float()
+		case "policy":
+			r.Policy = d.String()
+		case "job":
+			r.Job = d.String()
+		case "seq":
+			r.Seq = d.Int()
+		case "outcome":
+			r.Outcome = Outcome(d.String())
+		case "reason":
+			r.Reason = Reason(d.String())
+		case "blocked_by":
+			r.BlockedBy = d.String()
+		case "blocked_seq":
+			r.BlockedBySeq = d.Int()
+		case "width":
+			r.Width = d.Int()
+		case "wait":
+			r.Wait = d.Float()
+		case "submit":
+			r.Submit = d.Float()
+		case "free":
+			r.Free = d.Int()
+		case "free_ranks":
+			r.FreeRanks = d.String()
+		case "ranks":
+			r.Ranks = d.String()
+		case "shadow":
+			r.Shadow = d.Float()
+		case "pending":
+			r.Pending = d.Int()
+		default:
+			d.Skip()
+		}
+	}
+	if err := d.End(); err != nil {
 		return err
 	}
-	if w.E != "decision" {
-		return fmt.Errorf("decision: line type %q, want \"decision\"", w.E)
+	if typ != "decision" {
+		return fmt.Errorf("line type %q, want \"decision\"", typ)
 	}
-	if w.V != Schema {
-		return fmt.Errorf("decision: schema %q, want %q", w.V, Schema)
+	if schema != Schema && schema != SchemaV1 {
+		return fmt.Errorf("schema %q, want %q", schema, Schema)
 	}
-	if w.BlockedBy == "" {
-		w.bareRecord.BlockedBySeq = -1
+	if r.BlockedBy == "" || r.BlockedBySeq < 0 {
+		r.BlockedBy, r.BlockedBySeq = "", -1
 	}
-	*r = Record(w.bareRecord)
+	if !hasShadow(r.Reason) {
+		r.Shadow = 0
+	}
+	switch {
+	case schema == SchemaV1:
+		r.Submit, r.Pending = 0, 0
+	case r.Outcome == Round:
+		*r = Record{Round: r.Round, T: r.T, Policy: r.Policy, Outcome: Round,
+			BlockedBySeq: -1, Free: r.Free, FreeRanks: r.FreeRanks, Pending: r.Pending}
+	case r.Outcome == Skip:
+		r.Wait, r.Free, r.FreeRanks, r.Pending = r.T-r.Submit, 0, "", 0
+	default:
+		r.Submit, r.Pending = 0, 0
+	}
 	return nil
 }
 
-// decisionPrefix is the canonical line prefix every decision record starts
-// with — the cheap filter for mixed event/decision logs.
-const decisionPrefix = `{"e":"decision"`
-
-// IsLine reports whether one JSONL line is a decision record.
+// IsLine reports whether one JSONL line is a decision record in the
+// canonical form (the "e" key first, as AppendJSON writes it).
 func IsLine(line []byte) bool {
-	return bytes.HasPrefix(line, []byte(decisionPrefix))
+	return bytes.HasPrefix(line, []byte(`{"e":"decision"`))
 }
 
 // ReadLog extracts the decision records from r, in file order. The input
 // may be a pure decision log or a mixed repro.events.v1 event log with
-// decision lines interleaved (the -events output of an -explain run);
-// non-decision lines are skipped. A malformed or wrong-schema decision line
-// is an error.
+// decision lines interleaved (the -events output of an -explain run); lines
+// of any other type, the event log's header included, are skipped. A
+// malformed or wrong-schema decision line is an error naming its line, and so
+// is a line that is not a JSON object.
 func ReadLog(r io.Reader) ([]Record, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var out []Record
-	line := 0
-	for sc.Scan() {
-		line++
-		if !IsLine(sc.Bytes()) {
+	sc := jsonl.NewScanner(r)
+	var (
+		out []Record
+		d   jsonl.Dec
+	)
+	for line := 1; sc.Scan(); line++ {
+		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var rec Record
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
+		typ, err := d.Type(sc.Bytes())
+		if err == nil && typ == "decision" {
+			var rec Record
+			if err = Decode(&d, &rec); err == nil {
+				out = append(out, rec)
+			}
+		}
+		if err != nil {
 			return nil, fmt.Errorf("decision: log line %d: %w", line, err)
 		}
-		out = append(out, rec)
 	}
 	return out, sc.Err()
 }
@@ -348,33 +466,45 @@ type segKey struct {
 	bySeq  int
 }
 
-// Attribute folds a recorded decision stream into per-job wait
-// attributions, ordered by submission sequence. Jobs without a terminal
-// record (still pending when the log ends) are omitted. The interval
-// between consecutive rounds is charged to the skip reason recorded at the
-// interval's start; same-cause intervals merge into one segment.
-func Attribute(recs []Record) []JobAttribution {
-	type state struct {
-		ja       JobAttribution
-		lastT    float64
-		lastKey  segKey
-		lastBy   string
-		haveSkip bool
-		done     bool
-		segIdx   map[segKey]int
+// jobFold is one job's running attribution inside a Fold.
+type jobFold struct {
+	ja       JobAttribution
+	lastT    float64 // start of the interval not yet charged
+	lastKey  segKey  // the skip in force since lastT
+	lastBy   string
+	seg      int // lastKey's index in ja.Segments; -1 until it is first charged
+	haveSkip bool
+	done     bool
+	segIdx   map[segKey]int // cause -> index in ja.Segments; made with the first segment
+}
+
+// Fold is Attribute as a running fold, for readers that do not keep the
+// records: Add each record in log order, then take Jobs. The zero Fold is
+// ready to use. Its state is one entry per job, not per record.
+type Fold struct {
+	jobs map[int]*jobFold
+	seqs []int
+	// held lists the jobs whose latest record is a skip, in the order of
+	// their first skips — the order the scheduler walks its pending queue in.
+	held []*jobFold
+	n    int
+}
+
+// charge attributes the interval [st.lastT, until) to the skip in force.
+func (st *jobFold) charge(until float64) {
+	if !st.haveSkip {
+		return
 	}
-	states := map[int]*state{}
-	var seqs []int
-	charge := func(st *state, until float64) {
-		if !st.haveSkip {
-			return
-		}
-		dt := until - st.lastT
-		if dt <= 0 {
-			return
-		}
+	dt := until - st.lastT
+	if dt <= 0 {
+		return
+	}
+	if st.seg < 0 { // first charge since the cause changed: find its segment
 		i, ok := st.segIdx[st.lastKey]
 		if !ok {
+			if st.segIdx == nil {
+				st.segIdx = map[segKey]int{}
+			}
 			i = len(st.ja.Segments)
 			st.segIdx[st.lastKey] = i
 			st.ja.Segments = append(st.ja.Segments, Segment{
@@ -382,42 +512,94 @@ func Attribute(recs []Record) []JobAttribution {
 				BlockedBySeq: st.lastKey.bySeq,
 			})
 		}
-		st.ja.Segments[i].Seconds += dt
+		st.seg = i
 	}
-	for _, rec := range recs {
-		st, ok := states[rec.Seq]
-		if !ok {
-			st = &state{
-				ja:     JobAttribution{Seq: rec.Seq, Job: rec.Job},
-				segIdx: map[segKey]int{},
+	st.ja.Segments[st.seg].Seconds += dt
+}
+
+// Add folds the next record of the stream in. A Round record charges the
+// interval since the previous round to every job whose latest record is a
+// skip — the additions a skip line per job per round used to make, in the
+// same order, so the sums are bit-equal to a v1 log's. A Skip record charges
+// its own job up to now (nothing, right after a Round record) and becomes
+// the cause in force; any other outcome charges the job's last interval and
+// ends its history.
+func (f *Fold) Add(rec *Record) {
+	f.n++
+	if rec.Outcome == Round {
+		live := f.held[:0]
+		for _, st := range f.held {
+			if st.done {
+				continue
 			}
-			states[rec.Seq] = st
-			seqs = append(seqs, rec.Seq)
-		}
-		if st.done {
-			continue
-		}
-		charge(st, rec.T)
-		if rec.Outcome == Skip {
-			st.haveSkip = true
+			st.charge(rec.T)
 			st.lastT = rec.T
-			st.lastKey = segKey{reason: rec.Reason, bySeq: rec.BlockedBySeq}
-			st.lastBy = rec.BlockedBy
-			continue
+			live = append(live, st)
 		}
-		st.ja.Outcome = rec.Outcome
-		st.ja.Reason = rec.Reason
-		st.ja.Decided = rec.T
-		st.ja.Wait = rec.Wait
-		st.ja.Submit = rec.T - rec.Wait
-		st.done = true
+		clear(f.held[len(live):])
+		f.held = live
+		return
 	}
+	st, ok := f.jobs[rec.Seq]
+	if !ok {
+		if f.jobs == nil {
+			f.jobs = map[int]*jobFold{}
+		}
+		st = &jobFold{ja: JobAttribution{Seq: rec.Seq, Job: rec.Job}}
+		f.jobs[rec.Seq] = st
+		f.seqs = append(f.seqs, rec.Seq)
+	}
+	if st.done {
+		return
+	}
+	st.charge(rec.T)
+	if rec.Outcome == Skip {
+		if !st.haveSkip {
+			st.haveSkip = true
+			f.held = append(f.held, st)
+		}
+		st.lastT = rec.T
+		st.lastKey = segKey{reason: rec.Reason, bySeq: rec.BlockedBySeq}
+		st.lastBy = rec.BlockedBy
+		st.seg = -1
+		return
+	}
+	st.ja.Outcome = rec.Outcome
+	st.ja.Reason = rec.Reason
+	st.ja.Decided = rec.T
+	st.ja.Wait = rec.Wait
+	st.ja.Submit = rec.T - rec.Wait
+	st.done = true
+	st.segIdx = nil
+}
+
+// Records is how many records have been added.
+func (f *Fold) Records() int { return f.n }
+
+// Jobs returns the per-job wait attributions folded so far, ordered by
+// submission sequence. Jobs without a terminal record (still pending when
+// the log ends) are omitted.
+func (f *Fold) Jobs() []JobAttribution {
+	seqs := append([]int(nil), f.seqs...)
 	sort.Ints(seqs)
 	out := make([]JobAttribution, 0, len(seqs))
 	for _, seq := range seqs {
-		if st := states[seq]; st.done {
+		if st := f.jobs[seq]; st.done {
 			out = append(out, st.ja)
 		}
 	}
 	return out
+}
+
+// Attribute folds a recorded decision stream into per-job wait
+// attributions, ordered by submission sequence. Jobs without a terminal
+// record (still pending when the log ends) are omitted. The interval
+// between consecutive rounds is charged to the skip in force at the
+// interval's start; same-cause intervals merge into one segment.
+func Attribute(recs []Record) []JobAttribution {
+	var f Fold
+	for i := range recs {
+		f.Add(&recs[i])
+	}
+	return f.Jobs()
 }

@@ -41,28 +41,53 @@ func TestFormatParseRanksRoundTrip(t *testing.T) {
 	}
 }
 
-// sampleRecords is a tiny but representative stream: one job skipped twice
-// for different reasons then admitted, one backfill, one drop.
+// sampleRecords is a tiny but representative stream: one job skipped for
+// one cause, then another, then admitted; one backfill; one drop. Round 3
+// changes nothing for wide-1, so its shadow-reservation skip holds through
+// it and the round writes only its Round record.
 func sampleRecords() []Record {
 	return []Record{
-		{Round: 1, T: 0, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
-			Outcome: Skip, Reason: InsufficientRanks,
-			BlockedBy: "wide-0", BlockedBySeq: 0,
-			Width: 24, Wait: 0, Free: 8, FreeRanks: "56-63"},
 		{Round: 1, T: 0, Policy: "easy-backfill", Job: "narrow-2", Seq: 2,
 			Outcome: Admit, Reason: Backfill, Shadow: 50,
-			Width: 8, Wait: 0, Free: 8, FreeRanks: "56-63", Ranks: "56-63"},
+			Width: 8, Wait: 0, Free: 16, FreeRanks: "48-63", Ranks: "48-55"},
+		{Round: 1, T: 0, Policy: "easy-backfill", Outcome: Round,
+			Free: 8, FreeRanks: "56-63", Pending: 1},
+		{Round: 1, T: 0, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
+			Outcome: Skip, Reason: InsufficientRanks,
+			BlockedBy: "wide-0", BlockedBySeq: 0, Width: 24, Submit: 0},
+		{Round: 2, T: 10, Policy: "easy-backfill", Outcome: Round,
+			Free: 8, FreeRanks: "56-63", Pending: 1},
 		{Round: 2, T: 10, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
 			Outcome: Skip, Reason: ShadowReservation, Shadow: 50,
-			BlockedBy: "wide-0", BlockedBySeq: 0,
-			Width: 24, Wait: 10, Free: 8, FreeRanks: "56-63"},
-		{Round: 3, T: 50, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
+			BlockedBy: "wide-0", BlockedBySeq: 0, Width: 24, Wait: 10, Submit: 0},
+		{Round: 3, T: 30, Policy: "easy-backfill", Outcome: Round,
+			Free: 16, FreeRanks: "48-63", Pending: 1},
+		{Round: 4, T: 50, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
 			Outcome: Admit,
 			Width:   24, Wait: 50, Free: 32, FreeRanks: "32-63", Ranks: "32-55"},
-		{Round: 4, T: 60, Policy: "easy-backfill", Job: "late-3", Seq: 3,
+		{Round: 5, T: 60, Policy: "easy-backfill", Job: "late-3", Seq: 3,
 			Outcome: Drop, Reason: DeadlineDrop,
 			Width: 4, Wait: 55, Free: 8, FreeRanks: "56-63",
 			BlockedBySeq: -1},
+	}
+}
+
+// sampleRecordsV1 is the same run as repro.decisions.v1 recorded it: a skip
+// record per pending job per round, each with its own wait and free-rank
+// snapshot, and no Round records.
+func sampleRecordsV1() []Record {
+	skip := func(round int, t float64, reason Reason, shadow float64, free int, ranks string) Record {
+		return Record{Round: round, T: t, Policy: "easy-backfill", Job: "wide-1", Seq: 1,
+			Outcome: Skip, Reason: reason, Shadow: shadow, BlockedBy: "wide-0", BlockedBySeq: 0,
+			Width: 24, Wait: t, Free: free, FreeRanks: ranks}
+	}
+	v2 := sampleRecords()
+	return []Record{
+		v2[0],
+		skip(1, 0, InsufficientRanks, 0, 8, "56-63"),
+		skip(2, 10, ShadowReservation, 50, 8, "56-63"),
+		skip(3, 30, ShadowReservation, 50, 16, "48-63"),
+		v2[6], v2[7],
 	}
 }
 
@@ -72,6 +97,9 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	// Byte determinism of the serializer itself.
 	if !bytes.Equal(log, AppendLog(nil, sampleRecords())) {
 		t.Fatal("AppendLog is not deterministic")
+	}
+	if n := bytes.Count(log, []byte(`"v":"repro.decisions.v2"`)); n != len(recs) {
+		t.Fatalf("%d of %d lines carry the v2 schema tag", n, len(recs))
 	}
 	got, err := ReadLog(bytes.NewReader(log))
 	if err != nil {
@@ -100,6 +128,103 @@ func TestCanonicalRoundTrip(t *testing.T) {
 	}
 }
 
+// TestLineShapes pins which keys each outcome's line carries.
+func TestLineShapes(t *testing.T) {
+	recs := sampleRecords()
+	for _, c := range []struct {
+		rec  Record
+		want string
+	}{
+		{recs[1], `{"e":"decision","v":"repro.decisions.v2","round":1,"t":0,"policy":"easy-backfill","outcome":"round","free":8,"free_ranks":"56-63","pending":1}`},
+		{recs[4], `{"e":"decision","v":"repro.decisions.v2","round":2,"t":10,"policy":"easy-backfill","job":"wide-1","seq":1,"outcome":"skip","reason":"shadow-reservation","blocked_by":"wide-0","blocked_seq":0,"width":24,"submit":0,"shadow":50}`},
+		{recs[6], `{"e":"decision","v":"repro.decisions.v2","round":4,"t":50,"policy":"easy-backfill","job":"wide-1","seq":1,"outcome":"admit","width":24,"wait":50,"free":32,"free_ranks":"32-63","ranks":"32-55"}`},
+	} {
+		if got := string(AppendJSON(nil, c.rec)); got != c.want {
+			t.Errorf("AppendJSON:\n got: %s\nwant: %s", got, c.want)
+		}
+	}
+}
+
+// TestDecodeNormalizes: keys in any order, unknown keys skipped, and what
+// comes back is what AppendJSON writes again — a field the outcome's line
+// does not carry is dropped whatever the line said, a skip's wait is its
+// round's time minus its submit.
+func TestDecodeNormalizes(t *testing.T) {
+	line := `{"future":[1,{"x":null}],"submit":2.5,"width":4,"seq":7,"job":"j","outcome":"skip","reason":"head-of-line",` +
+		`"wait":99,"free":3,"free_ranks":"0-2","pending":9,"shadow":5,"blocked_seq":-4,"blocked_by":"b",` +
+		`"policy":"fifo","t":4,"round":2,"v":"repro.decisions.v2","e":"decision"}`
+	var rec Record
+	if err := rec.UnmarshalJSON([]byte(line)); err != nil {
+		t.Fatal(err)
+	}
+	want := Record{Round: 2, T: 4, Policy: "fifo", Job: "j", Seq: 7, Outcome: Skip, Reason: HeadOfLine,
+		BlockedBySeq: -1, Width: 4, Wait: 1.5, Submit: 2.5}
+	if rec != want {
+		t.Fatalf("decoded %+v, want %+v", rec, want)
+	}
+	var again Record
+	if err := again.UnmarshalJSON(AppendJSON(nil, rec)); err != nil || again != rec {
+		t.Fatalf("canonical line reads back as %+v (%v), want %+v", again, err, rec)
+	}
+	round := `{"e":"decision","v":"repro.decisions.v2","round":3,"t":1,"policy":"fifo","job":"x","seq":4,"outcome":"round","wait":7,"free":2,"free_ranks":"0-1","pending":5}`
+	if err := rec.UnmarshalJSON([]byte(round)); err != nil {
+		t.Fatal(err)
+	}
+	if want := (Record{Round: 3, T: 1, Policy: "fifo", Outcome: Round, BlockedBySeq: -1, Free: 2, FreeRanks: "0-1", Pending: 5}); rec != want {
+		t.Fatalf("round record decoded %+v, want %+v", rec, want)
+	}
+}
+
+// TestReadLogReadsV1 pins the old format's reading: a v1 line comes back as
+// the record the v1 reader returned — its own wait and free-rank snapshot on
+// every line, skips included, and nothing derived.
+func TestReadLogReadsV1(t *testing.T) {
+	log := `{"e":"decision","v":"repro.decisions.v1","round":1,"t":0,"policy":"fifo","job":"sum-0","seq":0,"outcome":"admit","width":4,"wait":0,"free":16,"free_ranks":"0-15","ranks":"0-3"}
+{"e":"decision","v":"repro.decisions.v1","round":2,"t":1.5,"policy":"fifo","job":"hist-4","seq":4,"outcome":"skip","reason":"insufficient-ranks","blocked_by":"sum-0","blocked_seq":0,"width":4,"wait":0.25,"free":0,"free_ranks":""}
+{"e":"decision","v":"repro.decisions.v1","round":3,"t":2,"policy":"easy-backfill","job":"n-1","seq":5,"outcome":"skip","reason":"shadow-reservation","blocked_by":"hist-4","blocked_seq":4,"width":2,"wait":0.5,"free":2,"free_ranks":"4-5","shadow":9}
+`
+	got, err := ReadLog(strings.NewReader(log))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []Record{
+		{Round: 1, T: 0, Policy: "fifo", Job: "sum-0", Seq: 0, Outcome: Admit, BlockedBySeq: -1,
+			Width: 4, Free: 16, FreeRanks: "0-15", Ranks: "0-3"},
+		{Round: 2, T: 1.5, Policy: "fifo", Job: "hist-4", Seq: 4, Outcome: Skip, Reason: InsufficientRanks,
+			BlockedBy: "sum-0", BlockedBySeq: 0, Width: 4, Wait: 0.25},
+		{Round: 3, T: 2, Policy: "easy-backfill", Job: "n-1", Seq: 5, Outcome: Skip, Reason: ShadowReservation,
+			BlockedBy: "hist-4", BlockedBySeq: 4, Width: 2, Wait: 0.5, Free: 2, FreeRanks: "4-5", Shadow: 9},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("v1 log read as\n%+v\nwant\n%+v", got, want)
+	}
+}
+
+func TestReadLogErrorsNameTheLine(t *testing.T) {
+	good := string(AppendJSON(nil, sampleRecords()[0]))
+	for _, bad := range []string{
+		`{"e":"decision","v":"repro.decisions.v2","round":"one"}`,
+		`{"e":"decision","v":"repro.decisions.v2","round":1`,
+		`{"e":"decision","v":"repro.decisions.v2","round":1,"t":0,"policy":"fifo","outcome":"round","free":1.5}`,
+		`{"e":"decision"}`,
+	} {
+		_, err := ReadLog(strings.NewReader(good + "\n" + `{"e":"span","t":0}` + "\n" + bad + "\n"))
+		if err == nil || !strings.Contains(err.Error(), "line 3") {
+			t.Errorf("ReadLog on %s: error %v, want one naming line 3", bad, err)
+		}
+	}
+}
+
+func TestAppendJSONZeroAlloc(t *testing.T) {
+	recs := sampleRecords()
+	buf := make([]byte, 0, 512)
+	for _, rec := range []Record{recs[1], recs[4], recs[6]} {
+		if got := testing.AllocsPerRun(200, func() { buf = AppendJSON(buf[:0], rec) }); got != 0 {
+			t.Errorf("AppendJSON of a %s record allocates %v times per op, want 0", rec.Outcome, got)
+		}
+	}
+}
+
 func TestReadLogSkipsEventLines(t *testing.T) {
 	recs := sampleRecords()
 	var mixed bytes.Buffer
@@ -124,6 +249,24 @@ func TestReadLogRejectsWrongSchema(t *testing.T) {
 	line := `{"e":"decision","v":"repro.decisions.v999","round":1,"t":0,"policy":"fifo","job":"a","seq":0,"outcome":"admit","width":1,"wait":0,"free":1,"free_ranks":"0"}` + "\n"
 	if _, err := ReadLog(strings.NewReader(line)); err == nil {
 		t.Fatal("ReadLog accepted a wrong-schema decision line")
+	}
+}
+
+// TestAttributeReadsBothForms: the one fold gives the held-skip stream and
+// the skip-per-round stream of the same run the same attributions, and
+// folding record by record is folding the slice.
+func TestAttributeReadsBothForms(t *testing.T) {
+	v2, v1 := Attribute(sampleRecords()), Attribute(sampleRecordsV1())
+	if !reflect.DeepEqual(v2, v1) {
+		t.Fatalf("attributions differ between the two forms:\n v2: %+v\n v1: %+v", v2, v1)
+	}
+	var f Fold
+	recs := sampleRecords()
+	for i := range recs {
+		f.Add(&recs[i])
+	}
+	if f.Records() != len(recs) || !reflect.DeepEqual(f.Jobs(), v2) {
+		t.Fatalf("Fold: %d records, %+v", f.Records(), f.Jobs())
 	}
 }
 

@@ -2,12 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
+	"repro/internal/jsonl"
 	"repro/internal/obs/decision"
 )
 
@@ -40,33 +38,16 @@ const EventSchema = "repro.events.v1"
 //	"sample"  T Name Value                — one counter-track sample
 //	"alert"   T Name Attrs                — an SLO rule fired (see slo.go)
 type Event struct {
-	E     string  `json:"e"`
-	ID    int     `json:"id,omitempty"`
-	T     float64 `json:"t"`
-	Dur   float64 `json:"dur,omitempty"`
-	PID   int     `json:"pid"`
-	TID   int     `json:"tid"`
-	Name  string  `json:"name,omitempty"`
-	Cat   string  `json:"cat,omitempty"`
-	Value float64 `json:"value"`
-	Attrs []Attr  `json:"attrs,omitempty"`
-}
-
-// MarshalJSON renders an attribute as a two-element array ["key","val"],
-// preserving attribute order across a JSONL round trip (an object would
-// re-serialize in undefined key order).
-func (a Attr) MarshalJSON() ([]byte, error) {
-	return json.Marshal([2]string{a.Key, a.Val})
-}
-
-// UnmarshalJSON parses the ["key","val"] form written by MarshalJSON.
-func (a *Attr) UnmarshalJSON(b []byte) error {
-	var kv [2]string
-	if err := json.Unmarshal(b, &kv); err != nil {
-		return err
-	}
-	a.Key, a.Val = kv[0], kv[1]
-	return nil
+	E     string
+	ID    int
+	T     float64
+	Dur   float64
+	PID   int
+	TID   int
+	Name  string
+	Cat   string
+	Value float64
+	Attrs []Attr
 }
 
 // EventSink receives mirrored tracer events. Implementations must be cheap:
@@ -75,66 +56,60 @@ type EventSink interface {
 	Emit(e Event)
 }
 
-// efloat renders a float deterministically (shortest round-trip form, same
-// as attribute values built with F).
-func efloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // AppendEventJSON appends e's canonical JSONL serialization (no trailing
 // newline) to dst. The byte layout is a pure function of the Event value —
 // field order fixed, floats in shortest round-trip form, attributes as
-// ordered ["k","v"] pairs — so identical event streams serialize to
-// identical bytes.
+// ordered ["k","v"] pairs (an object would lose their order) — so identical
+// event streams serialize to identical bytes.
 func AppendEventJSON(dst []byte, e Event) []byte {
-	var b strings.Builder
-	b.WriteString(`{"e":`)
-	b.Write(jsonStr(e.E))
+	dst = append(dst, `{"e":`...)
+	dst = jsonl.AppendString(dst, e.E)
 	if e.ID != 0 {
-		b.WriteString(`,"id":`)
-		b.WriteString(strconv.Itoa(e.ID))
+		dst = append(dst, `,"id":`...)
+		dst = jsonl.AppendInt(dst, e.ID)
 	}
 	if e.E != "attr" {
-		b.WriteString(`,"t":`)
-		b.WriteString(efloat(e.T))
+		dst = append(dst, `,"t":`...)
+		dst = jsonl.AppendFloat(dst, e.T)
 	}
 	if e.E == "span" {
-		b.WriteString(`,"dur":`)
-		b.WriteString(efloat(e.Dur))
+		dst = append(dst, `,"dur":`...)
+		dst = jsonl.AppendFloat(dst, e.Dur)
 	}
 	switch e.E {
 	case "begin", "span", "instant":
-		b.WriteString(`,"pid":`)
-		b.WriteString(strconv.Itoa(e.PID))
-		b.WriteString(`,"tid":`)
-		b.WriteString(strconv.Itoa(e.TID))
+		dst = append(dst, `,"pid":`...)
+		dst = jsonl.AppendInt(dst, e.PID)
+		dst = append(dst, `,"tid":`...)
+		dst = jsonl.AppendInt(dst, e.TID)
 	}
 	if e.Name != "" {
-		b.WriteString(`,"name":`)
-		b.Write(jsonStr(e.Name))
+		dst = append(dst, `,"name":`...)
+		dst = jsonl.AppendString(dst, e.Name)
 	}
 	if e.Cat != "" {
-		b.WriteString(`,"cat":`)
-		b.Write(jsonStr(e.Cat))
+		dst = append(dst, `,"cat":`...)
+		dst = jsonl.AppendString(dst, e.Cat)
 	}
 	if e.E == "sample" {
-		b.WriteString(`,"value":`)
-		b.WriteString(efloat(e.Value))
+		dst = append(dst, `,"value":`...)
+		dst = jsonl.AppendFloat(dst, e.Value)
 	}
 	if len(e.Attrs) > 0 {
-		b.WriteString(`,"attrs":[`)
+		dst = append(dst, `,"attrs":[`...)
 		for i, a := range e.Attrs {
 			if i > 0 {
-				b.WriteString(",")
+				dst = append(dst, ',')
 			}
-			b.WriteString(`[`)
-			b.Write(jsonStr(a.Key))
-			b.WriteString(",")
-			b.Write(jsonStr(a.Val))
-			b.WriteString(`]`)
+			dst = append(dst, '[')
+			dst = jsonl.AppendString(dst, a.Key)
+			dst = append(dst, ',')
+			dst = jsonl.AppendString(dst, a.Val)
+			dst = append(dst, ']')
 		}
-		b.WriteString(`]`)
+		dst = append(dst, ']')
 	}
-	b.WriteString("}")
-	return append(dst, b.String()...)
+	return append(dst, '}')
 }
 
 // JSONLSink streams events as JSON Lines: one header line naming the schema
@@ -150,7 +125,7 @@ type JSONLSink struct {
 // NewJSONLSink wraps w and writes the schema header immediately.
 func NewJSONLSink(w io.Writer) *JSONLSink {
 	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	_, s.err = s.bw.WriteString(`{"schema":` + string(jsonStr(EventSchema)) + "}\n")
+	_, s.err = s.bw.WriteString(`{"schema":"` + EventSchema + "\"}\n")
 	return s
 }
 
@@ -166,8 +141,8 @@ func (s *JSONLSink) Emit(e Event) {
 
 // EmitDecision implements decision.Sink: scheduler decision records land in
 // the same JSONL stream as the events, in emission order, as canonical
-// repro.decisions.v1 lines (extract them with decision.ReadLog; ReadEvents
-// skips them).
+// repro.decisions.v2 lines (extract them with decision.ReadLog; ReadEvents
+// skips them; ScanLog hands back both).
 func (s *JSONLSink) EmitDecision(rec decision.Record) {
 	if s.err != nil {
 		return
@@ -189,62 +164,169 @@ func (s *JSONLSink) Flush() error {
 // Close flushes and returns the first error seen.
 func (s *JSONLSink) Close() error { return s.Flush() }
 
-// knownEventTypes are the line types ReadEvents understands. Anything else
-// sharing the stream — decision records today, future record kinds tomorrow —
-// is skipped, so a v1 reader tolerates logs written by newer emitters.
-var knownEventTypes = map[string]bool{
-	"begin": true, "end": true, "attr": true, "span": true,
-	"instant": true, "sample": true, "alert": true,
+// decodeEvent reads the line d stands at the start of into e, reusing
+// e.Attrs' backing array. Keys may come in any order; unknown keys are
+// skipped, and so are keys the line's type does not carry (an "end" with a
+// duration), so what comes back is what AppendEventJSON writes again. typ is
+// the type the line was dispatched on; a second "e" key that disagrees with
+// it is an error.
+func decodeEvent(d *jsonl.Dec, typ string, e *Event) error {
+	*e = Event{Attrs: e.Attrs[:0]}
+	for d.Object(); d.NextKey(); {
+		switch string(d.Key()) {
+		case "e":
+			e.E = d.String()
+		case "id":
+			e.ID = d.Int()
+		case "t":
+			e.T = d.Float()
+		case "dur":
+			e.Dur = d.Float()
+		case "pid":
+			e.PID = d.Int()
+		case "tid":
+			e.TID = d.Int()
+		case "name":
+			e.Name = d.String()
+		case "cat":
+			e.Cat = d.String()
+		case "value":
+			e.Value = d.Float()
+		case "attrs":
+			e.Attrs = e.Attrs[:0]
+			for d.Array(); d.More(); {
+				var a Attr
+				d.Array()
+				for i := 0; d.More(); i++ {
+					switch i {
+					case 0:
+						a.Key = d.String()
+					case 1:
+						a.Val = d.String()
+					default:
+						d.Skip()
+					}
+				}
+				e.Attrs = append(e.Attrs, a)
+			}
+		default:
+			d.Skip()
+		}
+	}
+	if e.E == "attr" {
+		e.T = 0
+	}
+	if e.E != "span" {
+		e.Dur = 0
+	}
+	if e.E != "begin" && e.E != "span" && e.E != "instant" {
+		e.PID, e.TID = 0, 0
+	}
+	if e.E != "sample" {
+		e.Value = 0
+	}
+	if err := d.End(); err != nil {
+		return err
+	}
+	if e.E != typ {
+		return fmt.Errorf("line type given twice: %q and %q", typ, e.E)
+	}
+	return nil
 }
 
-// ReadEvents parses a JSONL event log produced by JSONLSink: it validates
-// the schema header and returns the events in file order. Lines whose "e"
-// type is unknown (decision records, series points, future additions) are
-// skipped; malformed JSON on any line is still an error.
-func ReadEvents(r io.Reader) ([]Event, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
+// readHeader consumes the first line of a log and checks that it names
+// schema; what says which log ("event log", "series file") for the errors.
+func readHeader(sc *bufio.Scanner, d *jsonl.Dec, what, schema string) error {
 	if !sc.Scan() {
 		if err := sc.Err(); err != nil {
-			return nil, err
+			return err
 		}
-		return nil, fmt.Errorf("obs: empty event log (missing schema header)")
+		return fmt.Errorf("obs: empty %s (missing schema header)", what)
 	}
-	var hdr struct {
-		Schema string `json:"schema"`
+	var got string
+	d.Reset(sc.Bytes())
+	for d.Object(); d.NextKey(); {
+		if string(d.Key()) == "schema" {
+			got = d.String()
+		} else {
+			d.Skip()
+		}
 	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("obs: bad event-log header: %w", err)
+	if err := d.End(); err != nil {
+		return fmt.Errorf("obs: bad %s header: %w", what, err)
 	}
-	if hdr.Schema != EventSchema {
-		return nil, fmt.Errorf("obs: event log schema %q, want %q", hdr.Schema, EventSchema)
+	if got != schema {
+		return fmt.Errorf("obs: %s schema %q, want %q", what, got, schema)
 	}
-	var out []Event
-	line := 1
-	for sc.Scan() {
-		line++
+	return nil
+}
+
+// ScanLog reads a JSONL event log produced by JSONLSink in one pass: it
+// validates the schema header, then hands every event to onEvent and every
+// interleaved decision record (repro.decisions.v2, or v1) to onDecision, in
+// file order. Either callback may be nil, and then its lines are only
+// checked for syntax. The values passed are reused for the next line —
+// copy what must outlive the call (Event.Attrs included). Lines whose "e"
+// type is unknown (series points, future additions) are skipped, so a v1
+// reader tolerates logs written by newer emitters; malformed JSON on any
+// line is an error naming the line.
+func ScanLog(r io.Reader, onEvent func(*Event), onDecision func(*decision.Record)) error {
+	sc := jsonl.NewScanner(r)
+	var d jsonl.Dec
+	if err := readHeader(sc, &d, "event log", EventSchema); err != nil {
+		return err
+	}
+	var (
+		ev  Event
+		rec decision.Record
+	)
+	for line := 2; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		// Decision records share the stream but have their own schema and
-		// reader (decision.ReadLog).
-		if decision.IsLine(sc.Bytes()) {
-			continue
+		typ, err := d.Type(sc.Bytes())
+		switch {
+		case err != nil:
+		case typ == "decision" && onDecision != nil:
+			if err = decision.Decode(&d, &rec); err == nil {
+				onDecision(&rec)
+			}
+		case onEvent != nil && isEventType(typ):
+			if err = decodeEvent(&d, typ, &ev); err == nil {
+				onEvent(&ev)
+			}
+		default:
+			d.Skip()
+			err = d.End()
 		}
-		var probe struct {
-			E string `json:"e"`
+		if err != nil {
+			return fmt.Errorf("obs: event log line %d: %w", line, err)
 		}
-		if err := json.Unmarshal(sc.Bytes(), &probe); err != nil {
-			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
-		}
-		if !knownEventTypes[probe.E] {
-			continue
-		}
-		var e Event
-		if err := json.Unmarshal(sc.Bytes(), &e); err != nil {
-			return nil, fmt.Errorf("obs: event log line %d: %w", line, err)
-		}
-		out = append(out, e)
 	}
-	return out, sc.Err()
+	return sc.Err()
+}
+
+// isEventType reports whether typ is one of Event's line types.
+func isEventType(typ string) bool {
+	switch typ {
+	case "begin", "end", "attr", "span", "instant", "sample", "alert":
+		return true
+	}
+	return false
+}
+
+// ReadEvents parses a JSONL event log produced by JSONLSink: it validates
+// the schema header and returns the events in file order (see ScanLog for
+// what is skipped and what is an error).
+func ReadEvents(r io.Reader) ([]Event, error) {
+	var out []Event
+	err := ScanLog(r, func(e *Event) {
+		c := *e
+		c.Attrs = append([]Attr(nil), e.Attrs...)
+		out = append(out, c)
+	}, nil)
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
 }

@@ -2,10 +2,11 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"io"
 	"sort"
 	"strconv"
+
+	"repro/internal/jsonl"
 )
 
 // WriteChromeTrace exports the span store as Chrome trace-event JSON (the
@@ -21,6 +22,11 @@ import (
 func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	bw.WriteString("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[")
+	var lit []byte
+	str := func(s string) {
+		lit = jsonl.AppendString(lit[:0], s)
+		bw.Write(lit)
+	}
 	first := true
 	sep := func() {
 		if first {
@@ -41,7 +47,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			bw.WriteString("{\"ph\":\"M\",\"name\":\"process_name\",\"pid\":")
 			bw.WriteString(strconv.Itoa(pid))
 			bw.WriteString(",\"tid\":0,\"args\":{\"name\":")
-			bw.Write(jsonStr(t.procs[pid]))
+			str(t.procs[pid])
 			bw.WriteString("}}")
 		}
 		tkeys := make([]threadKey, 0, len(t.threads))
@@ -61,7 +67,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			bw.WriteString(",\"tid\":")
 			bw.WriteString(strconv.Itoa(k.tid))
 			bw.WriteString(",\"args\":{\"name\":")
-			bw.Write(jsonStr(t.threads[k]))
+			str(t.threads[k])
 			bw.WriteString("}}")
 		}
 		for i := range t.spans {
@@ -72,9 +78,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 			}
 			sep()
 			bw.WriteString("{\"ph\":\"X\",\"name\":")
-			bw.Write(jsonStr(sp.name))
+			str(sp.name)
 			bw.WriteString(",\"cat\":")
-			bw.Write(jsonStr(sp.cat))
+			str(sp.cat)
 			bw.WriteString(",\"pid\":")
 			bw.WriteString(strconv.Itoa(sp.pid))
 			bw.WriteString(",\"tid\":")
@@ -89,9 +95,9 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 					if j > 0 {
 						bw.WriteString(",")
 					}
-					bw.Write(jsonStr(a.Key))
+					str(a.Key)
 					bw.WriteString(":")
-					bw.Write(jsonStr(a.Val))
+					str(a.Val)
 				}
 				bw.WriteString("}")
 			}
@@ -100,7 +106,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 		for _, cs := range t.samples {
 			sep()
 			bw.WriteString("{\"ph\":\"C\",\"name\":")
-			bw.Write(jsonStr(cs.name))
+			str(cs.name)
 			bw.WriteString(",\"pid\":0,\"tid\":0,\"ts\":")
 			bw.WriteString(usec(cs.ts))
 			bw.WriteString(",\"args\":{\"value\":")
@@ -116,10 +122,4 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 // precision (nanosecond resolution) — the deterministic timestamp format.
 func usec(sec float64) string {
 	return strconv.FormatFloat(sec*1e6, 'f', 3, 64)
-}
-
-// jsonStr renders s as a JSON string literal.
-func jsonStr(s string) []byte {
-	b, _ := json.Marshal(s)
-	return b
 }

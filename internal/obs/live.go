@@ -126,7 +126,7 @@ func (l *Live) History() (queueDepth, ranksBusy []float64) {
 //	/metrics   — the latest frame's registry in Prometheus text format
 //	/healthz   — liveness JSON: {"ok":true,"frames":N,"virtual_now":...}
 //	/jobs      — the latest frame's job table as JSON
-//	/decisions — the scheduler decision stream (repro.decisions.v1 records)
+//	/decisions — the scheduler decision stream (repro.decisions.v2 records)
 //	             recorded up to the latest frame; empty unless decision
 //	             tracing is enabled (-explain, or any -serve run)
 //

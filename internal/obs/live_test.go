@@ -4,8 +4,11 @@ import (
 	"encoding/json"
 	"io"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/decision"
 )
 
 func publishFrame(l *Live, now float64, depth, busy int) {
@@ -123,6 +126,27 @@ func TestTelemetryHandlerEndpoints(t *testing.T) {
 	if jobs[0].Name != "sum-0" || jobs[0].State != "done" ||
 		jobs[1].State != "running" || jobs[1].End != -1 {
 		t.Fatalf("jobs %+v", jobs)
+	}
+
+	// /decisions: an empty v2 payload without records, then the frame's
+	// records as canonical lines a client unmarshals back to the same values.
+	var ds struct {
+		Schema    string            `json:"schema"`
+		Decisions []decision.Record `json:"decisions"`
+	}
+	body, _ = get("/decisions")
+	if err := json.Unmarshal([]byte(body), &ds); err != nil || ds.Schema != decision.Schema || len(ds.Decisions) != 0 {
+		t.Fatalf("/decisions without records %q: %v", body, err)
+	}
+	recs := []decision.Record{
+		{Round: 1, T: 0.5, Policy: "fifo", Outcome: decision.Round, BlockedBySeq: -1, Free: 2, FreeRanks: "6-7", Pending: 1},
+		{Round: 1, T: 0.5, Policy: "fifo", Job: "b", Seq: 1, Outcome: decision.Skip, Reason: decision.InsufficientRanks,
+			BlockedBy: "a", BlockedBySeq: 0, Width: 4, Wait: 0.25, Submit: 0.25},
+	}
+	l.Publish(&Frame{Now: 2, Reg: NewRegistry().Snapshot(), Decisions: recs})
+	body, _ = get("/decisions")
+	if err := json.Unmarshal([]byte(body), &ds); err != nil || ds.Schema != "repro.decisions.v2" || !reflect.DeepEqual(ds.Decisions, recs) {
+		t.Fatalf("/decisions %q: %+v, %v", body, ds, err)
 	}
 }
 

@@ -249,13 +249,17 @@ func (t *Tracer) Decisions() []decision.Record {
 	return t.decisions
 }
 
-// DecisionsSnapshot returns a copy of the decision stream, safe to hand to
-// concurrent readers (live telemetry frames).
+// DecisionsSnapshot returns the decision stream recorded so far for
+// concurrent readers (live telemetry frames). The stream is append-only and
+// a recorded Record is never rewritten, so the snapshot is a view of the
+// tracer's own storage, capped at its length: publishing a frame copies
+// nothing, and later appends land beyond what the view can reach.
 func (t *Tracer) DecisionsSnapshot() []decision.Record {
 	if t == nil || len(t.decisions) == 0 {
 		return nil
 	}
-	return append([]decision.Record(nil), t.decisions...)
+	n := len(t.decisions)
+	return t.decisions[:n:n]
 }
 
 // Metrics returns the tracer's registry (nil on a nil tracer; the registry's

@@ -2,11 +2,10 @@ package obs
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
+
+	"repro/internal/jsonl"
 )
 
 // This file is the durable time-series leg of the telemetry plane: the
@@ -40,54 +39,49 @@ type SeriesPoint struct {
 	Classes    []ClassWait // sorted by class name
 }
 
-// sfloat renders a float deterministically (shortest round-trip form).
-func sfloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
 // AppendSeriesJSON appends p's canonical JSONL serialization (no trailing
 // newline) to dst: fixed field order, shortest round-trip floats, classes as
 // ordered objects. The byte layout is a pure function of the point.
 func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte {
-	var b strings.Builder
-	b.WriteString(`{"e":"pt","round":`)
-	b.WriteString(strconv.Itoa(p.Round))
-	b.WriteString(`,"t":`)
-	b.WriteString(sfloat(p.T))
-	b.WriteString(`,"queue":`)
-	b.WriteString(strconv.Itoa(p.QueueDepth))
-	b.WriteString(`,"busy":`)
-	b.WriteString(strconv.Itoa(p.RanksBusy))
-	b.WriteString(`,"ranks":`)
-	b.WriteString(strconv.Itoa(p.RanksTotal))
+	dst = append(dst, `{"e":"pt","round":`...)
+	dst = jsonl.AppendInt(dst, p.Round)
+	dst = append(dst, `,"t":`...)
+	dst = jsonl.AppendFloat(dst, p.T)
+	dst = append(dst, `,"queue":`...)
+	dst = jsonl.AppendInt(dst, p.QueueDepth)
+	dst = append(dst, `,"busy":`...)
+	dst = jsonl.AppendInt(dst, p.RanksBusy)
+	dst = append(dst, `,"ranks":`...)
+	dst = jsonl.AppendInt(dst, p.RanksTotal)
 	if len(p.OSTBusy) > 0 {
-		b.WriteString(`,"ost_busy":[`)
+		dst = append(dst, `,"ost_busy":[`...)
 		for i, v := range p.OSTBusy {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b.WriteString(sfloat(v))
+			dst = jsonl.AppendFloat(dst, v)
 		}
-		b.WriteByte(']')
+		dst = append(dst, ']')
 	}
 	if len(p.Classes) > 0 {
-		b.WriteString(`,"classes":[`)
+		dst = append(dst, `,"classes":[`...)
 		for i, c := range p.Classes {
 			if i > 0 {
-				b.WriteByte(',')
+				dst = append(dst, ',')
 			}
-			b.WriteString(`{"class":`)
-			b.Write(jsonStr(c.Class))
-			b.WriteString(`,"n":`)
-			b.WriteString(strconv.Itoa(c.N))
-			b.WriteString(`,"p50":`)
-			b.WriteString(sfloat(c.P50))
-			b.WriteString(`,"p99":`)
-			b.WriteString(sfloat(c.P99))
-			b.WriteByte('}')
+			dst = append(dst, `{"class":`...)
+			dst = jsonl.AppendString(dst, c.Class)
+			dst = append(dst, `,"n":`...)
+			dst = jsonl.AppendInt(dst, c.N)
+			dst = append(dst, `,"p50":`...)
+			dst = jsonl.AppendFloat(dst, c.P50)
+			dst = append(dst, `,"p99":`...)
+			dst = jsonl.AppendFloat(dst, c.P99)
+			dst = append(dst, '}')
 		}
-		b.WriteByte(']')
+		dst = append(dst, ']')
 	}
-	b.WriteByte('}')
-	return append(dst, b.String()...)
+	return append(dst, '}')
 }
 
 // SeriesSink streams SeriesPoints as JSON Lines: one header line naming the
@@ -103,7 +97,7 @@ type SeriesSink struct {
 // NewSeriesSink wraps w and writes the schema header immediately.
 func NewSeriesSink(w io.Writer) *SeriesSink {
 	s := &SeriesSink{bw: bufio.NewWriter(w)}
-	_, s.err = s.bw.WriteString(`{"schema":` + string(jsonStr(SeriesSchema)) + "}\n")
+	_, s.err = s.bw.WriteString(`{"schema":"` + SeriesSchema + "\"}\n")
 	return s
 }
 
@@ -138,62 +132,84 @@ func (s *SeriesSink) Close() error {
 	return s.err
 }
 
+// decodePoint reads the series line d stands at the start of into p. Keys
+// may come in any order; unknown keys are skipped.
+func decodePoint(d *jsonl.Dec, p *SeriesPoint) error {
+	*p = SeriesPoint{}
+	for d.Object(); d.NextKey(); {
+		switch string(d.Key()) {
+		case "round":
+			p.Round = d.Int()
+		case "t":
+			p.T = d.Float()
+		case "queue":
+			p.QueueDepth = d.Int()
+		case "busy":
+			p.RanksBusy = d.Int()
+		case "ranks":
+			p.RanksTotal = d.Int()
+		case "ost_busy":
+			p.OSTBusy = nil
+			for d.Array(); d.More(); {
+				p.OSTBusy = append(p.OSTBusy, d.Float())
+			}
+		case "classes":
+			p.Classes = nil
+			for d.Array(); d.More(); {
+				var c ClassWait
+				for d.Object(); d.NextKey(); {
+					switch string(d.Key()) {
+					case "class":
+						c.Class = d.String()
+					case "n":
+						c.N = d.Int()
+					case "p50":
+						c.P50 = d.Float()
+					case "p99":
+						c.P99 = d.Float()
+					default:
+						d.Skip()
+					}
+				}
+				p.Classes = append(p.Classes, c)
+			}
+		default:
+			d.Skip()
+		}
+	}
+	return d.End()
+}
+
 // ReadSeries parses a JSONL series file produced by SeriesSink: it validates
 // the schema header and returns the points in file order. Lines with an
 // unknown "e" type are skipped, so a v1 reader tolerates forward-compatible
-// additions.
+// additions; malformed JSON on any line is an error naming the line.
 func ReadSeries(r io.Reader) ([]SeriesPoint, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, fmt.Errorf("obs: empty series file (missing schema header)")
-	}
-	var hdr struct {
-		Schema string `json:"schema"`
-	}
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("obs: bad series header: %w", err)
-	}
-	if hdr.Schema != SeriesSchema {
-		return nil, fmt.Errorf("obs: series schema %q, want %q", hdr.Schema, SeriesSchema)
+	sc := jsonl.NewScanner(r)
+	var d jsonl.Dec
+	if err := readHeader(sc, &d, "series file", SeriesSchema); err != nil {
+		return nil, err
 	}
 	var out []SeriesPoint
-	line := 1
-	for sc.Scan() {
-		line++
+	for line := 2; sc.Scan(); line++ {
 		if len(sc.Bytes()) == 0 {
 			continue
 		}
-		var raw struct {
-			E       string    `json:"e"`
-			Round   int       `json:"round"`
-			T       float64   `json:"t"`
-			Queue   int       `json:"queue"`
-			Busy    int       `json:"busy"`
-			Ranks   int       `json:"ranks"`
-			OSTBusy []float64 `json:"ost_busy"`
-			Classes []struct {
-				Class string  `json:"class"`
-				N     int     `json:"n"`
-				P50   float64 `json:"p50"`
-				P99   float64 `json:"p99"`
-			} `json:"classes"`
+		typ, err := d.Type(sc.Bytes())
+		if err == nil {
+			if typ == "pt" {
+				var p SeriesPoint
+				if err = decodePoint(&d, &p); err == nil {
+					out = append(out, p)
+				}
+			} else {
+				d.Skip()
+				err = d.End()
+			}
 		}
-		if err := json.Unmarshal(sc.Bytes(), &raw); err != nil {
+		if err != nil {
 			return nil, fmt.Errorf("obs: series line %d: %w", line, err)
 		}
-		if raw.E != "pt" {
-			continue
-		}
-		p := SeriesPoint{Round: raw.Round, T: raw.T, QueueDepth: raw.Queue,
-			RanksBusy: raw.Busy, RanksTotal: raw.Ranks, OSTBusy: raw.OSTBusy}
-		for _, c := range raw.Classes {
-			p.Classes = append(p.Classes, ClassWait{Class: c.Class, N: c.N, P50: c.P50, P99: c.P99})
-		}
-		out = append(out, p)
 	}
 	return out, sc.Err()
 }

@@ -64,7 +64,7 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 	fl.BoolVar(&f.Strict, "slo-strict", false,
 		"evaluate SLO rules during the run and exit nonzero if any fired")
 	fl.BoolVar(&f.Explain, "explain", false,
-		"record scheduler decision traces (repro.decisions.v1; written into -events and served at /decisions) and print the per-job wait attribution after the run")
+		"record scheduler decision traces (repro.decisions.v2: admissions, drops, memo service, and a skip whenever a waiting job's cause changes; written into -events and served at /decisions) and print the per-job wait attribution after the run")
 	fl.StringVar(&f.Report, "report", "",
 		"after the run, render the offline run report (makespan attribution, per-tenant SLO table, slow-job blame, OST heat) from the -events log into this file; reads -series too when set")
 }

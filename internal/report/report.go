@@ -1,6 +1,6 @@
 // Package report is the offline run-report analyzer: it reads the versioned
 // JSONL artifacts a run leaves behind — the structured event log
-// (repro.events.v1, with repro.decisions.v1 lines interleaved by -explain)
+// (repro.events.v1, with repro.decisions.v2 lines interleaved by -explain)
 // and the optional round-aligned time series (repro.series.v1) — and renders
 // a deterministic post-mortem: makespan attribution across the machine's
 // layers, a per-tenant/per-class SLO attainment table, the top-K
@@ -11,7 +11,6 @@
 package report
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -24,39 +23,47 @@ import (
 	"repro/internal/obs/decision"
 )
 
-// Data is the parsed input of one run report.
+// Data is one run's logs as Load folded them: the phase and per-submission
+// accumulators of the event stream, the decision trace's wait attributions,
+// and the series points. It holds no event and no decision record, so its
+// size follows the run's jobs and rounds, not its log's lines.
 type Data struct {
 	EventsPath string
 	SeriesPath string
-	Events     []obs.Event
-	Decisions  []decision.Record
 	Series     []obs.SeriesPoint
+
+	nEvents, nDecs int // records read
+	makespan       float64
+	alerts         int
+	phases         Phases
+	jobs           map[int]*job              // tid -> submission
+	tids           []int                     // first-appearance order
+	blames         []decision.JobAttribution // submission order
 }
 
-// Load reads the event log at eventsPath (events + any interleaved decision
-// records) and, when seriesPath is non-empty, the series log. The events
-// file is read once and parsed twice — the two readers each skip the other
-// schema's lines.
+// Load reads the event log at eventsPath — events and any interleaved
+// decision records, in one streaming pass that folds each line into Data as
+// it is read — and, when seriesPath is non-empty, the series log.
 func Load(eventsPath, seriesPath string) (*Data, error) {
-	raw, err := os.ReadFile(eventsPath)
+	f, err := os.Open(eventsPath)
 	if err != nil {
 		return nil, err
 	}
-	d := &Data{EventsPath: eventsPath, SeriesPath: seriesPath}
-	if d.Events, err = obs.ReadEvents(bytes.NewReader(raw)); err != nil {
+	defer f.Close()
+	d := &Data{EventsPath: eventsPath, SeriesPath: seriesPath, jobs: map[int]*job{}}
+	ef := eventFold{d: d, begins: map[int]openSpan{}}
+	var df decision.Fold
+	if err := obs.ScanLog(f, ef.add, df.Add); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", eventsPath, err)
 	}
-	if d.Decisions, err = decision.ReadLog(bytes.NewReader(raw)); err != nil {
-		return nil, fmt.Errorf("report: %s: %w", eventsPath, err)
-	}
+	d.nDecs, d.blames = df.Records(), df.Jobs()
 	if seriesPath != "" {
-		f, err := os.Open(seriesPath)
+		sf, err := os.Open(seriesPath)
 		if err != nil {
 			return nil, err
 		}
-		d.Series, err = obs.ReadSeries(f)
-		f.Close()
-		if err != nil {
+		defer sf.Close()
+		if d.Series, err = obs.ReadSeries(sf); err != nil {
 			return nil, fmt.Errorf("report: %s: %w", seriesPath, err)
 		}
 	}
@@ -120,7 +127,6 @@ const SummarySchema = "repro.report.v1"
 // Report is one analyzed run, ready to render.
 type Report struct {
 	Summary Summary
-	blames  []decision.JobAttribution // full attribution, Wait-desc
 	series  []obs.SeriesPoint
 	src     string
 	nEvents int
@@ -138,96 +144,111 @@ type job struct {
 	miss          bool
 }
 
-// Build folds the loaded logs into a report. topK bounds the slow-job table
-// (0 applies the default of 5).
+// openSpan is a "begin" event waiting for its "end" (and, for a run span,
+// for the attributes the scheduler appends after it).
+type openSpan struct {
+	t   float64
+	cat string
+	tid int
+	run bool
+}
+
+// eventFold folds the event stream into a Data, one event at a time.
+type eventFold struct {
+	d      *Data
+	begins map[int]openSpan // event ID -> open begin
+}
+
+func attr(ev *obs.Event, key string) string {
+	for _, a := range ev.Attrs {
+		if a.Key == key {
+			return a.Val
+		}
+	}
+	return ""
+}
+
+func (d *Data) jobAt(tid int) *job {
+	j := d.jobs[tid]
+	if j == nil {
+		j = &job{tid: tid}
+		d.jobs[tid] = j
+		d.tids = append(d.tids, tid)
+	}
+	return j
+}
+
+// bucket charges dur to the phase a span of this category belongs to.
+func (ph *Phases) bucket(cat, name string, dur float64) {
+	switch cat {
+	case "sched":
+		if name == "queued" {
+			ph.Queued += dur
+		}
+	case "pfs":
+		ph.PFS += dur
+	case "mpi":
+		ph.Fabric += dur
+	case "cc", "adio":
+		ph.Compute += dur
+	}
+}
+
+// add folds one event in. ev is only valid during the call.
+func (f *eventFold) add(ev *obs.Event) {
+	d := f.d
+	d.nEvents++
+	if t := ev.T + ev.Dur; t > d.makespan {
+		d.makespan = t
+	}
+	switch ev.E {
+	case "span":
+		d.phases.bucket(ev.Cat, ev.Name, ev.Dur)
+		if ev.Cat == "sched" && ev.Name == "queued" {
+			j := d.jobAt(ev.TID)
+			j.queued = true
+			j.name = attr(ev, "job")
+			j.tenant = attr(ev, "tenant")
+			j.class = attr(ev, "class")
+			j.wait = ev.Dur
+		}
+	case "begin":
+		f.begins[ev.ID] = openSpan{
+			t: ev.T, cat: ev.Cat, tid: ev.TID,
+			run: ev.Cat == "sched" && ev.Name == "run",
+		}
+	case "end":
+		// A run span stays open past its end: the scheduler appends the
+		// deadline_miss attribute after closing it. There is one per job;
+		// every other span is forgotten here, so the table follows the
+		// spans in flight, not the log's length.
+		if b, ok := f.begins[ev.ID]; ok && !b.run {
+			d.phases.bucket(b.cat, "", ev.T-b.t)
+			delete(f.begins, ev.ID)
+		}
+	case "attr":
+		if b, ok := f.begins[ev.ID]; ok && b.run && attr(ev, "deadline_miss") != "" {
+			d.jobAt(b.tid).miss = true
+		}
+	case "instant":
+		if ev.Cat == "sched" && ev.Name == "deadline-drop" {
+			d.jobAt(ev.TID).dropped = true
+		}
+	case "alert":
+		d.alerts++
+	}
+}
+
+// Build rolls the loaded run up into a report. topK bounds the slow-job
+// table (0 applies the default of 5). d is only read: building twice gives
+// the same report.
 func Build(d *Data, topK int) *Report {
 	if topK <= 0 {
 		topK = 5
 	}
 	r := &Report{
-		src: d.EventsPath, nEvents: len(d.Events), nDecs: len(d.Decisions),
+		src: d.EventsPath, nEvents: d.nEvents, nDecs: d.nDecs,
 		series: d.Series,
-	}
-	var ph Phases
-	jobs := map[int]*job{} // tid -> submission
-	var tids []int         // first-appearance order
-	type open struct {
-		t   float64
-		cat string
-		tid int
-		run bool
-	}
-	begins := map[int]open{} // event ID -> open begin
-	makespan := 0.0
-	alerts := 0
-	attr := func(ev obs.Event, key string) string {
-		for _, a := range ev.Attrs {
-			if a.Key == key {
-				return a.Val
-			}
-		}
-		return ""
-	}
-	jobAt := func(tid int) *job {
-		j := jobs[tid]
-		if j == nil {
-			j = &job{tid: tid}
-			jobs[tid] = j
-			tids = append(tids, tid)
-		}
-		return j
-	}
-	bucket := func(cat, name string, dur float64) {
-		switch cat {
-		case "sched":
-			if name == "queued" {
-				ph.Queued += dur
-			}
-		case "pfs":
-			ph.PFS += dur
-		case "mpi":
-			ph.Fabric += dur
-		case "cc", "adio":
-			ph.Compute += dur
-		}
-	}
-	for _, ev := range d.Events {
-		if t := ev.T + ev.Dur; t > makespan {
-			makespan = t
-		}
-		switch ev.E {
-		case "span":
-			bucket(ev.Cat, ev.Name, ev.Dur)
-			if ev.Cat == "sched" && ev.Name == "queued" {
-				j := jobAt(ev.TID)
-				j.queued = true
-				j.name = attr(ev, "job")
-				j.tenant = attr(ev, "tenant")
-				j.class = attr(ev, "class")
-				j.wait = ev.Dur
-			}
-		case "begin":
-			begins[ev.ID] = open{
-				t: ev.T, cat: ev.Cat, tid: ev.TID,
-				run: ev.Cat == "sched" && ev.Name == "run",
-			}
-		case "end":
-			if b, ok := begins[ev.ID]; ok {
-				if !b.run {
-					bucket(b.cat, "", ev.T-b.t)
-				}
-			}
-		case "attr":
-			if b, ok := begins[ev.ID]; ok && b.run && attr(ev, "deadline_miss") != "" {
-				jobAt(b.tid).miss = true
-			}
-		case "instant":
-			if ev.Cat == "sched" && ev.Name == "deadline-drop" {
-				jobAt(ev.TID).dropped = true
-			}
-		case "alert":
-			alerts++
-		}
 	}
 
 	// Per-(tenant, class) rollup, sorted by tenant then class. Submissions
@@ -235,10 +256,10 @@ func Build(d *Data, topK int) *Report {
 	// markers, labeled "default".
 	rows := map[string]*TenantRow{}
 	var keys []string
-	s := Summary{Schema: SummarySchema, Makespan: makespan, Phases: ph,
-		SeriesPoints: len(d.Series), Alerts: alerts}
-	for _, tid := range tids {
-		j := jobs[tid]
+	s := Summary{Schema: SummarySchema, Makespan: d.makespan, Phases: d.phases,
+		SeriesPoints: len(d.Series), Alerts: d.alerts}
+	for _, tid := range d.tids {
+		j := d.jobs[tid]
 		tn, cl := j.tenant, j.class
 		if tn == "" {
 			tn = "default"
@@ -284,14 +305,14 @@ func Build(d *Data, topK int) *Report {
 	}
 
 	// Slow-job table from the decision trace (empty without -explain).
-	r.blames = decision.Attribute(d.Decisions)
-	sort.SliceStable(r.blames, func(i, k int) bool {
-		if r.blames[i].Wait != r.blames[k].Wait {
-			return r.blames[i].Wait > r.blames[k].Wait
+	blames := append([]decision.JobAttribution(nil), d.blames...)
+	sort.SliceStable(blames, func(i, k int) bool {
+		if blames[i].Wait != blames[k].Wait {
+			return blames[i].Wait > blames[k].Wait
 		}
-		return r.blames[i].Seq < r.blames[k].Seq
+		return blames[i].Seq < blames[k].Seq
 	})
-	for i, ja := range r.blames {
+	for i, ja := range blames {
 		if i >= topK {
 			break
 		}

@@ -20,6 +20,13 @@ import (
 //	gamma-2 (zeta, batch): dropped at its deadline while queued
 func writeSyntheticLogs(t *testing.T) (eventsPath, seriesPath string) {
 	t.Helper()
+	return writeSyntheticLogsWith(t, true)
+}
+
+// writeSyntheticLogsWith is writeSyntheticLogs with or without the
+// interleaved decision records (a run recorded without -explain).
+func writeSyntheticLogsWith(t *testing.T, explain bool) (eventsPath, seriesPath string) {
+	t.Helper()
 	dir := t.TempDir()
 	eventsPath = filepath.Join(dir, "events.jsonl")
 	seriesPath = filepath.Join(dir, "series.jsonl")
@@ -54,20 +61,29 @@ func writeSyntheticLogs(t *testing.T) (eventsPath, seriesPath string) {
 	line(obs.Event{E: "instant", T: 4, PID: 0, TID: 2, Name: "deadline-drop", Cat: "sched",
 		Attrs: []obs.Attr{obs.S("job", "gamma-2")}})
 	line(obs.Event{E: "alert", T: 5, Name: "queue_depth_high"})
-	// Interleaved decision records, as -explain writes them.
+	// Interleaved decision records, as -explain writes them: a round that
+	// leaves jobs pending closes with a round record and the skips whose
+	// cause changed; gamma-2's skip holds through round 2.
 	recs := []decision.Record{
 		{Round: 1, T: 0, Policy: "fifo", Job: "alpha-0", Seq: 0, Outcome: decision.Admit,
 			Width: 4, Wait: 0, Free: 8, FreeRanks: "0-7", Ranks: "0-3"},
+		{Round: 1, T: 0, Policy: "fifo", Outcome: decision.Round,
+			Free: 4, FreeRanks: "4-7", Pending: 2},
 		{Round: 1, T: 0, Policy: "fifo", Job: "beta-1", Seq: 1, Outcome: decision.Skip,
 			Reason: decision.InsufficientRanks, BlockedBy: "alpha-0", BlockedBySeq: 0,
-			Width: 8, Wait: 0, Free: 4, FreeRanks: "4-7"},
-		{Round: 2, T: 3, Policy: "fifo", Job: "beta-1", Seq: 1, Outcome: decision.Admit,
-			Width: 8, Wait: 3, Free: 8, FreeRanks: "0-7", Ranks: "0-7"},
+			Width: 8, Submit: 0},
 		{Round: 1, T: 0, Policy: "fifo", Job: "gamma-2", Seq: 2, Outcome: decision.Skip,
 			Reason: decision.InsufficientRanks, BlockedBy: "alpha-0", BlockedBySeq: 0,
-			Width: 16, Wait: 0, Free: 4, FreeRanks: "4-7"},
+			Width: 16, Submit: 0},
+		{Round: 2, T: 3, Policy: "fifo", Job: "beta-1", Seq: 1, Outcome: decision.Admit,
+			Width: 8, Wait: 3, Free: 8, FreeRanks: "0-7", Ranks: "0-7"},
+		{Round: 2, T: 3, Policy: "fifo", Outcome: decision.Round,
+			Free: 0, FreeRanks: "", Pending: 1},
 		{Round: 3, T: 4, Policy: "fifo", Job: "gamma-2", Seq: 2, Outcome: decision.Drop,
 			Reason: decision.DeadlineDrop, Width: 16, Wait: 4, Free: 0, FreeRanks: ""},
+	}
+	if !explain {
+		recs = nil
 	}
 	for _, rec := range recs {
 		b = decision.AppendJSON(b, rec)
@@ -186,12 +202,11 @@ func TestReportTextDeterministicAndComplete(t *testing.T) {
 }
 
 func TestReportWithoutSeriesOrDecisions(t *testing.T) {
-	ev, _ := writeSyntheticLogs(t)
+	ev, _ := writeSyntheticLogsWith(t, false)
 	d, err := Load(ev, "")
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.Decisions = nil
 	var b bytes.Buffer
 	if err := Build(d, 0).WriteText(&b); err != nil {
 		t.Fatal(err)

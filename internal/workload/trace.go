@@ -15,18 +15,13 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/jsonl"
 )
 
 // TraceSchema is the versioned identifier on the first line of every
 // workload trace file.
 const TraceSchema = "repro.workload.v1"
-
-func wfloat(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-
-func appendString(dst []byte, s string) []byte {
-	b, _ := json.Marshal(s)
-	return append(dst, b...)
-}
 
 func appendInts(dst []byte, vs []int64) []byte {
 	dst = append(dst, '[')
@@ -46,17 +41,17 @@ func appendJob(dst []byte, i int, s *Submission) []byte {
 	dst = append(dst, `{"e":"job","i":`...)
 	dst = strconv.AppendInt(dst, int64(i), 10)
 	dst = append(dst, `,"t":`...)
-	dst = append(dst, wfloat(s.T)...)
+	dst = jsonl.AppendFloat(dst, s.T)
 	dst = append(dst, `,"tenant":`...)
-	dst = appendString(dst, s.Tenant)
+	dst = jsonl.AppendString(dst, s.Tenant)
 	dst = append(dst, `,"class":`...)
-	dst = appendString(dst, s.Class)
+	dst = jsonl.AppendString(dst, s.Class)
 	dst = append(dst, `,"name":`...)
-	dst = appendString(dst, s.Name)
+	dst = jsonl.AppendString(dst, s.Name)
 	dst = append(dst, `,"ds":`...)
-	dst = appendString(dst, s.Dataset)
+	dst = jsonl.AppendString(dst, s.Dataset)
 	dst = append(dst, `,"op":`...)
-	dst = appendString(dst, s.Op)
+	dst = jsonl.AppendString(dst, s.Op)
 	dst = append(dst, `,"start":`...)
 	dst = appendInts(dst, s.Start)
 	dst = append(dst, `,"count":`...)
@@ -68,13 +63,13 @@ func appendJob(dst []byte, i int, s *Submission) []byte {
 	dst = append(dst, `,"red":`...)
 	dst = strconv.AppendInt(dst, int64(s.Reduce), 10)
 	dst = append(dst, `,"dl":`...)
-	dst = append(dst, wfloat(s.Deadline)...)
+	dst = jsonl.AppendFloat(dst, s.Deadline)
 	dst = append(dst, `,"pri":`...)
 	dst = strconv.AppendInt(dst, int64(s.Priority), 10)
 	dst = append(dst, `,"est":`...)
-	dst = append(dst, wfloat(s.EstCost)...)
+	dst = jsonl.AppendFloat(dst, s.EstCost)
 	dst = append(dst, `,"spe":`...)
-	dst = append(dst, wfloat(s.SecPerElem)...)
+	dst = jsonl.AppendFloat(dst, s.SecPerElem)
 	return append(dst, '}')
 }
 
@@ -82,16 +77,16 @@ func appendJob(dst []byte, i int, s *Submission) []byte {
 // of tr's value.
 func Write(w io.Writer, tr *Trace) error {
 	bw := bufio.NewWriter(w)
+	buf := make([]byte, 0, 256)
 	fmt.Fprintf(bw, "{\"schema\":%q}\n", TraceSchema)
 	fmt.Fprintf(bw, `{"h":"machine","ranks":%d,"rpn":%d,"policy":%s,"memo":%t,"memocap":%d,"maxconc":%d}`+"\n",
-		tr.Machine.Ranks, tr.Machine.RanksPerNode, mustJSON(tr.Machine.Policy),
+		tr.Machine.Ranks, tr.Machine.RanksPerNode, jsonl.AppendString(buf[:0], tr.Machine.Policy),
 		tr.Machine.Memo, tr.Machine.MemoCap, tr.Machine.MaxConcurrent)
 	for _, d := range tr.Datasets {
 		fmt.Fprintf(bw, `{"h":"dataset","name":%s,"dims":%s,"stripes":%d,"stripesize":%d}`+"\n",
-			mustJSON(d.Name), string(appendInts(nil, d.Dims)), d.StripeCount, d.StripeSize)
+			jsonl.AppendString(buf[:0], d.Name), appendInts(nil, d.Dims), d.StripeCount, d.StripeSize)
 	}
 	fmt.Fprintf(bw, `{"h":"meta","seed":%d,"jobs":%d}`+"\n", tr.Seed, len(tr.Jobs))
-	buf := make([]byte, 0, 256)
 	for i := range tr.Jobs {
 		buf = appendJob(buf[:0], i, &tr.Jobs[i])
 		buf = append(buf, '\n')
@@ -100,11 +95,6 @@ func Write(w io.Writer, tr *Trace) error {
 		}
 	}
 	return bw.Flush()
-}
-
-func mustJSON(s string) string {
-	b, _ := json.Marshal(s)
-	return string(b)
 }
 
 // traceLine is the union of all line shapes, for decoding.

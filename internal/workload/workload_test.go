@@ -322,3 +322,32 @@ func TestValidateRejects(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendJobZeroAllocAndEscapes: a job line is appended straight into the
+// caller's buffer — nothing allocated per line — and names that need JSON
+// escaping survive Write → Read (which still parses with encoding/json, so
+// it checks the writer's string rendering independently).
+func TestAppendJobZeroAllocAndEscapes(t *testing.T) {
+	tr := mustGenerate(t, smallSpec(19))
+	tr.Jobs[0].Tenant = "a<b>&\"c\"\\ \u2028\xff"
+	tr.Jobs[0].Name = "tab\there\nnewline"
+	tr.Machine.Policy = "pri\"ority"
+	tr.Datasets[0].Name, tr.Jobs[1].Dataset = "déjà<1>", "déjà<1>"
+	buf := make([]byte, 0, 512)
+	if got := testing.AllocsPerRun(200, func() { buf = appendJob(buf[:0], 0, &tr.Jobs[0]) }); got != 0 {
+		t.Errorf("appendJob allocates %v times per line, want 0", got)
+	}
+	var file bytes.Buffer
+	if err := Write(&file, tr); err != nil {
+		t.Fatal(err)
+	}
+	got, err := Read(bytes.NewReader(file.Bytes()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Invalid UTF-8 is written as U+FFFD, like every JSON writer here.
+	tr.Jobs[0].Tenant = "a<b>&\"c\"\\ \u2028\ufffd"
+	if d := Diff(tr, got, 3); d != nil {
+		t.Fatalf("escaped names changed in the round trip: %v", d)
+	}
+}
