@@ -17,6 +17,31 @@ import (
 type Request struct {
 	Runs []layout.Run
 	Buf  []byte
+	// ChargeOnly marks a read whose bytes nobody will look at — the caller
+	// only wants what the read costs, or obtains the contents some other way
+	// (internal/ncfile asks a generator-backed dataset for values). The
+	// protocol is the materialising read's to the last charge: the same
+	// request exchange, plan, messages and sizes, pack and per-piece costs,
+	// OST reservations with timeouts and retries, counters and spans. It
+	// differs only where a byte would be produced or copied: an extent is
+	// materialised only if something will read it, so aggregators allocate no
+	// collective buffer and charge each extent's read, shuffle messages carry
+	// piece offsets without data, nothing is unpacked, and a Transform hook
+	// receives a nil ext. Buf must be empty. The marker is SPMD-uniform, like
+	// hooks: every member of a collective call passes the same, since an
+	// aggregator with no runs of its own must know too. Reads only.
+	ChargeOnly bool
+	// Donated marks a write whose Buf the caller gives up: it will neither
+	// read nor modify Buf once the call has returned (internal/ncfile encodes
+	// into a buffer of its own per call). Sends are eager, so a remote
+	// aggregator may unpack a message after its sender's CollectiveWrite has
+	// returned; a buffer the caller keeps is therefore packed — copied into
+	// the message — as the pack charge models, and is the caller's again on
+	// return. A donated buffer is referred to instead, which saves the copy
+	// and holding every in-flight byte twice. The virtual cost is the same
+	// either way. A property of each rank's own request, not of the
+	// collective call. Writes only.
+	Donated bool
 }
 
 // Validate checks internal consistency.
@@ -24,10 +49,24 @@ func (rq Request) Validate() error {
 	if err := validateRuns(rq.Runs); err != nil {
 		return err
 	}
+	if rq.ChargeOnly {
+		if len(rq.Buf) != 0 {
+			return fmt.Errorf("adio: charge-only request with a %d-byte buffer", len(rq.Buf))
+		}
+		return nil
+	}
 	if n := layout.TotalLength(rq.Runs); int64(len(rq.Buf)) != n {
 		return fmt.Errorf("adio: buffer %d bytes for %d requested", len(rq.Buf), n)
 	}
 	return nil
+}
+
+// validateWrite is Validate for the write paths, which have bytes to move.
+func (rq Request) validateWrite() error {
+	if rq.ChargeOnly {
+		return fmt.Errorf("adio: charge-only request passed to a write")
+	}
+	return rq.Validate()
 }
 
 func validateRuns(runs []layout.Run) error {
@@ -76,28 +115,40 @@ func putShuffleMsg(m *shuffleMsg) {
 	shufflePool.Put(m)
 }
 
+// reserve sizes the message's pooled backing buffer to n bytes.
+func (m *shuffleMsg) reserve(n int64) {
+	if int64(cap(m.buf)) < n {
+		m.buf = make([]byte, n)
+	}
+	m.buf = m.buf[:n]
+}
+
 // packShuffle copies one owner's pieces out of the collective buffer ext
 // (which covers the file range starting at readLo) into msg's contiguous
 // backing buffer, recording one shufflePiece per fragment. Once msg's pooled
 // storage has grown to the iteration's working size, repacking allocates
-// nothing.
+// nothing. With a nil ext (a charge-only read) the pieces are recorded by
+// offset alone: the message keeps its piece count and byte size, which are
+// what the receiver is charged for, and carries no data.
 func packShuffle(msg *shuffleMsg, pieces []Piece, ext []byte, readLo int64) {
 	var total int64
 	for _, pc := range pieces {
 		total += pc.Run.Length
 	}
-	if int64(cap(msg.buf)) < total {
-		msg.buf = make([]byte, total)
+	if ext != nil {
+		msg.reserve(total)
 	}
-	msg.buf = msg.buf[:total]
 	if cap(msg.pieces) < len(pieces) {
 		msg.pieces = make([]shufflePiece, 0, len(pieces))
 	}
 	msg.pieces = msg.pieces[:0]
 	var pos int64
 	for _, pc := range pieces {
-		dst := msg.buf[pos : pos+pc.Run.Length]
-		copy(dst, ext[pc.Run.Offset-readLo:pc.Run.End()-readLo])
+		var dst []byte
+		if ext != nil {
+			dst = msg.buf[pos : pos+pc.Run.Length]
+			copy(dst, ext[pc.Run.Offset-readLo:pc.Run.End()-readLo])
+		}
 		msg.pieces = append(msg.pieces, shufflePiece{off: pc.Run.Offset, data: dst})
 		pos += pc.Run.Length
 	}
@@ -116,11 +167,12 @@ type Payload struct {
 // (internal/cc). With a nil *Hooks the protocol is plain ROMIO.
 type Hooks struct {
 	// Transform runs on an aggregator after iteration data lands in the
-	// collective buffer ext (covering [it.ReadLo, it.ReadHi)) and before the
-	// shuffle. The returned map replaces the outgoing raw messages: owners
-	// with pieces this iteration receive their Payload instead of bytes.
-	// Owners present in it.Pieces but absent from the map receive nothing —
-	// only allowed when SuppressShuffle is set.
+	// collective buffer ext (covering [it.ReadLo, it.ReadHi); nil when the
+	// request is ChargeOnly) and before the shuffle. The returned map
+	// replaces the outgoing raw messages: owners with pieces this iteration
+	// receive their Payload instead of bytes. Owners present in it.Pieces but
+	// absent from the map receive nothing — only allowed when
+	// SuppressShuffle is set.
 	Transform func(aggrIdx, iter int, it *Iter, ext []byte) map[int]Payload
 	// OnRecv consumes transformed payloads on the owners (including the
 	// aggregator's own, delivered locally without network cost). src is the
@@ -132,29 +184,21 @@ type Hooks struct {
 	// is still called (it accumulates state aggregator-side), but nothing is
 	// sent or received — the all-to-one reduce of the paper's §III-C.
 	SuppressShuffle bool
-	// ExtUnused declares that Transform does not read ext because it obtains
-	// the extent's contents some other way (internal/cc asks a
-	// generator-backed dataset for values). With hooks nothing else reads the
-	// collective buffer, so the aggregator then only charges each extent's
-	// read — timing, OST contention, statistics and spans are those of the
-	// materialising read — allocates no collective buffer, and hands
-	// Transform a nil ext.
-	ExtUnused bool
 }
 
 // collectiveBuffer allocates one collective buffer for aggregator aggrIdx,
-// sized by the largest extent it reads; nil for a non-aggregator and when the
-// hooks declare ext unused.
-func collectiveBuffer(pl *Plan, aggrIdx int, hooks *Hooks) []byte {
-	if aggrIdx < 0 || (hooks != nil && hooks.ExtUnused) {
+// sized by the largest extent it reads; nil for a non-aggregator and for a
+// charge-only request, whose extents nothing will read.
+func collectiveBuffer(pl *Plan, aggrIdx int, rq *Request) []byte {
+	if aggrIdx < 0 || rq.ChargeOnly {
 		return nil
 	}
 	return make([]byte, pl.MaxExtent(aggrIdx))
 }
 
 // readExtent starts the read of it's covering extent into buf and returns the
-// filled prefix and the read's completion time. With a nil buf
-// (Hooks.ExtUnused) the read is charged and nothing is materialised.
+// filled prefix and the read's completion time. With a nil buf (a charge-only
+// request) the read is charged and nothing is materialised.
 func readExtent(cl *pfs.Client, f *pfs.File, it *Iter, buf []byte) (ext []byte, done float64) {
 	n := it.ReadHi - it.ReadLo
 	if buf == nil {
@@ -194,8 +238,9 @@ func perMemberBytes(c *mpi.Comm, r *mpi.Rank, mine int64) []int64 {
 
 // CollectiveRead performs a two-phase collective read. Every member of c
 // must call it (SPMD) with its own request (possibly empty). On return,
-// rq.Buf holds the requested bytes. aggrs lists the aggregator comm ranks;
-// pass nil for ROMIO's default of one per node.
+// rq.Buf holds the requested bytes (a ChargeOnly request has none). aggrs
+// lists the aggregator comm ranks; pass nil for ROMIO's default of one per
+// node.
 func CollectiveRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, aggrs []int, p Params) error {
 	p = p.Defaults()
@@ -293,9 +338,11 @@ func aggShuffle(r *mpi.Rank, c *mpi.Comm, pl *Plan, me int, tag int,
 			}
 		} else if owner == me {
 			// Local raw data: unpack straight into my buffer.
-			for _, pc := range it.Pieces[i:j] {
-				src := ext[pc.Run.Offset-it.ReadLo : pc.Run.End()-it.ReadLo]
-				copy(rq.Buf[pl.BufPos(me, pc.Run.Offset):], src)
+			if !rq.ChargeOnly {
+				for _, pc := range it.Pieces[i:j] {
+					src := ext[pc.Run.Offset-it.ReadLo : pc.Run.End()-it.ReadLo]
+					copy(rq.Buf[pl.BufPos(me, pc.Run.Offset):], src)
+				}
 			}
 			r.Sys(float64(total)/p.PackRate + float64(j-i)*p.PieceCost)
 		} else {
@@ -330,8 +377,10 @@ func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
 			hooks.OnRecv(pl.Aggrs[e.Aggr], me, v, n)
 		} else {
 			msg := v.(*shuffleMsg)
-			for _, pc := range msg.pieces {
-				copy(rq.Buf[pl.BufPos(me, pc.off):], pc.data)
+			if !rq.ChargeOnly {
+				for _, pc := range msg.pieces {
+					copy(rq.Buf[pl.BufPos(me, pc.off):], pc.data)
+				}
 			}
 			r.Sys(float64(n)/p.PackRate + float64(len(msg.pieces))*p.PieceCost)
 			putShuffleMsg(msg)
@@ -345,7 +394,7 @@ func twoPhaseReadBlocking(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
-	buf := collectiveBuffer(pl, aggrIdx, hooks)
+	buf := collectiveBuffer(pl, aggrIdx, &rq)
 	receiving := hooks == nil || !hooks.SuppressShuffle
 	expectPos := 0
 	for k := 0; k < pl.MaxIters; k++ {
@@ -387,7 +436,7 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
-	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, hooks), collectiveBuffer(pl, aggrIdx, hooks)}
+	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, &rq), collectiveBuffer(pl, aggrIdx, &rq)}
 	myIters := 0
 	if aggrIdx >= 0 {
 		myIters = len(pl.Iters[aggrIdx])

@@ -123,6 +123,32 @@ func TestRequestValidate(t *testing.T) {
 	}
 }
 
+// checkPlanOrderIsTotal: within an iteration no two pieces share (owner,
+// offset), and an owner's expect list has no two entries for one (iteration,
+// aggregator). The plan's two sort keys are therefore total orders, and any
+// correct sort — stable or not — produces this one permutation.
+func checkPlanOrderIsTotal(t *testing.T, pl *Plan) {
+	t.Helper()
+	for a := range pl.Iters {
+		for k, it := range pl.Iters[a] {
+			for i := 1; i < len(it.Pieces); i++ {
+				p, q := it.Pieces[i-1], it.Pieces[i]
+				if p.Owner > q.Owner || (p.Owner == q.Owner && p.Run.Offset >= q.Run.Offset) {
+					t.Fatalf("aggr %d iter %d: pieces %d,%d not strictly ascending by (owner, offset): %v %v", a, k, i-1, i, p, q)
+				}
+			}
+		}
+	}
+	for o := range pl.expect {
+		for i := 1; i < len(pl.expect[o]); i++ {
+			p, q := pl.expect[o][i-1], pl.expect[o][i]
+			if p.It > q.It || (p.It == q.It && p.Aggr >= q.Aggr) {
+				t.Fatalf("owner %d: expect entries %d,%d not strictly ascending by (iter, aggr): %v %v", o, i-1, i, p, q)
+			}
+		}
+	}
+}
+
 func TestBuildPlanCoverage(t *testing.T) {
 	reqs := [][]layout.Run{
 		{{Offset: 0, Length: 100}, {Offset: 300, Length: 50}},
@@ -131,6 +157,7 @@ func TestBuildPlanCoverage(t *testing.T) {
 		{{Offset: 500, Length: 500}},
 	}
 	pl := BuildPlan(reqs, []int{0, 2}, 128, 0)
+	checkPlanOrderIsTotal(t, pl)
 	// Every requested byte appears in exactly one piece.
 	covered := map[int64]int{}
 	for a := range pl.Iters {
@@ -188,6 +215,7 @@ func TestBuildPlanExpectIndexMatchesPieces(t *testing.T) {
 		}
 		na := 1 + rng.Intn(n)
 		pl := BuildPlan(reqs, SpreadAggregators(n, na), 64+int64(rng.Intn(512)), 0)
+		checkPlanOrderIsTotal(t, pl)
 		// Reconstruct expectations from pieces.
 		type key struct{ o, it, a int }
 		want := map[key]bool{}
@@ -285,26 +313,33 @@ func TestCollectiveReadInterleaved(t *testing.T) {
 	}
 }
 
-// Property: random requests, random aggregator sets, both protocols, tiny CB
-// (to force many iterations) — every rank gets exactly its bytes.
-func TestCollectiveReadPropertyRandom(t *testing.T) {
+// propertyRandomCases are the scenarios of TestCollectiveReadPropertyRandom:
+// random requests, random aggregator sets, both protocols, tiny CB (to force
+// many iterations).
+func propertyRandomCases() []*readCase {
 	rng := rand.New(rand.NewSource(99))
-	for iter := 0; iter < 25; iter++ {
-		n := 2 + rng.Intn(7)
-		const fileSize = 1 << 14
-		perRank := make([][]layout.Run, n)
-		for r := range perRank {
-			perRank[r] = randRuns(rng, fileSize, 10)
+	cases := make([]*readCase, 25)
+	for iter := range cases {
+		rc := &readCase{n: 2 + rng.Intn(7), rpn: 4, fileSize: 1 << 14, stripeSize: 1 << 12}
+		rc.perRank = make([][]layout.Run, rc.n)
+		for r := range rc.perRank {
+			rc.perRank[r] = randRuns(rng, rc.fileSize, 10)
 		}
-		aggrs := SpreadAggregators(n, 1+rng.Intn(n))
-		cb := int64(64 + rng.Intn(1000))
-		pipeline := rng.Intn(2) == 1
-		bufs := runCollectiveRead(t, n, fileSize, perRank, aggrs,
-			Params{CB: cb, Pipeline: pipeline})
+		rc.aggrs = SpreadAggregators(rc.n, 1+rng.Intn(rc.n))
+		rc.p = Params{CB: int64(64 + rng.Intn(1000)), Pipeline: rng.Intn(2) == 1}
+		cases[iter] = rc
+	}
+	return cases
+}
+
+// Property: every rank gets exactly its bytes.
+func TestCollectiveReadPropertyRandom(t *testing.T) {
+	for iter, rc := range propertyRandomCases() {
+		bufs := runCollectiveRead(t, rc.n, rc.fileSize, rc.perRank, rc.aggrs, rc.p)
 		for i, b := range bufs {
-			if !bytes.Equal(b, wantBuf(perRank[i])) {
+			if !bytes.Equal(b, wantBuf(rc.perRank[i])) {
 				t.Fatalf("iter %d (n=%d cb=%d pipe=%v aggrs=%v): rank %d mismatch",
-					iter, n, cb, pipeline, aggrs, i)
+					iter, rc.n, rc.p.CB, rc.p.Pipeline, rc.aggrs, i)
 			}
 		}
 	}
@@ -343,6 +378,23 @@ func TestSieveSegments(t *testing.T) {
 }
 
 func TestCollectiveWriteRoundTrip(t *testing.T) {
+	collectiveWriteRoundTrip(t, func([]byte) {})
+}
+
+// TestCollectiveWriteBufferReusableAfterReturn: once CollectiveWrite has
+// returned, the caller's buffer is the caller's again. Sends are eager, so an
+// owner can return before a remote aggregator has received and unpacked its
+// pieces; a message that aliased the buffer would then store whatever the
+// caller put there next (here: zeros).
+func TestCollectiveWriteBufferReusableAfterReturn(t *testing.T) {
+	collectiveWriteRoundTrip(t, func(buf []byte) { clear(buf) })
+}
+
+// collectiveWriteRoundTrip writes two runs per rank through two aggregators,
+// hands each rank's buffer to afterReturn as soon as its CollectiveWrite has
+// returned, and checks the stored bytes.
+func collectiveWriteRoundTrip(t *testing.T, afterReturn func(buf []byte)) {
+	t.Helper()
 	const n = 4
 	const fileSize = 4096
 	env := sim.NewEnv()
@@ -373,11 +425,13 @@ func TestCollectiveWriteRoundTrip(t *testing.T) {
 	}
 	w.Go(func(r *mpi.Rank) {
 		cl := fs.Client(r.Proc(), r.Rank(), nil)
-		err := CollectiveWrite(r, c, cl, f, Request{Runs: perRank[r.Rank()], Buf: payload(r.Rank())},
+		buf := payload(r.Rank())
+		err := CollectiveWrite(r, c, cl, f, Request{Runs: perRank[r.Rank()], Buf: buf},
 			[]int{0, 2}, Params{CB: 256})
 		if err != nil {
 			t.Error(err)
 		}
+		afterReturn(buf)
 	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
@@ -767,21 +821,16 @@ func TestCollectiveReadFromDatatype(t *testing.T) {
 
 // Property: random per-rank write requests over a known original file leave
 // exactly the written bytes changed and everything else intact, across
-// aggregator counts and buffer sizes.
+// aggregator counts and buffer sizes — whether the ranks keep their buffers
+// (remote pieces are packed) or donate them (remote pieces are referred to),
+// and at the same virtual makespan either way.
 func TestCollectiveWritePropertyRandom(t *testing.T) {
 	rng := rand.New(rand.NewSource(2024))
 	for iter := 0; iter < 12; iter++ {
 		n := 2 + rng.Intn(5)
 		const fileSize = 1 << 13
-		env := sim.NewEnv()
-		w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 2})
-		fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: 1 << 10})
-		mem := pfs.NewMemBackend(fileSize)
 		orig := make([]byte, fileSize)
 		pattern(0, orig)
-		mem.WriteAt(orig, 0)
-		f := fs.Create("data", mem, 4, 1<<10, 0)
-		c := w.Comm()
 
 		// Random disjoint regions per rank: slice the file into n bands and
 		// generate runs inside each band so ranks never overlap.
@@ -801,17 +850,6 @@ func TestCollectiveWritePropertyRandom(t *testing.T) {
 		}
 		aggrs := SpreadAggregators(n, 1+rng.Intn(n))
 		cb := int64(128 + rng.Intn(2048))
-		w.Go(func(r *mpi.Rank) {
-			cl := fs.Client(r.Proc(), r.Rank(), nil)
-			err := CollectiveWrite(r, c, cl, f,
-				Request{Runs: perRank[r.Rank()], Buf: payloads[r.Rank()]}, aggrs, Params{CB: cb})
-			if err != nil {
-				t.Error(err)
-			}
-		})
-		if err := env.Run(); err != nil {
-			t.Fatal(err)
-		}
 		expect := append([]byte(nil), orig...)
 		for me := 0; me < n; me++ {
 			pos := int64(0)
@@ -820,13 +858,39 @@ func TestCollectiveWritePropertyRandom(t *testing.T) {
 				pos += run.Length
 			}
 		}
-		if !bytes.Equal(mem.Bytes(), expect) {
-			for i := range expect {
-				if mem.Bytes()[i] != expect[i] {
-					t.Fatalf("iter %d (n=%d cb=%d aggrs=%v): first mismatch at byte %d",
-						iter, n, cb, aggrs, i)
+
+		var makespans [2]float64
+		for i, donated := range []bool{false, true} {
+			env := sim.NewEnv()
+			w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 2})
+			fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: 1 << 10})
+			mem := pfs.NewMemBackend(fileSize)
+			mem.WriteAt(orig, 0)
+			f := fs.Create("data", mem, 4, 1<<10, 0)
+			c := w.Comm()
+			w.Go(func(r *mpi.Rank) {
+				cl := fs.Client(r.Proc(), r.Rank(), nil)
+				err := CollectiveWrite(r, c, cl, f,
+					Request{Runs: perRank[r.Rank()], Buf: payloads[r.Rank()], Donated: donated}, aggrs, Params{CB: cb})
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			if err := env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			makespans[i] = env.Now()
+			if !bytes.Equal(mem.Bytes(), expect) {
+				for i := range expect {
+					if mem.Bytes()[i] != expect[i] {
+						t.Fatalf("iter %d (n=%d cb=%d aggrs=%v donated=%v): first mismatch at byte %d",
+							iter, n, cb, aggrs, donated, i)
+					}
 				}
 			}
+		}
+		if makespans[0] != makespans[1] {
+			t.Fatalf("iter %d: makespan %v with kept buffers, %v with donated ones", iter, makespans[0], makespans[1])
 		}
 	}
 }

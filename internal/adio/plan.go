@@ -8,8 +8,10 @@
 package adio
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/layout"
@@ -440,14 +442,16 @@ func (pl *Plan) fillIters() {
 				}
 			}
 		}
-		sort.Slice(frags, func(i, j int) bool {
-			if frags[i].it != frags[j].it {
-				return frags[i].it < frags[j].it
+		// (iter, owner, offset) is a total order — an owner's fragments are
+		// disjoint — so an unstable sort has one answer.
+		slices.SortFunc(frags, func(x, y frag) int {
+			if c := cmp.Compare(x.it, y.it); c != 0 {
+				return c
 			}
-			if frags[i].owner != frags[j].owner {
-				return frags[i].owner < frags[j].owner
+			if c := cmp.Compare(x.owner, y.owner); c != 0 {
+				return c
 			}
-			return frags[i].run.Offset < frags[j].run.Offset
+			return cmp.Compare(x.run.Offset, y.run.Offset)
 		})
 		for _, f := range frags {
 			it := &iters[f.it]
@@ -481,12 +485,12 @@ func (pl *Plan) fillIters() {
 	// expect entries must be sorted by iteration (then aggregator) for the
 	// receivers' single pass; they were appended per aggregator, so re-sort.
 	for o := range pl.expect {
-		e := pl.expect[o]
-		sort.Slice(e, func(i, j int) bool {
-			if e[i].It != e[j].It {
-				return e[i].It < e[j].It
+		// One entry per (iteration, aggregator): a total order again.
+		slices.SortFunc(pl.expect[o], func(x, y expectEntry) int {
+			if c := cmp.Compare(x.It, y.It); c != 0 {
+				return c
 			}
-			return e[i].Aggr < e[j].Aggr
+			return cmp.Compare(x.Aggr, y.Aggr)
 		})
 	}
 }

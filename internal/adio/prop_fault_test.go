@@ -6,13 +6,50 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/fabric"
 	"repro/internal/fault"
 	"repro/internal/layout"
-	"repro/internal/mpi"
-	"repro/internal/pfs"
-	"repro/internal/sim"
 )
+
+// faultReadCase expands seed into a read scenario under a generated fault
+// plan: arbitrary access patterns, protocol knobs and retry policies over
+// straggling OSTs, degraded links with jitter, and slow ranks.
+func faultReadCase(seed int64) *readCase {
+	rng := rand.New(rand.NewSource(seed))
+	rc := &readCase{n: 2 + rng.Intn(6), fileSize: 1 << 16}
+	rc.stripeSize = int64(1 << (9 + rng.Intn(4))) // 512 B .. 4 KB
+	rc.rpn = 1 + rng.Intn(4)
+	rc.faults = &fault.Spec{
+		Seed:    seed,
+		NumOSTs: 8, NumRanks: rc.n,
+		Stragglers: rng.Intn(4), StragglerFactor: 2 + 14*rng.Float64(),
+		Links: rng.Intn(3), LinkFactor: 2 + 6*rng.Float64(),
+		LinkJitter: 100e-6 * rng.Float64(),
+		SlowRanks:  rng.Intn(2), SlowRankFactor: 1 + 3*rng.Float64(),
+		Horizon: 0.05,
+	}
+	rc.perRank = make([][]layout.Run, rc.n)
+	for i := range rc.perRank {
+		rc.perRank[i] = randRuns(rng, rc.fileSize, 6)
+	}
+	if rng.Intn(2) == 0 {
+		rc.aggrs = SpreadAggregators(rc.n, 1+rng.Intn(rc.n))
+	}
+	rc.p = Params{
+		CB:       int64(1 << (8 + rng.Intn(5))),
+		Pipeline: rng.Intn(2) == 0,
+	}
+	if rng.Intn(2) == 0 {
+		rc.p.ReadTimeout = 1e-4 * (1 + rng.Float64())
+		rc.p.ReadRetries = rng.Intn(4)
+		rc.p.ReadBackoff = 1e-4 * rng.Float64()
+	}
+	return rc
+}
+
+// faultSeeds is the seed schedule of the fault properties.
+func faultSeeds() *quick.Config {
+	return &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(20260805))}
+}
 
 // TestCollectiveReadFaultProperty is the data-integrity property of the fault
 // subsystem: for arbitrary access patterns, protocol knobs, retry policies,
@@ -20,74 +57,21 @@ import (
 // bytes. Faults and mitigation may only ever change *timing*.
 func TestCollectiveReadFaultProperty(t *testing.T) {
 	prop := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(6)
-		fileSize := int64(1 << 16)
-		stripeSize := int64(1 << (9 + rng.Intn(4))) // 512 B .. 4 KB
-
-		env := sim.NewEnv()
-		w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 1 + rng.Intn(4)})
-		fs := pfs.New(env, pfs.Params{NumOSTs: 8, DefaultStripeSize: stripeSize})
-		f := fs.Create("data", pfs.NewSynthBackend(fileSize, pattern), 8, stripeSize, 0)
-
-		plan := fault.Gen(fault.Spec{
-			Seed:    seed,
-			NumOSTs: 8, NumNodes: w.Net().Nodes(), NumRanks: n,
-			Stragglers: rng.Intn(4), StragglerFactor: 2 + 14*rng.Float64(),
-			Links: rng.Intn(3), LinkFactor: 2 + 6*rng.Float64(),
-			LinkJitter: 100e-6 * rng.Float64(),
-			SlowRanks:  rng.Intn(2), SlowRankFactor: 1 + 3*rng.Float64(),
-			Horizon: 0.05,
-		})
-		plan.Apply(w, fs)
-		comm := w.Comm()
-
-		perRank := make([][]layout.Run, n)
-		for i := range perRank {
-			perRank[i] = randRuns(rng, fileSize, 6)
-		}
-		var aggrs []int
-		if rng.Intn(2) == 0 {
-			aggrs = SpreadAggregators(n, 1+rng.Intn(n))
-		}
-		p := Params{
-			CB:       int64(1 << (8 + rng.Intn(5))),
-			Pipeline: rng.Intn(2) == 0,
-		}
-		if rng.Intn(2) == 0 {
-			p.ReadTimeout = 1e-4 * (1 + rng.Float64())
-			p.ReadRetries = rng.Intn(4)
-			p.ReadBackoff = 1e-4 * rng.Float64()
-		}
-
-		bufs := make([][]byte, n)
-		errs := make([]error, n)
-		w.Go(func(r *mpi.Rank) {
-			runs := perRank[r.Rank()]
-			buf := make([]byte, layout.TotalLength(runs))
-			cl := fs.Client(r.Proc(), r.Rank(), nil)
-			errs[r.Rank()] = CollectiveRead(r, comm, cl, f,
-				Request{Runs: runs, Buf: buf}, aggrs, p)
-			bufs[r.Rank()] = buf
-		})
-		if err := env.Run(); err != nil {
-			t.Logf("seed %d: env: %v", seed, err)
+		rc := faultReadCase(seed)
+		out, err := rc.run(false, false)
+		if err != nil {
+			t.Logf("seed %d: %v", seed, err)
 			return false
 		}
-		for i := range perRank {
-			if errs[i] != nil {
-				t.Logf("seed %d: rank %d: %v", seed, i, errs[i])
-				return false
-			}
-			if want := wantBuf(perRank[i]); !bytes.Equal(bufs[i], want) {
-				t.Logf("seed %d: rank %d buffer mismatch (%d bytes)", seed, i, len(bufs[i]))
+		for i := range rc.perRank {
+			if want := wantBuf(rc.perRank[i]); !bytes.Equal(out.bufs[i], want) {
+				t.Logf("seed %d: rank %d buffer mismatch (%d bytes)", seed, i, len(out.bufs[i]))
 				return false
 			}
 		}
 		return true
 	}
-	cfg := &quick.Config{MaxCount: 25, Rand: rand.New(rand.NewSource(20260805))}
-	if err := quick.Check(prop, cfg); err != nil {
+	if err := quick.Check(prop, faultSeeds()); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,6 +1,8 @@
 package adio
 
 import (
+	"sort"
+
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -14,7 +16,7 @@ import (
 func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, aggrs []int, p Params) error {
 	p = p.Defaults()
-	if err := rq.Validate(); err != nil {
+	if err := rq.validateWrite(); err != nil {
 		return err
 	}
 	if aggrs == nil {
@@ -43,22 +45,39 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 				continue
 			}
 			it := &pl.Iters[a][k]
-			msg := getShuffleMsg()
-			for _, pc := range it.Pieces {
-				if pc.Owner != me {
-					continue
-				}
-				data := rq.Buf[pl.BufPos(me, pc.Run.Offset):]
-				data = data[:pc.Run.Length]
-				msg.pieces = append(msg.pieces, shufflePiece{off: pc.Run.Offset, data: data})
-				msg.bytes += pc.Run.Length
-			}
-			if msg.bytes == 0 {
-				putShuffleMsg(msg)
+			// A remote aggregator unpacks at its Recv, which may come after
+			// this call has returned (sends are eager: the last WaitAll
+			// completes once the message has left) and the caller has reused
+			// rq.Buf. So unless the buffer is donated, remote pieces are
+			// packed into the message's pooled buffer — the copy the pack
+			// charge below models. The local stash is consumed later in this
+			// same iteration and aliases rq.Buf.
+			remote := pl.Aggrs[a] != me
+			pack := remote && !rq.Donated
+			mine := ownerPieces(it, me)
+			if len(mine) == 0 {
 				continue
 			}
+			msg := getShuffleMsg()
+			for _, pc := range mine {
+				msg.bytes += pc.Run.Length
+			}
+			if pack {
+				msg.reserve(msg.bytes)
+			}
+			var pos int64
+			for _, pc := range mine {
+				data := rq.Buf[pl.BufPos(me, pc.Run.Offset):][:pc.Run.Length]
+				if pack {
+					packed := msg.buf[pos : pos+pc.Run.Length]
+					copy(packed, data)
+					data = packed
+					pos += pc.Run.Length
+				}
+				msg.pieces = append(msg.pieces, shufflePiece{off: pc.Run.Offset, data: data})
+			}
 			r.Sys(float64(msg.bytes) / p.PackRate)
-			if pl.Aggrs[a] == me {
+			if !remote {
 				// Local: assembled below via pending list.
 				localStash(&pendingLocal, a, msg)
 				continue
@@ -123,6 +142,17 @@ func takeLocal(s *localStashT, aggr int) *shuffleMsg {
 	return m
 }
 
+// ownerPieces returns owner o's pieces of the iteration, which are contiguous:
+// pieces are sorted by (owner, offset).
+func ownerPieces(it *Iter, o int) []Piece {
+	i := sort.Search(len(it.Pieces), func(i int) bool { return it.Pieces[i].Owner >= o })
+	j := i
+	for j < len(it.Pieces) && it.Pieces[j].Owner == o {
+		j++
+	}
+	return it.Pieces[i:j]
+}
+
 // coveredBytes sums the piece lengths of an iteration (pieces are disjoint).
 func coveredBytes(it *Iter) int64 {
 	var n int64
@@ -149,7 +179,8 @@ func ownersOf(it *Iter) []int {
 // IndependentRead reads rq without cooperation, applying data sieving:
 // runs separated by holes no larger than p.SieveThreshold are fetched in one
 // covering read and the extra bytes discarded. This is the paper's
-// independent-I/O baseline (Figure 3).
+// independent-I/O baseline (Figure 3). A ChargeOnly request charges the same
+// covering reads and moves nothing.
 func IndependentRead(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 	p = p.Defaults()
 	if err := rq.Validate(); err != nil {
@@ -159,6 +190,10 @@ func IndependentRead(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 	var bufPos int64
 	ri := 0
 	for _, sg := range segs {
+		if rq.ChargeOnly {
+			cl.ChargeRead(f, sg.Offset, sg.Length)
+			continue
+		}
 		tmp := make([]byte, sg.Length)
 		cl.Read(f, tmp, sg.Offset)
 		for ri < len(rq.Runs) && rq.Runs[ri].End() <= sg.End() {
@@ -176,7 +211,7 @@ func IndependentRead(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 // write does.
 func IndependentWrite(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 	p = p.Defaults()
-	if err := rq.Validate(); err != nil {
+	if err := rq.validateWrite(); err != nil {
 		return err
 	}
 	segs := sieveSegments(rq.Runs, p.SieveThreshold)

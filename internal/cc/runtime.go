@@ -363,33 +363,6 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 	return finalReduce(r, c, io, op, st)
 }
 
-// valueSource is where the map's values come from: the one place the runtime
-// tells a generator-backed dataset from one holding real bytes. The former
-// yields an element run's values directly, bit-identical to decoding its
-// bytes, so its aggregators are told not to materialise extents at all
-// (adio.Hooks.ExtUnused). Any other dataset is a mutable store whose bytes
-// were read into the collective buffer when the extent's read was issued, and
-// are decoded from there. Either way the values land in one scratch, valid
-// until the next call.
-type valueSource struct {
-	ds      *ncfile.Dataset
-	varID   int
-	typ     ncfile.Type
-	scratch []float64
-}
-
-// values returns the values of the elements elemRun, which occupy the file
-// bytes pc inside iteration it's extent ext (nil when synthetic).
-func (vs *valueSource) values(elemRun, pc layout.Run, it *adio.Iter, ext []byte) []float64 {
-	if vs.ds.Synthetic() {
-		vs.scratch = vs.ds.SynthValues(vs.varID, elemRun.Offset, elemRun.Length, vs.scratch)
-	} else {
-		raw := ext[pc.Offset-it.ReadLo : pc.End()-it.ReadLo]
-		vs.scratch = ncfile.DecodeValues(vs.typ, raw, vs.scratch)
-	}
-	return vs.scratch
-}
-
 // runCollectiveComputing is the paper's Figure 7 runtime: map inside the
 // two-phase iterations, shuffle partial results, reduce.
 func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Result, error) {
@@ -468,7 +441,8 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	if io.Reduce == AllToOne {
 		perOwner = make(map[int]*partialMsg)
 	}
-	vs := valueSource{ds: io.DS, varID: io.VarID, typ: v.Type}
+	// The transform's value scratch: valid until its next piece.
+	var data []float64
 
 	transform := func(aggrIdx, iter int, it *adio.Iter, ext []byte) map[int]adio.Payload {
 		out := map[int]adio.Payload{}
@@ -490,7 +464,13 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 					Length: pc.Run.Length / sz,
 				}
 				slabs := layout.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
-				data := vs.values(elemRun, pc.Run, it, ext)
+				// ext is nil exactly when the read below is charge-only, in
+				// which case Values does not look at the piece's bytes.
+				var raw []byte
+				if ext != nil {
+					raw = ext[pc.Run.Offset-it.ReadLo : pc.Run.End()-it.ReadLo]
+				}
+				data = io.DS.Values(io.VarID, []layout.Run{elemRun}, raw, data)
 				pos := int64(0)
 				// Construction cost: per subset plus the decode memcopy.
 				r.Sys(float64(len(slabs))*constructCostPerSubset +
@@ -560,7 +540,10 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		return out
 	}
 
-	hooks := &adio.Hooks{Transform: transform, ExtUnused: io.DS.Synthetic()}
+	hooks := &adio.Hooks{Transform: transform}
+	// A generator-backed dataset hands the map its values (ncfile.Values), so
+	// its extents are charged and never materialised.
+	chargeOnly := io.DS.Synthetic()
 	if io.Reduce == AllToOne {
 		hooks.SuppressShuffle = true
 	} else {
@@ -580,8 +563,8 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	}
 
 	if rounds == 1 {
-		err = adio.CollectiveReadPlanned(r, c, cl, f, adio.Request{Runs: runs},
-			pl, io.Params, hooks)
+		err = adio.CollectiveReadPlanned(r, c, cl, f,
+			adio.Request{Runs: runs, ChargeOnly: chargeOnly}, pl, io.Params, hooks)
 		if err != nil {
 			return Result{}, err
 		}
@@ -665,8 +648,8 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 				}
 				return adio.BuildPlan(wreqs, aggrs, io.Params.CB, align)
 			})
-			err = adio.CollectiveReadPlanned(r, c, cl, f, adio.Request{Runs: wreqs[me]},
-				rpl, io.Params, hooks)
+			err = adio.CollectiveReadPlanned(r, c, cl, f,
+				adio.Request{Runs: wreqs[me], ChargeOnly: chargeOnly}, rpl, io.Params, hooks)
 			if err != nil {
 				return Result{}, err
 			}

@@ -113,17 +113,24 @@ type twinOutcome struct {
 	requests  int64
 	timeouts  int64
 	retries   int64
+	messages  int64 // fabric: every message sent
+	wireBytes int64 // fabric: inter-node bytes
 }
 
-// TestValuePathMatchesBytePathEndToEnd runs every operator under both reduce
-// modes, both protocols, and with and without a fault plan (a straggling OST
+// TestValuePathMatchesBytePathEndToEnd runs every operator under every way an
+// object I/O reaches its values — collective computing in both reduce modes,
+// the traditional collective read (Block), each blocking and pipelined, and
+// independent sieved reads — with and without a fault plan (a straggling OST
 // met by timeout/retry and rebalanced rounds), once on a generator-backed
-// dataset — the value path: no extent materialised, no bytes decoded — and
-// once on a MemBackend copy of the same bytes — the byte path — and demands
-// identical results to the bit, virtual makespan, cc.Stats and file-system
-// counters. It fails if ncfile.SynthValues drops the Float32 rounding (the
-// sums differ in the low bits) or the clipping of a run to its row (the
-// second region's pieces start mid-row and cross row ends).
+// dataset — the value path: charge-only reads, no extent or request bytes
+// materialised, nothing decoded — and once on a MemBackend copy of the same
+// bytes — the byte path — and demands identical results to the bit, virtual
+// makespan, cc.Stats, and file-system and fabric counters. It fails if
+// ncfile's value path drops the Float32 rounding (the sums differ in the low
+// bits), the clipping of a run to its row (the second region's pieces start
+// mid-row and cross row ends), or the position of a run within a multi-run
+// slab (the first region gives every rank nine partial rows), and if a
+// charge-only read charges anything differently from the read that moves bytes.
 func TestValuePathMatchesBytePathEndToEnd(t *testing.T) {
 	g := twinGeometry
 	image := synthImage(t)
@@ -152,38 +159,59 @@ func TestValuePathMatchesBytePathEndToEnd(t *testing.T) {
 		out.makespan = tb.env.Now()
 		out.bytesRead, out.requests = tb.fs.BytesRead, tb.fs.Requests
 		out.timeouts, out.retries = tb.fs.Timeouts, tb.fs.Retries
+		out.messages, out.wireBytes = tb.w.Net().Messages, tb.w.Net().BytesOnWire
 		return out
 	}
 
-	var sawTimeout, sawRebalance bool
+	// The sieve threshold (independent reads only) is below the first
+	// region's 16-byte gaps between partial rows, so the sieve leaves holes.
+	type protocol struct {
+		name string
+		io   IO
+		cc   bool // the collective-computing path: maps in place, takes consumers
+	}
+	var protocols []protocol
+	for _, pipeline := range []bool{true, false} {
+		p := adio.Params{CB: 512, Pipeline: pipeline}
+		for _, reduce := range []ReduceMode{AllToOne, AllToAll} {
+			protocols = append(protocols, protocol{fmt.Sprintf("cc/reduce=%d/pipeline=%v", reduce, pipeline),
+				IO{Reduce: reduce, Params: p}, true})
+		}
+		protocols = append(protocols, protocol{fmt.Sprintf("block/pipeline=%v", pipeline),
+			IO{Block: true, Params: p}, false})
+	}
+	protocols = append(protocols, protocol{"independent",
+		IO{Mode: Independent, Params: adio.Params{SieveThreshold: 8}}, false})
+
+	var sawTimeout, sawRebalance, sawTradTimeout bool
 	for ri, region := range g.regions {
 		slabs := splitSlab(region, g.ranks)
 		for i, op := range ops {
-			for _, reduce := range []ReduceMode{AllToOne, AllToAll} {
-				for _, pipeline := range []bool{true, false} {
-					for _, faults := range []bool{false, true} {
-						// The last operator also carries piggybacked consumers.
-						consumers := i == len(ops)-1
-						name := fmt.Sprintf("region %d/%s/reduce=%d/pipeline=%v/faults=%v", ri, op.Name(), reduce, pipeline, faults)
-						io := IO{Reduce: reduce, SecPerElem: 2e-8,
-							Params: adio.Params{CB: 512, Pipeline: pipeline}}
-						vals := run(nil, slabs, io, op, faults, consumers)
-						byts := run(image, slabs, io, op, faults, consumers)
-						if diff := vals.diff(byts); diff != "" {
-							t.Errorf("%s: value path vs byte path: %s", name, diff)
-						}
-						if vals.stats.MapElements != region.NumElems() {
-							t.Errorf("%s: mapped %d elements, region has %d", name, vals.stats.MapElements, region.NumElems())
-						}
-						sawTimeout = sawTimeout || vals.timeouts > 0
-						sawRebalance = sawRebalance || vals.stats.Rebalances > 0
+			for _, pr := range protocols {
+				for _, faults := range []bool{false, true} {
+					// The last operator also carries piggybacked consumers.
+					consumers := pr.cc && i == len(ops)-1
+					name := fmt.Sprintf("region %d/%s/%s/faults=%v", ri, op.Name(), pr.name, faults)
+					io := pr.io
+					io.SecPerElem = 2e-8
+					vals := run(nil, slabs, io, op, faults, consumers)
+					byts := run(image, slabs, io, op, faults, consumers)
+					if diff := vals.diff(byts); diff != "" {
+						t.Errorf("%s: value path vs byte path: %s", name, diff)
 					}
+					if vals.stats.MapElements != region.NumElems() {
+						t.Errorf("%s: mapped %d elements, region has %d", name, vals.stats.MapElements, region.NumElems())
+					}
+					sawTimeout = sawTimeout || vals.timeouts > 0
+					sawRebalance = sawRebalance || vals.stats.Rebalances > 0
+					sawTradTimeout = sawTradTimeout || (!pr.cc && vals.timeouts > 0)
 				}
 			}
 		}
 	}
-	if !sawTimeout || !sawRebalance {
-		t.Errorf("fault plan never bit: timeouts seen %v, rebalances seen %v", sawTimeout, sawRebalance)
+	if !sawTimeout || !sawRebalance || !sawTradTimeout {
+		t.Errorf("fault plan never bit: timeouts seen %v (on a traditional read %v), rebalances seen %v",
+			sawTimeout, sawTradTimeout, sawRebalance)
 	}
 }
 
@@ -212,6 +240,8 @@ func (a twinOutcome) diff(b twinOutcome) string {
 		return fmt.Sprintf("fs read %d B in %d requests != %d B in %d", a.bytesRead, a.requests, b.bytesRead, b.requests)
 	case a.timeouts != b.timeouts || a.retries != b.retries:
 		return fmt.Sprintf("fs timeouts/retries %d/%d != %d/%d", a.timeouts, a.retries, b.timeouts, b.retries)
+	case a.messages != b.messages || a.wireBytes != b.wireBytes:
+		return fmt.Sprintf("fabric %d messages, %d B on the wire != %d, %d B", a.messages, a.wireBytes, b.messages, b.wireBytes)
 	}
 	return ""
 }
@@ -254,7 +284,6 @@ func TestZeroAllocCCTransformSynthetic(t *testing.T) {
 	for _, img := range [][]byte{nil, image} {
 		tb := newTwin(t, img, false)
 		v, _ := tb.ds.Var(tb.id)
-		vs := valueSource{ds: tb.ds, varID: tb.id, typ: v.Type}
 		synthetic := tb.ds.Synthetic()
 		if synthetic != (img == nil) {
 			t.Fatalf("synthetic = %v for image %v", synthetic, img != nil)
@@ -265,13 +294,16 @@ func TestZeroAllocCCTransformSynthetic(t *testing.T) {
 		elemRun := layout.Run{Offset: 20, Length: 400}
 		pc := layout.Run{Offset: v.Offset + 20*sz, Length: 400 * sz}
 		it := &adio.Iter{ReadLo: pc.Offset - 3*sz, ReadHi: pc.End()}
-		var ext []byte
+		var raw []byte
 		if !synthetic {
-			ext = image[it.ReadLo:it.ReadHi]
+			ext := image[it.ReadLo:it.ReadHi]
+			raw = ext[pc.Offset-it.ReadLo : pc.End()-it.ReadLo]
 		}
 		var sum float64
+		var scratch []float64
 		step := func() {
-			for _, x := range vs.values(elemRun, pc, it, ext) {
+			scratch = tb.ds.Values(tb.id, []layout.Run{elemRun}, raw, scratch)
+			for _, x := range scratch {
 				sum += x
 			}
 		}
@@ -283,8 +315,9 @@ func TestZeroAllocCCTransformSynthetic(t *testing.T) {
 }
 
 // allocBed is the machine of the allocation bounds: eight ranks on two nodes
-// (two aggregators) over a generator-backed 512 Ki-element float32 variable,
-// each rank reading an eighth of it through 256 KiB collective buffers.
+// (two aggregators) over a 512 Ki-element float32 variable — generator-backed,
+// or the same contents held in a MemBackend — each rank reading an eighth of
+// it through 256 KiB collective buffers.
 type allocBed struct {
 	tb    *testbed
 	slabs []layout.Slab
@@ -293,7 +326,7 @@ type allocBed struct {
 
 const allocBedCB = 256 << 10
 
-func newAllocBed(t *testing.T) *allocBed {
+func newAllocBed(t *testing.T, memBacked bool) *allocBed {
 	t.Helper()
 	const n = 8
 	dims := []int64{64, 64, 128}
@@ -302,7 +335,22 @@ func newAllocBed(t *testing.T) *allocBed {
 	fs := pfs.New(env, pfs.Params{NumOSTs: 4})
 	var s ncfile.Schema
 	id, _ := s.AddVar("v", ncfile.Float32, dims)
-	ds, err := ncfile.SynthDataset(fs, "data", &s, []ncfile.ValueFn{unroundedAt}, 4, 0, 0)
+	var ds *ncfile.Dataset
+	var err error
+	if memBacked {
+		mem := pfs.NewMemBackend(0)
+		if ds, err = ncfile.Create(fs, "data", &s, mem, 4, 0, 0); err == nil {
+			v, _ := ds.Var(id)
+			vals := make([]float64, v.NumElems())
+			coords := make([]int64, len(dims))
+			for e := range vals {
+				vals[e] = unroundedAt(layout.OffsetToCoords(dims, int64(e), coords))
+			}
+			mem.WriteAt(ncfile.EncodeValues(v.Type, vals), v.Offset)
+		}
+	} else {
+		ds, err = ncfile.SynthDataset(fs, "data", &s, []ncfile.ValueFn{unroundedAt}, 4, 0, 0)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,18 +382,30 @@ func (b *allocBed) steadyAlloc(t *testing.T, io IO) uint64 {
 // messages, the rank goroutines' bookkeeping.
 const allocSlack = 1 << 20
 
-// TestTraditionalLegAllocBound: a traditional (Block) object I/O allocates
-// its request bytes (every rank's byte buffer) and the aggregators'
-// collective buffers, but no per-element float64 term: the decoded values
-// live in a scratch the ranks share, because each rank folds them before it
-// next yields. Before that, every rank allocated 8 bytes per element on top.
+// TestTraditionalLegAllocBound: a traditional (Block) object I/O over a
+// generator-backed dataset allocates nothing that scales with the data beyond
+// the value scratch its ranks share (one rank's values; each rank folds them
+// before it next yields): its reads are charge-only, so there are no request
+// bytes and no collective buffers. Over a MemBackend — the byte path — the
+// request bytes (every rank's byte buffer) and the aggregators' collective
+// buffers are what a read of real bytes costs, and still no per-element
+// float64 term comes on top.
 func TestTraditionalLegAllocBound(t *testing.T) {
-	b := newAllocBed(t)
-	got := b.steadyAlloc(t, IO{Block: true, Params: adio.Params{CB: allocBedCB}})
+	io := IO{Block: true, Params: adio.Params{CB: allocBedCB}}
+	b := newAllocBed(t, false)
+	got := b.steadyAlloc(t, io)
+	scratch := 8 * b.elems / uint64(len(b.slabs))
+	if bound := scratch + allocSlack; got > bound {
+		t.Errorf("traditional leg over %d generated elements allocated %d B, bound %d B (shared value scratch %d + slack %d); request bytes would add %d",
+			b.elems, got, bound, scratch, allocSlack, 4*b.elems)
+	}
+
+	b = newAllocBed(t, true)
+	got = b.steadyAlloc(t, io)
 	requestBytes := b.elems * 4
 	collective := uint64(2 * allocBedCB) // two aggregators, one buffer each
 	if bound := requestBytes + collective + allocSlack; got > bound {
-		t.Fatalf("traditional leg over %d elements allocated %d B, bound %d B (request %d + collective %d + slack %d); a per-element float64 term would add %d",
+		t.Errorf("traditional leg over %d stored elements allocated %d B, bound %d B (request %d + collective %d + slack %d); a per-element float64 term would add %d",
 			b.elems, got, bound, requestBytes, collective, allocSlack, 8*b.elems)
 	}
 }
@@ -356,7 +416,7 @@ func TestTraditionalLegAllocBound(t *testing.T) {
 // collective buffers (the pipelined protocol would hold two per aggregator)
 // and no request bytes.
 func TestCCLegSyntheticAllocBound(t *testing.T) {
-	b := newAllocBed(t)
+	b := newAllocBed(t, false)
 	got := b.steadyAlloc(t, IO{Reduce: AllToOne, Params: adio.Params{CB: allocBedCB, Pipeline: true}})
 	scratch := uint64(2 * 8 * allocBedCB / 4) // two aggregators, a buffer's worth of float32 elements each
 	if bound := scratch + allocSlack; got > bound {

@@ -61,7 +61,9 @@ func newFig1Setup(cfg Config) fig1Setup {
 	return s
 }
 
-// runs returns each rank's byte runs against the dataset.
+// byteRuns returns each rank's byte runs against the dataset. Figures 1-3
+// profile what reading them costs and never look at the bytes, so their
+// requests are charge-only.
 func (s fig1Setup) byteRuns(ds *ncfile.Dataset, id, rank int) []layout.Run {
 	runs, err := ds.ByteRuns(id, s.perRank[rank])
 	if err != nil {
@@ -83,9 +85,8 @@ func Fig1(cfg Config) (*Table, error) {
 	cache := &adio.PlanCache{}
 	makespan, err := cl.RunSPMD("fig1", func(ctx *cluster.JobContext, r *mpi.Rank) error {
 		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		buf := make([]byte, layout.TotalLength(runs))
 		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, Buf: buf}, s.aggrs,
+			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
 			adio.Params{CB: s.cb, Pipeline: true, Obs: iters, PlanCache: cache})
 	})
 	if err != nil {
@@ -162,9 +163,8 @@ func Fig2(cfg Config) (*Table, error) {
 	tl := cl.InstallTimeline(0.05)
 	makespan, err := cl.RunSPMD("fig2", func(ctx *cluster.JobContext, r *mpi.Rank) error {
 		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		buf := make([]byte, layout.TotalLength(runs))
 		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, Buf: buf}, s.aggrs,
+			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
 			adio.Params{CB: s.cb, Pipeline: true, PlanCache: cache})
 	})
 	if err != nil {
@@ -189,9 +189,8 @@ func Fig3(cfg Config) (*Table, error) {
 	tl := cl.InstallTimeline(0.05)
 	makespan, err := cl.RunSPMD("fig3", func(ctx *cluster.JobContext, r *mpi.Rank) error {
 		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		buf := make([]byte, layout.TotalLength(runs))
 		return adio.IndependentRead(ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, Buf: buf}, adio.Params{SieveThreshold: 64 << 10})
+			adio.Request{Runs: runs, ChargeOnly: true}, adio.Params{SieveThreshold: 64 << 10})
 	})
 	if err != nil {
 		return nil, err

@@ -10,7 +10,6 @@ package ncfile
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 
 	"repro/internal/adio"
 	"repro/internal/layout"
@@ -321,76 +320,45 @@ func (ds *Dataset) VarByName(name string) (int, error) {
 
 // ByteRuns flattens a hyperslab of variable id into absolute file byte runs.
 func (ds *Dataset) ByteRuns(id int, slab layout.Slab) ([]layout.Run, error) {
+	_, runs, err := ds.slabRuns(id, slab)
+	return runs, err
+}
+
+// slabRuns flattens a hyperslab of variable id into runs of linear element
+// indices and the absolute file byte runs those elements occupy.
+func (ds *Dataset) slabRuns(id int, slab layout.Slab) (elems, bytes []layout.Run, err error) {
 	v, err := ds.Var(id)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if err := layout.Validate(v.Dims, slab); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	elemRuns := layout.Flatten(v.Dims, slab)
+	elems = layout.Flatten(v.Dims, slab)
 	sz := v.Type.Size()
-	out := make([]layout.Run, len(elemRuns))
-	for i, r := range elemRuns {
-		out[i] = layout.Run{Offset: v.Offset + r.Offset*sz, Length: r.Length * sz}
+	bytes = make([]layout.Run, len(elems))
+	for i, r := range elems {
+		bytes[i] = layout.Run{Offset: v.Offset + r.Offset*sz, Length: r.Length * sz}
 	}
-	return out, nil
+	return elems, bytes, nil
 }
 
 // DecodeValues converts raw little-endian bytes of the variable's type into
 // float64 values (the uniform numeric type the analysis ops consume).
 func DecodeValues(t Type, raw []byte, out []float64) []float64 {
-	sz := int(t.Size())
-	n := len(raw) / sz
+	n := len(raw) / int(t.Size())
 	if cap(out) < n {
 		out = make([]float64, n)
 	}
 	out = out[:n]
-	le := binary.LittleEndian
-	switch t {
-	case Float32:
-		for i := 0; i < n; i++ {
-			out[i] = float64(math.Float32frombits(le.Uint32(raw[i*4:])))
-		}
-	case Float64:
-		for i := 0; i < n; i++ {
-			out[i] = math.Float64frombits(le.Uint64(raw[i*8:]))
-		}
-	case Int32:
-		for i := 0; i < n; i++ {
-			out[i] = float64(int32(le.Uint32(raw[i*4:])))
-		}
-	case Int64:
-		for i := 0; i < n; i++ {
-			out[i] = float64(int64(le.Uint64(raw[i*8:])))
-		}
-	}
+	decode(t, out, raw)
 	return out
 }
 
 // EncodeValues converts float64 values into the variable's raw type.
 func EncodeValues(t Type, vals []float64) []byte {
-	sz := int(t.Size())
-	raw := make([]byte, len(vals)*sz)
-	le := binary.LittleEndian
-	switch t {
-	case Float32:
-		for i, v := range vals {
-			le.PutUint32(raw[i*4:], math.Float32bits(float32(v)))
-		}
-	case Float64:
-		for i, v := range vals {
-			le.PutUint64(raw[i*8:], math.Float64bits(v))
-		}
-	case Int32:
-		for i, v := range vals {
-			le.PutUint32(raw[i*4:], uint32(int32(v)))
-		}
-	case Int64:
-		for i, v := range vals {
-			le.PutUint64(raw[i*8:], uint64(int64(v)))
-		}
-	}
+	raw := make([]byte, len(vals)*int(t.Size()))
+	encode(t, raw, vals)
 	return raw
 }
 
@@ -399,64 +367,66 @@ func EncodeValues(t Type, vals []float64) []byte {
 // member of c must call it. aggrs and p configure the two-phase protocol.
 func (ds *Dataset) GetVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
-	t, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
+	elems, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
 	if err != nil {
 		return nil, err
 	}
-	return DecodeValues(t, raw, nil), nil
+	return ds.Values(id, elems, raw, nil), nil
 }
 
 // GetVaraAllScratch is GetVaraAll for a caller that consumes the values
 // before it next yields to the simulation kernel (any Compute, Sys, message
 // or I/O call): the returned slice is a per-dataset scratch that the next
 // rank to finish reading the dataset overwrites. In exchange a collective
-// read decodes into one buffer instead of allocating 8 bytes per element on
-// every rank.
+// read produces its values in one buffer instead of allocating 8 bytes per
+// element on every rank.
 func (ds *Dataset) GetVaraAllScratch(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
-	t, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
+	elems, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
 	if err != nil {
 		return nil, err
 	}
 	// The scratch is picked up here, after the read's last yield.
-	ds.decoded = DecodeValues(t, raw, ds.decoded)
+	ds.decoded = ds.Values(id, elems, raw, ds.decoded)
 	return ds.decoded, nil
 }
 
-// readVaraAll collectively reads the hyperslab's raw bytes, concatenated in
-// file order.
+// readVaraAll is readVara with the two-phase collective read.
 func (ds *Dataset) readVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
-	id int, slab layout.Slab, aggrs []int, p adio.Params) (Type, []byte, error) {
-	v, err := ds.Var(id)
+	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]layout.Run, []byte, error) {
+	return ds.readVara(id, slab, func(rq adio.Request) error {
+		return adio.CollectiveRead(r, c, cl, ds.file, rq, aggrs, p)
+	})
+}
+
+// readVara performs the hyperslab's read with the given protocol and returns
+// what Values needs to turn it into values: the slab's element runs and, from
+// a dataset that holds bytes, the bytes read, concatenated in file order. A
+// generator-backed dataset is charged for the read and delivers no bytes.
+func (ds *Dataset) readVara(id int, slab layout.Slab, read func(adio.Request) error) ([]layout.Run, []byte, error) {
+	elems, runs, err := ds.slabRuns(id, slab)
 	if err != nil {
-		return 0, nil, err
+		return nil, nil, err
 	}
-	runs, err := ds.ByteRuns(id, slab)
-	if err != nil {
-		return 0, nil, err
+	rq := adio.Request{Runs: runs, ChargeOnly: ds.Synthetic()}
+	if !rq.ChargeOnly {
+		rq.Buf = make([]byte, layout.TotalLength(runs))
 	}
-	buf := make([]byte, layout.TotalLength(runs))
-	if err := adio.CollectiveRead(r, c, cl, ds.file, adio.Request{Runs: runs, Buf: buf}, aggrs, p); err != nil {
-		return 0, nil, err
+	if err := read(rq); err != nil {
+		return nil, nil, err
 	}
-	return v.Type, buf, nil
+	return elems, rq.Buf, nil
 }
 
 // GetVara independently reads the hyperslab (with data sieving).
 func (ds *Dataset) GetVara(cl *pfs.Client, id int, slab layout.Slab, p adio.Params) ([]float64, error) {
-	v, err := ds.Var(id)
+	elems, raw, err := ds.readVara(id, slab, func(rq adio.Request) error {
+		return adio.IndependentRead(cl, ds.file, rq, p)
+	})
 	if err != nil {
 		return nil, err
 	}
-	runs, err := ds.ByteRuns(id, slab)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, layout.TotalLength(runs))
-	if err := adio.IndependentRead(cl, ds.file, adio.Request{Runs: runs, Buf: buf}, p); err != nil {
-		return nil, err
-	}
-	return DecodeValues(v.Type, buf, nil), nil
+	return ds.Values(id, elems, raw, nil), nil
 }
 
 // PutVaraAll collectively writes vals into the hyperslab of variable id.
@@ -474,7 +444,7 @@ func (ds *Dataset) PutVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 		return err
 	}
 	return adio.CollectiveWrite(r, c, cl, ds.file,
-		adio.Request{Runs: runs, Buf: EncodeValues(v.Type, vals)}, aggrs, p)
+		adio.Request{Runs: runs, Buf: EncodeValues(v.Type, vals), Donated: true}, aggrs, p)
 }
 
 // PutVara independently writes vals into the hyperslab.

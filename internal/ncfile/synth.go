@@ -1,9 +1,7 @@
 package ncfile
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
 	"sort"
 
 	"repro/internal/layout"
@@ -103,17 +101,40 @@ type synth struct {
 }
 
 // Synthetic reports whether the dataset is generator-backed, i.e. whether
-// SynthValues can stand in for reading and decoding its bytes.
+// its values can be had without reading and decoding its bytes (see Values).
 func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 
-// SynthValues returns the values of the n consecutive elements of variable id
-// starting at linear element index first — what DecodeValues returns for
-// those elements' bytes, bit for bit, without producing the bytes: the
-// generator writes straight into out (reused when its capacity suffices, as
-// with DecodeValues) and the element type's encode/decode round trip
-// (float64 -> type -> float64) is applied in place. The dataset must be
-// Synthetic and the element range inside the variable.
-func (ds *Dataset) SynthValues(id int, first, n int64, out []float64) []float64 {
+// Values returns the values of the elements of variable id in elemRuns (runs
+// of linear element indices, in order), concatenated, in out's storage when
+// its capacity suffices. It is the one place a generator-backed dataset is
+// told from one holding real bytes, shared by every reader that turns a read
+// into values (GetVara, GetVaraAll, GetVaraAllScratch, the collective-
+// computing map):
+//
+//   - A Synthetic dataset is immutable and a pure function of (variable,
+//     coordinates), so when and in what form its content is produced is
+//     unobservable: the values are generated here (SynthValues), bit for bit
+//     what decoding the backend's bytes would give, and raw is not looked at.
+//     Its readers therefore issue adio.Request.ChargeOnly reads — the whole
+//     cost of the read and no bytes.
+//   - Any other dataset is a mutable store whose read observed it at issue:
+//     raw holds the elements' bytes as that read delivered them,
+//     concatenated, and they are decoded.
+func (ds *Dataset) Values(id int, elemRuns []layout.Run, raw []byte, out []float64) []float64 {
+	if ds.synth == nil {
+		return DecodeValues(ds.vars[id].Type, raw, out)
+	}
+	return ds.SynthValues(id, elemRuns, out)
+}
+
+// SynthValues returns the values of the elements of variable id in elemRuns,
+// concatenated — what DecodeValues returns for those elements' bytes, bit for
+// bit, without producing the bytes: the generator writes straight into out
+// (reused when its capacity suffices, as with DecodeValues) and the element
+// type's encode/decode round trip (float64 -> type -> float64) is applied in
+// place. The dataset must be Synthetic and the runs inside the variable.
+func (ds *Dataset) SynthValues(id int, elemRuns []layout.Run, out []float64) []float64 {
+	n := layout.TotalLength(elemRuns)
 	if int64(cap(out)) < n {
 		out = make([]float64, n)
 	}
@@ -124,32 +145,16 @@ func (ds *Dataset) SynthValues(id int, first, n int64, out []float64) []float64 
 		clear(out)
 		return out
 	}
-	ds.synth.rows(v, first, first+n, func(e, m int64, coords []int64) {
-		row := out[e-first : e-first+m]
-		g.FillRow(coords, row)
-		roundTrip(v.Type, row) // while the row is still in cache
-	})
-	return out
-}
-
-// roundTrip replaces each value by what storing it as t and reading it back
-// yields. The conversions are the ones EncodeValues and DecodeValues apply;
-// the little-endian bit moves between them change nothing.
-func roundTrip(t Type, vals []float64) {
-	switch t {
-	case Float32:
-		for i, v := range vals {
-			vals[i] = float64(float32(v))
-		}
-	case Int32:
-		for i, v := range vals {
-			vals[i] = float64(int32(v))
-		}
-	case Int64:
-		for i, v := range vals {
-			vals[i] = float64(int64(v))
-		}
+	var pos int64 // of the current run's first element within out
+	for _, er := range elemRuns {
+		ds.synth.rows(v, er.Offset, er.End(), func(e, m int64, coords []int64) {
+			row := out[pos+e-er.Offset:][:m]
+			g.FillRow(coords, row)
+			roundTrip(v.Type, row) // while the row is still in cache
+		})
+		pos += er.Length
 	}
+	return out
 }
 
 // rows calls fn once per maximal run of elements [e, e+n) of v within
@@ -239,27 +244,8 @@ func encodeRow(v *Var, e int64, vals []float64, lo int64, p []byte) {
 	for k1 > k0 && base+k1*sz > int64(len(p)) {
 		k1--
 	}
-	le := binary.LittleEndian
 	if k0 < k1 {
-		q := p[base+k0*sz:]
-		switch v.Type {
-		case Float32:
-			for i, val := range vals[k0:k1] {
-				le.PutUint32(q[4*i:], math.Float32bits(float32(val)))
-			}
-		case Float64:
-			for i, val := range vals[k0:k1] {
-				le.PutUint64(q[8*i:], math.Float64bits(val))
-			}
-		case Int32:
-			for i, val := range vals[k0:k1] {
-				le.PutUint32(q[4*i:], uint32(int32(val)))
-			}
-		case Int64:
-			for i, val := range vals[k0:k1] {
-				le.PutUint64(q[8*i:], uint64(int64(val)))
-			}
-		}
+		encode(v.Type, p[base+k0*sz:base+k1*sz], vals[k0:k1])
 	}
 	// Edge elements: byte-wise copy of the in-range slice.
 	var tmp [8]byte
@@ -267,27 +253,12 @@ func encodeRow(v *Var, e int64, vals []float64, lo int64, p []byte) {
 		if k < 0 || k >= n || (k >= k0 && k < k1) {
 			continue
 		}
-		encodeOne(v.Type, vals[k], tmp[:])
+		encode(v.Type, tmp[:sz], vals[k:k+1])
 		eLo := base + k*sz
 		for b := int64(0); b < sz; b++ {
 			if o := eLo + b; o >= 0 && o < int64(len(p)) {
 				p[o] = tmp[b]
 			}
 		}
-	}
-}
-
-// encodeOne writes a single value of type t into the first t.Size() bytes.
-func encodeOne(t Type, v float64, dst []byte) {
-	le := binary.LittleEndian
-	switch t {
-	case Float32:
-		le.PutUint32(dst, math.Float32bits(float32(v)))
-	case Float64:
-		le.PutUint64(dst, math.Float64bits(v))
-	case Int32:
-		le.PutUint32(dst, uint32(int32(v)))
-	case Int64:
-		le.PutUint64(dst, uint64(int64(v)))
 	}
 }

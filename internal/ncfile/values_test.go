@@ -5,7 +5,10 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/adio"
+	"repro/internal/fabric"
 	"repro/internal/layout"
+	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
@@ -39,7 +42,7 @@ func awkwardValue(seed uint64, t Type) ValueFn {
 // randomSynth builds a synthetic dataset from seed: one to four variables of
 // all four types and one to four dimensions, about one in four without a
 // generator (a nil entry of the returned value functions).
-func randomSynth(tb testing.TB, seed uint64) (*Dataset, []ValueFn) {
+func randomSynth(tb testing.TB, fs *pfs.FS, seed uint64) (*Dataset, []ValueFn) {
 	tb.Helper()
 	h := mix(seed)
 	next := func(n int) int { h = mix(h); return int(h % uint64(n)) }
@@ -59,7 +62,6 @@ func randomSynth(tb testing.TB, seed uint64) (*Dataset, []ValueFn) {
 			fns[i] = awkwardValue(mix(seed+uint64(i)), ty)
 		}
 	}
-	fs := pfs.New(sim.NewEnv(), pfs.Params{NumOSTs: 2})
 	ds, err := SynthDataset(fs, "fuzz", &s, fns, 1, 0, 0)
 	if err != nil {
 		tb.Fatal(err)
@@ -92,7 +94,7 @@ func checkValuesMatchBytePath(t *testing.T, ds *Dataset, fn ValueFn, id int, fir
 			id, v.Type, v.Dims, first, n)
 	}
 	want := DecodeValues(v.Type, raw, nil)
-	got := ds.SynthValues(id, first, n, nil)
+	got := ds.SynthValues(id, []layout.Run{{Offset: first, Length: n}}, nil)
 	if len(got) != len(want) {
 		t.Fatalf("var %d (%v %v) [%d,+%d): %d values, byte path has %d",
 			id, v.Type, v.Dims, first, n, len(got), len(want))
@@ -116,7 +118,7 @@ func FuzzSynthValuesMatchBytePath(f *testing.F) {
 		f.Add(seed, uint16(mix(seed)), uint16(mix(seed+1000)))
 	}
 	f.Fuzz(func(t *testing.T, seed uint64, a, b uint16) {
-		ds, fns := randomSynth(t, seed)
+		ds, fns := randomSynth(t, pfs.New(sim.NewEnv(), pfs.Params{NumOSTs: 2}), seed)
 		for id, fn := range fns {
 			total := ds.vars[id].NumElems()
 			first := int64(a) % total
@@ -124,7 +126,94 @@ func FuzzSynthValuesMatchBytePath(f *testing.F) {
 			checkValuesMatchBytePath(t, ds, fn, id, first, n)
 			checkValuesMatchBytePath(t, ds, fn, id, 0, total)
 		}
+		checkGetVaraMatchesBytePath(t, seed, uint64(a)<<16|uint64(b))
 	})
+}
+
+// checkGetVaraMatchesBytePath is the same contract one layer up: on a
+// generator-backed dataset GetVara, GetVaraAll and GetVaraAllScratch — which
+// issue charge-only reads and generate their values — return what DecodeValues
+// gives for the bytes the backend serves for the slab, bit for bit. Three
+// ranks read a random slab each (any start and count per dimension, so rows
+// are partial and a slab is many runs) of every variable of randomSynth(seed).
+func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
+	t.Helper()
+	const n = 3
+	env := sim.NewEnv()
+	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 2})
+	fs := pfs.New(env, pfs.Params{NumOSTs: 2, DefaultStripeSize: 64})
+	ds, _ := randomSynth(t, fs, seed)
+	c := w.Comm()
+	h := mix(seed ^ pick)
+	next := func(m int64) int64 { h = mix(h); return int64(h % uint64(m)) }
+	slabs := make([][n]layout.Slab, len(ds.vars))
+	for id := range ds.vars {
+		for me := 0; me < n; me++ {
+			dims := ds.vars[id].Dims
+			sl := layout.Slab{Start: make([]int64, len(dims)), Count: make([]int64, len(dims))}
+			for d, size := range dims {
+				sl.Start[d] = next(size)
+				sl.Count[d] = 1 + next(size-sl.Start[d])
+			}
+			slabs[id][me] = sl
+		}
+	}
+	type reads struct{ indep, coll, scratch []float64 }
+	got := make([][n]reads, len(ds.vars))
+	w.Go(func(r *mpi.Rank) {
+		me := r.Rank()
+		cl := fs.Client(r.Proc(), me, nil)
+		p := adio.Params{CB: 96, SieveThreshold: 8, Pipeline: pick%2 == 0}
+		for id := range ds.vars {
+			var g reads
+			var err error
+			if g.indep, err = ds.GetVara(cl, id, slabs[id][me], p); err != nil {
+				t.Error(err)
+			}
+			if g.coll, err = ds.GetVaraAll(r, c, cl, id, slabs[id][me], nil, p); err != nil {
+				t.Error(err)
+			}
+			vals, err := ds.GetVaraAllScratch(r, c, cl, id, slabs[id][me], nil, p)
+			if err != nil {
+				t.Error(err)
+			}
+			g.scratch = append([]float64(nil), vals...) // before the next yield
+			got[id][me] = g
+		}
+	})
+	if err := env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for id := range ds.vars {
+		v := &ds.vars[id]
+		for me := 0; me < n; me++ {
+			runs, err := ds.ByteRuns(id, slabs[id][me])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var raw []byte
+			for _, run := range runs {
+				b := bytes.Repeat([]byte{0xAA}, int(run.Length))
+				ds.synth.fill(run.Offset, b)
+				raw = append(raw, b...)
+			}
+			want := DecodeValues(v.Type, raw, nil)
+			g := got[id][me]
+			for name, vals := range map[string][]float64{"GetVara": g.indep, "GetVaraAll": g.coll, "GetVaraAllScratch": g.scratch} {
+				if len(vals) != len(want) {
+					t.Fatalf("var %d (%v %v) slab %v: %s returned %d values, the bytes hold %d",
+						id, v.Type, v.Dims, slabs[id][me], name, len(vals), len(want))
+				}
+				for i := range want {
+					if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("var %d (%v %v) slab %v: %s value %d is %v (%#x), the bytes decode to %v (%#x)",
+							id, v.Type, v.Dims, slabs[id][me], name, i, vals[i], math.Float64bits(vals[i]),
+							want[i], math.Float64bits(want[i]))
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestSynthFillWritesEveryByte reads windows of a synthetic file into a
@@ -197,7 +286,7 @@ func TestSynthValuesNilGeneratorZeros(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for i, v := range ds.SynthValues(id, 2, 5, dirty) {
+	for i, v := range ds.SynthValues(id, []layout.Run{{Offset: 2, Length: 5}}, dirty) {
 		if v != 0 {
 			t.Fatalf("value %d = %v, want 0", i, v)
 		}
@@ -225,9 +314,11 @@ func TestZeroAllocSynthValues(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	scratch := ds.SynthValues(id, 17, 1200, nil) // warm-up: mid-row start, many rows
+	// Mid-row starts, many rows, two runs.
+	runs := []layout.Run{{Offset: 17, Length: 1200}, {Offset: 1300, Length: 70}}
+	scratch := ds.SynthValues(id, runs, nil) // warm-up
 	if allocs := testing.AllocsPerRun(100, func() {
-		scratch = ds.SynthValues(id, 17, 1200, scratch)
+		scratch = ds.SynthValues(id, runs, scratch)
 	}); allocs != 0 {
 		t.Fatalf("steady-state SynthValues: %v allocs per call, want 0", allocs)
 	}

@@ -474,16 +474,32 @@ func (cl *Client) reserveAll(f *File, off, n int64, issueAt float64, read bool) 
 // off. Stripe pieces on different OSTs are serviced concurrently (completion
 // is their max); pieces on the same OST queue. Returns the completion time.
 func (cl *Client) Read(f *File, buf []byte, off int64) float64 {
-	return cl.transfer(f, buf, off, false)
+	// As with ReadAsync, the bytes are taken at issue, before the first yield.
+	if len(buf) > 0 {
+		f.backend.ReadAt(buf, off)
+	}
+	return cl.ChargeRead(f, off, int64(len(buf)))
 }
 
 // Write performs one blocking contiguous write, symmetric with Read.
 func (cl *Client) Write(f *File, buf []byte, off int64) float64 {
-	return cl.transfer(f, buf, off, true)
+	if len(buf) > 0 {
+		f.backend.WriteAt(buf, off)
+	}
+	return cl.charge(f, off, int64(len(buf)), true)
 }
 
-func (cl *Client) transfer(f *File, buf []byte, off int64, write bool) float64 {
-	if len(buf) == 0 {
+// ChargeRead is the blocking twin of ChargeReadAsync: it models one blocking
+// contiguous read of [off, off+n) — everything Read does to the clock, the
+// OSTs, the counters, the tracer and the span — and moves no data. Read is the
+// backend fill plus this.
+func (cl *Client) ChargeRead(f *File, off, n int64) float64 {
+	return cl.charge(f, off, n, false)
+}
+
+// charge is the one model of a blocking transfer of [off, off+n).
+func (cl *Client) charge(f *File, off, n int64, write bool) float64 {
+	if n == 0 {
 		return cl.proc.Now()
 	}
 	p := cl.fs.params
@@ -491,16 +507,14 @@ func (cl *Client) transfer(f *File, buf []byte, off int64, write bool) float64 {
 	toBefore, rtBefore := cl.Retry.Timeouts, cl.Retry.Retries
 	// Issue cost: one client CPU overhead per OST request piece.
 	var npieces int
-	f.pieces(off, int64(len(buf)), func(po, pl int64) { npieces++ })
+	f.pieces(off, n, func(po, pl int64) { npieces++ })
 	issueDone := t0 + float64(npieces)*p.ClientOverhead
-	end := cl.reserveAll(f, off, int64(len(buf)), issueDone, !write)
+	end := cl.reserveAll(f, off, n, issueDone, !write)
 	cl.fs.Requests += int64(npieces)
 	if write {
-		f.backend.WriteAt(buf, off)
-		cl.fs.BytesWritten += int64(len(buf))
+		cl.fs.BytesWritten += n
 	} else {
-		f.backend.ReadAt(buf, off)
-		cl.fs.BytesRead += int64(len(buf))
+		cl.fs.BytesRead += n
 	}
 	cl.proc.SleepUntil(issueDone)
 	cl.tracer.Record(cl.rank, trace.Sys, t0, cl.proc.Now())
@@ -518,7 +532,7 @@ func (cl *Client) transfer(f *File, buf []byte, off int64, write bool) float64 {
 			cl.histRead.Observe(cl.proc.Now() - t0)
 		}
 		ot.SpanRank(cl.rank, name, "pfs", t0, cl.proc.Now(),
-			obs.I("bytes", int64(len(buf))), obs.I("pieces", int64(npieces)),
+			obs.I("bytes", n), obs.I("pieces", int64(npieces)),
 			obs.I("timeouts", cl.Retry.Timeouts-toBefore),
 			obs.I("retries", cl.Retry.Retries-rtBefore))
 	}

@@ -320,3 +320,63 @@ func TestSlowOSTInjection(t *testing.T) {
 		t.Fatal("factor < 1 not clamped")
 	}
 }
+
+// A read observes the store when it is issued: Read and ReadAsync take the
+// bytes before the client's first yield and ChargeRead/ChargeReadAsync charge
+// the same transfer afterwards, so a write that lands while the request is in
+// flight is not seen — and the charge-only twins cost exactly what the reads
+// that move bytes do.
+func TestReadObservesStoreAtIssueAndChargeTwinsMatch(t *testing.T) {
+	type outcome struct {
+		got            []byte
+		end            float64
+		bytesRead, req int64
+	}
+	run := func(async, chargeOnly bool) outcome {
+		env, fs := testFS(Params{NumOSTs: 2, OSTBandwidth: 1e6, DefaultStripeSize: 64})
+		mem := NewMemBackend(0)
+		f := fs.Create("t", mem, 2, 0, 0)
+		mem.WriteAt(bytes.Repeat([]byte{1}, 200), 0)
+		var out outcome
+		env.Spawn("reader", func(p *sim.Proc) {
+			cl := fs.Client(p, 0, nil)
+			out.got = make([]byte, 200)
+			switch {
+			case async && chargeOnly:
+				cl.AwaitIO(cl.ChargeReadAsync(f, 0, 200))
+			case async:
+				cl.AwaitIO(cl.ReadAsync(f, out.got, 0))
+			case chargeOnly:
+				cl.ChargeRead(f, 0, 200)
+			default:
+				cl.Read(f, out.got, 0)
+			}
+			out.end = p.Now()
+		})
+		env.Spawn("writer", func(p *sim.Proc) {
+			p.Sleep(1e-6) // after the issue, long before the data arrives
+			mem.WriteAt(bytes.Repeat([]byte{2}, 200), 0)
+		})
+		if err := env.Run(); err != nil {
+			t.Fatal(err)
+		}
+		out.bytesRead, out.req = fs.BytesRead, fs.Requests
+		return out
+	}
+	for _, async := range []bool{false, true} {
+		full, charged := run(async, false), run(async, true)
+		if !bytes.Equal(full.got, bytes.Repeat([]byte{1}, 200)) {
+			t.Errorf("async=%v: read saw a write that landed while it was in flight", async)
+		}
+		if full.end < 1e-4 {
+			t.Errorf("async=%v: read done at %g, before the writer could interleave", async, full.end)
+		}
+		if !bytes.Equal(charged.got, make([]byte, 200)) {
+			t.Errorf("async=%v: charge-only read moved data", async)
+		}
+		if full.end != charged.end || full.bytesRead != charged.bytesRead || full.req != charged.req {
+			t.Errorf("async=%v: read (end %g, %d B, %d requests) and its charge-only twin (end %g, %d B, %d requests) differ",
+				async, full.end, full.bytesRead, full.req, charged.end, charged.bytesRead, charged.req)
+		}
+	}
+}
