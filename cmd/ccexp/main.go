@@ -57,6 +57,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -96,8 +97,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	policy := fl.String("policy", "", "cluster scheduling policy for the queued-workload experiments: "+policyList()+" (\"\" = fifo; sched-policies sweeps all)")
 	explainJob := fl.Int("job", -1, "explain experiment: submission index of the job to attribute (-1 = the longest-waiting job)")
 	explainK := fl.String("k", "", "explain experiment: comma-separated policy set to replay under; first entry is the factual policy (\"\" = fifo,easy-backfill)")
-	traceOut := fl.String("trace", "", "write Chrome trace-event JSON (Perfetto) here; needs exactly one experiment")
-	metricsOut := fl.String("metrics", "", "write the metrics-registry dump here; needs exactly one experiment")
 	wlSpec := fl.String("workload", "", "workload experiment: generation overrides as \"jobs=50000,rate=2,rates=0.5;1;2,horizon=600,seed=7,policy=priority\"")
 	wlOut := fl.String("trace-out", "", "workload experiment: record the generated stream as a repro.workload.v1 trace here (single base-rate run)")
 	wlIn := fl.String("trace-in", "", "workload experiment: replay this repro.workload.v1 trace instead of generating (single run)")
@@ -106,6 +105,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	repTopK := fl.Int("topk", 0, "report experiment: size of the slowest-queued-jobs table (0 = 5)")
 	var tele obscli.Flags
 	tele.Register(fl)
+	fl.Lookup("trace").Usage = "write Chrome trace-event JSON (Perfetto) here; needs exactly one experiment"
+	fl.Lookup("metrics").Usage = "write the metrics-registry dump here; needs exactly one experiment"
 	var pf prof.Flags
 	pf.Register(fl)
 	var expFlags experimentList
@@ -164,20 +165,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		runners = append(runners, r)
 	}
-	if (*traceOut != "" || *metricsOut != "" || tele.Any()) && len(runners) != 1 {
+	if tele.Any() && len(runners) != 1 {
 		fmt.Fprintf(stderr, "ccexp: -trace/-metrics/-events/-serve/-dash/-slo need exactly one experiment (got %d)\n", len(runners))
 		return 2
 	}
-	if tele.Stream && *traceOut != "" {
-		fmt.Fprintf(stderr, "ccexp: -stream and -trace conflict (the Perfetto export needs retained spans)\n")
-		return 2
-	}
-	if *traceOut != "" || *metricsOut != "" || tele.Any() {
+	if tele.Any() {
 		cfg.Obs = obs.New()
 	}
 	plane, err := tele.Attach(cfg.Obs, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)
+		if errors.Is(err, obscli.ErrStreamTrace) {
+			return 2
+		}
 		return 1
 	}
 	stopProf, err := pf.Start()
@@ -210,19 +210,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *wlOut != "" {
 		fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
 	}
-	if *traceOut != "" {
-		if err := writeTrace(*traceOut, cfg.Obs); err != nil {
-			fmt.Fprintf(stderr, "ccexp: trace: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", cfg.Obs.NumSpans(), *traceOut)
-	}
-	if *metricsOut != "" {
-		if err := os.WriteFile(*metricsOut, []byte(cfg.Obs.Metrics().Dump()), 0o644); err != nil {
-			fmt.Fprintf(stderr, "ccexp: metrics: %v\n", err)
-			return 1
-		}
-	}
 	viol, err := plane.Finish()
 	if err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)
@@ -238,19 +225,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	plane.ServeForever()
 	return 0
-}
-
-// writeTrace exports the tracer's spans as Chrome trace-event JSON.
-func writeTrace(path string, ot *obs.Tracer) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := ot.WriteChromeTrace(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
 }
 
 // policyList renders the registered scheduling policies for flag help.

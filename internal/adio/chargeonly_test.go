@@ -15,7 +15,6 @@ import (
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // readCase is one read scenario as plain data, so that the same scenario can
@@ -36,35 +35,25 @@ type readCase struct {
 // some split the request into separate covering reads.
 const sieveWithHoles = 96
 
-// traceRec is one trace.Tracer record.
-type traceRec struct {
-	kind   trace.Kind
-	t0, t1 float64
-}
-
-// rankRecorder keeps every rank's classified intervals in emission order.
-type rankRecorder struct{ recs [][]traceRec }
-
-func (rr *rankRecorder) Record(rank int, kind trace.Kind, t0, t1 float64) {
-	rr.recs[rank] = append(rr.recs[rank], traceRec{kind, t0, t1})
-}
-
 // readOutcome is everything a read exposes: the bytes delivered, and what it
 // cost — the event log of an attached obs.Tracer (every adio and pfs span with
-// its attributes), each rank's trace.Tracer records, the makespan, and the
-// file-system, OST and fabric counters.
+// its attributes), where each rank's time went (obs.RankTime: the per-(rank,
+// kind) totals, and the CPU profile at a bucket a tenth of one OST request's
+// latency, so an interval that moves in time shows even when no total does),
+// the makespan, and the file-system, OST and fabric counters.
 type readOutcome struct {
 	bufs     [][]byte
 	events   []byte
-	records  [][]traceRec
+	rankTime [][obs.NumKinds]float64
+	profile  []obs.CPUSample
 	makespan float64
 	fs       [4]int64
 	ostBusy  []float64
 	net      [4]int64
 }
 
-// run executes the scenario on a fresh machine with both tracers attached: as
-// one collective read under rc.p, or as independent per-rank sieved reads.
+// run executes the scenario on a fresh machine with a span tracer and a
+// profiled RankTime attached: as one collective read under rc.p, or as independent per-rank sieved reads.
 func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 	env := sim.NewEnv()
 	w := mpi.NewWorld(env, rc.n, fabric.Params{RanksPerNode: rc.rpn})
@@ -79,8 +68,9 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 	ot := obs.New()
 	sink := obs.NewJSONLSink(&log)
 	ot.SetSink(sink)
-	rec := &rankRecorder{recs: make([][]traceRec, rc.n)}
-	w.SetTracer(rec)
+	rt := obs.NewRankTime(rc.n)
+	rt.Profile(fs.Params().OSTLatency / 10)
+	w.SetRankTime(rt)
 	w.SetObs(ot)
 	fs.SetObs(ot)
 	comm := w.Comm()
@@ -93,7 +83,7 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 		if !chargeOnly {
 			rq.Buf = make([]byte, layout.TotalLength(rq.Runs))
 		}
-		cl := fs.Client(r.Proc(), me, rec)
+		cl := fs.Client(r.Proc(), me, rt)
 		if independent {
 			cl.SetReadPolicy(pfs.ReadPolicy{Timeout: rc.p.ReadTimeout, Retries: rc.p.ReadRetries, Backoff: rc.p.ReadBackoff})
 			errs[me] = IndependentRead(cl, f, rq, Params{SieveThreshold: sieveWithHoles})
@@ -114,8 +104,14 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 		return nil, err
 	}
 	out.events = log.Bytes()
-	out.records = rec.recs
 	out.makespan = env.Now()
+	out.rankTime = make([][obs.NumKinds]float64, rc.n)
+	for rank := range out.rankTime {
+		for k := range out.rankTime[rank] {
+			out.rankTime[rank][k] = rt.RankTotal(rank, obs.Kind(k))
+		}
+	}
+	out.profile = rt.CPUProfile(out.makespan)
 	out.fs = [4]int64{fs.BytesRead, fs.Requests, fs.Timeouts, fs.Retries}
 	out.ostBusy = fs.OSTBusyTimes()
 	net := w.Net()
@@ -135,9 +131,14 @@ func (a *readOutcome) costDiff(b *readOutcome) string {
 	case !reflect.DeepEqual(a.ostBusy, b.ostBusy):
 		return fmt.Sprintf("OST busy times %v != %v", a.ostBusy, b.ostBusy)
 	}
-	for rank := range a.records {
-		if !reflect.DeepEqual(a.records[rank], b.records[rank]) {
-			return fmt.Sprintf("rank %d trace records differ (%d vs %d)", rank, len(a.records[rank]), len(b.records[rank]))
+	for rank := range a.rankTime {
+		if a.rankTime[rank] != b.rankTime[rank] {
+			return fmt.Sprintf("rank %d user/sys/wait-io/wait-comm seconds %v != %v", rank, a.rankTime[rank], b.rankTime[rank])
+		}
+	}
+	for i := range a.profile {
+		if a.profile[i] != b.profile[i] {
+			return fmt.Sprintf("CPU profile differs in bucket %d of %d: %+v != %+v", i, len(a.profile), a.profile[i], b.profile[i])
 		}
 	}
 	if !bytes.Equal(a.events, b.events) {

@@ -28,13 +28,11 @@ import (
 	"repro/internal/adio"
 	"repro/internal/cc"
 	"repro/internal/fabric"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
 	"repro/internal/obs"
 	"repro/internal/pfs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Spec declares one simulated machine.
@@ -46,9 +44,6 @@ type Spec struct {
 	// FS configures the parallel file system (zero value = Lustre-like
 	// defaults: 156 OSTs, 35 GB/s aggregate).
 	FS pfs.Params
-	// TimelineBucket, when > 0, installs a metrics.Timeline tracer with that
-	// bucket width (seconds) for CPU-profile experiments.
-	TimelineBucket float64
 	// MaxConcurrent caps how many jobs run at once; 0 means unlimited
 	// (bounded only by rank-count fit). 1 serializes the queue.
 	MaxConcurrent int
@@ -82,9 +77,8 @@ type Cluster struct {
 	env   *sim.Env
 	w     *mpi.World
 	fs    *pfs.FS
-	tl    *metrics.Timeline
-	obs   *obs.Tracer  // from Spec.Obs; nil = span tracing disabled
-	tr    trace.Tracer // fan-out of tl and obs, what workers/clients see
+	rt    *obs.RankTime // every rank's classified time, fed by mpi and pfs
+	obs   *obs.Tracer   // from Spec.Obs; nil = span tracing disabled
 	world *mpi.Comm
 
 	datasets map[string]*ncfile.Dataset
@@ -130,7 +124,7 @@ func New(spec Spec) *Cluster {
 	w := mpi.NewWorld(env, spec.Ranks, fabric.Params{RanksPerNode: spec.RanksPerNode})
 	c := &Cluster{
 		spec: spec, env: env, w: w, fs: pfs.New(env, spec.FS),
-		obs:      spec.Obs,
+		rt: obs.NewRankTime(spec.Ranks), obs: spec.Obs,
 		datasets: make(map[string]*ncfile.Dataset),
 		gens:     make(map[string]int),
 		plans:    make(map[string]*adio.PlanCache),
@@ -149,15 +143,12 @@ func New(spec Spec) *Cluster {
 		}
 		c.memo = newMemoTable(memoCap)
 	}
-	if spec.TimelineBucket > 0 {
-		c.tl = metrics.NewTimeline(spec.Ranks, spec.TimelineBucket)
-	}
+	w.SetRankTime(c.rt)
 	if c.obs != nil {
 		w.SetObs(c.obs)
 		c.fs.SetObs(c.obs)
 		c.obs.SetProcessName(0, "cluster scheduler")
 	}
-	c.installTracers()
 	c.world = w.Comm()
 	c.done = sim.NewMailbox[doneMsg](env, "cluster.done")
 	c.assign = make([]*sim.Mailbox[*JobContext], spec.Ranks)
@@ -180,34 +171,14 @@ func (c *Cluster) FS() *pfs.FS { return c.fs }
 // Comm returns the world communicator.
 func (c *Cluster) Comm() *mpi.Comm { return c.world }
 
-// Timeline returns the tracer installed by Spec.TimelineBucket (or
-// InstallTimeline), or nil.
-func (c *Cluster) Timeline() *metrics.Timeline { return c.tl }
+// RankTime returns where every rank's virtual time went: per-(rank, kind)
+// totals on every machine, the bucketed CPU profile after ProfileRanks.
+func (c *Cluster) RankTime() *obs.RankTime { return c.rt }
 
-// InstallTimeline installs a fresh timeline tracer after construction —
-// typically after dataset synthesis, so only the measured run is profiled.
-// It replaces any tracer from Spec.TimelineBucket and must precede Run.
-func (c *Cluster) InstallTimeline(bucket float64) *metrics.Timeline {
-	c.tl = metrics.NewTimeline(c.spec.Ranks, bucket)
-	c.installTracers()
-	return c.tl
-}
-
-// installTracers rebuilds the fan-out interval tracer from the currently
-// installed timeline and span tracer and hands it to the MPI world. The
-// conditional appends avoid typed-nil interface values (a nil *Timeline
-// inside a non-nil trace.Tracer would be called, and panic).
-func (c *Cluster) installTracers() {
-	var ts []trace.Tracer
-	if c.tl != nil {
-		ts = append(ts, c.tl)
-	}
-	if c.obs != nil {
-		ts = append(ts, c.obs)
-	}
-	c.tr = trace.Multi(ts...)
-	c.w.SetTracer(c.tr)
-}
+// ProfileRanks makes the machine's RankTime keep the bucketed series behind
+// its CPU profile, at the given bucket width in virtual seconds. It must
+// precede Run.
+func (c *Cluster) ProfileRanks(bucket float64) { c.rt.Profile(bucket) }
 
 // Obs returns the structured span tracer installed via Spec.Obs (nil when
 // span tracing is disabled; a nil tracer's methods all no-op).
@@ -216,9 +187,10 @@ func (c *Cluster) Obs() *obs.Tracer { return c.obs }
 // Now returns the current virtual time (after Run: the makespan).
 func (c *Cluster) Now() float64 { return c.env.Now() }
 
-// Client builds a storage client for a rank, wired to the cluster tracer.
+// Client builds a storage client for a rank, accounting to the machine's
+// RankTime.
 func (c *Cluster) Client(r *mpi.Rank) *pfs.Client {
-	return c.fs.Client(r.Proc(), r.Rank(), c.tr)
+	return c.fs.Client(r.Proc(), r.Rank(), c.rt)
 }
 
 // RegisterDataset publishes ds under name so jobs can share the handle.
@@ -331,18 +303,15 @@ func (c *Cluster) finishObs() {
 		shares := m.GaugeVec("cluster_tenant_share_pct", "tenant")
 		for _, tn := range tenants {
 			shares.With(labelOrDefault(tn)).Set(100 * c.tenantUse[tn] / totUse)
-			// Deprecated name-suffix alias, kept for one release so existing
-			// BENCH/nightly greps keep working; the labeled family above is
-			// the supported form.
-			m.Gauge("cluster_tenant_share_pct_" + metricLabel(tn)).
-				Set(100 * c.tenantUse[tn] / totUse)
 		}
 	}
 	c.mirrorTotals()
 }
 
 // mirrorTotals syncs the registry's aggregate families with the totals
-// accumulated outside it (fabric and pfs statistics, memo stats). It is
+// accumulated outside it (fabric and pfs statistics, rank time, memo stats).
+// The layers count with or without a registry, so their numbers are the
+// source and this copy is the only way one reaches the registry. It is
 // idempotent — Counter.Set / Gauge.Set against monotone sources — so the
 // telemetry plane can call it at every publish point and finishObs can call
 // it once more at the end without double counting.
@@ -360,21 +329,10 @@ func (c *Cluster) mirrorTotals() {
 	m.Counter("pfs_requests").Set(float64(c.fs.Requests))
 	m.Counter("pfs_timeouts").Set(float64(c.fs.Timeouts))
 	m.Counter("pfs_retries").Set(float64(c.fs.Retries))
-	if c.memo != nil {
-		// Gauges, not counters: MemoStats is a point-in-time cache picture
-		// (dashboard tile + exporter family memo_*), and gauge semantics keep
-		// the family honest if a future cache ever evicts. These unlabeled
-		// mirrors are deprecated aliases of the labeled memo_events{kind}
-		// family (mirrorLabeled), kept for one release.
-		s := c.memo.stats
-		m.Gauge("memo_hits").Set(float64(s.Hits))
-		m.Gauge("memo_waiters").Set(float64(s.Waiters))
-		m.Gauge("memo_coalesced").Set(float64(s.Coalesced))
-		m.Gauge("memo_misses").Set(float64(s.Misses))
-		m.Gauge("memo_bytes_saved").Set(float64(s.BytesSaved))
-		m.Gauge("memo_invalidations").Set(float64(s.Invalidations))
-		m.Gauge("memo_evictions").Set(float64(s.Evictions))
-	}
+	m.Counter("rank_time_user_seconds").Set(c.rt.Total(obs.Compute))
+	m.Counter("rank_time_sys_seconds").Set(c.rt.Total(obs.Sys))
+	m.Counter("rank_time_wait_io_seconds").Set(c.rt.Total(obs.WaitIO))
+	m.Counter("rank_time_wait_comm_seconds").Set(c.rt.Total(obs.WaitComm))
 	c.mirrorLabeled(m)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/climate"
+	"repro/internal/mpi"
 	"repro/internal/obs"
 )
 
@@ -274,5 +275,43 @@ func TestCriticalPath(t *testing.T) {
 
 	if CriticalPath(nil) != nil {
 		t.Error("empty results must give an empty path")
+	}
+}
+
+// TestRankTimeMirroredIntoCounters: the rank_time_*_seconds counters are the
+// machine's RankTime totals, copied at the publish points like every other
+// layer-owned number.
+func TestRankTimeMirroredIntoCounters(t *testing.T) {
+	ot := obs.New()
+	c := New(Spec{Ranks: 2, RanksPerNode: 2, Obs: ot})
+	c.Submit(&Job{Name: "uneven", Main: func(ctx *JobContext, r *mpi.Rank) error {
+		r.Compute(1.5 - float64(r.Rank())) // 1.5 s on rank 0, 0.5 s on rank 1
+		r.Sys(0)                           // zero-length: ignored
+		ctx.Comm().Barrier(r)
+		return nil
+	}})
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	reg, rt := ot.Metrics(), c.RankTime()
+	for name, kind := range map[string]obs.Kind{
+		"rank_time_user_seconds":      obs.Compute,
+		"rank_time_sys_seconds":       obs.Sys,
+		"rank_time_wait_io_seconds":   obs.WaitIO,
+		"rank_time_wait_comm_seconds": obs.WaitComm,
+	} {
+		if got, want := reg.Counter(name).Value(), rt.Total(kind); got != want {
+			t.Errorf("%s = %g, RankTime total %g", name, got, want)
+		}
+	}
+	if v := reg.Counter("rank_time_user_seconds").Value(); v != 2 {
+		t.Errorf("user %g, want 2", v)
+	}
+	if v := reg.Counter("rank_time_wait_io_seconds").Value(); v != 0 {
+		t.Errorf("wait_io %g on a run that touched no storage", v)
+	}
+	// Rank 1 reaches the barrier a second before rank 0.
+	if v := reg.Counter("rank_time_wait_comm_seconds").Value(); v < 1 {
+		t.Errorf("wait_comm %g, want >= 1", v)
 	}
 }

@@ -58,7 +58,7 @@ func TestLiveFramesPublished(t *testing.T) {
 }
 
 // TestMemoGauges runs the memo workload under a tracer and checks the
-// mirrored memo_* gauges against MemoStats.
+// mirrored memo_events{kind} gauges against MemoStats.
 func TestMemoGauges(t *testing.T) {
 	ot := obs.New()
 	c := New(Spec{Ranks: 4, RanksPerNode: 2, Memo: true, Obs: ot})
@@ -76,24 +76,25 @@ func TestMemoGauges(t *testing.T) {
 		t.Fatalf("memo stats %+v, want hits", s)
 	}
 	m := ot.Metrics()
-	for name, want := range map[string]float64{
-		"memo_hits":        float64(s.Hits),
-		"memo_waiters":     float64(s.Waiters),
-		"memo_coalesced":   float64(s.Coalesced),
-		"memo_misses":      float64(s.Misses),
-		"memo_bytes_saved": float64(s.BytesSaved),
+	for kind, want := range map[string]float64{
+		"hits":        float64(s.Hits),
+		"waiters":     float64(s.Waiters),
+		"coalesced":   float64(s.Coalesced),
+		"misses":      float64(s.Misses),
+		"bytes_saved": float64(s.BytesSaved),
 	} {
-		if v, ok := m.GaugeValue(name); !ok || v != want {
-			t.Errorf("%s = %g (ok=%v), want %g", name, v, ok, want)
+		if v, ok := m.GaugeVecValue("memo_events", kind); !ok || v != want {
+			t.Errorf("memo_events{kind=%q} = %g (ok=%v), want %g", kind, v, ok, want)
 		}
 	}
-	// Gauges, not counters: the dump renders them under the gauge kind.
+	// Gauges, not counters, and only the labeled family: the unlabeled
+	// memo_<kind> aliases are gone.
 	dump := m.Dump()
-	if !strings.Contains(dump, "gauge memo_hits ") {
-		t.Errorf("dump does not list memo_hits as a gauge:\n%s", dump)
+	if !strings.Contains(dump, `gauge memo_events{kind="hits"} `) {
+		t.Errorf("dump does not list memo_events{kind=\"hits\"} as a gauge:\n%s", dump)
 	}
-	if strings.Contains(dump, "counter memo_") {
-		t.Errorf("dump lists memo_* as counters:\n%s", dump)
+	if strings.Contains(dump, "counter memo_") || strings.Contains(dump, "gauge memo_hits ") {
+		t.Errorf("dump lists memo_* as counters or under an unlabeled alias:\n%s", dump)
 	}
 }
 

@@ -75,15 +75,13 @@ func (c Config) Defaults() Config {
 func hopperFS() pfs.Params { return pfs.Params{} }
 
 // newCluster builds one simulated Hopper-like machine of nranks ranks at
-// ranksPerNode, with an optional timeline tracer (bucket seconds > 0 enables
-// it) and an optional span tracer. Experiments create a fresh machine per
-// measured run so state never leaks between runs.
-func newCluster(nranks, ranksPerNode int, bucket float64, ot *obs.Tracer) *cluster.Cluster {
+// ranksPerNode, with an optional span tracer. Experiments create a fresh
+// machine per measured run so state never leaks between runs.
+func newCluster(nranks, ranksPerNode int, ot *obs.Tracer) *cluster.Cluster {
 	return cluster.New(cluster.Spec{
-		Ranks:          nranks,
-		RanksPerNode:   ranksPerNode,
-		FS:             hopperFS(),
-		TimelineBucket: bucket,
-		Obs:            ot,
+		Ranks:        nranks,
+		RanksPerNode: ranksPerNode,
+		FS:           hopperFS(),
+		Obs:          ot,
 	})
 }

@@ -3,6 +3,7 @@ package experiments
 import (
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/adio"
@@ -36,7 +37,7 @@ func defaultFaultScenario() faultScenario {
 // accumulated mitigation stats.
 func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit cc.Mitigation) (float64, float64, cc.Stats) {
 	t.Helper()
-	cl := newCluster(sc.nranks, sc.rpn, 0, nil)
+	cl := newCluster(sc.nranks, sc.rpn, nil)
 	if plan != nil {
 		plan.Apply(cl.World(), cl.FS())
 	}
@@ -312,5 +313,12 @@ func TestFigFaultsDeterministic(t *testing.T) {
 	}
 	if t1.String() != t2.String() {
 		t.Fatalf("faults figure is not deterministic:\n%s\nvs\n%s", t1, t2)
+	}
+	// The plans degrade a NIC at every level, and the counters note reads
+	// the machine that ran the leg: the count used to be a field nothing
+	// filled, and printed 0 on every run.
+	if out := t1.String(); !strings.Contains(out, "level-3 mitigation counters: ") ||
+		strings.Contains(out, "degraded-msgs 0\n") {
+		t.Errorf("level-3 counters note reports no degraded messages:\n%s", out)
 	}
 }

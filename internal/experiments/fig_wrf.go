@@ -39,7 +39,7 @@ func Fig13(cfg Config) (*Table, error) {
 	}
 
 	runOne := func(nt int64, block bool, spe float64) (float64, cc.Result, error) {
-		cl := newCluster(nranks, rpn, 0, nil)
+		cl := newCluster(nranks, rpn, nil)
 		storm := wrf.DefaultStorm(nt, ny, nx)
 		d, err := wrf.NewDataset(cl.FS(), storm, 40, 4<<20)
 		if err != nil {

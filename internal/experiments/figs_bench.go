@@ -34,7 +34,12 @@ type ccRunSpec struct {
 // runClimate3D executes the spec on a fresh cluster and returns the virtual
 // makespan.
 func runClimate3D(spec ccRunSpec) (float64, error) {
-	cl := newCluster(spec.nranks, spec.rpn, 0, nil)
+	return runClimate3DOn(newCluster(spec.nranks, spec.rpn, nil), spec)
+}
+
+// runClimate3DOn is runClimate3D on a fresh cluster the caller keeps, to read
+// the machine's counters after the run.
+func runClimate3DOn(cl *cluster.Cluster, spec ccRunSpec) (float64, error) {
 	if spec.plan != nil {
 		spec.plan.Apply(cl.World(), cl.FS())
 	}
@@ -385,7 +390,7 @@ func Fig12(cfg Config) (*Table, error) {
 	var optimum int64
 	var mdSeries []float64
 	for _, cb := range cbs {
-		cl := newCluster(nranks, rpn, 0, nil)
+		cl := newCluster(nranks, rpn, nil)
 		ds, id, err := climate.NewDataset4D(cl.FS(), dims, 40, 4<<20)
 		if err != nil {
 			return nil, err

@@ -2,16 +2,17 @@ package experiments
 
 import (
 	"fmt"
+	"sort"
 
 	"repro/internal/adio"
 	"repro/internal/asciichart"
 	"repro/internal/climate"
 	"repro/internal/cluster"
 	"repro/internal/layout"
-	"repro/internal/metrics"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
-	"repro/internal/trace"
+	"repro/internal/obs"
+	"repro/internal/pfs"
 )
 
 // fig1Setup is the Figure 1 configuration: 72 processes on 6 nodes of 12
@@ -72,16 +73,94 @@ func (s fig1Setup) byteRuns(ds *ncfile.Dataset, id, rank int) []layout.Run {
 	return runs
 }
 
+// iterSample is one aggregated two-phase iteration: mean read and shuffle
+// time across the aggregators that executed it — the two series of the
+// paper's Figure 1. Bytes come in both flavors so the sample is internally
+// consistent: meanBytes matches the per-aggregator means of read/shuffle,
+// totalBytes is the raw sum across aggregators.
+type iterSample struct {
+	iter       int
+	read       float64
+	shuffle    float64
+	meanBytes  float64
+	totalBytes int64
+}
+
+// iterStats is Figure 1's aggregation of the per-iteration timings the
+// two-phase loop hands its adio.Observer, across aggregators.
+type iterStats struct {
+	byIter map[int]*iterAccum
+
+	readSeconds    float64
+	shuffleSeconds float64
+	iterations     int
+	bytes          int64
+}
+
+type iterAccum struct {
+	read, shuffle float64
+	n             int
+	bytes         int64
+}
+
+func newIterStats() *iterStats {
+	return &iterStats{byIter: make(map[int]*iterAccum)}
+}
+
+// ObserveIter implements adio.Observer.
+func (is *iterStats) ObserveIter(aggrIdx, iter int, readSec, shuffleSec float64, bytes int64) {
+	acc := is.byIter[iter]
+	if acc == nil {
+		acc = &iterAccum{}
+		is.byIter[iter] = acc
+	}
+	acc.read += readSec
+	acc.shuffle += shuffleSec
+	acc.n++
+	acc.bytes += bytes
+	is.readSeconds += readSec
+	is.shuffleSeconds += shuffleSec
+	is.iterations++
+	is.bytes += bytes
+}
+
+// series returns the per-iteration mean read/shuffle times, sorted by
+// iteration index.
+func (is *iterStats) series() []iterSample {
+	out := make([]iterSample, 0, len(is.byIter))
+	for k, acc := range is.byIter {
+		out = append(out, iterSample{
+			iter:       k,
+			read:       acc.read / float64(acc.n),
+			shuffle:    acc.shuffle / float64(acc.n),
+			meanBytes:  float64(acc.bytes) / float64(acc.n),
+			totalBytes: acc.bytes,
+		})
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].iter < out[j].iter })
+	return out
+}
+
+// shuffleOverhead returns the shuffle share of total phase time — the
+// paper's "~20% overhead" headline from Figure 1.
+func (is *iterStats) shuffleOverhead() float64 {
+	total := is.readSeconds + is.shuffleSeconds
+	if total == 0 {
+		return 0
+	}
+	return is.shuffleSeconds / total
+}
+
 // Fig1 reproduces the per-iteration read/shuffle profile of two-phase
 // collective I/O (paper Figure 1) and its ~20% shuffle-overhead headline.
 func Fig1(cfg Config) (*Table, error) {
 	s := newFig1Setup(cfg)
-	cl := newCluster(s.nranks, s.rpn, 0, cfg.Obs)
+	cl := newCluster(s.nranks, s.rpn, cfg.Obs)
 	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
 	if err != nil {
 		return nil, err
 	}
-	iters := metrics.NewIterStats()
+	iters := newIterStats()
 	cache := &adio.PlanCache{}
 	makespan, err := cl.RunSPMD("fig1", func(ctx *cluster.JobContext, r *mpi.Rank) error {
 		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
@@ -98,38 +177,74 @@ func Fig1(cfg Config) (*Table, error) {
 		Title:   "I/O Profiling of Two-Phase Collective I/O (read vs shuffle per iteration)",
 		Headers: []string{"iteration", "read (s)", "shuffle (s)", "mean MB"},
 	}
-	series := iters.Series()
+	series := iters.series()
 	stride := len(series)/40 + 1
 	var reads, shuffles []float64
 	for i := 0; i < len(series); i += stride {
 		sm := series[i]
-		t.AddRow(fmt.Sprintf("%d", sm.Iter), fmt.Sprintf("%.4f", sm.Read), fmt.Sprintf("%.4f", sm.Shuffle),
-			fmt.Sprintf("%.2f", sm.MeanBytes/(1<<20)))
-		reads = append(reads, sm.Read)
-		shuffles = append(shuffles, sm.Shuffle)
+		t.AddRow(fmt.Sprintf("%d", sm.iter), fmt.Sprintf("%.4f", sm.read), fmt.Sprintf("%.4f", sm.shuffle),
+			fmt.Sprintf("%.2f", sm.meanBytes/(1<<20)))
+		reads = append(reads, sm.read)
+		shuffles = append(shuffles, sm.shuffle)
 	}
 	t.Chart = asciichart.Line([]asciichart.Series{
 		{Name: "read (s)", Points: reads},
 		{Name: "shuffle (s)", Points: shuffles},
 	}, 64, 10)
 	t.Notef("%d procs, %d aggregators, %d executed iterations, makespan %.2fs",
-		s.nranks, len(s.aggrs), iters.Iterations, makespan)
+		s.nranks, len(s.aggrs), iters.iterations, makespan)
 	t.Notef("total read %.2fs, total shuffle %.2fs across aggregators",
-		iters.ReadSeconds, iters.ShuffleSeconds)
+		iters.readSeconds, iters.shuffleSeconds)
 	t.Notef("shuffle overhead = %.1f%% of phase time (paper: ~20%%)",
-		100*iters.ShuffleOverhead())
+		100*iters.shuffleOverhead())
 	return t, nil
 }
 
-// cpuProfileTable renders a Timeline as the user/sys/wait rows of the
+// rankRead is how one rank reads its byte runs of the Figure 1 pattern.
+type rankRead func(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error
+
+// collectiveRead is Figure 2's access: one non-blocking two-phase read.
+func (s fig1Setup) collectiveRead() rankRead {
+	cache := &adio.PlanCache{}
+	return func(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error {
+		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), f,
+			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
+			adio.Params{CB: s.cb, Pipeline: true, PlanCache: cache})
+	}
+}
+
+// independentRead is Figure 3's access: per-rank sieved reads.
+func independentRead(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error {
+	return adio.IndependentRead(ctx.Client(r), f,
+		adio.Request{Runs: runs, ChargeOnly: true}, adio.Params{SieveThreshold: 64 << 10})
+}
+
+// profiledRead runs the Figure 1 access pattern once through read on a fresh
+// machine with its rank time profiled, and returns the machine and the
+// makespan — Figures 2 and 3 differ only in how the ranks read.
+func (s fig1Setup) profiledRead(name string, ot *obs.Tracer, read rankRead) (*cluster.Cluster, float64, error) {
+	cl := newCluster(s.nranks, s.rpn, ot)
+	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
+	if err != nil {
+		return nil, 0, err
+	}
+	// The renderer strides, so one small bucket serves every scale.
+	cl.ProfileRanks(0.05)
+	makespan, err := cl.RunSPMD(name, func(ctx *cluster.JobContext, r *mpi.Rank) error {
+		return read(ctx, r, ds.File(), s.byteRuns(ds, id, ctx.Comm().RankOf(r)))
+	})
+	return cl, makespan, err
+}
+
+// cpuProfileTable renders a run's rank time as the user/sys/wait rows of the
 // paper's Figures 2-3.
-func cpuProfileTable(id, title string, tl *metrics.Timeline, until float64) *Table {
+func cpuProfileTable(id, title string, rt *obs.RankTime, until float64) *Table {
 	t := &Table{
 		ID:      id,
 		Title:   title,
 		Headers: []string{"t (s)", "user %", "sys %", "wait %"},
 	}
-	prof := tl.CPUProfile(until)
+	prof := rt.CPUProfile(until)
 	stride := len(prof)/16 + 1
 	var user, sys, wait []float64
 	for i := 0; i < len(prof); i += stride {
@@ -145,6 +260,7 @@ func cpuProfileTable(id, title string, tl *metrics.Timeline, until float64) *Tab
 		{Name: "sys %", Points: sys},
 		{Name: "wait %", Points: wait},
 	}, 64, 10)
+	t.Notef("%s over %.2fs makespan", rt.Summary(), until)
 	return t
 }
 
@@ -152,26 +268,11 @@ func cpuProfileTable(id, title string, tl *metrics.Timeline, until float64) *Tab
 // collective I/O (paper Figure 2).
 func Fig2(cfg Config) (*Table, error) {
 	s := newFig1Setup(cfg)
-	cl := newCluster(s.nranks, s.rpn, 0, cfg.Obs)
-	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
+	cl, makespan, err := s.profiledRead("fig2", cfg.Obs, s.collectiveRead())
 	if err != nil {
 		return nil, err
 	}
-	cache := &adio.PlanCache{}
-	// Timeline needs a bucket width up front, so use a small one and let the
-	// renderer stride; installed after synthesis so only the run is profiled.
-	tl := cl.InstallTimeline(0.05)
-	makespan, err := cl.RunSPMD("fig2", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
-			adio.Params{CB: s.cb, Pipeline: true, PlanCache: cache})
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := cpuProfileTable("fig2", "CPU Profiling of Two-Phase Collective I/O", tl, makespan)
-	t.Notef("%s over %.2fs makespan", tl.Summary(), makespan)
+	t := cpuProfileTable("fig2", "CPU Profiling of Two-Phase Collective I/O", cl.RankTime(), makespan)
 	t.Notef("aggregators stay busy (sys+wait-io) while non-aggregators mostly wait on the shuffle")
 	return t, nil
 }
@@ -181,23 +282,13 @@ func Fig2(cfg Config) (*Table, error) {
 // wait under OST contention.
 func Fig3(cfg Config) (*Table, error) {
 	s := newFig1Setup(cfg)
-	cl := newCluster(s.nranks, s.rpn, 0, cfg.Obs)
-	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
+	cl, makespan, err := s.profiledRead("fig3", cfg.Obs, independentRead)
 	if err != nil {
 		return nil, err
 	}
-	tl := cl.InstallTimeline(0.05)
-	makespan, err := cl.RunSPMD("fig3", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		return adio.IndependentRead(ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, ChargeOnly: true}, adio.Params{SieveThreshold: 64 << 10})
-	})
-	if err != nil {
-		return nil, err
-	}
-	t := cpuProfileTable("fig3", "CPU Profiling of Independent I/O", tl, makespan)
-	t.Notef("%s over %.2fs makespan", tl.Summary(), makespan)
-	waitShare := (tl.Total(trace.WaitIO) + tl.Total(trace.WaitComm)) /
+	rt := cl.RankTime()
+	t := cpuProfileTable("fig3", "CPU Profiling of Independent I/O", rt, makespan)
+	waitShare := (rt.Total(obs.WaitIO) + rt.Total(obs.WaitComm)) /
 		(float64(s.nranks) * makespan) * 100
 	t.Notef("wait share %.1f%% of core time (paper: independent I/O is wait-dominated)", waitShare)
 	return t, nil

@@ -19,7 +19,6 @@ import (
 	"repro/internal/fabric"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Wildcards for Recv/Irecv matching.
@@ -33,10 +32,10 @@ type World struct {
 	env      *sim.Env
 	net      *fabric.Network
 	ranks    []*Rank
-	tracer   trace.Tracer
-	obs      *obs.Tracer // nil = span tracing disabled (zero-cost fast path)
-	nsSeq    int         // tag-namespace allocator (0 = default namespace)
-	comms    map[int]int // per-namespace communicator id allocator
+	rt       *obs.RankTime // nil = rank time discarded
+	obs      *obs.Tracer   // nil = span tracing disabled (zero-cost fast path)
+	nsSeq    int           // tag-namespace allocator (0 = default namespace)
+	comms    map[int]int   // per-namespace communicator id allocator
 	dilation []func(now, d float64) float64
 }
 
@@ -45,8 +44,7 @@ func NewWorld(env *sim.Env, n int, p fabric.Params) *World {
 	if n <= 0 {
 		panic(fmt.Sprintf("mpi: world size %d", n))
 	}
-	w := &World{env: env, net: fabric.New(env, n, p), tracer: trace.Nop{},
-		comms: make(map[int]int)}
+	w := &World{env: env, net: fabric.New(env, n, p), comms: make(map[int]int)}
 	w.ranks = make([]*Rank, n)
 	for i := range w.ranks {
 		w.ranks[i] = &Rank{w: w, rank: i}
@@ -54,15 +52,9 @@ func NewWorld(env *sim.Env, n int, p fabric.Params) *World {
 	return w
 }
 
-// SetTracer installs tr for all subsequent time accounting. Nil resets to a
-// no-op tracer.
-func (w *World) SetTracer(tr trace.Tracer) {
-	if tr == nil {
-		w.tracer = trace.Nop{}
-	} else {
-		w.tracer = tr
-	}
-}
+// SetRankTime installs rt as the receiver of every rank's classified time
+// from now on. Nil (the default) discards it.
+func (w *World) SetRankTime(rt *obs.RankTime) { w.rt = rt }
 
 // SetObs installs a structured span tracer. Nil (the default) disables span
 // tracing; the hot paths then skip all span work without allocating.
@@ -194,7 +186,7 @@ func (r *Rank) Compute(seconds float64) {
 	}
 	t0 := r.Now()
 	r.proc.Sleep(seconds)
-	r.w.tracer.Record(r.rank, trace.Compute, t0, r.Now())
+	r.w.rt.Record(r.rank, obs.Compute, t0, r.Now())
 }
 
 // Sys charges seconds of system-ish CPU work (packing, copies) to this rank.
@@ -204,7 +196,7 @@ func (r *Rank) Sys(seconds float64) {
 	}
 	t0 := r.Now()
 	r.proc.Sleep(seconds)
-	r.w.tracer.Record(r.rank, trace.Sys, t0, r.Now())
+	r.w.rt.Record(r.rank, obs.Sys, t0, r.Now())
 }
 
 type envelope struct {
@@ -251,7 +243,7 @@ func (r *Rank) Isend(dst, tag int, payload interface{}, bytes int64) *Request {
 	// Injection overhead occupies the sender's CPU immediately.
 	ov := r.w.net.Params().SendOverhead
 	r.proc.Sleep(ov)
-	r.w.tracer.Record(r.rank, trace.Sys, t0, r.Now())
+	r.w.rt.Record(r.rank, obs.Sys, t0, r.Now())
 	if ot := r.w.obs; ot != nil {
 		ot.SpanRank(r.rank, "mpi.send", "mpi", t0, r.Now(),
 			obs.I("dst", int64(dst)), obs.I("bytes", bytes),
@@ -318,7 +310,7 @@ func (r *Rank) Wait(req *Request) (interface{}, int64) {
 		t0 := r.Now()
 		r.proc.SleepUntil(req.freeAt)
 		if r.Now() > t0 {
-			r.w.tracer.Record(r.rank, trace.Sys, t0, r.Now())
+			r.w.rt.Record(r.rank, obs.Sys, t0, r.Now())
 		}
 		r.putReq(req)
 		return nil, 0
@@ -332,7 +324,7 @@ func (r *Rank) Wait(req *Request) (interface{}, int64) {
 		e := req.env
 		r.proc.SleepUntil(e.ready)
 		if r.Now() > t0 {
-			r.w.tracer.Record(r.rank, trace.WaitComm, t0, r.Now())
+			r.w.rt.Record(r.rank, obs.WaitComm, t0, r.Now())
 			if ot := r.w.obs; ot != nil {
 				ot.SpanRank(r.rank, "mpi.recv", "mpi", t0, r.Now(),
 					obs.I("src", int64(e.src)), obs.I("bytes", e.bytes))

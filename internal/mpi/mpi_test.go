@@ -7,8 +7,8 @@ import (
 	"testing/quick"
 
 	"repro/internal/fabric"
+	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // harness runs main on n ranks and fails the test on deadlock.
@@ -449,8 +449,8 @@ func TestCollectivesPropertyRandom(t *testing.T) {
 func TestComputeAdvancesClockAndTraces(t *testing.T) {
 	env := sim.NewEnv()
 	w := NewWorld(env, 1, fabric.Params{})
-	rec := &recordingTracer{}
-	w.SetTracer(rec)
+	rt := obs.NewRankTime(1)
+	w.SetRankTime(rt)
 	var at float64
 	w.Go(func(r *Rank) {
 		r.Compute(2.5)
@@ -465,22 +465,19 @@ func TestComputeAdvancesClockAndTraces(t *testing.T) {
 	if at != 3.0 {
 		t.Fatalf("clock = %g, want 3.0", at)
 	}
-	if len(rec.kinds) != 2 || rec.kinds[0] != trace.Compute || rec.kinds[1] != trace.Sys {
-		t.Fatalf("trace kinds = %v", rec.kinds)
+	if u, s := rt.RankTotal(0, obs.Compute), rt.RankTotal(0, obs.Sys); u != 2.5 || s != 0.5 {
+		t.Fatalf("rank time user %gs sys %gs, want 2.5s and 0.5s", u, s)
 	}
-}
-
-type recordingTracer struct{ kinds []trace.Kind }
-
-func (rt *recordingTracer) Record(rank int, k trace.Kind, t0, t1 float64) {
-	rt.kinds = append(rt.kinds, k)
+	if io, comm := rt.RankTotal(0, obs.WaitIO), rt.RankTotal(0, obs.WaitComm); io != 0 || comm != 0 {
+		t.Fatalf("rank time wait-io %gs wait-comm %gs, want none", io, comm)
+	}
 }
 
 func TestRecvWaitTimeTraced(t *testing.T) {
 	env := sim.NewEnv()
 	w := NewWorld(env, 2, fabric.Params{RanksPerNode: 1})
-	rec := &recordingTracer{}
-	w.SetTracer(rec)
+	rt := obs.NewRankTime(2)
+	w.SetRankTime(rt)
 	w.Go(func(r *Rank) {
 		if r.Rank() == 0 {
 			r.Proc().Sleep(5)
@@ -492,14 +489,13 @@ func TestRecvWaitTimeTraced(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	var sawWait bool
-	for _, k := range rec.kinds {
-		if k == trace.WaitComm {
-			sawWait = true
-		}
+	// The receiver blocks for the sender's 5 s sleep plus the transfer; the
+	// sender never waits on a message.
+	if got := rt.RankTotal(1, obs.WaitComm); got <= 5 {
+		t.Fatalf("blocking recv recorded %gs of WaitComm on rank 1, want > 5s", got)
 	}
-	if !sawWait {
-		t.Fatal("blocking recv did not record WaitComm time")
+	if got := rt.RankTotal(0, obs.WaitComm); got != 0 {
+		t.Fatalf("sender recorded %gs of WaitComm", got)
 	}
 }
 

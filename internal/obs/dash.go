@@ -67,10 +67,10 @@ func RenderDashboard(l *Live) string {
 			asciichart.Heat(f.OSTReadLat, dashWidth), len(f.OSTReadLat), fdur(worst))
 	}
 
-	if hits, ok := f.Reg.GaugeValue("memo_hits"); ok {
-		misses, _ := f.Reg.GaugeValue("memo_misses")
-		coal, _ := f.Reg.GaugeValue("memo_coalesced")
-		saved, _ := f.Reg.GaugeValue("memo_bytes_saved")
+	if hits, ok := f.Reg.GaugeVecValue("memo_events", "hits"); ok {
+		misses, _ := f.Reg.GaugeVecValue("memo_events", "misses")
+		coal, _ := f.Reg.GaugeVecValue("memo_events", "coalesced")
+		saved, _ := f.Reg.GaugeVecValue("memo_events", "bytes_saved")
 		total := hits + misses
 		rate := 0.0
 		if total > 0 {

@@ -16,10 +16,9 @@ import (
 // identical seeded runs produce byte-identical event logs. SLO alerts
 // (slo.go) land in the same stream as "alert" events.
 //
-// Interval samples fed through Tracer.Record (the trace.Tracer hot path,
-// one call per MPI message) are deliberately NOT mirrored: they only
-// accumulate into the rank_time_* registry counters, and logging them would
-// dwarf every other event type.
+// The classified rank-time intervals (RankTime.Record, one call per MPI
+// message) are deliberately NOT events: they only accumulate into RankTime's
+// totals, and logging them would dwarf every other event type.
 
 // EventSchema is the versioned identifier written in the JSONL header line.
 // Bump the suffix when the serialized shape of Event changes

@@ -121,16 +121,6 @@ func TestTracerMirrorsEventsInEmissionOrder(t *testing.T) {
 	}
 }
 
-func TestRecordIsNotMirrored(t *testing.T) {
-	sink := &memSink{}
-	tr := New()
-	tr.SetSink(sink)
-	tr.Record(0, 0, 0, 1) // hot path: registry only, never the event log
-	if len(sink.events) != 0 {
-		t.Fatalf("Record mirrored %d events", len(sink.events))
-	}
-}
-
 func TestReadEventsValidatesHeader(t *testing.T) {
 	if _, err := ReadEvents(strings.NewReader("")); err == nil {
 		t.Fatal("empty log accepted")

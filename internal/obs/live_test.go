@@ -14,8 +14,9 @@ import (
 func publishFrame(l *Live, now float64, depth, busy int) {
 	reg := NewRegistry()
 	reg.Counter("pfs_read_bytes").Set(1 << 20)
-	reg.Gauge("memo_hits").Set(2)
-	reg.Gauge("memo_misses").Set(1)
+	memo := reg.GaugeVec("memo_events", "kind")
+	memo.With("hits").Set(2)
+	memo.With("misses").Set(1)
 	h := reg.Histogram("cluster_queue_wait_seconds", 0.01, 0.1, 1)
 	h.Observe(0.05)
 	l.Publish(&Frame{
@@ -109,7 +110,7 @@ func TestTelemetryHandlerEndpoints(t *testing.T) {
 	if err := lintPromText([]byte(body)); err != nil {
 		t.Fatalf("scrape does not lint: %v\n%s", err, body)
 	}
-	for _, want := range []string{"pfs_read_bytes 1.048576e+06", "memo_hits 2",
+	for _, want := range []string{"pfs_read_bytes 1.048576e+06", `memo_events{kind="hits"} 2`,
 		`cluster_queue_wait_seconds_bucket{le="+Inf"} 1`} {
 		if !strings.Contains(body, want) {
 			t.Fatalf("/metrics missing %q:\n%s", want, body)

@@ -18,7 +18,6 @@ import (
 	"strconv"
 
 	"repro/internal/obs/decision"
-	"repro/internal/trace"
 )
 
 // Attr is one span attribute. Values are pre-rendered strings so a span's
@@ -78,7 +77,6 @@ type Tracer struct {
 	threads map[threadKey]string
 	samples []counterSample
 	curPID  []int // world rank -> bound pid (0 = cluster/unbound)
-	kindCtr [trace.NumKinds]*Counter
 
 	// Telemetry plane (all optional; see events.go, live.go, slo.go). The
 	// sink mirrors spans/instants/counter samples as they are recorded; the
@@ -98,27 +96,10 @@ type Tracer struct {
 
 // New returns an empty, enabled tracer with a fresh metrics registry.
 func New() *Tracer {
-	t := &Tracer{
+	return &Tracer{
 		reg:     NewRegistry(),
 		procs:   make(map[int]string),
 		threads: make(map[threadKey]string),
-	}
-	for k := 0; k < trace.NumKinds; k++ {
-		t.kindCtr[k] = t.reg.Counter("rank_time_" + kindSuffix(trace.Kind(k)) + "_seconds")
-	}
-	return t
-}
-
-func kindSuffix(k trace.Kind) string {
-	switch k {
-	case trace.Compute:
-		return "user"
-	case trace.Sys:
-		return "sys"
-	case trace.WaitIO:
-		return "wait_io"
-	default:
-		return "wait_comm"
 	}
 }
 
@@ -441,16 +422,6 @@ func (t *Tracer) Alert(name string, ts float64, attrs ...Attr) {
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "alert", T: ts, Name: name, Attrs: attrs})
 	}
-}
-
-// Record implements trace.Tracer: classified rank-time intervals accumulate
-// into the rank_time_*_seconds registry counters, so the obs tracer can be
-// installed alongside (or instead of) a metrics.Timeline.
-func (t *Tracer) Record(rank int, kind trace.Kind, t0, t1 float64) {
-	if t == nil || t1 <= t0 {
-		return
-	}
-	t.kindCtr[kind].Add(t1 - t0)
 }
 
 // NumSpans returns how many spans have been recorded (including spans not

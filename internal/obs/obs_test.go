@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-
-	"repro/internal/trace"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -25,7 +23,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Span(0, 0, "a", "b", 0, 1)
 	tr.Instant(0, 0, "a", "b", 0)
 	tr.Counter("c", 0, 1)
-	tr.Record(0, trace.Compute, 0, 1)
 	tr.EachSpan(func(SpanView) { t.Fatal("span on nil tracer") })
 	if tr.NumSpans() != 0 {
 		t.Fatal("spans on nil tracer")
@@ -61,7 +58,8 @@ func TestDisabledZeroAlloc(t *testing.T) {
 		id := tr.BeginRank(3, "mpi.bcast", "mpi", 0)
 		tr.End(id, 1)
 		tr.Counter("queue_depth", 0, 1)
-		tr.Record(3, trace.WaitIO, 0, 1)
+		var rt *RankTime
+		rt.Record(3, WaitIO, 0, 1)
 	})
 	if allocs != 0 {
 		t.Fatalf("disabled tracer allocated %.1f/op, want 0", allocs)
@@ -100,24 +98,6 @@ func TestOpenSpanAndAttrs(t *testing.T) {
 			t.Fatalf("open span end %g, want %g", sv.End, sv.Start)
 		}
 	})
-}
-
-func TestRecordAccumulatesKindCounters(t *testing.T) {
-	tr := New()
-	tr.Record(0, trace.Compute, 0, 1.5)
-	tr.Record(1, trace.Compute, 0, 0.5)
-	tr.Record(0, trace.WaitIO, 1, 2)
-	tr.Record(0, trace.Sys, 2, 2) // zero-length: ignored
-	reg := tr.Metrics()
-	if v := reg.Counter("rank_time_user_seconds").Value(); v != 2 {
-		t.Fatalf("user %g", v)
-	}
-	if v := reg.Counter("rank_time_wait_io_seconds").Value(); v != 1 {
-		t.Fatalf("wait_io %g", v)
-	}
-	if v := reg.Counter("rank_time_sys_seconds").Value(); v != 0 {
-		t.Fatalf("sys %g", v)
-	}
 }
 
 func TestRegistryDumpStableAndSorted(t *testing.T) {

@@ -1,14 +1,15 @@
 // Package obscli wires the telemetry plane (internal/obs) into a CLI: it
-// registers the shared flag set (-events, -series, -serve, -dash, -slo,
-// -slo-strict, -explain, -report), attaches the requested sinks to a tracer
-// before the run, and tears them down — flushing the event and series logs,
-// rendering the final dashboard frame, reporting SLO violations, printing
-// the per-job wait attribution, generating the offline run report — after
-// it. Both ccexp and ccrun use it, so the two commands expose identical
+// registers the shared flag set (-trace, -metrics, -events, -series, -serve,
+// -dash, -slo, -slo-strict, -explain, -report), attaches the requested sinks
+// to a tracer before the run, and tears them down — writing the Perfetto
+// trace and the metrics dump, flushing the event and series logs, rendering
+// the final dashboard frame, reporting SLO violations, printing the per-job
+// wait attribution, generating the offline run report — after it. Both ccexp and ccrun use it, so the two commands expose identical
 // telemetry surfaces.
 package obscli
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -36,6 +37,8 @@ func (l *RuleList) Set(v string) error {
 
 // Flags is the telemetry flag set shared by the CLIs.
 type Flags struct {
+	Trace   string
+	Metrics string
 	Events  string
 	Series  string
 	Stream  bool
@@ -49,6 +52,10 @@ type Flags struct {
 
 // Register installs the telemetry flags on fl.
 func (f *Flags) Register(fl *flag.FlagSet) {
+	fl.StringVar(&f.Trace, "trace", "",
+		"write Chrome trace-event JSON (Perfetto) of the run here")
+	fl.StringVar(&f.Metrics, "metrics", "",
+		"write the metrics-registry dump here")
 	fl.StringVar(&f.Events, "events", "",
 		"write the structured JSONL event log here (byte-identical across identical runs)")
 	fl.StringVar(&f.Series, "series", "",
@@ -70,20 +77,27 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 }
 
 // Any reports whether any telemetry flag was set — the signal to install an
-// obs.Tracer even when -trace/-metrics did not ask for one.
+// obs.Tracer.
 func (f *Flags) Any() bool {
-	return f.Events != "" || f.Series != "" || f.Serve != "" || f.Dash ||
+	return f.Trace != "" || f.Metrics != "" || f.Events != "" || f.Series != "" || f.Serve != "" || f.Dash ||
 		len(f.Rules) > 0 || f.Strict || f.Explain || f.Report != ""
 }
+
+// ErrStreamTrace is Validate's -stream × -trace conflict, the one flag
+// combination ccexp has always reported as a usage error (exit 2).
+var ErrStreamTrace = errors.New("-stream and -trace conflict (the Perfetto export needs retained spans)")
 
 // Validate rejects flag combinations that cannot work: -report is an
 // offline pass over the -events log, so it needs one; -stream keeps no
 // in-memory state, so everything that reads the tracer's stores after the
-// run (-explain attribution, the /decisions snapshot via -serve) conflicts,
-// and without -events there would be nowhere to stream to. -series
-// deliberately composes with -stream: the series sink writes each point
-// straight to disk and retains nothing.
+// run (the -trace export, -explain attribution, the /decisions snapshot via
+// -serve) conflicts, and without -events there would be nowhere to stream
+// to. -series deliberately composes with -stream: the series sink writes
+// each point straight to disk and retains nothing.
 func (f *Flags) Validate() error {
+	if f.Stream && f.Trace != "" {
+		return ErrStreamTrace
+	}
 	if f.Report != "" && f.Events == "" {
 		return fmt.Errorf("-report needs -events (the report is rendered from the recorded event log)")
 	}
@@ -122,6 +136,8 @@ type Plane struct {
 	stderr     io.Writer
 	ot         *obs.Tracer
 	explain    bool
+	tracePath  string
+	metricPath string
 	eventsPath string
 	seriesPath string
 	reportPath string
@@ -132,6 +148,7 @@ type Plane struct {
 // already opened is torn down.
 func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 	p := &Plane{stderr: stderr, ot: ot, explain: f.Explain,
+		tracePath: f.Trace, metricPath: f.Metrics,
 		eventsPath: f.Events, seriesPath: f.Series, reportPath: f.Report}
 	if err := f.Validate(); err != nil {
 		return nil, err
@@ -219,28 +236,28 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 	return p, nil
 }
 
-// Finish tears the plane down after the run: stops the dashboard (rendering
-// the final frame once more, plainly), flushes and closes the event log, and
-// prints SLO violations to stderr. It returns the violations — the caller
-// decides what -slo-strict means for its exit code — and the first event-log
-// write error.
+// Finish tears the plane down after the run: writes the -trace and -metrics
+// files, stops the dashboard (rendering the final frame once more, plainly),
+// flushes and closes the event log, and prints SLO violations to stderr. It
+// returns the violations — the caller decides what -slo-strict means for its
+// exit code — and the first write error.
 func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	if p == nil {
 		return nil, nil
 	}
+	err := p.writeTraceAndMetrics()
 	if p.dashStop != nil {
 		close(p.dashStop)
 		<-p.dashDone
 		fmt.Fprint(p.stderr, obs.RenderDashboard(p.live))
 	}
-	var err error
 	if p.sink != nil {
-		err = p.sink.Close()
-		if cerr := p.eventsFile.Close(); err == nil {
-			err = cerr
+		serr := p.sink.Close()
+		if cerr := p.eventsFile.Close(); serr == nil {
+			serr = cerr
 		}
-		if err != nil {
-			err = fmt.Errorf("events: %w", err)
+		if serr != nil && err == nil {
+			err = fmt.Errorf("events: %w", serr)
 		}
 	}
 	if p.series != nil {
@@ -267,6 +284,30 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 		}
 	}
 	return viol, err
+}
+
+// writeTraceAndMetrics exports the tracer's spans as Chrome trace-event JSON
+// into the -trace file and the registry dump into the -metrics file.
+func (p *Plane) writeTraceAndMetrics() error {
+	if p.tracePath != "" {
+		f, err := os.Create(p.tracePath)
+		if err == nil {
+			err = p.ot.WriteChromeTrace(f)
+			if cerr := f.Close(); err == nil {
+				err = cerr
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("trace: %w", err)
+		}
+		fmt.Fprintf(p.stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", p.ot.NumSpans(), p.tracePath)
+	}
+	if p.metricPath != "" {
+		if err := os.WriteFile(p.metricPath, []byte(p.ot.Metrics().Dump()), 0o644); err != nil {
+			return fmt.Errorf("metrics: %w", err)
+		}
+	}
+	return nil
 }
 
 // writeReport renders the offline run report from the just-closed event

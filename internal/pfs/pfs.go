@@ -15,7 +15,6 @@ import (
 	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/trace"
 )
 
 // Params describes the storage system. Zero values are replaced by
@@ -383,13 +382,13 @@ type RetryStats struct {
 }
 
 // Client is a per-rank handle that charges I/O time to a specific simulated
-// process and reports it to a tracer.
+// process and accounts it to a RankTime.
 type Client struct {
 	fs     *FS
 	proc   *sim.Proc
 	rank   int
-	tracer trace.Tracer
-	obs    *obs.Tracer // copied from the FS at creation; nil = disabled
+	rt     *obs.RankTime // nil = rank time discarded
+	obs    *obs.Tracer   // copied from the FS at creation; nil = disabled
 	policy ReadPolicy
 	// Latency histogram handles, created once at client creation so the
 	// per-request hot path is a direct Observe, not a map lookup. Nil when
@@ -400,12 +399,10 @@ type Client struct {
 	Retry RetryStats
 }
 
-// Client creates a handle for the given process. tracer may be nil.
-func (fs *FS) Client(proc *sim.Proc, rank int, tracer trace.Tracer) *Client {
-	if tracer == nil {
-		tracer = trace.Nop{}
-	}
-	cl := &Client{fs: fs, proc: proc, rank: rank, tracer: tracer, obs: fs.obs}
+// Client creates a handle for the given process. A nil rt discards the
+// rank's time accounting.
+func (fs *FS) Client(proc *sim.Proc, rank int, rt *obs.RankTime) *Client {
+	cl := &Client{fs: fs, proc: proc, rank: rank, rt: rt, obs: fs.obs}
 	if fs.obs != nil {
 		reg := fs.obs.Metrics()
 		cl.histRead = reg.Histogram("pfs_read_seconds")
@@ -491,7 +488,7 @@ func (cl *Client) Write(f *File, buf []byte, off int64) float64 {
 
 // ChargeRead is the blocking twin of ChargeReadAsync: it models one blocking
 // contiguous read of [off, off+n) — everything Read does to the clock, the
-// OSTs, the counters, the tracer and the span — and moves no data. Read is the
+// OSTs, the counters, the rank time and the span — and moves no data. Read is the
 // backend fill plus this.
 func (cl *Client) ChargeRead(f *File, off, n int64) float64 {
 	return cl.charge(f, off, n, false)
@@ -517,11 +514,11 @@ func (cl *Client) charge(f *File, off, n int64, write bool) float64 {
 		cl.fs.BytesRead += n
 	}
 	cl.proc.SleepUntil(issueDone)
-	cl.tracer.Record(cl.rank, trace.Sys, t0, cl.proc.Now())
+	cl.rt.Record(cl.rank, obs.Sys, t0, cl.proc.Now())
 	w0 := cl.proc.Now()
 	cl.proc.SleepUntil(end)
 	if cl.proc.Now() > w0 {
-		cl.tracer.Record(cl.rank, trace.WaitIO, w0, cl.proc.Now())
+		cl.rt.Record(cl.rank, obs.WaitIO, w0, cl.proc.Now())
 	}
 	if ot := cl.obs; ot != nil {
 		name := "pfs.read"
@@ -572,7 +569,7 @@ func (cl *Client) ChargeReadAsync(f *File, off, n int64) (done float64) {
 	cl.fs.Requests += int64(npieces)
 	cl.fs.BytesRead += n
 	cl.proc.SleepUntil(issueDone)
-	cl.tracer.Record(cl.rank, trace.Sys, t0, cl.proc.Now())
+	cl.rt.Record(cl.rank, obs.Sys, t0, cl.proc.Now())
 	// The span covers only the issue portion: the rank is free until AwaitIO,
 	// so a span spanning the full service time would overlap whatever the
 	// rank does in between on the same trace track. The latency histogram
@@ -595,7 +592,7 @@ func (cl *Client) AwaitIO(done float64) {
 	w0 := cl.proc.Now()
 	cl.proc.SleepUntil(done)
 	if cl.proc.Now() > w0 {
-		cl.tracer.Record(cl.rank, trace.WaitIO, w0, cl.proc.Now())
+		cl.rt.Record(cl.rank, obs.WaitIO, w0, cl.proc.Now())
 		cl.obs.SpanRank(cl.rank, "pfs.await", "pfs", w0, cl.proc.Now())
 	}
 }
