@@ -4,7 +4,7 @@
 // Usage:
 //
 //	ccexp [-scale 0.1] [-quick] [-memo] [-policy easy-backfill] [-bench-dir d] [all|table1|fig1|fig2|fig3|fig9|fig10|fig11|fig12|fig13|faults|jobs|sched-policies|multiuser|profile-jobs|explain ...]
-//	ccexp -experiment jobs -trace trace.json -metrics metrics.txt
+//	ccexp jobs -trace trace.json -metrics metrics.txt
 //
 // With no experiment arguments it lists the available experiments. -scale
 // multiplies the real data volume streamed through the simulator (1.0 =
@@ -17,8 +17,8 @@
 // of the experiment's instrumented cluster run, and -metrics writes the
 // matching metrics-registry dump. Both require exactly one experiment so the
 // trace unambiguously describes one run; both files are byte-identical
-// across runs, like the tables. -experiment is a repeatable alias for the
-// positional experiment arguments.
+// across runs, like the tables. Experiments are named by positional
+// arguments only.
 //
 // The live telemetry plane (see internal/obs and internal/obscli) attaches
 // with -events (streaming JSONL event log, byte-identical across identical
@@ -28,12 +28,14 @@
 // evaluated at scheduler round boundaries; strict mode exits nonzero if any
 // rule fired). Like -trace, these require exactly one experiment:
 //
-//	ccexp -experiment jobs -events events.jsonl -serve :9090 -slo-strict
+//	ccexp jobs -events events.jsonl -serve :9090 -slo-strict
 //
-// -stream turns the -events log into a pass-through: events are written to
-// disk as they happen and never retained in memory, so very large runs (the
-// workload experiment at scale) log in bounded memory with unchanged bytes.
-// It conflicts with -trace and -explain, which need retained state.
+// The -events log is a pass-through: events are written to disk as they
+// happen, and spans are kept in memory only when something will read them
+// back (the -trace export; the explain and profile-jobs experiments, which
+// fold the spans of their own run). So very large runs (the workload
+// experiment at scale) log in bounded memory, and every telemetry flag
+// composes with every other.
 //
 // The workload experiment generates a multi-tenant job stream
 // (internal/workload) and sweeps its arrival rate; -workload overrides the
@@ -57,7 +59,6 @@ package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -72,16 +73,6 @@ import (
 	"repro/internal/obscli"
 	"repro/internal/prof"
 )
-
-// experimentList collects repeated -experiment flags.
-type experimentList []string
-
-func (l *experimentList) String() string { return fmt.Sprint([]string(*l)) }
-
-func (l *experimentList) Set(v string) error {
-	*l = append(*l, v)
-	return nil
-}
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -109,8 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.Lookup("metrics").Usage = "write the metrics-registry dump here; needs exactly one experiment"
 	var pf prof.Flags
 	pf.Register(fl)
-	var expFlags experimentList
-	fl.Var(&expFlags, "experiment", "experiment to run (repeatable; alias for positional arguments)")
 	fl.Usage = func() {
 		fmt.Fprintf(stderr, "usage: ccexp [flags] all|<experiment> ...\n\nflags:\n")
 		fl.PrintDefaults()
@@ -138,7 +127,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 	}
-	rest = append([]string(expFlags), rest...)
 	if len(rest) == 0 {
 		fl.Usage()
 		return 2
@@ -175,9 +163,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	plane, err := tele.Attach(cfg.Obs, stderr)
 	if err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)
-		if errors.Is(err, obscli.ErrStreamTrace) {
-			return 2
-		}
 		return 1
 	}
 	stopProf, err := pf.Start()

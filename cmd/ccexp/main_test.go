@@ -47,6 +47,79 @@ func TestBadFlag(t *testing.T) {
 	}
 }
 
+// TestDeletedFlagsAreParseErrors: -stream (what the tracer keeps follows from
+// what reads it) and -experiment (positional arguments name experiments) are
+// gone, not ignored.
+func TestDeletedFlagsAreParseErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-events", filepath.Join(t.TempDir(), "e.jsonl"), "-stream", "table1"},
+		{"table1", "-stream"},
+		{"-experiment", "table1"},
+	} {
+		code, out, errb := runCmd(args...)
+		if code != 2 || out != "" || !strings.Contains(errb, "flag provided but not defined") {
+			t.Errorf("%v: exit %d, stdout %q, stderr %.80q; want a flag-parse error", args, code, out, errb)
+		}
+	}
+}
+
+// TestQuickAllGolden is "ccexp tables byte-identical unless a PR says why
+// not" as a test: every experiment's quick table, in order, against the
+// committed output. Regenerate with UPDATE_QUICK_ALL_GOLDEN=1 only in a PR
+// that says which table moved and why.
+func TestQuickAllGolden(t *testing.T) {
+	code, out, errb := runCmd("-quick", "all")
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb)
+	}
+	golden := filepath.Join("testdata", "quick_all.golden.txt")
+	if os.Getenv("UPDATE_QUICK_ALL_GOLDEN") != "" {
+		if err := os.WriteFile(golden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_QUICK_ALL_GOLDEN=1)", err)
+	}
+	got, wantLines := strings.Split(out, "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) && i < len(wantLines); i++ {
+		if got[i] != wantLines[i] {
+			t.Fatalf("line %d differs from the golden:\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
+		}
+	}
+	if len(got) != len(wantLines) {
+		t.Fatalf("%d lines, golden has %d", len(got), len(wantLines))
+	}
+}
+
+// TestSpanFoldingExperimentsKeepTheirSpans: explain's waterfall and
+// profile-jobs' phase columns are folded from the spans of their own run, so
+// with -events attached (which alone keeps no span) they must still print
+// exactly what they print without it.
+func TestSpanFoldingExperimentsKeepTheirSpans(t *testing.T) {
+	for _, exp := range []string{"explain", "profile-jobs"} {
+		code, bare, errb := runCmd("-quick", exp)
+		if code != 0 {
+			t.Fatalf("%s: exit %d: %s", exp, code, errb)
+		}
+		ev := filepath.Join(t.TempDir(), "e.jsonl")
+		code, observed, errb := runCmd("-quick", "-events", ev, exp)
+		if code != 0 {
+			t.Fatalf("%s -events: exit %d: %s", exp, code, errb)
+		}
+		if observed != bare {
+			t.Errorf("%s prints differently with -events attached:\n--- bare\n%s\n--- observed\n%s", exp, bare, observed)
+		}
+		if fi, err := os.Stat(ev); err != nil || fi.Size() == 0 {
+			t.Errorf("%s: event log missing or empty (%v)", exp, err)
+		}
+		if exp == "explain" && (!strings.Contains(observed, "waterfall: queued") || !strings.Contains(observed, "rank-s")) {
+			t.Errorf("explain's waterfall note is missing its span-derived phases:\n%s", observed)
+		}
+	}
+}
+
 func TestTable1(t *testing.T) {
 	code, out, _ := runCmd("table1")
 	if code != 0 {
@@ -125,7 +198,7 @@ func TestTraceNeedsOneExperiment(t *testing.T) {
 }
 
 // TestTraceExportDeterministic is the observability acceptance bar:
-// `ccexp -experiment jobs -trace ...` must write valid Chrome trace-event
+// `ccexp jobs -trace ...` must write valid Chrome trace-event
 // JSON with the scheduler/cc/adio span hierarchy, plus a metrics dump, and
 // both files must be byte-identical across runs.
 func TestTraceExportDeterministic(t *testing.T) {
@@ -136,7 +209,7 @@ func TestTraceExportDeterministic(t *testing.T) {
 		dir := t.TempDir()
 		tr := filepath.Join(dir, "trace.json")
 		mt := filepath.Join(dir, "metrics.txt")
-		code, _, errb := runCmd("-quick", "-experiment", "jobs", "-trace", tr, "-metrics", mt)
+		code, _, errb := runCmd("-quick", "jobs", "-trace", tr, "-metrics", mt)
 		if code != 0 {
 			t.Fatalf("exit %d: %s", code, errb)
 		}
@@ -237,7 +310,7 @@ func TestEventsDeterministic(t *testing.T) {
 	read := func() string {
 		dir := t.TempDir()
 		ev := filepath.Join(dir, "events.jsonl")
-		code, _, errb := runCmd("-quick", "-experiment", "jobs", "-events", ev)
+		code, _, errb := runCmd("-quick", "jobs", "-events", ev)
 		if code != 0 {
 			t.Fatalf("exit %d: %s", code, errb)
 		}
@@ -269,7 +342,7 @@ func TestSLOStrictFires(t *testing.T) {
 	}
 	dir := t.TempDir()
 	ev := filepath.Join(dir, "events.jsonl")
-	code, _, errb := runCmd("-quick", "-experiment", "jobs", "-events", ev,
+	code, _, errb := runCmd("-quick", "jobs", "-events", ev,
 		"-slo", "tight=p99(cluster_queue_wait_seconds)<1e-12", "-slo-strict")
 	if code != 1 {
 		t.Fatalf("exit %d, want 1 (stderr %q)", code, errb)
@@ -292,7 +365,7 @@ func TestSLOStrictDefaultsPass(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs the jobs experiment")
 	}
-	code, _, errb := runCmd("-quick", "-experiment", "jobs", "-slo-strict")
+	code, _, errb := runCmd("-quick", "jobs", "-slo-strict")
 	if code != 0 {
 		t.Fatalf("exit %d, want 0 (stderr %q)", code, errb)
 	}

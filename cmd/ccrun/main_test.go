@@ -25,6 +25,8 @@ func TestBadInputs(t *testing.T) {
 		want string // on stderr
 	}{
 		{[]string{"-nope"}, 2, ""},
+		// Deleted, not ignored: what the tracer keeps follows from what reads it.
+		{[]string{"-events", "e.jsonl", "-stream"}, 2, "flag provided but not defined: -stream"},
 		{[]string{"-workload", "nonesuch"}, 1, `unknown workload "nonesuch"`},
 		{[]string{"-mode", "warp"}, 1, `unknown mode "warp"`},
 		{[]string{"-reduce", "sideways"}, 1, `unknown reduce "sideways"`},

@@ -160,6 +160,7 @@ func Explain(cfg Config) (*Table, error) {
 	if ot == nil {
 		ot = obs.New()
 	}
+	ot.KeepSpans(true) // the waterfall note below folds the factual run's spans
 	factCrs, factRecs, factSpan, err := runExplain(s, factual, ot)
 	if err != nil {
 		return nil, err

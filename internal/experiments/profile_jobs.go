@@ -25,6 +25,7 @@ func ProfileJobs(cfg Config) (*Table, error) {
 	if ot == nil {
 		ot = obs.New()
 	}
+	ot.KeepSpans(true) // the phase columns are folded from this run's spans
 	cl, err := s.machine(s.nranks, 0, ot)
 	if err != nil {
 		return nil, err

@@ -15,8 +15,8 @@ import (
 // decision records, and the round series all attached, then renders the run
 // report — and renders it again from the same event log with the decision
 // lines replaced by the v1 golden's (what the scheduler that wrote a skip per
-// pending job per round recorded for this run). The source label is pinned
-// so the report bytes are independent of the temp dir.
+// pending job per round recorded for this run). The report names its log by
+// base name, so its bytes are independent of the temp dir.
 func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -51,7 +51,6 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		d.EventsPath = "events.jsonl" // stable label for the golden
 		var buf bytes.Buffer
 		if err := report.Build(d, 5).WriteText(&buf); err != nil {
 			t.Fatal(err)
@@ -77,7 +76,7 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v1Path := filepath.Join(dir, "events_v1.jsonl")
+	v1Path := filepath.Join(t.TempDir(), "events.jsonl") // same base name: the report's header names it
 	if err := os.WriteFile(v1Path, append(v1log, v1decs...), 0o644); err != nil {
 		t.Fatal(err)
 	}

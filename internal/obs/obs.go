@@ -71,8 +71,8 @@ type threadKey struct{ pid, tid int }
 type Tracer struct {
 	reg     *Registry
 	spans   []span
-	nSpans  int // spans recorded (logical; == len(spans) unless streaming)
-	stream  bool
+	nSpans  int  // spans recorded (== len(spans) while they are kept)
+	keep    bool // a reader will walk spans and samples after the run (KeepSpans)
 	procs   map[int]string
 	threads map[threadKey]string
 	samples []counterSample
@@ -94,10 +94,12 @@ type Tracer struct {
 	decisions []decision.Record
 }
 
-// New returns an empty, enabled tracer with a fresh metrics registry.
+// New returns an empty, enabled tracer with a fresh metrics registry. It
+// keeps what it records (see KeepSpans).
 func New() *Tracer {
 	return &Tracer{
 		reg:     NewRegistry(),
+		keep:    true,
 		procs:   make(map[int]string),
 		threads: make(map[threadKey]string),
 	}
@@ -116,27 +118,31 @@ func (t *Tracer) SetSink(sink EventSink) {
 	t.sink = sink
 }
 
-// SetStreaming switches the tracer to stream-through mode: spans, counter
-// samples, and decision records are mirrored into the event sink as usual
-// but are NOT retained in memory, so a million-job run with a JSONLSink
-// holds O(1) trace state instead of growing without bound. Span IDs come
-// from a logical counter that matches retained-mode numbering exactly, so
-// the emitted event log is byte-identical either way.
+// KeepSpans says whether anything will read spans and counter samples back
+// from memory after the run. Every record is mirrored into the event sink
+// either way, span ids count up either way, so the event log's bytes do not
+// depend on it; what it decides is whether the tracer also holds a copy —
+// memory that grows with the run — for EachSpan and WriteChromeTrace.
 //
-// Enable it before recording (the CLIs do, right after installing the
-// sink). In-memory consumers see an empty store: EachSpan visits nothing,
-// Decisions/DecisionsSnapshot are empty, and the Chrome trace export is
-// empty — so streaming is incompatible with -trace and -explain, which the
-// CLIs reject. The metrics registry aggregates in place and stays available.
-func (t *Tracer) SetStreaming(on bool) {
+// Retention follows the reader, not a user's flag: a fresh tracer keeps
+// (tests and probes read it directly), obscli.Flags.Attach turns keeping off
+// unless -trace will export the spans, and an experiment that folds spans
+// (explain's waterfall, profile-jobs) turns it on for the tracer it folds.
+// Without it EachSpan visits nothing and the Chrome trace is empty. Decision
+// records are not spans: they are kept whenever decision tracing is on. The
+// metrics registry aggregates in place and is always available.
+//
+// Decide before recording: a span's id is its index in the store, so
+// keeping cannot start once spans have gone by unkept.
+func (t *Tracer) KeepSpans(on bool) {
 	if t == nil {
 		return
 	}
-	t.stream = on
+	if on && t.nSpans != len(t.spans) {
+		panic("obs: KeepSpans(true) after spans were recorded unkept")
+	}
+	t.keep = on
 }
-
-// Streaming reports whether stream-through mode is on (false on nil).
-func (t *Tracer) Streaming() bool { return t != nil && t.stream }
 
 // SetLive installs the live frame cell the owning runtime publishes
 // telemetry snapshots into (see live.go).
@@ -158,7 +164,7 @@ func (t *Tracer) Live() *Live {
 
 // SetSeries installs the time-series sink the owning runtime samples one
 // SeriesPoint into per scheduler round (see series.go). The sink streams
-// and retains nothing, so it is safe under stream-through mode.
+// and retains nothing.
 func (t *Tracer) SetSeries(s *SeriesSink) {
 	if t == nil {
 		return
@@ -213,9 +219,7 @@ func (t *Tracer) Decision(rec decision.Record) {
 	if t == nil || !t.decOn {
 		return
 	}
-	if !t.stream {
-		t.decisions = append(t.decisions, rec)
-	}
+	t.decisions = append(t.decisions, rec)
 	if ds, ok := t.sink.(decision.Sink); ok {
 		ds.EmitDecision(rec)
 	}
@@ -299,17 +303,22 @@ func (t *Tracer) rankPID(rank int) int {
 	return t.curPID[rank]
 }
 
+// record counts one span and, when a reader has asked for spans, keeps it.
+func (t *Tracer) record(sp span) {
+	t.nSpans++
+	if t.keep {
+		t.spans = append(t.spans, sp)
+	}
+}
+
 // Begin opens a span on an explicit (pid, tid) track and returns its id.
 func (t *Tracer) Begin(pid, tid int, name, cat string, start float64, attrs ...Attr) SpanID {
 	if t == nil {
 		return 0
 	}
-	t.nSpans++
+	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
+		start: start, end: start - 1, attrs: attrs})
 	id := SpanID(t.nSpans)
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: start, end: start - 1, attrs: attrs})
-	}
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "begin", ID: int(id), T: start, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -349,11 +358,8 @@ func (t *Tracer) Span(pid, tid int, name, cat string, start, end float64, attrs 
 	if t == nil {
 		return
 	}
-	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: start, end: end, attrs: attrs})
-	}
+	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
+		start: start, end: end, attrs: attrs})
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "span", T: start, Dur: end - start, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -381,11 +387,8 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, ts float64, attrs ...At
 	if t == nil {
 		return
 	}
-	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: cat, pid: pid, tid: tid,
-			start: ts, end: ts, attrs: attrs})
-	}
+	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
+		start: ts, end: ts, attrs: attrs})
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "instant", T: ts, PID: pid, TID: tid,
 			Name: name, Cat: cat, Attrs: attrs})
@@ -398,7 +401,7 @@ func (t *Tracer) Counter(name string, ts, val float64) {
 	if t == nil {
 		return
 	}
-	if !t.stream {
+	if t.keep {
 		t.samples = append(t.samples, counterSample{name: name, ts: ts, val: val})
 	}
 	if t.sink != nil {
@@ -414,18 +417,14 @@ func (t *Tracer) Alert(name string, ts float64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.nSpans++
-	if !t.stream {
-		t.spans = append(t.spans, span{name: name, cat: "slo", pid: 0, tid: 0,
-			start: ts, end: ts, attrs: attrs})
-	}
+	t.record(span{name: name, cat: "slo", pid: 0, tid: 0,
+		start: ts, end: ts, attrs: attrs})
 	if t.sink != nil {
 		t.sink.Emit(Event{E: "alert", T: ts, Name: name, Attrs: attrs})
 	}
 }
 
-// NumSpans returns how many spans have been recorded (including spans not
-// retained in stream-through mode).
+// NumSpans returns how many spans have been recorded, kept or not.
 func (t *Tracer) NumSpans() int {
 	if t == nil {
 		return 0

@@ -18,46 +18,27 @@ import (
 // Registry values live on the virtual clock; the /metrics endpoint (live.go)
 // serves snapshots taken at scheduler round boundaries so a scrape never
 // sees a half-updated round.
+//
 // Labeled families (vec.go) render with real labels: one `# TYPE` line per
-// family, then one sample per child with its canonical sorted `k="v"` pairs
+// family, then one sample per series with its canonical sorted `k="v"` pairs
 // (histogram buckets put `le` last). Plain and labeled families share one
 // sorted namespace per kind.
 func (r *Registry) WriteOpenMetrics(w io.Writer) error {
 	bw := bufio.NewWriter(w)
 	if r != nil {
-		for _, name := range mergedNames(r.counters, r.counterVecs) {
-			bw.WriteString("# TYPE " + name + " counter\n")
-			if c, ok := r.counters[name]; ok {
-				bw.WriteString(name + " " + fnum(c.v) + "\n")
-				continue
+		r.eachSeries(func(kind, name string) {
+			bw.WriteString("# TYPE " + name + " " + kind + "\n")
+		}, func(_, name, labels string, m any) {
+			switch m := m.(type) {
+			case *Histogram:
+				writeOMHist(bw, name, labels, m)
+			case scalar:
+				if labels != "" {
+					name += "{" + labels + "}"
+				}
+				bw.WriteString(name + " " + fnum(m.Value()) + "\n")
 			}
-			v := r.counterVecs[name]
-			for _, lk := range sortedKeys(v.children) {
-				bw.WriteString(name + "{" + lk + "} " + fnum(v.children[lk].v) + "\n")
-			}
-		}
-		for _, name := range mergedNames(r.gauges, r.gaugeVecs) {
-			bw.WriteString("# TYPE " + name + " gauge\n")
-			if g, ok := r.gauges[name]; ok {
-				bw.WriteString(name + " " + fnum(g.v) + "\n")
-				continue
-			}
-			v := r.gaugeVecs[name]
-			for _, lk := range sortedKeys(v.children) {
-				bw.WriteString(name + "{" + lk + "} " + fnum(v.children[lk].v) + "\n")
-			}
-		}
-		for _, name := range mergedNames(r.hists, r.histVecs) {
-			bw.WriteString("# TYPE " + name + " histogram\n")
-			if h, ok := r.hists[name]; ok {
-				writeOMHist(bw, name, "", h)
-				continue
-			}
-			v := r.histVecs[name]
-			for _, lk := range sortedKeys(v.children) {
-				writeOMHist(bw, name, lk, v.children[lk])
-			}
-		}
+		})
 	}
 	return bw.Flush()
 }

@@ -8,31 +8,24 @@ import (
 	"strings"
 )
 
-// Registry is a typed metrics store: counters, gauges, and histograms keyed
-// by name. Get-or-create accessors return nil-safe handles; Dump renders a
-// stable, sorted text report. A nil *Registry no-ops everywhere.
+// Registry is a typed metrics store: counter, gauge, and histogram families
+// keyed by name (vec.go). Get-or-create accessors return nil-safe handles;
+// Dump renders a stable, sorted text report. A nil *Registry no-ops
+// everywhere.
 type Registry struct {
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Histogram
-
-	// Labeled families (vec.go) and their shared cardinality cap.
-	counterVecs map[string]*CounterVec
-	gaugeVecs   map[string]*GaugeVec
-	histVecs    map[string]*HistogramVec
-	labelCap    int
+	counters map[string]*CounterVec
+	gauges   map[string]*GaugeVec
+	hists    map[string]*HistogramVec
+	labelCap int // series per family
 }
 
 // NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
 	return &Registry{
-		counters:    make(map[string]*Counter),
-		gauges:      make(map[string]*Gauge),
-		hists:       make(map[string]*Histogram),
-		counterVecs: make(map[string]*CounterVec),
-		gaugeVecs:   make(map[string]*GaugeVec),
-		histVecs:    make(map[string]*HistogramVec),
-		labelCap:    DefaultLabelCap,
+		counters: make(map[string]*CounterVec),
+		gauges:   make(map[string]*GaugeVec),
+		hists:    make(map[string]*HistogramVec),
+		labelCap: DefaultLabelCap,
 	}
 }
 
@@ -187,12 +180,7 @@ func (r *Registry) Counter(name string) *Counter {
 	if r == nil {
 		return nil
 	}
-	c := r.counters[name]
-	if c == nil {
-		c = &Counter{}
-		r.counters[name] = c
-	}
-	return c
+	return family(r, r.counters, "counter", name, nil, nil).With()
 }
 
 // Gauge returns the named gauge, creating it on first use.
@@ -200,12 +188,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	if r == nil {
 		return nil
 	}
-	g := r.gauges[name]
-	if g == nil {
-		g = &Gauge{}
-		r.gauges[name] = g
-	}
-	return g
+	return family(r, r.gauges, "gauge", name, nil, nil).With()
 }
 
 // Histogram returns the named histogram, creating it on first use with the
@@ -215,15 +198,7 @@ func (r *Registry) Histogram(name string, bounds ...float64) *Histogram {
 	if r == nil {
 		return nil
 	}
-	h := r.hists[name]
-	if h == nil {
-		if len(bounds) == 0 {
-			bounds = DefBuckets
-		}
-		h = &Histogram{bounds: bounds, counts: make([]int64, len(bounds)+1)}
-		r.hists[name] = h
-	}
-	return h
+	return family(r, r.hists, "histogram", name, bounds, nil).With()
 }
 
 // CounterValue looks up a counter by name without creating it.
@@ -231,11 +206,8 @@ func (r *Registry) CounterValue(name string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	c, ok := r.counters[name]
-	if !ok {
-		return 0, false
-	}
-	return c.v, true
+	c := find(r.counters, name, false, nil)
+	return c.Value(), c != nil
 }
 
 // GaugeValue looks up a gauge by name without creating it.
@@ -243,11 +215,8 @@ func (r *Registry) GaugeValue(name string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	g, ok := r.gauges[name]
-	if !ok {
-		return 0, false
-	}
-	return g.v, true
+	g := find(r.gauges, name, false, nil)
+	return g.Value(), g != nil
 }
 
 // FindHistogram looks up a histogram by name without creating it (nil when
@@ -257,7 +226,20 @@ func (r *Registry) FindHistogram(name string) *Histogram {
 	if r == nil {
 		return nil
 	}
-	return r.hists[name]
+	return find(r.hists, name, false, nil)
+}
+
+// kindOf names the kind that holds a family called name ("" when none does).
+func (r *Registry) kindOf(name string) string {
+	switch {
+	case r.counters[name] != nil:
+		return "counter"
+	case r.gauges[name] != nil:
+		return "gauge"
+	case r.hists[name] != nil:
+		return "histogram"
+	}
+	return ""
 }
 
 // Snapshot returns a deep copy of the registry: a consistent point-in-time
@@ -268,122 +250,69 @@ func (r *Registry) Snapshot() *Registry {
 	if r == nil {
 		return nil
 	}
-	s := NewRegistry()
-	for name, c := range r.counters {
-		s.counters[name] = &Counter{v: c.v}
-	}
-	for name, g := range r.gauges {
-		s.gauges[name] = &Gauge{v: g.v}
-	}
-	for name, h := range r.hists {
-		cp := &Histogram{
-			bounds: h.bounds, // fixed at creation, safe to share
-			counts: append([]int64(nil), h.counts...),
-			n:      h.n,
-			sum:    h.sum,
-		}
-		s.hists[name] = cp
-	}
-	s.labelCap = r.labelCap
-	for name, v := range r.counterVecs {
-		cp := &CounterVec{vecCore: v.vecCore, children: make(map[string]*Counter, len(v.children))}
-		cp.reg = s
-		for lk, c := range v.children {
-			cp.children[lk] = &Counter{v: c.v}
-		}
-		s.counterVecs[name] = cp
-	}
-	for name, v := range r.gaugeVecs {
-		cp := &GaugeVec{vecCore: v.vecCore, children: make(map[string]*Gauge, len(v.children))}
-		cp.reg = s
-		for lk, g := range v.children {
-			cp.children[lk] = &Gauge{v: g.v}
-		}
-		s.gaugeVecs[name] = cp
-	}
-	for name, v := range r.histVecs {
-		cp := &HistogramVec{vecCore: v.vecCore, bounds: v.bounds,
-			children: make(map[string]*Histogram, len(v.children))}
-		cp.reg = s
-		for lk, h := range v.children {
-			cp.children[lk] = &Histogram{
-				bounds: h.bounds,
-				counts: append([]int64(nil), h.counts...),
-				n:      h.n,
-				sum:    h.sum,
-			}
-		}
-		s.histVecs[name] = cp
-	}
+	s := &Registry{labelCap: r.labelCap}
+	s.counters = snapshot(r.counters, s)
+	s.gauges = snapshot(r.gauges, s)
+	s.hists = snapshot(r.hists, s)
 	return s
+}
+
+// eachSeries is the one walk both renderers share: counters, then gauges,
+// then histograms; families sorted by name within a kind, plain and labeled
+// in one namespace; each family's series sorted by their canonical label
+// rendering. family (optional) is called once per family before its series —
+// a labeled family nobody has called With on has none. m is a *Counter,
+// *Gauge or *Histogram and labels is "" for a plain metric.
+func (r *Registry) eachSeries(family func(kind, name string), series func(kind, name, labels string, m any)) {
+	walkKind(r.counters, "counter", family, series)
+	walkKind(r.gauges, "gauge", family, series)
+	walkKind(r.hists, "histogram", family, series)
+}
+
+func walkKind[M metric](fams map[string]*Vec[M], kind string, family func(kind, name string), series func(kind, name, labels string, m any)) {
+	for _, name := range sortedKeys(fams) {
+		if family != nil {
+			family(kind, name)
+		}
+		f := fams[name]
+		for _, lk := range sortedKeys(f.series) {
+			series(kind, name, lk, f.series[lk])
+		}
+	}
 }
 
 func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 
 // Dump renders every metric as stable sorted text: counters, then gauges,
-// then histograms, each section sorted by name, with labeled-family children
-// interleaved at their family name (one `name{k="v"}` line per child, label
-// sets sorted). Deterministic byte-for-byte given the same run.
+// then histograms, each section sorted by name, with a labeled family's
+// series at their family name (one `name{k="v"}` line per series, label sets
+// sorted). Deterministic byte-for-byte given the same run.
 func (r *Registry) Dump() string {
 	if r == nil {
 		return ""
 	}
 	var b strings.Builder
 	b.WriteString("# obs metrics dump (deterministic)\n")
-	for _, name := range mergedNames(r.counters, r.counterVecs) {
-		if c, ok := r.counters[name]; ok {
-			fmt.Fprintf(&b, "counter %s %s\n", name, fnum(c.v))
-			continue
+	r.eachSeries(nil, func(kind, name, labels string, m any) {
+		if labels != "" {
+			name += "{" + labels + "}"
 		}
-		v := r.counterVecs[name]
-		for _, lk := range sortedKeys(v.children) {
-			fmt.Fprintf(&b, "counter %s{%s} %s\n", name, lk, fnum(v.children[lk].v))
+		switch m := m.(type) {
+		case *Histogram:
+			fmt.Fprintf(&b, "histogram %s count %d sum %s mean %s buckets", name, m.n, fnum(m.sum), fnum(m.Mean()))
+			for i, bound := range m.bounds {
+				fmt.Fprintf(&b, " le=%s:%d", fnum(bound), m.counts[i])
+			}
+			fmt.Fprintf(&b, " le=+Inf:%d\n", m.counts[len(m.bounds)])
+		case scalar:
+			fmt.Fprintf(&b, "%s %s %s\n", kind, name, fnum(m.Value()))
 		}
-	}
-	for _, name := range mergedNames(r.gauges, r.gaugeVecs) {
-		if g, ok := r.gauges[name]; ok {
-			fmt.Fprintf(&b, "gauge %s %s\n", name, fnum(g.v))
-			continue
-		}
-		v := r.gaugeVecs[name]
-		for _, lk := range sortedKeys(v.children) {
-			fmt.Fprintf(&b, "gauge %s{%s} %s\n", name, lk, fnum(v.children[lk].v))
-		}
-	}
-	for _, name := range mergedNames(r.hists, r.histVecs) {
-		if h, ok := r.hists[name]; ok {
-			dumpHist(&b, name, h)
-			continue
-		}
-		v := r.histVecs[name]
-		for _, lk := range sortedKeys(v.children) {
-			dumpHist(&b, name+"{"+lk+"}", v.children[lk])
-		}
-	}
+	})
 	return b.String()
 }
 
-func dumpHist(b *strings.Builder, name string, h *Histogram) {
-	fmt.Fprintf(b, "histogram %s count %d sum %s mean %s buckets", name, h.n, fnum(h.sum), fnum(h.Mean()))
-	for i, bound := range h.bounds {
-		fmt.Fprintf(b, " le=%s:%d", fnum(bound), h.counts[i])
-	}
-	fmt.Fprintf(b, " le=+Inf:%d\n", h.counts[len(h.bounds)])
-}
-
-// mergedNames returns the union of plain and vec family names, sorted.
-// checkVecName guarantees the two maps are disjoint.
-func mergedNames[A, B any](plain map[string]A, vecs map[string]B) []string {
-	out := make([]string, 0, len(plain)+len(vecs))
-	for k := range plain {
-		out = append(out, k)
-	}
-	for k := range vecs {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
+// scalar is what a counter and a gauge render alike: one value.
+type scalar interface{ Value() float64 }
 
 func sortedKeys[V any](m map[string]V) []string {
 	out := make([]string, 0, len(m))

@@ -12,8 +12,8 @@ import (
 // cluster samples one SeriesPoint per scheduler round (virtual-clock
 // aligned) into a SeriesSink, which streams versioned JSONL. Like the event
 // log, the serialization is byte-deterministic — identical seeded runs
-// produce identical series files — and the sink retains nothing, so it
-// composes with -stream's bounded-memory contract at million-job scale.
+// produce identical series files — and the sink retains nothing, so it is
+// bounded-memory at million-job scale, like the event log.
 
 // SeriesSchema is the versioned identifier written in the series header
 // line. Readers reject files whose header names a different schema.

@@ -26,73 +26,78 @@ func emitMix(t *Tracer) {
 	}
 }
 
-// TestStreamingSinkBytesIdentical is the stream-through contract: with a
-// JSONLSink installed, a streaming tracer must emit exactly the bytes of a
-// retained tracer (span IDs included) while holding no spans, samples, or
-// decisions in memory.
+// TestStreamingSinkBytesIdentical is the contract that lets retention follow
+// the reader: with a JSONLSink installed, a tracer that only streams its
+// spans through (KeepSpans(false)) emits exactly the bytes of one that keeps
+// them (span IDs included) while holding no span and no sample. Decision
+// records are not spans — they are kept whenever decision tracing is on.
 func TestStreamingSinkBytesIdentical(t *testing.T) {
-	var retained, streamed bytes.Buffer
+	var kept, unkept bytes.Buffer
 
 	tr := New()
-	tr.SetSink(NewJSONLSink(&retained))
+	tr.SetSink(NewJSONLSink(&kept))
 	emitMix(tr)
 
 	ts := New()
-	ts.SetSink(NewJSONLSink(&streamed))
-	ts.SetStreaming(true)
+	ts.SetSink(NewJSONLSink(&unkept))
+	ts.KeepSpans(false)
 	emitMix(ts)
 
-	if !bytes.Equal(retained.Bytes(), streamed.Bytes()) {
-		t.Fatalf("streaming event log differs from retained:\nretained %d bytes\nstreamed %d bytes",
-			retained.Len(), streamed.Len())
+	if !bytes.Equal(kept.Bytes(), unkept.Bytes()) {
+		t.Fatalf("event log depends on retention:\nkept %d bytes\nunkept %d bytes",
+			kept.Len(), unkept.Len())
 	}
-	if retained.Len() == 0 {
+	if kept.Len() == 0 {
 		t.Fatal("no events emitted")
 	}
 
 	if got, want := ts.NumSpans(), tr.NumSpans(); got != want {
-		t.Fatalf("streaming NumSpans = %d, want %d", got, want)
+		t.Fatalf("unkept NumSpans = %d, want %d", got, want)
 	}
-	// Bounded memory: the streaming tracer retained nothing.
+	// Bounded memory: nothing that grows with the run's spans is held.
 	if n := len(ts.spans); n != 0 {
-		t.Fatalf("streaming tracer retained %d spans", n)
+		t.Fatalf("tracer kept %d spans", n)
 	}
 	if n := len(ts.samples); n != 0 {
-		t.Fatalf("streaming tracer retained %d counter samples", n)
-	}
-	if n := len(ts.Decisions()); n != 0 {
-		t.Fatalf("streaming tracer retained %d decisions", n)
+		t.Fatalf("tracer kept %d counter samples", n)
 	}
 	visited := 0
 	ts.EachSpan(func(SpanView) { visited++ })
 	if visited != 0 {
-		t.Fatalf("EachSpan visited %d spans in streaming mode", visited)
+		t.Fatalf("EachSpan visited %d spans nobody asked to keep", visited)
 	}
-	// The retained tracer kept everything, as before.
+	if got, want := len(ts.Decisions()), len(tr.Decisions()); got != want || got == 0 {
+		t.Fatalf("decisions: %d without spans kept, %d with; want equal and > 0", got, want)
+	}
+	// A fresh tracer keeps everything, as tests and probes rely on.
 	if n := len(tr.spans); n != tr.NumSpans() {
-		t.Fatalf("retained tracer holds %d spans, NumSpans %d", n, tr.NumSpans())
+		t.Fatalf("fresh tracer holds %d spans, NumSpans %d", n, tr.NumSpans())
 	}
 }
 
-// TestStreamingWithoutSink: a streaming tracer with no sink simply drops
-// everything (metrics still aggregate); End/AddAttr on unretained IDs are
-// safe no-ops.
+// TestStreamingWithoutSink: a tracer keeping no spans and feeding no sink
+// simply drops them (metrics still aggregate); End/AddAttr on their ids are
+// safe no-ops; and keeping cannot start after spans have gone by.
 func TestStreamingWithoutSink(t *testing.T) {
 	tr := New()
-	tr.SetStreaming(true)
-	if !tr.Streaming() {
-		t.Fatal("Streaming() = false after SetStreaming(true)")
-	}
+	tr.KeepSpans(false)
+	tr.KeepSpans(true) // nothing recorded yet: still free to choose
+	tr.KeepSpans(false)
 	id := tr.Begin(0, 0, "run", "sched", 0)
 	tr.AddAttr(id, S("k", "v"))
 	tr.End(id, 1)
 	tr.Counter("c", 0, 1)
-	if tr.NumSpans() != 1 || len(tr.spans) != 0 {
-		t.Fatalf("NumSpans %d, retained %d; want 1 / 0", tr.NumSpans(), len(tr.spans))
+	if tr.NumSpans() != 1 || len(tr.spans) != 0 || len(tr.samples) != 0 {
+		t.Fatalf("NumSpans %d, kept %d spans %d samples; want 1 / 0 / 0", tr.NumSpans(), len(tr.spans), len(tr.samples))
 	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("KeepSpans(true) after an unkept span did not panic: ids would misindex the store")
+			}
+		}()
+		tr.KeepSpans(true)
+	}()
 	var nilTr *Tracer
-	nilTr.SetStreaming(true) // nil-safe
-	if nilTr.Streaming() {
-		t.Fatal("nil tracer reports streaming")
-	}
+	nilTr.KeepSpans(true) // nil-safe
 }

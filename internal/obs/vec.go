@@ -6,19 +6,24 @@ import (
 	"strings"
 )
 
-// Labeled metric families ("vecs"): a CounterVec/GaugeVec/HistogramVec is one
-// metric name plus a fixed set of label keys, fanned out into child series by
-// label values — per-tenant queue wait, per-OST busy time, per-NIC load.
+// metric is the set of series types a family can hold.
+type metric interface{ Counter | Gauge | Histogram }
+
+// Vec is a metric family: one name, one kind, a fixed set of label keys, and
+// one series per combination of label values — per-tenant queue wait, per-OST
+// busy time, per-NIC load. It is the only thing a Registry stores: a plain
+// metric (Registry.Counter and friends) is the family with no label keys,
+// whose single series has the empty label set.
 //
 // Design rules, pinned by tests:
 //
 //   - Deterministic rendering. Label keys are sorted once at family creation
-//     and every child is keyed by its canonical `k1="v1",k2="v2"` rendering,
+//     and every series is keyed by its canonical `k1="v1",k2="v2"` rendering,
 //     so Dump/WriteOpenMetrics output is a pure function of the recorded
 //     values — byte-identical across identical runs regardless of With()
 //     call order.
 //   - Hard cardinality cap. A registry-wide per-family cap (SetLabelCap,
-//     default DefaultLabelCap) bounds the child count; once a family is
+//     default DefaultLabelCap) bounds the series count; once a family is
 //     full, With() for a NEW label set returns a nil handle (whose methods
 //     no-op) and increments the obs_labels_dropped_total overflow counter —
 //     an unbounded label value (job names, client ids) degrades telemetry
@@ -28,14 +33,23 @@ import (
 //     the returned handle (the pfs client and cluster scheduler do). The
 //     retained handle's Add/Set/Observe are allocation-free, and the nil
 //     handle from a nil registry or a capped family is too.
-type vecCore struct {
-	name string
-	keys []string // label keys, sorted
-	perm []int    // keys[i] was caller position perm[i]
-	reg  *Registry
+type Vec[M metric] struct {
+	name   string
+	keys   []string  // label keys, sorted; none for a plain metric
+	perm   []int     // keys[i] was caller position perm[i]
+	bounds []float64 // bucket bounds every series of a histogram family shares
+	reg    *Registry
+	series map[string]*M // by canonical label rendering ("" for a plain metric)
 }
 
-// DefaultLabelCap is the per-family child cap a fresh registry starts with.
+// The three kinds of family.
+type (
+	CounterVec   = Vec[Counter]
+	GaugeVec     = Vec[Gauge]
+	HistogramVec = Vec[Histogram]
+)
+
+// DefaultLabelCap is the per-family series cap a fresh registry starts with.
 // It comfortably covers the static hardware dimensions (156 OSTs, one NIC
 // pair per node) while bounding unbounded ones (tenants at million-user
 // scale).
@@ -45,9 +59,23 @@ const DefaultLabelCap = 1024
 // call that lands on a full family's unseen label set.
 const LabelsDroppedCounter = "obs_labels_dropped_total"
 
-func newVecCore(reg *Registry, name string, keys []string) vecCore {
-	if len(keys) == 0 {
-		panic("obs: vec " + name + " needs at least one label key")
+// family returns the named family of one kind (fams is that kind's map in r),
+// creating it on first use. A name means one thing: asking for it again with
+// other label keys — a plain metric where a labeled family stands, or the
+// reverse — panics, and so does declaring a labeled family under a name any
+// kind already uses. (Plain metrics of different kinds may share a name; that
+// has never been checked.)
+func family[M metric](r *Registry, fams map[string]*Vec[M], kind, name string, bounds []float64, keys []string) *Vec[M] {
+	if f := fams[name]; f != nil {
+		if !f.sameKeys(keys) {
+			panic("obs: " + kind + " " + name + " redeclared with different label keys")
+		}
+		return f
+	}
+	if len(keys) > 0 {
+		if used := r.kindOf(name); used != "" {
+			panic("obs: " + kind + " vec name " + name + " already used by a " + used)
+		}
 	}
 	perm := make([]int, len(keys))
 	for i := range perm {
@@ -57,10 +85,18 @@ func newVecCore(reg *Registry, name string, keys []string) vecCore {
 	sort.Sort(&keyPermSort{keys: sorted, perm: perm})
 	for i := 1; i < len(sorted); i++ {
 		if sorted[i] == sorted[i-1] {
-			panic("obs: vec " + name + " has duplicate label key " + sorted[i])
+			panic("obs: " + kind + " vec " + name + " has duplicate label key " + sorted[i])
 		}
 	}
-	return vecCore{name: name, keys: sorted, perm: perm, reg: reg}
+	if len(bounds) == 0 {
+		bounds = DefBuckets
+	}
+	f := &Vec[M]{name: name, keys: sorted, perm: perm, bounds: bounds, reg: r, series: make(map[string]*M)}
+	if len(keys) == 0 {
+		f.series[""] = f.newSeries() // a plain metric exists from its first mention, whatever the cap
+	}
+	fams[name] = f
+	return f
 }
 
 type keyPermSort struct {
@@ -97,143 +133,108 @@ func escapeLabelValue(v string) string {
 	return b.String()
 }
 
-// labelKey renders the canonical child key `k1="v1",k2="v2"` with keys in
+// labelKey renders the canonical series key `k1="v1",k2="v2"` with keys in
 // sorted order. values arrive in the caller's declaration order; perm maps
 // sorted key position -> caller position.
-func (c *vecCore) labelKey(values []string) string {
-	if len(values) != len(c.keys) {
+func (v *Vec[M]) labelKey(values []string) string {
+	if len(values) != len(v.keys) {
 		panic(fmt.Sprintf("obs: vec %s wants %d label values, got %d",
-			c.name, len(c.keys), len(values)))
+			v.name, len(v.keys), len(values)))
 	}
 	var b strings.Builder
-	for i, k := range c.keys {
+	for i, k := range v.keys {
 		if i > 0 {
 			b.WriteByte(',')
 		}
 		b.WriteString(k)
 		b.WriteString(`="`)
-		b.WriteString(escapeLabelValue(values[c.perm[i]]))
+		b.WriteString(escapeLabelValue(values[v.perm[i]]))
 		b.WriteByte('"')
 	}
 	return b.String()
 }
 
-// full reports whether the family is at the registry's cardinality cap and
-// charges the overflow counter when it is.
-func (c *vecCore) full(n int) bool {
-	if n < c.reg.labelCap {
-		return false
-	}
-	c.reg.Counter(LabelsDroppedCounter).Inc()
-	return true
-}
-
 // sameKeys reports whether the caller-order keys match this family's.
-func (c *vecCore) sameKeys(keys []string) bool {
-	if len(keys) != len(c.keys) {
+func (v *Vec[M]) sameKeys(keys []string) bool {
+	if len(keys) != len(v.keys) {
 		return false
 	}
-	for i, pos := range c.perm {
-		if keys[pos] != c.keys[i] {
+	for i, pos := range v.perm {
+		if keys[pos] != v.keys[i] {
 			return false
 		}
 	}
 	return true
 }
 
-// CounterVec is a labeled counter family.
-type CounterVec struct {
-	vecCore
-	children map[string]*Counter
+// newSeries returns a zero series of the family's kind.
+func (v *Vec[M]) newSeries() *M {
+	m := new(M)
+	if h, ok := any(m).(*Histogram); ok {
+		h.bounds, h.counts = v.bounds, make([]int64, len(v.bounds)+1)
+	}
+	return m
 }
 
-// With returns the child counter for the given label values (in the key
-// order the family was declared with), creating it on first use. Returns a
-// nil (no-op) handle when the family is at the cardinality cap, charging
+// With returns the series for the given label values (in the key order the
+// family was declared with), creating it on first use. Returns a nil (no-op)
+// handle when the family is at the cardinality cap, charging
 // obs_labels_dropped_total. Allocates; cache the handle on hot paths.
-func (v *CounterVec) With(values ...string) *Counter {
+func (v *Vec[M]) With(values ...string) *M {
 	if v == nil {
 		return nil
 	}
 	lk := v.labelKey(values)
-	c := v.children[lk]
-	if c == nil {
-		if v.full(len(v.children)) {
+	m := v.series[lk]
+	if m == nil {
+		if len(v.series) >= v.reg.labelCap {
+			v.reg.Counter(LabelsDroppedCounter).Inc()
 			return nil
 		}
-		c = &Counter{}
-		v.children[lk] = c
+		m = v.newSeries()
+		v.series[lk] = m
 	}
-	return c
+	return m
 }
 
-// GaugeVec is a labeled gauge family.
-type GaugeVec struct {
-	vecCore
-	children map[string]*Gauge
-}
-
-// With returns the child gauge for the given label values (see
-// CounterVec.With for cap and allocation behavior).
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
+// find looks one series up without creating family or series. labeled says
+// which of the two lookup surfaces is asking: a plain lookup never sees a
+// labeled family and the reverse, as when the two lived in separate maps.
+func find[M metric](fams map[string]*Vec[M], name string, labeled bool, values []string) *M {
+	f := fams[name]
+	if f == nil || (len(f.keys) > 0) != labeled {
 		return nil
 	}
-	lk := v.labelKey(values)
-	g := v.children[lk]
-	if g == nil {
-		if v.full(len(v.children)) {
-			return nil
-		}
-		g = &Gauge{}
-		v.children[lk] = g
-	}
-	return g
+	return f.series[f.labelKey(values)]
 }
 
-// HistogramVec is a labeled histogram family; every child shares the bucket
-// bounds fixed at family creation.
-type HistogramVec struct {
-	vecCore
-	bounds   []float64
-	children map[string]*Histogram
-}
-
-// With returns the child histogram for the given label values (see
-// CounterVec.With for cap and allocation behavior).
-func (v *HistogramVec) With(values ...string) *Histogram {
-	if v == nil {
-		return nil
-	}
-	lk := v.labelKey(values)
-	h := v.children[lk]
-	if h == nil {
-		if v.full(len(v.children)) {
-			return nil
+// snapshot deep-copies one kind's families into the registry into.
+func snapshot[M metric](fams map[string]*Vec[M], into *Registry) map[string]*Vec[M] {
+	out := make(map[string]*Vec[M], len(fams))
+	for name, f := range fams {
+		cp := *f
+		cp.reg = into
+		cp.series = make(map[string]*M, len(f.series))
+		for lk, m := range f.series {
+			c := *m
+			if h, ok := any(&c).(*Histogram); ok {
+				h.counts = append([]int64(nil), h.counts...) // bounds are fixed at creation, safe to share
+			}
+			cp.series[lk] = &c
 		}
-		h = &Histogram{bounds: v.bounds, counts: make([]int64, len(v.bounds)+1)}
-		v.children[lk] = h
+		out[name] = &cp
 	}
-	return h
+	return out
 }
 
 // CounterVec returns the named labeled counter family, creating it on first
-// use with the given label keys. The name must not collide with a plain
+// use with the given label keys. The name must not collide with another
 // metric, and later calls must pass the same keys.
 func (r *Registry) CounterVec(name string, keys ...string) *CounterVec {
 	if r == nil {
 		return nil
 	}
-	if v := r.counterVecs[name]; v != nil {
-		if !v.sameKeys(keys) {
-			panic("obs: counter vec " + name + " redeclared with different label keys")
-		}
-		return v
-	}
-	r.checkVecName(name)
-	v := &CounterVec{vecCore: newVecCore(r, name, keys), children: make(map[string]*Counter)}
-	r.counterVecs[name] = v
-	return v
+	return family(r, r.counters, "counter", name, nil, labelKeys(name, keys))
 }
 
 // GaugeVec returns the named labeled gauge family, creating it on first use.
@@ -241,16 +242,7 @@ func (r *Registry) GaugeVec(name string, keys ...string) *GaugeVec {
 	if r == nil {
 		return nil
 	}
-	if v := r.gaugeVecs[name]; v != nil {
-		if !v.sameKeys(keys) {
-			panic("obs: gauge vec " + name + " redeclared with different label keys")
-		}
-		return v
-	}
-	r.checkVecName(name)
-	v := &GaugeVec{vecCore: newVecCore(r, name, keys), children: make(map[string]*Gauge)}
-	r.gaugeVecs[name] = v
-	return v
+	return family(r, r.gauges, "gauge", name, nil, labelKeys(name, keys))
 }
 
 // HistogramVec returns the named labeled histogram family, creating it on
@@ -260,48 +252,21 @@ func (r *Registry) HistogramVec(name string, bounds []float64, keys ...string) *
 	if r == nil {
 		return nil
 	}
-	if v := r.histVecs[name]; v != nil {
-		if !v.sameKeys(keys) {
-			panic("obs: histogram vec " + name + " redeclared with different label keys")
-		}
-		return v
-	}
-	r.checkVecName(name)
-	if len(bounds) == 0 {
-		bounds = DefBuckets
-	}
-	v := &HistogramVec{vecCore: newVecCore(r, name, keys), bounds: bounds,
-		children: make(map[string]*Histogram)}
-	r.histVecs[name] = v
-	return v
+	return family(r, r.hists, "histogram", name, bounds, labelKeys(name, keys))
 }
 
-// checkVecName rejects a vec name already taken by a plain metric (or a vec
-// of another kind): one name maps to exactly one exposition family.
-func (r *Registry) checkVecName(name string) {
-	if _, ok := r.counters[name]; ok {
-		panic("obs: vec name " + name + " already used by a plain counter")
+// labelKeys rejects a labeled family declared without label keys: that is
+// the spelling of a plain metric, which has its own accessor.
+func labelKeys(name string, keys []string) []string {
+	if len(keys) == 0 {
+		panic("obs: vec " + name + " needs at least one label key")
 	}
-	if _, ok := r.gauges[name]; ok {
-		panic("obs: vec name " + name + " already used by a plain gauge")
-	}
-	if _, ok := r.hists[name]; ok {
-		panic("obs: vec name " + name + " already used by a plain histogram")
-	}
-	if _, ok := r.counterVecs[name]; ok {
-		panic("obs: vec name " + name + " already used by a counter vec")
-	}
-	if _, ok := r.gaugeVecs[name]; ok {
-		panic("obs: vec name " + name + " already used by a gauge vec")
-	}
-	if _, ok := r.histVecs[name]; ok {
-		panic("obs: vec name " + name + " already used by a histogram vec")
-	}
+	return keys
 }
 
 // SetLabelCap replaces the per-family cardinality cap (default
 // DefaultLabelCap). Applies immediately to every family; lowering it below a
-// family's current child count freezes that family (existing children stay
+// family's current series count freezes that family (existing series stay
 // live, new label sets are dropped).
 func (r *Registry) SetLabelCap(n int) {
 	if r == nil || n < 1 {
@@ -310,35 +275,21 @@ func (r *Registry) SetLabelCap(n int) {
 	r.labelCap = n
 }
 
-// CounterVecValue looks up one child's value without creating family or
-// child. Values arrive in the family's declaration order.
+// CounterVecValue looks up one series' value without creating family or
+// series. Values arrive in the family's declaration order.
 func (r *Registry) CounterVecValue(name string, values ...string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	v, ok := r.counterVecs[name]
-	if !ok {
-		return 0, false
-	}
-	c, ok := v.children[v.labelKey(values)]
-	if !ok {
-		return 0, false
-	}
-	return c.v, true
+	c := find(r.counters, name, true, values)
+	return c.Value(), c != nil
 }
 
-// GaugeVecValue looks up one child's value without creating family or child.
+// GaugeVecValue looks up one series' value without creating family or series.
 func (r *Registry) GaugeVecValue(name string, values ...string) (float64, bool) {
 	if r == nil {
 		return 0, false
 	}
-	v, ok := r.gaugeVecs[name]
-	if !ok {
-		return 0, false
-	}
-	g, ok := v.children[v.labelKey(values)]
-	if !ok {
-		return 0, false
-	}
-	return g.v, true
+	g := find(r.gauges, name, true, values)
+	return g.Value(), g != nil
 }

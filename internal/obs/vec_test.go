@@ -187,7 +187,7 @@ func TestVecSnapshotIsDeepCopy(t *testing.T) {
 	if v, ok := snap.GaugeVecValue("g", "a"); !ok || v != 5 {
 		t.Fatalf("snapshot gauge = %v, %v; want 5", v, ok)
 	}
-	if n := snap.histVecs["h"].With("a").Count(); n != 1 {
+	if n := snap.HistogramVec("h", nil, "k").With("a").Count(); n != 1 {
 		t.Fatalf("snapshot histogram count = %d, want 1", n)
 	}
 }

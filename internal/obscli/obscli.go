@@ -4,12 +4,18 @@
 // to a tracer before the run, and tears them down — writing the Perfetto
 // trace and the metrics dump, flushing the event and series logs, rendering
 // the final dashboard frame, reporting SLO violations, printing the per-job
-// wait attribution, generating the offline run report — after it. Both ccexp and ccrun use it, so the two commands expose identical
-// telemetry surfaces.
+// wait attribution, generating the offline run report — after it. Both ccexp
+// and ccrun use it, so the two commands expose identical telemetry surfaces.
+//
+// What the tracer holds in memory follows from what will read it: spans and
+// counter samples are kept only when -trace will export them, decision
+// records whenever decision tracing is on (-explain's attribution and
+// -serve's /decisions read them), and everything else goes through to the
+// -events and -series files as it happens. So -events alone logs a run of
+// any length in bounded memory, and every flag composes with every other.
 package obscli
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -41,7 +47,6 @@ type Flags struct {
 	Metrics string
 	Events  string
 	Series  string
-	Stream  bool
 	Serve   string
 	Dash    bool
 	Rules   RuleList
@@ -59,9 +64,7 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 	fl.StringVar(&f.Events, "events", "",
 		"write the structured JSONL event log here (byte-identical across identical runs)")
 	fl.StringVar(&f.Series, "series", "",
-		"write the round-aligned repro.series.v1 time-series log here (queue depth, ranks busy, per-OST utilization, per-class wait quantiles; byte-identical across identical runs; composes with -stream)")
-	fl.BoolVar(&f.Stream, "stream", false,
-		"stream spans/samples/decisions through to -events without retaining them in memory (bounded-memory event logging for very large runs; the log bytes are unchanged, but -trace and -explain need retained state and conflict)")
+		"write the round-aligned repro.series.v1 time-series log here (queue depth, ranks busy, per-OST utilization, per-class wait quantiles; byte-identical across identical runs)")
 	fl.StringVar(&f.Serve, "serve", "",
 		"serve live telemetry (/metrics, /healthz, /jobs) on this address, e.g. :9090; keeps serving after the run until interrupted")
 	fl.BoolVar(&f.Dash, "dash", false,
@@ -83,35 +86,11 @@ func (f *Flags) Any() bool {
 		len(f.Rules) > 0 || f.Strict || f.Explain || f.Report != ""
 }
 
-// ErrStreamTrace is Validate's -stream × -trace conflict, the one flag
-// combination ccexp has always reported as a usage error (exit 2).
-var ErrStreamTrace = errors.New("-stream and -trace conflict (the Perfetto export needs retained spans)")
-
-// Validate rejects flag combinations that cannot work: -report is an
-// offline pass over the -events log, so it needs one; -stream keeps no
-// in-memory state, so everything that reads the tracer's stores after the
-// run (the -trace export, -explain attribution, the /decisions snapshot via
-// -serve) conflicts, and without -events there would be nowhere to stream
-// to. -series deliberately composes with -stream: the series sink writes
-// each point straight to disk and retains nothing.
+// Validate rejects the one flag combination that cannot work: -report is an
+// offline pass over the -events log, so it needs one.
 func (f *Flags) Validate() error {
-	if f.Stream && f.Trace != "" {
-		return ErrStreamTrace
-	}
 	if f.Report != "" && f.Events == "" {
 		return fmt.Errorf("-report needs -events (the report is rendered from the recorded event log)")
-	}
-	if !f.Stream {
-		return nil
-	}
-	if f.Events == "" {
-		return fmt.Errorf("-stream needs -events (it streams the event log through to disk)")
-	}
-	if f.Explain {
-		return fmt.Errorf("-stream and -explain conflict: the wait attribution needs retained decision records")
-	}
-	if f.Serve != "" {
-		return fmt.Errorf("-stream and -serve conflict: /decisions and live frames need retained state")
 	}
 	return nil
 }
@@ -153,6 +132,7 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
+	ot.KeepSpans(f.Trace != "") // the Perfetto export is the plane's only reader of spans
 	if f.Explain || f.Serve != "" {
 		// -serve exposes /decisions, so the live endpoint implies recording.
 		ot.EnableDecisions()
@@ -186,9 +166,6 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.seriesFile = file
 		p.series = obs.NewSeriesSink(file)
 		ot.SetSeries(p.series)
-	}
-	if f.Stream {
-		ot.SetStreaming(true)
 	}
 	if len(f.Rules) > 0 || f.Strict {
 		rules := make([]obs.SLORule, 0, len(f.Rules))

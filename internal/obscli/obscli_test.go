@@ -1,6 +1,7 @@
 package obscli
 
 import (
+	"bytes"
 	"flag"
 	"io"
 	"os"
@@ -9,8 +10,14 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/obs/decision"
 )
 
+// TestValidate: -report needs -events, and that is the only rule. "stream" in
+// a case name is the -events log, which always streams to disk and keeps
+// nothing in memory; it used to be a mode (-stream) that conflicted with
+// every reader of kept state, and each former conflict is pinned here as a
+// combination that now validates.
 func TestValidate(t *testing.T) {
 	cases := []struct {
 		name    string
@@ -22,17 +29,15 @@ func TestValidate(t *testing.T) {
 		{"series only", Flags{Series: "se.jsonl"}, ""},
 		{"report with events", Flags{Events: "ev.jsonl", Report: "rep.txt"}, ""},
 		{"report without events", Flags{Report: "rep.txt"}, "-report needs -events"},
-		{"stream without events", Flags{Stream: true}, "-stream needs -events"},
-		{"stream with events", Flags{Events: "ev.jsonl", Stream: true}, ""},
-		{"series composes with stream", Flags{Events: "ev.jsonl", Stream: true, Series: "se.jsonl"}, ""},
-		{"report composes with stream", Flags{Events: "ev.jsonl", Stream: true, Report: "rep.txt"}, ""},
-		{"stream vs explain", Flags{Events: "ev.jsonl", Stream: true, Explain: true}, "-stream and -explain conflict"},
-		{"stream vs serve", Flags{Events: "ev.jsonl", Stream: true, Serve: ":0"}, "-stream and -serve conflict"},
+		{"series composes with stream", Flags{Events: "ev.jsonl", Series: "se.jsonl"}, ""},
+		{"report composes with stream", Flags{Events: "ev.jsonl", Report: "rep.txt", Series: "se.jsonl"}, ""},
+		{"metrics composes with stream", Flags{Events: "ev.jsonl", Metrics: "m.txt"}, ""},
+		{"stream vs explain", Flags{Events: "ev.jsonl", Explain: true}, ""},
+		{"stream vs serve", Flags{Events: "ev.jsonl", Serve: ":0"}, ""},
+		{"stream vs trace", Flags{Events: "ev.jsonl", Trace: "t.json"}, ""},
 		{"trace and metrics", Flags{Trace: "t.json", Metrics: "m.txt"}, ""},
-		{"stream vs trace", Flags{Events: "ev.jsonl", Stream: true, Trace: "t.json"}, "-stream and -trace conflict"},
-		// The -trace conflict is reported first, as both CLIs always did.
-		{"stream vs trace without events", Flags{Stream: true, Trace: "t.json"}, "-stream and -trace conflict"},
-		{"metrics composes with stream", Flags{Events: "ev.jsonl", Stream: true, Metrics: "m.txt"}, ""},
+		{"everything at once", Flags{Events: "ev.jsonl", Series: "se.jsonl", Report: "rep.txt", Trace: "t.json",
+			Metrics: "m.txt", Explain: true, Serve: ":0", Dash: true, Strict: true}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -71,15 +76,115 @@ func TestRegisterRoundTrip(t *testing.T) {
 	fl.SetOutput(io.Discard)
 	f.Register(fl)
 	if err := fl.Parse([]string{
-		"-events", "ev.jsonl", "-series", "se.jsonl", "-report", "rep.txt", "-stream",
+		"-events", "ev.jsonl", "-series", "se.jsonl", "-report", "rep.txt", "-explain",
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Events != "ev.jsonl" || f.Series != "se.jsonl" || f.Report != "rep.txt" || !f.Stream {
+	if f.Events != "ev.jsonl" || f.Series != "se.jsonl" || f.Report != "rep.txt" || !f.Explain {
 		t.Fatalf("parsed flags: %+v", f)
 	}
 	if err := f.Validate(); err != nil {
 		t.Fatalf("Validate() = %v", err)
+	}
+	if err := fl.Parse([]string{"-stream"}); err == nil {
+		t.Fatal("-stream parsed: the flag is deleted, what is kept follows from what reads it")
+	}
+}
+
+// drive records what a small run would: per job an open/close span with a
+// late attribute, a complete span, an instant, a counter sample and — when
+// decision tracing is on — the job's admission.
+func drive(ot *obs.Tracer, jobs int) {
+	for i := 0; i < jobs; i++ {
+		ts := float64(i)
+		id := ot.Begin(0, i, "run", "sched", ts, obs.S("job", "j"), obs.I("i", int64(i)))
+		ot.Span(i+1, 0, "cc.map", "cc", ts, ts+0.5)
+		ot.Instant(0, i, "memo-hit", "sched", ts+0.25)
+		ot.Counter("cluster_queue_depth", ts, float64(jobs-i))
+		ot.AddAttr(id, obs.S("late", "attr"))
+		ot.End(id, ts+1)
+		ot.Decision(decision.Record{Round: i + 1, T: ts, Policy: "fifo", Job: "j", Seq: i,
+			Outcome: decision.Admit, BlockedBySeq: -1})
+	}
+}
+
+func countSpans(ot *obs.Tracer) (n int) {
+	ot.EachSpan(func(obs.SpanView) { n++ })
+	return n
+}
+
+// TestRetentionFollowsTheReader: what Attach leaves the tracer keeping is
+// decided by which flag will read it back — spans only for -trace, decision
+// records for -explain — and never changes a byte of what is written.
+func TestRetentionFollowsTheReader(t *testing.T) {
+	const jobs = 5
+	run := func(f Flags) (*obs.Tracer, string) {
+		t.Helper()
+		ot := obs.New()
+		var stderr strings.Builder
+		p, err := f.Attach(ot, &stderr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drive(ot, jobs)
+		if _, err := p.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		return ot, stderr.String()
+	}
+	read := func(path string) []byte {
+		t.Helper()
+		b, err := os.ReadFile(path)
+		if err != nil || len(b) == 0 {
+			t.Fatalf("%s: %v (%d bytes)", path, err, len(b))
+		}
+		return b
+	}
+	dir := t.TempDir()
+
+	// -events alone: every span goes to the log, none stays in memory.
+	evOnly := filepath.Join(dir, "events-only.jsonl")
+	ot, _ := run(Flags{Events: evOnly})
+	if n := countSpans(ot); n != 0 || ot.NumSpans() != 3*jobs {
+		t.Errorf("-events alone: EachSpan visits %d spans of %d recorded, want 0 of %d", n, ot.NumSpans(), 3*jobs)
+	}
+	if len(ot.Decisions()) != 0 {
+		t.Errorf("-events alone recorded %d decisions: decision tracing was not asked for", len(ot.Decisions()))
+	}
+
+	// -trace: kept, and the export is what a tracer nobody attached exports.
+	evTrace, trace := filepath.Join(dir, "events-trace.jsonl"), filepath.Join(dir, "trace.json")
+	ot, _ = run(Flags{Events: evTrace, Trace: trace})
+	if n := countSpans(ot); n != 3*jobs {
+		t.Errorf("-trace: EachSpan visits %d spans, want %d", n, 3*jobs)
+	}
+	bare := obs.New()
+	drive(bare, jobs)
+	var want bytes.Buffer
+	if err := bare.WriteChromeTrace(&want); err != nil {
+		t.Fatal(err)
+	}
+	if got := read(trace); !bytes.Equal(got, want.Bytes()) {
+		t.Errorf("-trace export differs from a fresh tracer's:\n got: %s\nwant: %s", got, want.Bytes())
+	}
+	if !bytes.Equal(read(evOnly), read(evTrace)) {
+		t.Error("the event log's bytes depend on whether spans were kept")
+	}
+
+	// -explain without -trace: decisions kept and attributed, spans not.
+	evExplain := filepath.Join(dir, "events-explain.jsonl")
+	ot, stderr := run(Flags{Events: evExplain, Explain: true})
+	if len(ot.Decisions()) != jobs {
+		t.Errorf("-explain: %d decision records kept, want %d", len(ot.Decisions()), jobs)
+	}
+	if n := strings.Count(stderr, "(explain: "); n != jobs {
+		t.Errorf("-explain: %d attribution lines, want one per job (%d):\n%s", n, jobs, stderr)
+	}
+	if n := countSpans(ot); n != 0 {
+		t.Errorf("-explain without -trace kept %d spans", n)
+	}
+	if n := bytes.Count(read(evExplain), []byte(`"e":"decision"`)); n != jobs {
+		t.Errorf("-explain: %d decision lines in the event log, want %d", n, jobs)
 	}
 }
 

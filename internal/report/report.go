@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 	"sort"
 	"strings"
 
@@ -128,7 +129,7 @@ const SummarySchema = "repro.report.v1"
 type Report struct {
 	Summary Summary
 	series  []obs.SeriesPoint
-	src     string
+	src     string // base name of the event log: the report's bytes do not depend on where it lay
 	nEvents int
 	nDecs   int
 }
@@ -247,7 +248,7 @@ func Build(d *Data, topK int) *Report {
 		topK = 5
 	}
 	r := &Report{
-		src: d.EventsPath, nEvents: d.nEvents, nDecs: d.nDecs,
+		src: filepath.Base(d.EventsPath), nEvents: d.nEvents, nDecs: d.nDecs,
 		series: d.Series,
 	}
 

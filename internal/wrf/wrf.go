@@ -45,12 +45,12 @@ func DefaultStorm(nt, ny, nx int64) Storm {
 }
 
 // eye returns the eye position at step t.
-func (s Storm) eye(t float64) (y, x float64) {
+func (s *Storm) eye(t float64) (y, x float64) {
 	return s.Y0 + s.VY*t, s.X0 + s.VX*t
 }
 
 // intensity is the deepening factor at step t, in (0, 1].
-func (s Storm) intensity(t float64) float64 {
+func (s *Storm) intensity(t float64) float64 {
 	f := 0.5 + s.Deepening*t
 	if f > 1 {
 		f = 1
@@ -66,7 +66,7 @@ func shape(d2, r2 float64) float64 {
 
 // SLP is the sea-level pressure (hPa) at (t, y, x): ambient 1013 minus a
 // moving low.
-func (s Storm) SLP(c []int64) float64 {
+func (s *Storm) SLP(c []int64) float64 {
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy, dx := float64(c[1])-ey, float64(c[2])-ex
@@ -77,7 +77,7 @@ func (s Storm) SLP(c []int64) float64 {
 
 // Wind10 is the 10 m wind speed (knots) at (t, y, x): a ring of maximum
 // winds at CoreRadius around the eye.
-func (s Storm) Wind10(c []int64) float64 {
+func (s *Storm) Wind10(c []int64) float64 {
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy, dx := float64(c[1])-ey, float64(c[2])-ex
