@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	ccexp [-scale 0.1] [-quick] [-memo] [-policy easy-backfill] [-bench-dir d] [all|table1|fig1|fig2|fig3|fig9|fig10|fig11|fig12|fig13|faults|jobs|sched-policies|multiuser|profile-jobs|explain ...]
+//	ccexp [-scale 0.1] [-quick] [-memo] [-policy easy-backfill] [all|table1|fig1|fig2|fig3|fig9|fig10|fig11|fig12|fig13|faults|jobs|sched-policies|multiuser|profile-jobs|explain ...]
 //	ccexp jobs -trace trace.json -metrics metrics.txt
 //
 // With no experiment arguments it lists the available experiments. -scale
@@ -58,12 +58,10 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 	"time"
 
@@ -83,7 +81,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fl.SetOutput(stderr)
 	scale := fl.Float64("scale", 0.1, "data-volume scale relative to the paper (1.0 = full)")
 	quick := fl.Bool("quick", false, "shrink process counts too (smoke test)")
-	benchDir := fl.String("bench-dir", "", "directory to write BENCH_<id>.json metric files to (created if missing)")
 	memo := fl.Bool("memo", false, "enable the cluster result cache + read coalescer on experiment machines (multiuser measures both settings itself)")
 	policy := fl.String("policy", "", "cluster scheduling policy for the queued-workload experiments: "+policyList()+" (\"\" = fifo; sched-policies sweeps all)")
 	explainJob := fl.Int("job", -1, "explain experiment: submission index of the job to attribute (-1 = the longest-waiting job)")
@@ -184,16 +181,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		tb.Fprint(stdout)
 		fmt.Fprintln(stdout)
-		if *benchDir != "" && len(tb.Bench) > 0 {
-			if err := writeBench(*benchDir, tb); err != nil {
-				fmt.Fprintf(stderr, "ccexp: %s: %v\n", r.ID, err)
-				return 1
-			}
-		}
 		fmt.Fprintf(stderr, "(%s regenerated in %.1fs wall)\n", r.ID, time.Since(start).Seconds())
-	}
-	if *wlOut != "" {
-		fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
+		if r.ID == "workload" && *wlOut != "" {
+			fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
+		}
 	}
 	viol, err := plane.Finish()
 	if err != nil {
@@ -223,17 +214,4 @@ func knownPolicy(name string) bool {
 		}
 	}
 	return false
-}
-
-// writeBench dumps a table's headline metrics as BENCH_<id>.json. Map keys
-// marshal sorted, so the bytes are deterministic.
-func writeBench(dir string, tb *experiments.Table) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	b, err := json.MarshalIndent(tb.Bench, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(filepath.Join(dir, "BENCH_"+tb.ID+".json"), append(b, '\n'), 0o644)
 }

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync"
 
-	"repro/internal/datatype"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -303,10 +302,7 @@ func CollectiveReadPlanned(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 	}
 	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	me := c.RankOf(r)
-	if p.Pipeline {
-		return twoPhaseReadPipelined(r, c, cl, f, rq, pl, me, tagBase, p, hooks)
-	}
-	return twoPhaseReadBlocking(r, c, cl, f, rq, pl, me, tagBase, p, hooks)
+	return twoPhaseRead(r, c, cl, f, rq, pl, me, tagBase, p, hooks)
 }
 
 // aggShuffle sends iteration it's data to its owners: raw pieces packed from
@@ -390,63 +386,31 @@ func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
 	return expectPos
 }
 
-func twoPhaseReadBlocking(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
-	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
-	aggrIdx := pl.AggrIndex(me)
-	ot := r.World().Obs()
-	buf := collectiveBuffer(pl, aggrIdx, &rq)
-	receiving := hooks == nil || !hooks.SuppressShuffle
-	expectPos := 0
-	for k := 0; k < pl.MaxIters; k++ {
-		tag := tagBase - k
-		if aggrIdx >= 0 && k < len(pl.Iters[aggrIdx]) {
-			it := &pl.Iters[aggrIdx][k]
-			if !it.Empty() {
-				t0 := r.Now()
-				ext, done := readExtent(cl, f, it, buf)
-				cl.AwaitIO(done)
-				tRead := r.Now()
-				var transformed map[int]Payload
-				if hooks != nil {
-					transformed = hooks.Transform(aggrIdx, k, it, ext)
-				}
-				tXf := r.Now()
-				if hooks == nil || !hooks.SuppressShuffle {
-					r.WaitAll(aggShuffle(r, c, pl, me, tag, it, ext, &rq, p, hooks, transformed))
-				}
-				if p.Obs != nil {
-					p.Obs.ObserveIter(aggrIdx, k, tRead-t0, r.Now()-tRead, it.ReadHi-it.ReadLo)
-				}
-				if ot != nil {
-					emitIterSpans(ot, r, aggrIdx, k, it, t0, tRead, tXf, r.Now())
-				}
-			}
-		}
-		if receiving {
-			expectPos = recvIter(r, c, pl, me, k, tag, expectPos, &rq, p, hooks)
-		}
-	}
-	return nil
-}
-
-// twoPhaseReadPipelined overlaps each iteration's shuffle with the next
-// iteration's read using double buffering, the "nonblocking" collective I/O
+// twoPhaseRead is the aggregator/owner loop of the collective read. Blocking,
+// each iteration's read is issued when the iteration starts. With p.Pipeline
+// it is issued one iteration ahead into a second collective buffer, so each
+// shuffle overlaps the next read: the "nonblocking" collective I/O
 // configuration profiled in the paper's Figure 1.
-func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
+func twoPhaseRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
-	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, &rq), collectiveBuffer(pl, aggrIdx, &rq)}
+	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, &rq)}
+	if p.Pipeline {
+		bufs[1] = collectiveBuffer(pl, aggrIdx, &rq)
+	} else {
+		bufs[1] = bufs[0]
+	}
 	myIters := 0
 	if aggrIdx >= 0 {
 		myIters = len(pl.Iters[aggrIdx])
 	}
 
-	// Prefetch state: at most one read in flight. Double buffering is keyed
-	// by read sequence number (not iteration parity) so the in-flight read
-	// never targets the buffer the current shuffle reads from.
+	// Read state: at most one read in flight. Double buffering is keyed by
+	// read sequence number (not iteration parity) so the in-flight read never
+	// targets the buffer the current shuffle reads from.
 	readSeq := 0
-	nextRead := 0 // next iteration index to consider for prefetch
+	nextRead := 0 // next iteration index to consider for reading
 	pendingIter := -1
 	var pendingDone float64
 	var pendingExt []byte
@@ -465,7 +429,7 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 		nextRead++
 	}
 
-	if aggrIdx >= 0 {
+	if aggrIdx >= 0 && p.Pipeline {
 		issueNext()
 	}
 	receiving := hooks == nil || !hooks.SuppressShuffle
@@ -474,23 +438,28 @@ func twoPhaseReadPipelined(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File
 		tag := tagBase - k
 		if aggrIdx >= 0 && k < myIters && !pl.Iters[aggrIdx][k].Empty() {
 			it := &pl.Iters[aggrIdx][k]
-			if pendingIter != k {
-				return fmt.Errorf("adio: pipeline lost iteration %d (pending %d)", k, pendingIter)
-			}
 			t0 := r.Now()
+			if !p.Pipeline {
+				issueNext()
+			}
+			if pendingIter != k {
+				return fmt.Errorf("adio: read loop lost iteration %d (pending %d)", k, pendingIter)
+			}
 			cl.AwaitIO(pendingDone)
 			tRead := r.Now()
 			ext := pendingExt
 			pendingIter = -1
-			// Start the next read before shuffling this iteration: the
-			// overlap that makes the protocol non-blocking.
-			issueNext()
+			if p.Pipeline {
+				// Start the next read before shuffling this iteration: the
+				// overlap that makes the protocol non-blocking.
+				issueNext()
+			}
 			var transformed map[int]Payload
 			if hooks != nil {
 				transformed = hooks.Transform(aggrIdx, k, it, ext)
 			}
 			tXf := r.Now()
-			if hooks == nil || !hooks.SuppressShuffle {
+			if receiving {
 				r.WaitAll(aggShuffle(r, c, pl, me, tag, it, ext, &rq, p, hooks, transformed))
 			}
 			if p.Obs != nil {
@@ -532,13 +501,4 @@ func emitIterSpans(ot *obs.Tracer, r *mpi.Rank, aggrIdx, k int, it *Iter,
 	if end > tXf {
 		ot.SpanRank(r.Rank(), "adio.shuffle", "adio", tXf, end)
 	}
-}
-
-// RequestFromType builds a Request from a derived datatype instantiated at
-// file offset base — the entry path for MPI-shaped code that describes its
-// non-contiguous access with datatypes rather than hyperslabs. The returned
-// request owns a freshly allocated buffer of exactly the datatype's size.
-func RequestFromType(t datatype.Type, base int64) Request {
-	runs := datatype.Flatten(t, base)
-	return Request{Runs: runs, Buf: make([]byte, layout.TotalLength(runs))}
 }

@@ -7,7 +7,6 @@ import (
 	"reflect"
 	"testing"
 
-	"repro/internal/datatype"
 	"repro/internal/fabric"
 	"repro/internal/layout"
 	"repro/internal/mpi"
@@ -779,42 +778,6 @@ func TestCollectiveReadTransformedShuffle(t *testing.T) {
 			if gotSum[o] != want {
 				t.Fatalf("pipeline=%v owner %d partial sum %d, want %d", pipeline, o, gotSum[o], want)
 			}
-		}
-	}
-}
-
-// A collective read driven by an MPI-style derived datatype (vector of
-// blocks) returns exactly the bytes the datatype selects.
-func TestCollectiveReadFromDatatype(t *testing.T) {
-	const n = 4
-	wd := newWorld(n, 1<<14, 1<<12)
-	got := make([][]byte, n)
-	wd.w.Go(func(r *mpi.Rank) {
-		me := r.Rank()
-		// Each rank reads 8 blocks of 32 bytes, stride 128, staggered by rank.
-		vec, err := datatype.NewVector(8, 128, datatype.Bytes(32))
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		rq := RequestFromType(vec, int64(me*32))
-		cl := wd.fs.Client(r.Proc(), me, nil)
-		if err := CollectiveRead(r, wd.c, cl, wd.f, rq, nil, Params{CB: 512}); err != nil {
-			t.Error(err)
-			return
-		}
-		got[me] = rq.Buf
-	})
-	if err := wd.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for me := 0; me < n; me++ {
-		var want []byte
-		for b := 0; b < 8; b++ {
-			want = append(want, patternBytes(layout.Run{Offset: int64(me*32 + b*128), Length: 32})...)
-		}
-		if !bytes.Equal(got[me], want) {
-			t.Fatalf("rank %d datatype read mismatch", me)
 		}
 	}
 }

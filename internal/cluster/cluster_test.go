@@ -258,8 +258,12 @@ func TestCCJobsConcurrentBitIdentical(t *testing.T) {
 			}
 			vals = append(vals, math.Float64bits(cr.Res.Value))
 		}
-		if got := s.Stats().MapElements; got == 0 {
-			t.Fatal("session stats roll-up empty")
+		var mapped int64
+		for _, jr := range s.Results() {
+			mapped += jr.Stats.MapElements
+		}
+		if mapped == 0 {
+			t.Fatal("the session's jobs recorded no map work")
 		}
 		return vals, c.Now()
 	}

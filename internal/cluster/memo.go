@@ -145,9 +145,6 @@ func (c *Cluster) memoTryComplete(jr *JobResult, now float64) bool {
 		meta.out.Res = e.res
 		c.memo.stats.Hits++
 		c.memo.stats.BytesSaved += meta.bytes
-		if jr.session != nil {
-			jr.session.stats.Add(jr.Stats)
-		}
 		if ot := c.obs; ot != nil {
 			ot.SetThreadName(0, jr.pid-1, "job "+jr.Job.Name)
 			ot.Span(0, jr.pid-1, "queued", "sched", jr.Submit, now,
@@ -325,9 +322,6 @@ func (c *Cluster) finishShared(donor, p *JobResult, kind string, now float64) {
 	}
 	if p.Job.Deadline > 0 && now > p.Submit+p.Job.Deadline {
 		p.DeadlineMiss = true
-	}
-	if p.session != nil {
-		p.session.stats.Add(p.Stats)
 	}
 	if ot := c.obs; ot != nil {
 		ot.Span(0, p.pid-1, "queued", "sched", p.Submit, p.Start,

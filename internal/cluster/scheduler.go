@@ -312,9 +312,6 @@ func (c *Cluster) scheduler(p *sim.Proc) {
 		if ctx.job.Deadline > 0 && now > jr.Submit+ctx.job.Deadline {
 			jr.DeadlineMiss = true
 		}
-		if jr.session != nil {
-			jr.session.stats.Add(jr.Stats)
-		}
 		q.complete(jr)
 		if ot := c.obs; ot != nil {
 			ot.End(jr.runSpan, now)

@@ -3,19 +3,16 @@ package cluster
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/cc"
 )
 
 // Session is a named handle onto the cluster's job queue: a client's view of
 // its own submissions. Jobs submitted through different sessions share the
 // machine, the dataset registry, and any keyed plan caches, but each session
-// rolls up only its own results and stats.
+// lists only its own results.
 type Session struct {
 	c       *Cluster
 	name    string
 	results []*JobResult
-	stats   cc.Stats
 }
 
 // Session opens a named session. Must be called before Run.
@@ -87,7 +84,3 @@ func (s *Session) SubmitCCAt(t float64, j CCJob) *CCResult {
 
 // Results returns this session's submissions in submission order.
 func (s *Session) Results() []*JobResult { return s.results }
-
-// Stats returns the roll-up of this session's completed jobs' accounting.
-// Valid after Run.
-func (s *Session) Stats() cc.Stats { return s.stats }

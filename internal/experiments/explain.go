@@ -174,6 +174,9 @@ func Explain(cfg Config) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
+	if len(factRecs) == 0 {
+		return nil, fmt.Errorf("explain: the factual run recorded no decision")
+	}
 	if !bytes.Equal(decision.AppendLog(nil, factRecs), decision.AppendLog(nil, repRecs)) {
 		return nil, fmt.Errorf("explain: replay decision log diverged from the recorded run")
 	}
@@ -223,11 +226,6 @@ func Explain(cfg Config) (*Table, error) {
 		Headers: []string{"policy", "start (s)", "end (s)", "wait (s)",
 			"delta start (s)", "makespan (s)"},
 	}
-	bench := map[string]float64{
-		"wait_factual":     tcr.QueueWait(),
-		"identical_replay": 1,
-		"decision_records": float64(len(factRecs)),
-	}
 	for _, pol := range pols {
 		cr := cfCrs[pol][tgt]
 		delta := cr.Start - tcr.Start
@@ -237,13 +235,7 @@ func Explain(cfg Config) (*Table, error) {
 		}
 		t.AddRow(pol+tag, secs(cr.Start), secs(cr.End), secs(cr.QueueWait()),
 			fmt.Sprintf("%+.4f", delta), secs(cfSpan[pol]))
-		key := strings.ReplaceAll(pol, "-", "_")
-		if pol != factual {
-			bench["delta_start_"+key] = delta
-		}
-		bench["makespan_"+key] = cfSpan[pol]
 	}
-	t.Bench = bench
 
 	// Wait attribution of the target job from the recorded decision stream.
 	attrs := decision.Attribute(factRecs)

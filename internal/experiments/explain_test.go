@@ -14,8 +14,9 @@ import (
 
 // TestExplainQuick runs the counterfactual experiment end to end on the
 // quick config and checks its contract: the factual replay is byte-identical
-// (the experiment errors out otherwise), the bench carries the counterfactual
-// deltas, and the attribution note names a blocking job.
+// and recorded decisions (the experiment errors out otherwise), every -k
+// policy has a row with its start delta, and the attribution note names a
+// blocking job.
 func TestExplainQuick(t *testing.T) {
 	cfg := quick
 	cfg.ExplainJob = -1
@@ -27,17 +28,14 @@ func TestExplainQuick(t *testing.T) {
 	if len(tb.Rows) != 3 {
 		t.Fatalf("rows = %d, want 3 (one per -k policy)", len(tb.Rows))
 	}
-	if tb.Bench["identical_replay"] != 1 {
-		t.Fatalf("identical_replay = %v, want 1", tb.Bench["identical_replay"])
-	}
-	if tb.Bench["decision_records"] <= 0 {
-		t.Fatalf("decision_records = %v, want > 0", tb.Bench["decision_records"])
-	}
-	for _, key := range []string{"wait_factual", "delta_start_easy_backfill",
-		"delta_start_priority", "makespan_fifo"} {
-		if _, ok := tb.Bench[key]; !ok {
-			t.Errorf("bench key %q missing", key)
+	for i, pol := range []string{"fifo (factual)", "easy-backfill", "priority"} {
+		if tb.Rows[i][0] != pol {
+			t.Fatalf("row %d is %q, want %s", i, tb.Rows[i][0], pol)
 		}
+		cell(t, tb, i, 5) // every policy's makespan is a number
+	}
+	if d := cell(t, tb, 0, 4); d != 0 {
+		t.Fatalf("factual start delta %g, want 0", d)
 	}
 	// The auto-picked target is the longest-waiting job in a contended mix:
 	// its wait must be attributable to a named blocker.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"reflect"
-	"time"
 
 	"repro/internal/cc"
 	"repro/internal/climate"
@@ -159,13 +158,8 @@ func Jobs(cfg Config) (*Table, error) {
 		return nil, err
 	}
 	// Only the concurrent run is traced: it is the run whose schedule the
-	// trace and profile-jobs breakdown are meant to explain. Its wall-clock
-	// time is the simulator-speed headline: wall seconds burned per virtual
-	// second simulated (bench-only — never printed, so stdout stays
-	// machine-independent for the trace-determinism gate).
-	wallStart := time.Now()
+	// trace and profile-jobs breakdown are meant to explain.
 	conc, concSpan, concMisses, err := queued(0, cfg.Obs)
-	wall := time.Since(wallStart).Seconds()
 	if err != nil {
 		return nil, err
 	}
@@ -215,6 +209,12 @@ func Jobs(cfg Config) (*Table, error) {
 	for _, jr := range critPath {
 		cpLen += jr.Duration()
 	}
+	if utilization <= 0 || utilization > 100 {
+		return nil, fmt.Errorf("jobs: rank-pool utilization %.1f%% outside (0, 100]", utilization)
+	}
+	if len(critPath) < 1 {
+		return nil, fmt.Errorf("jobs: empty critical path through %d jobs", len(conc))
+	}
 	t.Notef("%d jobs of %d ranks on a %d-rank cluster (%d at a time)",
 		s.njobs, s.jobRanks, s.nranks, s.nranks/s.jobRanks)
 	t.Notef("serial makespan %.4fs, concurrent %.4fs: %.2fx speedup, %.2f jobs/vs",
@@ -224,19 +224,5 @@ func Jobs(cfg Config) (*Table, error) {
 	t.Notef("every job's value and state bit-identical to its solo run")
 	t.Notef("concurrent run: mean queue wait %.4fs, rank-pool utilization %.1f%%, critical path %d jobs / %.4fs of service",
 		meanWait, utilization, len(critPath), cpLen)
-	t.Bench = map[string]float64{
-		"virtual_makespan_serial":     serialSpan,
-		"virtual_makespan_concurrent": concSpan,
-		"speedup":                     speedup,
-		"throughput_jobs_per_vs":      throughput,
-		"mean_queue_wait_vs":          meanWait,
-		"rank_pool_utilization_pct":   utilization,
-		"critical_path_jobs":          float64(len(critPath)),
-		"critical_path_vs":            cpLen,
-		// wall_* keys are machine-dependent; the nightly drift gate treats
-		// them as informational (loose threshold), not regressions.
-		"wall_seconds_concurrent": wall,
-		"wall_per_virtual":        wall / concSpan,
-	}
 	return t, nil
 }

@@ -97,10 +97,5 @@ func ProfileJobs(cfg Config) (*Table, error) {
 	t.Notef("critical path (%d jobs, %.4fs of service): %s",
 		len(critPath), cpLen, strings.Join(names, " -> "))
 	t.Notef("phase columns are rank-seconds summed over the job's ranks; aggregator-only phases (read/shuffle) count aggregator ranks only")
-	t.Bench = map[string]float64{
-		"virtual_makespan":   cl.Now(),
-		"critical_path_jobs": float64(len(critPath)),
-		"critical_path_vs":   cpLen,
-	}
 	return t, nil
 }

@@ -5,7 +5,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/mpi"
@@ -180,9 +179,6 @@ func SchedPolicies(cfg Config) (*Table, error) {
 
 	policies := cluster.PolicyNames()
 	outcomes := map[string]schedOutcome{}
-	// Wall-clock timing spans the whole sweep — the simulator-speed headline
-	// for this experiment, bench-only so stdout stays machine-independent.
-	wallStart := time.Now()
 	for _, pol := range policies {
 		var ot *obs.Tracer
 		if pol == "easy-backfill" {
@@ -194,7 +190,6 @@ func SchedPolicies(cfg Config) (*Table, error) {
 		}
 		outcomes[pol] = o
 	}
-	wall := time.Since(wallStart).Seconds()
 
 	t := &Table{
 		ID:    "sched-policies",
@@ -202,27 +197,12 @@ func SchedPolicies(cfg Config) (*Table, error) {
 		Headers: []string{"policy", "makespan (s)", "mean wait (s)",
 			"p99 wait (s)", "jain", "backfilled", "drops"},
 	}
-	bench := map[string]float64{}
 	for _, pol := range policies {
 		o := outcomes[pol]
 		t.AddRow(pol, secs(o.makespan), secs(o.meanWait), secs(o.p99Wait),
 			fmt.Sprintf("%.4f", o.jain), fmt.Sprintf("%d", o.backfilled),
 			fmt.Sprintf("%d", o.drops))
-		key := strings.ReplaceAll(pol, "-", "_")
-		bench["makespan_"+key] = o.makespan
-		bench["p99_wait_"+key] = o.p99Wait
-		bench["jain_"+key] = o.jain
 	}
-	bench["backfilled_easy_backfill"] = float64(outcomes["easy-backfill"].backfilled)
-	// wall_* keys are machine-dependent; the nightly drift gate treats them
-	// as informational (loose threshold), not regressions.
-	var virtTotal float64
-	for _, pol := range policies {
-		virtTotal += outcomes[pol].makespan
-	}
-	bench["wall_seconds_sweep"] = wall
-	bench["wall_per_virtual"] = wall / virtTotal
-	t.Bench = bench
 
 	fifo, easy, fair := outcomes["fifo"], outcomes["easy-backfill"], outcomes["fairshare"]
 	if easy.makespan >= fifo.makespan {

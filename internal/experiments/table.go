@@ -21,9 +21,6 @@ type Table struct {
 	Notes   []string
 	// Chart, when non-empty, is an ASCII rendering of the figure.
 	Chart string
-	// Bench, when non-empty, is the experiment's machine-readable headline
-	// metrics; ccexp -bench-dir writes them to BENCH_<ID>.json.
-	Bench map[string]float64
 }
 
 // AddRow appends a formatted row.

@@ -5,7 +5,6 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
@@ -229,8 +228,6 @@ func Workload(cfg Config) (*Table, error) {
 		Headers: []string{"rate (jobs/s)", "class", "jobs", "drops", "late",
 			"memo hits", "p50 wait (s)", "p99 wait (s)"},
 	}
-	bench := map[string]float64{}
-	wallStart := time.Now()
 	for i, rr := range runs {
 		var ot *obs.Tracer
 		if i == baseIdx {
@@ -266,21 +263,7 @@ func Workload(cfg Config) (*Table, error) {
 		t.Notef("rate %s: %d jobs, makespan %.3fs, memo hit rate %.1f%%, %d deadline drops",
 			rr.label, o.jobs, o.makespan, 100*float64(o.memoHits)/float64(max(o.jobs, 1)),
 			o.drops)
-		key := "r" + strings.ReplaceAll(rr.label, ".", "_")
-		if cfg.WorkloadTraceIn != "" || cfg.WorkloadTraceOut != "" {
-			key = "base"
-		}
-		bench["makespan_"+key] = o.makespan
-		bench["memo_rate_"+key] = float64(o.memoHits) / float64(max(o.jobs, 1))
-		bench["drops_"+key] = float64(o.drops)
-		for _, cs := range o.classes {
-			bench["p99_wait_"+cs.Class+"_"+key] = cs.WaitP99
-		}
 	}
 	t.Notef("replay gate: base stream ran twice bit-identically (%d jobs)", len(runs[baseIdx].trace.Jobs))
-	// wall_* keys are machine-dependent; the nightly drift gate treats them
-	// as informational (loose threshold), not regressions.
-	bench["wall_seconds"] = time.Since(wallStart).Seconds()
-	t.Bench = bench
 	return t, nil
 }

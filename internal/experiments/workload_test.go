@@ -30,9 +30,23 @@ func TestWorkloadSweep(t *testing.T) {
 	if !strings.Contains(strings.Join(tb.Notes, " "), "replay gate") {
 		t.Fatalf("missing replay-gate note: %v", tb.Notes)
 	}
-	for _, key := range []string{"makespan_r10", "makespan_r20", "makespan_r40", "memo_rate_r20", "wall_seconds"} {
-		if _, ok := tb.Bench[key]; !ok {
-			t.Fatalf("bench missing %s: %+v", key, tb.Bench)
+	// The default sweep's ordering: the memo hit rate rises with the arrival
+	// rate, and nothing is dropped at the base rate.
+	var rates [3]float64
+	for i := range rates {
+		var jobs, hits float64
+		for r := 3 * i; r < 3*i+3; r++ {
+			jobs += cell(t, tb, r, 2)
+			hits += cell(t, tb, r, 5)
+		}
+		rates[i] = hits / jobs
+	}
+	if !(rates[0] < rates[1] && rates[1] < rates[2]) {
+		t.Fatalf("memo hit rate does not rise with arrival rate: %v", rates)
+	}
+	for r := 3; r < 6; r++ {
+		if tb.Rows[r][0] != "20" || cell(t, tb, r, 3) != 0 {
+			t.Fatalf("base-rate row %v, want rate 20 with 0 drops", tb.Rows[r])
 		}
 	}
 	// Deterministic: the rendered table is byte-identical across runs.
@@ -77,8 +91,8 @@ func TestWorkloadRecordReplay(t *testing.T) {
 	if recTb.String() != repTb.String() {
 		t.Fatalf("record and replay tables differ:\n%s\nvs\n%s", recTb, repTb)
 	}
-	if _, ok := repTb.Bench["makespan_base"]; !ok {
-		t.Fatalf("bench missing makespan_base: %+v", repTb.Bench)
+	if repTb.Rows[0][0] != "base" {
+		t.Fatalf("replay row labelled %q, want base", repTb.Rows[0][0])
 	}
 }
 
