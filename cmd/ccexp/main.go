@@ -186,6 +186,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
 		}
 	}
+	// Telemetry needs an experiment that traces its run: the sweeps (table1,
+	// fig9-fig13, faults) and report never install the tracer, and an empty
+	// trace or dump must not pass for a recorded one.
+	if cfg.Obs != nil && cfg.Obs.NumSpans() == 0 {
+		fmt.Fprintf(stderr, "ccexp: experiment %s records no telemetry; run it without -trace/-metrics/-events/-series/-serve/-dash/-slo/-explain/-report\n", runners[0].ID)
+		return 1
+	}
 	viol, err := plane.Finish()
 	if err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)

@@ -378,3 +378,51 @@ func TestTelemetryNeedsOneExperiment(t *testing.T) {
 		}
 	}
 }
+
+// TestTelemetryNeedsATracedExperiment: the sweeps (table1, fig9-fig13,
+// faults) and report install no tracer, so a telemetry flag on one of them is
+// an error after the run — not an empty trace or dump that exits 0 — and
+// neither file is written. fig1, which traces its profiled read, is the
+// control.
+func TestTelemetryNeedsATracedExperiment(t *testing.T) {
+	for _, tc := range []struct {
+		exp    string
+		flags  []string
+		traced bool
+	}{
+		{"fig9", []string{"-trace", "t.json", "-events", "e.jsonl"}, false},
+		{"table1", []string{"-metrics", "m.txt"}, false},
+		{"fig1", []string{"-trace", "t.json", "-metrics", "m.txt"}, true},
+	} {
+		dir := t.TempDir()
+		args := []string{"-quick"}
+		var outputs []string
+		for i := 0; i < len(tc.flags); i += 2 {
+			path := filepath.Join(dir, tc.flags[i+1])
+			args = append(args, tc.flags[i], path)
+			if tc.flags[i] != "-events" { // the event log is opened before the run
+				outputs = append(outputs, path)
+			}
+		}
+		code, _, errb := runCmd(append(args, tc.exp)...)
+		if tc.traced {
+			if code != 0 {
+				t.Errorf("%s: exit %d: %s", tc.exp, code, errb)
+			}
+			for _, path := range outputs {
+				if fi, err := os.Stat(path); err != nil || fi.Size() < 100 {
+					t.Errorf("%s: %s missing or near-empty (%v)", tc.exp, path, err)
+				}
+			}
+			continue
+		}
+		if want := "ccexp: experiment " + tc.exp + " records no telemetry"; code != 1 || !strings.Contains(errb, want) {
+			t.Errorf("%s: exit %d, stderr %q; want 1 and %q", tc.exp, code, errb, want)
+		}
+		for _, path := range outputs {
+			if _, err := os.Stat(path); err == nil {
+				t.Errorf("%s: wrote %s", tc.exp, path)
+			}
+		}
+	}
+}

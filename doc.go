@@ -6,8 +6,8 @@
 // between the read phase and the shuffle phase, so the shuffle moves small
 // partial results instead of raw data. Everything the paper depends on — an
 // MPI-like runtime, a Lustre-like striped file system, the two-phase
-// collective I/O protocol, a PnetCDF-like self-describing format, and the
-// collective-computing runtime itself — is implemented from scratch on a
+// collective I/O protocol, a PnetCDF-like layer of typed N-d variables, and
+// the collective-computing runtime itself — is implemented from scratch on a
 // deterministic discrete-event simulation, with real data flowing through
 // real Go code.
 //

@@ -1,28 +1,31 @@
 package repro
 
 // Integration tests across the whole stack: datasets are written through the
-// collective write path, reopened from their on-disk header, and analyzed
-// with collective computing — everything a downstream user would chain
-// together, verified end to end.
+// collective write path and analyzed with collective computing — everything
+// a downstream user would chain together, verified end to end.
 
 import (
+	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/adio"
 	"repro/internal/cc"
+	"repro/internal/climate"
 	"repro/internal/fabric"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
 	"repro/internal/pfs"
 	"repro/internal/sim"
+	"repro/internal/wrf"
 )
 
-// TestWriteReopenAnalyze: ranks collectively write a field they compute,
-// reopen the dataset from its header, and run a collective-computing mean
-// over it; the mean must match the analytic value of what was written.
-func TestWriteReopenAnalyze(t *testing.T) {
+// TestWriteAnalyze: ranks collectively write a field they compute and run a
+// collective-computing mean over it on the same handle; the mean must match
+// the analytic value of what was written.
+func TestWriteAnalyze(t *testing.T) {
 	const n = 8
 	env := sim.NewEnv()
 	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
@@ -32,7 +35,6 @@ func TestWriteReopenAnalyze(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s.AddGlobalAttr(ncfile.TextAttr("title", "integration"))
 	ds, err := ncfile.Create(fs, "f", &s, pfs.NewMemBackend(0), 8, 0, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -67,23 +69,9 @@ func TestWriteReopenAnalyze(t *testing.T) {
 			return
 		}
 		comm.Barrier(r)
-		// Phase 2: reopen from the on-disk header (each rank independently).
-		reopened, err := ncfile.Open(ds.File(), cl)
-		if err != nil {
-			errs[me] = err
-			return
-		}
-		if a, ok := reopened.GlobalAttr("title"); !ok || a.Text != "integration" {
-			t.Error("attribute lost through reopen")
-		}
-		vid, err := reopened.VarByName("field")
-		if err != nil {
-			errs[me] = err
-			return
-		}
-		// Phase 3: collective-computing mean over the reopened dataset.
+		// Phase 2: collective-computing mean over what was written.
 		res, err := cc.ObjectGetVara(r, comm, cl, cc.IO{
-			DS: reopened, VarID: vid, Slab: slab,
+			DS: ds, VarID: id, Slab: slab,
 			Reduce: cc.AllToAll,
 			Params: adio.Params{CB: 1024, Pipeline: true},
 		}, cc.Mean{})
@@ -214,5 +202,71 @@ func TestDeterministicMakespans(t *testing.T) {
 	a, b, c := run(), run(), run()
 	if a != b || b != c {
 		t.Fatalf("makespans differ across identical runs: %v %v %v", a, b, c)
+	}
+}
+
+// TestProductionLayoutUnchanged pins where the production datasets put their
+// variables: offsets and file sizes as they were when the format still wrote
+// a header into the first page. The page stays reserved, so every variable
+// keeps its offset — and with it the stripes and OSTs each read is charged
+// to, which every virtual number in the goldens depends on.
+func TestProductionLayoutUnchanged(t *testing.T) {
+	fs := pfs.New(sim.NewEnv(), pfs.Params{})
+	type layoutOf struct {
+		name    string
+		offsets []int64
+		size    int64
+	}
+	var got []layoutOf
+	add := func(name string, ds *ncfile.Dataset, err error, ids ...int) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		l := layoutOf{name: name, size: ds.File().Size()}
+		for _, id := range ids {
+			v, err := ds.Var(id)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			l.offsets = append(l.offsets, v.Offset)
+		}
+		got = append(got, l)
+	}
+	for _, dims := range [][]int64{{204800, 1024, 1024}, {256, 128, 128}, {2048, 128, 128}} {
+		ds, id, err := climate.NewDataset3D(fs, dims, 40, 4<<20)
+		add(fmt.Sprint("climate3d", dims), ds, err, id)
+	}
+	for _, dims := range [][]int64{climate.Paper4DDims(), {64, 8, 1024, 1024}, {8, 4, 256, 256}} {
+		ds, id, err := climate.NewDataset4D(fs, dims, 40, 4<<20)
+		add(fmt.Sprint("climate4d", dims), ds, err, id)
+	}
+	w, err := wrf.NewDataset(fs, wrf.DefaultStorm(96, 1024, 1024), 40, 4<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	add("wrf", w.DS, nil, w.SLPVar, w.WindVar)
+	// A one-variable mem schema sized by its own Layout, as bench's
+	// mem_write_read builds it.
+	var s ncfile.Schema
+	id, err := s.AddVar("v", ncfile.Float32, []int64{1024, 256, 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := ncfile.Create(fs, "mem", &s, pfs.NewMemBackend(s.Layout()), 40, 4<<20, 0)
+	add("mem", ds, err, id)
+
+	want := []layoutOf{
+		{"climate3d[204800 1024 1024]", []int64{4096}, 858993463296},
+		{"climate3d[256 128 128]", []int64{4096}, 16781312},
+		{"climate3d[2048 128 128]", []int64{4096}, 134221824},
+		{"climate4d[1024 1024 100 1024]", []int64{4096}, 429496733696},
+		{"climate4d[64 8 1024 1024]", []int64{4096}, 2147487744},
+		{"climate4d[8 4 256 256]", []int64{4096}, 8392704},
+		{"wrf", []int64{4096, 402657280}, 805310464},
+		{"mem", []int64{4096}, 268439552},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("production layouts moved:\n got %v\nwant %v", got, want)
 	}
 }

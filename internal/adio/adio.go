@@ -60,7 +60,7 @@ func (rq Request) Validate() error {
 	return nil
 }
 
-// validateWrite is Validate for the write paths, which have bytes to move.
+// validateWrite is Validate for CollectiveWrite, which has bytes to move.
 func (rq Request) validateWrite() error {
 	if rq.ChargeOnly {
 		return fmt.Errorf("adio: charge-only request passed to a write")

@@ -188,11 +188,8 @@ func TestBuildPlanCoverage(t *testing.T) {
 		}
 	}
 	var want int64
-	for o, rs := range reqs {
+	for _, rs := range reqs {
 		want += layout.TotalLength(rs)
-		if pl.ReqBytes(o) != layout.TotalLength(rs) {
-			t.Fatalf("ReqBytes(%d) = %d", o, pl.ReqBytes(o))
-		}
 	}
 	if int64(len(covered)) != want {
 		t.Fatalf("covered %d bytes, want %d", len(covered), want)
@@ -452,44 +449,6 @@ func collectiveWriteRoundTrip(t *testing.T, afterReturn func(buf []byte)) {
 				t.Fatalf("first mismatch at byte %d: got %d want %d", i, got[i], expect[i])
 			}
 		}
-	}
-}
-
-func TestIndependentWriteRoundTrip(t *testing.T) {
-	const fileSize = 2048
-	env := sim.NewEnv()
-	w := mpi.NewWorld(env, 1, fabric.Params{})
-	fs := pfs.New(env, pfs.Params{NumOSTs: 2, DefaultStripeSize: 256})
-	mem := pfs.NewMemBackend(fileSize)
-	orig := make([]byte, fileSize)
-	for i := range orig {
-		orig[i] = 0xAA
-	}
-	mem.WriteAt(orig, 0)
-	f := fs.Create("data", mem, 2, 256, 0)
-	runs := []layout.Run{{Offset: 10, Length: 20}, {Offset: 40, Length: 20}, {Offset: 1000, Length: 30}}
-	buf := make([]byte, 70)
-	for i := range buf {
-		buf[i] = byte(i)
-	}
-	w.Go(func(r *mpi.Rank) {
-		cl := fs.Client(r.Proc(), 0, nil)
-		if err := IndependentWrite(cl, f, Request{Runs: runs, Buf: buf}, Params{SieveThreshold: 16}); err != nil {
-			t.Error(err)
-		}
-	})
-	if err := env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	got := mem.Bytes()
-	expect := append([]byte(nil), orig...)
-	pos := 0
-	for _, run := range runs {
-		copy(expect[run.Offset:run.End()], buf[pos:pos+int(run.Length)])
-		pos += int(run.Length)
-	}
-	if !bytes.Equal(got, expect) {
-		t.Fatal("independent write corrupted the file")
 	}
 }
 

@@ -237,9 +237,6 @@ func TestChargeOnlyRequestValidation(t *testing.T) {
 		if CollectiveWrite(r, wd.c, cl, wd.f, rq, nil, Params{}) == nil {
 			t.Error("charge-only collective write accepted")
 		}
-		if IndependentWrite(cl, wd.f, rq, Params{}) == nil {
-			t.Error("charge-only independent write accepted")
-		}
 	})
 	if err := wd.env.Run(); err != nil {
 		t.Fatal(err)

@@ -195,14 +195,6 @@ func (pl *Plan) TotalRuns() int {
 	return n
 }
 
-// ReqBytes returns owner o's total requested bytes.
-func (pl *Plan) ReqBytes(o int) int64 {
-	if len(pl.prefix[o]) == 0 {
-		return 0
-	}
-	return pl.prefix[o][len(pl.prefix[o])-1]
-}
-
 // AggrIndex returns the aggregator index of comm rank r, or -1.
 func (pl *Plan) AggrIndex(r int) int {
 	if i, ok := pl.aggIdx[r]; ok {

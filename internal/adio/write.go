@@ -206,37 +206,6 @@ func IndependentRead(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 	return nil
 }
 
-// IndependentWrite writes rq without cooperation. Runs within the sieve
-// threshold are combined via read-modify-write, as ROMIO's data sieving
-// write does.
-func IndependentWrite(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
-	p = p.Defaults()
-	if err := rq.validateWrite(); err != nil {
-		return err
-	}
-	segs := sieveSegments(rq.Runs, p.SieveThreshold)
-	var bufPos int64
-	ri := 0
-	for _, sg := range segs {
-		tmp := make([]byte, sg.Length)
-		covered := int64(0)
-		for j := ri; j < len(rq.Runs) && rq.Runs[j].End() <= sg.End(); j++ {
-			covered += rq.Runs[j].Length
-		}
-		if covered != sg.Length {
-			cl.Read(f, tmp, sg.Offset) // fill the holes first
-		}
-		for ri < len(rq.Runs) && rq.Runs[ri].End() <= sg.End() {
-			r := rq.Runs[ri]
-			copy(tmp[r.Offset-sg.Offset:], rq.Buf[bufPos:bufPos+r.Length])
-			bufPos += r.Length
-			ri++
-		}
-		cl.Write(f, tmp, sg.Offset)
-	}
-	return nil
-}
-
 // sieveSegments coalesces runs whose gaps are at most threshold into
 // covering segments.
 func sieveSegments(runs []layout.Run, threshold int64) []layout.Run {

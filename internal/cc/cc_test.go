@@ -321,15 +321,12 @@ func TestOpByName(t *testing.T) {
 	}
 }
 
-func TestForEachCoords(t *testing.T) {
-	sub := Subset{
-		Slab: layout.Slab{Start: []int64{2, 3}, Count: []int64{2, 2}},
-		Data: []float64{1, 2, 3, 4},
-	}
+func TestCoordsAtRowMajor(t *testing.T) {
+	slab := layout.Slab{Start: []int64{2, 3}, Count: []int64{2, 2}}
 	var got [][]int64
-	ForEach(sub, func(coords []int64, v float64) {
-		got = append(got, append([]int64(nil), coords...))
-	})
+	for i := int64(0); i < slab.NumElems(); i++ {
+		got = append(got, coordsAt(slab, i))
+	}
 	want := [][]int64{{2, 3}, {2, 4}, {3, 3}, {3, 4}}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("coords = %v, want %v", got, want)

@@ -44,23 +44,6 @@ type Op interface {
 	Value(s State) float64
 }
 
-// ForEach visits every element of the subset with its logical coordinates,
-// in row-major order. Used by location-aware operators (MinLoc/MaxLoc).
-func ForEach(sub Subset, fn func(coords []int64, v float64)) {
-	nd := len(sub.Slab.Start)
-	coords := append([]int64(nil), sub.Slab.Start...)
-	for i := 0; i < len(sub.Data); i++ {
-		fn(coords, sub.Data[i])
-		for d := nd - 1; d >= 0; d-- {
-			coords[d]++
-			if coords[d] < sub.Slab.Start[d]+sub.Slab.Count[d] {
-				break
-			}
-			coords[d] = sub.Slab.Start[d]
-		}
-	}
-}
-
 // Sum sums all elements.
 type Sum struct{}
 
@@ -174,9 +157,8 @@ func (MinLoc) Zero() State       { return Loc{Val: math.Inf(1)} }
 func (MinLoc) StateBytes() int64 { return 8 + 8*4 } // value + coords(≤4 dims)
 func (MinLoc) Absorb(s State, sub Subset) State {
 	best := s.(Loc)
-	// Flat scan in row-major order — identical visit order and strict-compare
-	// (first occurrence wins) as the ForEach form, without a closure call and
-	// coordinate odometer per element; coordinates are rebuilt once at the end.
+	// Flat scan in row-major order, strict compare (first occurrence wins);
+	// coordinates are rebuilt once at the end, not tracked per element.
 	bestIdx := -1
 	for i, v := range sub.Data {
 		if v < best.Val || !best.Valid {
@@ -219,7 +201,7 @@ func (MaxLoc) Absorb(s State, sub Subset) State {
 }
 
 // coordsAt returns the logical coordinates of the idx-th element of the slab
-// in row-major order — the coordinates ForEach would have presented.
+// in row-major order.
 func coordsAt(slab layout.Slab, idx int64) []int64 {
 	nd := len(slab.Start)
 	coords := make([]int64, nd)

@@ -187,15 +187,5 @@ func (f Fuse) Value(s State) float64 {
 	return f.Ops[0].Value(s.(fuseState)[0])
 }
 
-// Values extracts every fused operator's value.
-func (f Fuse) Values(s State) []float64 {
-	st := s.(fuseState)
-	out := make([]float64, len(f.Ops))
-	for i, op := range f.Ops {
-		out[i] = op.Value(st[i])
-	}
-	return out
-}
-
 // StateOf returns the i-th fused operator's final state.
 func (f Fuse) StateOf(s State, i int) State { return s.(fuseState)[i] }

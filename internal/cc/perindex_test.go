@@ -157,14 +157,13 @@ func TestFuseEndToEnd(t *testing.T) {
 	tb := newTestbed(t, n, ncfile.Float64, dims)
 	results := runObjectGetVara(t, tb, slabs,
 		IO{Reduce: AllToOne, Params: adio.Params{CB: 512, Pipeline: true}}, fuse)
-	got := fuse.Values(results[0].State)
 	for i, op := range fuse.Ops {
-		want := op.Value(truth(op, dims, slabs))
-		if !almostEqual(got[i], want) {
-			t.Fatalf("%s: fused %g, want %g", op.Name(), got[i], want)
+		got, want := op.Value(fuse.StateOf(results[0].State, i)), op.Value(truth(op, dims, slabs))
+		if !almostEqual(got, want) {
+			t.Fatalf("%s: fused %g, want %g", op.Name(), got, want)
 		}
 	}
-	if results[0].Value != got[0] {
+	if results[0].Value != fuse.Ops[0].Value(fuse.StateOf(results[0].State, 0)) {
 		t.Fatal("Value is not the first operator's value")
 	}
 	if st := fuse.StateOf(results[0].State, 3); st.(int64) != whole.NumElems() {

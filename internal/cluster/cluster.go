@@ -49,7 +49,7 @@ type Spec struct {
 	MaxConcurrent int
 	// Policy selects the scheduling policy by registry name: "fifo" (the
 	// default, and the empty-string default), "easy-backfill", "priority",
-	// or "fairshare" — see policy.go and RegisterPolicy. New panics on an
+	// or "fairshare" — see policy.go. New panics on an
 	// unknown name.
 	Policy string
 	// Memo enables cross-job result memoization and shared-window read
@@ -179,10 +179,6 @@ func (c *Cluster) RankTime() *obs.RankTime { return c.rt }
 // its CPU profile, at the given bucket width in virtual seconds. It must
 // precede Run.
 func (c *Cluster) ProfileRanks(bucket float64) { c.rt.Profile(bucket) }
-
-// Obs returns the structured span tracer installed via Spec.Obs (nil when
-// span tracing is disabled; a nil tracer's methods all no-op).
-func (c *Cluster) Obs() *obs.Tracer { return c.obs }
 
 // Now returns the current virtual time (after Run: the makespan).
 func (c *Cluster) Now() float64 { return c.env.Now() }

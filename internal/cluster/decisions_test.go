@@ -49,11 +49,11 @@ func TestQueueViewAccessors(t *testing.T) {
 		t.Fatalf("handle b0 = seq %d tenant %q deadline %v",
 			b0.Seq(), b0.Tenant(), b0.AbsDeadline())
 	}
-	if got := q.FreeRanks(); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
-		t.Fatalf("FreeRanks = %v, want 0-7", got)
+	if got := q.pool.ranks(nil); !reflect.DeepEqual(got, []int{0, 1, 2, 3, 4, 5, 6, 7}) {
+		t.Fatalf("free ranks = %v, want 0-7", got)
 	}
-	if q.Free() != 8 || q.PoolSize() != 8 {
-		t.Fatalf("Free/PoolSize = %d/%d, want 8/8", q.Free(), q.PoolSize())
+	if q.Free() != 8 {
+		t.Fatalf("Free = %d, want 8", q.Free())
 	}
 	if !q.Fits(a0) || !q.Fits(b0) {
 		t.Fatalf("both jobs should fit an empty 8-rank pool")
@@ -61,8 +61,8 @@ func TestQueueViewAccessors(t *testing.T) {
 
 	// Claim the four lowest ranks by hand: the view must track the pool.
 	q.pool.takeLowest(4, nil)
-	if got := q.FreeRanks(); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) {
-		t.Fatalf("FreeRanks after take = %v, want 4-7", got)
+	if got := q.pool.ranks(nil); !reflect.DeepEqual(got, []int{4, 5, 6, 7}) || q.Free() != 4 {
+		t.Fatalf("free ranks after take = %v (Free %d), want 4-7", got, q.Free())
 	}
 	if !q.Fits(a0) || !q.Fits(b0) {
 		t.Fatalf("both jobs still fit 4 free ranks with the cap open")

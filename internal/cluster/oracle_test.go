@@ -54,7 +54,7 @@ func oracleRound(q *Queue, before func(a, b *JobResult) bool) {
 			blameHeadOfLine(q, best)
 			return
 		}
-		q.Admit(best, nil)
+		q.Admit(best)
 	}
 }
 

@@ -72,8 +72,8 @@ import (
 // its next choice cannot be admitted. It is called at every scheduling
 // event (job arrival or completion), on the virtual clock.
 //
-// Implementations added with RegisterPolicy may keep state across rounds
-// (reservations, deficit counters) but must stay deterministic.
+// Implementations may keep state across rounds (reservations, heaps) but
+// must stay deterministic.
 type Policy interface {
 	// Name reports the registry name the policy was constructed under.
 	Name() string
@@ -117,15 +117,6 @@ func newRankPool(n int) rankPool {
 		p.words[i>>6] |= 1 << uint(i&63)
 	}
 	return p
-}
-
-func (p *rankPool) isFree(wr int) bool {
-	return p.words[wr>>6]&(1<<uint(wr&63)) != 0
-}
-
-func (p *rankPool) take(wr int) {
-	p.words[wr>>6] &^= 1 << uint(wr&63)
-	p.free--
 }
 
 func (p *rankPool) put(wr int) {
@@ -190,14 +181,6 @@ func (q *Queue) Expired(h *JobResult) bool { return q.Now() > h.AbsDeadline() }
 
 // Free returns the number of free ranks.
 func (q *Queue) Free() int { return q.pool.free }
-
-// PoolSize returns the machine's rank-pool size.
-func (q *Queue) PoolSize() int { return q.c.spec.Ranks }
-
-// FreeRanks returns the free world ranks in ascending order.
-func (q *Queue) FreeRanks() []int {
-	return q.pool.ranks(make([]int, 0, q.pool.free))
-}
 
 // CapFree reports whether the concurrency cap (Spec.MaxConcurrent) leaves
 // room for one more running job.
@@ -282,13 +265,11 @@ func (q *Queue) TryMemo(h *JobResult) bool {
 	return true
 }
 
-// Admit starts pending job jr now. ranks selects the placement: nil places
-// the job on the lowest-numbered free ranks; an explicit slice must name
-// exactly the job's width of distinct free ranks. Panics when the job does
-// not fit (check Fits first) or the placement is invalid. jr leaves the
-// queue, and so may any number of other pending jobs the memo layer absorbs
-// onto it as their donor. Returns jr.
-func (q *Queue) Admit(jr *JobResult, ranks []int) *JobResult {
+// Admit starts pending job jr now on the lowest-numbered free ranks. Panics
+// when the job does not fit (check Fits first). jr leaves the queue, and so
+// may any number of other pending jobs the memo layer absorbs onto it as
+// their donor. Returns jr.
+func (q *Queue) Admit(jr *JobResult) *JobResult {
 	c := q.c
 	j := jr.Job
 	if j.Ranks > q.pool.free || !q.CapFree() {
@@ -303,24 +284,7 @@ func (q *Queue) Admit(jr *JobResult, ranks []int) *JobResult {
 		rec = c.newDecision(jr, decision.Admit)
 	}
 	c.pending.remove(jr)
-	var members []int
-	if ranks == nil {
-		members = q.pool.takeLowest(j.Ranks, make([]int, 0, j.Ranks))
-	} else {
-		if len(ranks) != j.Ranks {
-			panic(fmt.Sprintf("cluster: policy placed job %q (width %d) on %d ranks",
-				j.Name, j.Ranks, len(ranks)))
-		}
-		members = make([]int, len(ranks))
-		for k, wr := range ranks {
-			if wr < 0 || wr >= c.spec.Ranks || !q.pool.isFree(wr) {
-				panic(fmt.Sprintf("cluster: policy placed job %q on busy or invalid rank %d",
-					j.Name, wr))
-			}
-			q.pool.take(wr)
-			members[k] = wr
-		}
-	}
+	members := q.pool.takeLowest(j.Ranks, make([]int, 0, j.Ranks))
 	q.running = append(q.running, jr)
 	jr.Start = now
 	jr.Ranks = members
@@ -390,10 +354,10 @@ func (q *Queue) Admit(jr *JobResult, ranks []int) *JobResult {
 // decision record's "backfill" tag. Instant and record are derived from the
 // same job and shadow values in one place, so the event log and the
 // decision stream can never disagree about a backfill.
-func (q *Queue) AdmitBackfilled(h *JobResult, ranks []int, shadow float64) *JobResult {
+func (q *Queue) AdmitBackfilled(h *JobResult, shadow float64) *JobResult {
 	c := q.c
 	c.decAdmit = decAdmitTag{reason: decision.Backfill, shadow: shadow, set: true}
-	jr := q.Admit(h, ranks)
+	jr := q.Admit(h)
 	c.decAdmit = decAdmitTag{}
 	if ot := c.obs; ot != nil {
 		ot.Metrics().Counter("cluster_jobs_backfilled").Inc()
@@ -453,16 +417,6 @@ var policyFactories = map[string]func(*Cluster) Policy{
 	"fairshare":     func(c *Cluster) Policy { return newFairsharePolicy(c) },
 }
 
-// RegisterPolicy adds a scheduling policy under name, for Spec.Policy
-// selection. Call from init (the registry is not locked); panics on a
-// duplicate name.
-func RegisterPolicy(name string, factory func(*Cluster) Policy) {
-	if _, dup := policyFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: policy %q already registered", name))
-	}
-	policyFactories[name] = factory
-}
-
 // PolicyNames returns the registered policy names, sorted.
 func PolicyNames() []string {
 	names := make([]string, 0, len(policyFactories))
@@ -515,7 +469,7 @@ func admitBest(q *Queue, best func(*Queue) *JobResult) {
 			blameHeadOfLine(q, h)
 			return
 		}
-		q.Admit(h, nil)
+		q.Admit(h)
 	}
 }
 
@@ -573,7 +527,7 @@ admit:
 					ot.Metrics().Histogram("cluster_reservation_slack_seconds").Observe(slack)
 				}
 			}
-			q.Admit(head, nil)
+			q.Admit(head)
 			continue
 		}
 		// With a concurrency cap, a backfilled job would occupy the slot the
@@ -599,7 +553,7 @@ admit:
 			}
 			if j := cand.Job; j.Ranks <= q.Free() {
 				if j.Ranks <= extra || (j.EstCost > 0 && q.Now()+j.EstCost <= shadow+slackEps) {
-					q.AdmitBackfilled(cand, nil, shadow)
+					q.AdmitBackfilled(cand, shadow)
 					p.backfilled++
 					continue admit // queue and free set changed: restart the round
 				}

@@ -161,9 +161,6 @@ type JobContext struct {
 // Comm returns the job's communicator.
 func (ctx *JobContext) Comm() *mpi.Comm { return ctx.comm }
 
-// Cluster returns the owning cluster.
-func (ctx *JobContext) Cluster() *Cluster { return ctx.cluster }
-
 // Client returns r's storage client, created on first use and reused across
 // calls within the job.
 func (ctx *JobContext) Client(r *mpi.Rank) *pfs.Client {

@@ -46,9 +46,6 @@ func (s *Session) SetWeight(w float64) *Session {
 	return s
 }
 
-// Cluster returns the underlying machine.
-func (s *Session) Cluster() *Cluster { return s.c }
-
 // Submit queues j at time 0 under this session.
 func (s *Session) Submit(j *Job) *JobResult {
 	jr := s.c.Submit(j)

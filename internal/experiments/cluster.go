@@ -23,9 +23,13 @@ type Config struct {
 	// cluster experiments it is a pass-through ablation knob (their job
 	// windows are distinct, so results are unchanged).
 	Memo bool
-	// Obs, when non-nil, is installed on the experiment's measured cluster
-	// (the concurrent run for jobs, the single machine for the figures), so
-	// `ccexp -trace` can export spans and metrics. Nil disables tracing.
+	// Obs, when non-nil, is installed on the one measured cluster of the
+	// experiments that trace a run — the profiled read of fig1-fig3, the
+	// concurrent run of jobs, the traced policy of sched-policies, the warm
+	// run of multiuser, the base stream of workload, and the runs explain and
+	// profile-jobs fold — so `ccexp -trace` can export spans and metrics.
+	// table1, fig9-fig13, faults and report sweep many machines and install
+	// it on none. Nil disables tracing.
 	Obs *obs.Tracer
 	// Policy selects the cluster scheduling policy (cluster.Spec.Policy) for
 	// the queued-workload experiments (jobs, multiuser use it on their

@@ -225,10 +225,3 @@ func (n *Network) Transfer(src, dst int, size int64, at float64) (senderFree, re
 	_, rxEnd := n.rx[n.Node(dst)].Reserve(wire, float64(size)/(p.NICBandwidth/dstBW))
 	return txEnd, rxEnd
 }
-
-// TimeEstimate returns the uncontended transfer time for size bytes between
-// distinct nodes. Useful for analytic sanity checks in tests.
-func (n *Network) TimeEstimate(size int64) float64 {
-	p := n.params
-	return p.SendOverhead + p.Latency + float64(size)/p.NICBandwidth*2 + float64(size)/p.Bandwidth
-}

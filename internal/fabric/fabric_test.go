@@ -121,10 +121,3 @@ func TestDefaults(t *testing.T) {
 		t.Errorf("Defaults clobbered explicit Latency: %g", p2.Latency)
 	}
 }
-
-func TestTimeEstimateMonotonic(t *testing.T) {
-	_, n := testNet(2, Params{})
-	if n.TimeEstimate(1<<20) <= n.TimeEstimate(1<<10) {
-		t.Error("TimeEstimate not increasing in size")
-	}
-}

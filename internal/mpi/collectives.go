@@ -66,13 +66,8 @@ func (w *World) newComm(ns int, members []int) *Comm {
 	return c
 }
 
-// Sub creates a communicator of the given world ranks, sorted ascending, in
-// the default tag namespace.
-func (w *World) Sub(members []int) *Comm {
-	return w.SubNS(0, members)
-}
-
-// SubNS is Sub in an explicit tag namespace (from NewNamespace).
+// SubNS creates a communicator of the given world ranks, sorted ascending, in
+// tag namespace ns (0, the default, or one from NewNamespace).
 func (w *World) SubNS(ns int, members []int) *Comm {
 	m := append([]int(nil), members...)
 	sort.Ints(m)
@@ -81,10 +76,6 @@ func (w *World) SubNS(ns int, members []int) *Comm {
 
 // Size returns the number of members.
 func (c *Comm) Size() int { return len(c.members) }
-
-// Members returns the world ranks, indexed by comm rank. Callers must not
-// modify the returned slice.
-func (c *Comm) Members() []int { return c.members }
 
 // WorldRank maps a comm rank to a world rank.
 func (c *Comm) WorldRank(commRank int) int { return c.members[commRank] }
@@ -95,12 +86,6 @@ func (c *Comm) RankOf(r *Rank) int {
 		return i
 	}
 	return -1
-}
-
-// Contains reports whether world rank wr is a member.
-func (c *Comm) Contains(wr int) bool {
-	_, ok := c.index[wr]
-	return ok
 }
 
 // Collective tags are negative to stay out of the user tag space and are
@@ -285,17 +270,9 @@ func (c *Comm) Allreduce(r *Rank, data interface{}, bytes int64, op ReduceFn) in
 	return c.Bcast(r, 0, v, bytes)
 }
 
-// Gather collects each member's payload at root, indexed by comm rank; it
-// returns the slice at root and nil elsewhere. bytes is per-member size.
-func (c *Comm) Gather(r *Rank, root int, payload interface{}, bytes int64) []interface{} {
-	sizes := make([]int64, c.Size())
-	for i := range sizes {
-		sizes[i] = bytes
-	}
-	return c.Gatherv(r, root, payload, sizes)
-}
-
-// Gatherv is Gather with per-member sizes (indexed by comm rank).
+// Gatherv collects each member's payload at root, indexed by comm rank; it
+// returns the slice at root and nil elsewhere. bytes holds the per-member
+// sizes (indexed by comm rank).
 func (c *Comm) Gatherv(r *Rank, root int, payload interface{}, bytes []int64) []interface{} {
 	me := c.mustRank(r)
 	tag := c.nextTag(me)
@@ -347,121 +324,10 @@ func (c *Comm) Allgatherv(r *Rank, payload interface{}, bytes []int64) []interfa
 	return v.([]interface{})
 }
 
-// Alltoallv exchanges personalized data: member i's parts[j] goes to member
-// j. Entries may be nil (zero bytes). Returns the received parts indexed by
-// source comm rank; out[me] is the local part, moved without network cost.
-// The exchange is the pairwise algorithm ROMIO uses in its shuffle phase.
-func (c *Comm) Alltoallv(r *Rank, parts []interface{}, bytes []int64) []interface{} {
-	me := c.mustRank(r)
-	tag := c.nextTag(me)
-	n := c.Size()
-	if len(parts) != n || len(bytes) != n {
-		panic(fmt.Sprintf("mpi: Alltoallv with %d parts for comm of %d", len(parts), n))
-	}
-	var total int64
-	for _, b := range bytes {
-		total += b
-	}
-	sp := c.beginColl(r, "mpi.alltoallv", total)
-	defer c.endColl(r, sp)
-	out := make([]interface{}, n)
-	out[me] = parts[me]
-	for k := 1; k < n; k++ {
-		dst := (me + k) % n
-		src := (me - k + n) % n
-		sreq := c.isend(r, dst, tag, parts[dst], bytes[dst])
-		v, _ := c.recv(r, src, tag)
-		out[src] = v
-		r.Wait(sreq)
-	}
-	return out
-}
-
-// Scatterv sends root's parts[i] (size bytes[i]) to member i; every member
-// returns its own part.
-func (c *Comm) Scatterv(r *Rank, root int, parts []interface{}, bytes []int64) interface{} {
-	me := c.mustRank(r)
-	tag := c.nextTag(me)
-	sp := c.beginColl(r, "mpi.scatterv", 0)
-	defer c.endColl(r, sp)
-	if me != root {
-		v, _ := c.recv(r, root, tag)
-		return v
-	}
-	var reqs []*Request
-	for i := 0; i < c.Size(); i++ {
-		if i != me {
-			reqs = append(reqs, c.isend(r, i, tag, parts[i], bytes[i]))
-		}
-	}
-	r.WaitAll(reqs)
-	return parts[me]
-}
-
 func repeat(v int64, n int) []int64 {
 	s := make([]int64, n)
 	for i := range s {
 		s[i] = v
 	}
 	return s
-}
-
-// Scan computes the inclusive prefix reduction: member i returns
-// op(data_0, …, data_i). Linear-chain algorithm, as small communicators use.
-func (c *Comm) Scan(r *Rank, data interface{}, bytes int64, op ReduceFn) interface{} {
-	me := c.mustRank(r)
-	tag := c.nextTag(me)
-	acc := data
-	if me > 0 {
-		prev, _ := c.recv(r, me-1, tag)
-		acc = op(prev, data)
-	}
-	if me+1 < c.Size() {
-		c.send(r, me+1, tag, acc, bytes)
-	}
-	return acc
-}
-
-// Exscan computes the exclusive prefix reduction: member 0 returns nil,
-// member i>0 returns op(data_0, …, data_{i-1}).
-func (c *Comm) Exscan(r *Rank, data interface{}, bytes int64, op ReduceFn) interface{} {
-	me := c.mustRank(r)
-	tag := c.nextTag(me)
-	var before interface{}
-	if me > 0 {
-		before, _ = c.recv(r, me-1, tag)
-	}
-	if me+1 < c.Size() {
-		carry := data
-		if me > 0 {
-			carry = op(before, data)
-		}
-		c.send(r, me+1, tag, carry, bytes)
-	}
-	return before
-}
-
-// ReduceScatterBlock reduces every member's parts element-wise and leaves
-// member i with the combined parts[i]. Implemented as a reduce at member 0
-// followed by a scatter, with per-block message sizes.
-func (c *Comm) ReduceScatterBlock(r *Rank, parts []interface{}, blockBytes int64, op ReduceFn) interface{} {
-	n := c.Size()
-	if len(parts) != n {
-		panic(fmt.Sprintf("mpi: ReduceScatterBlock with %d parts for comm of %d", len(parts), n))
-	}
-	combined := c.Reduce(r, 0, parts, blockBytes*int64(n), func(a, b interface{}) interface{} {
-		x, y := a.([]interface{}), b.([]interface{})
-		out := make([]interface{}, len(x))
-		for i := range x {
-			out[i] = op(x[i], y[i])
-		}
-		return out
-	})
-	var scatter []interface{}
-	if c.mustRank(r) == 0 {
-		scatter = combined.([]interface{})
-	} else {
-		scatter = make([]interface{}, n)
-	}
-	return c.Scatterv(r, 0, scatter, repeat(blockBytes, n))
 }

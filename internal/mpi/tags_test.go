@@ -27,7 +27,7 @@ func TestPreviouslyCollidingTagsIsolate(t *testing.T) {
 
 	env := sim.NewEnv()
 	w := NewWorld(env, 2, fabric.Params{RanksPerNode: 2})
-	a := w.Sub([]int{0, 1})                     // job A's comm, default namespace
+	a := w.SubNS(0, []int{0, 1})                // job A's comm, default namespace
 	b := w.SubNS(w.NewNamespace(), []int{0, 1}) // job B's comm, own namespace
 
 	// Every sampled tag of b differs from every sampled tag of a, including
@@ -43,7 +43,7 @@ func TestPreviouslyCollidingTagsIsolate(t *testing.T) {
 	}
 
 	// Same namespace, different comm ids must be disjoint too.
-	a2 := w.Sub([]int{0, 1})
+	a2 := w.SubNS(0, []int{0, 1})
 	for _, sa := range seqs {
 		for _, sb := range seqs {
 			if a.tagAt(sa) == a2.tagAt(sb) {
@@ -70,14 +70,16 @@ func TestPreviouslyCollidingTagsIsolate(t *testing.T) {
 func TestReserveTagsExhaustionPanics(t *testing.T) {
 	env := sim.NewEnv()
 	w := NewWorld(env, 2, fabric.Params{RanksPerNode: 2})
-	c := w.Sub([]int{0, 1})
+	c := w.SubNS(0, []int{0, 1})
 	done := make(chan bool, 1)
-	w.GoOne(0, func(r *Rank) {
+	w.Go(func(r *Rank) {
+		if r.Rank() != 0 {
+			return
+		}
 		c.seq[0] = tagSpacePerComm - 1
 		defer func() { done <- recover() != nil }()
 		c.ReserveTags(r, 2) // would cover seq 2^30-1 and 2^30: must panic
 	})
-	w.GoOne(1, func(r *Rank) {}) // keep the world shaped like its fabric
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -116,10 +118,14 @@ func TestConcurrentJobsOnSubComms(t *testing.T) {
 			got[r.Rank()] = s
 		}
 	}
-	w.GoOne(0, main(ca, 100))
-	w.GoOne(1, main(ca, 100))
-	w.GoOne(2, main(cb, 200))
-	w.GoOne(3, main(cb, 200))
+	jobA, jobB := main(ca, 100), main(cb, 200)
+	w.Go(func(r *Rank) {
+		if r.Rank() < 2 {
+			jobA(r)
+		} else {
+			jobB(r)
+		}
+	})
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}

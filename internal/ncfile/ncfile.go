@@ -1,14 +1,15 @@
 // Package ncfile is the high-level scientific I/O layer of the stack — the
-// role PnetCDF plays in the paper. A dataset is a self-describing striped
-// file holding N-dimensional typed variables; access is by hyperslab
-// (start/count per dimension), independently or collectively. The logical
-// metadata kept here (variable dims, element type, file offset) is exactly
-// what the collective-computing runtime uses to reconstruct logical
-// coordinates from raw byte ranges (the paper's Figure 8).
+// role PnetCDF plays in the paper. A dataset is a striped file holding
+// N-dimensional typed variables, described by an in-memory schema; access is
+// by hyperslab (start/count per dimension): collective reads and writes,
+// independent reads. The logical metadata kept here (variable dims, element
+// type, file offset) is exactly what the collective-computing runtime uses to
+// reconstruct logical coordinates from raw byte ranges (the paper's
+// Figure 8). The schema is authoritative: nothing is written to or read
+// from the file but variable data.
 package ncfile
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/adio"
@@ -66,12 +67,9 @@ func (v *Var) NumElems() int64 { return layout.NumElemsOf(v.Dims) }
 // Bytes returns the variable's total byte size.
 func (v *Var) Bytes() int64 { return v.NumElems() * v.Type.Size() }
 
-// Schema declares the variables and attributes of a dataset before
-// creation.
+// Schema declares the variables of a dataset before creation.
 type Schema struct {
-	vars        []Var
-	globalAttrs []Attr
-	varAttrs    map[int][]Attr
+	vars []Var
 }
 
 // AddVar appends a variable and returns its id. Dims are slowest-first.
@@ -96,211 +94,49 @@ func (s *Schema) AddVar(name string, t Type, dims []int64) (int, error) {
 	return len(s.vars) - 1, nil
 }
 
-// headerAlign pads the header and each variable to this boundary.
-const headerAlign = 4096
-
-const magic = 0x43434e43 // "CCNC"
+// pageSize aligns every variable's offset.
+const pageSize = 4096
 
 // Layout assigns file offsets to the schema's variables and returns the
-// total file size. Variables are laid out sequentially, page-aligned.
+// total file size. Variables are laid out sequentially, page-aligned, after
+// a first page that stays empty. That page held a file header when the
+// format had one; keeping it reserved keeps every variable at the offset it
+// had then, and so on the stripes and OSTs every recorded run charged it to.
 func (s *Schema) Layout() int64 {
-	off := int64(headerAlign) // header page(s)
-	hdr := s.headerBytes()
-	for hdr > off {
-		off += headerAlign
-	}
+	off := int64(pageSize)
 	for i := range s.vars {
 		s.vars[i].Offset = off
 		off += s.vars[i].Bytes()
-		if rem := off % headerAlign; rem != 0 {
-			off += headerAlign - rem
+		if rem := off % pageSize; rem != 0 {
+			off += pageSize - rem
 		}
 	}
 	return off
 }
 
-func (s *Schema) headerBytes() int64 {
-	n := int64(16) // magic + nvars + nattrs + reserved
-	for _, v := range s.vars {
-		n += 8 + int64(len(v.Name)) + 2 + 2 + 8 + int64(len(v.Dims))*8 + 8
-	}
-	for _, a := range s.globalAttrs {
-		n += attrBytes(a)
-	}
-	for id := range s.vars {
-		for _, a := range s.varAttrs[id] {
-			n += attrBytes(a)
-		}
-	}
-	return n
-}
-
-// encodeHeader serializes the schema into a page-aligned header block.
-func (s *Schema) encodeHeader() []byte {
-	size := s.headerBytes()
-	pages := (size + headerAlign - 1) / headerAlign
-	buf := make([]byte, pages*headerAlign)
-	le := binary.LittleEndian
-	le.PutUint32(buf[0:], magic)
-	le.PutUint32(buf[4:], uint32(len(s.vars)))
-	le.PutUint32(buf[8:], uint32(len(s.globalAttrs)))
-	pos := 16
-	for id, v := range s.vars {
-		le.PutUint64(buf[pos:], uint64(len(v.Name)))
-		pos += 8
-		copy(buf[pos:], v.Name)
-		pos += len(v.Name)
-		le.PutUint16(buf[pos:], uint16(v.Type))
-		pos += 2
-		le.PutUint16(buf[pos:], uint16(len(v.Dims)))
-		pos += 2
-		le.PutUint64(buf[pos:], uint64(v.Offset))
-		pos += 8
-		for _, d := range v.Dims {
-			le.PutUint64(buf[pos:], uint64(d))
-			pos += 8
-		}
-		le.PutUint64(buf[pos:], uint64(len(s.varAttrs[id]))) // attr count
-		pos += 8
-	}
-	for _, a := range s.globalAttrs {
-		pos = encodeAttr(buf, pos, a)
-	}
-	for id := range s.vars {
-		for _, a := range s.varAttrs[id] {
-			pos = encodeAttr(buf, pos, a)
-		}
-	}
-	return buf
-}
-
-// decodeHeader parses a header block back into variables and attributes.
-func decodeHeader(buf []byte) ([]Var, []Attr, map[int][]Attr, error) {
-	le := binary.LittleEndian
-	if len(buf) < 16 || le.Uint32(buf[0:]) != magic {
-		return nil, nil, nil, fmt.Errorf("ncfile: bad magic")
-	}
-	nvars := int(le.Uint32(buf[4:]))
-	nglobal := int(le.Uint32(buf[8:]))
-	pos := 16
-	// Counts come off the wire; cap the preallocation so a corrupt header
-	// cannot demand gigabytes before the per-entry bounds checks reject it.
-	prealloc := nvars
-	if prealloc > 1024 {
-		prealloc = 1024
-	}
-	vars := make([]Var, 0, prealloc)
-	attrCounts := make([]int, 0, prealloc)
-	for i := 0; i < nvars; i++ {
-		if pos+8 > len(buf) {
-			return nil, nil, nil, fmt.Errorf("ncfile: truncated header")
-		}
-		nameLen := int(le.Uint64(buf[pos:]))
-		pos += 8
-		if nameLen < 0 || nameLen > 1<<16 || pos+nameLen+12 > len(buf) {
-			return nil, nil, nil, fmt.Errorf("ncfile: corrupt variable %d", i)
-		}
-		v := Var{Name: string(buf[pos : pos+nameLen])}
-		pos += nameLen
-		v.Type = Type(le.Uint16(buf[pos:]))
-		pos += 2
-		ndims := int(le.Uint16(buf[pos:]))
-		pos += 2
-		v.Offset = int64(le.Uint64(buf[pos:]))
-		pos += 8
-		if pos+ndims*8+8 > len(buf) {
-			return nil, nil, nil, fmt.Errorf("ncfile: corrupt dims of variable %d", i)
-		}
-		for d := 0; d < ndims; d++ {
-			v.Dims = append(v.Dims, int64(le.Uint64(buf[pos:])))
-			pos += 8
-		}
-		na := int(le.Uint64(buf[pos:]))
-		pos += 8
-		if na < 0 || na > 1<<12 {
-			return nil, nil, nil, fmt.Errorf("ncfile: implausible attr count on variable %d", i)
-		}
-		attrCounts = append(attrCounts, na)
-		vars = append(vars, v)
-	}
-	var global []Attr
-	for i := 0; i < nglobal; i++ {
-		a, np, err := decodeAttr(buf, pos)
-		if err != nil {
-			return nil, nil, nil, err
-		}
-		global = append(global, a)
-		pos = np
-	}
-	varAttrs := make(map[int][]Attr)
-	for id, na := range attrCounts {
-		for i := 0; i < na; i++ {
-			a, np, err := decodeAttr(buf, pos)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			varAttrs[id] = append(varAttrs[id], a)
-			pos = np
-		}
-	}
-	return vars, global, varAttrs, nil
-}
-
-// Dataset is an open self-describing file.
+// Dataset is an open file and the schema describing it.
 type Dataset struct {
-	file        *pfs.File
-	vars        []Var
-	name        map[string]int
-	globalAttrs []Attr
-	varAttrs    map[int][]Attr
-	synth       *synth // non-nil for generator-backed datasets (SynthDatasetGen)
+	file  *pfs.File
+	vars  []Var
+	synth *synth // non-nil for generator-backed datasets (SynthDatasetGen)
 	// decoded is the scratch GetVaraAllScratch returns its values in; shared
 	// by every rank reading this dataset, for the reason synth's scratch is.
 	decoded []float64
 }
 
-// Create lays out the schema, writes the header (for mem-backed files), and
-// returns an open dataset over the given backend. For synthetic backends the
-// header is not written — the schema itself is authoritative — but offsets
-// are identical, so generators can fill variable regions by offset.
+// Create lays out the schema and returns an open dataset over the given
+// backend.
 func Create(fs *pfs.FS, name string, s *Schema, backend pfs.Backend,
 	stripeCount int, stripeSize int64, firstOST int) (*Dataset, error) {
 	if len(s.vars) == 0 {
 		return nil, fmt.Errorf("ncfile: schema has no variables")
 	}
 	s.Layout()
-	f := fs.Create(name, backend, stripeCount, stripeSize, firstOST)
-	if _, ok := backend.(*pfs.MemBackend); ok {
-		backend.WriteAt(s.encodeHeader(), 0)
-	}
-	return newDataset(f, s.vars, s.globalAttrs, s.varAttrs)
-}
-
-// Open reads the header from an existing mem-backed dataset file.
-func Open(f *pfs.File, cl *pfs.Client) (*Dataset, error) {
-	hdr := make([]byte, headerAlign)
-	cl.Read(f, hdr, 0)
-	vars, global, varAttrs, err := decodeHeader(hdr)
-	if err != nil {
-		return nil, err
-	}
-	return newDataset(f, vars, global, varAttrs)
-}
-
-func newDataset(f *pfs.File, vars []Var, global []Attr, varAttrs map[int][]Attr) (*Dataset, error) {
-	ds := &Dataset{file: f, vars: vars, name: make(map[string]int, len(vars)),
-		globalAttrs: global, varAttrs: varAttrs}
-	for i, v := range vars {
-		ds.name[v.Name] = i
-	}
-	return ds, nil
+	return &Dataset{file: fs.Create(name, backend, stripeCount, stripeSize, firstOST), vars: s.vars}, nil
 }
 
 // File returns the underlying striped file.
 func (ds *Dataset) File() *pfs.File { return ds.file }
-
-// NumVars returns the number of variables.
-func (ds *Dataset) NumVars() int { return len(ds.vars) }
 
 // Var returns variable metadata by id.
 func (ds *Dataset) Var(id int) (*Var, error) {
@@ -308,14 +144,6 @@ func (ds *Dataset) Var(id int) (*Var, error) {
 		return nil, fmt.Errorf("ncfile: variable id %d out of range", id)
 	}
 	return &ds.vars[id], nil
-}
-
-// VarByName returns a variable's id, or an error.
-func (ds *Dataset) VarByName(name string) (int, error) {
-	if id, ok := ds.name[name]; ok {
-		return id, nil
-	}
-	return 0, fmt.Errorf("ncfile: no variable %q", name)
 }
 
 // ByteRuns flattens a hyperslab of variable id into absolute file byte runs.
@@ -445,21 +273,4 @@ func (ds *Dataset) PutVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	}
 	return adio.CollectiveWrite(r, c, cl, ds.file,
 		adio.Request{Runs: runs, Buf: EncodeValues(v.Type, vals), Donated: true}, aggrs, p)
-}
-
-// PutVara independently writes vals into the hyperslab.
-func (ds *Dataset) PutVara(cl *pfs.Client, id int, slab layout.Slab, vals []float64, p adio.Params) error {
-	v, err := ds.Var(id)
-	if err != nil {
-		return err
-	}
-	if int64(len(vals)) != slab.NumElems() {
-		return fmt.Errorf("ncfile: %d values for %d-element slab", len(vals), slab.NumElems())
-	}
-	runs, err := ds.ByteRuns(id, slab)
-	if err != nil {
-		return err
-	}
-	return adio.IndependentWrite(cl, ds.file,
-		adio.Request{Runs: runs, Buf: EncodeValues(v.Type, vals)}, p)
 }

@@ -50,45 +50,17 @@ func TestSchemaLayoutAligned(t *testing.T) {
 	a, _ := s.AddVar("a", Float32, []int64{10})  // 40 bytes
 	b, _ := s.AddVar("b", Float64, []int64{100}) // 800 bytes
 	total := s.Layout()
-	if s.vars[a].Offset%headerAlign != 0 || s.vars[b].Offset%headerAlign != 0 {
-		t.Errorf("offsets not aligned: %d %d", s.vars[a].Offset, s.vars[b].Offset)
+	if s.vars[a].Offset != pageSize {
+		t.Errorf("first variable at %d, want %d: the first page is reserved", s.vars[a].Offset, pageSize)
+	}
+	if s.vars[b].Offset%pageSize != 0 {
+		t.Errorf("offset %d not page-aligned", s.vars[b].Offset)
 	}
 	if s.vars[b].Offset <= s.vars[a].Offset {
 		t.Error("variables overlap")
 	}
 	if total < s.vars[b].Offset+800 {
 		t.Errorf("total %d too small", total)
-	}
-}
-
-func TestHeaderRoundTrip(t *testing.T) {
-	var s Schema
-	s.AddVar("temperature", Float32, []int64{1024, 100, 1024, 1024})
-	s.AddVar("pressure", Float64, []int64{7})
-	s.AddVar("count", Int64, []int64{3, 3})
-	s.Layout()
-	vars, _, _, err := decodeHeader(s.encodeHeader())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(vars, s.vars) {
-		t.Fatalf("round trip:\n got %+v\nwant %+v", vars, s.vars)
-	}
-}
-
-func TestDecodeHeaderRejectsGarbage(t *testing.T) {
-	if _, _, _, err := decodeHeader(make([]byte, 64)); err == nil {
-		t.Error("zero header accepted")
-	}
-	if _, _, _, err := decodeHeader(nil); err == nil {
-		t.Error("nil header accepted")
-	}
-	var s Schema
-	s.AddVar("x", Float32, []int64{4})
-	s.Layout()
-	h := s.encodeHeader()
-	if _, _, _, err := decodeHeader(h[:20]); err == nil {
-		t.Error("truncated header accepted")
 	}
 }
 
@@ -134,52 +106,6 @@ func newTestEnv(n int) *testEnv {
 		env: env,
 		w:   mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4}),
 		fs:  pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: 1 << 12}),
-	}
-}
-
-func TestCreateOpenRoundTrip(t *testing.T) {
-	te := newTestEnv(1)
-	var s Schema
-	id, _ := s.AddVar("v", Float32, []int64{8, 8})
-	ds, err := Create(te.fs, "f", &s, pfs.NewMemBackend(0), 2, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var reopened *Dataset
-	te.w.Go(func(r *mpi.Rank) {
-		cl := te.fs.Client(r.Proc(), 0, nil)
-		vals := make([]float64, 64)
-		for i := range vals {
-			vals[i] = float64(i) / 2
-		}
-		full := layout.Slab{Start: []int64{0, 0}, Count: []int64{8, 8}}
-		if err := ds.PutVara(cl, id, full, vals, adio.Params{}); err != nil {
-			t.Error(err)
-			return
-		}
-		var oerr error
-		reopened, oerr = Open(ds.File(), cl)
-		if oerr != nil {
-			t.Error(oerr)
-			return
-		}
-		got, gerr := reopened.GetVara(cl, id, full, adio.Params{})
-		if gerr != nil {
-			t.Error(gerr)
-			return
-		}
-		if !reflect.DeepEqual(got, vals) {
-			t.Error("reopened data mismatch")
-		}
-	})
-	if err := te.env.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if reopened == nil || reopened.NumVars() != 1 {
-		t.Fatal("Open did not recover the schema")
-	}
-	if vid, err := reopened.VarByName("v"); err != nil || vid != id {
-		t.Fatalf("VarByName = %d, %v", vid, err)
 	}
 }
 
@@ -284,18 +210,15 @@ func TestIndependentMatchesCollective(t *testing.T) {
 	te.w.Go(func(r *mpi.Rank) {
 		me := r.Rank()
 		cl := te.fs.Client(r.Proc(), me, nil)
-		if me == 0 {
-			// Seed the file with known values, whole variable.
-			all := make([]float64, 1000)
-			for i := range all {
-				all[i] = float64(i) * 1.5
-			}
-			full := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{10, 10, 10}}
-			if err := ds.PutVara(cl, id, full, all, adio.Params{}); err != nil {
-				t.Error(err)
-			}
+		// Seed the file with known values: each rank writes half the planes.
+		half := layout.Slab{Start: []int64{int64(me) * 5, 0, 0}, Count: []int64{5, 10, 10}}
+		vals := make([]float64, half.NumElems())
+		for i := range vals {
+			vals[i] = float64(int64(me)*500+int64(i)) * 1.5
 		}
-		c.Barrier(r)
+		if err := ds.PutVaraAll(r, c, cl, id, half, vals, nil, adio.Params{CB: 512}); err != nil {
+			t.Error(err)
+		}
 		var err error
 		if coll[me], err = ds.GetVaraAll(r, c, cl, id, slabs[me], nil, adio.Params{CB: 512}); err != nil {
 			t.Error(err)
@@ -322,10 +245,11 @@ func TestPutVaraSizeMismatch(t *testing.T) {
 	var s Schema
 	id, _ := s.AddVar("v", Float32, []int64{4})
 	ds, _ := Create(te.fs, "f", &s, pfs.NewMemBackend(0), 1, 0, 0)
+	c := te.w.Comm()
 	te.w.Go(func(r *mpi.Rank) {
 		cl := te.fs.Client(r.Proc(), 0, nil)
 		slab := layout.Slab{Start: []int64{0}, Count: []int64{4}}
-		if err := ds.PutVara(cl, id, slab, []float64{1, 2}, adio.Params{}); err == nil {
+		if err := ds.PutVaraAll(r, c, cl, id, slab, []float64{1, 2}, nil, adio.Params{}); err == nil {
 			t.Error("size mismatch accepted")
 		}
 	})

@@ -79,12 +79,7 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 	size := s.Layout()
 	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...)}
 	f := fs.Create(name, pfs.NewSynthBackend(size, sy.fill), stripeCount, stripeSize, firstOST)
-	ds, err := newDataset(f, s.vars, s.globalAttrs, s.varAttrs)
-	if err != nil {
-		return nil, err
-	}
-	ds.synth = sy
-	return ds, nil
+	return &Dataset{file: f, vars: s.vars, synth: sy}, nil
 }
 
 // synth is the generator side of a synthetic dataset: the variables in file
@@ -186,7 +181,7 @@ func (sy *synth) rows(v *Var, first, last int64, fn func(e, n int64, coords []in
 
 // fill is the backend's content function: p receives the file bytes
 // [off, off+len(p)). Every byte of p is written exactly once — generated
-// where a generator covers it, zero elsewhere (the header page, alignment
+// where a generator covers it, zero elsewhere (the reserved first page, alignment
 // padding, variables without a generator, anything past the last variable) —
 // so p's previous contents never matter and nothing is cleared first.
 func (sy *synth) fill(off int64, p []byte) {

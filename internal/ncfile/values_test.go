@@ -220,7 +220,7 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 // buffer pre-filled with 0xAA and compares them with an image of the file
 // built independently (EncodeValues of the value functions, zeros elsewhere).
 // fill clears nothing up front, so every range no generator covers — the
-// header page before the first variable, the padding between variables, a
+// reserved page before the first variable, the padding between variables, a
 // variable without a generator, the tail of the file and of the buffer — must
 // be zeroed explicitly, and every generated byte written, across each
 // boundary.
@@ -252,7 +252,7 @@ func TestSynthFillWritesEveryByte(t *testing.T) {
 	a, hole, c := &ds.vars[0], &ds.vars[1], &ds.vars[2]
 	windows := [][2]int64{
 		{0, size + 64},                               // everything, and past the end
-		{a.Offset - 9, a.Offset + 10},                // header page into a, ending mid-element
+		{a.Offset - 9, a.Offset + 10},                // reserved page into a, ending mid-element
 		{a.Offset + 7, a.Offset + a.Bytes() + 5},     // mid-element start, into a's padding
 		{a.Offset + a.Bytes() - 3, hole.Offset + 11}, // a, padding, the generator-less variable
 		{hole.Offset + 3, c.Offset + 13},             // hole, padding, into c mid-element

@@ -105,9 +105,6 @@ func New() *Tracer {
 	}
 }
 
-// Enabled reports whether the tracer records anything (false on nil).
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // SetSink installs an event sink: from now on every span begin/end, complete
 // span, instant, counter sample, and SLO alert recorded through the tracer
 // is mirrored into sink in emission order (see events.go). Nil removes it.

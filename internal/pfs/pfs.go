@@ -335,9 +335,6 @@ func (f *File) Size() int64 { return f.backend.Size() }
 // StripeSize returns the stripe size in bytes.
 func (f *File) StripeSize() int64 { return f.stripeSize }
 
-// StripeCount returns the number of OSTs the file is striped over.
-func (f *File) StripeCount() int { return f.stripeCount }
-
 // ostIndexFor returns the OST index serving the stripe containing off.
 func (f *File) ostIndexFor(off int64) int {
 	stripe := off / f.stripeSize
@@ -471,7 +468,8 @@ func (cl *Client) reserveAll(f *File, off, n int64, issueAt float64, read bool) 
 // off. Stripe pieces on different OSTs are serviced concurrently (completion
 // is their max); pieces on the same OST queue. Returns the completion time.
 func (cl *Client) Read(f *File, buf []byte, off int64) float64 {
-	// As with ReadAsync, the bytes are taken at issue, before the first yield.
+	// The bytes are taken at issue, before the first yield: a write that
+	// lands while the request is in flight is not seen.
 	if len(buf) > 0 {
 		f.backend.ReadAt(buf, off)
 	}
@@ -536,25 +534,15 @@ func (cl *Client) charge(f *File, off, n int64, write bool) float64 {
 	return cl.proc.Now()
 }
 
-// ReadAsync starts a read without blocking the client beyond the issue
-// overhead; the returned completion time is when the data is in buf. Used by
-// the non-blocking two-phase pipeline to overlap reading with shuffling.
-func (cl *Client) ReadAsync(f *File, buf []byte, off int64) (done float64) {
-	// The bytes are taken when the read is issued, before the client's
-	// first yield: a write that lands while the request is in flight is not
-	// seen.
-	f.backend.ReadAt(buf, off)
-	return cl.ChargeReadAsync(f, off, int64(len(buf)))
-}
-
-// ChargeReadAsync models one contiguous asynchronous read of [off, off+n) and
-// returns its completion time, moving no data: the issue overhead on the
-// client, one request per stripe piece, the OST reservations with the
-// client's timeout/retry policy, FS.BytesRead/Requests, the latency
-// histogram and the pfs.read span are exactly ReadAsync's. A caller that can
-// obtain the extent's contents without its bytes (a generator-backed file
-// feeding a map) charges the read this way; ReadAsync and ReadSparseAsync
-// are this plus the backend fill.
+// ChargeReadAsync models one contiguous asynchronous read of [off, off+n) —
+// it blocks the client only for the issue overhead and returns the time the
+// data would be in place — moving no data: the issue overhead on the client,
+// one request per stripe piece, the OST reservations with the client's
+// timeout/retry policy, FS.BytesRead/Requests, the latency histogram and the
+// pfs.read span. The non-blocking two-phase pipeline uses it to overlap
+// reading with shuffling. A caller that can obtain the extent's contents
+// without its bytes (a generator-backed file feeding a map) charges the read
+// this way; ReadSparseAsync is this plus the backend fill.
 func (cl *Client) ChargeReadAsync(f *File, off, n int64) (done float64) {
 	if n == 0 {
 		return cl.proc.Now()
@@ -587,7 +575,7 @@ func (cl *Client) ChargeReadAsync(f *File, off, n int64) (done float64) {
 }
 
 // AwaitIO blocks the client until time done (a completion returned by
-// ReadAsync), recording the gap as I/O wait.
+// ChargeReadAsync or ReadSparseAsync), recording the gap as I/O wait.
 func (cl *Client) AwaitIO(done float64) {
 	w0 := cl.proc.Now()
 	cl.proc.SleepUntil(done)
@@ -597,15 +585,13 @@ func (cl *Client) AwaitIO(done float64) {
 	}
 }
 
-// Proc returns the client's simulated process.
-func (cl *Client) Proc() *sim.Proc { return cl.proc }
-
 // ReadSparseAsync models one contiguous read of [off, off+len(buf)) —
-// identical timing, statistics and OST contention to ReadAsync — but
+// identical timing, statistics and OST contention to ChargeReadAsync — and
 // materializes only the given piece ranges (absolute file offsets, sorted,
 // within the extent) into buf. Two-phase I/O reads covering extents whose
 // holes are never consumed; skipping their generation makes synthetic
-// paper-scale runs affordable without changing anything observable.
+// paper-scale runs affordable without changing anything observable. As with
+// Read, the pieces are taken at issue, before the client's first yield.
 func (cl *Client) ReadSparseAsync(f *File, buf []byte, off int64, pieces []layout.Run) (done float64) {
 	for _, pc := range pieces {
 		lo := pc.Offset - off

@@ -6,6 +6,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/layout"
 	"repro/internal/sim"
 )
 
@@ -185,7 +186,7 @@ func TestReadAsyncOverlap(t *testing.T) {
 	env.Spawn("c", func(p *sim.Proc) {
 		cl := fs.Client(p, 0, nil)
 		buf := make([]byte, 1<<20) // ~1s of OST time
-		done := cl.ReadAsync(f, buf, 0)
+		done := cl.ReadSparseAsync(f, buf, 0, nil)
 		issueAt = p.Now()
 		p.Sleep(0.25) // overlapped "compute"
 		cl.AwaitIO(done)
@@ -195,7 +196,7 @@ func TestReadAsyncOverlap(t *testing.T) {
 		t.Fatal(err)
 	}
 	if issueAt > 0.01 {
-		t.Fatalf("ReadAsync blocked the client until %g", issueAt)
+		t.Fatalf("ReadSparseAsync blocked the client until %g", issueAt)
 	}
 	if doneAt < 1.0 || doneAt > 1.2 {
 		t.Fatalf("async read completed at %g, want ~1.05", doneAt)
@@ -321,8 +322,8 @@ func TestSlowOSTInjection(t *testing.T) {
 	}
 }
 
-// A read observes the store when it is issued: Read and ReadAsync take the
-// bytes before the client's first yield and ChargeRead/ChargeReadAsync charge
+// A read observes the store when it is issued: Read and ReadSparseAsync take
+// the bytes before the client's first yield and ChargeRead/ChargeReadAsync charge
 // the same transfer afterwards, so a write that lands while the request is in
 // flight is not seen — and the charge-only twins cost exactly what the reads
 // that move bytes do.
@@ -345,7 +346,7 @@ func TestReadObservesStoreAtIssueAndChargeTwinsMatch(t *testing.T) {
 			case async && chargeOnly:
 				cl.AwaitIO(cl.ChargeReadAsync(f, 0, 200))
 			case async:
-				cl.AwaitIO(cl.ReadAsync(f, out.got, 0))
+				cl.AwaitIO(cl.ReadSparseAsync(f, out.got, 0, []layout.Run{{Offset: 0, Length: 200}}))
 			case chargeOnly:
 				cl.ChargeRead(f, 0, 200)
 			default:

@@ -203,10 +203,7 @@ type Proc struct {
 // Name returns the name given at Spawn.
 func (p *Proc) Name() string { return p.name }
 
-// Env returns the environment that owns this process.
-func (p *Proc) Env() *Env { return p.env }
-
-// Now returns the current virtual time. It is a convenience for p.Env().Now().
+// Now returns the current virtual time of the environment that owns p.
 func (p *Proc) Now() float64 { return p.env.now }
 
 // Spawn creates a process that will start running at the current virtual
@@ -273,12 +270,6 @@ func (p *Proc) Unblock(t float64) {
 	}
 	delete(p.env.blocked, p)
 	p.env.schedule(t, p)
-}
-
-// Blocked reports whether the process is parked in Block.
-func (p *Proc) Blocked() bool {
-	_, ok := p.env.blocked[p]
-	return ok
 }
 
 // DeadlockError is returned by Run when the event queue drains while

@@ -111,11 +111,6 @@ func NewDataset(fs *pfs.FS, storm Storm, stripeCount int, stripeSize int64) (*Da
 	if err != nil {
 		return nil, err
 	}
-	s.AddGlobalAttr(ncfile.TextAttr("title", "synthetic WRF hurricane output"))
-	s.AddVarAttr(slp, ncfile.TextAttr("units", "hPa"))
-	s.AddVarAttr(slp, ncfile.TextAttr("long_name", "sea level pressure"))
-	s.AddVarAttr(wind, ncfile.TextAttr("units", "knots"))
-	s.AddVarAttr(wind, ncfile.TextAttr("long_name", "10m wind speed"))
 	ds, err := ncfile.SynthDataset(fs, "wrfout", &s,
 		[]ncfile.ValueFn{storm.SLP, storm.Wind10}, stripeCount, stripeSize, 0)
 	if err != nil {

@@ -140,13 +140,15 @@ func TestNewDatasetVars(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.DS.NumVars() != 2 {
-		t.Fatalf("%d vars", d.DS.NumVars())
+	for id, name := range map[int]string{d.SLPVar: "slp", d.WindVar: "wind10"} {
+		if v, err := d.DS.Var(id); err != nil || v.Name != name {
+			t.Fatalf("variable %d = %+v, %v; want %q", id, v, err, name)
+		}
 	}
-	if id, err := d.DS.VarByName("slp"); err != nil || id != d.SLPVar {
-		t.Fatal("slp var missing")
+	if d.SLPVar == d.WindVar {
+		t.Fatal("slp and wind10 share an id")
 	}
-	if id, err := d.DS.VarByName("wind10"); err != nil || id != d.WindVar {
-		t.Fatal("wind10 var missing")
+	if _, err := d.DS.Var(2); err == nil {
+		t.Fatal("a third variable exists")
 	}
 }
