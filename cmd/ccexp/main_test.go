@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -196,6 +197,26 @@ func TestJobsStdoutDeterministic(t *testing.T) {
 	for _, want := range []string{"speedup", "bit-identical", "deadline misses: 0 serial, 0 concurrent"} {
 		if !strings.Contains(out1, want) {
 			t.Fatalf("jobs output missing %q:\n%s", want, out1)
+		}
+	}
+}
+
+// TestStdoutIdenticalAcrossHostParallelism: the map and the synthetic reads
+// run on up to GOMAXPROCS host workers, and virtual time is charged in one
+// order whatever they do, so the tables are the same bytes at 1, 2 and 8.
+func TestStdoutIdenticalAcrossHostParallelism(t *testing.T) {
+	var ref string
+	for _, procs := range []int{1, 2, 8} {
+		prev := runtime.GOMAXPROCS(procs)
+		code, out, errb := runCmd("-quick", "fig9", "fig13", "faults", "jobs")
+		runtime.GOMAXPROCS(prev)
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit %d: %s", procs, code, errb)
+		}
+		if procs == 1 {
+			ref = out
+		} else if out != ref {
+			t.Fatalf("GOMAXPROCS=%d prints differently from GOMAXPROCS=1:\n--- 1\n%s\n--- %d\n%s", procs, ref, procs, out)
 		}
 	}
 }

@@ -29,6 +29,13 @@ type Subset struct {
 // Op is the user computation of an object I/O: a commutative, associative
 // aggregation expressed as map (Absorb) + reduce (Merge). It corresponds to
 // the function registered with MPI_Op_create in paper Figure 6.
+//
+// The map folds each owner group of an aggregator iteration from its own
+// Zero() on the host's cores (see runCollectiveComputing), so Zero and
+// Absorb may run concurrently on distinct states and must not share mutable
+// state across calls; every operator here, Fuse, WindowOp and PerIndex
+// included, complies. Merge, StateBytes and Value run on the rank's
+// goroutine.
 type Op interface {
 	// Name identifies the operator in reports.
 	Name() string

@@ -129,7 +129,8 @@ type Result struct {
 }
 
 // Stats accumulates collective-computing accounting across ranks. The
-// simulation kernel runs ranks one at a time, so plain fields are safe.
+// simulation kernel runs ranks one at a time, and the map's host workers
+// never write it, so plain fields are safe.
 type Stats struct {
 	// MapElements is the number of elements folded by the map phase.
 	MapElements int64
@@ -202,6 +203,17 @@ var reduceMsgBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
 func observeReduceMsg(ot *obs.Tracer, bytes int64) {
 	ot.Metrics().Histogram("cc_reduce_message_bytes", reduceMsgBuckets...).
 		Observe(float64(bytes))
+}
+
+// ownerGroup is a run of consecutive pieces of one aggregator iteration,
+// [lo, hi), with one owner, and what the map's host phase made of it: the
+// state folded from op.Zero() over the pieces' subsets in order, and the
+// counts the virtual phase charges for.
+type ownerGroup struct {
+	owner                   int
+	lo, hi                  int
+	st                      State
+	elems, mdBytes, subsets int64
 }
 
 // partialMsg is the intermediate-result message of the modified shuffle.
@@ -441,88 +453,124 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	if io.Reduce == AllToOne {
 		perOwner = make(map[int]*partialMsg)
 	}
-	// The transform's value scratch: valid until its next piece.
-	var data []float64
+
+	// The map runs in two phases per iteration. The host phase folds every
+	// owner group on the dataset's host workers (fold): each group from its
+	// own op.Zero(), with the same Absorb calls in the same order as a serial
+	// fold, so its state cannot depend on the schedule. It moves no virtual
+	// time, does not yield, and writes nothing but its own group and pieces.
+	// The virtual phase then charges the groups for it, merges or ships their
+	// states, and accounts them, in group order on the rank's goroutine. The
+	// slices are kept from iteration to iteration.
+	var (
+		groups  []ownerGroup
+		subsets []int // per piece of the iteration: the subsets it yields
+		iterNow *adio.Iter
+		extNow  []byte
+	)
+	fold := func(w *ncfile.Worker, gi int) {
+		g := &groups[gi]
+		st := op.Zero()
+		for k := g.lo; k < g.hi; k++ {
+			pc := iterNow.Pieces[k]
+			elemRun := layout.Run{
+				Offset: (pc.Run.Offset - elemBase) / sz,
+				Length: pc.Run.Length / sz,
+			}
+			slabs := layout.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
+			// ext is nil exactly when the read is charge-only, in which
+			// case the values do not come from the piece's bytes.
+			var raw []byte
+			if extNow != nil {
+				raw = extNow[pc.Run.Offset-iterNow.ReadLo : pc.Run.End()-iterNow.ReadLo]
+			}
+			data := io.DS.WorkerValues(w, io.VarID, []layout.Run{elemRun}, raw)
+			pos := int64(0)
+			for _, slab := range slabs {
+				n := slab.NumElems()
+				st = op.Absorb(st, Subset{Slab: slab, Data: data[pos : pos+n]})
+				pos += n
+			}
+			subsets[k] = len(slabs)
+			g.elems += elemRun.Length
+			g.mdBytes += layout.MetadataBytes(slabs)
+			g.subsets += int64(len(slabs))
+		}
+		g.st = st
+	}
 
 	transform := func(aggrIdx, iter int, it *adio.Iter, ext []byte) map[int]adio.Payload {
-		out := map[int]adio.Payload{}
 		pieces := it.Pieces
-		i := 0
-		for i < len(pieces) {
-			owner := pieces[i].Owner
-			j := i
-			for j < len(pieces) && pieces[j].Owner == owner {
-				j++
+		groups = groups[:0]
+		var elems int64
+		for k, pc := range pieces {
+			if k == 0 || pc.Owner != pieces[k-1].Owner {
+				groups = append(groups, ownerGroup{owner: pc.Owner, lo: k})
 			}
+			groups[len(groups)-1].hi = k + 1
+			elems += pc.Run.Length / sz
+		}
+		if cap(subsets) < len(pieces) {
+			subsets = make([]int, len(pieces))
+		}
+		subsets = subsets[:len(pieces)]
+		iterNow, extNow = it, ext
+		io.DS.RunWorkers(len(groups), elems, fold)
+		iterNow, extNow = nil, nil
+
+		// The virtual phase.
+		var out map[int]adio.Payload
+		if io.Reduce != AllToOne {
+			out = make(map[int]adio.Payload, len(groups))
+		}
+		for gi := range groups {
+			g := &groups[gi]
 			tg0 := r.Now()
-			st := op.Zero()
-			var elems, mdBytes, subsets int64
 			t0 := r.Now()
-			for _, pc := range pieces[i:j] {
-				elemRun := layout.Run{
-					Offset: (pc.Run.Offset - elemBase) / sz,
-					Length: pc.Run.Length / sz,
-				}
-				slabs := layout.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
-				// ext is nil exactly when the read below is charge-only, in
-				// which case Values does not look at the piece's bytes.
-				var raw []byte
-				if ext != nil {
-					raw = ext[pc.Run.Offset-it.ReadLo : pc.Run.End()-it.ReadLo]
-				}
-				data = io.DS.Values(io.VarID, []layout.Run{elemRun}, raw, data)
-				pos := int64(0)
+			for k := g.lo; k < g.hi; k++ {
 				// Construction cost: per subset plus the decode memcopy.
-				r.Sys(float64(len(slabs))*constructCostPerSubset +
-					float64(pc.Run.Length)/io.Params.PackRate)
+				r.Sys(float64(subsets[k])*constructCostPerSubset +
+					float64(pieces[k].Run.Length)/io.Params.PackRate)
 				t1 := r.Now()
 				if io.Stats != nil {
 					io.Stats.ConstructSeconds += t1 - t0
 				}
 				t0 = t1
-				for _, slab := range slabs {
-					n := slab.NumElems()
-					st = op.Absorb(st, Subset{Slab: slab, Data: data[pos : pos+n]})
-					pos += n
-				}
-				elems += elemRun.Length
-				mdBytes += layout.MetadataBytes(slabs)
-				subsets += int64(len(slabs))
 			}
 			// Map cost, spread across the node's idle cores.
-			r.Compute(float64(elems) * io.SecPerElem / par)
+			r.Compute(float64(g.elems) * io.SecPerElem / par)
 			if ot != nil {
 				ot.SpanRank(r.Rank(), "cc.map", "cc", tg0, r.Now(),
-					obs.I("owner", int64(owner)), obs.I("elems", elems),
+					obs.I("owner", int64(g.owner)), obs.I("elems", g.elems),
 					obs.I("iter", int64(iter)))
 			}
 			if io.Stats != nil {
-				io.Stats.MapElements += elems
-				io.Stats.MapSeconds += float64(elems) * io.SecPerElem / par
-				io.Stats.MetadataBytes += mdBytes
+				io.Stats.MapElements += g.elems
+				io.Stats.MapSeconds += float64(g.elems) * io.SecPerElem / par
+				io.Stats.MetadataBytes += g.mdBytes
 				io.Stats.IntermediateRecords++
-				io.Stats.Subsets += subsets
-				io.Stats.RawBytes += elems * sz
+				io.Stats.Subsets += g.subsets
+				io.Stats.RawBytes += g.elems * sz
 			}
 			switch io.Reduce {
 			case AllToOne:
 				t0 := r.Now()
-				p := perOwner[owner]
+				p := perOwner[g.owner]
 				if p == nil {
 					p = &partialMsg{state: op.Zero()}
-					perOwner[owner] = p
+					perOwner[g.owner] = p
 				}
-				p.state = op.Merge(p.state, st)
+				p.state = op.Merge(p.state, g.st)
 				p.records++
-				p.mdBytes += mdBytes
+				p.mdBytes += g.mdBytes
 				r.Compute(mergeCost)
 				if io.Stats != nil {
 					io.Stats.LocalReduceSeconds += r.Now() - t0
 				}
 			default: // AllToAll: ship this iteration's partial to its owner.
-				bytes := op.StateBytes() + mdBytes
-				out[owner] = adio.Payload{
-					Data:  partialMsg{state: st, records: 1, mdBytes: mdBytes},
+				bytes := op.StateBytes() + g.mdBytes
+				out[g.owner] = adio.Payload{
+					Data:  partialMsg{state: g.st, records: 1, mdBytes: g.mdBytes},
 					Bytes: bytes,
 				}
 				if ot != nil {
@@ -532,10 +580,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 					io.Stats.ShuffleBytes += bytes
 				}
 			}
-			i = j
-		}
-		if io.Reduce == AllToOne {
-			return nil
+			g.st = nil
 		}
 		return out
 	}

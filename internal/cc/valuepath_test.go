@@ -51,20 +51,29 @@ var twinGeometry = struct {
 	window: layout.Slab{Start: []int64{2, 3, 4}, Count: []int64{3, 4, 5}},
 }
 
-// newTwin builds the machine over a dataset with unroundedAt contents: served
-// by a generator when image is nil, else from a MemBackend holding image (the same
-// file's bytes, see synthImage). slowOST injects the fault plan's straggler.
+// newTwin builds the twin geometry's machine over a dataset with unroundedAt
+// contents (see newValueBed), in 256-byte stripes.
 func newTwin(t *testing.T, image []byte, slowOST bool) *testbed {
 	t.Helper()
 	g := twinGeometry
+	return newValueBed(t, g.ranks, g.ty, g.dims, 256, image, slowOST)
+}
+
+// newValueBed builds n ranks, four per node, over a variable of type ty and
+// dims with unroundedAt contents, striped over four OSTs in stripes of stripe
+// bytes: served by a generator when image is nil, else from a MemBackend
+// holding image (the same file's bytes, see imageOf). slowOST injects the
+// fault plan's straggler.
+func newValueBed(t *testing.T, n int, ty ncfile.Type, dims []int64, stripe int64, image []byte, slowOST bool) *testbed {
+	t.Helper()
 	env := sim.NewEnv()
-	w := mpi.NewWorld(env, g.ranks, fabric.Params{RanksPerNode: 4})
-	fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: 256})
+	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
+	fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: stripe})
 	if slowOST {
 		fs.SlowOSTWindow(1, 8, 0, math.Inf(1))
 	}
 	var s ncfile.Schema
-	id, err := s.AddVar("v", g.ty, g.dims)
+	id, err := s.AddVar("v", ty, dims)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,13 +93,17 @@ func newTwin(t *testing.T, image []byte, slowOST bool) *testbed {
 	return &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id}
 }
 
-// synthImage is the generator-served file's bytes, built without the
-// generator path: the value function element by element through EncodeValues.
-// The value path and the synthetic backend share their row walk, so bytes read
-// back through the backend could not tell a fault in it.
+// synthImage is the twin geometry's file image (see imageOf).
 func synthImage(t *testing.T) []byte {
 	t.Helper()
-	tb := newTwin(t, nil, false)
+	return imageOf(newTwin(t, nil, false))
+}
+
+// imageOf is the bytes of tb's generator-served file, built without the
+// generator path: the value function element by element through
+// EncodeValues. The value path and the synthetic backend share their row
+// walk, so bytes read back through the backend could not tell a fault in it.
+func imageOf(tb *testbed) []byte {
 	v, _ := tb.ds.Var(tb.id)
 	vals := make([]float64, v.NumElems())
 	coords := make([]int64, len(v.Dims))

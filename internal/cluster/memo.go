@@ -63,16 +63,16 @@ type memoEntry struct {
 // order keeps it deterministic. Cost/size-aware eviction stays a ROADMAP
 // memo-v2 item.
 type memoTable struct {
-	entries map[string]memoEntry  // generation-prefixed memoKey -> result
-	order   []string              // insertion order of entry keys (may hold stale keys)
-	cap     int                   // max live entries; 0 = unlimited
-	running map[string]*JobResult // memoKey -> admitted donor
+	entries map[entryKey]memoEntry // (generation, memoKey) -> result
+	order   []entryKey             // insertion order of entry keys (may hold stale keys)
+	cap     int                    // max live entries; 0 = unlimited
+	running map[string]*JobResult  // memoKey -> admitted donor
 	stats   MemoStats
 }
 
 func newMemoTable(cap int) *memoTable {
 	return &memoTable{
-		entries: make(map[string]memoEntry),
+		entries: make(map[entryKey]memoEntry),
 		cap:     cap,
 		running: make(map[string]*JobResult),
 	}
@@ -82,7 +82,7 @@ func newMemoTable(cap int) *memoTable {
 // invalidation linger in the order list and are skipped lazily here; a
 // re-inserted live key keeps its original position (it can only re-enter
 // after eviction or invalidation removed it, so no duplicate order entries).
-func (t *memoTable) insert(key string, e memoEntry) {
+func (t *memoTable) insert(key entryKey, e memoEntry) {
 	if _, live := t.entries[key]; !live {
 		t.order = append(t.order, key)
 	}
@@ -111,8 +111,11 @@ func (t *memoTable) insert(key string, e memoEntry) {
 	}
 }
 
-func entryKey(gen int, memoKey string) string {
-	return fmt.Sprintf("g%d:%s", gen, memoKey)
+// entryKey names a cached result: a memo key under one generation of its
+// dataset, so that a replaced dataset's results are never served.
+type entryKey struct {
+	gen  int
+	memo string
 }
 
 func (t *memoTable) invalidate(dataset string) {
@@ -138,7 +141,7 @@ func (c *Cluster) memoTryComplete(jr *JobResult, now float64) bool {
 	}
 	meta := jr.cc
 	gen := c.generation(meta.job.Dataset)
-	if e, ok := c.memo.entries[entryKey(gen, meta.memoKey)]; ok {
+	if e, ok := c.memo.entries[entryKey{gen, meta.memoKey}]; ok {
 		meta.gen = gen
 		jr.Start, jr.End = now, now
 		jr.MemoHit = true
@@ -292,7 +295,7 @@ func (c *Cluster) memoComplete(jr *JobResult, now float64) {
 		delete(c.memo.running, meta.memoKey)
 	}
 	if jr.Err == nil {
-		c.memo.insert(entryKey(meta.gen, meta.memoKey),
+		c.memo.insert(entryKey{meta.gen, meta.memoKey},
 			memoEntry{res: meta.out.Res, ds: meta.job.Dataset})
 	}
 	for _, w := range meta.waiters {
@@ -305,7 +308,7 @@ func (c *Cluster) memoComplete(jr *JobResult, now float64) {
 		c.memo.stats.Coalesced++
 		c.memo.stats.BytesSaved += f.cc.bytes
 		if jr.Err == nil {
-			c.memo.insert(entryKey(f.cc.gen, f.cc.memoKey),
+			c.memo.insert(entryKey{f.cc.gen, f.cc.memoKey},
 				memoEntry{res: f.cc.out.Res, ds: f.cc.job.Dataset})
 		}
 		c.finishShared(jr, f, "coalesced", now)

@@ -13,6 +13,7 @@ import (
 	"fmt"
 
 	"repro/internal/adio"
+	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -119,9 +120,29 @@ type Dataset struct {
 	file  *pfs.File
 	vars  []Var
 	synth *synth // non-nil for generator-backed datasets (SynthDatasetGen)
-	// decoded is the scratch GetVaraAllScratch returns its values in; shared
-	// by every rank reading this dataset, for the reason synth's scratch is.
+	// decoded is the scratch GetVaraAllScratch returns its values in, and
+	// work the host workers' scratch. Both are shared by every rank reading
+	// this dataset: a dataset lives in one FS and so one sim.Env, whose kernel
+	// runs one process at a time, and no reader yields to the kernel between
+	// filling a scratch and consuming it.
 	decoded []float64
+	work    host.Pool[Worker]
+}
+
+// Worker is one host worker's scratch for producing a dataset's values: see
+// RunWorkers.
+type Worker struct {
+	coords []int64   // the generator's row walk
+	vals   []float64 // what WorkerValues returns
+}
+
+// RunWorkers calls body(w, i) once for every i in [0, n) on the host's cores,
+// the way host.Pool.Run does (elems is the work in elements), with w the
+// dataset's scratch of the worker making the call. body must not yield to
+// the simulation kernel, nor call Values or SynthValues, which use the same
+// workers: WorkerValues is its way to the dataset's values.
+func (ds *Dataset) RunWorkers(n int, elems int64, body func(w *Worker, i int)) {
+	ds.work.Run(n, elems, body)
 }
 
 // Create lays out the schema and returns an open dataset over the given
@@ -174,13 +195,18 @@ func (ds *Dataset) slabRuns(id int, slab layout.Slab) (elems, bytes []layout.Run
 // DecodeValues converts raw little-endian bytes of the variable's type into
 // float64 values (the uniform numeric type the analysis ops consume).
 func DecodeValues(t Type, raw []byte, out []float64) []float64 {
-	n := len(raw) / int(t.Size())
-	if cap(out) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
+	out = resize(out, int64(len(raw))/t.Size())
 	decode(t, out, raw)
 	return out
+}
+
+// resize returns out with length n, reallocated only when its capacity is
+// short of n.
+func resize(out []float64, n int64) []float64 {
+	if int64(cap(out)) < n {
+		return make([]float64, n)
+	}
+	return out[:n]
 }
 
 // EncodeValues converts float64 values into the variable's raw type.
@@ -207,7 +233,9 @@ func (ds *Dataset) GetVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 // or I/O call): the returned slice is a per-dataset scratch that the next
 // rank to finish reading the dataset overwrites. In exchange a collective
 // read produces its values in one buffer instead of allocating 8 bytes per
-// element on every rank.
+// element on every rank. From a generator-backed dataset the buffer is
+// filled on the host workers (SynthValues), all of which have stopped when
+// it is returned.
 func (ds *Dataset) GetVaraAllScratch(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
 	elems, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)

@@ -4,12 +4,14 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/pfs"
 )
 
 // ValueFn produces a variable's value at logical coordinates. It must be
 // deterministic and cheap: synthetic files are regenerated on every read.
+// It may run on several host workers at once, and must not keep coords.
 type ValueFn func(coords []int64) float64
 
 // Gen generates a run of variable values along the fastest-varying (last)
@@ -18,23 +20,26 @@ type ValueFn func(coords []int64) float64
 // on the slower coordinates out of the per-element loop, which is where
 // synthetic reads spend their time; results must be bit-identical to calling
 // a per-element function once per k.
+//
+// FillRow may run on several host workers at once, each with its own coords
+// and a disjoint out (see host.Pool). It must leave coords as it found them
+// and keep no reference to either slice.
 type Gen interface {
 	FillRow(coords []int64, out []float64)
 }
 
-// fnGen adapts a plain per-element ValueFn to the Gen interface.
-type fnGen struct {
-	fn     ValueFn
-	coords []int64 // scratch; see synth for why one per dataset is enough
-}
+// fnGen adapts a plain per-element ValueFn to the Gen interface. It keeps no
+// state of its own: it walks the caller's last coordinate and puts it back.
+type fnGen struct{ fn ValueFn }
 
-func (g *fnGen) FillRow(coords []int64, out []float64) {
-	g.coords = append(g.coords[:0], coords...)
-	last := len(g.coords) - 1
+func (g fnGen) FillRow(coords []int64, out []float64) {
+	last := len(coords) - 1
+	c0 := coords[last]
 	for k := range out {
-		out[k] = g.fn(g.coords)
-		g.coords[last]++
+		out[k] = g.fn(coords)
+		coords[last]++
 	}
+	coords[last] = c0
 }
 
 // SynthDataset creates a dataset whose variable contents are generated on
@@ -53,7 +58,7 @@ func SynthDataset(fs *pfs.FS, name string, s *Schema, fns []ValueFn,
 	gens := make([]Gen, len(fns))
 	for i, fn := range fns {
 		if fn != nil {
-			gens[i] = &fnGen{fn: fn}
+			gens[i] = fnGen{fn: fn}
 		}
 	}
 	return SynthDatasetGen(fs, name, s, gens, stripeCount, stripeSize, firstOST)
@@ -78,21 +83,41 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 	}
 	size := s.Layout()
 	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...)}
+	sy.unit = sy.fillUnit
 	f := fs.Create(name, pfs.NewSynthBackend(size, sy.fill), stripeCount, stripeSize, firstOST)
 	return &Dataset{file: f, vars: s.vars, synth: sy}, nil
 }
 
 // synth is the generator side of a synthetic dataset: the variables in file
 // order (Layout assigns offsets in schema order, so that is id order), their
-// generators, and the scratch both read paths use. One set of scratch per
-// dataset suffices because a dataset lives in one FS and so one sim.Env,
-// whose kernel runs one process at a time, and neither path yields to the
-// kernel between filling the scratch and consuming it.
+// generators, and two sets of scratch, one per dataset for the reason
+// Dataset.work is: the backend fill's coordinates and values, used on a
+// rank's goroutine inside a read; and the request SynthValues is spreading
+// over the host workers, each of which walks its own Worker.coords.
 type synth struct {
 	vars   []Var
 	gens   []Gen // by variable id; nil = zeros
 	coords []int64
 	vals   []float64
+
+	req  synthReq
+	cuts []runPos           // where each of req's Grain-element units starts
+	unit func(*Worker, int) // fillUnit, bound once so that a call allocates nothing
+}
+
+// synthReq is one SynthValues call: out receives the values of v's elements
+// in runs, concatenated, from generator g.
+type synthReq struct {
+	v    *Var
+	g    Gen
+	runs []layout.Run
+	out  []float64
+}
+
+// runPos is element off of run number run.
+type runPos struct {
+	run int
+	off int64
 }
 
 // Synthetic reports whether the dataset is generator-backed, i.e. whether
@@ -103,8 +128,8 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 // of linear element indices, in order), concatenated, in out's storage when
 // its capacity suffices. It is the one place a generator-backed dataset is
 // told from one holding real bytes, shared by every reader that turns a read
-// into values (GetVara, GetVaraAll, GetVaraAllScratch, the collective-
-// computing map):
+// into values (GetVara, GetVaraAll, GetVaraAllScratch, and through
+// WorkerValues the collective-computing map):
 //
 //   - A Synthetic dataset is immutable and a pure function of (variable,
 //     coordinates), so when and in what form its content is produced is
@@ -116,10 +141,25 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 //     raw holds the elements' bytes as that read delivered them,
 //     concatenated, and they are decoded.
 func (ds *Dataset) Values(id int, elemRuns []layout.Run, raw []byte, out []float64) []float64 {
+	return ds.values(nil, id, elemRuns, raw, out)
+}
+
+// WorkerValues is Values on one host worker, inside RunWorkers: the values
+// land in w's own buffer, valid until w's next WorkerValues call, and are
+// produced on the calling goroutine alone, so that several workers can call
+// it at once.
+func (ds *Dataset) WorkerValues(w *Worker, id int, elemRuns []layout.Run, raw []byte) []float64 {
+	w.vals = ds.values(w, id, elemRuns, raw, w.vals)
+	return w.vals
+}
+
+// values is Values, with a generator-backed dataset's values made on the
+// host workers when w is nil and on w alone otherwise.
+func (ds *Dataset) values(w *Worker, id int, elemRuns []layout.Run, raw []byte, out []float64) []float64 {
 	if ds.synth == nil {
 		return DecodeValues(ds.vars[id].Type, raw, out)
 	}
-	return ds.SynthValues(id, elemRuns, out)
+	return ds.synthValues(w, id, elemRuns, out)
 }
 
 // SynthValues returns the values of the elements of variable id in elemRuns,
@@ -128,39 +168,79 @@ func (ds *Dataset) Values(id int, elemRuns []layout.Run, raw []byte, out []float
 // (reused when its capacity suffices, as with DecodeValues) and the element
 // type's encode/decode round trip (float64 -> type -> float64) is applied in
 // place. The dataset must be Synthetic and the runs inside the variable.
+//
+// The elements are cut into units of host.Grain, counted from the first, and
+// the units are filled on the dataset's host workers. Every element is a
+// function of its coordinates alone, so neither the cut nor the schedule can
+// show in out.
 func (ds *Dataset) SynthValues(id int, elemRuns []layout.Run, out []float64) []float64 {
+	return ds.synthValues(nil, id, elemRuns, out)
+}
+
+// synthValues is SynthValues on the host workers when w is nil, and on w
+// alone otherwise.
+func (ds *Dataset) synthValues(w *Worker, id int, elemRuns []layout.Run, out []float64) []float64 {
 	n := layout.TotalLength(elemRuns)
-	if int64(cap(out)) < n {
-		out = make([]float64, n)
-	}
-	out = out[:n]
-	v := &ds.vars[id]
+	out = resize(out, n)
 	g := ds.synth.gens[id]
-	if g == nil {
+	switch {
+	case g == nil:
 		clear(out)
-		return out
-	}
-	var pos int64 // of the current run's first element within out
-	for _, er := range elemRuns {
-		ds.synth.rows(v, er.Offset, er.End(), func(e, m int64, coords []int64) {
-			row := out[pos+e-er.Offset:][:m]
-			g.FillRow(coords, row)
-			roundTrip(v.Type, row) // while the row is still in cache
-		})
-		pos += er.Length
+	case w != nil:
+		fillValues(&w.coords, &ds.vars[id], g, elemRuns, 0, out)
+	default:
+		sy := ds.synth
+		sy.cuts = sy.cuts[:0]
+		var pos int64 // of the current run's first element within out
+		for r, er := range elemRuns {
+			for c := int64(len(sy.cuts)) * host.Grain; c < pos+er.Length; c += host.Grain {
+				sy.cuts = append(sy.cuts, runPos{run: r, off: c - pos})
+			}
+			pos += er.Length
+		}
+		// The runs are copied into the dataset's scratch: keeping the
+		// caller's slice would move it to the heap on every call.
+		sy.req = synthReq{v: &ds.vars[id], g: g, runs: append(sy.req.runs[:0], elemRuns...), out: out}
+		ds.work.Run(len(sy.cuts), n, sy.unit)
+		sy.req.out = nil // the caller's, from here on
 	}
 	return out
 }
 
+// fillUnit fills unit i of the current request.
+func (sy *synth) fillUnit(w *Worker, i int) {
+	q := &sy.req
+	lo := int64(i) * host.Grain
+	hi := min(lo+host.Grain, int64(len(q.out)))
+	c := sy.cuts[i]
+	fillValues(&w.coords, q.v, q.g, q.runs[c.run:], c.off, q.out[lo:hi])
+}
+
+// fillValues fills out with the values of v's elements that start off
+// elements into runs[0] and go on through the runs after it, generated by g
+// and rounded to v's type, walking coords (scratch) along the rows.
+func fillValues(coords *[]int64, v *Var, g Gen, runs []layout.Run, off int64, out []float64) {
+	for pos := int64(0); pos < int64(len(out)); runs, off = runs[1:], 0 {
+		first := runs[0].Offset + off
+		m := min(runs[0].Length-off, int64(len(out))-pos)
+		rows(v, first, first+m, coords, func(e, n int64, c []int64) {
+			row := out[pos+e-first:][:n]
+			g.FillRow(c, row)
+			roundTrip(v.Type, row) // while the row is still in cache
+		})
+		pos += m
+	}
+}
+
 // rows calls fn once per maximal run of elements [e, e+n) of v within
 // [first, last) that stays in one row of the fastest dimension, with the
-// coordinates of element e. coords is scratch: valid during the call only.
-func (sy *synth) rows(v *Var, first, last int64, fn func(e, n int64, coords []int64)) {
+// coordinates of element e, held in scratch: valid during the call only.
+func rows(v *Var, first, last int64, scratch *[]int64, fn func(e, n int64, coords []int64)) {
 	nd := len(v.Dims)
-	if len(sy.coords) != nd {
-		sy.coords = make([]int64, nd)
+	if cap(*scratch) < nd {
+		*scratch = make([]int64, nd)
 	}
-	coords := layout.OffsetToCoords(v.Dims, first, sy.coords)
+	coords := layout.OffsetToCoords(v.Dims, first, (*scratch)[:nd])
 	lastDim := v.Dims[nd-1]
 	for e := first; e < last; {
 		n := lastDim - coords[nd-1]
@@ -214,7 +294,7 @@ func (sy *synth) fillVar(v *Var, g Gen, vlo, vhi, lo int64, p []byte) {
 	sz := v.Type.Size()
 	firstElem := (vlo - v.Offset) / sz
 	lastElem := (vhi - v.Offset + sz - 1) / sz // exclusive
-	sy.rows(v, firstElem, lastElem, func(e, n int64, coords []int64) {
+	rows(v, firstElem, lastElem, &sy.coords, func(e, n int64, coords []int64) {
 		if int64(cap(sy.vals)) < n {
 			sy.vals = make([]float64, n)
 		}

@@ -3,10 +3,12 @@ package ncfile
 import (
 	"bytes"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/adio"
 	"repro/internal/fabric"
+	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
@@ -321,6 +323,49 @@ func TestZeroAllocSynthValues(t *testing.T) {
 		scratch = ds.SynthValues(id, runs, scratch)
 	}); allocs != 0 {
 		t.Fatalf("steady-state SynthValues: %v allocs per call, want 0", allocs)
+	}
+}
+
+// TestSynthValuesUnitsMatchBytePath: a request of many partial-row runs, long
+// enough that SynthValues cuts it into host.Grain-element units that start
+// mid-run and mid-row, gives the byte path's values bit for bit, on the host
+// workers and inline alike; and WorkerValues, which fills it on the caller
+// alone, gives the same.
+func TestSynthValuesUnitsMatchBytePath(t *testing.T) {
+	var s Schema
+	id, _ := s.AddVar("v", Float32, []int64{5, 300, 301})
+	fs := pfs.New(sim.NewEnv(), pfs.Params{NumOSTs: 2})
+	ds, err := SynthDataset(fs, "units", &s, []ValueFn{awkwardValue(9, Float32)}, 1, 0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := &ds.vars[id]
+	runs := layout.Flatten(v.Dims, layout.Slab{Start: []int64{1, 7, 3}, Count: []int64{4, 283, 296}})
+	var raw []byte
+	for _, run := range runs {
+		b := make([]byte, run.Length*4)
+		ds.synth.fill(v.Offset+run.Offset*4, b)
+		raw = append(raw, b...)
+	}
+	want := DecodeValues(v.Type, raw, nil)
+	if n := int64(len(want)); n < 4*host.Grain {
+		t.Fatalf("%d elements: too few to cut into units", n)
+	}
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		var w Worker
+		got := map[string][]float64{
+			"SynthValues":  ds.SynthValues(id, runs, nil),
+			"WorkerValues": ds.WorkerValues(&w, id, runs, nil),
+		}
+		runtime.GOMAXPROCS(prev)
+		for name, vals := range got {
+			for i := range want {
+				if math.Float64bits(vals[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("GOMAXPROCS=%d: %s value %d is %v, the bytes decode to %v", procs, name, i, vals[i], want[i])
+				}
+			}
+		}
 	}
 }
 
