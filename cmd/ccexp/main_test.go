@@ -101,17 +101,24 @@ func TestQuickAllGolden(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v (regenerate with %s=1)", err, tc.update)
 			}
-			got, wantLines := strings.Split(out, "\n"), strings.Split(string(want), "\n")
-			for i := 0; i < len(got) && i < len(wantLines); i++ {
-				if got[i] != wantLines[i] {
-					t.Fatalf("line %d differs from the golden:\n got: %s\nwant: %s", i+1, got[i], wantLines[i])
-				}
-			}
-			if len(got) != len(wantLines) {
-				t.Fatalf("%d lines, golden has %d", len(got), len(wantLines))
+			if out != string(want) {
+				firstLineDiff(t, "stdout", out, string(want))
 			}
 		})
 	}
+}
+
+// firstLineDiff fails t at the first line where got and want part, or on
+// their line counts.
+func firstLineDiff(t *testing.T, what, got, want string) {
+	t.Helper()
+	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("%s line %d differs from the golden:\n got: %s\nwant: %s", what, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("%s has %d lines, golden has %d", what, len(gl), len(wl))
 }
 
 // TestSpanFoldingExperimentsKeepTheirSpans: explain's waterfall and
@@ -311,6 +318,43 @@ func TestTraceOutMessageFollowsTheWorkloadRun(t *testing.T) {
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 ||
 		!strings.Contains(errb, "(workload trace recorded to "+path+")") {
 		t.Fatalf("workload trace missing or unannounced (stat err %v): %s", err, errb)
+	}
+}
+
+// TestWorkloadTraceGolden pins the repro.workload.v1 trace format byte for
+// byte: a recorded 60-job stream against the committed file. Replaying the
+// committed file must print the recording run's table. Regenerate with
+// UPDATE_WORKLOAD_TRACE_GOLDEN=1 only in a change that says why the format
+// or the generator moved.
+func TestWorkloadTraceGolden(t *testing.T) {
+	golden := filepath.Join("testdata", "workload_trace.golden.jsonl")
+	path := filepath.Join(t.TempDir(), "stream.wl.jsonl")
+	code, recorded, errb := runCmd("-quick", "-workload", "jobs=60,rate=4,rates=1", "-trace-out", path, "workload")
+	if code != 0 {
+		t.Fatalf("record: exit %d: %s", code, errb)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if os.Getenv("UPDATE_WORKLOAD_TRACE_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_WORKLOAD_TRACE_GOLDEN=1)", err)
+	}
+	if !bytes.Equal(got, want) {
+		firstLineDiff(t, "trace", string(got), string(want))
+	}
+	code, replayed, errb := runCmd("-quick", "-trace-in", golden, "workload")
+	if code != 0 {
+		t.Fatalf("replay: exit %d: %s", code, errb)
+	}
+	if replayed != recorded {
+		t.Fatalf("replaying the golden prints differently from the recording run:\n--- recorded\n%s\n--- replayed\n%s", recorded, replayed)
 	}
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -62,6 +63,54 @@ func TestSmoke(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Fatalf("stdout missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestStdoutGolden pins ccrun's stdout byte for byte over one run per mode,
+// reduce and operator family, the queued path under fairshare, a fault plan
+// and the WRF workload, against testdata/stdout.golden.txt. Regenerate with
+// UPDATE_CCRUN_GOLDEN=1 only in a change that says which number moved and
+// why.
+func TestStdoutGolden(t *testing.T) {
+	var got bytes.Buffer
+	for _, extra := range [][]string{
+		{"-op", "count"},
+		{"-op", "max", "-reduce", "all2all"},
+		{"-op", "min", "-mode", "traditional"},
+		{"-op", "sum", "-mode", "independent"},
+		{"-op", "sum", "-repeat", "3", "-memo", "-policy", "fairshare"},
+		{"-op", "mean", "-stragglers", "2", "-slow-ranks", "1", "-fault-seed", "7",
+			"-read-timeout", "0.01", "-read-backoff", "0.002", "-rebalance-rounds", "2"},
+		{"-workload", "wrf", "-task", "maxwind"},
+	} {
+		args := append(append([]string{}, smokeArgs...), extra...)
+		code, out, errb := runCmd(args...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d, stderr %q", args, code, errb)
+		}
+		fmt.Fprintf(&got, "== ccrun %s\n%s", strings.Join(extra, " "), out)
+	}
+	golden := filepath.Join("testdata", "stdout.golden.txt")
+	if os.Getenv("UPDATE_CCRUN_GOLDEN") != "" {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_CCRUN_GOLDEN=1)", err)
+	}
+	gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("line %d differs from the golden:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
+		}
+	}
+	if len(gl) != len(wl) {
+		t.Fatalf("%d lines, golden has %d", len(gl), len(wl))
 	}
 }
 

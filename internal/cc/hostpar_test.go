@@ -20,7 +20,7 @@ import (
 // worker goroutines whenever GOMAXPROCS allows; the groups differ in size, so
 // charging them in any order but the groups' own would move the clock's
 // rounding. Most ranks' traditional reads are several Grain-element units of
-// SynthValues.
+// Dataset.Values.
 var parGeometry = struct {
 	rows   []int64 // of each time step, per rank
 	dims   []int64

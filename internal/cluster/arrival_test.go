@@ -130,8 +130,8 @@ func TestArrivalCollisionProperties(t *testing.T) {
 		mix := genCollidingMix(rng)
 		for _, pol := range PolicyNames() {
 			label := fmt.Sprintf("colliding seed %d policy %s", seed, pol)
-			a := runMix(t, pol, mix, 1.0, false)
-			b := runMix(t, pol, mix, 1.0, false)
+			a := runMix(t, pol, mix, false)
+			b := runMix(t, pol, mix, false)
 
 			if a.makespan != b.makespan {
 				t.Fatalf("%s: makespan differs across runs: %v vs %v", label, a.makespan, b.makespan)

@@ -77,8 +77,6 @@ type ccMeta struct {
 	// bytes is the logical data volume the job's read streams — what a memo
 	// hit or coalesce saves.
 	bytes int64
-	// gen is the dataset generation the job ran (or was served) against.
-	gen int
 
 	// Donor-side state, set while the job is admitted (see memo.go).
 	consumers []cc.Consumer // fused piggyback specs for followers

@@ -56,7 +56,7 @@ type Spec struct {
 	// coalescing for CC jobs (see memo.go): identical jobs are served from a
 	// result cache or attached to an in-flight twin, and overlapping jobs
 	// share one physical pass. All shared results are bit-identical to cold
-	// runs; invalidation is by dataset generation (ReplaceDataset).
+	// runs.
 	Memo bool
 	// MemoCap bounds the result cache's entry count when Memo is set: the
 	// oldest-inserted entries are evicted first once the cache exceeds it.
@@ -82,13 +82,11 @@ type Cluster struct {
 	world *mpi.Comm
 
 	datasets map[string]*ncfile.Dataset
-	gens     map[string]int // dataset replacement generations
 	plans    map[string]*adio.PlanCache
 	memo     *memoTable // result cache; nil unless Spec.Memo
 
-	policy       Policy             // admission/placement policy (Spec.Policy)
-	tenantUse    map[string]float64 // rank-seconds of service charged per tenant
-	tenantWeight map[string]float64 // fair-share weights (Session.SetWeight)
+	policy    Policy             // admission/placement policy (Spec.Policy)
+	tenantUse map[string]float64 // rank-seconds of service charged per tenant
 
 	// Dimensional telemetry caches (dimensional.go): labeled-family handles
 	// built once and reused, plus the per-class wait windows behind -series.
@@ -125,12 +123,9 @@ func New(spec Spec) *Cluster {
 	c := &Cluster{
 		spec: spec, env: env, w: w, fs: pfs.New(env, spec.FS),
 		rt: obs.NewRankTime(spec.Ranks), obs: spec.Obs,
-		datasets: make(map[string]*ncfile.Dataset),
-		gens:     make(map[string]int),
-		plans:    make(map[string]*adio.PlanCache),
-
-		tenantUse:    make(map[string]float64),
-		tenantWeight: make(map[string]float64),
+		datasets:  make(map[string]*ncfile.Dataset),
+		plans:     make(map[string]*adio.PlanCache),
+		tenantUse: make(map[string]float64),
 	}
 	c.policy = newPolicy(spec.Policy, c)
 	if spec.Memo {
@@ -195,21 +190,6 @@ func (c *Cluster) RegisterDataset(name string, ds *ncfile.Dataset) {
 		panic(fmt.Sprintf("cluster: dataset %q already registered", name))
 	}
 	c.datasets[name] = ds
-}
-
-// ReplaceDataset swaps the dataset registered under name for ds, bumping the
-// dataset's generation: every memoized result computed against the old
-// contents is invalidated, so later identical submissions re-read the new
-// data. Panics if name was never registered (use RegisterDataset first).
-func (c *Cluster) ReplaceDataset(name string, ds *ncfile.Dataset) {
-	if _, ok := c.datasets[name]; !ok {
-		panic(fmt.Sprintf("cluster: ReplaceDataset of unregistered dataset %q", name))
-	}
-	c.datasets[name] = ds
-	c.gens[name]++
-	if c.memo != nil {
-		c.memo.invalidate(name)
-	}
 }
 
 // MemoStats returns the result cache's counters; all zero unless Spec.Memo

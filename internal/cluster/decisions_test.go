@@ -18,7 +18,7 @@ import (
 // after a placement, the concurrency cap, and the fairshare counters.
 func TestQueueViewAccessors(t *testing.T) {
 	c := New(Spec{Ranks: 8, RanksPerNode: 4, MaxConcurrent: 1})
-	sa, sb := c.Session("alice"), c.Session("bob").SetWeight(2)
+	sa, sb := c.Session("alice"), c.Session("bob")
 	sa.Submit(&Job{Name: "a0", Ranks: 4, Deadline: 10, Priority: 2, EstCost: 3,
 		Main: computeJob(1)})
 	sb.Submit(&Job{Name: "b0", Ranks: 2, Main: computeJob(1)})
@@ -82,10 +82,6 @@ func TestQueueViewAccessors(t *testing.T) {
 	}
 	if got := q.Usage("bob"); got != 0 {
 		t.Fatalf("Usage(bob) = %v, want 0", got)
-	}
-	if q.Weight("alice") != 1 || q.Weight("bob") != 2 {
-		t.Fatalf("Weight alice/bob = %v/%v, want 1/2",
-			q.Weight("alice"), q.Weight("bob"))
 	}
 }
 
@@ -295,7 +291,7 @@ func TestHeldSkipsExpandOnHarnessMixes(t *testing.T) {
 	for seed := 0; seed < nseeds; seed++ {
 		mix := genMix(rand.New(rand.NewSource(int64(seed))))
 		for _, pol := range PolicyNames() {
-			out := runMixWith(t, mix, mixRun{policy: pol, t1Weight: 1, traced: true, explain: true})
+			out := runMixWith(t, mix, mixRun{policy: pol, traced: true, explain: true})
 			recs, err := decision.ReadLog(bytes.NewReader(out.events))
 			if err != nil {
 				t.Fatalf("seed %d policy %s: %v", seed, pol, err)

@@ -71,8 +71,7 @@ func queuedSpanAttrs(jr *JobResult) []obs.Attr {
 // memoGauges is the cached handle set for the labeled memo_events family.
 type memoGauges struct {
 	hits, waiters, coalesced, misses *obs.Gauge
-	bytesSaved, invalidations        *obs.Gauge
-	evictions                        *obs.Gauge
+	bytesSaved, evictions            *obs.Gauge
 }
 
 // mirrorLabeled syncs the labeled hardware and memo families from their
@@ -120,8 +119,7 @@ func (c *Cluster) mirrorLabeled(m *obs.Registry) {
 			c.memoG = &memoGauges{
 				hits: v.With("hits"), waiters: v.With("waiters"),
 				coalesced: v.With("coalesced"), misses: v.With("misses"),
-				bytesSaved: v.With("bytes_saved"), invalidations: v.With("invalidations"),
-				evictions: v.With("evictions"),
+				bytesSaved: v.With("bytes_saved"), evictions: v.With("evictions"),
 			}
 		}
 		s := c.memo.stats
@@ -130,7 +128,6 @@ func (c *Cluster) mirrorLabeled(m *obs.Registry) {
 		c.memoG.coalesced.Set(float64(s.Coalesced))
 		c.memoG.misses.Set(float64(s.Misses))
 		c.memoG.bytesSaved.Set(float64(s.BytesSaved))
-		c.memoG.invalidations.Set(float64(s.Invalidations))
 		c.memoG.evictions.Set(float64(s.Evictions))
 	}
 }

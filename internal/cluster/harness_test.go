@@ -79,23 +79,22 @@ type mixOutcome struct {
 	events   []byte // JSONL event log; nil unless traced
 }
 
-// mixRun is how one mix is executed: the registered policy, tenant t1's
-// fair-share weight, whether the JSONL event log is captured (traced) and
-// whether decision records are interleaved into it (explain), and an
-// optional hook run on the fresh cluster before any submission.
+// mixRun is how one mix is executed: the registered policy, whether the
+// JSONL event log is captured (traced) and whether decision records are
+// interleaved into it (explain), and an optional hook run on the fresh
+// cluster before any submission.
 type mixRun struct {
-	policy   string
-	t1Weight float64
-	traced   bool
-	explain  bool
-	setup    func(*Cluster)
+	policy  string
+	traced  bool
+	explain bool
+	setup   func(*Cluster)
 }
 
 // runMix executes mix under the named policy. EstCost is set to the exact
-// duration; t1Weight sets tenant t1's fair-share weight.
-func runMix(t *testing.T, policy string, mix []mixJob, t1Weight float64, traced bool) mixOutcome {
+// duration.
+func runMix(t *testing.T, policy string, mix []mixJob, traced bool) mixOutcome {
 	t.Helper()
-	return runMixWith(t, mix, mixRun{policy: policy, t1Weight: t1Weight, traced: traced})
+	return runMixWith(t, mix, mixRun{policy: policy, traced: traced})
 }
 
 func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
@@ -119,7 +118,6 @@ func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
 	sessions := map[string]*Session{
 		"t1": c.Session("t1"), "t2": c.Session("t2"),
 	}
-	sessions["t1"].SetWeight(run.t1Weight)
 	for _, mj := range mix {
 		j := &Job{Name: mj.name, Ranks: mj.width, Deadline: mj.deadline,
 			Priority: mj.prio, EstCost: mj.dur, Main: pureCompute(mj.dur)}
@@ -291,15 +289,11 @@ func TestPolicyProperties(t *testing.T) {
 	for seed := 0; seed < nseeds; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
 		mix := genMix(rng)
-		t1Weight := 1.0
-		if seed%5 == 0 {
-			t1Weight = 2
-		}
 		traced := seed%29 == 0
 		for _, pol := range PolicyNames() {
 			label := fmt.Sprintf("seed %d policy %s", seed, pol)
-			a := runMix(t, pol, mix, t1Weight, traced)
-			b := runMix(t, pol, mix, t1Weight, traced)
+			a := runMix(t, pol, mix, traced)
+			b := runMix(t, pol, mix, traced)
 
 			// Determinism across two identical runs.
 			if a.makespan != b.makespan {

@@ -13,8 +13,8 @@ import (
 // coalescing (Spec.Memo). Three sharing regimes, all bit-identical to cold
 // runs:
 //
-//   - Memo hit: a queued job's full semantic shape (dataset generation, var,
-//     slab, split, rank count, buffer, block flag, reduce mode, operator
+//   - Memo hit: a queued job's full semantic shape (dataset, var, slab,
+//     split, rank count, buffer, block flag, reduce mode, operator
 //     identity) matches a completed job's — the cached cc.Result is returned
 //     instantly, occupying no ranks.
 //   - Waiter: the matching job is still running — the queued job attaches to
@@ -27,33 +27,23 @@ import (
 // internal/cc/coalesce.go): either the follower's full shape and reduce mode
 // equal the donor's (any operator), or its slab is contained in the donor's
 // and its operator is order-invariant.
-//
-// Invalidation: entries are keyed by dataset generation; ReplaceDataset bumps
-// the generation and drops the dataset's entries, so stale results can never
-// be served.
 
 // MemoStats counts the result cache's activity over a run. Available without
-// obs via Cluster.MemoStats; mirrored into the metrics registry (memo_*
-// counters) when Spec.Obs is set.
+// obs via Cluster.MemoStats; mirrored into the metrics registry
+// (memo_events{kind} gauges) when Spec.Obs is set.
 type MemoStats struct {
-	Hits          int   // completed-result cache hits (no ranks occupied)
-	Waiters       int   // jobs completed by attaching to an in-flight twin
-	Coalesced     int   // jobs piggybacked onto a donor's physical pass
-	Misses        int   // CC jobs that ran their own physical pass
-	BytesSaved    int64 // logical bytes not re-read thanks to sharing
-	Invalidations int   // cached results dropped by ReplaceDataset
-	Evictions     int   // cached results dropped by the count cap (Spec.MemoCap)
+	Hits       int   // completed-result cache hits (no ranks occupied)
+	Waiters    int   // jobs completed by attaching to an in-flight twin
+	Coalesced  int   // jobs piggybacked onto a donor's physical pass
+	Misses     int   // CC jobs that ran their own physical pass
+	BytesSaved int64 // logical bytes not re-read thanks to sharing
+	Evictions  int   // cached results dropped by the count cap (Spec.MemoCap)
 }
 
 // defaultMemoCap bounds the result cache when Spec.MemoCap is 0: large
 // enough that no existing experiment ever evicts, small enough that a
 // million-job stream cannot grow the cache without bound.
 const defaultMemoCap = 1 << 16
-
-type memoEntry struct {
-	res cc.Result
-	ds  string // dataset name, for invalidation
-}
 
 // memoTable is the cluster-level result cache plus the in-flight donor index.
 // The cache is count-bounded (cap; 0 = unlimited): when an insertion pushes
@@ -63,73 +53,35 @@ type memoEntry struct {
 // order keeps it deterministic. Cost/size-aware eviction stays a ROADMAP
 // memo-v2 item.
 type memoTable struct {
-	entries map[entryKey]memoEntry // (generation, memoKey) -> result
-	order   []entryKey             // insertion order of entry keys (may hold stale keys)
-	cap     int                    // max live entries; 0 = unlimited
-	running map[string]*JobResult  // memoKey -> admitted donor
+	entries map[string]cc.Result  // memoKey -> result
+	order   []string              // memo keys in insertion order
+	cap     int                   // max entries; 0 = unlimited
+	running map[string]*JobResult // memoKey -> admitted donor
 	stats   MemoStats
 }
 
 func newMemoTable(cap int) *memoTable {
 	return &memoTable{
-		entries: make(map[entryKey]memoEntry),
+		entries: make(map[string]cc.Result),
 		cap:     cap,
 		running: make(map[string]*JobResult),
 	}
 }
 
-// insert caches res under key and enforces the count cap. Keys removed by
-// invalidation linger in the order list and are skipped lazily here; a
-// re-inserted live key keeps its original position (it can only re-enter
-// after eviction or invalidation removed it, so no duplicate order entries).
-func (t *memoTable) insert(key entryKey, e memoEntry) {
+// insert caches res under key and enforces the count cap. A re-inserted key
+// keeps its original position (it can only re-enter after eviction removed
+// it, so order never holds a key twice).
+func (t *memoTable) insert(key string, res cc.Result) {
 	if _, live := t.entries[key]; !live {
 		t.order = append(t.order, key)
 	}
-	t.entries[key] = e
-	if t.cap <= 0 {
-		return
-	}
-	for len(t.entries) > t.cap && len(t.order) > 0 {
-		victim := t.order[0]
+	t.entries[key] = res
+	for t.cap > 0 && len(t.entries) > t.cap {
+		delete(t.entries, t.order[0])
 		t.order = t.order[1:]
-		if _, live := t.entries[victim]; live {
-			delete(t.entries, victim)
-			t.stats.Evictions++
-		}
-	}
-	// Invalidation leaves stale keys in the order list; compact once they
-	// dominate so the list stays proportional to the live cache.
-	if len(t.order) > 2*len(t.entries)+16 {
-		live := t.order[:0]
-		for _, k := range t.order {
-			if _, ok := t.entries[k]; ok {
-				live = append(live, k)
-			}
-		}
-		t.order = live
+		t.stats.Evictions++
 	}
 }
-
-// entryKey names a cached result: a memo key under one generation of its
-// dataset, so that a replaced dataset's results are never served.
-type entryKey struct {
-	gen  int
-	memo string
-}
-
-func (t *memoTable) invalidate(dataset string) {
-	for k, e := range t.entries {
-		if e.ds == dataset {
-			delete(t.entries, k)
-			t.stats.Invalidations++
-		}
-	}
-}
-
-// generation returns the dataset's replacement count (0 until the first
-// ReplaceDataset).
-func (c *Cluster) generation(dataset string) int { return c.gens[dataset] }
 
 // memoTryComplete serves the queue head from the memo layer when possible: a
 // cached result completes it instantly; an identical in-flight job adopts it
@@ -140,12 +92,10 @@ func (c *Cluster) memoTryComplete(jr *JobResult, now float64) bool {
 		return false
 	}
 	meta := jr.cc
-	gen := c.generation(meta.job.Dataset)
-	if e, ok := c.memo.entries[entryKey{gen, meta.memoKey}]; ok {
-		meta.gen = gen
+	if res, ok := c.memo.entries[meta.memoKey]; ok {
 		jr.Start, jr.End = now, now
 		jr.MemoHit = true
-		meta.out.Res = e.res
+		meta.out.Res = res
 		c.memo.stats.Hits++
 		c.memo.stats.BytesSaved += meta.bytes
 		if ot := c.obs; ot != nil {
@@ -164,8 +114,7 @@ func (c *Cluster) memoTryComplete(jr *JobResult, now float64) bool {
 		}
 		return true
 	}
-	if donor, ok := c.memo.running[meta.memoKey]; ok && donor.cc.gen == gen {
-		meta.gen = gen
+	if donor, ok := c.memo.running[meta.memoKey]; ok {
 		jr.Start = now
 		jr.CoalescedWith = donor
 		donor.cc.waiters = append(donor.cc.waiters, jr)
@@ -195,7 +144,6 @@ func (c *Cluster) memoAdmit(jr *JobResult, now float64) {
 		return
 	}
 	meta := jr.cc
-	meta.gen = c.generation(meta.job.Dataset)
 	c.memo.running[meta.memoKey] = jr
 	c.memo.stats.Misses++
 
@@ -219,7 +167,6 @@ func (c *Cluster) memoAttach(jr, p *JobResult, now float64) bool {
 		return false
 	}
 	if f.memoKey == d.memoKey {
-		f.gen = d.gen
 		p.Start = now
 		p.CoalescedWith = jr
 		d.waiters = append(d.waiters, p)
@@ -257,7 +204,6 @@ func (c *Cluster) memoAttach(jr, p *JobResult, now float64) bool {
 	default:
 		return false
 	}
-	f.gen = d.gen
 	p.Start = now
 	p.CoalescedWith = jr
 	d.followers = append(d.followers, p)
@@ -295,8 +241,7 @@ func (c *Cluster) memoComplete(jr *JobResult, now float64) {
 		delete(c.memo.running, meta.memoKey)
 	}
 	if jr.Err == nil {
-		c.memo.insert(entryKey{meta.gen, meta.memoKey},
-			memoEntry{res: meta.out.Res, ds: meta.job.Dataset})
+		c.memo.insert(meta.memoKey, meta.out.Res)
 	}
 	for _, w := range meta.waiters {
 		w.cc.out.Res = meta.out.Res
@@ -308,8 +253,7 @@ func (c *Cluster) memoComplete(jr *JobResult, now float64) {
 		c.memo.stats.Coalesced++
 		c.memo.stats.BytesSaved += f.cc.bytes
 		if jr.Err == nil {
-			c.memo.insert(entryKey{f.cc.gen, f.cc.memoKey},
-				memoEntry{res: f.cc.out.Res, ds: f.cc.job.Dataset})
+			c.memo.insert(f.cc.memoKey, f.cc.out.Res)
 		}
 		c.finishShared(jr, f, "coalesced", now)
 	}

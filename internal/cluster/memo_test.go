@@ -149,45 +149,6 @@ func TestMemoWaiterWhileDonorRunning(t *testing.T) {
 	}
 }
 
-// TestMemoInvalidationOnReplace: replacing a dataset bumps its generation and
-// drops its cached results, so a later identical job re-reads instead of
-// being served a stale result; once it completes, the cache serves the new
-// generation again.
-func TestMemoInvalidationOnReplace(t *testing.T) {
-	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{16, 32, 32}}
-	c := newMemoCluster(t, 4, 0, true)
-	first := c.SubmitCC(ccOpJob("first", cc.Sum{}, cc.AllToOne, whole))
-	again := c.SubmitCCAt(1000, ccOpJob("again", cc.Sum{}, cc.AllToOne, whole))
-	third := c.SubmitCCAt(2000, ccOpJob("third", cc.Sum{}, cc.AllToOne, whole))
-	// Republish the dataset (same contents) after the first job completes:
-	// the generation bump alone must force re-execution.
-	c.Env().At(500, func() { c.ReplaceDataset("climate", c.Dataset("climate")) })
-	if _, err := c.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, cr := range []*CCResult{first, again, third} {
-		if !cr.Valid() {
-			t.Fatalf("%s: %v", cr.Job.Name, cr.Err)
-		}
-	}
-	if again.MemoHit {
-		t.Fatal("job after ReplaceDataset was served a stale cached result")
-	}
-	if again.Duration() <= 0 {
-		t.Fatal("job after ReplaceDataset did not run a physical pass")
-	}
-	if !third.MemoHit {
-		t.Fatal("second job after ReplaceDataset should hit the new-generation entry")
-	}
-	st := c.MemoStats()
-	if st.Invalidations != 1 || st.Misses != 2 || st.Hits != 1 {
-		t.Fatalf("memo stats %+v, want 1 invalidation / 2 misses / 1 hit", st)
-	}
-	if math.Float64bits(first.Res.Value) != math.Float64bits(again.Res.Value) {
-		t.Fatal("identical data produced different results across generations")
-	}
-}
-
 // TestCCResultValid covers the accessor's three regimes: never-run, dropped,
 // and completed.
 func TestCCResultValid(t *testing.T) {

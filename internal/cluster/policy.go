@@ -35,7 +35,7 @@ import (
 //     it when false (lazy deletion); a handle never re-enters the queue.
 //   - Keys are static and totally ordered: a job's width, priority, absolute
 //     deadline, estimate, tenant and Seq are fixed at submission and finite
-//     (NaN/Inf are refused at Submit and SetWeight). Only Queue.Usage moves,
+//     (NaN/Inf are refused at Submit). Only Queue.Usage moves,
 //     and UsageObserver says when.
 //
 // Contract (enforced by the property harness in harness_test.go and, for the
@@ -59,7 +59,7 @@ import (
 //   - "fifo" (default): the queue head; O(1).
 //   - "priority": one heap under priBefore; O(log N).
 //   - "fairshare": a min-Seq heap per tenant under a tenant heap keyed
-//     (usage/weight, head Seq); O(log N + log T).
+//     (usage, head Seq); O(log N + log T).
 //   - "easy-backfill": none — O(1) while the head fits, an O(N) walk per
 //     round in which it is blocked (the walk's side effects are the log).
 //
@@ -198,15 +198,6 @@ func (q *Queue) Fits(h *JobResult) bool {
 // (charged width x EstCost at admission and trued up to width x actual
 // duration at completion) — the fairshare policy's deficit counter.
 func (q *Queue) Usage(tenant string) float64 { return q.c.tenantUse[tenant] }
-
-// Weight returns the tenant's fair-share weight (Session.SetWeight; 1 when
-// never set).
-func (q *Queue) Weight(tenant string) float64 {
-	if w, ok := q.c.tenantWeight[tenant]; ok {
-		return w
-	}
-	return 1
-}
 
 // charge moves tenant's service charge by delta rank-seconds and tells a
 // usage-indexing policy.
@@ -644,13 +635,13 @@ func (p *priorityPolicy) Admit(q *Queue) { admitBest(q, p.best) }
 // fairsharePolicy orders tenants by deficit: each tenant's bucket is
 // charged width x service for every job it runs (estimated at admission,
 // trued up at completion), and the pending job whose tenant has the
-// smallest weight-normalized charge is served first, FCFS within a tenant.
+// smallest charge is served first, FCFS within a tenant.
 // A flooding tenant therefore pays for its own queue: its charge races
 // ahead and other tenants' jobs are interleaved in front of its backlog.
 //
 // Two levels of index: each tenant holds its pending handles in a min-Seq
 // heap (arrival order is not Seq order under SubmitAt), and the tenants with
-// anything pending sit in a heap keyed (usage/weight, head Seq). A tenant is
+// anything pending sit in a heap keyed (usage, head Seq). A tenant is
 // re-fixed only when its key moves: UsageChanged, a new head arriving, or
 // its stale head surfacing at the top. A head removed behind the policy's
 // back only makes its tenant sort too early, never too late, so cleaning
@@ -662,7 +653,7 @@ type fairsharePolicy struct {
 
 type fsTenant struct {
 	jobs minHeap[*JobResult]
-	key  float64 // Usage/Weight as of the last UsageChanged
+	key  float64 // Usage as of the last UsageChanged
 	pos  int     // index in the tenant heap, -1 while nothing is pending
 }
 
@@ -687,7 +678,7 @@ func (*fairsharePolicy) Name() string { return "fairshare" }
 func (p *fairsharePolicy) tenant(q *Queue, name string) *fsTenant {
 	t := p.tenants[name]
 	if t == nil {
-		t = &fsTenant{pos: -1, key: q.Usage(name) / q.Weight(name)}
+		t = &fsTenant{pos: -1, key: q.Usage(name)}
 		t.jobs.less = func(a, b *JobResult) bool {
 			q.c.admitWork++
 			return a.Seq() < b.Seq()
@@ -700,7 +691,7 @@ func (p *fairsharePolicy) tenant(q *Queue, name string) *fsTenant {
 // UsageChanged re-keys one tenant (UsageObserver).
 func (p *fairsharePolicy) UsageChanged(q *Queue, name string) {
 	t := p.tenant(q, name)
-	t.key = q.Usage(name) / q.Weight(name)
+	t.key = q.Usage(name)
 	if t.pos >= 0 {
 		p.heap.fix(t.pos)
 	}

@@ -142,47 +142,38 @@ func TestPriorityOrdering(t *testing.T) {
 // behind all of it (as they would under fifo), because every job A runs
 // raises A's charge above B's.
 func TestFairshareInterleavesTenants(t *testing.T) {
-	order := func(weightB float64) []string {
-		c := New(Spec{Ranks: 2, RanksPerNode: 2, Policy: "fairshare"})
-		sa, sb := c.Session("alice"), c.Session("bob").SetWeight(weightB)
-		var jrs []*JobResult
-		for i := 0; i < 4; i++ {
-			jrs = append(jrs, sa.Submit(&Job{Name: "a", Ranks: 2, EstCost: 1, Main: pureCompute(1)}))
-		}
-		for i := 0; i < 2; i++ {
-			jrs = append(jrs, sb.Submit(&Job{Name: "b", Ranks: 2, EstCost: 1, Main: pureCompute(1)}))
-		}
-		if _, err := c.Run(); err != nil {
-			t.Fatal(err)
-		}
-		byStart := append([]*JobResult(nil), jrs...)
-		for i := range byStart { // insertion sort by Start (6 items)
-			for j := i; j > 0 && byStart[j].Start < byStart[j-1].Start; j-- {
-				byStart[j], byStart[j-1] = byStart[j-1], byStart[j]
-			}
-		}
-		names := make([]string, len(byStart))
-		for i, jr := range byStart {
-			names[i] = jr.Job.Name
-		}
-		return names
+	c := New(Spec{Ranks: 2, RanksPerNode: 2, Policy: "fairshare"})
+	sa, sb := c.Session("alice"), c.Session("bob")
+	var jrs []*JobResult
+	for i := 0; i < 4; i++ {
+		jrs = append(jrs, sa.Submit(&Job{Name: "a", Ranks: 2, EstCost: 1, Main: pureCompute(1)}))
 	}
-	// Equal weights: a, then bob (deficit 0 vs 2), then FCFS tie a, b, a, a.
-	if got := strings.Join(order(1), ""); got != "abab"+"aa" {
-		t.Errorf("equal-weight order %q, want abab-aa", got)
+	for i := 0; i < 2; i++ {
+		jrs = append(jrs, sb.Submit(&Job{Name: "b", Ranks: 2, EstCost: 1, Main: pureCompute(1)}))
 	}
-	// Bob at weight 2 is entitled to twice the share: both b jobs run before
-	// alice's second.
-	if got := strings.Join(order(2), ""); got != "abb"+"aaa" {
-		t.Errorf("weighted order %q, want abb-aaa", got)
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	byStart := append([]*JobResult(nil), jrs...)
+	for i := range byStart { // insertion sort by Start (6 items)
+		for j := i; j > 0 && byStart[j].Start < byStart[j-1].Start; j-- {
+			byStart[j], byStart[j-1] = byStart[j-1], byStart[j]
+		}
+	}
+	names := make([]string, len(byStart))
+	for i, jr := range byStart {
+		names[i] = jr.Job.Name
+	}
+	// a, then bob (deficit 0 vs 2), then FCFS tie a, b, a, a.
+	if got := strings.Join(names, ""); got != "abab"+"aa" {
+		t.Errorf("order %q, want abab-aa", got)
 	}
 }
 
 // TestNonFiniteOrderingInputsRejected: every value an ordered index compares
 // must be finite, so NaN and ±Inf are refused where they enter — Submit /
-// SubmitAt for a job's estimate, deadline and arrival time, SetWeight for a
-// tenant's weight — with a panic naming the job or session, the convention
-// prepare and SetWeight already follow.
+// SubmitAt for a job's estimate, deadline and arrival time — with a panic
+// naming the job, the convention prepare already follows.
 func TestNonFiniteOrderingInputsRejected(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	job := func(est, deadline float64) *Job {
@@ -200,11 +191,6 @@ func TestNonFiniteOrderingInputsRejected(t *testing.T) {
 		{"Deadline +Inf", func(c *Cluster) { c.SubmitAt(2, job(1, inf)) }, `job "bad-job" has Deadline +Inf`},
 		{"SubmitAt NaN", func(c *Cluster) { c.SubmitAt(nan, job(1, 0)) }, `job "bad-job" has submit time NaN`},
 		{"session Submit EstCost NaN", func(c *Cluster) { c.Session("s").Submit(job(nan, 0)) }, `job "bad-job" has EstCost NaN`},
-		{"weight NaN", func(c *Cluster) { c.Session("s").SetWeight(nan) }, `session "s" fair-share weight NaN`},
-		{"weight +Inf", func(c *Cluster) { c.Session("s").SetWeight(inf) }, `session "s" fair-share weight +Inf`},
-		{"weight -Inf", func(c *Cluster) { c.Session("s").SetWeight(-inf) }, `session "s" fair-share weight -Inf`},
-		{"weight zero", func(c *Cluster) { c.Session("s").SetWeight(0) }, `session "s" fair-share weight 0`},
-		{"weight negative", func(c *Cluster) { c.Session("s").SetWeight(-1) }, `session "s" fair-share weight -1`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -219,17 +205,9 @@ func TestNonFiniteOrderingInputsRejected(t *testing.T) {
 	}
 	// Finite values, including the "none" zeros, still pass.
 	c := New(Spec{Ranks: 2, RanksPerNode: 2, Policy: "fairshare"})
-	s := c.Session("s").SetWeight(0.5)
-	s.Submit(job(0, 0))
+	c.Session("s").Submit(job(0, 0))
 	c.SubmitAt(1, job(2.5, 10))
 	if _, err := c.Run(); err != nil {
 		t.Fatal(err)
 	}
-	// Weights are part of the tenant order's key: fixed once Run starts.
-	defer func() {
-		if msg := fmt.Sprint(recover()); !strings.Contains(msg, `session "s" SetWeight after Run`) {
-			t.Fatalf("SetWeight after Run: panic %q", msg)
-		}
-	}()
-	s.SetWeight(2)
 }

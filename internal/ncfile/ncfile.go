@@ -139,8 +139,8 @@ type Worker struct {
 // RunWorkers calls body(w, i) once for every i in [0, n) on the host's cores,
 // the way host.Pool.Run does (elems is the work in elements), with w the
 // dataset's scratch of the worker making the call. body must not yield to
-// the simulation kernel, nor call Values or SynthValues, which use the same
-// workers: WorkerValues is its way to the dataset's values.
+// the simulation kernel, nor call Values, which uses the same workers:
+// WorkerValues is its way to the dataset's values.
 func (ds *Dataset) RunWorkers(n int, elems int64, body func(w *Worker, i int)) {
 	ds.work.Run(n, elems, body)
 }
@@ -234,7 +234,7 @@ func (ds *Dataset) GetVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 // rank to finish reading the dataset overwrites. In exchange a collective
 // read produces its values in one buffer instead of allocating 8 bytes per
 // element on every rank. From a generator-backed dataset the buffer is
-// filled on the host workers (SynthValues), all of which have stopped when
+// filled on the host workers (Values), all of which have stopped when
 // it is returned.
 func (ds *Dataset) GetVaraAllScratch(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {

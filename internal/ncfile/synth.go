@@ -72,7 +72,7 @@ func SynthDataset(fs *pfs.FS, name string, s *Schema, fns []ValueFn,
 // The file is immutable (its backend rejects writes) and its contents are a
 // pure function of (variable, coordinates), which is what lets the dataset
 // serve the same data two ways: as bytes through its backend, and as values
-// through SynthValues without the bytes ever existing.
+// through Values without the bytes ever existing.
 func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 	stripeCount int, stripeSize int64, firstOST int) (*Dataset, error) {
 	if len(s.vars) == 0 {
@@ -92,7 +92,7 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 // order (Layout assigns offsets in schema order, so that is id order), their
 // generators, and two sets of scratch, one per dataset for the reason
 // Dataset.work is: the backend fill's coordinates and values, used on a
-// rank's goroutine inside a read; and the request SynthValues is spreading
+// rank's goroutine inside a read; and the request Values is spreading
 // over the host workers, each of which walks its own Worker.coords.
 type synth struct {
 	vars   []Var
@@ -105,8 +105,8 @@ type synth struct {
 	unit func(*Worker, int) // fillUnit, bound once so that a call allocates nothing
 }
 
-// synthReq is one SynthValues call: out receives the values of v's elements
-// in runs, concatenated, from generator g.
+// synthReq is one synthValues call on the host workers: out receives the
+// values of v's elements in runs, concatenated, from generator g.
 type synthReq struct {
 	v    *Var
 	g    Gen
@@ -133,7 +133,7 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 //
 //   - A Synthetic dataset is immutable and a pure function of (variable,
 //     coordinates), so when and in what form its content is produced is
-//     unobservable: the values are generated here (SynthValues), bit for bit
+//     unobservable: the values are generated here (synthValues), bit for bit
 //     what decoding the backend's bytes would give, and raw is not looked at.
 //     Its readers therefore issue adio.Request.ChargeOnly reads — the whole
 //     cost of the read and no bytes.
@@ -162,23 +162,17 @@ func (ds *Dataset) values(w *Worker, id int, elemRuns []layout.Run, raw []byte, 
 	return ds.synthValues(w, id, elemRuns, out)
 }
 
-// SynthValues returns the values of the elements of variable id in elemRuns,
+// synthValues returns the values of the elements of variable id in elemRuns,
 // concatenated — what DecodeValues returns for those elements' bytes, bit for
 // bit, without producing the bytes: the generator writes straight into out
 // (reused when its capacity suffices, as with DecodeValues) and the element
 // type's encode/decode round trip (float64 -> type -> float64) is applied in
 // place. The dataset must be Synthetic and the runs inside the variable.
 //
-// The elements are cut into units of host.Grain, counted from the first, and
-// the units are filled on the dataset's host workers. Every element is a
-// function of its coordinates alone, so neither the cut nor the schedule can
-// show in out.
-func (ds *Dataset) SynthValues(id int, elemRuns []layout.Run, out []float64) []float64 {
-	return ds.synthValues(nil, id, elemRuns, out)
-}
-
-// synthValues is SynthValues on the host workers when w is nil, and on w
-// alone otherwise.
+// With w set, w alone fills out. Otherwise the elements are cut into units
+// of host.Grain, counted from the first, and the units are filled on the
+// dataset's host workers. Every element is a function of its coordinates
+// alone, so neither the cut nor the schedule can show in out.
 func (ds *Dataset) synthValues(w *Worker, id int, elemRuns []layout.Run, out []float64) []float64 {
 	n := layout.TotalLength(elemRuns)
 	out = resize(out, n)

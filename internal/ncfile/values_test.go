@@ -72,7 +72,7 @@ func randomSynth(tb testing.TB, fs *pfs.FS, seed uint64) (*Dataset, []ValueFn) {
 }
 
 // checkValuesMatchBytePath is the value path's contract: for the element run
-// [first, first+n) of variable id, SynthValues equals decoding the bytes the
+// [first, first+n) of variable id, Values equals decoding the bytes the
 // backend serves for the same elements, bit for bit. The two paths share the
 // row walk, so the bytes are first held against a reference neither path
 // touches: fn (nil = zeros) evaluated element by element and encoded by
@@ -96,7 +96,7 @@ func checkValuesMatchBytePath(t *testing.T, ds *Dataset, fn ValueFn, id int, fir
 			id, v.Type, v.Dims, first, n)
 	}
 	want := DecodeValues(v.Type, raw, nil)
-	got := ds.SynthValues(id, []layout.Run{{Offset: first, Length: n}}, nil)
+	got := ds.Values(id, []layout.Run{{Offset: first, Length: n}}, nil, nil)
 	if len(got) != len(want) {
 		t.Fatalf("var %d (%v %v) [%d,+%d): %d values, byte path has %d",
 			id, v.Type, v.Dims, first, n, len(got), len(want))
@@ -112,7 +112,7 @@ func checkValuesMatchBytePath(t *testing.T, ds *Dataset, fn ValueFn, id int, fir
 
 // FuzzSynthValuesMatchBytePath drives checkValuesMatchBytePath over random
 // schemas and element runs that start and end mid-row. Its seed corpus runs
-// under plain go test. It fails if SynthValues drops a type's rounding step
+// under plain go test. It fails if Values drops a type's rounding step
 // (awkwardValue produces values no float32 or integer holds) or the clipping
 // of a run to the row it is in (runs start and end anywhere).
 func FuzzSynthValuesMatchBytePath(f *testing.F) {
@@ -288,7 +288,7 @@ func TestSynthValuesNilGeneratorZeros(t *testing.T) {
 		t.Fatal(err)
 	}
 	dirty := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9}
-	for i, v := range ds.SynthValues(id, []layout.Run{{Offset: 2, Length: 5}}, dirty) {
+	for i, v := range ds.Values(id, []layout.Run{{Offset: 2, Length: 5}}, nil, dirty) {
 		if v != 0 {
 			t.Fatalf("value %d = %v, want 0", i, v)
 		}
@@ -318,16 +318,16 @@ func TestZeroAllocSynthValues(t *testing.T) {
 	}
 	// Mid-row starts, many rows, two runs.
 	runs := []layout.Run{{Offset: 17, Length: 1200}, {Offset: 1300, Length: 70}}
-	scratch := ds.SynthValues(id, runs, nil) // warm-up
+	scratch := ds.Values(id, runs, nil, nil) // warm-up
 	if allocs := testing.AllocsPerRun(100, func() {
-		scratch = ds.SynthValues(id, runs, scratch)
+		scratch = ds.Values(id, runs, nil, scratch)
 	}); allocs != 0 {
-		t.Fatalf("steady-state SynthValues: %v allocs per call, want 0", allocs)
+		t.Fatalf("steady-state Values: %v allocs per call, want 0", allocs)
 	}
 }
 
 // TestSynthValuesUnitsMatchBytePath: a request of many partial-row runs, long
-// enough that SynthValues cuts it into host.Grain-element units that start
+// enough that Values cuts it into host.Grain-element units that start
 // mid-run and mid-row, gives the byte path's values bit for bit, on the host
 // workers and inline alike; and WorkerValues, which fills it on the caller
 // alone, gives the same.
@@ -355,7 +355,7 @@ func TestSynthValuesUnitsMatchBytePath(t *testing.T) {
 		prev := runtime.GOMAXPROCS(procs)
 		var w Worker
 		got := map[string][]float64{
-			"SynthValues":  ds.SynthValues(id, runs, nil),
+			"Values":       ds.Values(id, runs, nil, nil),
 			"WorkerValues": ds.WorkerValues(&w, id, runs, nil),
 		}
 		runtime.GOMAXPROCS(prev)

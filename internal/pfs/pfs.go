@@ -152,19 +152,19 @@ func (fs *FS) SetObs(t *obs.Tracer) { fs.obs = t }
 // Health returns the observed-health tracker shared by all clients of fs.
 func (fs *FS) Health() *Health { return fs.health }
 
-// Health accumulates what clients *observed* about each OST — last seen
-// service-time factor and timeout counts — as opposed to the injected ground
-// truth, which a real system cannot read. Mitigation layers (file-domain
+// Health accumulates what clients *observed* about each OST — the last seen
+// service-time factor, and an epoch that every change of it and every
+// timeout bumps — as opposed to the injected ground truth, which a real
+// system cannot read. Mitigation layers (file-domain
 // rebalancing) consult it to steer work away from flagged-slow OSTs. All
 // updates happen in deterministic simulation order.
 type Health struct {
 	lastFactor []float64 // most recently observed service factor per OST
-	timeouts   []int64   // timed-out requests per OST
 	epoch      int64     // bumped on every observation that changes the picture
 }
 
 func newHealth(n int) *Health {
-	h := &Health{lastFactor: make([]float64, n), timeouts: make([]int64, n)}
+	h := &Health{lastFactor: make([]float64, n)}
 	for i := range h.lastFactor {
 		h.lastFactor[i] = 1
 	}
@@ -177,9 +177,6 @@ func (h *Health) observe(i int, factor float64, timedOut bool) {
 		h.epoch++
 	}
 	h.lastFactor[i] = factor
-	if timedOut {
-		h.timeouts[i]++
-	}
 }
 
 // Epoch returns the health-observation epoch: it increments whenever an
@@ -193,9 +190,6 @@ func (h *Health) Epoch() int64 { return h.epoch }
 // ObservedFactor returns the most recently observed service factor of OST i
 // (1 if never observed or healthy).
 func (h *Health) ObservedFactor(i int) float64 { return h.lastFactor[i] }
-
-// Timeouts returns the number of timed-out requests observed against OST i.
-func (h *Health) Timeouts(i int) int64 { return h.timeouts[i] }
 
 // Flagged returns the OSTs whose last observed factor is at least threshold,
 // in ascending index order (deterministic).
