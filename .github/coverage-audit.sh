@@ -8,8 +8,9 @@
 # The golden-driven tests are the ones whose output is compared byte for byte
 # with a committed file: ccexp's quick and paper-scale tables and workload
 # trace, ccrun's stdout, the jobs event, decision, report and live-plane
-# goldens, obs' event and exposition goldens, and the examples' stdout (run
-# here as covered binaries, their stdout checked against the same goldens).
+# goldens, obs' event, exposition and Perfetto goldens, and the examples'
+# stdout (run here as covered binaries, their stdout checked against the same
+# goldens).
 set -euo pipefail
 
 A=${1:-$(mktemp -d)}
@@ -36,7 +37,7 @@ go test "${cov[@]}" -coverprofile="$A/g_experiments.out" \
 	-run '^(TestFIFOPolicyEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden|TestJobsLivePlaneGolden)$' \
 	./internal/experiments >&2
 go test "${cov[@]}" -coverprofile="$A/g_obs.out" \
-	-run '^(TestJSONLSinkMatchesGolden|TestExpositionGolden)$' ./internal/obs >&2
+	-run '^(TestJSONLSinkMatchesGolden|TestExpositionGolden|TestChromeTraceMatchesGolden)$' ./internal/obs >&2
 # A binary built with -cover writes no counters unless main is covered too.
 go build -cover -covermode=set -coverpkg=./internal/...,./examples/... -o "$A/ex/" ./examples/...
 for b in "$A"/ex/*; do

@@ -30,12 +30,12 @@
 //
 //	ccexp jobs -events events.jsonl -serve :9090 -slo-strict
 //
-// The -events log is a pass-through: events are written to disk as they
-// happen, and spans are kept in memory only when something will read them
-// back (the -trace export; the explain and profile-jobs experiments, which
-// fold the spans of their own run). So very large runs (the workload
-// experiment at scale) log in bounded memory, and every telemetry flag
-// composes with every other.
+// The tracer keeps no span: each output is a sink fed as the run emits.
+// The -events log is written to disk as events happen; the -trace export
+// holds the spans it will write; explain and profile-jobs attach report's
+// phase fold to their own run. So very large runs (the workload experiment
+// at scale) log in bounded memory, and every telemetry flag composes with
+// every other.
 //
 // The workload experiment generates a multi-tenant job stream
 // (internal/workload) and sweeps its arrival rate; -workload overrides the
@@ -75,6 +75,9 @@ import (
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
+
+// teleFlags names every telemetry flag, for the errors that reject them.
+const teleFlags = "-trace/-metrics/-events/-series/-serve/-dash/-slo/-slo-strict/-explain/-report"
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("ccexp", flag.ContinueOnError)
@@ -151,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		runners = append(runners, r)
 	}
 	if tele.Any() && len(runners) != 1 {
-		fmt.Fprintf(stderr, "ccexp: -trace/-metrics/-events/-serve/-dash/-slo need exactly one experiment (got %d)\n", len(runners))
+		fmt.Fprintf(stderr, "ccexp: %s need exactly one experiment (got %d)\n", teleFlags, len(runners))
 		return 2
 	}
 	if tele.Any() {
@@ -190,7 +193,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	// fig9-fig13, faults) and report never install the tracer, and an empty
 	// trace or dump must not pass for a recorded one.
 	if cfg.Obs != nil && cfg.Obs.NumSpans() == 0 {
-		fmt.Fprintf(stderr, "ccexp: experiment %s records no telemetry; run it without -trace/-metrics/-events/-series/-serve/-dash/-slo/-explain/-report\n", runners[0].ID)
+		fmt.Fprintf(stderr, "ccexp: experiment %s records no telemetry; run it without %s\n", runners[0].ID, teleFlags)
 		return 1
 	}
 	viol, err := plane.Finish()

@@ -3,11 +3,15 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+
+	"repro/internal/obscli"
 )
 
 func runCmd(args ...string) (int, string, string) {
@@ -122,9 +126,10 @@ func firstLineDiff(t *testing.T, what, got, want string) {
 }
 
 // TestSpanFoldingExperimentsKeepTheirSpans: explain's waterfall and
-// profile-jobs' phase columns are folded from the spans of their own run, so
-// with -events attached (which alone keeps no span) they must still print
-// exactly what they print without it.
+// profile-jobs' phase columns are read from report's fold, which each
+// attaches to its own run's tracer as a sink, so with -events attached (one
+// more sink on the same tracer) they must print exactly what they print
+// without it.
 func TestSpanFoldingExperimentsKeepTheirSpans(t *testing.T) {
 	for _, exp := range []string{"explain", "profile-jobs"} {
 		code, bare, errb := runCmd("-quick", exp)
@@ -430,18 +435,27 @@ func TestSLOStrictDefaultsPass(t *testing.T) {
 }
 
 // TestTelemetryNeedsOneExperiment extends the single-experiment guard to the
-// telemetry flags.
+// telemetry flags, and the error names every one of them.
 func TestTelemetryNeedsOneExperiment(t *testing.T) {
 	dir := t.TempDir()
 	for _, args := range [][]string{
 		{"-events", filepath.Join(dir, "e.jsonl"), "table1", "fig1"},
 		{"-slo-strict", "all"},
+		{"-report", filepath.Join(dir, "r.txt"), "jobs", "fig1"},
 	} {
 		code, _, errb := runCmd(args...)
-		if code != 2 {
+		if code != 2 || !strings.Contains(errb, teleFlags+" need exactly one experiment") {
 			t.Errorf("%v: exit %d, want 2 (stderr %q)", args, code, errb)
 		}
 	}
+	var tele obscli.Flags
+	fl := flag.NewFlagSet("telemetry", flag.ContinueOnError)
+	tele.Register(fl)
+	fl.VisitAll(func(f *flag.Flag) {
+		if !slices.Contains(strings.Split(teleFlags, "/"), "-"+f.Name) {
+			t.Errorf("the telemetry-flag errors do not name -%s", f.Name)
+		}
+	})
 }
 
 // TestTelemetryNeedsATracedExperiment: the sweeps (table1, fig9-fig13,

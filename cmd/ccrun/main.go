@@ -36,7 +36,7 @@
 // (repro.decisions.v2 lines in the event log, served at /decisions) plus a
 // per-job wait attribution printed after the run. Every telemetry flag
 // composes with every other: the event and series logs go to disk as they
-// are produced, and spans stay in memory only when -trace will export them.
+// are produced, and spans stay in memory only in the -trace export's sink.
 package main
 
 import (

@@ -67,7 +67,7 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 	var log bytes.Buffer
 	ot := obs.New()
 	sink := obs.NewJSONLSink(&log)
-	ot.SetSink(sink)
+	ot.AddSink(sink)
 	rt := obs.NewRankTime(rc.n)
 	rt.Profile(fs.Params().OSTLatency / 10)
 	w.SetRankTime(rt)
@@ -100,7 +100,7 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 			return nil, fmt.Errorf("rank %d: %w", i, err)
 		}
 	}
-	if err := sink.Flush(); err != nil {
+	if err := sink.Close(); err != nil {
 		return nil, err
 	}
 	out.events = log.Bytes()

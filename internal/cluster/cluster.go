@@ -265,17 +265,18 @@ func (c *Cluster) finishObs() {
 	}
 	// Per-tenant delivered-service shares (the fairshare policy's deficit
 	// counters, tracked under every policy): one gauge per tenant, as a
-	// percentage of all delivered rank-seconds.
+	// percentage of all delivered rank-seconds. The total is summed in
+	// tenant order: a float sum in map order differs from run to run.
+	tenants := make([]string, 0, len(c.tenantUse))
+	for tn := range c.tenantUse {
+		tenants = append(tenants, tn)
+	}
+	sort.Strings(tenants)
 	var totUse float64
-	for _, u := range c.tenantUse {
-		totUse += u
+	for _, tn := range tenants {
+		totUse += c.tenantUse[tn]
 	}
 	if totUse > 0 {
-		tenants := make([]string, 0, len(c.tenantUse))
-		for tn := range c.tenantUse {
-			tenants = append(tenants, tn)
-		}
-		sort.Strings(tenants)
 		shares := m.GaugeVec("cluster_tenant_share_pct", "tenant")
 		for _, tn := range tenants {
 			shares.With(labelOrDefault(tn)).Set(100 * c.tenantUse[tn] / totUse)

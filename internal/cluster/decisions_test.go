@@ -112,7 +112,7 @@ func TestDecisionLogTwoRunsByteIdentical(t *testing.T) {
 		var buf bytes.Buffer
 		ot := obs.New()
 		sink := obs.NewJSONLSink(&buf)
-		ot.SetSink(sink)
+		ot.AddSink(sink)
 		ot.EnableDecisions()
 		c, _ := decisionWorkload(ot)
 		if _, err := c.Run(); err != nil {
@@ -188,7 +188,7 @@ func TestDecisionRecordsMatchEventInstants(t *testing.T) {
 			var buf bytes.Buffer
 			ot := obs.New()
 			sink := obs.NewJSONLSink(&buf)
-			ot.SetSink(sink)
+			ot.AddSink(sink)
 			ot.EnableDecisions()
 			c := build(t, ot)
 			if _, err := c.Run(); err != nil {

@@ -105,7 +105,7 @@ func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
 	if run.traced {
 		ot := obs.New()
 		sink = obs.NewJSONLSink(&buf)
-		ot.SetSink(sink)
+		ot.AddSink(sink)
 		if run.explain {
 			ot.EnableDecisions()
 		}

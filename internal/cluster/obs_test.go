@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -67,6 +68,9 @@ func obsCluster(t *testing.T, ranks, maxConc int) (*Cluster, *obs.Tracer) {
 // export, and the registry populated with scheduler and I/O metrics.
 func TestClusterTraceEmission(t *testing.T) {
 	c, ot := obsCluster(t, 4, 0)
+	ec, ct := &eventCollector{}, obs.NewChromeTrace()
+	ot.AddSink(ec)
+	ot.AddSink(ct)
 	a := c.SubmitCC(ccSumJob("sum0", 2, 0, 8))
 	b := c.SubmitCC(ccSumJob("sum1", 2, 8, 8))
 	if _, err := c.Run(); err != nil {
@@ -81,13 +85,16 @@ func TestClusterTraceEmission(t *testing.T) {
 
 	count := map[string]int{}
 	pidOf := map[string]map[int]bool{}
-	ot.EachSpan(func(sv obs.SpanView) {
-		count[sv.Name]++
-		if pidOf[sv.Name] == nil {
-			pidOf[sv.Name] = map[int]bool{}
+	for _, e := range ec.events {
+		if e.E != "begin" && e.E != "span" {
+			continue
 		}
-		pidOf[sv.Name][sv.PID] = true
-	})
+		count[e.Name]++
+		if pidOf[e.Name] == nil {
+			pidOf[e.Name] = map[int]bool{}
+		}
+		pidOf[e.Name][e.PID] = true
+	}
 	for _, name := range []string{"queued", "run", "cc.get", "cc.map",
 		"cc.reduce", "adio.iter", "adio.read", "pfs.read", "mpi.send",
 		"mpi.recv", "mpi.bcast"} {
@@ -106,7 +113,7 @@ func TestClusterTraceEmission(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := ot.WriteChromeTrace(&buf); err != nil {
+	if err := ct.Export(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var parsed struct {
@@ -141,8 +148,7 @@ func TestClusterTraceEmission(t *testing.T) {
 }
 
 // eventCollector is an EventSink that keeps every mirrored event in memory,
-// so tests can assert on instants (which have no iteration API on the
-// tracer itself, unlike spans).
+// so tests can assert on what the tracer emitted (it keeps nothing itself).
 type eventCollector struct {
 	events []obs.Event
 }
@@ -157,7 +163,7 @@ func (ec *eventCollector) Emit(e obs.Event) { ec.events = append(ec.events, e) }
 func TestDeadlineDropTelemetry(t *testing.T) {
 	ot := obs.New()
 	ec := &eventCollector{}
-	ot.SetSink(ec)
+	ot.AddSink(ec)
 	c := New(Spec{Ranks: 2, RanksPerNode: 2, MaxConcurrent: 1, Obs: ot})
 	c.Submit(&Job{Name: "long", Main: pureCompute(2)})
 	dropped := c.Submit(&Job{Name: "victim", Deadline: 1, Main: pureCompute(1)})
@@ -217,6 +223,8 @@ func TestDeadlineDropTelemetry(t *testing.T) {
 func TestTraceDeterminism(t *testing.T) {
 	once := func() (string, string) {
 		c, ot := obsCluster(t, 4, 0)
+		ct := obs.NewChromeTrace()
+		ot.AddSink(ct)
 		c.SubmitCC(ccSumJob("a", 2, 0, 8))
 		c.SubmitCC(ccSumJob("b", 2, 8, 8))
 		c.SubmitCC(ccSumJob("c", 4, 0, 16))
@@ -224,7 +232,7 @@ func TestTraceDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		var buf bytes.Buffer
-		if err := ot.WriteChromeTrace(&buf); err != nil {
+		if err := ct.Export(&buf); err != nil {
 			t.Fatal(err)
 		}
 		return buf.String(), ot.Metrics().Dump()
@@ -313,5 +321,28 @@ func TestRankTimeMirroredIntoCounters(t *testing.T) {
 	// Rank 1 reaches the barrier a second before rank 0.
 	if v := reg.Counter("rank_time_wait_comm_seconds").Value(); v < 1 {
 		t.Errorf("wait_comm %g, want >= 1", v)
+	}
+}
+
+// TestTenantSharesDeterministic: the per-tenant share gauges divide by one
+// total, summed in tenant order, so a run with many tenants dumps the same
+// bytes every time (summed in map order, the total's last bits varied).
+func TestTenantSharesDeterministic(t *testing.T) {
+	dump := func() string {
+		ot := obs.New()
+		c := New(Spec{Ranks: 2, RanksPerNode: 2, Obs: ot})
+		for i := 0; i < 40; i++ {
+			c.Session(fmt.Sprintf("t%02d", i)).Submit(&Job{Name: "j", Main: computeJob(1 / float64(i+3))})
+		}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return ot.Metrics().Dump()
+	}
+	first := dump()
+	for i := 0; i < 5; i++ {
+		if dump() != first {
+			t.Fatal("the metrics dump of one run differs between two runs")
+		}
 	}
 }

@@ -99,7 +99,7 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 	var buf bytes.Buffer
 	ot := obs.New()
 	sink := obs.NewJSONLSink(&buf)
-	ot.SetSink(eventsOnly{sink})
+	ot.AddSink(eventsOnly{sink})
 	ot.EnableDecisions()
 	c, err := workload.Provision(tr, ot)
 	if err != nil {

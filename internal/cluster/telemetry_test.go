@@ -105,7 +105,7 @@ func TestClusterEventLogDeterminism(t *testing.T) {
 		var buf bytes.Buffer
 		c, ot := obsCluster(t, 4, 1)
 		sink := obs.NewJSONLSink(&buf)
-		ot.SetSink(sink)
+		ot.AddSink(sink)
 		ot.SetSLO(obs.NewSLO())
 		c.SubmitCC(ccSumJob("a", 2, 0, 8))
 		c.SubmitCC(ccSumJob("b", 2, 8, 8))

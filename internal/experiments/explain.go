@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
 	"repro/internal/obs/decision"
+	"repro/internal/report"
 )
 
 // This file is the decision-trace counterfactual: one contended two-tenant
@@ -90,7 +92,7 @@ func runExplain(s jobsSetup, policy string, ot *obs.Tracer) ([]*cluster.CCResult
 }
 
 // explainPolicies resolves the -k flag: comma-separated, first entry is the
-// factual policy, every entry must be a registered cluster policy.
+// factual policy, every entry a registered cluster policy named once.
 func explainPolicies(spec string) ([]string, error) {
 	if spec == "" {
 		spec = "fifo,easy-backfill"
@@ -106,37 +108,24 @@ func explainPolicies(spec string) ([]string, error) {
 			return nil, fmt.Errorf("explain: unknown policy %q in -k (have %s)",
 				p, strings.Join(cluster.PolicyNames(), "|"))
 		}
+		if slices.Contains(pols, p) {
+			return nil, fmt.Errorf("explain: policy %q given twice in -k", p)
+		}
 		pols = append(pols, p)
 	}
 	return pols, nil
 }
 
-// explainWaterfall folds the factual trace's spans into the target job's
-// phase waterfall: wall queue wait, then rank-seconds per runtime phase in
-// pipeline order (pfs time is the portion of adio.read spent in the parallel
-// file system; mpi.* collapses into one transport bucket).
-func explainWaterfall(ot *obs.Tracer, cr *cluster.CCResult) string {
-	phases := map[string]float64{}
-	pid := cr.TracePID()
-	ot.EachSpan(func(sv obs.SpanView) {
-		if sv.PID != pid {
-			return
-		}
-		name := sv.Name
-		if strings.HasPrefix(name, "mpi.") {
-			name = "mpi"
-		}
-		phases[name] += sv.End - sv.Start
-	})
+// explainWaterfall renders the target job's phase waterfall from its span
+// sums: wall queue wait, then rank-seconds per runtime phase in pipeline
+// order (pfs time is the portion of adio.read spent in the parallel file
+// system; mpi.* collapses into one transport bucket).
+func explainWaterfall(js report.JobSpans, cr *cluster.CCResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "queued %.4fs", cr.QueueWait())
-	for _, ph := range []struct{ span, label string }{
-		{"adio.read", "read"}, {"pfs.read", "pfs"}, {"pfs.await", "pfs-await"},
-		{"cc.map", "map"}, {"adio.shuffle", "shuffle"}, {"cc.reduce", "reduce"},
-		{"cc.get", "get"}, {"mpi", "mpi"},
-	} {
-		if d, ok := phases[ph.span]; ok {
-			fmt.Fprintf(&b, " -> %s %.4f rank-s", ph.label, d)
+	for s := report.Slot(0); s < report.NumSlots; s++ {
+		if js.Seen[s] {
+			fmt.Fprintf(&b, " -> %s %.4f rank-s", s, js.Sec[s])
 		}
 	}
 	fmt.Fprintf(&b, " on ranks %s", decision.FormatRanks(append([]int(nil), cr.Ranks...)))
@@ -160,7 +149,8 @@ func Explain(cfg Config) (*Table, error) {
 	if ot == nil {
 		ot = obs.New()
 	}
-	ot.KeepSpans(true) // the waterfall note below folds the factual run's spans
+	fold := report.New() // the waterfall note below reads the factual run's spans
+	ot.AddSink(fold)
 	factCrs, factRecs, factSpan, err := runExplain(s, factual, ot)
 	if err != nil {
 		return nil, err
@@ -193,9 +183,6 @@ func Explain(cfg Config) (*Table, error) {
 	cfCrs := map[string][]*cluster.CCResult{factual: factCrs}
 	cfSpan := map[string]float64{factual: factSpan}
 	for _, pol := range pols[1:] {
-		if _, done := cfCrs[pol]; done {
-			continue
-		}
 		crs, _, span, err := runExplain(s, pol, nil)
 		if err != nil {
 			return nil, err
@@ -260,7 +247,7 @@ func Explain(cfg Config) (*Table, error) {
 			t.Notef("%s would have started it at the same time", pol)
 		}
 	}
-	t.Notef("waterfall: %s", explainWaterfall(ot, tcr))
+	t.Notef("waterfall: %s", explainWaterfall(fold.Job(tcr.TracePID()), tcr))
 	t.Notef("replay under %s reproduced the recorded schedule and all %d decision records byte-identically",
 		factual, len(factRecs))
 	t.Notef("%d jobs (%d wide w%d batch, %d narrow w%d interactive) on %d ranks under %s",

@@ -79,6 +79,24 @@ func TestExplainTargetSelection(t *testing.T) {
 	}
 }
 
+// TestExplainRejectsRepeatedPolicy: a policy named twice in -k would be
+// compared with itself (a second "fifo (factual)" row, and "fifo would have
+// started it at the same time"), so it is an error that names the policy.
+func TestExplainRejectsRepeatedPolicy(t *testing.T) {
+	for spec, dup := range map[string]string{
+		"fifo,easy-backfill,fifo": "fifo",
+		"priority,fifo, fifo":     "fifo",
+		"fifo,priority,priority":  "priority",
+	} {
+		if _, err := explainPolicies(spec); err == nil || !strings.Contains(err.Error(), `"`+dup+`"`) {
+			t.Errorf("-k %s: error %v, want one naming %q", spec, err, dup)
+		}
+	}
+	if pols, err := explainPolicies(""); err != nil || strings.Join(pols, ",") != "fifo,easy-backfill" {
+		t.Errorf("default -k: %v, %v", pols, err)
+	}
+}
+
 // decisionLines extracts the raw decision lines from a mixed event log,
 // preserving their exact bytes — the same filter the nightly golden gate
 // applies with grep.
@@ -123,7 +141,7 @@ func TestJobsDecisionLogGolden(t *testing.T) {
 	ot := obs.New()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	ot.SetSink(sink)
+	ot.AddSink(sink)
 	ot.EnableDecisions()
 	cfg := quick
 	cfg.Obs = ot

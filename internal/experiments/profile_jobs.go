@@ -6,26 +6,23 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/obs"
+	"repro/internal/report"
 )
-
-// jobPhases accumulates one job's rank-seconds per runtime phase, summed
-// over the job's ranks from the span trace.
-type jobPhases struct {
-	read, mapp, shuffle, reduce float64
-}
 
 // ProfileJobs runs the mixed-analysis serving workload concurrently under a
 // span tracer and renders what the trace shows: a per-job phase breakdown
 // (read / map / shuffle / reduce rank-seconds) plus the critical path of the
-// queue — the chain of jobs that determined the makespan. With `ccexp
-// -trace`, the same tracer's spans are exported for Perfetto.
+// queue — the chain of jobs that determined the makespan. The phase columns
+// are report's fold of the run's spans, attached to its tracer as a sink;
+// with `ccexp -trace`, the same spans are exported for Perfetto.
 func ProfileJobs(cfg Config) (*Table, error) {
 	s := newJobsSetup(cfg)
 	ot := cfg.Obs
 	if ot == nil {
 		ot = obs.New()
 	}
-	ot.KeepSpans(true) // the phase columns are folded from this run's spans
+	fold := report.New()
+	ot.AddSink(fold)
 	cl, err := s.machine(s.nranks, 0, ot)
 	if err != nil {
 		return nil, err
@@ -46,43 +43,23 @@ func ProfileJobs(cfg Config) (*Table, error) {
 		jrs[i] = cr.JobResult
 	}
 
-	// Fold span durations into per-job phase totals. Jobs are keyed by their
-	// trace pid; the four phase names never overlap in time on one rank, so
-	// the sums partition each rank's busy time without double counting.
-	byPID := make(map[int]*jobPhases)
-	ot.EachSpan(func(sv obs.SpanView) {
-		ph := byPID[sv.PID]
-		if ph == nil {
-			ph = &jobPhases{}
-			byPID[sv.PID] = ph
-		}
-		d := sv.End - sv.Start
-		switch sv.Name {
-		case "adio.read":
-			ph.read += d
-		case "cc.map":
-			ph.mapp += d
-		case "adio.shuffle":
-			ph.shuffle += d
-		case "cc.reduce":
-			ph.reduce += d
-		}
-	})
-
 	t := &Table{
 		ID:    "profile-jobs",
 		Title: "Per-Job Phase Breakdown of the Mixed-Analysis Queue (from the span trace)",
 		Headers: []string{"job", "queue wait (s)", "service (s)",
 			"read (rank-s)", "map (rank-s)", "shuffle (rank-s)", "reduce (rank-s)"},
 	}
+	// The four phases never overlap in time on one rank, so the sums
+	// partition each rank's busy time without double counting.
 	for i, cr := range crs {
-		ph := byPID[cr.TracePID()]
-		if ph == nil {
-			return nil, fmt.Errorf("profile-jobs: no spans recorded for job %d (pid %d)",
+		js := fold.Job(cr.TracePID())
+		if !js.Seen[report.SlotGet] {
+			return nil, fmt.Errorf("profile-jobs: no cc.get span recorded for job %d (pid %d)",
 				i, cr.TracePID())
 		}
 		t.AddRow(cr.Job.Name, secs(cr.QueueWait()), secs(cr.Duration()),
-			secs(ph.read), secs(ph.mapp), secs(ph.shuffle), secs(ph.reduce))
+			secs(js.Sec[report.SlotRead]), secs(js.Sec[report.SlotMap]),
+			secs(js.Sec[report.SlotShuffle]), secs(js.Sec[report.SlotReduce]))
 	}
 
 	critPath := cluster.CriticalPath(jrs)

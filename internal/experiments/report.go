@@ -73,7 +73,7 @@ func recordDemoRun(eventsPath, seriesPath string) error {
 	ot := obs.New()
 	sink := obs.NewJSONLSink(ef)
 	ser := obs.NewSeriesSink(sf)
-	ot.SetSink(sink)
+	ot.AddSink(sink)
 	ot.SetSeries(ser)
 	ot.EnableDecisions()
 	tr, err := workload.Generate(workload.DefaultSpec(7, 1, 120, 48, "fifo"))

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/obs"
@@ -33,7 +34,9 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 	ot := obs.New()
 	sink := obs.NewJSONLSink(ef)
 	ser := obs.NewSeriesSink(sf)
-	ot.SetSink(sink)
+	live := report.New()
+	ot.AddSink(sink)
+	ot.AddSink(live)
 	ot.SetSeries(ser)
 	ot.EnableDecisions()
 	cfg := quick
@@ -45,6 +48,15 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 		if err := close(); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The fold fed live as a sink is the fold of the recorded log.
+	loaded, err := report.Load(eventsPath, "")
+	if err != nil {
+		t.Fatal(err)
+	}
+	live.EventsPath = eventsPath
+	if !reflect.DeepEqual(live, loaded) {
+		t.Fatal("report's fold fed live differs from its fold of the recorded log")
 	}
 	render := func(eventsPath string) []byte {
 		d, err := report.Load(eventsPath, seriesPath)

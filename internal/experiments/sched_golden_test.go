@@ -16,7 +16,7 @@ func jobsFIFOEvents(t *testing.T) []byte {
 	ot := obs.New()
 	var buf bytes.Buffer
 	sink := obs.NewJSONLSink(&buf)
-	ot.SetSink(sink)
+	ot.AddSink(sink)
 	cfg := quick
 	cfg.Obs = ot
 	if _, err := Jobs(cfg); err != nil {

@@ -11,10 +11,11 @@ import (
 
 // This file is the streaming structured event log of the telemetry plane:
 // every span, instant, and counter sample flowing through a Tracer is
-// mirrored — at emission time, in emission order — into an EventSink, and
-// the JSONL serialization of that stream is byte-deterministic: two
-// identical seeded runs produce byte-identical event logs. SLO alerts
-// (slo.go) land in the same stream as "alert" events.
+// mirrored — at emission time, in emission order — into each attached
+// EventSink, and the JSONL serialization of that stream is
+// byte-deterministic: two identical seeded runs produce byte-identical event
+// logs. SLO alerts (slo.go) land in the same stream as "alert" events. Track
+// names are not events: they reach only a NameSink, which the log is not.
 //
 // The classified rank-time intervals (RankTime.Record, one call per MPI
 // message) are deliberately NOT events: they only accumulate into RankTime's
@@ -50,7 +51,8 @@ type Event struct {
 }
 
 // EventSink receives mirrored tracer events. Implementations must be cheap:
-// Emit is called synchronously on the simulation's critical path.
+// Emit is called synchronously on the simulation's critical path. The
+// event's Attrs are the caller's: a sink may keep them but not change them.
 type EventSink interface {
 	Emit(e Event)
 }
@@ -113,7 +115,7 @@ func AppendEventJSON(dst []byte, e Event) []byte {
 
 // JSONLSink streams events as JSON Lines: one header line naming the schema
 // version, then one line per event in emission order. Writes are buffered;
-// call Close (or Flush) before reading the output. The first write error
+// call Close before reading the output. The first write error
 // sticks and is reported by Close.
 type JSONLSink struct {
 	bw  *bufio.Writer
@@ -151,17 +153,14 @@ func (s *JSONLSink) EmitDecision(rec decision.Record) {
 	_, s.err = s.bw.Write(s.buf)
 }
 
-// Flush drains the buffer to the underlying writer.
-func (s *JSONLSink) Flush() error {
-	if s.err != nil {
-		return s.err
+// Close flushes the buffer to the underlying writer and returns the first
+// error seen.
+func (s *JSONLSink) Close() error {
+	if s.err == nil {
+		s.err = s.bw.Flush()
 	}
-	s.err = s.bw.Flush()
 	return s.err
 }
-
-// Close flushes and returns the first error seen.
-func (s *JSONLSink) Close() error { return s.Flush() }
 
 // decodeEvent reads the line d stands at the start of into e, reusing
 // e.Attrs' backing array. Keys may come in any order; unknown keys are

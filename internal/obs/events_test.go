@@ -35,9 +35,10 @@ func driveTracer(tr *Tracer) {
 func TestJSONLSinkMatchesGolden(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New()
-	tr.SetSink(NewJSONLSink(&buf))
+	sink := NewJSONLSink(&buf)
+	tr.AddSink(sink)
 	driveTracer(tr)
-	if err := tr.sink.(*JSONLSink).Close(); err != nil {
+	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "events.golden.jsonl")
@@ -61,9 +62,10 @@ func TestJSONLSinkMatchesGolden(t *testing.T) {
 func TestEventLogRoundTripsByteIdentically(t *testing.T) {
 	var buf bytes.Buffer
 	tr := New()
-	tr.SetSink(NewJSONLSink(&buf))
+	sink := NewJSONLSink(&buf)
+	tr.AddSink(sink)
 	driveTracer(tr)
-	tr.sink.(*JSONLSink).Close()
+	sink.Close()
 
 	events, err := ReadEvents(bytes.NewReader(buf.Bytes()))
 	if err != nil {
@@ -75,7 +77,7 @@ func TestEventLogRoundTripsByteIdentically(t *testing.T) {
 	// Re-serializing the parsed events reproduces the original bytes: the
 	// JSONL layout is a pure function of the Event values.
 	var re bytes.Buffer
-	sink := NewJSONLSink(&re)
+	sink = NewJSONLSink(&re)
 	for _, e := range events {
 		sink.Emit(e)
 	}
@@ -88,7 +90,7 @@ func TestEventLogRoundTripsByteIdentically(t *testing.T) {
 func TestTracerMirrorsEventsInEmissionOrder(t *testing.T) {
 	sink := &memSink{}
 	tr := New()
-	tr.SetSink(sink)
+	tr.AddSink(sink)
 	driveTracer(tr)
 	var kinds []string
 	for _, e := range sink.events {
@@ -134,21 +136,18 @@ func TestReadEventsValidatesHeader(t *testing.T) {
 }
 
 func TestAlertGetsSpanAndEvent(t *testing.T) {
-	sink := &memSink{}
+	sink, ct := &memSink{}, NewChromeTrace()
 	tr := New()
-	tr.SetSink(sink)
+	tr.AddSink(sink)
+	tr.AddSink(ct)
 	tr.Alert("rule", 2.5, S("value", "9"))
 	if len(sink.events) != 1 || sink.events[0].E != "alert" {
 		t.Fatalf("events %+v", sink.events)
 	}
-	n := 0
-	tr.EachSpan(func(sv SpanView) {
-		n++
-		if sv.Cat != "slo" || sv.Start != 2.5 || sv.End != 2.5 {
-			t.Fatalf("alert span %+v", sv)
-		}
-	})
-	if n != 1 {
-		t.Fatalf("%d spans, want 1", n)
+	if tr.NumSpans() != 1 || len(ct.spans) != 1 {
+		t.Fatalf("NumSpans %d, exported spans %d; want 1 and 1", tr.NumSpans(), len(ct.spans))
+	}
+	if sp := ct.spans[0]; sp.cat != "slo" || sp.start != 2.5 || sp.dur != 0 || sp.pid != 0 || sp.tid != 0 {
+		t.Fatalf("alert span %+v", sp)
 	}
 }

@@ -187,7 +187,7 @@ func TestRenderDashboard(t *testing.T) {
 
 func TestTracerTelemetryAccessors(t *testing.T) {
 	var nilT *Tracer
-	nilT.SetSink(&memSink{})
+	nilT.AddSink(&memSink{})
 	nilT.SetLive(NewLive())
 	nilT.SetSLO(NewSLO())
 	if nilT.Live() != nil || nilT.SLOEngine() != nil {

@@ -2,8 +2,10 @@
 // virtual-clock span tracer plus a typed metrics registry that every layer
 // (cluster, cc, adio, pfs, mpi) emits into. Spans nest scheduler → job → cc
 // phase → adio iteration → pfs request / mpi message and carry string
-// attributes; the whole store exports deterministically to Chrome
-// trace-event JSON (loadable in Perfetto) and to a stable text metrics dump.
+// attributes. The tracer keeps none of them: it is one event stream, fanned
+// out as it is emitted to the sinks that read it — the JSONL event log, the
+// Perfetto export (ChromeTrace, Chrome trace-event JSON), report's phase
+// fold — while the registry aggregates in place into a stable text dump.
 //
 // Everything is driven by the deterministic simulation clock, so the same
 // program produces byte-identical exports on every run.
@@ -42,47 +44,26 @@ func F(key string, v float64) Attr {
 // zero id without branching.
 type SpanID int
 
-type span struct {
-	name, cat  string
-	pid, tid   int
-	start, end float64 // end < start marks a still-open span
-	attrs      []Attr
-}
-
-// SpanView is a read-only view of one recorded span, for analysis passes
-// (e.g. the profile-jobs per-phase breakdown).
-type SpanView struct {
-	Name, Cat  string
-	PID, TID   int
-	Start, End float64
-	Attrs      []Attr
-}
-
-type counterSample struct {
-	name    string
-	ts, val float64
-}
-
-type threadKey struct{ pid, tid int }
-
-// Tracer is the span store. Create with New; share one instance across the
-// whole run (the cluster binds world ranks to job pids as jobs are admitted,
-// so rank-routed spans land in the right Perfetto process).
+// Tracer is the emitter of the telemetry plane. Create with New; share one
+// instance across the whole run (the cluster binds world ranks to job pids
+// as jobs are admitted, so rank-routed spans land in the right job's track).
+// It keeps no span, counter sample or track name: each is mirrored, as it is
+// made, into the attached sinks (AddSink), and a reader reads what its own
+// sink folded. Spans are counted, so ids and NumSpans do not depend on which
+// sinks are attached.
 type Tracer struct {
-	reg     *Registry
-	spans   []span
-	nSpans  int  // spans recorded (== len(spans) while they are kept)
-	keep    bool // a reader will walk spans and samples after the run (KeepSpans)
-	procs   map[int]string
-	threads map[threadKey]string
-	samples []counterSample
-	curPID  []int // world rank -> bound pid (0 = cluster/unbound)
+	reg    *Registry
+	nSpans int   // spans recorded; the latest Begin's id
+	curPID []int // world rank -> bound pid (0 = cluster/unbound)
 
-	// Telemetry plane (all optional; see events.go, live.go, slo.go). The
-	// sink mirrors spans/instants/counter samples as they are recorded; the
-	// live cell and SLO engine are driven by the cluster at scheduler round
-	// boundaries.
-	sink   EventSink
+	// Sinks, in attach order: every event reaches each sink, and track names
+	// and decision records reach only the sinks that read them.
+	sinks     []EventSink
+	nameSinks []NameSink
+	decSinks  []decision.Sink
+
+	// Driven by the cluster at scheduler round boundaries (all optional;
+	// see live.go, slo.go, series.go).
 	live   *Live
 	slo    *SLO
 	series *SeriesSink
@@ -94,51 +75,42 @@ type Tracer struct {
 	decisions []decision.Record
 }
 
-// New returns an empty, enabled tracer with a fresh metrics registry. It
-// keeps what it records (see KeepSpans).
+// New returns an enabled tracer with a fresh metrics registry and no sink.
 func New() *Tracer {
-	return &Tracer{
-		reg:     NewRegistry(),
-		keep:    true,
-		procs:   make(map[int]string),
-		threads: make(map[threadKey]string),
-	}
+	return &Tracer{reg: NewRegistry()}
 }
 
-// SetSink installs an event sink: from now on every span begin/end, complete
-// span, instant, counter sample, and SLO alert recorded through the tracer
-// is mirrored into sink in emission order (see events.go). Nil removes it.
-func (t *Tracer) SetSink(sink EventSink) {
+// NameSink is implemented by sinks that read track names: the Perfetto
+// export names a process per job (pid 0 is the cluster scheduler) and a
+// thread per world rank.
+type NameSink interface {
+	ProcessName(pid int, name string)
+	ThreadName(pid, tid int, name string)
+}
+
+// AddSink attaches a sink: from now on every span begin/end, attribute,
+// complete span, instant, counter sample and SLO alert recorded through the
+// tracer is mirrored into it in emission order (see events.go), after the
+// sinks attached before it. A sink that is also a NameSink receives track
+// names, and one that is also a decision.Sink receives decision records.
+func (t *Tracer) AddSink(s EventSink) {
 	if t == nil {
 		return
 	}
-	t.sink = sink
+	t.sinks = append(t.sinks, s)
+	if n, ok := s.(NameSink); ok {
+		t.nameSinks = append(t.nameSinks, n)
+	}
+	if d, ok := s.(decision.Sink); ok {
+		t.decSinks = append(t.decSinks, d)
+	}
 }
 
-// KeepSpans says whether anything will read spans and counter samples back
-// from memory after the run. Every record is mirrored into the event sink
-// either way, span ids count up either way, so the event log's bytes do not
-// depend on it; what it decides is whether the tracer also holds a copy —
-// memory that grows with the run — for EachSpan and WriteChromeTrace.
-//
-// Retention follows the reader, not a user's flag: a fresh tracer keeps
-// (tests and probes read it directly), obscli.Flags.Attach turns keeping off
-// unless -trace will export the spans, and an experiment that folds spans
-// (explain's waterfall, profile-jobs) turns it on for the tracer it folds.
-// Without it EachSpan visits nothing and the Chrome trace is empty. Decision
-// records are not spans: they are kept whenever decision tracing is on. The
-// metrics registry aggregates in place and is always available.
-//
-// Decide before recording: a span's id is its index in the store, so
-// keeping cannot start once spans have gone by unkept.
-func (t *Tracer) KeepSpans(on bool) {
-	if t == nil {
-		return
+// emit mirrors e into every sink.
+func (t *Tracer) emit(e Event) {
+	for _, s := range t.sinks {
+		s.Emit(e)
 	}
-	if on && t.nSpans != len(t.spans) {
-		panic("obs: KeepSpans(true) after spans were recorded unkept")
-	}
-	t.keep = on
 }
 
 // SetLive installs the live frame cell the owning runtime publishes
@@ -195,9 +167,9 @@ func (t *Tracer) SLOEngine() *SLO {
 }
 
 // EnableDecisions turns on scheduler decision tracing: Decision() calls are
-// recorded (and mirrored into the event sink, when it understands them)
-// from now on. Off by default so event logs only carry decision lines when
-// explicitly asked for (-explain / -serve).
+// recorded (and mirrored into the sinks that read them) from now on. Off by
+// default so event logs only carry decision lines when explicitly asked for
+// (-explain / -serve).
 func (t *Tracer) EnableDecisions() {
 	if t == nil {
 		return
@@ -209,16 +181,15 @@ func (t *Tracer) EnableDecisions() {
 func (t *Tracer) DecisionsEnabled() bool { return t != nil && t.decOn }
 
 // Decision records one scheduler decision: appended to the in-memory stream
-// (Decisions) and mirrored into the event sink when the sink implements
-// decision.Sink (the JSONL sink does). A no-op unless EnableDecisions was
-// called.
+// (Decisions) and mirrored into every sink that is a decision.Sink (the
+// JSONL sink is). A no-op unless EnableDecisions was called.
 func (t *Tracer) Decision(rec decision.Record) {
 	if t == nil || !t.decOn {
 		return
 	}
 	t.decisions = append(t.decisions, rec)
-	if ds, ok := t.sink.(decision.Sink); ok {
-		ds.EmitDecision(rec)
+	for _, s := range t.decSinks {
+		s.EmitDecision(rec)
 	}
 }
 
@@ -253,20 +224,26 @@ func (t *Tracer) Metrics() *Registry {
 	return t.reg
 }
 
-// SetProcessName names a Perfetto process (one per job, pid 0 = cluster).
+// SetProcessName names a Perfetto process (one per job, pid 0 = cluster) in
+// every NameSink.
 func (t *Tracer) SetProcessName(pid int, name string) {
 	if t == nil {
 		return
 	}
-	t.procs[pid] = name
+	for _, s := range t.nameSinks {
+		s.ProcessName(pid, name)
+	}
 }
 
-// SetThreadName names a Perfetto thread (a world rank within a job pid).
+// SetThreadName names a Perfetto thread (a world rank within a job pid) in
+// every NameSink.
 func (t *Tracer) SetThreadName(pid, tid int, name string) {
 	if t == nil {
 		return
 	}
-	t.threads[threadKey{pid, tid}] = name
+	for _, s := range t.nameSinks {
+		s.ThreadName(pid, tid, name)
+	}
 }
 
 // BindRank routes rank-addressed spans to pid until UnbindRank: the cluster
@@ -275,7 +252,9 @@ func (t *Tracer) BindRank(rank, pid int) {
 	if t == nil || rank < 0 {
 		return
 	}
-	t.ensureRank(rank)
+	for len(t.curPID) <= rank {
+		t.curPID = append(t.curPID, 0)
+	}
 	t.curPID[rank] = pid
 }
 
@@ -287,12 +266,6 @@ func (t *Tracer) UnbindRank(rank int) {
 	t.curPID[rank] = 0
 }
 
-func (t *Tracer) ensureRank(rank int) {
-	for len(t.curPID) <= rank {
-		t.curPID = append(t.curPID, 0)
-	}
-}
-
 func (t *Tracer) rankPID(rank int) int {
 	if rank < 0 || rank >= len(t.curPID) {
 		return 0
@@ -300,26 +273,15 @@ func (t *Tracer) rankPID(rank int) int {
 	return t.curPID[rank]
 }
 
-// record counts one span and, when a reader has asked for spans, keeps it.
-func (t *Tracer) record(sp span) {
-	t.nSpans++
-	if t.keep {
-		t.spans = append(t.spans, sp)
-	}
-}
-
 // Begin opens a span on an explicit (pid, tid) track and returns its id.
 func (t *Tracer) Begin(pid, tid int, name, cat string, start float64, attrs ...Attr) SpanID {
 	if t == nil {
 		return 0
 	}
-	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
-		start: start, end: start - 1, attrs: attrs})
+	t.nSpans++
 	id := SpanID(t.nSpans)
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "begin", ID: int(id), T: start, PID: pid, TID: tid,
-			Name: name, Cat: cat, Attrs: attrs})
-	}
+	t.emit(Event{E: "begin", ID: int(id), T: start, PID: pid, TID: tid,
+		Name: name, Cat: cat, Attrs: attrs})
 	return id
 }
 
@@ -328,12 +290,7 @@ func (t *Tracer) End(id SpanID, end float64) {
 	if t == nil || id <= 0 {
 		return
 	}
-	if int(id) <= len(t.spans) {
-		t.spans[id-1].end = end
-	}
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "end", ID: int(id), T: end})
-	}
+	t.emit(Event{E: "end", ID: int(id), T: end})
 }
 
 // AddAttr appends attributes to an open or closed span.
@@ -341,13 +298,7 @@ func (t *Tracer) AddAttr(id SpanID, attrs ...Attr) {
 	if t == nil || id <= 0 {
 		return
 	}
-	if int(id) <= len(t.spans) {
-		sp := &t.spans[id-1]
-		sp.attrs = append(sp.attrs, attrs...)
-	}
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "attr", ID: int(id), Attrs: attrs})
-	}
+	t.emit(Event{E: "attr", ID: int(id), Attrs: attrs})
 }
 
 // Span records a complete span on an explicit (pid, tid) track.
@@ -355,12 +306,9 @@ func (t *Tracer) Span(pid, tid int, name, cat string, start, end float64, attrs 
 	if t == nil {
 		return
 	}
-	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
-		start: start, end: end, attrs: attrs})
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "span", T: start, Dur: end - start, PID: pid, TID: tid,
-			Name: name, Cat: cat, Attrs: attrs})
-	}
+	t.nSpans++
+	t.emit(Event{E: "span", T: start, Dur: end - start, PID: pid, TID: tid,
+		Name: name, Cat: cat, Attrs: attrs})
 }
 
 // BeginRank opens a span on rank's current (bound pid, tid = rank) track.
@@ -384,12 +332,9 @@ func (t *Tracer) Instant(pid, tid int, name, cat string, ts float64, attrs ...At
 	if t == nil {
 		return
 	}
-	t.record(span{name: name, cat: cat, pid: pid, tid: tid,
-		start: ts, end: ts, attrs: attrs})
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "instant", T: ts, PID: pid, TID: tid,
-			Name: name, Cat: cat, Attrs: attrs})
-	}
+	t.nSpans++
+	t.emit(Event{E: "instant", T: ts, PID: pid, TID: tid,
+		Name: name, Cat: cat, Attrs: attrs})
 }
 
 // Counter appends one sample of a Perfetto counter track (queue depth,
@@ -398,49 +343,24 @@ func (t *Tracer) Counter(name string, ts, val float64) {
 	if t == nil {
 		return
 	}
-	if t.keep {
-		t.samples = append(t.samples, counterSample{name: name, ts: ts, val: val})
-	}
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "sample", T: ts, Name: name, Value: val})
-	}
+	t.emit(Event{E: "sample", T: ts, Name: name, Value: val})
 }
 
-// Alert records an SLO rule firing: an instant span on the scheduler track
-// (cat "slo", visible in Perfetto) plus an "alert" event in the event log.
-// The span store is appended directly so the alert is not double-mirrored as
-// an "instant" event.
+// Alert records an SLO rule firing: an "alert" event, counted as a span and
+// drawn by the Perfetto export as an instant on the scheduler track.
 func (t *Tracer) Alert(name string, ts float64, attrs ...Attr) {
 	if t == nil {
 		return
 	}
-	t.record(span{name: name, cat: "slo", pid: 0, tid: 0,
-		start: ts, end: ts, attrs: attrs})
-	if t.sink != nil {
-		t.sink.Emit(Event{E: "alert", T: ts, Name: name, Attrs: attrs})
-	}
+	t.nSpans++
+	t.emit(Event{E: "alert", T: ts, Name: name, Attrs: attrs})
 }
 
-// NumSpans returns how many spans have been recorded, kept or not.
+// NumSpans returns how many spans (begun, complete, instants and alerts)
+// have been recorded.
 func (t *Tracer) NumSpans() int {
 	if t == nil {
 		return 0
 	}
 	return t.nSpans
-}
-
-// EachSpan calls fn for every recorded span in creation order.
-func (t *Tracer) EachSpan(fn func(SpanView)) {
-	if t == nil {
-		return
-	}
-	for i := range t.spans {
-		sp := &t.spans[i]
-		end := sp.end
-		if end < sp.start {
-			end = sp.start // never-closed span: render as zero-duration
-		}
-		fn(SpanView{Name: sp.name, Cat: sp.cat, PID: sp.pid, TID: sp.tid,
-			Start: sp.start, End: end, Attrs: sp.attrs})
-	}
 }

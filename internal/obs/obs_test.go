@@ -9,6 +9,7 @@ import (
 
 func TestNilTracerIsSafe(t *testing.T) {
 	var tr *Tracer
+	tr.AddSink(NewChromeTrace())
 	tr.SetProcessName(0, "x")
 	tr.SetThreadName(0, 0, "x")
 	tr.BindRank(3, 1)
@@ -20,7 +21,7 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Span(0, 0, "a", "b", 0, 1)
 	tr.Instant(0, 0, "a", "b", 0)
 	tr.Counter("c", 0, 1)
-	tr.EachSpan(func(SpanView) { t.Fatal("span on nil tracer") })
+	tr.Alert("a", 0)
 	if tr.NumSpans() != 0 {
 		t.Fatal("spans on nil tracer")
 	}
@@ -29,14 +30,6 @@ func TestNilTracerIsSafe(t *testing.T) {
 	tr.Metrics().Histogram("x").Observe(1)
 	if got := tr.Metrics().Dump(); got != "" {
 		t.Fatalf("nil registry dump %q", got)
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var v map[string]interface{}
-	if err := json.Unmarshal(buf.Bytes(), &v); err != nil {
-		t.Fatalf("nil-tracer export invalid JSON: %v", err)
 	}
 }
 
@@ -63,38 +56,68 @@ func TestDisabledZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestRankBindingRoutesSpans(t *testing.T) {
+// discard is a sink that reads events and names and keeps nothing.
+type discard struct{}
+
+func (discard) Emit(Event)                  {}
+func (discard) ProcessName(int, string)     {}
+func (discard) ThreadName(int, int, string) {}
+
+// TestTracerKeepsNothing: the tracer is a pure emitter. With one sink that
+// discards, recording a span, a counter sample or a track name allocates
+// nothing, however many have gone by: nothing is appended to the tracer.
+func TestTracerKeepsNothing(t *testing.T) {
 	tr := New()
+	tr.AddSink(discard{})
+	tr.BindRank(3, 1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		id := tr.Begin(1, 3, "cc.get", "cc", 0)
+		tr.End(id, 1)
+		tr.Span(1, 3, "pfs.read", "pfs", 0, 1)
+		tr.SpanRank(3, "cc.map", "cc", 0, 1)
+		tr.Counter("cluster_queue_depth", 0, 1)
+		tr.SetThreadName(1, 3, "rank 3")
+		tr.SetProcessName(1, "job 0")
+	})
+	if allocs != 0 {
+		t.Fatalf("tracer with a discarding sink allocated %.1f/op, want 0", allocs)
+	}
+	if tr.NumSpans() != 3*1001 {
+		t.Fatalf("NumSpans %d, want %d: spans are counted whatever keeps them", tr.NumSpans(), 3*1001)
+	}
+}
+
+func TestRankBindingRoutesSpans(t *testing.T) {
+	tr, sink := New(), &memSink{}
+	tr.AddSink(sink)
 	tr.SpanRank(2, "before", "c", 0, 1)
 	tr.BindRank(2, 5)
 	tr.SpanRank(2, "during", "c", 1, 2)
 	tr.UnbindRank(2)
 	tr.SpanRank(2, "after", "c", 2, 3)
 	pids := map[string]int{}
-	tr.EachSpan(func(sv SpanView) { pids[sv.Name] = sv.PID })
+	for _, e := range sink.events {
+		pids[e.Name] = e.PID
+	}
 	if pids["before"] != 0 || pids["during"] != 5 || pids["after"] != 0 {
 		t.Fatalf("pids %v", pids)
 	}
 }
 
 func TestOpenSpanAndAttrs(t *testing.T) {
-	tr := New()
+	tr, ct := New(), NewChromeTrace()
+	tr.AddSink(ct)
 	id := tr.Begin(1, 0, "run", "sched", 2.5, S("job", "a"))
 	tr.AddAttr(id, S("err", "boom"))
 	tr.End(id, 4.5)
-	var got SpanView
-	tr.EachSpan(func(sv SpanView) { got = sv })
-	if got.Start != 2.5 || got.End != 4.5 || len(got.Attrs) != 2 {
+	if got := ct.spans[0]; got.start != 2.5 || got.dur != 2 || len(got.attrs) != 2 {
 		t.Fatalf("span %+v", got)
 	}
 	// A never-closed span renders as zero duration.
-	tr2 := New()
-	tr2.Begin(0, 0, "open", "c", 3)
-	tr2.EachSpan(func(sv SpanView) {
-		if sv.End != sv.Start {
-			t.Fatalf("open span end %g, want %g", sv.End, sv.Start)
-		}
-	})
+	tr.Begin(0, 0, "open", "c", 3)
+	if got := ct.spans[1]; got.dur != 0 {
+		t.Fatalf("open span %+v, want zero duration", got)
+	}
 }
 
 func TestRegistryDumpStableAndSorted(t *testing.T) {
@@ -144,8 +167,9 @@ func TestHistogramStats(t *testing.T) {
 	}
 }
 
-func buildTrace() *Tracer {
-	tr := New()
+func buildTrace() *ChromeTrace {
+	tr, ct := New(), NewChromeTrace()
+	tr.AddSink(ct)
 	tr.SetProcessName(0, "cluster")
 	tr.SetProcessName(1, "job:sum-0")
 	tr.SetThreadName(1, 3, "rank 3")
@@ -158,15 +182,15 @@ func buildTrace() *Tracer {
 	tr.End(id, 1.0)
 	tr.Counter("queue_depth", 0, 1)
 	tr.Counter("queue_depth", 0.5, 0)
-	return tr
+	return ct
 }
 
 func TestChromeTraceExport(t *testing.T) {
 	var b1, b2 bytes.Buffer
-	if err := buildTrace().WriteChromeTrace(&b1); err != nil {
+	if err := buildTrace().Export(&b1); err != nil {
 		t.Fatal(err)
 	}
-	if err := buildTrace().WriteChromeTrace(&b2); err != nil {
+	if err := buildTrace().Export(&b2); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(b1.Bytes(), b2.Bytes()) {

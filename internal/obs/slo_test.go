@@ -52,7 +52,7 @@ func TestParseSLORuleRejectsMalformed(t *testing.T) {
 func TestSLOEvalFiresOnceAndLatches(t *testing.T) {
 	tr := New()
 	sink := &memSink{}
-	tr.SetSink(sink)
+	tr.AddSink(sink)
 	s := NewSLO(MustParseSLORule("depth=cluster_queue_depth_max<5"))
 	tr.SetSLO(s)
 

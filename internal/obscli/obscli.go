@@ -7,12 +7,11 @@
 // wait attribution, generating the offline run report — after it. Both ccexp
 // and ccrun use it, so the two commands expose identical telemetry surfaces.
 //
-// What the tracer holds in memory follows from what will read it: spans and
-// counter samples are kept only when -trace will export them, decision
-// records whenever decision tracing is on (-explain's attribution and
-// -serve's /decisions read them), and everything else goes through to the
-// -events and -series files as it happens. So -events alone logs a run of
-// any length in bounded memory, and every flag composes with every other.
+// The tracer keeps nothing but decision records (when -explain or -serve
+// reads them). Each output is a sink of its own: -events streams to disk,
+// and -trace attaches the Perfetto export, the one holder of the run's spans.
+// So -events alone logs a run of any length in bounded memory, no output
+// depends on which others are attached, and every flag composes.
 package obscli
 
 import (
@@ -104,6 +103,7 @@ const dashInterval = 250 * time.Millisecond
 // Flags.Attach, call Finish exactly once after the run.
 type Plane struct {
 	sink       *obs.JSONLSink
+	chrome     *obs.ChromeTrace
 	eventsFile *os.File
 	series     *obs.SeriesSink
 	seriesFile *os.File
@@ -114,25 +114,21 @@ type Plane struct {
 	dashDone   chan struct{}
 	stderr     io.Writer
 	ot         *obs.Tracer
-	explain    bool
-	tracePath  string
-	metricPath string
-	eventsPath string
-	seriesPath string
-	reportPath string
+	f          Flags // what was asked for
 }
 
 // Attach installs the requested telemetry components on ot and starts the
 // background consumers (HTTP server, dashboard ticker). On error everything
 // already opened is torn down.
 func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
-	p := &Plane{stderr: stderr, ot: ot, explain: f.Explain,
-		tracePath: f.Trace, metricPath: f.Metrics,
-		eventsPath: f.Events, seriesPath: f.Series, reportPath: f.Report}
+	p := &Plane{stderr: stderr, ot: ot, f: *f}
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
-	ot.KeepSpans(f.Trace != "") // the Perfetto export is the plane's only reader of spans
+	if f.Trace != "" {
+		p.chrome = obs.NewChromeTrace()
+		ot.AddSink(p.chrome)
+	}
 	if f.Explain || f.Serve != "" {
 		// -serve exposes /decisions, so the live endpoint implies recording.
 		ot.EnableDecisions()
@@ -156,7 +152,7 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		}
 		p.eventsFile = file
 		p.sink = obs.NewJSONLSink(file)
-		ot.SetSink(p.sink)
+		ot.AddSink(p.sink)
 	}
 	if f.Series != "" {
 		file, err := os.Create(f.Series)
@@ -246,7 +242,7 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 			err = fmt.Errorf("series: %w", serr)
 		}
 	}
-	if p.reportPath != "" && err == nil {
+	if p.f.Report != "" && err == nil {
 		if rerr := p.writeReport(); rerr != nil && err == nil {
 			err = fmt.Errorf("report: %w", rerr)
 		}
@@ -255,7 +251,7 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	for _, v := range viol {
 		fmt.Fprintf(p.stderr, "(%s)\n", v)
 	}
-	if p.explain {
+	if p.f.Explain {
 		for _, a := range decision.Attribute(p.ot.Decisions()) {
 			fmt.Fprintf(p.stderr, "(explain: %s)\n", a)
 		}
@@ -263,13 +259,13 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	return viol, err
 }
 
-// writeTraceAndMetrics exports the tracer's spans as Chrome trace-event JSON
-// into the -trace file and the registry dump into the -metrics file.
+// writeTraceAndMetrics writes the Perfetto export into the -trace file and
+// the registry dump into the -metrics file.
 func (p *Plane) writeTraceAndMetrics() error {
-	if p.tracePath != "" {
-		f, err := os.Create(p.tracePath)
+	if p.chrome != nil {
+		f, err := os.Create(p.f.Trace)
 		if err == nil {
-			err = p.ot.WriteChromeTrace(f)
+			err = p.chrome.Export(f)
 			if cerr := f.Close(); err == nil {
 				err = cerr
 			}
@@ -277,10 +273,10 @@ func (p *Plane) writeTraceAndMetrics() error {
 		if err != nil {
 			return fmt.Errorf("trace: %w", err)
 		}
-		fmt.Fprintf(p.stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", p.ot.NumSpans(), p.tracePath)
+		fmt.Fprintf(p.stderr, "(trace: %d spans -> %s; open at ui.perfetto.dev)\n", p.ot.NumSpans(), p.f.Trace)
 	}
-	if p.metricPath != "" {
-		if err := os.WriteFile(p.metricPath, []byte(p.ot.Metrics().Dump()), 0o644); err != nil {
+	if p.f.Metrics != "" {
+		if err := os.WriteFile(p.f.Metrics, []byte(p.ot.Metrics().Dump()), 0o644); err != nil {
 			return fmt.Errorf("metrics: %w", err)
 		}
 	}
@@ -290,16 +286,16 @@ func (p *Plane) writeTraceAndMetrics() error {
 // writeReport renders the offline run report from the just-closed event
 // (and series) logs into the -report file.
 func (p *Plane) writeReport() error {
-	f, err := os.Create(p.reportPath)
+	f, err := os.Create(p.f.Report)
 	if err != nil {
 		return err
 	}
-	err = report.Run(f, p.eventsPath, p.seriesPath, 0)
+	err = report.Run(f, p.f.Events, p.f.Series, 0)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err == nil {
-		fmt.Fprintf(p.stderr, "(report: written to %s)\n", p.reportPath)
+		fmt.Fprintf(p.stderr, "(report: written to %s)\n", p.f.Report)
 	}
 	return err
 }

@@ -26,12 +26,13 @@ func loadRetained(log []byte) (*Data, error) {
 	if err != nil {
 		return nil, err
 	}
-	d := &Data{jobs: map[int]*job{}}
-	ef := eventFold{d: d, begins: map[int]openSpan{}}
+	d := New()
 	for i := range evs {
-		ef.add(&evs[i])
+		d.add(&evs[i])
 	}
-	d.nDecs, d.blames = len(recs), decision.Attribute(recs)
+	for i := range recs {
+		d.dec.Add(&recs[i])
+	}
 	return d, nil
 }
 
@@ -100,7 +101,7 @@ func TestLoadMatchesRetainingReaders(t *testing.T) {
 		checkLoad(t, log)
 		path := filepath.Join(t.TempDir(), "e.jsonl")
 		os.WriteFile(path, log, 0o644)
-		if d, err := Load(path, ""); err != nil || d.nEvents == 0 || len(d.blames) == 0 {
+		if d, err := Load(path, ""); err != nil || d.nEvents == 0 || len(d.dec.Jobs()) == 0 {
 			t.Fatalf("seed log did not load with events and attributions: %v", err)
 		}
 	}

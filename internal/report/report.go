@@ -8,6 +8,10 @@
 // heat strips, and a machine-readable JSON summary. The report is a pure
 // function of the log bytes: two byte-identical logs render byte-identical
 // reports, so nightly CI can diff reports the way it diffs traces.
+//
+// Its fold of the event stream (Data) is the repository's one span fold:
+// the same fold, attached live to a tracer, gives profile-jobs its phase
+// columns and explain its waterfall.
 package report
 
 import (
@@ -16,6 +20,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 
@@ -24,23 +29,37 @@ import (
 	"repro/internal/obs/decision"
 )
 
-// Data is one run's logs as Load folded them: the phase and per-submission
-// accumulators of the event stream, the decision trace's wait attributions,
-// and the series points. It holds no event and no decision record, so its
-// size follows the run's jobs and rounds, not its log's lines.
+// Data is one run's telemetry as the report folds it: the phase and
+// per-submission accumulators of the event stream, the per-job span sums,
+// the decision trace's wait attributions, and the series points. It holds no
+// event and no decision record, so its size follows the run's jobs and
+// rounds, not its log's lines. Load feeds it a recorded log; fed live, as a
+// tracer's sink (New), it folds each record as it is emitted.
 type Data struct {
 	EventsPath string
-	SeriesPath string
 	Series     []obs.SeriesPoint
 
-	nEvents, nDecs int // records read
-	makespan       float64
-	alerts         int
-	phases         Phases
-	jobs           map[int]*job              // tid -> submission
-	tids           []int                     // first-appearance order
-	blames         []decision.JobAttribution // submission order
+	nEvents  int // events folded
+	makespan float64
+	alerts   int
+	phases   Phases
+	jobs     map[int]*job      // tid -> submission
+	tids     []int             // first-appearance order
+	spans    map[int]*JobSpans // trace pid -> span sums
+	begins   map[int]openSpan  // event ID -> begin waiting for its end
+	dec      decision.Fold
 }
+
+// New returns an empty Data, ready to be fed.
+func New() *Data {
+	return &Data{jobs: map[int]*job{}, spans: map[int]*JobSpans{}, begins: map[int]openSpan{}}
+}
+
+// Emit implements obs.EventSink.
+func (d *Data) Emit(e obs.Event) { d.add(&e) }
+
+// EmitDecision implements decision.Sink.
+func (d *Data) EmitDecision(rec decision.Record) { d.dec.Add(&rec) }
 
 // Load reads the event log at eventsPath — events and any interleaved
 // decision records, in one streaming pass that folds each line into Data as
@@ -51,13 +70,11 @@ func Load(eventsPath, seriesPath string) (*Data, error) {
 		return nil, err
 	}
 	defer f.Close()
-	d := &Data{EventsPath: eventsPath, SeriesPath: seriesPath, jobs: map[int]*job{}}
-	ef := eventFold{d: d, begins: map[int]openSpan{}}
-	var df decision.Fold
-	if err := obs.ScanLog(f, ef.add, df.Add); err != nil {
+	d := New()
+	d.EventsPath = eventsPath
+	if err := obs.ScanLog(f, d.add, d.dec.Add); err != nil {
 		return nil, fmt.Errorf("report: %s: %w", eventsPath, err)
 	}
-	d.nDecs, d.blames = df.Records(), df.Jobs()
 	if seriesPath != "" {
 		sf, err := os.Open(seriesPath)
 		if err != nil {
@@ -69,6 +86,76 @@ func Load(eventsPath, seriesPath string) (*Data, error) {
 		}
 	}
 	return d, nil
+}
+
+// Slot is one of the fixed per-job span sums, in pipeline order: the
+// runtime phases profile-jobs tabulates and explain's waterfall prints.
+type Slot uint8
+
+const (
+	SlotRead Slot = iota
+	SlotPFS
+	SlotPFSAwait
+	SlotMap
+	SlotShuffle
+	SlotReduce
+	SlotGet
+	SlotMPI
+	NumSlots
+)
+
+// slotSpans is the span each slot sums ("mpi." sums every mpi.* span), and
+// slotLabels its label.
+var (
+	slotSpans  = [NumSlots]string{"adio.read", "pfs.read", "pfs.await", "cc.map", "adio.shuffle", "cc.reduce", "cc.get", "mpi."}
+	slotLabels = [NumSlots]string{"read", "pfs", "pfs-await", "map", "shuffle", "reduce", "get", "mpi"}
+)
+
+// String returns the slot's label ("read", "pfs-await", "mpi", …).
+func (s Slot) String() string { return slotLabels[s] }
+
+// slotOf returns the slot a span name sums into, or NumSlots for none.
+func slotOf(name string) Slot {
+	if strings.HasPrefix(name, "mpi.") {
+		return SlotMPI
+	}
+	if i := slices.Index(slotSpans[:SlotMPI], name); i >= 0 {
+		return Slot(i)
+	}
+	return NumSlots
+}
+
+// JobSpans is one job's span sums: rank-seconds per slot over all of the
+// job's ranks, and whether the slot saw any span (a zero-length or
+// never-closed one counts). Complete spans are summed in log order, begun
+// ones when they close.
+type JobSpans struct {
+	Sec  [NumSlots]float64
+	Seen [NumSlots]bool
+}
+
+// Job returns the span sums of the job whose spans carry trace pid pid
+// (cluster.JobResult.TracePID); zero when it recorded none.
+func (d *Data) Job(pid int) JobSpans {
+	if js := d.spans[pid]; js != nil {
+		return *js
+	}
+	return JobSpans{}
+}
+
+// charge adds dur to slot s of pid's span sums and marks the slot seen; a
+// span with no slot (s == NumSlots) is not summed.
+func (d *Data) charge(pid int, s Slot, dur float64) {
+	if s == NumSlots {
+		return
+	}
+	js := d.spans[pid]
+	if js == nil {
+		js = &JobSpans{}
+		d.spans[pid] = js
+	}
+	js.Sec[s] += dur
+	js.Seen[s] = true
 }
 
 // Phases is the makespan attribution: cumulative rank-seconds spent in each
@@ -148,16 +235,11 @@ type job struct {
 // openSpan is a "begin" event waiting for its "end" (and, for a run span,
 // for the attributes the scheduler appends after it).
 type openSpan struct {
-	t   float64
-	cat string
-	tid int
-	run bool
-}
-
-// eventFold folds the event stream into a Data, one event at a time.
-type eventFold struct {
-	d      *Data
-	begins map[int]openSpan // event ID -> open begin
+	t        float64
+	cat      string
+	pid, tid int
+	slot     Slot
+	run      bool
 }
 
 func attr(ev *obs.Event, key string) string {
@@ -196,8 +278,7 @@ func (ph *Phases) bucket(cat, name string, dur float64) {
 }
 
 // add folds one event in. ev is only valid during the call.
-func (f *eventFold) add(ev *obs.Event) {
-	d := f.d
+func (d *Data) add(ev *obs.Event) {
 	d.nEvents++
 	if t := ev.T + ev.Dur; t > d.makespan {
 		d.makespan = t
@@ -205,6 +286,7 @@ func (f *eventFold) add(ev *obs.Event) {
 	switch ev.E {
 	case "span":
 		d.phases.bucket(ev.Cat, ev.Name, ev.Dur)
+		d.charge(ev.PID, slotOf(ev.Name), ev.Dur)
 		if ev.Cat == "sched" && ev.Name == "queued" {
 			j := d.jobAt(ev.TID)
 			j.queued = true
@@ -214,21 +296,24 @@ func (f *eventFold) add(ev *obs.Event) {
 			j.wait = ev.Dur
 		}
 	case "begin":
-		f.begins[ev.ID] = openSpan{
-			t: ev.T, cat: ev.Cat, tid: ev.TID,
+		b := openSpan{
+			t: ev.T, cat: ev.Cat, pid: ev.PID, tid: ev.TID, slot: slotOf(ev.Name),
 			run: ev.Cat == "sched" && ev.Name == "run",
 		}
+		d.charge(b.pid, b.slot, 0) // seen now, summed when it closes
+		d.begins[ev.ID] = b
 	case "end":
 		// A run span stays open past its end: the scheduler appends the
 		// deadline_miss attribute after closing it. There is one per job;
 		// every other span is forgotten here, so the table follows the
 		// spans in flight, not the log's length.
-		if b, ok := f.begins[ev.ID]; ok && !b.run {
+		if b, ok := d.begins[ev.ID]; ok && !b.run {
 			d.phases.bucket(b.cat, "", ev.T-b.t)
-			delete(f.begins, ev.ID)
+			d.charge(b.pid, b.slot, ev.T-b.t)
+			delete(d.begins, ev.ID)
 		}
 	case "attr":
-		if b, ok := f.begins[ev.ID]; ok && b.run && attr(ev, "deadline_miss") != "" {
+		if b, ok := d.begins[ev.ID]; ok && b.run && attr(ev, "deadline_miss") != "" {
 			d.jobAt(b.tid).miss = true
 		}
 	case "instant":
@@ -248,7 +333,7 @@ func Build(d *Data, topK int) *Report {
 		topK = 5
 	}
 	r := &Report{
-		src: filepath.Base(d.EventsPath), nEvents: d.nEvents, nDecs: d.nDecs,
+		src: filepath.Base(d.EventsPath), nEvents: d.nEvents, nDecs: d.dec.Records(),
 		series: d.Series,
 	}
 
@@ -306,7 +391,7 @@ func Build(d *Data, topK int) *Report {
 	}
 
 	// Slow-job table from the decision trace (empty without -explain).
-	blames := append([]decision.JobAttribution(nil), d.blames...)
+	blames := d.dec.Jobs()
 	sort.SliceStable(blames, func(i, k int) bool {
 		if blames[i].Wait != blames[k].Wait {
 			return blames[i].Wait > blames[k].Wait

@@ -36,7 +36,7 @@ func runWithEvents(t *testing.T, tr *Trace) ([]Submitted, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	ot := obs.New()
-	ot.SetSink(obs.NewJSONLSink(&buf))
+	ot.AddSink(obs.NewJSONLSink(&buf))
 	ot.EnableDecisions()
 	_, subs, err := Run(tr, ot)
 	if err != nil {
