@@ -207,10 +207,10 @@ func readExtent(cl *pfs.Client, f *pfs.File, it *Iter, buf []byte) (ext []byte, 
 	return ext, cl.ReadSparseAsync(f, ext, it.ReadLo, pieceRuns(it))
 }
 
-// ExchangeRequests allgathers every rank's offset list (phase 0 of two-phase
+// exchangeRequests allgathers every rank's offset list (phase 0 of two-phase
 // I/O) and returns the per-comm-rank run lists. The modeled message size is
 // 16 bytes per run, as ROMIO exchanges (offset, length) pairs.
-func ExchangeRequests(r *mpi.Rank, c *mpi.Comm, runs []layout.Run) [][]layout.Run {
+func exchangeRequests(r *mpi.Rank, c *mpi.Comm, runs []layout.Run) [][]layout.Run {
 	// ROMIO first allgathers counts, then the lists themselves; both
 	// exchanges are modeled.
 	myBytes := int64(16 * len(runs))
@@ -236,73 +236,147 @@ func perMemberBytes(c *mpi.Comm, r *mpi.Rank, mine int64) []int64 {
 }
 
 // CollectiveRead performs a two-phase collective read. Every member of c
-// must call it (SPMD) with its own request (possibly empty). On return,
-// rq.Buf holds the requested bytes (a ChargeOnly request has none). aggrs
-// lists the aggregator comm ranks; pass nil for ROMIO's default of one per
-// node.
+// must call it (SPMD) with its own request (possibly empty) and the same
+// aggregators and parameters. On return, rq.Buf holds the requested bytes (a
+// ChargeOnly request has none). aggrs lists the aggregator comm ranks; pass
+// nil for ROMIO's default of one per node.
 func CollectiveRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, aggrs []int, p Params) error {
+	return CollectiveReadHooked(r, c, cl, f, rq, aggrs, p, nil)
+}
+
+// slowFactor is the observed service factor at or above which an OST is
+// flagged slow, and a rebalanced read weights its file domains.
+const slowFactor = 2
+
+// CollectiveReadHooked is CollectiveRead customized by hooks (see Hooks and
+// internal/cc); nil hooks are plain ROMIO. Straggler handling is part of the
+// protocol for every caller: p.Read governs each OST request, and
+// p.RebalanceRounds > 1 reads the requests' hull in that many contiguous
+// bands, Align-aligned (the stripe size when Align is unset), each a
+// two-phase read with its own plan. Before each band after the first the
+// ranks agree on the file system's health epoch; if an OST is then flagged
+// slow, the band's file domains are weighted by observed cost so the
+// straggler's stripes spread over more aggregators. The default single band
+// reads the requests as they are.
+func CollectiveReadHooked(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
+	rq Request, aggrs []int, p Params, hooks *Hooks) error {
 	p = p.Defaults()
-	if err := rq.Validate(); err != nil {
+	if err := hooks.check(rq); err != nil {
 		return err
+	}
+	if p.RebalanceRounds > 1 && p.PlanCache == nil {
+		return fmt.Errorf("adio: RebalanceRounds %d requires a shared PlanCache", p.RebalanceRounds)
 	}
 	if aggrs == nil {
 		aggrs = DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
 	}
-	reqs := ExchangeRequests(r, c, rq.Runs)
-	pl := SharedPlan(p.PlanCache, reqs, aggrs, p.CB, p.Align)
-	return CollectiveReadPlanned(r, c, cl, f, rq, pl, p, nil)
-}
-
-// SharedPlan builds the plan, or returns the one already built by an earlier
-// rank of the same collective call when a cache is provided. Every rank
-// derives an identical plan from the allgathered requests, so sharing the
-// physical object changes nothing observable; virtual plan-build CPU time is
-// still charged per rank by CollectiveReadPlanned.
-func SharedPlan(cache *PlanCache, reqs [][]layout.Run, aggrs []int, cb, align int64) *Plan {
-	if cache != nil && cache.pl != nil {
-		return cache.pl
+	if p.Read.Timeout > 0 {
+		defer cl.SetReadPolicy(cl.ReadPolicy()) // the client's own, evaluated now
+		cl.SetReadPolicy(p.Read)
 	}
-	pl := BuildPlan(reqs, aggrs, cb, align)
-	if cache != nil {
-		cache.pl = pl
-	}
-	return pl
-}
-
-// CollectiveReadPlanned runs the two-phase read protocol against a
-// caller-built plan, optionally customized by hooks (see internal/cc).
-// Every member of c must call it with the same plan and parameters.
-func CollectiveReadPlanned(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
-	rq Request, pl *Plan, p Params, hooks *Hooks) error {
-	p = p.Defaults()
-	if hooks == nil {
-		if err := rq.Validate(); err != nil {
-			return err
+	reqs := exchangeRequests(r, c, rq.Runs)
+	lo, hi, empty := hull(reqs)
+	rounds := 1
+	var band int64
+	if p.RebalanceRounds > 1 && !empty {
+		rounds = p.RebalanceRounds
+		if p.Align <= 0 {
+			p.Align = f.StripeSize()
 		}
-	} else {
-		if err := validateRuns(rq.Runs); err != nil {
-			return err
-		}
-		if hooks.Transform == nil {
-			return fmt.Errorf("adio: hooks without Transform")
-		}
-		if hooks.OnRecv == nil && !hooks.SuppressShuffle {
-			return fmt.Errorf("adio: transformed shuffle without OnRecv")
+		band = (hi - lo + int64(rounds) - 1) / int64(rounds)
+		if rem := band % p.Align; rem != 0 {
+			band += p.Align - rem
 		}
 	}
-	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
-	if ot := r.World().Obs(); ot != nil {
-		ot.Metrics().Counter("adio_collective_reads").Inc()
-	}
-	if p.ReadTimeout > 0 {
-		saved := cl.ReadPolicy()
-		cl.SetReadPolicy(pfs.ReadPolicy{Timeout: p.ReadTimeout, Retries: p.ReadRetries, Backoff: p.ReadBackoff})
-		defer cl.SetReadPolicy(saved)
-	}
-	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	me := c.RankOf(r)
-	return twoPhaseRead(r, c, cl, f, rq, pl, me, tagBase, p, hooks)
+	health := cl.FS().Health()
+	var bufPos int64
+	for j := 0; j < rounds; j++ {
+		// Health sync: rebalancing decisions must see every rank's
+		// observations from the previous round, not just those of whichever
+		// rank happens to arrive first. The allreduce models the health
+		// exchange a real implementation would perform, and its agreed
+		// maximum epoch keys the round's plan (see roundKey). Round 0 plans
+		// are health-independent and stay shared under epoch 0.
+		key := roundKey{rounds: rounds, round: j}
+		if j > 0 {
+			key.epoch = c.Allreduce(r, health.Epoch(), 8, maxEpoch).(int64)
+		}
+		breqs, brq := reqs, rq
+		if rounds > 1 {
+			blo := lo + int64(j)*band
+			bhi := min(blo+band, hi)
+			if blo >= bhi {
+				continue
+			}
+			breqs = make([][]layout.Run, len(reqs))
+			for o, rs := range reqs {
+				breqs[o] = layout.Window(rs, blo, bhi)
+			}
+			// The bands partition every request in file order, so each
+			// band's bytes are the next stretch of the caller's buffer.
+			brq = Request{Runs: breqs[me], ChargeOnly: rq.ChargeOnly}
+			if hooks == nil && !rq.ChargeOnly {
+				n := layout.TotalLength(brq.Runs)
+				brq.Buf = rq.Buf[bufPos : bufPos+n]
+				bufPos += n
+			}
+		}
+		pl := sharedPlan(cl, f, breqs, aggrs, p, key)
+		if err := twoPhaseRead(r, c, cl, f, brq, pl, me, p, hooks); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// check validates rq for a read with these hooks: a plain read fills rq.Buf,
+// so the buffer must fit the runs; a hooked read hands each extent to
+// Transform and needs only the runs.
+func (h *Hooks) check(rq Request) error {
+	if h == nil {
+		return rq.Validate()
+	}
+	if err := validateRuns(rq.Runs); err != nil {
+		return err
+	}
+	if h.Transform == nil {
+		return fmt.Errorf("adio: hooks without Transform")
+	}
+	if h.OnRecv == nil && !h.SuppressShuffle {
+		return fmt.Errorf("adio: transformed shuffle without OnRecv")
+	}
+	return nil
+}
+
+// maxEpoch is the Allreduce operator of the health sync.
+func maxEpoch(a, b interface{}) interface{} { return max(a.(int64), b.(int64)) }
+
+// sharedPlan returns the plan of round key.round, from p.PlanCache when
+// another rank of the call has built it already. From the second round of a
+// rebalanced read on, while some OST is flagged slow, the plan's file domains
+// are weighted by observed cost, and the rank that builds it counts the
+// rebalance on its client.
+func sharedPlan(cl *pfs.Client, f *pfs.File, reqs [][]layout.Run, aggrs []int, p Params, key roundKey) *Plan {
+	if pl := p.PlanCache.get(key); pl != nil {
+		return pl
+	}
+	var pl *Plan
+	var flagged []int
+	health := cl.FS().Health()
+	if key.round > 0 {
+		flagged = health.Flagged(slowFactor)
+	}
+	if len(flagged) > 0 {
+		cl.Retry.Rebalances++
+		cl.Retry.FlaggedSlowOSTs += int64(len(flagged))
+		pl = buildPlanWeighted(reqs, aggrs, p.CB, p.Align, f, health)
+	} else {
+		pl = BuildPlan(reqs, aggrs, p.CB, p.Align)
+	}
+	p.PlanCache.put(key, pl)
+	return pl
 }
 
 // aggShuffle sends iteration it's data to its owners: raw pieces packed from
@@ -386,13 +460,19 @@ func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
 	return expectPos
 }
 
-// twoPhaseRead is the aggregator/owner loop of the collective read. Blocking,
-// each iteration's read is issued when the iteration starts. With p.Pipeline
-// it is issued one iteration ahead into a second collective buffer, so each
-// shuffle overlaps the next read: the "nonblocking" collective I/O
-// configuration profiled in the paper's Figure 1.
+// twoPhaseRead is one round of the collective read under plan pl: the plan's
+// CPU charge, then the aggregator/owner loop. Blocking, each iteration's read
+// is issued when the iteration starts. With p.Pipeline it is issued one
+// iteration ahead into a second collective buffer, so each shuffle overlaps
+// the next read: the "nonblocking" collective I/O configuration profiled in
+// the paper's Figure 1.
 func twoPhaseRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
-	rq Request, pl *Plan, me, tagBase int, p Params, hooks *Hooks) error {
+	rq Request, pl *Plan, me int, p Params, hooks *Hooks) error {
+	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
+	if ot := r.World().Obs(); ot != nil {
+		ot.Metrics().Counter("adio_collective_reads").Inc()
+	}
+	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	aggrIdx := pl.AggrIndex(me)
 	ot := r.World().Obs()
 	bufs := [2][]byte{collectiveBuffer(pl, aggrIdx, &rq)}

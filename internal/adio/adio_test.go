@@ -539,8 +539,6 @@ func TestCollectiveReadHook(t *testing.T) {
 	wd.w.Go(func(r *mpi.Rank) {
 		runs := perRank[r.Rank()]
 		cl := wd.fs.Client(r.Proc(), r.Rank(), nil)
-		reqs := ExchangeRequests(r, wd.c, runs)
-		pl := BuildPlan(reqs, []int{0, 1}, 64, 0)
 		hooks := &Hooks{
 			SuppressShuffle: true,
 			Transform: func(aggrIdx, iter int, it *Iter, ext []byte) map[int]Payload {
@@ -552,7 +550,7 @@ func TestCollectiveReadHook(t *testing.T) {
 				return nil
 			},
 		}
-		err := CollectiveReadPlanned(r, wd.c, cl, wd.f, Request{Runs: runs}, pl,
+		err := CollectiveReadHooked(r, wd.c, cl, wd.f, Request{Runs: runs}, []int{0, 1},
 			Params{CB: 64}, hooks)
 		if err != nil {
 			t.Error(err)
@@ -690,8 +688,6 @@ func TestCollectiveReadTransformedShuffle(t *testing.T) {
 			me := r.Rank()
 			runs := perRank[me]
 			cl := wd.fs.Client(r.Proc(), me, nil)
-			reqs := ExchangeRequests(r, wd.c, runs)
-			pl := BuildPlan(reqs, []int{0, 2}, 128, 0)
 			hooks := &Hooks{
 				Transform: func(aggrIdx, iter int, it *Iter, ext []byte) map[int]Payload {
 					out := map[int]Payload{}
@@ -716,7 +712,7 @@ func TestCollectiveReadTransformedShuffle(t *testing.T) {
 					gotSum[owner] += payload.(int64)
 				},
 			}
-			err := CollectiveReadPlanned(r, wd.c, cl, wd.f, Request{Runs: runs}, pl,
+			err := CollectiveReadHooked(r, wd.c, cl, wd.f, Request{Runs: runs}, []int{0, 2},
 				Params{CB: 128, Pipeline: pipeline}, hooks)
 			if err != nil {
 				t.Error(err)

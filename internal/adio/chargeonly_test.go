@@ -20,14 +20,18 @@ import (
 // readCase is one read scenario as plain data, so that the same scenario can
 // be run on any number of fresh machines: the ranks and their requests, the
 // protocol knobs, and (optionally) the fault regime to generate a plan from.
+// The file holds pattern's bytes: generated on demand, or stored in a
+// MemBackend when mem is set.
 type readCase struct {
 	n, rpn     int
 	fileSize   int64
 	stripeSize int64
+	mem        bool
 	perRank    [][]layout.Run
 	aggrs      []int
 	p          Params
 	faults     *fault.Spec // NumNodes is filled in from the machine
+	straggler  bool        // OST 0 serves 8x slower throughout
 }
 
 // sieveWithHoles is an independent-read sieve threshold that the random runs
@@ -42,28 +46,41 @@ const sieveWithHoles = 96
 // latency, so an interval that moves in time shows even when no total does),
 // the makespan, and the file-system, OST and fabric counters.
 type readOutcome struct {
-	bufs     [][]byte
-	events   []byte
-	rankTime [][obs.NumKinds]float64
-	profile  []obs.CPUSample
-	makespan float64
-	fs       [4]int64
-	ostBusy  []float64
-	net      [4]int64
+	bufs       [][]byte
+	rebalances int64 // health-weighted round plans built, over all clients
+	events     []byte
+	rankTime   [][obs.NumKinds]float64
+	profile    []obs.CPUSample
+	makespan   float64
+	fs         [4]int64
+	ostBusy    []float64
+	net        [4]int64
 }
 
 // run executes the scenario on a fresh machine with a span tracer and a
-// profiled RankTime attached: as one collective read under rc.p, or as independent per-rank sieved reads.
+// profiled RankTime attached: as one collective read under rc.p, its ranks
+// sharing a fresh PlanCache, or as independent per-rank sieved reads.
 func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 	env := sim.NewEnv()
 	w := mpi.NewWorld(env, rc.n, fabric.Params{RanksPerNode: rc.rpn})
 	fs := pfs.New(env, pfs.Params{NumOSTs: 8, DefaultStripeSize: rc.stripeSize})
-	f := fs.Create("data", pfs.NewSynthBackend(rc.fileSize, pattern), 8, rc.stripeSize, 0)
+	var backend pfs.Backend = pfs.NewSynthBackend(rc.fileSize, pattern)
+	if rc.mem {
+		mem := pfs.NewMemBackend(rc.fileSize)
+		pattern(0, mem.Bytes())
+		backend = mem
+	}
+	f := fs.Create("data", backend, 8, rc.stripeSize, 0)
 	if rc.faults != nil {
 		spec := *rc.faults
 		spec.NumNodes = w.Net().Nodes()
 		fault.Gen(spec).Apply(w, fs)
 	}
+	if rc.straggler {
+		fs.SlowOST(0, 8)
+	}
+	p := rc.p
+	p.PlanCache = &PlanCache{}
 	var log bytes.Buffer
 	ot := obs.New()
 	sink := obs.NewJSONLSink(&log)
@@ -85,12 +102,12 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 		}
 		cl := fs.Client(r.Proc(), me, rt)
 		if independent {
-			cl.SetReadPolicy(pfs.ReadPolicy{Timeout: rc.p.ReadTimeout, Retries: rc.p.ReadRetries, Backoff: rc.p.ReadBackoff})
-			errs[me] = IndependentRead(cl, f, rq, Params{SieveThreshold: sieveWithHoles})
+			errs[me] = IndependentRead(cl, f, rq, Params{SieveThreshold: sieveWithHoles, Read: rc.p.Read})
 		} else {
-			errs[me] = CollectiveRead(r, comm, cl, f, rq, rc.aggrs, rc.p)
+			errs[me] = CollectiveRead(r, comm, cl, f, rq, rc.aggrs, p)
 		}
 		out.bufs[me] = rq.Buf
+		out.rebalances += cl.Retry.Rebalances
 	})
 	if err := env.Run(); err != nil {
 		return nil, err

@@ -3,8 +3,15 @@
 // with data sieving. The two-phase access plan — file-domain partitioning,
 // aggregator assignment, per-iteration collective-buffer windows, and the
 // (aggregator, iteration, owner) piece index — is exposed as a standalone
-// Plan so that the collective-computing runtime (internal/cc) can drive the
-// same protocol with a map inserted between the phases.
+// Plan, and the collective read takes Hooks, so that the collective-computing
+// runtime (internal/cc) drives the same protocol with a map inserted between
+// the phases.
+//
+// Straggler handling is part of the read protocol, so every reader gets it:
+// Params.Read bounds each OST request with a timeout and reissues
+// (collective and independent reads alike), and Params.RebalanceRounds reads
+// a collective request in bands whose file domains are replanned around OSTs
+// observed slow.
 package adio
 
 import (
@@ -15,6 +22,7 @@ import (
 	"sort"
 
 	"repro/internal/layout"
+	"repro/internal/pfs"
 )
 
 // Params tunes the I/O protocols. Zero values are defaulted.
@@ -51,14 +59,17 @@ type Params struct {
 	// so the simulation constructs it once (virtual CPU time is still
 	// charged per rank). Use a fresh cache per collective operation.
 	PlanCache *PlanCache
-	// ReadTimeout, when positive, installs a pfs.ReadPolicy on the client
-	// for the duration of the collective read: OST requests whose predicted
-	// completion exceeds the timeout are abandoned and reissued up to
-	// ReadRetries times with ReadBackoff*attempt extra wait. The straggler
-	// mitigation knob (see internal/fault).
-	ReadTimeout float64
-	ReadRetries int
-	ReadBackoff float64
+	// Read, when its Timeout is positive, is installed on the client for the
+	// duration of a read, collective or independent: OST requests predicted
+	// to overshoot the timeout are abandoned and reissued (see
+	// pfs.ReadPolicy), the answer to internal/fault's transient stragglers.
+	Read pfs.ReadPolicy
+	// RebalanceRounds, when > 1, reads a collective request's hull in that
+	// many contiguous bands, each a two-phase read with its own plan, and
+	// from the second band on weights file domains by observed OST health
+	// once an OST is flagged slow (see CollectiveReadHooked). Requires a
+	// PlanCache. 0 or 1 reads in one round.
+	RebalanceRounds int
 }
 
 // Observer receives aggregator-side per-iteration phase timings.
@@ -69,50 +80,62 @@ type Observer interface {
 	ObserveIter(aggrIdx, iter int, readSec, shuffleSec float64, bytes int64)
 }
 
-// PlanCache shares one Plan across ranks of a single collective call. For
-// multi-round protocols (rebalanced reads), Keyed shares one plan per round
-// and health epoch.
+// PlanCache shares plans across the ranks of a collective call, one per
+// round of the read (a single-round read and CollectiveWrite have one). The
+// first rank to reach a round builds its plan and the rest reuse the
+// identical object, mirroring what real ROMIO achieves by construction (all
+// ranks run the same deterministic planner). The zero value is empty; a nil
+// cache shares nothing.
 type PlanCache struct {
-	pl    *Plan
-	keyed map[RoundKey]*Plan
+	plans []cachedPlan
 }
 
-// RoundKey identifies one round plan in a shared PlanCache. Round alone is
-// not a safe key across jobs: rebalanced plans embed health observations from
-// build time, so a plan built during a straggler episode must not be served
-// to a job running after recovery (or vice versa). Epoch carries the
-// fault-health epoch the plan was built under (pfs.Health.Epoch, collectively
-// agreed by the caller); on a healthy file system it stays 0 and same-shape
-// jobs share round plans exactly as before.
-type RoundKey struct {
-	Round int
-	Epoch int64
+// roundKey identifies one plan in a PlanCache: round `round` of a read in
+// `rounds` bands. Round alone is not a safe key across jobs: rebalanced plans
+// embed health observations from build time, so a plan built during a
+// straggler episode must not be served to a job running after recovery (or
+// vice versa). epoch is the pfs.Health epoch the ranks agreed on before the
+// round (always 0 for the first); on a healthy file system it stays 0, and
+// same-shape jobs share round plans.
+type roundKey struct {
+	rounds, round int
+	epoch         int64
 }
 
-// Keyed returns the cached plan for key, building and caching it via build on
-// first use. Every rank of a multi-round collective call must reach round
-// key.Round with identical inputs (including an identical, collectively
-// agreed key.Epoch); the first rank to arrive constructs the plan and the
-// rest reuse the identical object, mirroring what real ROMIO achieves by
-// construction (all ranks run the same deterministic planner).
-func (c *PlanCache) Keyed(key RoundKey, build func() *Plan) *Plan {
-	if c.keyed == nil {
-		c.keyed = make(map[RoundKey]*Plan)
+type cachedPlan struct {
+	key roundKey
+	pl  *Plan
+}
+
+// get returns the plan cached under key, or nil.
+func (c *PlanCache) get(key roundKey) *Plan {
+	if c == nil {
+		return nil
 	}
-	if pl, ok := c.keyed[key]; ok {
-		return pl
+	for _, e := range c.plans {
+		if e.key == key {
+			return e.pl
+		}
 	}
-	pl := build()
-	c.keyed[key] = pl
-	return pl
+	return nil
 }
 
-// KeyedPlans returns a copy of the round-plan cache contents, for tests and
-// diagnostics: which (round, epoch) plans this cache served.
-func (c *PlanCache) KeyedPlans() map[RoundKey]*Plan {
-	out := make(map[RoundKey]*Plan, len(c.keyed))
-	for k, v := range c.keyed {
-		out[k] = v
+// put caches pl under key.
+func (c *PlanCache) put(key roundKey, pl *Plan) {
+	if c != nil {
+		c.plans = append(c.plans, cachedPlan{key, pl})
+	}
+}
+
+// RoundPlans returns the plans cached for round `round` of a multi-round
+// read, in the order they were built: one per health epoch the round was
+// planned under. For tests.
+func (c *PlanCache) RoundPlans(round int) []*Plan {
+	var out []*Plan
+	for _, e := range c.plans {
+		if e.key.rounds > 1 && e.key.round == round {
+			out = append(out, e.pl)
+		}
 	}
 	return out
 }
@@ -258,27 +281,32 @@ func newPlanShell(reqs [][]layout.Run, aggrs []int, cb int64) (pl *Plan, lo, hi 
 		}
 		pl.prefix[o] = pf
 	}
+	lo, hi, empty = hull(reqs)
+	na := len(aggrs)
+	pl.Iters = make([][]Iter, na)
+	pl.Domains = make([]Domain, na)
+	pl.expect = make([][]expectEntry, len(reqs))
+	return pl, lo, hi, empty
+}
 
-	// Global hull.
-	first := true
+// hull returns the byte range [lo, hi) spanning every owner's runs; empty
+// reports that no owner requested anything.
+func hull(reqs [][]layout.Run) (lo, hi int64, empty bool) {
+	empty = true
 	for _, rs := range reqs {
 		if len(rs) == 0 {
 			continue
 		}
 		l, h := layout.Bounds(rs)
-		if first || l < lo {
+		if empty || l < lo {
 			lo = l
 		}
-		if first || h > hi {
+		if empty || h > hi {
 			hi = h
 		}
-		first = false
+		empty = false
 	}
-	na := len(aggrs)
-	pl.Iters = make([][]Iter, na)
-	pl.Domains = make([]Domain, na)
-	pl.expect = make([][]expectEntry, len(reqs))
-	return pl, lo, hi, first
+	return lo, hi, empty
 }
 
 // BuildPlan computes the two-phase plan for the given per-owner byte-run
@@ -314,42 +342,24 @@ func BuildPlan(reqs [][]layout.Run, aggrs []int, cb, align int64) *Plan {
 	return pl
 }
 
-// BuildPlanWeighted is BuildPlan with cost-proportional file domains: the
-// hull is split into align-sized chunks (cb-sized when align is 0), each
-// chunk priced by cost(lo, hi), and domain boundaries are placed at chunk
-// boundaries so every aggregator carries ≈ 1/na of the total cost. With a
-// cost that charges observed-slow OSTs more, this shifts file-domain bytes
-// away from stragglers — the mitigation the paper's future-work section
-// gestures at. A nil cost or an all-zero costing degrades to BuildPlan.
-func BuildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, cost func(lo, hi int64) float64) *Plan {
-	if cost == nil {
-		return BuildPlan(reqs, aggrs, cb, align)
-	}
+// buildPlanWeighted is BuildPlan with cost-proportional file domains: the
+// hull is split into align-sized chunks (align > 0), each chunk priced by
+// observedCost, and domain boundaries are placed at chunk boundaries so every
+// aggregator carries ≈ 1/na of the total cost. Observed-slow OSTs cost more,
+// so this shifts file-domain bytes away from stragglers — the robustness the
+// paper's future-work section gestures at.
+func buildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, f *pfs.File, h *pfs.Health) *Plan {
 	pl, lo, hi, empty := newPlanShell(reqs, aggrs, cb)
 	if empty {
 		return pl
 	}
-	step := align
-	if step <= 0 {
-		step = cb
-	}
-	nchunks := int((hi - lo + step - 1) / step)
+	nchunks := int((hi - lo + align - 1) / align)
 	costs := make([]float64, nchunks)
 	var total float64
 	for i := range costs {
-		clo := lo + int64(i)*step
-		chi := clo + step
-		if chi > hi {
-			chi = hi
-		}
-		costs[i] = cost(clo, chi)
-		if costs[i] < 0 {
-			costs[i] = 0
-		}
+		clo := lo + int64(i)*align
+		costs[i] = observedCost(f, h, clo, min(clo+align, hi))
 		total += costs[i]
-	}
-	if total <= 0 {
-		return BuildPlan(reqs, aggrs, cb, align)
 	}
 	// Place na-1 monotone cuts at chunk boundaries, each minimizing the
 	// distance between the cumulative cost and its even-share target. The
@@ -366,17 +376,26 @@ func BuildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, cost f
 			cum += costs[j]
 			j++
 		}
-		b := lo + int64(j)*step
-		if b > hi {
-			b = hi
-		}
-		bounds[a] = b
+		bounds[a] = min(lo+int64(j)*align, hi)
 	}
 	for a := 0; a < na; a++ {
 		pl.Domains[a] = Domain{bounds[a], bounds[a+1]}
 	}
 	pl.fillIters()
 	return pl
+}
+
+// observedCost prices the file range [lo, hi) as its bytes, each weighted by
+// the last observed service factor of the OST serving its stripe.
+func observedCost(f *pfs.File, h *pfs.Health, lo, hi int64) float64 {
+	ss := f.StripeSize()
+	var ct float64
+	for off := lo; off < hi; {
+		n := min(ss-off%ss, hi-off)
+		ct += float64(n) * h.ObservedFactor(f.OSTIndex(off))
+		off += n
+	}
+	return ct
 }
 
 // fillIters populates Iters, MaxIters, and the expected-message index from

@@ -2,17 +2,20 @@ package adio
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/fault"
 	"repro/internal/layout"
+	"repro/internal/pfs"
 )
 
 // faultReadCase expands seed into a read scenario under a generated fault
-// plan: arbitrary access patterns, protocol knobs and retry policies over
-// straggling OSTs, degraded links with jitter, and slow ranks.
+// plan: arbitrary access patterns, protocol knobs, retry policies and one to
+// four rebalanced rounds over straggling OSTs, degraded links with jitter,
+// and slow ranks.
 func faultReadCase(seed int64) *readCase {
 	rng := rand.New(rand.NewSource(seed))
 	rc := &readCase{n: 2 + rng.Intn(6), fileSize: 1 << 16}
@@ -39,10 +42,14 @@ func faultReadCase(seed int64) *readCase {
 		Pipeline: rng.Intn(2) == 0,
 	}
 	if rng.Intn(2) == 0 {
-		rc.p.ReadTimeout = 1e-4 * (1 + rng.Float64())
-		rc.p.ReadRetries = rng.Intn(4)
-		rc.p.ReadBackoff = 1e-4 * rng.Float64()
+		rc.p.Read = pfs.ReadPolicy{
+			Timeout: 1e-4 * (1 + rng.Float64()),
+			Retries: rng.Intn(4),
+			Backoff: 1e-4 * rng.Float64(),
+		}
 	}
+	// Drawn last, so the scenarios above are the ones single-round reads had.
+	rc.p.RebalanceRounds = 1 + rng.Intn(4)
 	return rc
 }
 
@@ -53,8 +60,9 @@ func faultSeeds() *quick.Config {
 
 // TestCollectiveReadFaultProperty is the data-integrity property of the fault
 // subsystem: for arbitrary access patterns, protocol knobs, retry policies,
-// and generated fault plans, a collective read returns exactly the backend's
-// bytes. Faults and mitigation may only ever change *timing*.
+// round counts and generated fault plans, a collective read returns exactly
+// the backend's bytes. Faults and straggler handling may only ever change
+// *timing*.
 func TestCollectiveReadFaultProperty(t *testing.T) {
 	prop := func(seed int64) bool {
 		rc := faultReadCase(seed)
@@ -73,5 +81,63 @@ func TestCollectiveReadFaultProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, faultSeeds()); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRebalancedReadStoredBytes is the stored-byte twin of the banded read: a
+// plain request's buffer is filled band by band, each band through its own
+// stretch of it. Over a MemBackend holding the pattern, with OST 0
+// straggling throughout so it is flagged after the first band and every
+// later band gets a health-weighted plan, a read in one to four rounds,
+// blocking and pipelined, fills every rank's buffer with exactly the bytes
+// of the healthy single-round read; and a charge-only request is charged
+// what the buffered one is, to the byte of the event log.
+func TestRebalancedReadStoredBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	base := readCase{n: 6, rpn: 2, fileSize: 1 << 15, stripeSize: 1 << 10, mem: true,
+		perRank: make([][]layout.Run, 6)}
+	for i := range base.perRank {
+		base.perRank[i] = randRuns(rng, base.fileSize, 8)
+	}
+	healthy := base
+	healthy.p = Params{CB: 1 << 10}
+	ref, err := healthy.run(false, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, b := range ref.bufs {
+		if !bytes.Equal(b, wantBuf(base.perRank[i])) {
+			t.Fatalf("healthy single-round read: rank %d read wrong bytes", i)
+		}
+	}
+	for _, rounds := range []int{1, 2, 3, 4} {
+		for _, pipeline := range []bool{false, true} {
+			rc := base
+			rc.straggler = true
+			rc.p = Params{CB: 1 << 10, Pipeline: pipeline, RebalanceRounds: rounds}
+			name := fmt.Sprintf("rounds=%d/pipeline=%v", rounds, pipeline)
+			full, err := rc.run(false, false)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			for i, b := range full.bufs {
+				if !bytes.Equal(b, ref.bufs[i]) {
+					t.Errorf("%s: rank %d buffer differs from the healthy single-round read", name, i)
+				}
+			}
+			if weighted := full.rebalances > 0; weighted != (rounds > 1) {
+				t.Errorf("%s: %d health-weighted plans built", name, full.rebalances)
+			}
+			charged, err := rc.run(false, true)
+			if err != nil {
+				t.Fatalf("%s charge-only: %v", name, err)
+			}
+			if d := full.costDiff(charged); d != "" {
+				t.Errorf("%s: materialised vs charge-only: %s", name, d)
+			}
+			if charged.rebalances != full.rebalances {
+				t.Errorf("%s: charge-only built %d weighted plans, materialised %d", name, charged.rebalances, full.rebalances)
+			}
+		}
 	}
 }

@@ -22,8 +22,8 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	if aggrs == nil {
 		aggrs = DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
 	}
-	reqs := ExchangeRequests(r, c, rq.Runs)
-	pl := SharedPlan(p.PlanCache, reqs, aggrs, p.CB, p.Align)
+	reqs := exchangeRequests(r, c, rq.Runs)
+	pl := sharedPlan(cl, f, reqs, aggrs, p, roundKey{rounds: 1})
 	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
 	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	me := c.RankOf(r)
@@ -180,11 +180,16 @@ func ownersOf(it *Iter) []int {
 // runs separated by holes no larger than p.SieveThreshold are fetched in one
 // covering read and the extra bytes discarded. This is the paper's
 // independent-I/O baseline (Figure 3). A ChargeOnly request charges the same
-// covering reads and moves nothing.
+// covering reads and moves nothing. p.Read governs the covering reads as it
+// does a collective read's.
 func IndependentRead(cl *pfs.Client, f *pfs.File, rq Request, p Params) error {
 	p = p.Defaults()
 	if err := rq.Validate(); err != nil {
 		return err
+	}
+	if p.Read.Timeout > 0 {
+		defer cl.SetReadPolicy(cl.ReadPolicy()) // the client's own, evaluated now
+		cl.SetReadPolicy(p.Read)
 	}
 	segs := sieveSegments(rq.Runs, p.SieveThreshold)
 	var bufPos int64

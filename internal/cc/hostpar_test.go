@@ -10,6 +10,7 @@ import (
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
+	"repro/internal/pfs"
 )
 
 // parGeometry is the machine of the host-parallelism tests: eight ranks on
@@ -110,8 +111,8 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 			io.Stats = &out.stats
 			io.Params.PlanCache = &adio.PlanCache{}
 			if faults {
-				io.Mitigate = Mitigation{ReadTimeout: 1e-3, MaxRetries: 2, Backoff: 1e-4,
-					RebalanceRounds: 3, FlagThreshold: 2}
+				io.Params.Read = pfs.ReadPolicy{Timeout: 1e-3, Retries: 2, Backoff: 1e-4}
+				io.Params.RebalanceRounds = 3
 			}
 			if consumers {
 				out.consumers = make([]Result, 2)

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/adio"
@@ -39,27 +40,6 @@ const (
 	AllToAll
 )
 
-// Mitigation configures the runtime's reaction to storage stragglers (the
-// fault scenarios of internal/fault). The zero value disables mitigation.
-type Mitigation struct {
-	// ReadTimeout abandons an OST read request whose predicted completion
-	// exceeds this many seconds past issue, reissuing it after a backoff.
-	// 0 disables timeout/retry.
-	ReadTimeout float64
-	// MaxRetries caps reissues per request piece.
-	MaxRetries int
-	// Backoff adds Backoff*attempt seconds before each reissue.
-	Backoff float64
-	// RebalanceRounds, when > 1, splits the collective read into that many
-	// contiguous byte bands and replans file domains between bands, weighting
-	// observed-slow OSTs so their bytes spread across more aggregators.
-	// Requires a shared Params.PlanCache. 0 or 1 reads in a single round.
-	RebalanceRounds int
-	// FlagThreshold is the observed service factor at or above which an OST
-	// is considered slow for rebalancing (default 2).
-	FlagThreshold float64
-}
-
 // IO is the object I/O descriptor: the access region, the I/O mode, and the
 // runtime knobs, grouped as in paper Figure 6. The computation (Op) is
 // passed alongside to ObjectGetVara, mirroring
@@ -81,11 +61,9 @@ type IO struct {
 	Aggregators []int
 	// Root is the comm rank receiving the final result.
 	Root int
-	// Params tunes the underlying two-phase protocol.
+	// Params tunes the underlying read protocol, straggler handling included
+	// (Params.Read, Params.RebalanceRounds), in every mode.
 	Params adio.Params
-	// Mitigate configures straggler mitigation (timeout/retry and file-domain
-	// rebalancing) for the read phase.
-	Mitigate Mitigation
 	// SecPerElem is the virtual CPU cost of the map per element, the knob
 	// behind the paper's computation:I/O ratio sweeps.
 	SecPerElem float64
@@ -156,10 +134,11 @@ type Stats struct {
 	// RawBytes is the raw data the unmodified shuffle would have moved.
 	RawBytes int64
 
-	// Fault-mitigation accounting (see Mitigation and internal/fault).
+	// Straggler handling (adio.Params.Read and RebalanceRounds, against the
+	// plans of internal/fault), folded from the ranks' pfs.RetryStats.
 	// IOTimeouts / IORetries count read requests abandoned for exceeding the
-	// mitigation timeout and their reissues; BackoffSeconds is the total
-	// backoff wait inserted before reissues.
+	// read timeout and their reissues; BackoffSeconds is the total backoff
+	// wait inserted before reissues.
 	IOTimeouts     int64
 	IORetries      int64
 	BackoffSeconds float64
@@ -261,11 +240,6 @@ func ObjectGetVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Resu
 	if io.Root < 0 || io.Root >= c.Size() {
 		return Result{}, fmt.Errorf("cc: root %d out of range", io.Root)
 	}
-	if io.Mitigate.ReadTimeout > 0 {
-		io.Params.ReadTimeout = io.Mitigate.ReadTimeout
-		io.Params.ReadRetries = io.Mitigate.MaxRetries
-		io.Params.ReadBackoff = io.Mitigate.Backoff
-	}
 	if len(io.Consumers) > 0 {
 		if io.Block || io.Mode == Independent {
 			return Result{}, fmt.Errorf("cc: consumers require the collective-computing path")
@@ -297,6 +271,8 @@ func ObjectGetVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Resu
 		io.Stats.IOTimeouts += cl.Retry.Timeouts - before.Timeouts
 		io.Stats.IORetries += cl.Retry.Retries - before.Retries
 		io.Stats.BackoffSeconds += cl.Retry.BackoffSeconds - before.BackoffSeconds
+		io.Stats.Rebalances += cl.Retry.Rebalances - before.Rebalances
+		io.Stats.FlaggedSlowOSTs += cl.Retry.FlaggedSlowOSTs - before.FlaggedSlowOSTs
 	}
 	return res, err
 }
@@ -386,55 +362,23 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	io.Params = io.Params.Defaults()
 	// The map consumes whole elements, so no collective-buffer window may cut
 	// one. Every run starts on an element and windows are laid from a run's
-	// start, so a buffer of whole elements suffices; file domains get the
-	// same treatment where the plans are built.
+	// start, so a buffer of whole elements suffices. Band and file-domain
+	// boundaries fall on multiples of Align from the hull's start: whole
+	// elements at least, and adio's whole stripes for rebalanced rounds
+	// unless the caller chose an alignment.
 	sz := v.Type.Size()
 	io.Params.CB = max(io.Params.CB/sz, 1) * sz
+	f := io.DS.File()
+	if io.Params.Align <= 0 {
+		io.Params.Align = sz
+		if io.Params.RebalanceRounds > 1 {
+			io.Params.Align = f.StripeSize()
+		}
+	}
+	io.Params.Align = (io.Params.Align + sz - 1) / sz * sz
 	aggrs := io.Aggregators
 	if aggrs == nil {
 		aggrs = adio.DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
-	}
-	reqs := adio.ExchangeRequests(r, c, runs)
-
-	// Hull of all requests, for the multi-round band split.
-	var hullLo, hullHi int64
-	hullEmpty := true
-	for _, rs := range reqs {
-		if len(rs) == 0 {
-			continue
-		}
-		l, h := layout.Bounds(rs)
-		if hullEmpty || l < hullLo {
-			hullLo = l
-		}
-		if hullEmpty || h > hullHi {
-			hullHi = h
-		}
-		hullEmpty = false
-	}
-	rounds := io.Mitigate.RebalanceRounds
-	if rounds < 1 || hullEmpty {
-		rounds = 1
-	}
-	if io.Mitigate.RebalanceRounds > 1 && io.Params.PlanCache == nil {
-		return Result{}, fmt.Errorf("cc: RebalanceRounds %d requires a shared Params.PlanCache",
-			io.Mitigate.RebalanceRounds)
-	}
-	// File-domain boundaries fall on multiples of align from the hull's
-	// start: whole elements at least, whole stripes for rebalanced rounds
-	// unless the caller chose an alignment.
-	f := io.DS.File()
-	align := io.Params.Align
-	if align <= 0 {
-		align = sz
-		if rounds > 1 {
-			align = f.StripeSize()
-		}
-	}
-	align = (align + sz - 1) / sz * sz
-	var pl *adio.Plan
-	if rounds == 1 {
-		pl = adio.SharedPlan(io.Params.PlanCache, reqs, aggrs, io.Params.CB, align)
 	}
 
 	me := c.RankOf(r)
@@ -607,103 +551,13 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		}
 	}
 
-	if rounds == 1 {
-		err = adio.CollectiveReadPlanned(r, c, cl, f,
-			adio.Request{Runs: runs, ChargeOnly: chargeOnly}, pl, io.Params, hooks)
-		if err != nil {
-			return Result{}, err
-		}
-	} else {
-		// Multi-round read with between-round rebalancing: the hull is split
-		// into `rounds` contiguous stripe-aligned byte bands. Each band is a
-		// full collective read; from round 1 on, if any OST has been observed
-		// slow, file domains are replanned proportional to observed cost so
-		// straggling stripes spread across more aggregators. The first rank
-		// reaching a round builds its plan (via the shared keyed cache), so
-		// every rank executes the identical — deterministic — plan.
-		band := (hullHi - hullLo + int64(rounds) - 1) / int64(rounds)
-		if rem := band % align; rem != 0 {
-			band += align - rem
-		}
-		if band <= 0 {
-			band = align
-		}
-		health := cl.FS().Health()
-		thr := io.Mitigate.FlagThreshold
-		if thr <= 0 {
-			thr = 2
-		}
-		for j := 0; j < rounds; j++ {
-			// Health sync: rebalancing decisions must see every rank's
-			// observations from the previous round, not just those of
-			// whichever rank happens to arrive first. The allreduce models
-			// the health exchange a real implementation would perform, and
-			// its agreed maximum epoch keys the round's plan: plans embed
-			// health observations from build time, so a plan another job
-			// built under a different fault picture (straggler onset or
-			// recovery between the two jobs) must not be reused — the
-			// shared-plan-cache staleness bug. Round 0 plans are
-			// health-independent and stay shared under epoch 0.
-			epoch := int64(0)
-			if j > 0 {
-				epoch = c.Allreduce(r, health.Epoch(), 8,
-					func(a, b interface{}) interface{} {
-						x, y := a.(int64), b.(int64)
-						if y > x {
-							return y
-						}
-						return x
-					}).(int64)
-			}
-			blo := hullLo + int64(j)*band
-			bhi := blo + band
-			if j == rounds-1 || bhi > hullHi {
-				bhi = hullHi
-			}
-			if blo >= bhi {
-				continue
-			}
-			wreqs := make([][]layout.Run, len(reqs))
-			for o, rs := range reqs {
-				wreqs[o] = layout.Window(rs, blo, bhi)
-			}
-			j := j
-			rpl := io.Params.PlanCache.Keyed(adio.RoundKey{Round: j, Epoch: epoch}, func() *adio.Plan {
-				if j > 0 {
-					if flagged := health.Flagged(thr); len(flagged) > 0 {
-						if io.Stats != nil {
-							io.Stats.Rebalances++
-							io.Stats.FlaggedSlowOSTs += int64(len(flagged))
-						}
-						cost := func(clo, chi int64) float64 {
-							ss := f.StripeSize()
-							var ct float64
-							for off := clo; off < chi; {
-								n := ss - off%ss
-								if off+n > chi {
-									n = chi - off
-								}
-								ct += float64(n) * health.ObservedFactor(f.OSTIndex(off))
-								off += n
-							}
-							return ct
-						}
-						return adio.BuildPlanWeighted(wreqs, aggrs, io.Params.CB, align, cost)
-					}
-				}
-				return adio.BuildPlan(wreqs, aggrs, io.Params.CB, align)
-			})
-			err = adio.CollectiveReadPlanned(r, c, cl, f,
-				adio.Request{Runs: wreqs[me], ChargeOnly: chargeOnly}, rpl, io.Params, hooks)
-			if err != nil {
-				return Result{}, err
-			}
-			pl = rpl
-		}
+	err = adio.CollectiveReadHooked(r, c, cl, f,
+		adio.Request{Runs: runs, ChargeOnly: chargeOnly}, aggrs, io.Params, hooks)
+	if err != nil {
+		return Result{}, err
 	}
-
 	if io.Reduce == AllToOne {
-		return allToOneFinish(r, c, io, op, pl, perOwner, me)
+		return allToOneFinish(r, c, io, op, aggrs, perOwner, me)
 	}
 	// Fold the per-sender partials in ascending sender rank: the fold order
 	// becomes a pure function of the plan rather than of message arrival, so
@@ -733,10 +587,10 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 // the root, which constructs per-process results and performs the final
 // reduce (paper §III-C).
 func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
-	pl *adio.Plan, perOwner map[int]*partialMsg, me int) (Result, error) {
+	aggrs []int, perOwner map[int]*partialMsg, me int) (Result, error) {
 	tag := c.ReserveTags(r, 1)
 	rootWorld := c.WorldRank(io.Root)
-	amAggr := pl.AggrIndex(me) >= 0
+	amAggr := slices.Contains(aggrs, me)
 	ot := r.World().Obs()
 
 	if me != io.Root {
@@ -778,7 +632,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	if amAggr {
 		absorb(perOwner)
 	}
-	for _, a := range pl.Aggrs {
+	for _, a := range aggrs {
 		if a == me {
 			continue
 		}

@@ -157,8 +157,8 @@ func TestValuePathMatchesBytePathEndToEnd(t *testing.T) {
 		io.Stats = &out.stats
 		io.Params.PlanCache = &adio.PlanCache{}
 		if faults {
-			io.Mitigate = Mitigation{ReadTimeout: 1e-3, MaxRetries: 2, Backoff: 1e-4,
-				RebalanceRounds: 3, FlagThreshold: 2}
+			io.Params.Read = pfs.ReadPolicy{Timeout: 1e-3, Retries: 2, Backoff: 1e-4}
+			io.Params.RebalanceRounds = 3
 		}
 		if consumers {
 			out.consumers = make([]Result, 2)
@@ -274,8 +274,8 @@ func TestMapNeverCutsAnElement(t *testing.T) {
 			for _, rounds := range []int{0, 3} {
 				tb := newTestbed(t, n, ncfile.Float32, dims)
 				io := IO{Reduce: AllToOne, Aggregators: aggrs,
-					Params:   adio.Params{CB: cb, Align: 6, PlanCache: &adio.PlanCache{}},
-					Mitigate: Mitigation{RebalanceRounds: rounds}}
+					Params: adio.Params{CB: cb, Align: 6, PlanCache: &adio.PlanCache{},
+						RebalanceRounds: rounds}}
 				if rounds == 0 {
 					io.Params.Align = 0
 				}

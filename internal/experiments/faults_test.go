@@ -13,18 +13,23 @@ import (
 	"repro/internal/fault"
 	"repro/internal/layout"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 )
 
 // faultScenario is a small cluster whose access pattern is engineered to
 // collide with storage faults: 8 ranks on 4 nodes, a 64 MB variable striped
 // 1 MB over 16 OSTs, 4 aggregators with 1 MB collective buffers. Every
 // aggregator's first CB iteration reads a stripe index that is 0 mod 16, so
-// a straggler on OST 0 stalls all four read pipelines at once.
+// a straggler on OST 0 stalls all four read pipelines at once. block runs
+// the traditional leg instead of collective computing, and mode picks
+// collective or independent I/O.
 type faultScenario struct {
 	nranks, rpn, naggr int
 	stripes            int
 	stripeSize, cb     int64
 	dims               []int64
+	block              bool
+	mode               cc.Mode
 }
 
 func defaultFaultScenario() faultScenario {
@@ -32,10 +37,10 @@ func defaultFaultScenario() faultScenario {
 		stripeSize: 1 << 20, cb: 1 << 20, dims: []int64{512, 128, 128}}
 }
 
-// run executes one collective-computing Max reduction under the given fault
-// plan and mitigation, returning the makespan, the reduced value, and the
-// accumulated mitigation stats.
-func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit cc.Mitigation) (float64, float64, cc.Stats) {
+// run executes one Max reduction under the given fault plan and straggler
+// handling (mit's Read and RebalanceRounds), returning the makespan, the
+// reduced value, and the accumulated stats.
+func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit adio.Params) (float64, float64, cc.Stats) {
 	t.Helper()
 	cl := newCluster(sc.nranks, sc.rpn, nil)
 	if plan != nil {
@@ -48,16 +53,16 @@ func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit cc.Mitigation) (
 	sub := layout.Slab{Start: []int64{0, 0, 0}, Count: sc.dims}
 	slabs := climate.SplitAlongDim(sub, 1, sc.nranks)
 	aggrs := adio.SpreadAggregators(sc.nranks, sc.naggr)
-	cache := &adio.PlanCache{}
+	p := mit
+	p.CB, p.Pipeline, p.PlanCache = sc.cb, true, &adio.PlanCache{}
 	stats := &cc.Stats{}
 	vals := make([]float64, sc.nranks)
 	mk, err := cl.RunSPMD("faults", func(ctx *cluster.JobContext, r *mpi.Rank) error {
 		me := ctx.Comm().RankOf(r)
 		res, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
-			DS: ds, VarID: id, Slab: slabs[me],
+			DS: ds, VarID: id, Slab: slabs[me], Block: sc.block, Mode: sc.mode,
 			Reduce: cc.AllToOne, Aggregators: aggrs,
-			Params:   adio.Params{CB: sc.cb, Pipeline: true, PlanCache: cache},
-			Mitigate: mit, Stats: stats,
+			Params: p, Stats: stats,
 		}, cc.Max{})
 		vals[me] = res.Value
 		return err
@@ -117,14 +122,14 @@ func TestTransientStragglerRecovery(t *testing.T) {
 	}}
 	// Healthy 1 MB service time is ~4.7 ms; time out when a request is
 	// predicted to run 5 ms past its issue and back off briefly.
-	mit := cc.Mitigation{
-		ReadTimeout: 5e-3, MaxRetries: 4, Backoff: 2e-3,
-		RebalanceRounds: 4, FlagThreshold: 2,
+	mit := adio.Params{
+		Read:            pfs.ReadPolicy{Timeout: 5e-3, Retries: 4, Backoff: 2e-3},
+		RebalanceRounds: 4,
 	}
 
-	tFree, vFree, _ := sc.run(t, nil, cc.Mitigation{})
+	tFree, vFree, _ := sc.run(t, nil, adio.Params{})
 	mustBits(t, "fault-free", vFree, want)
-	tPlain, vPlain, _ := sc.run(t, plan, cc.Mitigation{})
+	tPlain, vPlain, _ := sc.run(t, plan, adio.Params{})
 	mustBits(t, "faulted unmitigated", vPlain, want)
 	tMit, vMit, stats := sc.run(t, plan, mit)
 	mustBits(t, "faulted mitigated", vMit, want)
@@ -144,10 +149,31 @@ func TestTransientStragglerRecovery(t *testing.T) {
 	}
 }
 
+// TestIndependentReadStragglerTimeout: the read timeout belongs to the read
+// protocol, so independent I/O under the transient straggler of
+// TestTransientStragglerRecovery times requests out and reissues them as
+// collective reads do — and reads the fault-free bits.
+func TestIndependentReadStragglerTimeout(t *testing.T) {
+	sc := defaultFaultScenario()
+	sc.mode = cc.Independent
+	plan := &fault.Plan{Seed: 42, Stragglers: []fault.Straggler{
+		{OST: 0, Factor: 8, Onset: 0, Recovery: 6e-3},
+	}}
+	_, vFree, _ := sc.run(t, nil, adio.Params{})
+	mustBits(t, "independent fault-free", vFree, sc.truth())
+	_, vRetry, stats := sc.run(t, plan, adio.Params{
+		Read: pfs.ReadPolicy{Timeout: 5e-3, Retries: 4, Backoff: 2e-3}})
+	mustBits(t, "independent faulted with timeouts", vRetry, vFree)
+	if stats.IOTimeouts == 0 {
+		t.Fatalf("the independent read never timed out under the straggler: stats %+v", stats)
+	}
+}
+
 // TestPersistentStragglerRebalance covers the other regime: an OST that never
 // recovers. Retry cannot help (the reissued request is just as slow), but the
 // health tracker flags the OST and between-round rebalancing shrinks the
-// domain that drains it, strictly improving the makespan.
+// domain that drains it, strictly improving the makespan. Rebalancing is the
+// collective read's, so the traditional leg rebalances too.
 func TestPersistentStragglerRebalance(t *testing.T) {
 	sc := defaultFaultScenario()
 	want := sc.truth()
@@ -157,9 +183,9 @@ func TestPersistentStragglerRebalance(t *testing.T) {
 	// Rebalance-only: no retry budget to waste on a straggler that never
 	// comes back (observations on accepted-slow requests still feed the
 	// health tracker).
-	mit := cc.Mitigation{RebalanceRounds: 4, FlagThreshold: 2}
+	mit := adio.Params{RebalanceRounds: 4}
 
-	tPlain, vPlain, _ := sc.run(t, plan, cc.Mitigation{})
+	tPlain, vPlain, _ := sc.run(t, plan, adio.Params{})
 	mustBits(t, "faulted unmitigated", vPlain, want)
 	tRebal, vRebal, stats := sc.run(t, plan, mit)
 	mustBits(t, "faulted rebalanced", vRebal, want)
@@ -171,6 +197,14 @@ func TestPersistentStragglerRebalance(t *testing.T) {
 	if tRebal >= tPlain {
 		t.Fatalf("rebalancing did not improve makespan: %.4fs >= %.4fs", tRebal, tPlain)
 	}
+
+	trad := sc
+	trad.block = true
+	_, vTrad, stats := trad.run(t, plan, mit)
+	mustBits(t, "faulted rebalanced traditional", vTrad, want)
+	if stats.Rebalances == 0 {
+		t.Fatalf("the traditional leg never rebalanced: stats %+v", stats)
+	}
 }
 
 // TestFaultedRunDeterminism is the regression guard for bit-reproducibility:
@@ -181,8 +215,8 @@ func TestFaultedRunDeterminism(t *testing.T) {
 	spec := fault.Spec{Seed: 99, NumOSTs: sc.stripes, NumNodes: sc.nranks / sc.rpn,
 		NumRanks: sc.nranks, Stragglers: 2, StragglerFactor: 8,
 		Links: 1, SlowRanks: 1, Horizon: 0.05}
-	mit := cc.Mitigation{ReadTimeout: 5e-3, MaxRetries: 4, Backoff: 2e-3,
-		RebalanceRounds: 4, FlagThreshold: 2}
+	mit := adio.Params{Read: pfs.ReadPolicy{Timeout: 5e-3, Retries: 4, Backoff: 2e-3},
+		RebalanceRounds: 4}
 
 	p1, p2 := fault.Gen(spec), fault.Gen(spec)
 	if !reflect.DeepEqual(p1, p2) {
@@ -228,7 +262,6 @@ func TestPlanCacheFaultEpochStaleness(t *testing.T) {
 	sub := layout.Slab{Start: []int64{0, 0, 0}, Count: sc.dims}
 	slabs := climate.SplitAlongDim(sub, 1, sc.nranks)
 	aggrs := adio.SpreadAggregators(sc.nranks, sc.naggr)
-	mit := cc.Mitigation{RebalanceRounds: 4, FlagThreshold: 2}
 	cache := &adio.PlanCache{}
 
 	mkJob := func(name string, stats *cc.Stats, val *float64) *cluster.Job {
@@ -237,8 +270,9 @@ func TestPlanCacheFaultEpochStaleness(t *testing.T) {
 			res, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
 				DS: ds, VarID: id, Slab: slabs[me],
 				Reduce: cc.AllToOne, Aggregators: aggrs,
-				Params:   adio.Params{CB: sc.cb, Pipeline: true, PlanCache: cache},
-				Mitigate: mit, Stats: stats,
+				Params: adio.Params{CB: sc.cb, Pipeline: true, PlanCache: cache,
+					RebalanceRounds: 4},
+				Stats: stats,
 			}, cc.Max{})
 			if me == 0 {
 				*val = res.Value
@@ -266,13 +300,9 @@ func TestPlanCacheFaultEpochStaleness(t *testing.T) {
 
 	// The same rebalanced round must be cached under two health epochs, with
 	// materially different plans (straggler-weighted vs even domains).
-	byRound := map[int][]*adio.Plan{}
-	for k, p := range cache.KeyedPlans() {
-		byRound[k.Round] = append(byRound[k.Round], p)
-	}
 	split, differ := false, false
-	for round, plans := range byRound {
-		if round > 0 && len(plans) >= 2 {
+	for round := 1; round < 4; round++ {
+		if plans := cache.RoundPlans(round); len(plans) >= 2 {
 			split = true
 			if !reflect.DeepEqual(plans[0], plans[1]) {
 				differ = true
@@ -280,15 +310,8 @@ func TestPlanCacheFaultEpochStaleness(t *testing.T) {
 		}
 	}
 	if !split {
-		t.Fatalf("no rebalanced round was cached under more than one health epoch: "+
-			"the recovered job reused stale straggler-skewed plans (rounds: %v)",
-			func() []int {
-				var rs []int
-				for r := range byRound {
-					rs = append(rs, r)
-				}
-				return rs
-			}())
+		t.Fatal("no rebalanced round was cached under more than one health epoch: " +
+			"the recovered job reused stale straggler-skewed plans")
 	}
 	if !differ {
 		t.Fatal("every rebalanced round's two epoch plans are identical — " +

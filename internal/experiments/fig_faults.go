@@ -7,6 +7,7 @@ import (
 	"repro/internal/cc"
 	"repro/internal/cluster"
 	"repro/internal/fault"
+	"repro/internal/pfs"
 )
 
 // FigFaults charts how collective computing degrades and recovers under
@@ -45,7 +46,7 @@ func FigFaults(cfg Config) (*Table, error) {
 		return nil, err
 	}
 
-	// Mitigation knobs sized to the protocol: a piece is at most one stripe
+	// Straggler handling sized to the protocol: a piece is at most one stripe
 	// or one collective-buffer window, so time out a request at ~3x its
 	// healthy service time.
 	fsp := hopperFS().Defaults()
@@ -58,14 +59,12 @@ func FigFaults(cfg Config) (*Table, error) {
 		piece = stripe
 	}
 	svc := fsp.OSTLatency + float64(piece)/fsp.OSTBandwidth
-	mit := cc.Mitigation{ReadTimeout: 3 * svc, MaxRetries: 4, Backoff: svc / 2}
-	mitRebal := mit
-	mitRebal.RebalanceRounds = 4
-	mitRebal.FlagThreshold = 2
+	retry := pfs.ReadPolicy{Timeout: 3 * svc, Retries: 4, Backoff: svc / 2}
+	rounds := 4
 	if cfg.Quick {
 		// At toy scale the per-round replanning overhead is comparable to
 		// the read itself; keep the multi-round path exercised but short.
-		mitRebal.RebalanceRounds = 2
+		rounds = 2
 	}
 
 	// Fault sites are drawn from the OSTs the benchmark file occupies
@@ -99,24 +98,24 @@ func FigFaults(cfg Config) (*Table, error) {
 	var rebalCl *cluster.Cluster
 	for level := 1; level <= 3; level++ {
 		lp := fault.Gen(fault.Escalate(spec, level))
-		leg := func(block bool, m cc.Mitigation) ccRunSpec {
+		leg := func(block bool, read pfs.ReadPolicy, rebalance int) ccRunSpec {
 			r := base
-			r.block, r.plan, r.mit = block, lp, m
+			r.block, r.plan, r.read, r.rebalance = block, lp, read, rebalance
 			return r
 		}
-		tTrad, err := runClimate3D(leg(true, cc.Mitigation{}))
+		tTrad, err := runClimate3D(leg(true, pfs.ReadPolicy{}, 0))
 		if err != nil {
 			return nil, err
 		}
-		tCC, err := runClimate3D(leg(false, cc.Mitigation{}))
+		tCC, err := runClimate3D(leg(false, pfs.ReadPolicy{}, 0))
 		if err != nil {
 			return nil, err
 		}
-		tRetry, err := runClimate3D(leg(false, mit))
+		tRetry, err := runClimate3D(leg(false, retry, 0))
 		if err != nil {
 			return nil, err
 		}
-		rebal := leg(false, mitRebal)
+		rebal := leg(false, retry, rounds)
 		rebalStats = cc.Stats{}
 		rebal.stats = &rebalStats
 		rebalCl = newCluster(s.nranks, s.rpn, nil)

@@ -11,6 +11,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/layout"
 	"repro/internal/mpi"
+	"repro/internal/pfs"
 )
 
 // ccRunSpec describes one measured climate-benchmark run.
@@ -26,9 +27,10 @@ type ccRunSpec struct {
 	pipeline    bool
 	stats       *cc.Stats
 	stripeCount int
-	stripeSize  int64         // 0 = 4 MB
-	mit         cc.Mitigation // straggler mitigation knobs
-	plan        *fault.Plan   // injected faults (nil = healthy cluster)
+	stripeSize  int64          // 0 = 4 MB
+	read        pfs.ReadPolicy // straggler handling: read timeout/retry
+	rebalance   int            // and rebalanced read rounds
+	plan        *fault.Plan    // injected faults (nil = healthy cluster)
 }
 
 // runClimate3D executes the spec on a fresh cluster and returns the virtual
@@ -67,10 +69,10 @@ func runClimate3DOn(cl *cluster.Cluster, spec ccRunSpec) (float64, error) {
 			DS: ds, VarID: id, Slab: spec.slabs[ctx.Comm().RankOf(r)],
 			Block: spec.block, Reduce: spec.reduce,
 			Aggregators: aggrs,
-			Params:      adio.Params{CB: cb, Pipeline: pipeline, PlanCache: cache},
-			Mitigate:    spec.mit,
-			SecPerElem:  spec.spe,
-			Stats:       spec.stats,
+			Params: adio.Params{CB: cb, Pipeline: pipeline, PlanCache: cache,
+				Read: spec.read, RebalanceRounds: spec.rebalance},
+			SecPerElem: spec.spe,
+			Stats:      spec.stats,
 		}, cc.Sum{})
 		return err
 	})

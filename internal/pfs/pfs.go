@@ -155,9 +155,9 @@ func (fs *FS) Health() *Health { return fs.health }
 // Health accumulates what clients *observed* about each OST — the last seen
 // service-time factor, and an epoch that every change of it and every
 // timeout bumps — as opposed to the injected ground truth, which a real
-// system cannot read. Mitigation layers (file-domain
-// rebalancing) consult it to steer work away from flagged-slow OSTs. All
-// updates happen in deterministic simulation order.
+// system cannot read. The rebalanced collective read of internal/adio
+// consults it to steer work away from flagged-slow OSTs. All updates happen
+// in deterministic simulation order.
 type Health struct {
 	lastFactor []float64 // most recently observed service factor per OST
 	epoch      int64     // bumped on every observation that changes the picture
@@ -335,8 +335,8 @@ func (f *File) ostIndexFor(off int64) int {
 	return (f.firstOST + int(stripe%int64(f.stripeCount))) % len(f.fs.osts)
 }
 
-// OSTIndex exposes the OST serving the stripe containing off, so mitigation
-// layers can cost file ranges against observed OST health.
+// OSTIndex exposes the OST serving the stripe containing off, so the
+// rebalanced collective read can cost file ranges against observed OST health.
 func (f *File) OSTIndex(off int64) int { return f.ostIndexFor(off) }
 
 // pieces invokes fn for each maximal stripe-contained piece of [off,off+n).
@@ -365,11 +365,16 @@ type ReadPolicy struct {
 	Backoff float64
 }
 
-// RetryStats counts a client's timeout/retry activity.
+// RetryStats counts a client's straggler handling: the timeouts and reissues
+// of its ReadPolicy, and the health-weighted read rounds internal/adio
+// planned on this client's rank (Rebalances), with the OSTs flagged slow at
+// each (FlaggedSlowOSTs).
 type RetryStats struct {
-	Timeouts       int64
-	Retries        int64
-	BackoffSeconds float64
+	Timeouts        int64
+	Retries         int64
+	BackoffSeconds  float64
+	Rebalances      int64
+	FlaggedSlowOSTs int64
 }
 
 // Client is a per-rank handle that charges I/O time to a specific simulated
@@ -386,7 +391,7 @@ type Client struct {
 	// obs is disabled (Observe on nil no-ops, but we still gate on cl.obs).
 	histRead, histWrite *obs.Histogram
 
-	// Retry counts this client's timeout/retry activity under its ReadPolicy.
+	// Retry counts this client's straggler handling.
 	Retry RetryStats
 }
 
