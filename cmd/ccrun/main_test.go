@@ -54,6 +54,31 @@ func TestBadInputs(t *testing.T) {
 	}
 }
 
+// TestTraceInRejectsHostileTrace: a replayed trace whose job the machine
+// cannot run — an undeclared dataset, a width beyond the machine — exits 1
+// with the job's line on stderr instead of panicking inside the cluster.
+func TestTraceInRejectsHostileTrace(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "ccexp", "testdata", "workload_trace.golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Job 0, on line 7, is the first line naming a dataset with "ds" and
+	// the first carrying "ranks":2.
+	for _, c := range []struct{ from, to, want string }{
+		{`"ds":"climate-a"`, `"ds":"nosuch"`, `line 7: job "urgent-000000": dataset "nosuch" not declared`},
+		{`"ranks":2,`, `"ranks":100000,`, `line 7: job "urgent-000000": 100000 ranks on a 8-rank machine`},
+	} {
+		path := filepath.Join(t.TempDir(), "hostile.wl.jsonl")
+		if err := os.WriteFile(path, []byte(strings.Replace(string(golden), c.from, c.to, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out, errb := runCmd("-trace-in", path)
+		if code != 1 || !strings.Contains(errb, c.want) || out != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.to, code, out, errb, c.want)
+		}
+	}
+}
+
 func TestSmoke(t *testing.T) {
 	code, out, errb := runCmd(append(append([]string{}, smokeArgs...), "-op", "max")...)
 	if code != 0 {

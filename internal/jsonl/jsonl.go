@@ -1,7 +1,8 @@
 // Package jsonl is the one line codec under the repo's JSONL schemas
-// (repro.events.v1, repro.decisions.v2, repro.series.v1, and the writer of
-// repro.workload.v1): the value renderers every canonical line writer
-// appends with, and a scanner for the single-object lines they produce.
+// (repro.events.v1, repro.decisions.v2, repro.series.v1, repro.workload.v1):
+// the value renderers every canonical line writer appends with, the Writer
+// every artifact is written through, the line loop (Scan) every reader
+// reads through, and a scanner (Dec) for the single-object lines they hold.
 //
 // The writers' byte layout is pinned by committed goldens, so the renderers
 // reproduce encoding/json exactly: AppendString is json.Marshal of a string
@@ -11,7 +12,8 @@
 // reflection was most of what an explained run cost; it validates the whole
 // line, takes keys in any order, lets the caller skip keys it does not know,
 // and interns short strings so a log's few thousand distinct names and
-// reasons are allocated once.
+// reasons are allocated once. Keys are case-sensitive and null is no value
+// of any type.
 package jsonl
 
 import (
@@ -85,12 +87,76 @@ func AppendInt(dst []byte, v int) []byte {
 	return strconv.AppendInt(dst, int64(v), 10)
 }
 
-// NewScanner returns the line reader the log readers share: one line per
-// Scan, lines up to 1 MiB.
+// Writer writes one JSONL artifact: the {"schema":…} header line, then one
+// buffered line per Line call. The first write error sticks — later lines
+// are dropped — and Close reports it.
+type Writer struct{ bw *bufio.Writer }
+
+// NewWriter wraps w and writes the header naming schema.
+func NewWriter(w io.Writer, schema string) *Writer {
+	jw := &Writer{bufio.NewWriter(w)}
+	jw.Line(append(AppendString([]byte(`{"schema":`), schema), '}'))
+	return jw
+}
+
+// Line writes line and a newline.
+func (w *Writer) Line(line []byte) {
+	w.bw.Write(line)
+	w.bw.WriteByte('\n')
+}
+
+// Close flushes the buffer and returns the first write error. The
+// underlying writer stays open.
+func (w *Writer) Close() error { return w.bw.Flush() }
+
+// NewScanner returns the line reader Scan reads through: one line per Scan,
+// lines up to 1 MiB.
 func NewScanner(r io.Reader) *bufio.Scanner {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
 	return sc
+}
+
+// Scan is the line loop every reader shares. what names the artifact in
+// errors ("obs: event log"). When schema is not "", the first line must be
+// the header {"schema":schema}. Blank lines are skipped; every other line's
+// "e" type (see Type) goes to fn with d at the start of the line, and fn's
+// error, like a syntax error or the line reader's own, comes back naming
+// the line. One Dec reads every line, so its interned strings are shared.
+func Scan(r io.Reader, what, schema string, fn func(d *Dec, typ string) error) error {
+	sc := NewScanner(r)
+	var d Dec
+	n := 0
+	for sc.Scan() {
+		n++
+		line := sc.Bytes()
+		var err error
+		switch {
+		case n == 1 && schema != "":
+			d.Reset(line)
+			if got := d.member("schema"); d.err != nil {
+				err = fmt.Errorf("bad header: %w", d.err)
+			} else if got != schema {
+				err = fmt.Errorf("schema %q, want %q", got, schema)
+			}
+		case len(line) == 0:
+		default:
+			var typ string
+			if typ, err = d.Type(line); err == nil {
+				err = fn(&d, typ)
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s line %d: %w", what, n, err)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("%s line %d: %w", what, n+1, err)
+	}
+	if n == 0 && schema != "" {
+		return fmt.Errorf("%s is empty (missing schema header)", what)
+	}
+	return nil
 }
 
 // Interning bounds: strings longer than maxInternLen (free-rank sets, error
@@ -120,9 +186,9 @@ const (
 //
 // The first syntax or type error sticks: every later call is a no-op
 // returning a zero value, and End reports it with its byte offset. A value
-// getter (String, Int, Float) on a value of another type — null included —
-// is an error. The zero Dec is ready to use; reuse one across lines to keep
-// its interned strings.
+// getter (String, Int, Uint64, Float, Bool) on a value of another type —
+// null included — is an error. The zero Dec is ready to use; reuse one
+// across lines to keep its interned strings.
 type Dec struct {
 	buf     []byte
 	pos     int
@@ -427,6 +493,36 @@ func (d *Dec) Int() int {
 	return int(v)
 }
 
+// Uint64 consumes a non-negative integer value; a sign, a fraction, an
+// exponent or a value above 2⁶⁴−1 is an error.
+func (d *Dec) Uint64() uint64 {
+	lit, integer := d.num()
+	if d.err != nil {
+		return 0
+	}
+	v, err := strconv.ParseUint(string(lit), 10, 64)
+	if !integer || err != nil {
+		d.pos -= len(lit)
+		d.fail("want unsigned integer, have " + string(lit))
+		return 0
+	}
+	return v
+}
+
+// Bool consumes true or false.
+func (d *Dec) Bool() bool {
+	switch d.peek() {
+	case 't':
+		d.literal("true")
+		return d.err == nil
+	case 'f':
+		d.literal("false")
+	default:
+		d.fail("want bool")
+	}
+	return false
+}
+
 // Float consumes a number value; one outside float64's range is an error.
 func (d *Dec) Float() float64 {
 	lit, _ := d.num()
@@ -513,16 +609,24 @@ func (d *Dec) Type(line []byte) (string, error) {
 		d.pos = len(typePrefix) - 1
 		typ = d.String()
 	} else {
-		for d.Object(); d.NextKey(); {
-			if string(d.key) == "e" {
-				typ = d.String()
-			} else {
-				d.Skip()
-			}
-		}
-		d.End()
+		typ = d.member("e")
 	}
 	err := d.err
 	d.Reset(line)
 	return typ, err
+}
+
+// member reads the whole object d stands at and returns the string value of
+// its top-level key ("" when the object has none).
+func (d *Dec) member(key string) string {
+	var v string
+	for d.Object(); d.NextKey(); {
+		if string(d.key) == key {
+			v = d.String()
+		} else {
+			d.Skip()
+		}
+	}
+	d.End()
+	return v
 }

@@ -2,6 +2,7 @@ package jsonl
 
 import (
 	"encoding/json"
+	"errors"
 	"math"
 	"math/rand"
 	"strconv"
@@ -340,4 +341,115 @@ func FuzzSkipMatchesValid(f *testing.F) {
 		decodePoint(&d, string(line))
 		d.Type(line)
 	})
+}
+
+func TestBoolAndUint64(t *testing.T) {
+	var d Dec
+	for _, c := range []struct {
+		lit  string
+		want bool
+	}{{"true", true}, {"false", false}, {" true ", true}} {
+		d.Reset([]byte(c.lit))
+		if got := d.Bool(); got != c.want || d.End() != nil {
+			t.Errorf("Bool(%s) = %v (%v)", c.lit, got, d.End())
+		}
+	}
+	for _, c := range []struct {
+		lit  string
+		want uint64
+	}{{"0", 0}, {"42", 42}, {"18446744073709551615", math.MaxUint64}} {
+		d.Reset([]byte(c.lit))
+		if got := d.Uint64(); got != c.want || d.End() != nil {
+			t.Errorf("Uint64(%s) = %v (%v)", c.lit, got, d.End())
+		}
+	}
+	for _, lit := range []string{`null`, `"true"`, `1`, `tru`, `True`, `falsey`} {
+		d.Reset([]byte(lit))
+		if d.Bool(); d.End() == nil {
+			t.Errorf("Bool accepted %s", lit)
+		}
+	}
+	for _, lit := range []string{`null`, `"1"`, `-1`, `-0`, `1.0`, `1e2`, `18446744073709551616`, `true`} {
+		d.Reset([]byte(lit))
+		if d.Uint64(); d.End() == nil {
+			t.Errorf("Uint64 accepted %s", lit)
+		}
+	}
+}
+
+// errWriter fails every write after the first n bytes.
+type errWriter struct{ n int }
+
+func (w *errWriter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		k := w.n
+		w.n = 0
+		return k, errors.New("disk full")
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestWriter: the header, then one line per Line call; the first write
+// error sticks and Close reports it.
+func TestWriter(t *testing.T) {
+	var b strings.Builder
+	w := NewWriter(&b, "repro.test.v1")
+	w.Line([]byte(`{"e":"a"}`))
+	w.Line([]byte(`{"e":"b"}`))
+	if err := w.Close(); err != nil || b.String() != `{"schema":"repro.test.v1"}`+"\n"+`{"e":"a"}`+"\n"+`{"e":"b"}`+"\n" {
+		t.Fatalf("wrote %q, %v", b.String(), err)
+	}
+	ew := &errWriter{n: 10}
+	w = NewWriter(ew, "repro.test.v1")
+	line := []byte(strings.Repeat("x", 5000)) // past the buffer: written through at once
+	w.Line(line)
+	if err := w.Close(); err == nil || err.Error() != "disk full" {
+		t.Fatalf("Close after a failed write = %v", err)
+	}
+	w.Line(line)
+	if err := w.Close(); err == nil {
+		t.Fatal("the write error did not stick")
+	}
+}
+
+// TestScan: the header check, blank lines skipped, every error naming its
+// line — the callback's, a syntax error's, the line reader's own.
+func TestScan(t *testing.T) {
+	const hdr = `{"schema":"repro.test.v1"}` + "\n"
+	var got []string
+	collect := func(d *Dec, typ string) error {
+		got = append(got, typ)
+		d.Skip()
+		return d.End()
+	}
+	if err := Scan(strings.NewReader(hdr+`{"e":"a"}`+"\n\n"+`{"x":1,"e":"b"}`+"\n"+`{}`), "test: log", "repro.test.v1", collect); err != nil ||
+		strings.Join(got, ",") != "a,b," {
+		t.Fatalf("Scan read types %q, %v", got, err)
+	}
+	// Without a schema every line goes to the callback, the header included.
+	got = nil
+	if err := Scan(strings.NewReader(hdr+`{"e":"a"}`), "test: log", "", collect); err != nil || strings.Join(got, ",") != ",a" {
+		t.Fatalf("Scan without a schema read %q, %v", got, err)
+	}
+	for _, c := range []struct{ in, want string }{
+		{"", "test: log is empty (missing schema header)"},
+		{`{"schema":"repro.test.v9"}`, `test: log line 1: schema "repro.test.v9", want "repro.test.v1"`},
+		{`{"schema":`, "test: log line 1: bad header: offset 10: unexpected end of line"},
+		{hdr + "\n" + `{"e":"a"}` + "\n" + `{"e":1}`, "test: log line 4: offset 5: want string"},
+		{hdr + `{"e":"a","x":}`, "test: log line 2: offset 13: want number"},
+		{hdr + `{"e":"stop"}`, "test: log line 2: stop"},
+		{hdr + `{"e":"` + strings.Repeat("x", 1<<20) + `"}`, "test: log line 2: bufio.Scanner: token too long"},
+	} {
+		err := Scan(strings.NewReader(c.in), "test: log", "repro.test.v1", func(d *Dec, typ string) error {
+			if typ == "stop" {
+				return errors.New("stop")
+			}
+			d.Skip()
+			return d.End()
+		})
+		if err == nil || err.Error() != c.want {
+			t.Errorf("Scan(%.40q) = %v, want %s", c.in, err, c.want)
+		}
+	}
 }

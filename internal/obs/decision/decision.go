@@ -326,27 +326,20 @@ func IsLine(line []byte) bool {
 // malformed or wrong-schema decision line is an error naming its line, and so
 // is a line that is not a JSON object.
 func ReadLog(r io.Reader) ([]Record, error) {
-	sc := jsonl.NewScanner(r)
-	var (
-		out []Record
-		d   jsonl.Dec
-	)
-	for line := 1; sc.Scan(); line++ {
-		if len(sc.Bytes()) == 0 {
-			continue
+	var out []Record
+	err := jsonl.Scan(r, "decision: log", "", func(d *jsonl.Dec, typ string) error {
+		if typ != "decision" {
+			return nil
 		}
-		typ, err := d.Type(sc.Bytes())
-		if err == nil && typ == "decision" {
-			var rec Record
-			if err = Decode(&d, &rec); err == nil {
-				out = append(out, rec)
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("decision: log line %d: %w", line, err)
-		}
+		var rec Record
+		err := Decode(d, &rec)
+		out = append(out, rec)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return out, sc.Err()
+	return out, nil
 }
 
 // ---------------------------------------------------------------------------

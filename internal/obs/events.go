@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"bufio"
 	"fmt"
 	"io"
 
@@ -113,31 +112,24 @@ func AppendEventJSON(dst []byte, e Event) []byte {
 	return append(dst, '}')
 }
 
-// JSONLSink streams events as JSON Lines: one header line naming the schema
-// version, then one line per event in emission order. Writes are buffered;
-// call Close before reading the output. The first write error
-// sticks and is reported by Close.
+// JSONLSink streams events as JSON Lines through a jsonl.Writer: one header
+// line naming the schema version, then one line per event in emission
+// order. Call Close before reading the output; it reports the first write
+// error.
 type JSONLSink struct {
-	bw  *bufio.Writer
-	err error
+	w   *jsonl.Writer
 	buf []byte
 }
 
 // NewJSONLSink wraps w and writes the schema header immediately.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	s := &JSONLSink{bw: bufio.NewWriter(w)}
-	_, s.err = s.bw.WriteString(`{"schema":"` + EventSchema + "\"}\n")
-	return s
+	return &JSONLSink{w: jsonl.NewWriter(w, EventSchema)}
 }
 
 // Emit implements EventSink.
 func (s *JSONLSink) Emit(e Event) {
-	if s.err != nil {
-		return
-	}
 	s.buf = AppendEventJSON(s.buf[:0], e)
-	s.buf = append(s.buf, '\n')
-	_, s.err = s.bw.Write(s.buf)
+	s.w.Line(s.buf)
 }
 
 // EmitDecision implements decision.Sink: scheduler decision records land in
@@ -145,22 +137,12 @@ func (s *JSONLSink) Emit(e Event) {
 // repro.decisions.v2 lines (extract them with decision.ReadLog; ReadEvents
 // skips them; ScanLog hands back both).
 func (s *JSONLSink) EmitDecision(rec decision.Record) {
-	if s.err != nil {
-		return
-	}
 	s.buf = decision.AppendJSON(s.buf[:0], rec)
-	s.buf = append(s.buf, '\n')
-	_, s.err = s.bw.Write(s.buf)
+	s.w.Line(s.buf)
 }
 
-// Close flushes the buffer to the underlying writer and returns the first
-// error seen.
-func (s *JSONLSink) Close() error {
-	if s.err == nil {
-		s.err = s.bw.Flush()
-	}
-	return s.err
-}
+// Close flushes the buffer and returns the first write error.
+func (s *JSONLSink) Close() error { return s.w.Close() }
 
 // decodeEvent reads the line d stands at the start of into e, reusing
 // e.Attrs' backing array. Keys may come in any order; unknown keys are
@@ -232,33 +214,6 @@ func decodeEvent(d *jsonl.Dec, typ string, e *Event) error {
 	return nil
 }
 
-// readHeader consumes the first line of a log and checks that it names
-// schema; what says which log ("event log", "series file") for the errors.
-func readHeader(sc *bufio.Scanner, d *jsonl.Dec, what, schema string) error {
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return err
-		}
-		return fmt.Errorf("obs: empty %s (missing schema header)", what)
-	}
-	var got string
-	d.Reset(sc.Bytes())
-	for d.Object(); d.NextKey(); {
-		if string(d.Key()) == "schema" {
-			got = d.String()
-		} else {
-			d.Skip()
-		}
-	}
-	if err := d.End(); err != nil {
-		return fmt.Errorf("obs: bad %s header: %w", what, err)
-	}
-	if got != schema {
-		return fmt.Errorf("obs: %s schema %q, want %q", what, got, schema)
-	}
-	return nil
-}
-
 // ScanLog reads a JSONL event log produced by JSONLSink in one pass: it
 // validates the schema header, then hands every event to onEvent and every
 // interleaved decision record (repro.decisions.v2, or v1) to onDecision, in
@@ -269,39 +224,28 @@ func readHeader(sc *bufio.Scanner, d *jsonl.Dec, what, schema string) error {
 // reader tolerates logs written by newer emitters; malformed JSON on any
 // line is an error naming the line.
 func ScanLog(r io.Reader, onEvent func(*Event), onDecision func(*decision.Record)) error {
-	sc := jsonl.NewScanner(r)
-	var d jsonl.Dec
-	if err := readHeader(sc, &d, "event log", EventSchema); err != nil {
-		return err
-	}
 	var (
 		ev  Event
 		rec decision.Record
 	)
-	for line := 2; sc.Scan(); line++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		typ, err := d.Type(sc.Bytes())
+	return jsonl.Scan(r, "obs: event log", EventSchema, func(d *jsonl.Dec, typ string) error {
 		switch {
-		case err != nil:
 		case typ == "decision" && onDecision != nil:
-			if err = decision.Decode(&d, &rec); err == nil {
-				onDecision(&rec)
+			if err := decision.Decode(d, &rec); err != nil {
+				return err
 			}
+			onDecision(&rec)
 		case onEvent != nil && isEventType(typ):
-			if err = decodeEvent(&d, typ, &ev); err == nil {
-				onEvent(&ev)
+			if err := decodeEvent(d, typ, &ev); err != nil {
+				return err
 			}
+			onEvent(&ev)
 		default:
 			d.Skip()
-			err = d.End()
+			return d.End()
 		}
-		if err != nil {
-			return fmt.Errorf("obs: event log line %d: %w", line, err)
-		}
-	}
-	return sc.Err()
+		return nil
+	})
 }
 
 // isEventType reports whether typ is one of Event's line types.

@@ -3,11 +3,14 @@ package obs
 import (
 	"bytes"
 	"flag"
+	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/obs/decision"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
@@ -149,5 +152,34 @@ func TestAlertGetsSpanAndEvent(t *testing.T) {
 	}
 	if sp := ct.spans[0]; sp.cat != "slo" || sp.start != 2.5 || sp.dur != 0 || sp.pid != 0 || sp.tid != 0 {
 		t.Fatalf("alert span %+v", sp)
+	}
+}
+
+// TestSinksZeroAllocPerLine: the sinks render into a reused buffer and write
+// through one jsonl.Writer, so a line costs no allocation.
+func TestSinksZeroAllocPerLine(t *testing.T) {
+	ev := Event{E: "span", ID: 7, T: 1.25, Dur: 0.5, PID: 3, TID: 2, Name: "read", Cat: "pfs",
+		Attrs: []Attr{S("ost", "12"), S("note", "a<b\n")}}
+	rec := decision.Record{Round: 12, T: 3.5, Policy: "priority", Job: "batch-00042", Seq: 42,
+		Outcome: decision.Skip, Reason: decision.InsufficientRanks, BlockedBy: "batch-00017",
+		BlockedBySeq: 17, Width: 8, Submit: 1.25}
+	pt := SeriesPoint{Round: 12, T: 3.5, QueueDepth: 40, RanksBusy: 30, RanksTotal: 32,
+		OSTBusy: make([]float64, 64), Classes: []ClassWait{{Class: "batch", N: 9, P50: 1.5, P99: 7}}}
+	events, series := NewJSONLSink(io.Discard), NewSeriesSink(io.Discard)
+	for name, line := range map[string]func(){
+		"JSONLSink.Emit":         func() { events.Emit(ev) },
+		"JSONLSink.EmitDecision": func() { events.EmitDecision(rec) },
+		"SeriesSink.Sample":      func() { series.Sample(pt) },
+	} {
+		line() // grow the line buffer
+		if got := testing.AllocsPerRun(500, line); got != 0 {
+			t.Errorf("%s allocates %v times per line, want 0", name, got)
+		}
+	}
+	if err := events.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := series.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

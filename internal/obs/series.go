@@ -1,8 +1,6 @@
 package obs
 
 import (
-	"bufio"
-	"fmt"
 	"io"
 
 	"repro/internal/jsonl"
@@ -84,32 +82,28 @@ func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte {
 	return append(dst, '}')
 }
 
-// SeriesSink streams SeriesPoints as JSON Lines: one header line naming the
-// schema version, then one line per point. Writes are buffered; call Close
-// before reading the output. The first write error sticks.
+// SeriesSink streams SeriesPoints as JSON Lines through a jsonl.Writer: one
+// header line naming the schema version, then one line per point. Call
+// Close before reading the output; it reports the first write error.
 type SeriesSink struct {
-	bw  *bufio.Writer
-	err error
+	w   *jsonl.Writer
 	buf []byte
 	n   int
 }
 
 // NewSeriesSink wraps w and writes the schema header immediately.
 func NewSeriesSink(w io.Writer) *SeriesSink {
-	s := &SeriesSink{bw: bufio.NewWriter(w)}
-	_, s.err = s.bw.WriteString(`{"schema":"` + SeriesSchema + "\"}\n")
-	return s
+	return &SeriesSink{w: jsonl.NewWriter(w, SeriesSchema)}
 }
 
 // Sample appends one point.
 func (s *SeriesSink) Sample(p SeriesPoint) {
-	if s == nil || s.err != nil {
+	if s == nil {
 		return
 	}
 	s.n++
 	s.buf = AppendSeriesJSON(s.buf[:0], p)
-	s.buf = append(s.buf, '\n')
-	_, s.err = s.bw.Write(s.buf)
+	s.w.Line(s.buf)
 }
 
 // Points returns how many points have been sampled.
@@ -120,16 +114,12 @@ func (s *SeriesSink) Points() int {
 	return s.n
 }
 
-// Close flushes and returns the first error seen.
+// Close flushes and returns the first write error.
 func (s *SeriesSink) Close() error {
 	if s == nil {
 		return nil
 	}
-	if s.err != nil {
-		return s.err
-	}
-	s.err = s.bw.Flush()
-	return s.err
+	return s.w.Close()
 }
 
 // decodePoint reads the series line d stands at the start of into p. Keys
@@ -185,31 +175,19 @@ func decodePoint(d *jsonl.Dec, p *SeriesPoint) error {
 // unknown "e" type are skipped, so a v1 reader tolerates forward-compatible
 // additions; malformed JSON on any line is an error naming the line.
 func ReadSeries(r io.Reader) ([]SeriesPoint, error) {
-	sc := jsonl.NewScanner(r)
-	var d jsonl.Dec
-	if err := readHeader(sc, &d, "series file", SeriesSchema); err != nil {
+	var out []SeriesPoint
+	err := jsonl.Scan(r, "obs: series file", SeriesSchema, func(d *jsonl.Dec, typ string) error {
+		if typ != "pt" {
+			d.Skip()
+			return d.End()
+		}
+		var p SeriesPoint
+		err := decodePoint(d, &p)
+		out = append(out, p)
+		return err
+	})
+	if err != nil {
 		return nil, err
 	}
-	var out []SeriesPoint
-	for line := 2; sc.Scan(); line++ {
-		if len(sc.Bytes()) == 0 {
-			continue
-		}
-		typ, err := d.Type(sc.Bytes())
-		if err == nil {
-			if typ == "pt" {
-				var p SeriesPoint
-				if err = decodePoint(&d, &p); err == nil {
-					out = append(out, p)
-				}
-			} else {
-				d.Skip()
-				err = d.End()
-			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("obs: series line %d: %w", line, err)
-		}
-	}
-	return out, sc.Err()
+	return out, nil
 }

@@ -8,6 +8,7 @@
 package workload
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 
@@ -51,6 +52,9 @@ func Provision(tr *Trace, ot *obs.Tracer) (*cluster.Cluster, error) {
 		Obs:           ot,
 	})
 	for _, d := range tr.Datasets {
+		if osts := c.FS().Params().NumOSTs; d.StripeCount < 1 || d.StripeCount > osts {
+			return nil, fmt.Errorf("workload: dataset %q: stripe count %d outside 1..%d OSTs", d.Name, d.StripeCount, osts)
+		}
 		ds, _, err := newDataset3D(c, d)
 		if err != nil {
 			return nil, fmt.Errorf("workload: provisioning dataset %q: %w", d.Name, err)
@@ -104,7 +108,9 @@ func SubmitAll(c *cluster.Cluster, tr *Trace) ([]Submitted, error) {
 }
 
 // Run provisions, submits, and runs a trace end to end, returning the
-// per-submission results. The convenience path for experiments and tests.
+// per-submission results: the replay path of ccrun -trace-in and the
+// workload experiment. A job that fails for any reason but its deadline is
+// an error naming the first such job, not a job served.
 func Run(tr *Trace, ot *obs.Tracer) (*cluster.Cluster, []Submitted, error) {
 	c, err := Provision(tr, ot)
 	if err != nil {
@@ -117,6 +123,11 @@ func Run(tr *Trace, ot *obs.Tracer) (*cluster.Cluster, []Submitted, error) {
 	if _, err := c.Run(); err != nil {
 		return nil, nil, err
 	}
+	for i, s := range subs {
+		if err := s.Res.Err; err != nil && !errors.Is(err, cluster.ErrDeadlineExpired) {
+			return nil, nil, fmt.Errorf("workload: job %d (%s) failed: %w", i, s.Sub.Name, err)
+		}
+	}
 	return c, subs, nil
 }
 
@@ -127,11 +138,13 @@ type ClassStats struct {
 	Dropped  int // deadline-expired in queue
 	Missed   int // finished past deadline
 	MemoHits int
-	WaitP50  float64 // queue-wait quantiles over non-dropped jobs
+	WaitP50  float64 // queue-wait quantiles over served jobs
 	WaitP99  float64
 }
 
-// Summarize rolls the results up per class, ordered by class name.
+// Summarize rolls the results up per class, ordered by class name. A job
+// that failed is counted in Jobs and nowhere else: it was neither served
+// nor dropped.
 func Summarize(subs []Submitted) []ClassStats {
 	byClass := make(map[string]*ClassStats)
 	waits := make(map[string][]float64)
@@ -144,8 +157,9 @@ func Summarize(subs []Submitted) []ClassStats {
 		cs.Jobs++
 		jr := s.Res.JobResult
 		switch {
-		case jr.Err == cluster.ErrDeadlineExpired:
+		case errors.Is(jr.Err, cluster.ErrDeadlineExpired):
 			cs.Dropped++
+		case jr.Err != nil:
 		default:
 			if jr.DeadlineMiss {
 				cs.Missed++

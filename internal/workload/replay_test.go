@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"strconv"
+	"strings"
 	"testing"
 
 	"repro/internal/cluster"
@@ -134,6 +135,45 @@ func TestReplayDeterministicAcrossPolicies(t *testing.T) {
 				_ = c1
 			})
 		}
+	}
+}
+
+// TestRunReportsFailedJob: a job that fails during replay is an error, not a
+// job served, and its queue wait stays out of the class's quantiles. The
+// trace is built in Go, so Read's checks do not stop the window that
+// overruns its dataset.
+func TestRunReportsFailedJob(t *testing.T) {
+	job := func(name string, count0 int64) Submission {
+		return Submission{T: 0.001, Tenant: "t/c0", Class: "batch", Name: name, Dataset: "d",
+			Op: "sum", Start: []int64{0, 0, 0}, Count: []int64{count0, 4, 4}, Ranks: 2,
+			EstCost: 1, SecPerElem: 1e-3}
+	}
+	tr := &Trace{
+		Machine:  Machine{Ranks: 2, RanksPerNode: 2},
+		Datasets: []DatasetSpec{{Name: "d", Dims: []int64{8, 4, 4}, StripeCount: 2, StripeSize: 1 << 20}},
+		// The second job queues behind the first, then fails.
+		Jobs: []Submission{job("fits", 8), job("overruns", 100)},
+	}
+	if _, _, err := Run(tr, nil); err == nil || !strings.Contains(err.Error(), "job 1 (overruns) failed") {
+		t.Fatalf("Run error %v, want one naming job 1", err)
+	}
+	c, err := Provision(tr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	subs, err := SubmitAll(c, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if w := subs[1].Res.QueueWait(); subs[1].Res.Err == nil || w <= 0 {
+		t.Fatalf("the overrunning job queued %v and failed with %v; the test needs both", w, subs[1].Res.Err)
+	}
+	stats := Summarize(subs)
+	if len(stats) != 1 || stats[0].Jobs != 2 || stats[0].WaitP99 != subs[0].Res.QueueWait() {
+		t.Fatalf("Summarize = %+v: want 2 jobs and the served job's wait %v as p99", stats, subs[0].Res.QueueWait())
 	}
 }
 

@@ -9,13 +9,14 @@
 package workload
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"strconv"
 
+	"repro/internal/cc"
+	"repro/internal/cluster"
 	"repro/internal/jsonl"
 )
 
@@ -76,123 +77,154 @@ func appendJob(dst []byte, i int, s *Submission) []byte {
 // Write serializes tr as repro.workload.v1. The output is a pure function
 // of tr's value.
 func Write(w io.Writer, tr *Trace) error {
-	bw := bufio.NewWriter(w)
+	jw := jsonl.NewWriter(w, TraceSchema)
 	buf := make([]byte, 0, 256)
-	fmt.Fprintf(bw, "{\"schema\":%q}\n", TraceSchema)
-	fmt.Fprintf(bw, `{"h":"machine","ranks":%d,"rpn":%d,"policy":%s,"memo":%t,"memocap":%d,"maxconc":%d}`+"\n",
-		tr.Machine.Ranks, tr.Machine.RanksPerNode, jsonl.AppendString(buf[:0], tr.Machine.Policy),
-		tr.Machine.Memo, tr.Machine.MemoCap, tr.Machine.MaxConcurrent)
+	jw.Line(fmt.Appendf(buf[:0], `{"h":"machine","ranks":%d,"rpn":%d,"policy":%s,"memo":%t,"memocap":%d,"maxconc":%d}`,
+		tr.Machine.Ranks, tr.Machine.RanksPerNode, jsonl.AppendString(nil, tr.Machine.Policy),
+		tr.Machine.Memo, tr.Machine.MemoCap, tr.Machine.MaxConcurrent))
 	for _, d := range tr.Datasets {
-		fmt.Fprintf(bw, `{"h":"dataset","name":%s,"dims":%s,"stripes":%d,"stripesize":%d}`+"\n",
-			jsonl.AppendString(buf[:0], d.Name), appendInts(nil, d.Dims), d.StripeCount, d.StripeSize)
+		jw.Line(fmt.Appendf(buf[:0], `{"h":"dataset","name":%s,"dims":%s,"stripes":%d,"stripesize":%d}`,
+			jsonl.AppendString(nil, d.Name), appendInts(nil, d.Dims), d.StripeCount, d.StripeSize))
 	}
-	fmt.Fprintf(bw, `{"h":"meta","seed":%d,"jobs":%d}`+"\n", tr.Seed, len(tr.Jobs))
+	jw.Line(fmt.Appendf(buf[:0], `{"h":"meta","seed":%d,"jobs":%d}`, tr.Seed, len(tr.Jobs)))
 	for i := range tr.Jobs {
 		buf = appendJob(buf[:0], i, &tr.Jobs[i])
-		buf = append(buf, '\n')
-		if _, err := bw.Write(buf); err != nil {
-			return err
+		jw.Line(buf)
+	}
+	return jw.Close()
+}
+
+// traceLine is the union of all line shapes, for decoding: a key two shapes
+// share ("ranks", "name") fills both.
+type traceLine struct {
+	h, e    string
+	i, jobs int
+	seed    uint64
+	machine Machine
+	ds      DatasetSpec
+	job     Submission
+}
+
+// decode reads the line d stands at the start of into l. Keys may come in
+// any order; unknown keys are skipped.
+func (l *traceLine) decode(d *jsonl.Dec) error {
+	*l = traceLine{}
+	for d.Object(); d.NextKey(); {
+		switch string(d.Key()) {
+		case "h":
+			l.h = d.String()
+		case "e":
+			l.e = d.String()
+		case "ranks":
+			l.machine.Ranks = d.Int()
+			l.job.Ranks = l.machine.Ranks
+		case "rpn":
+			l.machine.RanksPerNode = d.Int()
+		case "policy":
+			l.machine.Policy = d.String()
+		case "memo":
+			l.machine.Memo = d.Bool()
+		case "memocap":
+			l.machine.MemoCap = d.Int()
+		case "maxconc":
+			l.machine.MaxConcurrent = d.Int()
+		case "name":
+			l.ds.Name = d.String()
+			l.job.Name = l.ds.Name
+		case "dims":
+			l.ds.Dims = decodeInts(d)
+		case "stripes":
+			l.ds.StripeCount = d.Int()
+		case "stripesize":
+			l.ds.StripeSize = int64(d.Int())
+		case "seed":
+			l.seed = d.Uint64()
+		case "jobs":
+			l.jobs = d.Int()
+		case "i":
+			l.i = d.Int()
+		case "t":
+			l.job.T = d.Float()
+		case "tenant":
+			l.job.Tenant = d.String()
+		case "class":
+			l.job.Class = d.String()
+		case "ds":
+			l.job.Dataset = d.String()
+		case "op":
+			l.job.Op = d.String()
+		case "start":
+			l.job.Start = decodeInts(d)
+		case "count":
+			l.job.Count = decodeInts(d)
+		case "split":
+			l.job.SplitDim = d.Int()
+		case "red":
+			l.job.Reduce = d.Int()
+		case "dl":
+			l.job.Deadline = d.Float()
+		case "pri":
+			l.job.Priority = d.Int()
+		case "est":
+			l.job.EstCost = d.Float()
+		case "spe":
+			l.job.SecPerElem = d.Float()
+		default:
+			d.Skip()
 		}
 	}
-	return bw.Flush()
+	return d.End()
 }
 
-// traceLine is the union of all line shapes, for decoding.
-type traceLine struct {
-	Schema string `json:"schema"`
-	H      string `json:"h"`
-	E      string `json:"e"`
-
-	// machine
-	Ranks   int    `json:"ranks"`
-	RPN     int    `json:"rpn"`
-	Policy  string `json:"policy"`
-	Memo    bool   `json:"memo"`
-	MemoCap int    `json:"memocap"`
-	MaxConc int    `json:"maxconc"`
-
-	// dataset
-	Name       string  `json:"name"`
-	Dims       []int64 `json:"dims"`
-	Stripes    int     `json:"stripes"`
-	StripeSize int64   `json:"stripesize"`
-
-	// meta
-	Seed uint64 `json:"seed"`
-	Jobs int    `json:"jobs"`
-
-	// job
-	I      int     `json:"i"`
-	T      float64 `json:"t"`
-	Tenant string  `json:"tenant"`
-	Class  string  `json:"class"`
-	DS     string  `json:"ds"`
-	Op     string  `json:"op"`
-	Start  []int64 `json:"start"`
-	Count  []int64 `json:"count"`
-	Split  int     `json:"split"`
-	Red    int     `json:"red"`
-	DL     float64 `json:"dl"`
-	Pri    int     `json:"pri"`
-	Est    float64 `json:"est"`
-	SPE    float64 `json:"spe"`
+func decodeInts(d *jsonl.Dec) []int64 {
+	out := make([]int64, 0, 3)
+	for d.Array(); d.More(); {
+		out = append(out, int64(d.Int()))
+	}
+	return out
 }
 
-// Read parses a repro.workload.v1 trace. It validates the schema header,
-// requires job indices to be dense and in order (a truncated or spliced
-// file fails loudly), and returns a Trace that Write would serialize back
-// to the same bytes.
+// Read parses a repro.workload.v1 trace through jsonl.Scan. It validates
+// the schema header, requires job indices to be dense and in order (a
+// truncated or spliced file fails loudly), checks every header and job
+// against the headers above it (see checkMachine and checkJob), and returns
+// a Trace that Write would serialize back to the same bytes.
 func Read(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 1<<16), 1<<22)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("workload: empty trace")
-	}
-	var hdr traceLine
-	if err := json.Unmarshal(sc.Bytes(), &hdr); err != nil {
-		return nil, fmt.Errorf("workload: bad trace header: %w", err)
-	}
-	if hdr.Schema != TraceSchema {
-		return nil, fmt.Errorf("workload: trace schema %q, want %q", hdr.Schema, TraceSchema)
-	}
 	tr := &Trace{}
 	sawMachine, wantJobs := false, -1
-	lineNo := 1
-	for sc.Scan() {
-		lineNo++
-		var l traceLine
-		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("workload: trace line %d: %w", lineNo, err)
+	var l traceLine
+	err := jsonl.Scan(r, "workload: trace", TraceSchema, func(d *jsonl.Dec, _ string) error {
+		if err := l.decode(d); err != nil {
+			return err
 		}
 		switch {
-		case l.H == "machine":
-			tr.Machine = Machine{Ranks: l.Ranks, RanksPerNode: l.RPN, Policy: l.Policy,
-				Memo: l.Memo, MemoCap: l.MemoCap, MaxConcurrent: l.MaxConc}
-			sawMachine = true
-		case l.H == "dataset":
-			tr.Datasets = append(tr.Datasets, DatasetSpec{Name: l.Name, Dims: l.Dims,
-				StripeCount: l.Stripes, StripeSize: l.StripeSize})
-		case l.H == "meta":
-			tr.Seed, wantJobs = l.Seed, l.Jobs
-		case l.E == "job":
-			if l.I != len(tr.Jobs) {
-				return nil, fmt.Errorf("workload: trace line %d: job index %d, want %d (corrupt or spliced trace)",
-					lineNo, l.I, len(tr.Jobs))
+		case l.h == "machine":
+			if sawMachine {
+				return fmt.Errorf("second machine header")
 			}
-			if _, err := OpByCode(l.Op); err != nil {
-				return nil, fmt.Errorf("workload: trace line %d: %w", lineNo, err)
+			tr.Machine, sawMachine = l.machine, true
+			return checkMachine(&tr.Machine)
+		case l.h == "dataset":
+			if tr.dataset(l.ds.Name) >= 0 {
+				return fmt.Errorf("dataset %q declared twice", l.ds.Name)
 			}
-			tr.Jobs = append(tr.Jobs, Submission{
-				T: l.T, Tenant: l.Tenant, Class: l.Class, Name: l.Name,
-				Dataset: l.DS, Op: l.Op, Start: l.Start, Count: l.Count,
-				SplitDim: l.Split, Ranks: l.Ranks, Reduce: l.Red,
-				Deadline: l.DL, Priority: l.Pri, EstCost: l.Est, SecPerElem: l.SPE,
-			})
+			tr.Datasets = append(tr.Datasets, l.ds)
+		case l.h == "meta":
+			tr.Seed, wantJobs = l.seed, l.jobs
+		case l.e == "job":
+			if l.i != len(tr.Jobs) {
+				return fmt.Errorf("job index %d, want %d (corrupt or spliced trace)", l.i, len(tr.Jobs))
+			}
+			if err := tr.checkJob(&l.job); err != nil {
+				return fmt.Errorf("job %q: %w", l.job.Name, err)
+			}
+			tr.Jobs = append(tr.Jobs, l.job)
 		default:
-			return nil, fmt.Errorf("workload: trace line %d: unknown record %s", lineNo, sc.Text())
+			return fmt.Errorf(`unknown record (no "h" header type, not an "e":"job" line)`)
 		}
-	}
-	if err := sc.Err(); err != nil {
+		return nil
+	})
+	if err != nil {
 		return nil, err
 	}
 	if !sawMachine {
@@ -202,6 +234,55 @@ func Read(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("workload: trace has %d jobs, meta promised %d (truncated?)", len(tr.Jobs), wantJobs)
 	}
 	return tr, nil
+}
+
+// checkMachine rejects a machine header the cluster would refuse: no ranks,
+// a negative node width, or a policy it does not know.
+func checkMachine(m *Machine) error {
+	if m.Ranks < 1 || m.RanksPerNode < 0 {
+		return fmt.Errorf("machine of %d ranks, %d per node", m.Ranks, m.RanksPerNode)
+	}
+	if m.Policy != "" && !slices.Contains(cluster.PolicyNames(), m.Policy) {
+		return fmt.Errorf("unknown policy %q (have %v)", m.Policy, cluster.PolicyNames())
+	}
+	return nil
+}
+
+// checkJob rejects a job that the machine and datasets declared above it
+// cannot run, so that replay would panic or fail it: an undeclared dataset,
+// a window of the wrong rank or outside the dims, a width outside the
+// machine, a split dimension out of range or too short to give every rank a
+// share, or an unknown reduce or operator code.
+func (tr *Trace) checkJob(s *Submission) error {
+	i := tr.dataset(s.Dataset)
+	if i < 0 {
+		return fmt.Errorf("dataset %q not declared", s.Dataset)
+	}
+	dims := tr.Datasets[i].Dims
+	if len(s.Start) != len(dims) || len(s.Count) != len(dims) {
+		return fmt.Errorf("start %v, count %v on dataset %q of dims %v", s.Start, s.Count, s.Dataset, dims)
+	}
+	for k, n := range dims {
+		if s.Start[k] < 0 || s.Count[k] < 0 || s.Start[k] > n-s.Count[k] {
+			return fmt.Errorf("window start %v, count %v outside dataset %q of dims %v", s.Start, s.Count, s.Dataset, dims)
+		}
+	}
+	if s.Ranks < 1 || s.Ranks > tr.Machine.Ranks {
+		return fmt.Errorf("%d ranks on a %d-rank machine", s.Ranks, tr.Machine.Ranks)
+	}
+	if s.SplitDim < 0 || s.SplitDim >= len(dims) || s.Count[s.SplitDim] < int64(s.Ranks) {
+		return fmt.Errorf("split dim %d of count %v cannot give %d ranks a share each", s.SplitDim, s.Count, s.Ranks)
+	}
+	if s.Reduce != int(cc.AllToOne) && s.Reduce != int(cc.AllToAll) {
+		return fmt.Errorf("reduce code %d names no reduce mode", s.Reduce)
+	}
+	_, err := OpByCode(s.Op)
+	return err
+}
+
+// dataset returns the index of the dataset declared under name, or -1.
+func (tr *Trace) dataset(name string) int {
+	return slices.IndexFunc(tr.Datasets, func(d DatasetSpec) bool { return d.Name == name })
 }
 
 // Diff compares two traces and returns human-readable differences, capped

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -276,6 +277,83 @@ func TestTraceReadRejects(t *testing.T) {
 	}
 }
 
+// TestTraceReadRejectsHostile: a trace whose headers the cluster would
+// refuse, or whose job they cannot run, is an error naming its line — one
+// case per check. Every case but the reduce code panics or fails when the
+// trace is replayed without Read; an unknown reduce code replays as
+// all-to-all, though it names no mode.
+func TestTraceReadRejectsHostile(t *testing.T) {
+	golden := goldenTrace(t)
+	base, err := Read(bytes.NewReader(golden))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The golden's lines: schema, machine, three datasets, meta, then jobs.
+	const machineLine, jobLine = 2, 7
+	cases := []struct {
+		name   string
+		line   int
+		want   string
+		mutate func(*Trace)
+	}{
+		{"machine without ranks", machineLine, "machine of 0 ranks", func(tr *Trace) { tr.Machine.Ranks = 0 }},
+		{"negative node width", machineLine, "-1 per node", func(tr *Trace) { tr.Machine.RanksPerNode = -1 }},
+		{"unknown policy", machineLine, `unknown policy "nope"`, func(tr *Trace) { tr.Machine.Policy = "nope" }},
+		{"dataset declared twice", 6, `dataset "climate-a" declared twice`, func(tr *Trace) {
+			tr.Datasets = append(tr.Datasets, tr.Datasets[0])
+		}},
+		{"undeclared dataset", jobLine, `dataset "nosuch" not declared`, func(tr *Trace) { tr.Jobs[0].Dataset = "nosuch" }},
+		{"start of the wrong rank", jobLine, "start [0 0]", func(tr *Trace) { tr.Jobs[0].Start = tr.Jobs[0].Start[:2] }},
+		{"count of the wrong rank", jobLine, "count [4 16 16 1]", func(tr *Trace) {
+			tr.Jobs[0].Count = append(tr.Jobs[0].Count, 1)
+		}},
+		{"window past the dims", jobLine, "outside dataset", func(tr *Trace) { tr.Jobs[0].Count[0] = 100000 }},
+		{"negative start", jobLine, "outside dataset", func(tr *Trace) { tr.Jobs[0].Start[1] = -1 }},
+		{"wider than the machine", jobLine, "100000 ranks on a 8-rank machine", func(tr *Trace) { tr.Jobs[0].Ranks = 100000 }},
+		{"no ranks", jobLine, "0 ranks", func(tr *Trace) { tr.Jobs[0].Ranks = 0 }},
+		{"split dim out of range", jobLine, "split dim 3", func(tr *Trace) { tr.Jobs[0].SplitDim = 3 }},
+		{"split dim too short", jobLine, "split dim 0", func(tr *Trace) { tr.Jobs[0].Count[0] = 1 }},
+		{"reduce code", jobLine, "reduce code 2", func(tr *Trace) { tr.Jobs[0].Reduce = 2 }},
+		{"operator code", jobLine, `"nosuch"`, func(tr *Trace) { tr.Jobs[0].Op = "nosuch" }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			tr, err := oracleRead(bytes.NewReader(golden)) // a private copy
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.mutate(tr)
+			_, err = Read(bytes.NewReader(writeTrace(t, tr)))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d: ", c.line)) || !strings.Contains(err.Error(), c.want) {
+				t.Fatalf("Read error %v, want one naming line %d and %q", err, c.line, c.want)
+			}
+			if c.name != "reduce code" && !replayFails(tr) {
+				t.Fatal("the trace replays cleanly without Read: the check guards nothing")
+			}
+		})
+	}
+	// The stripe count is checked against the file system, when provisioning.
+	for _, stripes := range []int{0, 1000} {
+		tr := *base
+		tr.Datasets = append([]DatasetSpec(nil), base.Datasets...)
+		tr.Datasets[1].StripeCount = stripes
+		if _, err := Provision(&tr, nil); err == nil || !strings.Contains(err.Error(), "stripe count") {
+			t.Errorf("Provision with %d stripes: error %v", stripes, err)
+		}
+	}
+}
+
+// replayFails reports whether replaying tr panics or returns an error.
+func replayFails(tr *Trace) (failed bool) {
+	defer func() {
+		if recover() != nil {
+			failed = true
+		}
+	}()
+	_, _, err := Run(tr, nil)
+	return err != nil
+}
+
 // TestDiff reports machine, dataset, count, and per-job differences.
 func TestDiff(t *testing.T) {
 	a := mustGenerate(t, smallSpec(19))
@@ -325,8 +403,8 @@ func TestValidateRejects(t *testing.T) {
 
 // TestAppendJobZeroAllocAndEscapes: a job line is appended straight into the
 // caller's buffer — nothing allocated per line — and names that need JSON
-// escaping survive Write → Read (which still parses with encoding/json, so
-// it checks the writer's string rendering independently).
+// escaping survive Write → oracleRead, the encoding/json reader, so the
+// writer's string rendering is checked by a decoder it does not share.
 func TestAppendJobZeroAllocAndEscapes(t *testing.T) {
 	tr := mustGenerate(t, smallSpec(19))
 	tr.Jobs[0].Tenant = "a<b>&\"c\"\\ \u2028\xff"
@@ -341,7 +419,7 @@ func TestAppendJobZeroAllocAndEscapes(t *testing.T) {
 	if err := Write(&file, tr); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Read(bytes.NewReader(file.Bytes()))
+	got, err := oracleRead(bytes.NewReader(file.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}
