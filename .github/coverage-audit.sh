@@ -6,8 +6,8 @@
 #   bash .github/coverage-audit.sh [WORKDIR]
 #
 # The golden-driven tests are the ones whose output is compared byte for byte
-# with a committed file: ccexp's quick and paper-scale tables and workload
-# trace, ccrun's stdout, the jobs event, decision, report and live-plane
+# with a committed file: ccexp's quick and paper-scale tables, workload
+# trace and -report file, ccrun's stdout, the jobs event, decision, report and live-plane
 # goldens, obs' event, exposition and Perfetto goldens, and the examples'
 # stdout (run here as covered binaries, their stdout checked against the same
 # goldens).
@@ -31,7 +31,7 @@ merge() {
 }
 
 REPRO_NIGHTLY=1 go test "${cov[@]}" -coverprofile="$A/g_ccexp.out" \
-	-run '^(TestQuickAllGolden|TestWorkloadTraceGolden)$' ./cmd/ccexp >&2
+	-run '^(TestQuickAllGolden|TestWorkloadTraceGolden|TestReportFileGolden)$' ./cmd/ccexp >&2
 go test "${cov[@]}" -coverprofile="$A/g_ccrun.out" -run '^TestStdoutGolden$' ./cmd/ccrun >&2
 go test "${cov[@]}" -coverprofile="$A/g_experiments.out" \
 	-run '^(TestFIFOPolicyEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden|TestJobsLivePlaneGolden)$' \

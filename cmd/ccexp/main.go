@@ -32,8 +32,8 @@
 //
 // The tracer keeps no span: each output is a sink fed as the run emits.
 // The -events log is written to disk as events happen; the -trace export
-// holds the spans it will write; explain and profile-jobs attach report's
-// phase fold to their own run. So very large runs (the workload experiment
+// holds the spans it will write; -report, explain and profile-jobs attach
+// report's fold to the run. So very large runs (the workload experiment
 // at scale) log in bounded memory, and every telemetry flag composes with
 // every other.
 //

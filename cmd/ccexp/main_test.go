@@ -12,6 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/obscli"
+	"repro/internal/report"
 )
 
 func runCmd(args ...string) (int, string, string) {
@@ -123,6 +124,54 @@ func firstLineDiff(t *testing.T, what, got, want string) {
 		}
 	}
 	t.Fatalf("%s has %d lines, golden has %d", what, len(gl), len(wl))
+}
+
+// TestReportFileGolden pins the CLI's -report file byte for byte. The file is
+// folded as the run emits it, nothing read back from disk, so it must be what
+// the offline analyzer renders from the logs the same run wrote: with
+// -series, the committed report golden of the quick jobs run; without, the
+// report of the event log alone, with no series section.
+func TestReportFileGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("..", "..", "internal", "experiments", "testdata", "jobs_fifo_report.golden.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, withSeries := range []bool{true, false} {
+		dir := t.TempDir()
+		events, series, rep := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "series.jsonl"), filepath.Join(dir, "r.txt")
+		args := []string{"-quick", "-explain", "-events", events, "-report", rep}
+		if withSeries {
+			args = append(args, "-series", series)
+		}
+		code, _, errb := runCmd(append(args, "jobs")...)
+		if code != 0 {
+			t.Fatalf("%v: exit %d: %s", args, code, errb)
+		}
+		got, err := os.ReadFile(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if withSeries {
+			if !bytes.Equal(got, golden) {
+				firstLineDiff(t, "-report file", string(got), string(golden))
+			}
+			continue
+		}
+		d, err := report.Load(events, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want bytes.Buffer
+		if err := report.Build(d, 0).WriteText(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want.Bytes()) {
+			firstLineDiff(t, "-report file without -series", string(got), want.String())
+		}
+		if bytes.Contains(got, []byte("-- series (")) {
+			t.Fatalf("-report without -series has a series section:\n%s", got)
+		}
+	}
 }
 
 // TestSpanFoldingExperimentsKeepTheirSpans: explain's waterfall and

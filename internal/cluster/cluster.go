@@ -332,7 +332,7 @@ func (c *Cluster) publishTelemetry(now float64, queueDepth, ranksBusy int) {
 	c.mirrorTotals()
 	slo.Eval(ot, now)
 	if ser != nil {
-		c.sampleSeries(ser, now, queueDepth, ranksBusy)
+		c.sampleSeries(now, queueDepth, ranksBusy)
 	}
 	if live == nil {
 		return

@@ -214,9 +214,10 @@ func (c *Cluster) classWaits() []obs.ClassWait {
 	return out
 }
 
-// sampleSeries emits one round-aligned point into the installed series sink.
-func (c *Cluster) sampleSeries(ser *obs.SeriesSink, now float64, queueDepth, ranksBusy int) {
-	ser.Sample(obs.SeriesPoint{
+// sampleSeries records one round-aligned point through the tracer, which
+// hands it to the series sink and to every sink that reads points.
+func (c *Cluster) sampleSeries(now float64, queueDepth, ranksBusy int) {
+	c.obs.Sample(obs.SeriesPoint{
 		Round:      c.decRound,
 		T:          now,
 		QueueDepth: queueDepth,

@@ -13,11 +13,12 @@ import (
 )
 
 // jobsFIFOReport runs the jobs experiment (quick config, fifo) with events,
-// decision records, and the round series all attached, then renders the run
-// report — and renders it again from the same event log with the decision
-// lines replaced by the v1 golden's (what the scheduler that wrote a skip per
-// pending job per round recorded for this run). The report names its log by
-// base name, so its bytes are independent of the temp dir.
+// decision records, the round series and report's live fold all attached,
+// checks that the live fold equals the fold of the recorded logs, then
+// renders the run report — and renders it again from the same event log with
+// the decision lines replaced by the v1 golden's (what the scheduler that
+// wrote a skip per pending job per round recorded for this run). The report
+// names its log by base name, so its bytes are independent of the temp dir.
 func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 	t.Helper()
 	dir := t.TempDir()
@@ -49,14 +50,18 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 			t.Fatal(err)
 		}
 	}
-	// The fold fed live as a sink is the fold of the recorded log.
-	loaded, err := report.Load(eventsPath, "")
+	// The fold fed live as a sink — events, decision records and series
+	// points — is the fold of the recorded logs.
+	loaded, err := report.Load(eventsPath, seriesPath)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if len(loaded.Series) == 0 {
+		t.Fatal("the series log recorded no point")
+	}
 	live.EventsPath = eventsPath
 	if !reflect.DeepEqual(live, loaded) {
-		t.Fatal("report's fold fed live differs from its fold of the recorded log")
+		t.Fatal("report's fold fed live differs from its fold of the recorded logs")
 	}
 	render := func(eventsPath string) []byte {
 		d, err := report.Load(eventsPath, seriesPath)

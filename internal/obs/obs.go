@@ -56,11 +56,12 @@ type Tracer struct {
 	nSpans int   // spans recorded; the latest Begin's id
 	curPID []int // world rank -> bound pid (0 = cluster/unbound)
 
-	// Sinks, in attach order: every event reaches each sink, and track names
-	// and decision records reach only the sinks that read them.
-	sinks     []EventSink
-	nameSinks []NameSink
-	decSinks  []decision.Sink
+	// Sinks, in attach order: every event reaches each sink, and track names,
+	// decision records and series points reach only the sinks that read them.
+	sinks      []EventSink
+	nameSinks  []NameSink
+	decSinks   []decision.Sink
+	pointSinks []PointSink
 
 	// Driven by the cluster at scheduler round boundaries (all optional;
 	// see live.go, slo.go, series.go).
@@ -88,11 +89,18 @@ type NameSink interface {
 	ThreadName(pid, tid int, name string)
 }
 
+// PointSink is implemented by sinks that read the round series: report's
+// fold keeps the points a run's series log records.
+type PointSink interface {
+	Sample(p SeriesPoint)
+}
+
 // AddSink attaches a sink: from now on every span begin/end, attribute,
 // complete span, instant, counter sample and SLO alert recorded through the
 // tracer is mirrored into it in emission order (see events.go), after the
 // sinks attached before it. A sink that is also a NameSink receives track
-// names, and one that is also a decision.Sink receives decision records.
+// names, one that is also a decision.Sink receives decision records, and one
+// that is also a PointSink receives series points (see Sample).
 func (t *Tracer) AddSink(s EventSink) {
 	if t == nil {
 		return
@@ -103,6 +111,9 @@ func (t *Tracer) AddSink(s EventSink) {
 	}
 	if d, ok := s.(decision.Sink); ok {
 		t.decSinks = append(t.decSinks, d)
+	}
+	if p, ok := s.(PointSink); ok {
+		t.pointSinks = append(t.pointSinks, p)
 	}
 }
 
@@ -147,6 +158,19 @@ func (t *Tracer) Series() *SeriesSink {
 		return nil
 	}
 	return t.series
+}
+
+// Sample records one series point: into the series sink, then into every
+// PointSink. A no-op unless a series sink is installed, so a run records
+// points exactly when its series log does.
+func (t *Tracer) Sample(p SeriesPoint) {
+	if t == nil || t.series == nil {
+		return
+	}
+	t.series.Sample(p)
+	for _, s := range t.pointSinks {
+		s.Sample(p)
+	}
 }
 
 // SetSLO installs the SLO rule engine the owning runtime evaluates at

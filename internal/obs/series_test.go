@@ -106,8 +106,52 @@ func TestNilSeriesSinkNoOps(t *testing.T) {
 	}
 	var tr *Tracer
 	tr.SetSeries(nil)
+	tr.Sample(SeriesPoint{})
 	if tr.Series() != nil {
 		t.Fatal("nil tracer returned a series sink")
+	}
+}
+
+// pointRecorder is an EventSink that also reads series points.
+type pointRecorder struct{ pts []SeriesPoint }
+
+func (r *pointRecorder) Emit(Event)           {}
+func (r *pointRecorder) Sample(p SeriesPoint) { r.pts = append(r.pts, p) }
+
+// TestTracerSampleFollowsTheSeriesSink: the tracer hands a point to the
+// series sink and then to every PointSink attached, and records none while
+// no series sink is installed, so a sink reads points exactly when the
+// series log records them.
+func TestTracerSampleFollowsTheSeriesSink(t *testing.T) {
+	tr := New()
+	rec := &pointRecorder{}
+	tr.AddSink(rec)
+	pts := sampleSeries()
+	tr.Sample(pts[0])
+	if len(rec.pts) != 0 {
+		t.Fatalf("a point reached a PointSink with no series sink installed: %+v", rec.pts)
+	}
+	var buf bytes.Buffer
+	ser := NewSeriesSink(&buf)
+	tr.SetSeries(ser)
+	for _, p := range pts {
+		tr.Sample(p)
+	}
+	if err := ser.Close(); err != nil {
+		t.Fatal(err)
+	}
+	logged, err := ReadSeries(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ser.Points() != len(pts) || len(rec.pts) != len(pts) || len(logged) != len(pts) {
+		t.Fatalf("series sink %d points, log %d, PointSink %d; want %d each",
+			ser.Points(), len(logged), len(rec.pts), len(pts))
+	}
+	for i := range pts {
+		if rec.pts[i].Round != logged[i].Round || rec.pts[i].T != logged[i].T {
+			t.Fatalf("point %d: PointSink has %+v, the log %+v", i, rec.pts[i], logged[i])
+		}
 	}
 }
 

@@ -4,14 +4,17 @@
 // to a tracer before the run, and tears them down — writing the Perfetto
 // trace and the metrics dump, flushing the event and series logs, rendering
 // the final dashboard frame, reporting SLO violations, printing the per-job
-// wait attribution, generating the offline run report — after it. Both ccexp
-// and ccrun use it, so the two commands expose identical telemetry surfaces.
+// wait attribution, rendering the run report — after it. Both ccexp and
+// ccrun use it, so the two commands expose identical telemetry surfaces.
 //
 // The tracer keeps nothing but decision records (when -explain or -serve
 // reads them). Each output is a sink of its own: -events streams to disk,
-// and -trace attaches the Perfetto export, the one holder of the run's spans.
-// So -events alone logs a run of any length in bounded memory, no output
-// depends on which others are attached, and every flag composes.
+// -trace attaches the Perfetto export, the one holder of the run's spans,
+// and -report attaches report's fold, which folds the run as it is emitted:
+// the report reads no log back, and is byte-identical to what `ccexp report
+// -in` renders from the logs. So -events alone logs a run of any length in
+// bounded memory, no output depends on which others are attached, and every
+// flag composes.
 package obscli
 
 import (
@@ -75,7 +78,7 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 	fl.BoolVar(&f.Explain, "explain", false,
 		"record scheduler decision traces (repro.decisions.v2: admissions, drops, memo service, and a skip whenever a waiting job's cause changes; written into -events and served at /decisions) and print the per-job wait attribution after the run")
 	fl.StringVar(&f.Report, "report", "",
-		"after the run, render the offline run report (makespan attribution, per-tenant SLO table, slow-job blame, OST heat) from the -events log into this file; reads -series too when set")
+		"after the run, write the run report (makespan attribution, per-tenant SLO table, slow-job blame, OST heat) into this file, folded as the run emits it; byte-identical to what \"ccexp report -in\" renders from the -events log (and -series, when set); needs -events")
 }
 
 // Any reports whether any telemetry flag was set — the signal to install an
@@ -85,11 +88,11 @@ func (f *Flags) Any() bool {
 		len(f.Rules) > 0 || f.Strict || f.Explain || f.Report != ""
 }
 
-// Validate rejects the one flag combination that cannot work: -report is an
-// offline pass over the -events log, so it needs one.
+// Validate rejects the one flag combination that cannot work: the -report
+// file reports on the -events log (its header names it), so it needs one.
 func (f *Flags) Validate() error {
 	if f.Report != "" && f.Events == "" {
-		return fmt.Errorf("-report needs -events (the report is rendered from the recorded event log)")
+		return fmt.Errorf("-report needs -events (the report names the event log it reports on)")
 	}
 	return nil
 }
@@ -107,6 +110,7 @@ type Plane struct {
 	eventsFile *os.File
 	series     *obs.SeriesSink
 	seriesFile *os.File
+	fold       *report.Data // -report's fold, fed as the run emits
 	live       *obs.Live
 	slo        *obs.SLO
 	ln         net.Listener
@@ -153,6 +157,13 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.eventsFile = file
 		p.sink = obs.NewJSONLSink(file)
 		ot.AddSink(p.sink)
+	}
+	if f.Report != "" {
+		// Series points reach the fold only when -series installs the series
+		// sink: a report without -series has no series section.
+		p.fold = report.New()
+		p.fold.EventsPath = f.Events
+		ot.AddSink(p.fold)
 	}
 	if f.Series != "" {
 		file, err := os.Create(f.Series)
@@ -211,7 +222,8 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 
 // Finish tears the plane down after the run: writes the -trace and -metrics
 // files, stops the dashboard (rendering the final frame once more, plainly),
-// flushes and closes the event log, and prints SLO violations to stderr. It
+// flushes and closes the event and series logs, writes the -report file from
+// its fold (nothing is read back), and prints SLO violations to stderr. It
 // returns the violations — the caller decides what -slo-strict means for its
 // exit code — and the first write error.
 func (p *Plane) Finish() ([]obs.SLOViolation, error) {
@@ -242,8 +254,8 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 			err = fmt.Errorf("series: %w", serr)
 		}
 	}
-	if p.f.Report != "" && err == nil {
-		if rerr := p.writeReport(); rerr != nil && err == nil {
+	if p.fold != nil && err == nil {
+		if rerr := p.writeReport(); rerr != nil {
 			err = fmt.Errorf("report: %w", rerr)
 		}
 	}
@@ -283,14 +295,13 @@ func (p *Plane) writeTraceAndMetrics() error {
 	return nil
 }
 
-// writeReport renders the offline run report from the just-closed event
-// (and series) logs into the -report file.
+// writeReport renders the run report from the fold into the -report file.
 func (p *Plane) writeReport() error {
 	f, err := os.Create(p.f.Report)
 	if err != nil {
 		return err
 	}
-	err = report.Run(f, p.f.Events, p.f.Series, 0)
+	err = report.Build(p.fold, 0).WriteText(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}

@@ -198,7 +198,7 @@ func TestAttachFinishWritesSeriesAndReport(t *testing.T) {
 		t.Fatal("series sink not installed on tracer")
 	}
 	ot.Span(0, 0, "queued", "sched", 0, 1.5, obs.S("job", "j0"), obs.S("tenant", "t0"))
-	ot.Series().Sample(obs.SeriesPoint{Round: 1, T: 1.5, QueueDepth: 1, RanksBusy: 2, RanksTotal: 4})
+	ot.Sample(obs.SeriesPoint{Round: 1, T: 1.5, QueueDepth: 1, RanksBusy: 2, RanksTotal: 4})
 	ot.Metrics().Counter("cluster_jobs_submitted").Inc()
 	if _, err := p.Finish(); err != nil {
 		t.Fatal(err)

@@ -1,17 +1,20 @@
-// Package report is the offline run-report analyzer: it reads the versioned
-// JSONL artifacts a run leaves behind — the structured event log
-// (repro.events.v1, with repro.decisions.v2 lines interleaved by -explain)
-// and the optional round-aligned time series (repro.series.v1) — and renders
-// a deterministic post-mortem: makespan attribution across the machine's
-// layers, a per-tenant/per-class SLO attainment table, the top-K
-// slowest-queued jobs with their decision-trace blame sentences, per-OST
-// heat strips, and a machine-readable JSON summary. The report is a pure
-// function of the log bytes: two byte-identical logs render byte-identical
-// reports, so nightly CI can diff reports the way it diffs traces.
+// Package report is the run-report analyzer: it folds a run's telemetry —
+// the structured event log (repro.events.v1, with repro.decisions.v2 lines
+// interleaved by -explain) and the optional round-aligned time series
+// (repro.series.v1) — and renders a deterministic post-mortem: makespan
+// attribution across the machine's layers, a per-tenant/per-class SLO
+// attainment table, the top-K slowest-queued jobs with their decision-trace
+// blame sentences, per-OST heat strips, and a machine-readable JSON summary.
+// The report is a pure function of the records: two byte-identical logs
+// render byte-identical reports, so nightly CI can diff reports the way it
+// diffs traces.
 //
-// Its fold of the event stream (Data) is the repository's one span fold:
-// the same fold, attached live to a tracer, gives profile-jobs its phase
-// columns and explain its waterfall.
+// The fold (Data) is fed one of two ways. Load reads recorded logs (ccexp
+// report -in). New, attached to a tracer as a sink, folds each record as the
+// run emits it: the CLIs' -report renders from it without reading back the
+// logs it wrote, and gets the bytes Load would get from them. It is the
+// repository's one span fold: attached live, it also gives profile-jobs its
+// phase columns and explain its waterfall.
 package report
 
 import (
@@ -60,6 +63,10 @@ func (d *Data) Emit(e obs.Event) { d.add(&e) }
 
 // EmitDecision implements decision.Sink.
 func (d *Data) EmitDecision(rec decision.Record) { d.dec.Add(&rec) }
+
+// Sample implements obs.PointSink: the point is kept, as Load keeps the
+// series log's.
+func (d *Data) Sample(p obs.SeriesPoint) { d.Series = append(d.Series, p) }
 
 // Load reads the event log at eventsPath — events and any interleaved
 // decision records, in one streaming pass that folds each line into Data as
@@ -522,13 +529,4 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(&b, "\n-- summary (json) --\n%s\n", js)
 	_, err = io.WriteString(w, b.String())
 	return err
-}
-
-// Run is the one-call pipeline: load, build, render to w.
-func Run(w io.Writer, eventsPath, seriesPath string, topK int) error {
-	d, err := Load(eventsPath, seriesPath)
-	if err != nil {
-		return err
-	}
-	return Build(d, topK).WriteText(w)
 }
