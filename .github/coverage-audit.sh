@@ -7,10 +7,10 @@
 #
 # The golden-driven tests are the ones whose output is compared byte for byte
 # with a committed file: ccexp's quick and paper-scale tables, workload
-# trace and -report file, ccrun's stdout, the jobs event, decision, report and live-plane
-# goldens, obs' event, exposition and Perfetto goldens, and the examples'
-# stdout (run here as covered binaries, their stdout checked against the same
-# goldens).
+# trace, -report file, and SLO violation lines with their -report file,
+# ccrun's stdout, the jobs event, decision and report goldens, obs' event,
+# exposition and Perfetto goldens, and the examples' stdout (run here as
+# covered binaries, their stdout checked against the same goldens).
 set -euo pipefail
 
 A=${1:-$(mktemp -d)}
@@ -31,10 +31,10 @@ merge() {
 }
 
 REPRO_NIGHTLY=1 go test "${cov[@]}" -coverprofile="$A/g_ccexp.out" \
-	-run '^(TestQuickAllGolden|TestWorkloadTraceGolden|TestReportFileGolden)$' ./cmd/ccexp >&2
+	-run '^(TestQuickAllGolden|TestWorkloadTraceGolden|TestReportFileGolden|TestSLOReportGolden)$' ./cmd/ccexp >&2
 go test "${cov[@]}" -coverprofile="$A/g_ccrun.out" -run '^TestStdoutGolden$' ./cmd/ccrun >&2
 go test "${cov[@]}" -coverprofile="$A/g_experiments.out" \
-	-run '^(TestFIFOPolicyEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden|TestJobsLivePlaneGolden)$' \
+	-run '^(TestFIFOPolicyEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden)$' \
 	./internal/experiments >&2
 go test "${cov[@]}" -coverprofile="$A/g_obs.out" \
 	-run '^(TestJSONLSinkMatchesGolden|TestExpositionGolden|TestChromeTraceMatchesGolden)$' ./internal/obs >&2

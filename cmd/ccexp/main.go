@@ -20,15 +20,15 @@
 // across runs, like the tables. Experiments are named by positional
 // arguments only.
 //
-// The live telemetry plane (see internal/obs and internal/obscli) attaches
-// with -events (streaming JSONL event log, byte-identical across identical
-// runs), -serve (Prometheus-text /metrics plus /healthz and /jobs, served
-// while the run is in flight and until interrupted afterwards), -dash (live
-// terminal dashboard on stderr), and -slo/-slo-strict (declarative SLO rules
-// evaluated at scheduler round boundaries; strict mode exits nonzero if any
-// rule fired). Like -trace, these require exactly one experiment:
+// The rest of the telemetry plane (see internal/obs and internal/obscli)
+// attaches with -events (streaming JSONL event log, byte-identical across
+// identical runs), -series (the round-aligned time series), -report (the run
+// report, folded as the run emits) and -slo/-slo-strict (declarative SLO
+// rules evaluated at scheduler round boundaries, each firing rule an alert
+// line in the event log; strict mode exits nonzero if any rule fired). Like
+// -trace, these require exactly one experiment:
 //
-//	ccexp jobs -events events.jsonl -serve :9090 -slo-strict
+//	ccexp jobs -events events.jsonl -report report.txt -slo-strict
 //
 // The tracer keeps no span: each output is a sink fed as the run emits.
 // The -events log is written to disk as events happen; the -trace export
@@ -47,12 +47,12 @@
 //	ccexp workload -trace-in stream.wl.jsonl
 //
 // -explain records the scheduler's decision trace (repro.decisions.v2 lines
-// interleaved into -events, served live at /decisions with -serve: every
-// admission, drop and memo service, and a skip whenever a waiting job's cause
-// changes) and prints the per-job wait attribution after the run. The explain experiment
-// goes further: it replays the recorded submission stream under alternative
-// policies and reports counterfactual start-time deltas for one job. Flags
-// may follow the experiment name, so the natural spelling works:
+// interleaved into -events: every admission, drop and memo service, and a
+// skip whenever a waiting job's cause changes) and prints the per-job wait
+// attribution after the run. The explain experiment goes further: it
+// replays the recorded submission stream under alternative policies and
+// reports counterfactual start-time deltas for one job. Flags may follow the
+// experiment name, so the natural spelling works:
 //
 //	ccexp explain -job 3 -k fifo,easy-backfill
 package main
@@ -77,7 +77,7 @@ func main() {
 }
 
 // teleFlags names every telemetry flag, for the errors that reject them.
-const teleFlags = "-trace/-metrics/-events/-series/-serve/-dash/-slo/-slo-strict/-explain/-report"
+const teleFlags = "-trace/-metrics/-events/-series/-slo/-slo-strict/-explain/-report"
 
 func run(args []string, stdout, stderr io.Writer) int {
 	fl := flag.NewFlagSet("ccexp", flag.ContinueOnError)
@@ -205,11 +205,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "ccexp: %d SLO violation(s) under -slo-strict\n", len(viol))
 		return 1
 	}
-	if err := stopProf(); err != nil { // flush profiles before -serve blocks
+	if err := stopProf(); err != nil {
 		fmt.Fprintf(stderr, "ccexp: %v\n", err)
 		return 1
 	}
-	plane.ServeForever()
 	return 0
 }
 

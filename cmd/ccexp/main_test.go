@@ -53,16 +53,19 @@ func TestBadFlag(t *testing.T) {
 }
 
 // TestDeletedFlagsAreParseErrors: -stream (what the tracer keeps follows from
-// what reads it), -experiment (positional arguments name experiments) and the
+// what reads it), -experiment (positional arguments name experiments), the
 // metrics-directory flag (the printed tables are the numbers; goldens pin
-// them) are gone, not ignored. The last is spelled in two halves so that a
-// grep for it over the tree comes back empty.
+// them), and -serve and -dash (every observation is a recorded artifact) are
+// gone, not ignored. The metrics-directory flag is spelled in two halves so
+// that a grep for it over the tree comes back empty.
 func TestDeletedFlagsAreParseErrors(t *testing.T) {
 	for _, args := range [][]string{
 		{"-events", filepath.Join(t.TempDir(), "e.jsonl"), "-stream", "table1"},
 		{"table1", "-stream"},
 		{"-experiment", "table1"},
 		{"-bench" + "-dir", t.TempDir(), "table1"},
+		{"-quick", "-serve", ":0", "jobs"},
+		{"-quick", "-dash", "jobs"},
 	} {
 		code, out, errb := runCmd(args...)
 		if code != 2 || out != "" || !strings.Contains(errb, "flag provided but not defined") {
@@ -171,6 +174,64 @@ func TestReportFileGolden(t *testing.T) {
 		if bytes.Contains(got, []byte("-- series (")) {
 			t.Fatalf("-report without -series has a series section:\n%s", got)
 		}
+	}
+}
+
+// sloRules is an -slo rule set over the quick jobs machine with the memo
+// layer on in which exactly one rule fires: the stock rules hold, jobs-done
+// fires when the fifth job completes, and absent names a histogram nothing
+// records, so it has no value and never fires.
+var sloRules = []string{
+	"queue-wait-p99=p99(cluster_queue_wait_seconds)<60",
+	"deadline-drop-rate=ratio(cluster_jobs_dropped,cluster_jobs_submitted)<=0.01",
+	"read-straggle=spread(pfs_read_seconds)<100",
+	"jobs-done=cluster_jobs_completed<5",
+	"absent=p50(no_such_seconds)<1",
+}
+
+// TestSLOReportGolden pins what a run with SLO rules records, through the
+// CLI: the violation lines on stderr, then the -report file, whose alert
+// lines name each rule that fired, and whose series and tenant sections hold
+// the queue, rank and wait picture of the run. Regenerate with
+// UPDATE_SLO_REPORT_GOLDEN=1 only for an intended change to the SLO engine or
+// the report.
+func TestSLOReportGolden(t *testing.T) {
+	dir := t.TempDir()
+	rep := filepath.Join(dir, "r.txt")
+	args := []string{"-quick", "-memo", "-explain", "-events", filepath.Join(dir, "events.jsonl"),
+		"-series", filepath.Join(dir, "series.jsonl"), "-report", rep}
+	for _, r := range sloRules {
+		args = append(args, "-slo", r)
+	}
+	code, _, errb := runCmd(append(args, "jobs")...)
+	if code != 0 {
+		t.Fatalf("exit %d: %s", code, errb)
+	}
+	var got bytes.Buffer
+	got.WriteString("== stderr: SLO violations\n")
+	for _, line := range strings.SplitAfter(errb, "\n") {
+		if strings.HasPrefix(line, "(SLO ") {
+			got.WriteString(line)
+		}
+	}
+	text, err := os.ReadFile(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString("== -report\n")
+	got.Write(text)
+	golden := filepath.Join("testdata", "jobs_slo_report.golden.txt")
+	if os.Getenv("UPDATE_SLO_REPORT_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("%v (regenerate with UPDATE_SLO_REPORT_GOLDEN=1)", err)
+	}
+	if !bytes.Equal(got.Bytes(), want) {
+		firstLineDiff(t, "violations and -report", got.String(), string(want))
 	}
 }
 

@@ -26,8 +26,11 @@ func TestBadInputs(t *testing.T) {
 		want string // on stderr
 	}{
 		{[]string{"-nope"}, 2, ""},
-		// Deleted, not ignored: what the tracer keeps follows from what reads it.
+		// Deleted, not ignored: what the tracer keeps follows from what reads
+		// it, and every observation is a recorded artifact.
 		{[]string{"-events", "e.jsonl", "-stream"}, 2, "flag provided but not defined: -stream"},
+		{[]string{"-serve", ":0"}, 2, "flag provided but not defined: -serve"},
+		{[]string{"-dash"}, 2, "flag provided but not defined: -dash"},
 		{[]string{"-workload", "nonesuch"}, 1, `unknown workload "nonesuch"`},
 		{[]string{"-mode", "warp"}, 1, `unknown mode "warp"`},
 		{[]string{"-reduce", "sideways"}, 1, `unknown reduce "sideways"`},
@@ -44,9 +47,12 @@ func TestBadInputs(t *testing.T) {
 		if c.code == 1 && c.args[0] != "-procs" {
 			args = append(append([]string{}, smokeArgs...), c.args...)
 		}
-		code, _, errb := runCmd(args...)
+		code, out, errb := runCmd(args...)
 		if code != c.code {
 			t.Errorf("%v: exit %d, want %d (stderr %q)", args, code, c.code, errb)
+		}
+		if code == 2 && out != "" {
+			t.Errorf("%v: a flag-parse error printed %q on stdout", args, out)
 		}
 		if c.want != "" && !strings.Contains(errb, c.want) {
 			t.Errorf("%v: stderr %q missing %q", args, errb, c.want)

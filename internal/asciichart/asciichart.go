@@ -107,8 +107,8 @@ var blocks = []rune("▁▂▃▄▅▆▇█")
 // Spark renders values as a one-line sparkline, the densest chart this
 // package has: each value maps to one of eight block glyphs scaled between
 // the series min and max. When the series is longer than width, it is
-// downsampled by bucket maxima (peaks survive; a live dashboard cares about
-// spikes, not troughs). A flat series renders at the lowest level.
+// downsampled by bucket maxima (peaks survive; a queue-depth series is read
+// for its spikes, not its troughs). A flat series renders at the lowest level.
 func Spark(values []float64, width int) string {
 	if len(values) == 0 {
 		return ""

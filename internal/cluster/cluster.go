@@ -314,19 +314,17 @@ func (c *Cluster) mirrorTotals() {
 }
 
 // publishTelemetry is the telemetry plane's publish point: it syncs the
-// external totals into the registry, evaluates SLO rules, and (when a live
-// cell is installed) publishes a consistent Frame — registry snapshot, job
-// table, per-OST read latency, SLO status — for the HTTP exporter and the
-// dashboard. Called by the scheduler at round boundaries and once more at
+// external totals into the registry, evaluates SLO rules, and samples one
+// series point. Called by the scheduler at round boundaries and once more at
 // the end of Run; everything happens at deterministic virtual-clock points,
-// so enabling live telemetry never perturbs results or event logs.
+// so the alert lines and the series log are the same bytes on every run.
 func (c *Cluster) publishTelemetry(now float64, queueDepth, ranksBusy int) {
 	ot := c.obs
 	if ot == nil {
 		return
 	}
-	live, slo, ser := ot.Live(), ot.SLOEngine(), ot.Series()
-	if live == nil && slo == nil && ser == nil {
+	slo, ser := ot.SLOEngine(), ot.Series()
+	if slo == nil && ser == nil {
 		return
 	}
 	c.mirrorTotals()
@@ -334,45 +332,6 @@ func (c *Cluster) publishTelemetry(now float64, queueDepth, ranksBusy int) {
 	if ser != nil {
 		c.sampleSeries(now, queueDepth, ranksBusy)
 	}
-	if live == nil {
-		return
-	}
-	jobs := make([]obs.JobState, 0, len(c.results))
-	for _, jr := range c.results {
-		if jr.Submit > now {
-			continue // SubmitAt arrival still in the future
-		}
-		js := obs.JobState{Name: jr.Job.Name, Ranks: jr.Job.Ranks,
-			Submit: jr.Submit, Start: jr.Start, End: jr.End}
-		switch {
-		case jr.Err == ErrDeadlineExpired:
-			js.State = "dropped"
-		case jr.End >= 0 && jr.Err != nil:
-			js.State = "error"
-		case jr.MemoHit:
-			js.State = "memo-hit"
-		case jr.End >= 0 && jr.CoalescedWith != nil:
-			js.State = "coalesced"
-		case jr.End >= 0:
-			js.State = "done"
-		case jr.Start >= 0:
-			js.State = "running"
-		default:
-			js.State = "queued"
-		}
-		jobs = append(jobs, js)
-	}
-	live.Publish(&obs.Frame{
-		Now:        now,
-		QueueDepth: queueDepth,
-		RanksBusy:  ranksBusy,
-		RanksTotal: c.spec.Ranks,
-		Jobs:       jobs,
-		OSTReadLat: c.fs.OSTReadLatency(),
-		Reg:        ot.Metrics().Snapshot(),
-		SLO:        slo.Status(),
-		Decisions:  ot.DecisionsSnapshot(),
-	})
 }
 
 // RunSPMD submits a single job spanning every rank, runs the cluster, and

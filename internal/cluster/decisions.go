@@ -9,7 +9,7 @@ import (
 
 // This file is the scheduler's decision-trace emission: when decision
 // tracing is enabled on the installed obs tracer (obs.Tracer.EnableDecisions
-// — opt-in, driven by the CLIs' -explain flag and by -serve), every
+// — opt-in, driven by the CLIs' -explain flag), every
 // admission-loop round records a typed decision.Record for each job it
 // admits, drops or serves from the memo layer, with the blocking job and a
 // free-rank snapshot attached, and closes with the round's skips: one Round

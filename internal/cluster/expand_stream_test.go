@@ -12,36 +12,41 @@ import (
 	"repro/internal/workload"
 )
 
-// The expansion oracle on generated streams: the decision trace of a stream
-// at 4x the service rate, expanded to the v1 form, must be byte for byte the
-// decision log the last v1 binary (commit 8874887, PR 16) wrote for the same
-// stream. The v1 logs run from 12 MB to 357 MB, so what is committed is
-// their SHA-256 and line count, recorded from that binary with
+// The decision streams of generated workloads, pinned by their bytes: the
+// repro.decisions.v2 log of ccexp's N-job stream at 4x the service rate. The
+// logs run to megabytes, so what is committed is their SHA-256 and line
+// count, as
 //
 //	ccexp -workload jobs=N,rate=4,rates=1,policy=P -explain -events e.jsonl workload
 //	grep '"e":"decision"' e.jsonl | sha256sum
 //
-// ccexp's stream for that command line is
-// workload.DefaultSpec(42, 4, 12, N, P). Every policy has a row because each
-// blames differently: fifo and the reordering policies by head-of-line, EASY
-// by a shadow reservation whose start time moves from round to round while
-// the reserving head stays (4 712 of its lines) — the one part of a cause
-// that no other stream changes on its own.
-var v1Logs = []struct {
-	policy string
-	jobs   int
-	lines  int
-	sha    string
+// prints them. They were recorded at commit c211458, where each stream still
+// expanded, byte for byte, to the v1 log (a skip line per pending job per
+// round) that the last v1 binary, commit 8874887, wrote for the same stream;
+// v1Lines is that log's length, which the expansion must still have. ccexp's
+// stream for that command line is workload.DefaultSpec(42, 4, 12, N, P).
+// Every policy has a row because each blames differently: fifo and the
+// reordering policies by head-of-line, EASY by a shadow reservation whose
+// start time moves from round to round while the reserving head stays — the
+// one part of a cause that no other stream changes on its own.
+var streamLogs = []struct {
+	policy  string
+	jobs    int
+	lines   int
+	sha     string
+	v1Lines int
 }{
-	{"priority", 400, 43958, "47b19cde5bd615093daebe5470b23daa82fb114594ea5f01bb026348eab01d2e"},
-	{"fifo", 400, 78671, "2b4ec414a2e1c6a72d677dbf3e8f0d42d1734dec1a4fccd9d481862cea1ac32a"},
-	{"easy-backfill", 400, 44137, "381f87870e8d69f48a4140bf2922791fdd5afed81ad73c6e5eface800e3c6e36"},
-	{"fairshare", 400, 80779, "13400c713a631a571e16ec6f36f884f29917c075892fff10e902673a78d2ffd5"},
+	{"priority", 400, 5192, "9d94ab70f416644c311884ef0191876b8536d13e4b29ab14d552b7d696418103", 43958},
+	{"fifo", 400, 6861, "3dc86e74495d51ab4d7f2d4c3cec1308fb03ecc0e93a6623938a45958e60bb55", 78671},
+	{"easy-backfill", 400, 4624, "eeeabb64c5b29a5b2d6db0f61c967ed9e14837d1675b9b96a395c4fc866c5e0d", 44137},
+	{"fairshare", 400, 7552, "165cd458a52d91b9f1c93b367f7938cff25a1be602bb149b08c22e3a9355fbf3", 80779},
 }
 
+// The priority stream at N = 6000: 36 720 records, expanding to 1 255 929.
 const (
-	v1SHA400  = "47b19cde5bd615093daebe5470b23daa82fb114594ea5f01bb026348eab01d2e" // v1Logs[0]
-	v1SHA6000 = "483d36088e29bbe6ac3ab9bf736c5c803e557f3d5263328929f502297f8483b4" // priority, N = 6000: 1 255 929 lines
+	sha6000     = "d22cc2059b9d1fbdeca21d58c0cdd56d9eb1a54c38d4999c4d87b854629d90df"
+	lines6000   = 36720
+	v1Lines6000 = 1255929
 )
 
 // streamDecisions runs ccexp's N-job stream under the policy with decision
@@ -64,47 +69,46 @@ func streamDecisions(t *testing.T, jobs int, policy string) []decision.Record {
 	return ot.Decisions()
 }
 
-// expansionSHA hashes the v1 lines recs expands to, and counts them.
-func expansionSHA(recs []decision.Record) (sum string, lines int, err error) {
-	h := sha256.New()
-	var buf []byte
-	err = decisiontest.Expand(recs, func(r *decision.Record) {
-		buf = append(decisiontest.AppendV1(buf[:0], *r), '\n')
-		h.Write(buf)
-		lines++
-	})
-	return hex.EncodeToString(h.Sum(nil)), lines, err
+// logSHA hashes the canonical log of recs.
+func logSHA(recs []decision.Record) string {
+	sum := sha256.Sum256(decision.AppendLog(nil, recs))
+	return hex.EncodeToString(sum[:])
 }
 
-func TestStreamExpandsToRecordedV1Log(t *testing.T) {
+// checkStream holds one recorded stream to its pinned log and to the
+// attribution oracle, and returns how many lines its expansion has.
+func checkStream(t *testing.T, name string, recs []decision.Record, lines int, sha string) int {
+	t.Helper()
+	if sum := logSHA(recs); len(recs) != lines || sum != sha {
+		t.Fatalf("%s: %d records, sha256 %s; the recorded log has %d lines, sha256 %s",
+			name, len(recs), sum, lines, sha)
+	}
+	expanded, err := decisiontest.CheckFoldsAgree(recs)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return len(expanded)
+}
+
+func TestStreamDecisionLogsMatchRecordedHashes(t *testing.T) {
 	var recs []decision.Record // the priority stream's, for the mutations below
-	for i, c := range v1Logs {
+	for i, c := range streamLogs {
 		got := streamDecisions(t, c.jobs, c.policy)
-		sum, lines, err := expansionSHA(got)
-		if err != nil {
-			t.Fatalf("%s: %v", c.policy, err)
+		n := checkStream(t, c.policy, got, c.lines, c.sha)
+		if n != c.v1Lines {
+			t.Fatalf("%s: expands to %d lines, the v1 binary wrote %d", c.policy, n, c.v1Lines)
 		}
-		if sum != c.sha || lines != c.lines {
-			t.Fatalf("%s: %d records expand to %d lines, sha256 %s; the v1 binary wrote %d lines, sha256 %s",
-				c.policy, len(got), lines, sum, c.lines, c.sha)
+		if len(got) > n/5 {
+			t.Fatalf("%s: %d records written for %d a v1 log holds: skips are not being held", c.policy, len(got), n)
 		}
-		if len(got) > lines/5 {
-			t.Fatalf("%s: %d records written for %d a v1 log holds: skips are not being held", c.policy, len(got), lines)
-		}
-		if _, err := decisiontest.CheckFoldsAgree(got); err != nil {
-			t.Fatalf("%s: %v", c.policy, err)
-		}
-		t.Logf("%s: %d records expand to %d lines", c.policy, len(got), lines)
+		t.Logf("%s: %d records expand to %d lines", c.policy, len(got), n)
 		if i == 0 {
 			recs = got
 		}
 	}
 
-	// The oracle is only worth what it catches: each of these single-record
-	// corruptions of the stream must move the hash or fail the expansion.
-	// (This stream's arrivals are first skipped one to a round; swapping two
-	// first skips of one round is tried on the jobs golden, whose first
-	// round has four: TestDecisionGoldenExpansionCatchesMutations.)
+	// The pin is only worth what it catches: each of these single-record
+	// corruptions of the stream must move the hash or fail the oracle.
 	change, late, round := -1, -1, -1 // indices of records to corrupt
 	skipped := map[int]bool{}
 	for i, r := range recs {
@@ -130,27 +134,21 @@ func TestStreamExpandsToRecordedV1Log(t *testing.T) {
 		"perturb one pending":    func(m []decision.Record) []decision.Record { m[round].Pending++; return m },
 	} {
 		m := mutate(append([]decision.Record(nil), recs...))
-		if msum, _, err := expansionSHA(m); err == nil && msum == v1SHA400 {
+		if _, err := decisiontest.CheckFoldsAgree(m); err == nil && logSHA(m) == streamLogs[0].sha {
 			t.Errorf("mutation %q goes unnoticed: same hash, no error", name)
 		}
 	}
 }
 
-// TestLongStreamExpandsToRecordedV1Log is the same oracle on the 6000-job
-// stream (36 720 records expanding to 1 255 929 lines, 357 MB hashed): a few
+// TestLongStreamDecisionLogMatchesRecordedHash is the same pin on the
+// 6000-job stream, whose expansion the oracle folds three ways: a few
 // seconds, so the nightly runs it (REPRO_NIGHTLY=1), tier 1 does not.
-func TestLongStreamExpandsToRecordedV1Log(t *testing.T) {
+func TestLongStreamDecisionLogMatchesRecordedHash(t *testing.T) {
 	if os.Getenv("REPRO_NIGHTLY") == "" {
-		t.Skip("357 MB expansion; set REPRO_NIGHTLY=1")
+		t.Skip("6000-job stream; set REPRO_NIGHTLY=1")
 	}
 	recs := streamDecisions(t, 6000, "priority")
-	sum, lines, err := expansionSHA(recs)
-	if err != nil {
-		t.Fatal(err)
+	if n := checkStream(t, "priority", recs, lines6000, sha6000); n != v1Lines6000 {
+		t.Fatalf("expands to %d lines, the v1 binary wrote %d", n, v1Lines6000)
 	}
-	if sum != v1SHA6000 || lines != 1255929 {
-		t.Fatalf("%d records expand to %d lines, sha256 %s; the v1 binary wrote 1255929 lines, sha256 %s",
-			len(recs), lines, sum, v1SHA6000)
-	}
-	t.Logf("%d records expand to %d lines", len(recs), lines)
 }

@@ -12,7 +12,7 @@ import (
 
 // ReportExp is the offline run-report analyzer as an experiment: it reads a
 // recorded repro.events.v1 log (Config.ReportIn, with any interleaved
-// repro.decisions.v2 — or v1 — records) plus an optional repro.series.v1 log
+// repro.decisions.v2 records) plus an optional repro.series.v1 log
 // (Config.ReportSeriesIn) and renders the deterministic run report —
 // makespan attribution, per-tenant SLO attainment, slowest-queued-job blame
 // sentences, OST heat strips, and the machine-readable JSON summary. The

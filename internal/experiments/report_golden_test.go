@@ -8,18 +8,15 @@ import (
 	"testing"
 
 	"repro/internal/obs"
-	"repro/internal/obs/decision"
 	"repro/internal/report"
 )
 
 // jobsFIFOReport runs the jobs experiment (quick config, fifo) with events,
 // decision records, the round series and report's live fold all attached,
 // checks that the live fold equals the fold of the recorded logs, then
-// renders the run report — and renders it again from the same event log with
-// the decision lines replaced by the v1 golden's (what the scheduler that
-// wrote a skip per pending job per round recorded for this run). The report
-// names its log by base name, so its bytes are independent of the temp dir.
-func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
+// renders the run report from the logs. The report names its log by base
+// name, so its bytes are independent of the temp dir.
+func jobsFIFOReport(t *testing.T) []byte {
 	t.Helper()
 	dir := t.TempDir()
 	eventsPath := filepath.Join(dir, "events.jsonl")
@@ -63,41 +60,11 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 	if !reflect.DeepEqual(live, loaded) {
 		t.Fatal("report's fold fed live differs from its fold of the recorded logs")
 	}
-	render := func(eventsPath string) []byte {
-		d, err := report.Load(eventsPath, seriesPath)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var buf bytes.Buffer
-		if err := report.Build(d, 5).WriteText(&buf); err != nil {
-			t.Fatal(err)
-		}
-		return buf.Bytes()
-	}
-	fresh = render(eventsPath)
-
-	// The same run as a v1 log: this run's event lines, the recorded v1
-	// decision lines. (The two streams are folded independently, so where
-	// the decision lines sit among the events does not matter.)
-	log, err := os.ReadFile(eventsPath)
-	if err != nil {
+	var buf bytes.Buffer
+	if err := report.Build(loaded, 5).WriteText(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var v1log []byte
-	for _, line := range bytes.SplitAfter(log, []byte("\n")) {
-		if !decision.IsLine(line) {
-			v1log = append(v1log, line...)
-		}
-	}
-	v1decs, err := os.ReadFile(filepath.Join("testdata", "jobs_fifo_decisions_v1.golden.jsonl"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	v1Path := filepath.Join(t.TempDir(), "events.jsonl") // same base name: the report's header names it
-	if err := os.WriteFile(v1Path, append(v1log, v1decs...), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return fresh, render(v1Path)
+	return buf.Bytes()
 }
 
 // TestJobsReportGolden pins the run report, byte for byte, on the quick
@@ -105,33 +72,13 @@ func jobsFIFOReport(t *testing.T) (fresh, fromV1 []byte) {
 // series logs, which are themselves byte-deterministic, so any drift here
 // means either the telemetry or the analyzer changed shape. Regenerate with
 // UPDATE_SCHED_GOLDEN=1 go test ./internal/experiments -run ReportGolden
-// only for an intentional schema or report-format change. The _v1 golden is
-// the report the v1-era analyzer rendered from the v1-era log of this run; it
-// is never regenerated: a v1 log must still load, and report exactly that.
-// The two goldens differ in the decision count of their second line and in
-// nothing else — every attribution sentence is the same.
+// only for an intentional schema or report-format change.
 func TestJobsReportGolden(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full jobs experiment; skipped under -short")
 	}
 	golden := filepath.Join("testdata", "jobs_fifo_report.golden.txt")
-	got, gotV1 := jobsFIFOReport(t)
-	wantV1, err := os.ReadFile(filepath.Join("testdata", "jobs_fifo_report_v1.golden.txt"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(gotV1, wantV1) {
-		firstLineDiff(t, "report of the v1 log", gotV1, wantV1)
-	}
-	gl, wl := bytes.Split(got, []byte("\n")), bytes.Split(wantV1, []byte("\n"))
-	if len(gl) != len(wl) {
-		t.Fatalf("report has %d lines, the v1 report %d", len(gl), len(wl))
-	}
-	for i := range gl {
-		if !bytes.Equal(gl[i], wl[i]) && i != 1 {
-			t.Fatalf("report differs from the v1 report beyond the decision count, at line %d:\n got: %s\nwant: %s", i+1, gl[i], wl[i])
-		}
-	}
+	got := jobsFIFOReport(t)
 	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)

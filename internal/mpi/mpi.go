@@ -153,9 +153,6 @@ func (r *Rank) putReq(q *Request) {
 // Rank returns this process's world rank.
 func (r *Rank) Rank() int { return r.rank }
 
-// Size returns the world size.
-func (r *Rank) Size() int { return len(r.w.ranks) }
-
 // World returns the owning world.
 func (r *Rank) World() *World { return r.w }
 

@@ -16,9 +16,8 @@
 // Records serialize to canonical JSONL ("repro.decisions.v2" lines,
 // interleavable with the repro.events.v1 event log), so two identical runs
 // produce byte-identical decision logs, and a recorded log can be re-read and
-// attributed offline. Logs written as repro.decisions.v1 — one skip line per
-// pending job per round, no Round records — stay readable, and Attribute
-// gives them the same meaning they always had.
+// attributed offline. (The v1 format, which wrote a skip line per pending job
+// per round, is no longer read: a v1 line is a wrong-schema error.)
 //
 // The package is deliberately below internal/obs in the import graph: obs
 // mirrors records into its event sink, the cluster scheduler emits them, and
@@ -40,11 +39,6 @@ import (
 // Schema is the versioned identifier carried in every decision line ("v"
 // field). Bump the suffix when the serialized shape changes incompatibly.
 const Schema = "repro.decisions.v2"
-
-// SchemaV1 is the previous line format, which the readers still accept: every
-// line carries wait, free and free_ranks, skips repeat every round, and there
-// are no Round records.
-const SchemaV1 = "repro.decisions.v1"
 
 // Outcome is what the scheduler did with a pending job at one round.
 type Outcome string
@@ -110,8 +104,7 @@ const (
 // record names the job, its cause and its Submit time, from which Wait is
 // T - Submit here and at any later round; the free-rank snapshot it was
 // decided against is the preceding Round record's. Every other outcome
-// carries Wait, Free and FreeRanks itself. (A v1 skip line carries Wait, Free
-// and FreeRanks and no Submit; it is read as written.)
+// carries Wait, Free and FreeRanks itself.
 type Record struct {
 	Round        int
 	T            float64
@@ -218,23 +211,9 @@ func AppendLog(dst []byte, recs []Record) []byte {
 	return dst
 }
 
-// MarshalJSON renders the canonical line form, so a []Record marshals to
-// the same bytes per element that the JSONL log carries.
-func (r Record) MarshalJSON() ([]byte, error) {
-	return AppendJSON(nil, r), nil
-}
-
-// UnmarshalJSON parses a canonical decision line back into r.
-func (r *Record) UnmarshalJSON(b []byte) error {
-	var d jsonl.Dec
-	d.Reset(b)
-	return Decode(&d, r)
-}
-
 // Decode reads the decision line d stands at the start of into r. Keys may
 // come in any order and unknown keys are skipped; a line that is not a
-// decision record, or names a schema other than Schema or SchemaV1, is an
-// error. What comes back is what AppendJSON would write again: fields the
+// decision record, or names a schema other than Schema, is an error. What comes back is what AppendJSON would write again: fields the
 // line's outcome does not carry are zero, whatever the line said, and
 // BlockedBySeq is -1 without a blocking job.
 func Decode(d *jsonl.Dec, r *Record) error {
@@ -290,7 +269,7 @@ func Decode(d *jsonl.Dec, r *Record) error {
 	if typ != "decision" {
 		return fmt.Errorf("line type %q, want \"decision\"", typ)
 	}
-	if schema != Schema && schema != SchemaV1 {
+	if schema != Schema {
 		return fmt.Errorf("schema %q, want %q", schema, Schema)
 	}
 	if r.BlockedBy == "" || r.BlockedBySeq < 0 {
@@ -300,8 +279,6 @@ func Decode(d *jsonl.Dec, r *Record) error {
 		r.Shadow = 0
 	}
 	switch {
-	case schema == SchemaV1:
-		r.Submit, r.Pending = 0, 0
 	case r.Outcome == Round:
 		*r = Record{Round: r.Round, T: r.T, Policy: r.Policy, Outcome: Round,
 			BlockedBySeq: -1, Free: r.Free, FreeRanks: r.FreeRanks, Pending: r.Pending}
@@ -513,10 +490,10 @@ func (st *jobFold) charge(until float64) {
 // Add folds the next record of the stream in. A Round record charges the
 // interval since the previous round to every job whose latest record is a
 // skip — the additions a skip line per job per round used to make, in the
-// same order, so the sums are bit-equal to a v1 log's. A Skip record charges
-// its own job up to now (nothing, right after a Round record) and becomes
-// the cause in force; any other outcome charges the job's last interval and
-// ends its history.
+// same order, so the sums are bit-equal to those over the stream's
+// expansion (decisiontest.Expand). A Skip record charges its own job up to
+// now (nothing, right after a Round record) and becomes the cause in force;
+// any other outcome charges the job's last interval and ends its history.
 func (f *Fold) Add(rec *Record) {
 	f.n++
 	if rec.Outcome == Round {

@@ -6,6 +6,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"repro/internal/jsonl"
 )
 
 func TestFormatParseRanksRoundTrip(t *testing.T) {
@@ -145,6 +147,13 @@ func TestLineShapes(t *testing.T) {
 	}
 }
 
+// decodeLine reads one decision line into r.
+func decodeLine(line []byte, r *Record) error {
+	var d jsonl.Dec
+	d.Reset(line)
+	return Decode(&d, r)
+}
+
 // TestDecodeNormalizes: keys in any order, unknown keys skipped, and what
 // comes back is what AppendJSON writes again — a field the outcome's line
 // does not carry is dropped whatever the line said, a skip's wait is its
@@ -154,7 +163,7 @@ func TestDecodeNormalizes(t *testing.T) {
 		`"wait":99,"free":3,"free_ranks":"0-2","pending":9,"shadow":5,"blocked_seq":-4,"blocked_by":"b",` +
 		`"policy":"fifo","t":4,"round":2,"v":"repro.decisions.v2","e":"decision"}`
 	var rec Record
-	if err := rec.UnmarshalJSON([]byte(line)); err != nil {
+	if err := decodeLine([]byte(line), &rec); err != nil {
 		t.Fatal(err)
 	}
 	want := Record{Round: 2, T: 4, Policy: "fifo", Job: "j", Seq: 7, Outcome: Skip, Reason: HeadOfLine,
@@ -163,40 +172,15 @@ func TestDecodeNormalizes(t *testing.T) {
 		t.Fatalf("decoded %+v, want %+v", rec, want)
 	}
 	var again Record
-	if err := again.UnmarshalJSON(AppendJSON(nil, rec)); err != nil || again != rec {
+	if err := decodeLine(AppendJSON(nil, rec), &again); err != nil || again != rec {
 		t.Fatalf("canonical line reads back as %+v (%v), want %+v", again, err, rec)
 	}
 	round := `{"e":"decision","v":"repro.decisions.v2","round":3,"t":1,"policy":"fifo","job":"x","seq":4,"outcome":"round","wait":7,"free":2,"free_ranks":"0-1","pending":5}`
-	if err := rec.UnmarshalJSON([]byte(round)); err != nil {
+	if err := decodeLine([]byte(round), &rec); err != nil {
 		t.Fatal(err)
 	}
 	if want := (Record{Round: 3, T: 1, Policy: "fifo", Outcome: Round, BlockedBySeq: -1, Free: 2, FreeRanks: "0-1", Pending: 5}); rec != want {
 		t.Fatalf("round record decoded %+v, want %+v", rec, want)
-	}
-}
-
-// TestReadLogReadsV1 pins the old format's reading: a v1 line comes back as
-// the record the v1 reader returned — its own wait and free-rank snapshot on
-// every line, skips included, and nothing derived.
-func TestReadLogReadsV1(t *testing.T) {
-	log := `{"e":"decision","v":"repro.decisions.v1","round":1,"t":0,"policy":"fifo","job":"sum-0","seq":0,"outcome":"admit","width":4,"wait":0,"free":16,"free_ranks":"0-15","ranks":"0-3"}
-{"e":"decision","v":"repro.decisions.v1","round":2,"t":1.5,"policy":"fifo","job":"hist-4","seq":4,"outcome":"skip","reason":"insufficient-ranks","blocked_by":"sum-0","blocked_seq":0,"width":4,"wait":0.25,"free":0,"free_ranks":""}
-{"e":"decision","v":"repro.decisions.v1","round":3,"t":2,"policy":"easy-backfill","job":"n-1","seq":5,"outcome":"skip","reason":"shadow-reservation","blocked_by":"hist-4","blocked_seq":4,"width":2,"wait":0.5,"free":2,"free_ranks":"4-5","shadow":9}
-`
-	got, err := ReadLog(strings.NewReader(log))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []Record{
-		{Round: 1, T: 0, Policy: "fifo", Job: "sum-0", Seq: 0, Outcome: Admit, BlockedBySeq: -1,
-			Width: 4, Free: 16, FreeRanks: "0-15", Ranks: "0-3"},
-		{Round: 2, T: 1.5, Policy: "fifo", Job: "hist-4", Seq: 4, Outcome: Skip, Reason: InsufficientRanks,
-			BlockedBy: "sum-0", BlockedBySeq: 0, Width: 4, Wait: 0.25},
-		{Round: 3, T: 2, Policy: "easy-backfill", Job: "n-1", Seq: 5, Outcome: Skip, Reason: ShadowReservation,
-			BlockedBy: "hist-4", BlockedBySeq: 4, Width: 2, Wait: 0.5, Free: 2, FreeRanks: "4-5", Shadow: 9},
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v1 log read as\n%+v\nwant\n%+v", got, want)
 	}
 }
 
@@ -245,11 +229,32 @@ func TestReadLogSkipsEventLines(t *testing.T) {
 	}
 }
 
-func TestReadLogRejectsWrongSchema(t *testing.T) {
-	line := `{"e":"decision","v":"repro.decisions.v999","round":1,"t":0,"policy":"fifo","job":"a","seq":0,"outcome":"admit","width":1,"wait":0,"free":1,"free_ranks":"0"}` + "\n"
-	if _, err := ReadLog(strings.NewReader(line)); err == nil {
-		t.Fatal("ReadLog accepted a wrong-schema decision line")
+// expectSchemaError checks that each line, read after one good line, is a
+// schema error naming line 2 and that no records come back.
+func expectSchemaError(t *testing.T, lines ...string) {
+	t.Helper()
+	good := string(AppendJSON(nil, sampleRecords()[0])) + "\n"
+	for _, line := range lines {
+		recs, err := ReadLog(strings.NewReader(good + line + "\n"))
+		if err == nil || recs != nil || !strings.Contains(err.Error(), "line 2") || !strings.Contains(err.Error(), "schema") {
+			t.Errorf("ReadLog on %s: %d records, error %v; want a schema error naming line 2", line, len(recs), err)
+		}
 	}
+}
+
+// TestReadLogRejectsWrongSchema: a decision line of a future schema is an
+// error naming its line.
+func TestReadLogRejectsWrongSchema(t *testing.T) {
+	expectSchemaError(t,
+		`{"e":"decision","v":"repro.decisions.v999","round":1,"t":0,"policy":"fifo","job":"a","seq":0,"outcome":"admit","width":1,"wait":0,"free":1,"free_ranks":"0"}`)
+}
+
+// TestReadLogRejectsV1: v1, which wrote a skip line per pending job per
+// round, is no longer read; its lines are schema errors like any other.
+func TestReadLogRejectsV1(t *testing.T) {
+	expectSchemaError(t,
+		`{"e":"decision","v":"repro.decisions.v1","round":1,"t":0,"policy":"fifo","job":"sum-0","seq":0,"outcome":"admit","width":4,"wait":0,"free":16,"free_ranks":"0-15","ranks":"0-3"}`,
+		`{"e":"decision","v":"repro.decisions.v1","round":2,"t":1.5,"policy":"fifo","job":"hist-4","seq":4,"outcome":"skip","reason":"insufficient-ranks","blocked_by":"sum-0","blocked_seq":0,"width":4,"wait":0.25,"free":0,"free_ranks":""}`)
 }
 
 // TestAttributeReadsBothForms: the one fold gives the held-skip stream and

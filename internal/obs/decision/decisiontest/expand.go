@@ -1,21 +1,16 @@
-// Package decisiontest is test support for the decision trace: the proof
-// that repro.decisions.v2, which writes a skip only when its cause changes,
-// lost nothing against repro.decisions.v1, which wrote one skip line per
-// pending job per round. Expand turns a v2 stream back into the v1 stream of
-// the same run, and AppendV1 is the v1 line writer as it stood when the v1
-// goldens were recorded, so Expand of a fresh run can be compared byte for
-// byte with logs the old scheduler wrote. Only _test files import it (the
-// oracles live in three test packages, which a _test file cannot serve).
+// Package decisiontest is the attribution oracle of the decision trace.
+// repro.decisions.v2 writes a skip only when a waiting job's cause changes;
+// Expand turns such a stream back into the records of a skip per pending job
+// per round, which is what the scheduler once wrote, and AttributeV1 is the
+// fold that read those. CheckFoldsAgree holds decision.Attribute to that
+// reference on any recorded stream. Only _test files import it (the oracles
+// live in three test packages, which a _test file cannot serve).
 package decisiontest
 
 import (
-	"bytes"
-	"encoding/json"
 	"fmt"
 	"reflect"
 	"sort"
-	"strconv"
-	"strings"
 
 	"repro/internal/obs/decision"
 )
@@ -26,7 +21,7 @@ type held struct {
 	live bool // false once the job has a terminal record
 }
 
-// Expand rewrites a v2 decision stream as v1 wrote the same run: terminal
+// Expand rewrites a v2 decision stream as a skip per pending job per round: terminal
 // records pass through, and every Round record becomes one skip record per
 // job whose latest record is a skip — the job's held cause, the round's time
 // and free-rank snapshot, wait = the round's T minus the skip's Submit — in
@@ -34,8 +29,8 @@ type held struct {
 // its pending queue in. It checks what the format promises on the way: a
 // skip belongs to the Round record before it, a job is not skipped after its
 // terminal record, and every round's Pending is the number of skips in force
-// once its changes are applied. emit receives v1 records (no Submit, no
-// Round records), valid during the call; write them with AppendV1.
+// once its changes are applied. emit receives the expanded records (no
+// Submit, no Round records), valid during the call.
 func Expand(recs []decision.Record, emit func(*decision.Record)) error {
 	var (
 		order []*held // first-skip order; dead entries dropped at each flush
@@ -108,62 +103,10 @@ func ExpandRecords(recs []decision.Record) ([]decision.Record, error) {
 	return out, err
 }
 
-// AppendV1 appends r as a repro.decisions.v1 line: the serializer the v1
-// goldens were written with, kept as it was (its own float and string
-// rendering, independent of internal/jsonl).
-func AppendV1(dst []byte, r decision.Record) []byte {
-	dfloat := func(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
-	dstr := func(s string) string {
-		b, _ := json.Marshal(s)
-		return string(b)
-	}
-	var b strings.Builder
-	b.WriteString(`{"e":"decision","v":` + dstr(decision.SchemaV1))
-	b.WriteString(`,"round":` + strconv.Itoa(r.Round))
-	b.WriteString(`,"t":` + dfloat(r.T))
-	b.WriteString(`,"policy":` + dstr(r.Policy))
-	b.WriteString(`,"job":` + dstr(r.Job))
-	b.WriteString(`,"seq":` + strconv.Itoa(r.Seq))
-	b.WriteString(`,"outcome":` + dstr(string(r.Outcome)))
-	if r.Reason != "" {
-		b.WriteString(`,"reason":` + dstr(string(r.Reason)))
-	}
-	if r.BlockedBySeq >= 0 && r.BlockedBy != "" {
-		b.WriteString(`,"blocked_by":` + dstr(r.BlockedBy))
-		b.WriteString(`,"blocked_seq":` + strconv.Itoa(r.BlockedBySeq))
-	}
-	b.WriteString(`,"width":` + strconv.Itoa(r.Width))
-	b.WriteString(`,"wait":` + dfloat(r.Wait))
-	b.WriteString(`,"free":` + strconv.Itoa(r.Free))
-	b.WriteString(`,"free_ranks":` + dstr(r.FreeRanks))
-	if r.Ranks != "" {
-		b.WriteString(`,"ranks":` + dstr(r.Ranks))
-	}
-	if r.Reason == decision.ShadowReservation || r.Reason == decision.Backfill {
-		b.WriteString(`,"shadow":` + dfloat(r.Shadow))
-	}
-	b.WriteString("}")
-	return append(dst, b.String()...)
-}
-
-// ExpandLog reads the decision lines of a v2 log (pure, or mixed with
-// events) and returns the v1 lines they expand to.
-func ExpandLog(log []byte) ([]byte, error) {
-	recs, err := decision.ReadLog(bytes.NewReader(log))
-	if err != nil {
-		return nil, err
-	}
-	var out []byte
-	err = Expand(recs, func(r *decision.Record) {
-		out = append(AppendV1(out, *r), '\n')
-	})
-	return out, err
-}
-
 // AttributeV1 is decision.Attribute as it stood while every pending job had
 // a skip record every round — no Round records, a record charges only its
-// own job — kept as the reference the one fold that now reads both forms is
-// held to: on a v1 stream the two must agree to the bit.
+// own job — kept as the reference the one fold is held to: on an expanded
+// stream the two must agree to the bit.
 func AttributeV1(recs []decision.Record) []decision.JobAttribution {
 	type segKey struct {
 		reason decision.Reason

@@ -10,8 +10,8 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/jsonl"
 	"repro/internal/obs/decision"
-	"repro/internal/obs/decision/decisiontest"
 )
 
 // wireRecord is the reflection reader's decode shape: what ReadLog
@@ -39,11 +39,18 @@ type wireRecord struct {
 	Pending      int     `json:"pending"`
 }
 
+// decodeLine reads one decision line into r, as ReadLog reads each line.
+func decodeLine(line []byte, r *decision.Record) error {
+	var d jsonl.Dec
+	d.Reset(line)
+	return decision.Decode(&d, r)
+}
+
 // oracleDecode reads one canonical decision line through encoding/json.
-func oracleDecode(line []byte) (decision.Record, string, error) {
+func oracleDecode(line []byte) (decision.Record, error) {
 	w := wireRecord{BlockedBySeq: -1}
 	if err := json.Unmarshal(line, &w); err != nil {
-		return decision.Record{}, "", err
+		return decision.Record{}, err
 	}
 	if w.BlockedBy == "" {
 		w.BlockedBySeq = -1
@@ -53,18 +60,18 @@ func oracleDecode(line []byte) (decision.Record, string, error) {
 		BlockedBy: w.BlockedBy, BlockedBySeq: w.BlockedBySeq, Width: w.Width, Wait: w.Wait,
 		Submit: w.Submit, Free: w.Free, FreeRanks: w.FreeRanks, Ranks: w.Ranks, Shadow: w.Shadow,
 		Pending: w.Pending}
-	if w.V == decision.Schema && rec.Outcome == decision.Skip {
-		rec.Wait = rec.T - rec.Submit // not on a v2 skip line: derived
+	if rec.Outcome == decision.Skip {
+		rec.Wait = rec.T - rec.Submit // not on a skip line: derived
 	}
-	return rec, w.V, nil
+	return rec, nil
 }
 
-// goldenLines returns the lines of the committed decision goldens, both
-// formats (the experiments package owns the files).
+// goldenLines returns the lines of the committed decision goldens, the quick
+// and the paper-scale run's (the experiments package owns the files).
 func goldenLines(t testing.TB) [][]byte {
 	t.Helper()
 	var out [][]byte
-	for _, name := range []string{"jobs_fifo_decisions.golden.jsonl", "jobs_fifo_decisions_v1.golden.jsonl"} {
+	for _, name := range []string{"jobs_fifo_decisions.golden.jsonl", "jobs_fifo_decisions_scale1.golden.jsonl"} {
 		f, err := os.Open(filepath.Join("..", "..", "experiments", "testdata", name))
 		if err != nil {
 			t.Fatal(err)
@@ -82,13 +89,13 @@ func goldenLines(t testing.TB) [][]byte {
 }
 
 // checkDecisionLine is the reader contract on one line: never panic; an
-// accepted line re-encodes (in its own format) to a canonical line that
+// accepted line re-encodes to a canonical line that
 // decodes to the same record; a line a writer of this repo emits — one that
 // is its own canonical form — reads to what the reflection reader returns;
 // and what encoding/json cannot parse is an error.
 func checkDecisionLine(t *testing.T, line []byte) {
 	var rec decision.Record
-	err := rec.UnmarshalJSON(line)
+	err := decodeLine(line, &rec)
 	if err != nil {
 		if recs, rerr := decision.ReadLog(bytes.NewReader(line)); decision.IsLine(line) && !bytes.Contains(line, []byte("\n")) &&
 			(rerr == nil || !strings.Contains(rerr.Error(), "line 1") || recs != nil) {
@@ -99,13 +106,10 @@ func checkDecisionLine(t *testing.T, line []byte) {
 	if !json.Valid(line) {
 		t.Fatalf("accepted a line encoding/json rejects: %q", line)
 	}
-	want, schema, oerr := oracleDecode(line)
+	want, oerr := oracleDecode(line)
 	canon := decision.AppendJSON(nil, rec)
-	if schema == decision.SchemaV1 {
-		canon = decisiontest.AppendV1(nil, rec)
-	}
 	var again decision.Record
-	if err := again.UnmarshalJSON(canon); err != nil || again != rec {
+	if err := decodeLine(canon, &again); err != nil || again != rec {
 		t.Fatalf("canonical form does not read back:\n line  %s\n canon %s\n first %+v\n again %+v (%v)", line, canon, rec, again, err)
 	}
 	if bytes.Equal(canon, line) && (oerr != nil || !reflect.DeepEqual(rec, want)) {
@@ -114,20 +118,16 @@ func checkDecisionLine(t *testing.T, line []byte) {
 }
 
 // TestGoldenLinesMatchOracle runs the contract over every committed decision
-// line of both formats, and requires each to be canonical (so the oracle
-// comparison is not vacuous).
+// line, and requires each to be canonical (so the oracle comparison is not
+// vacuous).
 func TestGoldenLinesMatchOracle(t *testing.T) {
 	for _, line := range goldenLines(t) {
 		checkDecisionLine(t, line)
 		var rec decision.Record
-		if err := rec.UnmarshalJSON(line); err != nil {
+		if err := decodeLine(line, &rec); err != nil {
 			t.Fatalf("%s: %v", line, err)
 		}
-		canon := decision.AppendJSON(nil, rec)
-		if bytes.Contains(line, []byte(decision.SchemaV1)) {
-			canon = decisiontest.AppendV1(nil, rec)
-		}
-		if !bytes.Equal(canon, line) {
+		if canon := decision.AppendJSON(nil, rec); !bytes.Equal(canon, line) {
 			t.Fatalf("golden line is not canonical:\n line  %s\n canon %s", line, canon)
 		}
 	}

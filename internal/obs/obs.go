@@ -63,9 +63,8 @@ type Tracer struct {
 	decSinks   []decision.Sink
 	pointSinks []PointSink
 
-	// Driven by the cluster at scheduler round boundaries (all optional;
-	// see live.go, slo.go, series.go).
-	live   *Live
+	// Driven by the cluster at scheduler round boundaries (both optional;
+	// see slo.go, series.go).
 	slo    *SLO
 	series *SeriesSink
 
@@ -124,24 +123,6 @@ func (t *Tracer) emit(e Event) {
 	}
 }
 
-// SetLive installs the live frame cell the owning runtime publishes
-// telemetry snapshots into (see live.go).
-func (t *Tracer) SetLive(l *Live) {
-	if t == nil {
-		return
-	}
-	t.live = l
-}
-
-// Live returns the installed live cell (nil on a nil tracer or when live
-// telemetry is disabled).
-func (t *Tracer) Live() *Live {
-	if t == nil {
-		return nil
-	}
-	return t.live
-}
-
 // SetSeries installs the time-series sink the owning runtime samples one
 // SeriesPoint into per scheduler round (see series.go). The sink streams
 // and retains nothing.
@@ -193,7 +174,7 @@ func (t *Tracer) SLOEngine() *SLO {
 // EnableDecisions turns on scheduler decision tracing: Decision() calls are
 // recorded (and mirrored into the sinks that read them) from now on. Off by
 // default so event logs only carry decision lines when explicitly asked for
-// (-explain / -serve).
+// (-explain).
 func (t *Tracer) EnableDecisions() {
 	if t == nil {
 		return
@@ -224,19 +205,6 @@ func (t *Tracer) Decisions() []decision.Record {
 		return nil
 	}
 	return t.decisions
-}
-
-// DecisionsSnapshot returns the decision stream recorded so far for
-// concurrent readers (live telemetry frames). The stream is append-only and
-// a recorded Record is never rewritten, so the snapshot is a view of the
-// tracer's own storage, capped at its length: publishing a frame copies
-// nothing, and later appends land beyond what the view can reach.
-func (t *Tracer) DecisionsSnapshot() []decision.Record {
-	if t == nil || len(t.decisions) == 0 {
-		return nil
-	}
-	n := len(t.decisions)
-	return t.decisions[:n:n]
 }
 
 // Metrics returns the tracer's registry (nil on a nil tracer; the registry's

@@ -220,8 +220,8 @@ func (r *Registry) GaugeValue(name string) (float64, bool) {
 }
 
 // FindHistogram looks up a histogram by name without creating it (nil when
-// absent), so read-only consumers (SLO rules, dashboards) never pollute the
-// registry with empty series.
+// absent), so read-only consumers (SLO rules) never pollute the registry with
+// empty series.
 func (r *Registry) FindHistogram(name string) *Histogram {
 	if r == nil {
 		return nil
@@ -242,38 +242,19 @@ func (r *Registry) kindOf(name string) string {
 	return ""
 }
 
-// Snapshot returns a deep copy of the registry: a consistent point-in-time
-// view that later updates to the live registry can never tear. The telemetry
-// plane publishes one per scheduler round; HTTP scrapes and dashboard frames
-// read only snapshots.
-func (r *Registry) Snapshot() *Registry {
-	if r == nil {
-		return nil
-	}
-	s := &Registry{labelCap: r.labelCap}
-	s.counters = snapshot(r.counters, s)
-	s.gauges = snapshot(r.gauges, s)
-	s.hists = snapshot(r.hists, s)
-	return s
+// eachSeries is Dump's walk: counters, then gauges, then histograms;
+// families sorted by name within a kind, plain and labeled in one namespace;
+// each family's series sorted by their canonical label rendering (a labeled
+// family nobody has called With on has none). m is a *Counter, *Gauge or
+// *Histogram and labels is "" for a plain metric.
+func (r *Registry) eachSeries(series func(kind, name, labels string, m any)) {
+	walkKind(r.counters, "counter", series)
+	walkKind(r.gauges, "gauge", series)
+	walkKind(r.hists, "histogram", series)
 }
 
-// eachSeries is the one walk both renderers share: counters, then gauges,
-// then histograms; families sorted by name within a kind, plain and labeled
-// in one namespace; each family's series sorted by their canonical label
-// rendering. family (optional) is called once per family before its series —
-// a labeled family nobody has called With on has none. m is a *Counter,
-// *Gauge or *Histogram and labels is "" for a plain metric.
-func (r *Registry) eachSeries(family func(kind, name string), series func(kind, name, labels string, m any)) {
-	walkKind(r.counters, "counter", family, series)
-	walkKind(r.gauges, "gauge", family, series)
-	walkKind(r.hists, "histogram", family, series)
-}
-
-func walkKind[M metric](fams map[string]*Vec[M], kind string, family func(kind, name string), series func(kind, name, labels string, m any)) {
+func walkKind[M metric](fams map[string]*Vec[M], kind string, series func(kind, name, labels string, m any)) {
 	for _, name := range sortedKeys(fams) {
-		if family != nil {
-			family(kind, name)
-		}
 		f := fams[name]
 		for _, lk := range sortedKeys(f.series) {
 			series(kind, name, lk, f.series[lk])
@@ -293,7 +274,7 @@ func (r *Registry) Dump() string {
 	}
 	var b strings.Builder
 	b.WriteString("# obs metrics dump (deterministic)\n")
-	r.eachSeries(nil, func(kind, name, labels string, m any) {
+	r.eachSeries(func(kind, name, labels string, m any) {
 		if labels != "" {
 			name += "{" + labels + "}"
 		}

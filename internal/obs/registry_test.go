@@ -103,33 +103,3 @@ func TestRegistryLookupAccessorsDoNotCreate(t *testing.T) {
 		t.Fatal("nil registry counter lookup")
 	}
 }
-
-func TestSnapshotIsIndependent(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("c").Add(1)
-	r.Gauge("g").Set(2)
-	r.Histogram("h", 1, 10).Observe(0.5)
-	s := r.Snapshot()
-
-	r.Counter("c").Add(10)
-	r.Gauge("g").Set(20)
-	r.Histogram("h").Observe(5)
-	r.Counter("new").Inc()
-
-	if v, _ := s.CounterValue("c"); v != 1 {
-		t.Fatalf("snapshot counter %g, want 1", v)
-	}
-	if v, _ := s.GaugeValue("g"); v != 2 {
-		t.Fatalf("snapshot gauge %g, want 2", v)
-	}
-	if n := s.FindHistogram("h").Count(); n != 1 {
-		t.Fatalf("snapshot histogram count %d, want 1", n)
-	}
-	if _, ok := s.CounterValue("new"); ok {
-		t.Fatal("series created after snapshot leaked in")
-	}
-	var nilR *Registry
-	if nilR.Snapshot() != nil {
-		t.Fatal("nil snapshot not nil")
-	}
-}

@@ -19,7 +19,7 @@ import (
 // SLORule is one declarative threshold. The zero value is invalid; build
 // rules with ParseSLORule (or the DefaultSLORules set).
 type SLORule struct {
-	// Name labels the rule in alerts and status lines.
+	// Name labels the rule in alerts and violation lines.
 	Name string
 	// Expr is the source text the rule was parsed from.
 	Expr string
@@ -220,24 +220,14 @@ func (v SLOViolation) String() string {
 		v.Rule.Name, v.Rule.Expr, fnum(v.Value), fnum(v.At))
 }
 
-// SLOStatus is one rule's state in a published telemetry frame.
-type SLOStatus struct {
-	Name  string  `json:"name"`
-	Expr  string  `json:"expr"`
-	OK    bool    `json:"ok"`       // false once fired
-	Valid bool    `json:"valid"`    // series existed at last evaluation
-	Value float64 `json:"value"`    // last evaluated value (0 if !Valid)
-	Bound float64 `json:"bound"`    // threshold
-	At    float64 `json:"fired_at"` // virtual fire time (0 while OK)
-}
-
-// SLO is the rule engine: a rule set plus the fired-state latch. Create with
-// NewSLO, install via Tracer.SetSLO; the owning runtime calls Eval at its
-// telemetry publish points.
+// SLO is the rule engine: a rule set plus the fired-state latch, one per
+// rule, so two rules that share a name (or an expression, which names an
+// unnamed rule) fire independently. Create with NewSLO, install via
+// Tracer.SetSLO; the owning runtime calls Eval at its telemetry publish
+// points.
 type SLO struct {
 	rules      []SLORule
-	fired      map[string]bool
-	last       map[string]SLOStatus
+	fired      []bool // by rule index
 	violations []SLOViolation
 }
 
@@ -246,7 +236,7 @@ func NewSLO(rules ...SLORule) *SLO {
 	if len(rules) == 0 {
 		rules = DefaultSLORules()
 	}
-	return &SLO{rules: rules, fired: make(map[string]bool), last: make(map[string]SLOStatus)}
+	return &SLO{rules: rules, fired: make([]bool, len(rules))}
 }
 
 // Rules returns the rule set.
@@ -267,37 +257,17 @@ func (s *SLO) Eval(t *Tracer, now float64) {
 	}
 	reg := t.Metrics()
 	for i := range s.rules {
+		if s.fired[i] {
+			continue
+		}
 		r := &s.rules[i]
-		v, ok := r.value(reg)
-		st := SLOStatus{Name: r.Name, Expr: r.Expr, OK: !s.fired[r.Name],
-			Valid: ok, Value: v, Bound: r.bound}
-		if prev, seen := s.last[r.Name]; seen && !prev.OK {
-			st = prev // latched: keep the firing picture, not the latest value
-		} else if ok && !r.holds(v) && !s.fired[r.Name] {
-			s.fired[r.Name] = true
+		if v, ok := r.value(reg); ok && !r.holds(v) {
+			s.fired[i] = true
 			s.violations = append(s.violations, SLOViolation{Rule: *r, Value: v, At: now})
-			st.OK, st.At = false, now
 			t.Alert(r.Name, now,
 				S("expr", r.Expr), F("value", v), F("threshold", r.bound))
 		}
-		s.last[r.Name] = st
 	}
-}
-
-// Status returns every rule's latest evaluation state, in rule order.
-func (s *SLO) Status() []SLOStatus {
-	if s == nil {
-		return nil
-	}
-	out := make([]SLOStatus, 0, len(s.rules))
-	for i := range s.rules {
-		if st, ok := s.last[s.rules[i].Name]; ok {
-			out = append(out, st)
-		} else {
-			out = append(out, SLOStatus{Name: s.rules[i].Name, Expr: s.rules[i].Expr, OK: true})
-		}
-	}
-	return out
 }
 
 // Violations returns the rules that fired, in firing order.

@@ -62,10 +62,6 @@ func TestSLOEvalFiresOnceAndLatches(t *testing.T) {
 	if len(s.Violations()) != 0 {
 		t.Fatalf("violated while holding: %+v", s.Violations())
 	}
-	st := s.Status()
-	if len(st) != 1 || !st[0].OK || !st[0].Valid || st[0].Value != 3 {
-		t.Fatalf("status %+v", st)
-	}
 
 	g.Set(9)
 	s.Eval(tr, 2.0) // fires
@@ -76,10 +72,6 @@ func TestSLOEvalFiresOnceAndLatches(t *testing.T) {
 	}
 	if !strings.Contains(v[0].String(), "depth") {
 		t.Fatalf("violation string %q", v[0])
-	}
-	st = s.Status()
-	if st[0].OK || st[0].At != 2.0 {
-		t.Fatalf("fired status %+v", st)
 	}
 	// Exactly one alert event, carrying expr/value/threshold attrs.
 	var alerts []Event
@@ -102,6 +94,8 @@ func TestSLOEvalFiresOnceAndLatches(t *testing.T) {
 
 func TestSLOSkipsMissingAndEmptySeries(t *testing.T) {
 	tr := New()
+	sink := &memSink{}
+	tr.AddSink(sink)
 	s := NewSLO(
 		MustParseSLORule("a=missing_metric<1"),
 		MustParseSLORule("b=p99(missing_hist)<1"),
@@ -114,9 +108,54 @@ func TestSLOSkipsMissingAndEmptySeries(t *testing.T) {
 	if n := len(s.Violations()); n != 0 {
 		t.Fatalf("%d violations on missing series", n)
 	}
-	for _, st := range s.Status() {
-		if st.Valid {
-			t.Fatalf("status %+v claims valid", st)
+	if len(sink.events) != 0 {
+		t.Fatalf("alerts on missing series: %+v", sink.events)
+	}
+}
+
+// TestSLORulesSharingANameLatchApart: the latch is per rule, not per name.
+// Two rules given one name, and two unnamed rules over one expression (which
+// ParseSLORule names by that expression), each fire when their own bound
+// breaks — at different evaluations here — and each is a violation and an
+// alert of its own.
+func TestSLORulesSharingANameLatchApart(t *testing.T) {
+	for _, pair := range [][2]string{
+		{"depth=cluster_queue_depth_max<10", "depth=cluster_queue_depth_max<5"},
+		{"p99(cluster_queue_wait_seconds)<2", "p99(cluster_queue_wait_seconds)<0.5"},
+	} {
+		tr := New()
+		sink := &memSink{}
+		tr.AddSink(sink)
+		loose, tight := MustParseSLORule(pair[0]), MustParseSLORule(pair[1])
+		if loose.Name != tight.Name {
+			t.Fatalf("%q and %q are named %q and %q, want one name", pair[0], pair[1], loose.Name, tight.Name)
+		}
+		s := NewSLO(loose, tight)
+		tr.SetSLO(s)
+		g := tr.Metrics().Gauge("cluster_queue_depth_max")
+		h := tr.Metrics().Histogram("cluster_queue_wait_seconds", 0.5, 1, 2, 4)
+		g.Set(7) // breaks only the tight depth bound
+		h.Observe(0.75)
+		s.Eval(tr, 1)
+		g.Set(12) // now the loose one too
+		for i := 0; i < 10; i++ {
+			h.Observe(3)
+		}
+		s.Eval(tr, 2)
+		s.Eval(tr, 3)
+		v := s.Violations()
+		if len(v) != 2 || v[0].Rule.Expr != pair[1] || v[0].At != 1 || v[1].Rule.Expr != pair[0] || v[1].At != 2 {
+			t.Fatalf("%s: violations %+v, want the tight rule at t=1, then the loose one at t=2", pair[0], v)
+		}
+		var alerts []string
+		for _, e := range sink.events {
+			if e.E == "alert" {
+				alerts = append(alerts, e.Name+"@"+fnum(e.T)+" "+e.Attrs[0].Val)
+			}
+		}
+		want := []string{loose.Name + "@1 " + pair[1], loose.Name + "@2 " + pair[0]}
+		if strings.Join(alerts, "|") != strings.Join(want, "|") {
+			t.Fatalf("alerts %q, want %q", alerts, want)
 		}
 	}
 }
@@ -169,7 +208,7 @@ func TestDefaultSLORulesHoldOnHealthyRun(t *testing.T) {
 func TestSLONilEngineIsSafe(t *testing.T) {
 	var s *SLO
 	s.Eval(New(), 1)
-	if s.Status() != nil || s.Violations() != nil || s.Rules() != nil {
+	if s.Violations() != nil || s.Rules() != nil {
 		t.Fatal("nil engine returned data")
 	}
 }
@@ -181,5 +220,22 @@ func TestSpreadNeedsNonZeroMedian(t *testing.T) {
 	r := MustParseSLORule("spread(h)<100")
 	if v, ok := r.value(tr.Metrics()); !ok || math.IsNaN(v) {
 		t.Fatalf("spread on single-sample histogram: %g %v", v, ok)
+	}
+}
+
+func TestTracerTelemetryAccessors(t *testing.T) {
+	var nilT *Tracer
+	nilT.AddSink(&memSink{})
+	nilT.SetSLO(NewSLO())
+	nilT.SetSeries(NewSeriesSink(&strings.Builder{}))
+	if nilT.SLOEngine() != nil || nilT.Series() != nil {
+		t.Fatal("nil tracer returned telemetry components")
+	}
+	tr := New()
+	s, ser := NewSLO(), NewSeriesSink(&strings.Builder{})
+	tr.SetSLO(s)
+	tr.SetSeries(ser)
+	if tr.SLOEngine() != s || tr.Series() != ser {
+		t.Fatal("accessors do not round-trip")
 	}
 }

@@ -19,9 +19,8 @@ type metric interface{ Counter | Gauge | Histogram }
 //
 //   - Deterministic rendering. Label keys are sorted once at family creation
 //     and every series is keyed by its canonical `k1="v1",k2="v2"` rendering,
-//     so Dump/WriteOpenMetrics output is a pure function of the recorded
-//     values — byte-identical across identical runs regardless of With()
-//     call order.
+//     so Dump's output is a pure function of the recorded values —
+//     byte-identical across identical runs regardless of With() call order.
 //   - Hard cardinality cap. A registry-wide per-family cap (SetLabelCap,
 //     default DefaultLabelCap) bounds the series count; once a family is
 //     full, With() for a NEW label set returns a nil handle (whose methods
@@ -111,8 +110,8 @@ func (s *keyPermSort) Swap(i, j int) {
 	s.perm[i], s.perm[j] = s.perm[j], s.perm[i]
 }
 
-// escapeLabelValue escapes a label value per the Prometheus text exposition
-// rules: backslash, double quote, and newline.
+// escapeLabelValue escapes a label value as the Prometheus text format does:
+// backslash, double quote, and newline.
 func escapeLabelValue(v string) string {
 	if !strings.ContainsAny(v, "\\\"\n") {
 		return v
@@ -206,25 +205,6 @@ func find[M metric](fams map[string]*Vec[M], name string, labeled bool, values [
 		return nil
 	}
 	return f.series[f.labelKey(values)]
-}
-
-// snapshot deep-copies one kind's families into the registry into.
-func snapshot[M metric](fams map[string]*Vec[M], into *Registry) map[string]*Vec[M] {
-	out := make(map[string]*Vec[M], len(fams))
-	for name, f := range fams {
-		cp := *f
-		cp.reg = into
-		cp.series = make(map[string]*M, len(f.series))
-		for lk, m := range f.series {
-			c := *m
-			if h, ok := any(&c).(*Histogram); ok {
-				h.counts = append([]int64(nil), h.counts...) // bounds are fixed at creation, safe to share
-			}
-			cp.series[lk] = &c
-		}
-		out[name] = &cp
-	}
-	return out
 }
 
 // CounterVec returns the named labeled counter family, creating it on first

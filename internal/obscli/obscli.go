@@ -1,16 +1,17 @@
 // Package obscli wires the telemetry plane (internal/obs) into a CLI: it
-// registers the shared flag set (-trace, -metrics, -events, -series, -serve,
-// -dash, -slo, -slo-strict, -explain, -report), attaches the requested sinks
-// to a tracer before the run, and tears them down — writing the Perfetto
-// trace and the metrics dump, flushing the event and series logs, rendering
-// the final dashboard frame, reporting SLO violations, printing the per-job
-// wait attribution, rendering the run report — after it. Both ccexp and
-// ccrun use it, so the two commands expose identical telemetry surfaces.
+// registers the shared flag set (-trace, -metrics, -events, -series, -slo,
+// -slo-strict, -explain, -report), attaches the requested sinks to a tracer
+// before the run, and tears them down — writing the Perfetto trace and the
+// metrics dump, flushing the event and series logs, reporting SLO
+// violations, printing the per-job wait attribution, rendering the run
+// report — after it. Both ccexp and ccrun use it, so the two commands expose
+// identical telemetry surfaces. Every observation is a file written as the
+// run goes or when it ends; nothing is served while it runs.
 //
-// The tracer keeps nothing but decision records (when -explain or -serve
-// reads them). Each output is a sink of its own: -events streams to disk,
-// -trace attaches the Perfetto export, the one holder of the run's spans,
-// and -report attaches report's fold, which folds the run as it is emitted:
+// The tracer keeps nothing but decision records (when -explain reads them).
+// Each output is a sink of its own: -events streams to disk, -trace
+// attaches the Perfetto export, the one holder of the run's spans, and
+// -report attaches report's fold, which folds the run as it is emitted:
 // the report reads no log back, and is byte-identical to what `ccexp report
 // -in` renders from the logs. So -events alone logs a run of any length in
 // bounded memory, no output depends on which others are attached, and every
@@ -21,10 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
-	"time"
 
 	"repro/internal/obs"
 	"repro/internal/obs/decision"
@@ -49,8 +47,6 @@ type Flags struct {
 	Metrics string
 	Events  string
 	Series  string
-	Serve   string
-	Dash    bool
 	Rules   RuleList
 	Strict  bool
 	Explain bool
@@ -67,24 +63,20 @@ func (f *Flags) Register(fl *flag.FlagSet) {
 		"write the structured JSONL event log here (byte-identical across identical runs)")
 	fl.StringVar(&f.Series, "series", "",
 		"write the round-aligned repro.series.v1 time-series log here (queue depth, ranks busy, per-OST utilization, per-class wait quantiles; byte-identical across identical runs)")
-	fl.StringVar(&f.Serve, "serve", "",
-		"serve live telemetry (/metrics, /healthz, /jobs) on this address, e.g. :9090; keeps serving after the run until interrupted")
-	fl.BoolVar(&f.Dash, "dash", false,
-		"render a live terminal dashboard to stderr while the run is in flight")
 	fl.Var(&f.Rules, "slo",
 		"SLO rule \"[name=]expr OP bound\" (repeatable; see internal/obs — with -slo-strict alone, the default rule set applies)")
 	fl.BoolVar(&f.Strict, "slo-strict", false,
 		"evaluate SLO rules during the run and exit nonzero if any fired")
 	fl.BoolVar(&f.Explain, "explain", false,
-		"record scheduler decision traces (repro.decisions.v2: admissions, drops, memo service, and a skip whenever a waiting job's cause changes; written into -events and served at /decisions) and print the per-job wait attribution after the run")
+		"record scheduler decision traces (repro.decisions.v2: admissions, drops, memo service, and a skip whenever a waiting job's cause changes; written into -events) and print the per-job wait attribution after the run")
 	fl.StringVar(&f.Report, "report", "",
-		"after the run, write the run report (makespan attribution, per-tenant SLO table, slow-job blame, OST heat) into this file, folded as the run emits it; byte-identical to what \"ccexp report -in\" renders from the -events log (and -series, when set); needs -events")
+		"after the run, write the run report (fired SLO alerts, makespan attribution, per-tenant SLO table, slow-job blame, OST heat) into this file, folded as the run emits it; byte-identical to what \"ccexp report -in\" renders from the -events log (and -series, when set); needs -events")
 }
 
 // Any reports whether any telemetry flag was set — the signal to install an
 // obs.Tracer.
 func (f *Flags) Any() bool {
-	return f.Trace != "" || f.Metrics != "" || f.Events != "" || f.Series != "" || f.Serve != "" || f.Dash ||
+	return f.Trace != "" || f.Metrics != "" || f.Events != "" || f.Series != "" ||
 		len(f.Rules) > 0 || f.Strict || f.Explain || f.Report != ""
 }
 
@@ -97,11 +89,6 @@ func (f *Flags) Validate() error {
 	return nil
 }
 
-// dashInterval is the wall-clock dashboard refresh period. Refreshes are
-// wall-clock (the virtual clock is owned by the run), which is fine: the
-// dashboard only reads published frames, never influences the run.
-const dashInterval = 250 * time.Millisecond
-
 // Plane is the attached telemetry plane of one run. Create with
 // Flags.Attach, call Finish exactly once after the run.
 type Plane struct {
@@ -111,19 +98,14 @@ type Plane struct {
 	series     *obs.SeriesSink
 	seriesFile *os.File
 	fold       *report.Data // -report's fold, fed as the run emits
-	live       *obs.Live
 	slo        *obs.SLO
-	ln         net.Listener
-	dashStop   chan struct{}
-	dashDone   chan struct{}
 	stderr     io.Writer
 	ot         *obs.Tracer
 	f          Flags // what was asked for
 }
 
-// Attach installs the requested telemetry components on ot and starts the
-// background consumers (HTTP server, dashboard ticker). On error everything
-// already opened is torn down.
+// Attach installs the requested telemetry components on ot. On error every
+// file already opened is closed.
 func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 	p := &Plane{stderr: stderr, ot: ot, f: *f}
 	if err := f.Validate(); err != nil {
@@ -133,8 +115,7 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.chrome = obs.NewChromeTrace()
 		ot.AddSink(p.chrome)
 	}
-	if f.Explain || f.Serve != "" {
-		// -serve exposes /decisions, so the live endpoint implies recording.
+	if f.Explain {
 		ot.EnableDecisions()
 	}
 	fail := func(err error) (*Plane, error) {
@@ -143,9 +124,6 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		}
 		if p.seriesFile != nil {
 			p.seriesFile.Close()
-		}
-		if p.ln != nil {
-			p.ln.Close()
 		}
 		return nil, err
 	}
@@ -186,56 +164,19 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.slo = obs.NewSLO(rules...)
 		ot.SetSLO(p.slo)
 	}
-	if f.Serve != "" || f.Dash {
-		p.live = obs.NewLive()
-		ot.SetLive(p.live)
-	}
-	if f.Serve != "" {
-		ln, err := net.Listen("tcp", f.Serve)
-		if err != nil {
-			return fail(err)
-		}
-		p.ln = ln
-		go http.Serve(ln, obs.TelemetryHandler(p.live))
-		fmt.Fprintf(stderr, "(telemetry: serving /metrics /healthz /jobs on http://%s)\n", ln.Addr())
-	}
-	if f.Dash {
-		p.dashStop = make(chan struct{})
-		p.dashDone = make(chan struct{})
-		go func() {
-			defer close(p.dashDone)
-			tick := time.NewTicker(dashInterval)
-			defer tick.Stop()
-			for {
-				select {
-				case <-p.dashStop:
-					return
-				case <-tick.C:
-					// Clear + home so the dashboard redraws in place.
-					fmt.Fprint(stderr, "\033[H\033[2J"+obs.RenderDashboard(p.live))
-				}
-			}
-		}()
-	}
 	return p, nil
 }
 
 // Finish tears the plane down after the run: writes the -trace and -metrics
-// files, stops the dashboard (rendering the final frame once more, plainly),
-// flushes and closes the event and series logs, writes the -report file from
-// its fold (nothing is read back), and prints SLO violations to stderr. It
-// returns the violations — the caller decides what -slo-strict means for its
-// exit code — and the first write error.
+// files, flushes and closes the event and series logs, writes the -report
+// file from its fold (nothing is read back), and prints SLO violations to
+// stderr. It returns the violations — the caller decides what -slo-strict
+// means for its exit code — and the first write error.
 func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	if p == nil {
 		return nil, nil
 	}
 	err := p.writeTraceAndMetrics()
-	if p.dashStop != nil {
-		close(p.dashStop)
-		<-p.dashDone
-		fmt.Fprint(p.stderr, obs.RenderDashboard(p.live))
-	}
 	if p.sink != nil {
 		serr := p.sink.Close()
 		if cerr := p.eventsFile.Close(); serr == nil {
@@ -309,14 +250,4 @@ func (p *Plane) writeReport() error {
 		fmt.Fprintf(p.stderr, "(report: written to %s)\n", p.f.Report)
 	}
 	return err
-}
-
-// ServeForever blocks when -serve was given, so the final frame stays
-// scrapeable until the process is interrupted. A no-op otherwise.
-func (p *Plane) ServeForever() {
-	if p == nil || p.ln == nil {
-		return
-	}
-	fmt.Fprintf(p.stderr, "(telemetry: run complete; still serving on http://%s — interrupt to exit)\n", p.ln.Addr())
-	select {}
 }

@@ -33,11 +33,10 @@ func TestValidate(t *testing.T) {
 		{"report composes with stream", Flags{Events: "ev.jsonl", Report: "rep.txt", Series: "se.jsonl"}, ""},
 		{"metrics composes with stream", Flags{Events: "ev.jsonl", Metrics: "m.txt"}, ""},
 		{"stream vs explain", Flags{Events: "ev.jsonl", Explain: true}, ""},
-		{"stream vs serve", Flags{Events: "ev.jsonl", Serve: ":0"}, ""},
 		{"stream vs trace", Flags{Events: "ev.jsonl", Trace: "t.json"}, ""},
 		{"trace and metrics", Flags{Trace: "t.json", Metrics: "m.txt"}, ""},
 		{"everything at once", Flags{Events: "ev.jsonl", Series: "se.jsonl", Report: "rep.txt", Trace: "t.json",
-			Metrics: "m.txt", Explain: true, Serve: ":0", Dash: true, Strict: true}, ""},
+			Metrics: "m.txt", Explain: true, Strict: true}, ""},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -109,8 +108,9 @@ func drive(ot *obs.Tracer, jobs int) {
 }
 
 // TestRetentionFollowsTheReader: the tracer keeps nothing but the decision
-// records -explain reads; each output is its own sink, so no file's bytes
-// depend on which other outputs were asked for.
+// records -explain reads, and records them for -explain only; each output is
+// its own sink, so no file's bytes depend on which other outputs were asked
+// for.
 func TestRetentionFollowsTheReader(t *testing.T) {
 	const jobs = 5
 	run := func(f Flags) (*obs.Tracer, string) {
@@ -145,6 +145,14 @@ func TestRetentionFollowsTheReader(t *testing.T) {
 	}
 	if len(ot.Decisions()) != 0 {
 		t.Errorf("-events alone recorded %d decisions: decision tracing was not asked for", len(ot.Decisions()))
+	}
+
+	// Every output but -explain at once: still no decision record.
+	ot, _ = run(Flags{Events: filepath.Join(dir, "all.jsonl"), Series: filepath.Join(dir, "all.series.jsonl"),
+		Report: filepath.Join(dir, "all.txt"), Trace: filepath.Join(dir, "all.json"),
+		Metrics: filepath.Join(dir, "all.metrics.txt"), Strict: true})
+	if len(ot.Decisions()) != 0 {
+		t.Errorf("every output but -explain recorded %d decisions", len(ot.Decisions()))
 	}
 
 	// -trace with and without -events: the same export, and the same log as

@@ -72,9 +72,9 @@ func checkLoad(t *testing.T, log []byte) {
 	}
 }
 
-// seedLogs are whole event logs: the synthetic one, and the jobs
-// experiment's golden event log with the decision goldens of both formats
-// appended.
+// seedLogs are whole event logs: the jobs experiment's golden event log with
+// the decision golden of the quick run appended, and with the paper-scale
+// run's (a longer stream, with more held skips) appended.
 func seedLogs(t testing.TB) [][]byte {
 	t.Helper()
 	read := func(name string) []byte {
@@ -87,7 +87,7 @@ func seedLogs(t testing.TB) [][]byte {
 	events := read("jobs_fifo_events.golden.jsonl")
 	return [][]byte{
 		append(bytes.Clone(events), read("jobs_fifo_decisions.golden.jsonl")...),
-		append(bytes.Clone(events), read("jobs_fifo_decisions_v1.golden.jsonl")...),
+		append(bytes.Clone(events), read("jobs_fifo_decisions_scale1.golden.jsonl")...),
 	}
 }
 

@@ -3,8 +3,9 @@
 // interleaved by -explain) and the optional round-aligned time series
 // (repro.series.v1) — and renders a deterministic post-mortem: makespan
 // attribution across the machine's layers, a per-tenant/per-class SLO
-// attainment table, the top-K slowest-queued jobs with their decision-trace
-// blame sentences, per-OST heat strips, and a machine-readable JSON summary.
+// attainment table, the SLO alerts that fired, the top-K slowest-queued jobs
+// with their decision-trace blame sentences, per-OST heat strips, and a
+// machine-readable JSON summary.
 // The report is a pure function of the records: two byte-identical logs
 // render byte-identical reports, so nightly CI can diff reports the way it
 // diffs traces.
@@ -25,6 +26,7 @@ import (
 	"path/filepath"
 	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"repro/internal/asciichart"
@@ -44,7 +46,7 @@ type Data struct {
 
 	nEvents  int // events folded
 	makespan float64
-	alerts   int
+	alerts   []alert
 	phases   Phases
 	jobs     map[int]*job      // tid -> submission
 	tids     []int             // first-appearance order
@@ -216,6 +218,14 @@ type Summary struct {
 	Alerts       int         `json:"alerts"`
 }
 
+// alert is one SLO rule firing, as its alert event records it: the rule's
+// name, the virtual time of the evaluation that fired, the rule's source text
+// and the value that broke it.
+type alert struct {
+	name, expr, value string
+	t                 float64
+}
+
 // SummarySchema versions the JSON summary's shape.
 const SummarySchema = "repro.report.v1"
 
@@ -224,6 +234,7 @@ type Report struct {
 	Summary Summary
 	series  []obs.SeriesPoint
 	src     string // base name of the event log: the report's bytes do not depend on where it lay
+	alerts  []alert
 	nEvents int
 	nDecs   int
 }
@@ -328,7 +339,8 @@ func (d *Data) add(ev *obs.Event) {
 			d.jobAt(ev.TID).dropped = true
 		}
 	case "alert":
-		d.alerts++
+		d.alerts = append(d.alerts, alert{name: ev.Name, t: ev.T,
+			expr: attr(ev, "expr"), value: attr(ev, "value")})
 	}
 }
 
@@ -341,7 +353,7 @@ func Build(d *Data, topK int) *Report {
 	}
 	r := &Report{
 		src: filepath.Base(d.EventsPath), nEvents: d.nEvents, nDecs: d.dec.Records(),
-		series: d.Series,
+		series: d.Series, alerts: d.alerts,
 	}
 
 	// Per-(tenant, class) rollup, sorted by tenant then class. Submissions
@@ -350,7 +362,7 @@ func Build(d *Data, topK int) *Report {
 	rows := map[string]*TenantRow{}
 	var keys []string
 	s := Summary{Schema: SummarySchema, Makespan: d.makespan, Phases: d.phases,
-		SeriesPoints: len(d.Series), Alerts: d.alerts}
+		SeriesPoints: len(d.Series), Alerts: len(d.alerts)}
 	for _, tid := range d.tids {
 		j := d.jobs[tid]
 		tn, cl := j.tenant, j.class
@@ -433,6 +445,10 @@ func (r *Report) WriteText(w io.Writer) error {
 	fmt.Fprintf(&b, "== run report: %s ==\n", r.src)
 	fmt.Fprintf(&b, "events: %d   decisions: %d   series points: %d   alerts: %d\n",
 		r.nEvents, r.nDecs, s.SeriesPoints, s.Alerts)
+	for _, a := range r.alerts {
+		fmt.Fprintf(&b, "alert %s at t=%ss: %s is %s\n",
+			a.name, strconv.FormatFloat(a.t, 'g', -1, 64), a.expr, a.value)
+	}
 	fmt.Fprintf(&b, "\n-- makespan attribution --\n")
 	fmt.Fprintf(&b, "makespan %.4f s   jobs %d (%d completed, %d dropped, %d deadline misses)\n",
 		s.Makespan, s.Jobs, s.Completed, s.Dropped, s.Misses)

@@ -60,7 +60,8 @@ func writeSyntheticLogsWith(t *testing.T, explain bool) (eventsPath, seriesPath 
 		Attrs: []obs.Attr{obs.S("job", "gamma-2"), obs.S("tenant", "zeta"), obs.S("class", "batch")}})
 	line(obs.Event{E: "instant", T: 4, PID: 0, TID: 2, Name: "deadline-drop", Cat: "sched",
 		Attrs: []obs.Attr{obs.S("job", "gamma-2")}})
-	line(obs.Event{E: "alert", T: 5, Name: "queue_depth_high"})
+	line(obs.Event{E: "alert", T: 5, Name: "queue_depth_high", Attrs: []obs.Attr{
+		obs.S("expr", "queue_depth_high=cluster_queue_depth<2"), obs.F("value", 2.5), obs.F("threshold", 2)}})
 	// Interleaved decision records, as -explain writes them: a round that
 	// leaves jobs pending closes with a round record and the skips whose
 	// cause changed; gamma-2's skip holds through round 2.
@@ -198,6 +199,11 @@ func TestReportTextDeterministicAndComplete(t *testing.T) {
 		if !strings.Contains(a, want) {
 			t.Fatalf("report text missing %q:\n%s", want, a)
 		}
+	}
+	// The alert, named with its time, rule and value, right after the header.
+	if lines := strings.Split(a, "\n"); len(lines) < 3 ||
+		lines[2] != "alert queue_depth_high at t=5s: queue_depth_high=cluster_queue_depth<2 is 2.5" {
+		t.Fatalf("report does not list the alert after its header:\n%s", a)
 	}
 }
 
