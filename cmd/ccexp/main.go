@@ -85,15 +85,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 	scale := fl.Float64("scale", 0.1, "data-volume scale relative to the paper (1.0 = full)")
 	quick := fl.Bool("quick", false, "shrink process counts too (smoke test)")
 	memo := fl.Bool("memo", false, "enable the cluster result cache + read coalescer on experiment machines (multiuser measures both settings itself)")
-	policy := fl.String("policy", "", "cluster scheduling policy for the queued-workload experiments: "+policyList()+" (\"\" = fifo; sched-policies sweeps all)")
+	policy := fl.String("policy", "", "cluster scheduling policy for the queued-workload experiments: "+strings.Join(cluster.PolicyNames(), "|")+" (\"\" = fifo; sched-policies sweeps all)")
 	explainJob := fl.Int("job", -1, "explain experiment: submission index of the job to attribute (-1 = the longest-waiting job)")
 	explainK := fl.String("k", "", "explain experiment: comma-separated policy set to replay under; first entry is the factual policy (\"\" = fifo,easy-backfill)")
 	wlSpec := fl.String("workload", "", "workload experiment: generation overrides as \"jobs=50000,rate=2,rates=0.5;1;2,horizon=600,seed=7,policy=priority\"")
 	wlOut := fl.String("trace-out", "", "workload experiment: record the generated stream as a repro.workload.v1 trace here (single base-rate run)")
 	wlIn := fl.String("trace-in", "", "workload experiment: replay this repro.workload.v1 trace instead of generating (single run)")
-	repIn := fl.String("in", "", "report experiment: analyze this recorded repro.events.v1 log (\"\" = record and report a self-demo run)")
+	repIn := fl.String("in", "", "report experiment: analyze this recorded repro.events.v1 log (\"\" = report on a self-demo run, folded as it runs)")
 	repSeries := fl.String("series-in", "", "report experiment: also read this repro.series.v1 time-series log")
-	repTopK := fl.Int("topk", 0, "report experiment: size of the slowest-queued-jobs table (0 = 5)")
 	var tele obscli.Flags
 	tele.Register(fl)
 	fl.Lookup("trace").Usage = "write Chrome trace-event JSON (Perfetto) here; needs exactly one experiment"
@@ -131,14 +130,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fl.Usage()
 		return 2
 	}
-	if *policy != "" && !knownPolicy(*policy) {
-		fmt.Fprintf(stderr, "ccexp: unknown -policy %q (have %s)\n", *policy, policyList())
+	if err := cluster.CheckPolicy(*policy); err != nil {
+		fmt.Fprintf(stderr, "ccexp: -policy: %v\n", err)
 		return 2
 	}
 	cfg := experiments.Config{Scale: *scale, Quick: *quick, Memo: *memo, Policy: *policy,
 		ExplainJob: *explainJob, ExplainPolicies: *explainK,
 		WorkloadSpec: *wlSpec, WorkloadTraceOut: *wlOut, WorkloadTraceIn: *wlIn,
-		ReportIn: *repIn, ReportSeriesIn: *repSeries, ReportTopK: *repTopK}
+		ReportIn: *repIn, ReportSeriesIn: *repSeries}
 
 	var runners []experiments.Runner
 	for _, a := range rest {
@@ -210,17 +209,4 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
-}
-
-// policyList renders the registered scheduling policies for flag help.
-func policyList() string { return strings.Join(cluster.PolicyNames(), "|") }
-
-// knownPolicy reports whether name is a registered scheduling policy.
-func knownPolicy(name string) bool {
-	for _, p := range cluster.PolicyNames() {
-		if p == name {
-			return true
-		}
-	}
-	return false
 }

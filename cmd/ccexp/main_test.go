@@ -55,8 +55,9 @@ func TestBadFlag(t *testing.T) {
 // TestDeletedFlagsAreParseErrors: -stream (what the tracer keeps follows from
 // what reads it), -experiment (positional arguments name experiments), the
 // metrics-directory flag (the printed tables are the numbers; goldens pin
-// them), and -serve and -dash (every observation is a recorded artifact) are
-// gone, not ignored. The metrics-directory flag is spelled in two halves so
+// them), -serve and -dash (every observation is a recorded artifact), and
+// -topk (the report's slowest-jobs table has one size) are gone, not
+// ignored. The metrics-directory flag is spelled in two halves so
 // that a grep for it over the tree comes back empty.
 func TestDeletedFlagsAreParseErrors(t *testing.T) {
 	for _, args := range [][]string{
@@ -66,6 +67,7 @@ func TestDeletedFlagsAreParseErrors(t *testing.T) {
 		{"-bench" + "-dir", t.TempDir(), "table1"},
 		{"-quick", "-serve", ":0", "jobs"},
 		{"-quick", "-dash", "jobs"},
+		{"-topk", "3", "report"},
 	} {
 		code, out, errb := runCmd(args...)
 		if code != 2 || out != "" || !strings.Contains(errb, "flag provided but not defined") {
@@ -470,6 +472,31 @@ func TestWorkloadTraceGolden(t *testing.T) {
 	}
 	if replayed != recorded {
 		t.Fatalf("replaying the golden prints differently from the recording run:\n--- recorded\n%s\n--- replayed\n%s", recorded, replayed)
+	}
+}
+
+// TestTraceInRejectsHostileTrace: a replayed trace whose job the machine
+// cannot run — an undeclared dataset, a width beyond the machine — exits 1
+// with the job's line on stderr instead of panicking inside the cluster.
+func TestTraceInRejectsHostileTrace(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "workload_trace.golden.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Job 0, on line 7, is the first line naming a dataset with "ds" and
+	// the first carrying "ranks":2.
+	for _, c := range []struct{ from, to, want string }{
+		{`"ds":"climate-a"`, `"ds":"nosuch"`, `line 7: job "urgent-000000": dataset "nosuch" not declared`},
+		{`"ranks":2,`, `"ranks":100000,`, `line 7: job "urgent-000000": 100000 ranks on a 8-rank machine`},
+	} {
+		path := filepath.Join(t.TempDir(), "hostile.wl.jsonl")
+		if err := os.WriteFile(path, []byte(strings.Replace(string(golden), c.from, c.to, 1)), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		code, out, errb := runCmd("-quick", "-trace-in", path, "workload")
+		if code != 1 || !strings.Contains(errb, c.want) || out != "" {
+			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.to, code, out, errb, c.want)
+		}
 	}
 }
 

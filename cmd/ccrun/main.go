@@ -24,11 +24,9 @@
 // storage). The queued path covers the cc and traditional modes; it has no
 // independent mode and manages pipelining and mitigation itself.
 //
-// -trace-out records the queued path's submission stream as a versioned
-// repro.workload.v1 trace (see internal/workload), and -trace-in replays
-// any such trace — recorded here or generated by `ccexp workload` — through
-// the cluster scheduler, reconstructing the machine and datasets from the
-// trace's own headers and reporting per-SLO-class queue-wait quantiles.
+// ccrun runs one job per invocation; streams of jobs belong to `ccexp
+// workload`, which generates, records (-trace-out) and replays (-trace-in)
+// repro.workload.v1 traces.
 //
 // -trace writes a Chrome trace-event JSON file of the run's span hierarchy
 // (scheduler, cc phases, adio iterations, pfs requests, mpi messages) for
@@ -60,7 +58,6 @@ import (
 	"repro/internal/obscli"
 	"repro/internal/pfs"
 	"repro/internal/prof"
-	"repro/internal/workload"
 	"repro/internal/wrf"
 )
 
@@ -104,10 +101,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		readRetries = fl.Int("read-retries", 4, "retry budget per OST request")
 		readBackoff = fl.Float64("read-backoff", 0, "extra wait per reissue (s)")
 		rebalRounds = fl.Int("rebalance-rounds", 0, "split the read into rounds, replanning domains around flagged-slow OSTs; 0|1 = off")
-
-		// Workload traces (see internal/workload).
-		wlOut = fl.String("trace-out", "", "record the queued path's submission stream as a repro.workload.v1 trace here (climate workload, cc mode, default -cb)")
-		wlIn  = fl.String("trace-in", "", "replay a repro.workload.v1 workload trace through the cluster scheduler and exit (workload/op/region flags are ignored)")
 	)
 	var tele obscli.Flags
 	tele.Register(fl)
@@ -132,6 +125,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *steps < int64(*procs) && *ny < int64(*procs) {
 		return fail("need steps or ny >= procs to split the domain")
+	}
+	if err := cluster.CheckPolicy(*policy); err != nil {
+		return fail("-policy: %v", err)
 	}
 
 	// finishRun ends either path: tear down the telemetry plane (which writes
@@ -158,49 +154,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	if plane, err = tele.Attach(ot, stderr); err != nil {
 		return fail("%v", err)
-	}
-	if *policy != "" {
-		known := false
-		for _, p := range cluster.PolicyNames() {
-			known = known || p == *policy
-		}
-		if !known {
-			return fail("unknown -policy %q (have %v)", *policy, cluster.PolicyNames())
-		}
-	}
-
-	// Replay path: a recorded workload trace drives the scheduler directly;
-	// the machine and datasets come from the trace's own headers.
-	if *wlIn != "" {
-		if *wlOut != "" {
-			return fail("-trace-in and -trace-out are mutually exclusive")
-		}
-		f, err := os.Open(*wlIn)
-		if err != nil {
-			return fail("%v", err)
-		}
-		tr, err := workload.Read(f)
-		f.Close()
-		if err != nil {
-			return fail("%v", err)
-		}
-		c, subs, err := workload.Run(tr, ot)
-		if err != nil {
-			return fail("%v", err)
-		}
-		fmt.Fprintf(stdout, "replayed %d jobs on %d ranks (policy %s)\n",
-			len(subs), tr.Machine.Ranks, c.Policy().Name())
-		for _, cs := range workload.Summarize(subs) {
-			fmt.Fprintf(stdout, "%s: %d jobs, %d drops, %d late, %d memo hits, wait p50 %.4fs p99 %.4fs\n",
-				cs.Class, cs.Jobs, cs.Dropped, cs.Missed, cs.MemoHits, cs.WaitP50, cs.WaitP99)
-		}
-		fmt.Fprintf(stdout, "virtual makespan: %.4fs\n", c.Now())
-		if tr.Machine.Memo {
-			st := c.MemoStats()
-			fmt.Fprintf(stdout, "memo: %d hits, %d waiters, %d coalesced, %d physical passes, %.1f MB not re-read\n",
-				st.Hits, st.Waiters, st.Coalesced, st.Misses, float64(st.BytesSaved)/1e6)
-		}
-		return finishRun()
 	}
 	cl := cluster.New(cluster.Spec{Ranks: *procs, RanksPerNode: *rpn, Obs: ot, Memo: *memo, Policy: *policy})
 	fs := cl.FS()
@@ -291,10 +244,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		job.Aggregators = adio.SpreadAggregators(*procs, *naggr)
 	}
 
-	if *wlOut != "" && !*memo && *repeat == 1 {
-		return fail("-trace-out records the queued submission stream; combine with -repeat/-memo")
-	}
-
 	// The queued path: submit through the cluster scheduler so the result
 	// cache can serve duplicate submissions (see internal/cluster/memo.go).
 	if *memo || *repeat != 1 {
@@ -309,44 +258,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *naggr > 0 {
 			return fail("-memo/-repeat cannot combine with -aggregators")
-		}
-		if *wlOut != "" {
-			// Record the submission stream as a replayable workload trace.
-			// Only the shapes the trace format can reconstruct qualify: the
-			// synthetic climate dataset, cc mode, the default buffer.
-			if *wlName != "climate" || *mode != "cc" || *cb != 4<<20 {
-				return fail("-trace-out records climate cc-mode runs with the default -cb")
-			}
-			tr := &workload.Trace{
-				Machine: workload.Machine{Ranks: *procs, RanksPerNode: *rpn,
-					Policy: *policy, Memo: *memo},
-				Datasets: []workload.DatasetSpec{{Name: *wlName,
-					Dims:        []int64{max64(*steps, 1024), *ny, *nx},
-					StripeCount: 40, StripeSize: 4 << 20}},
-			}
-			for i := 0; i < *repeat; i++ {
-				tr.Jobs = append(tr.Jobs, workload.Submission{
-					Tenant: "cli/c000", Class: "cli",
-					Name:    fmt.Sprintf("%s-%d", *wlName, i),
-					Dataset: *wlName, Op: *opName,
-					Start:    append([]int64(nil), slab.Start...),
-					Count:    append([]int64(nil), slab.Count...),
-					SplitDim: splitDim, Ranks: *procs,
-					Reduce: int(job.Reduce), SecPerElem: *spe,
-				})
-			}
-			f, err := os.Create(*wlOut)
-			if err != nil {
-				return fail("%v", err)
-			}
-			if err := workload.Write(f, tr); err != nil {
-				f.Close()
-				return fail("%v", err)
-			}
-			if err := f.Close(); err != nil {
-				return fail("%v", err)
-			}
-			fmt.Fprintf(stderr, "(workload trace recorded to %s)\n", *wlOut)
 		}
 		cl.RegisterDataset(*wlName, ds)
 		crs := make([]*cluster.CCResult, *repeat)

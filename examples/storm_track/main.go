@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/adio"
 	"repro/internal/cc"
+	"repro/internal/climate"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/wrf"
@@ -31,10 +32,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	slabs, err := wrf.SplitTime(d.FullSlab(), nprocs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	slabs := climate.SplitAlongDim(d.FullSlab(), 0, nprocs)
 	op := cc.PerIndex{Inner: cc.MinLoc{}, Keys: storm.NT}
 
 	var track []cc.IndexedValue

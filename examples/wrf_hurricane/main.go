@@ -17,6 +17,7 @@ import (
 
 	"repro/internal/adio"
 	"repro/internal/cc"
+	"repro/internal/climate"
 	"repro/internal/cluster"
 	"repro/internal/mpi"
 	"repro/internal/wrf"
@@ -34,10 +35,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	slabs, err := wrf.SplitTime(d.FullSlab(), nprocs)
-	if err != nil {
-		log.Fatal(err)
-	}
+	slabs := climate.SplitAlongDim(d.FullSlab(), 0, nprocs)
 	sess := cl.Session("hurricane")
 
 	// Each analysis is one job definition; eyes[i] is filled from the root.

@@ -395,9 +395,6 @@ func (c *Cluster) SchedStats() SchedStats {
 	return SchedStats{}
 }
 
-// Policy returns the cluster's scheduling policy instance.
-func (c *Cluster) Policy() Policy { return c.policy }
-
 // ---------------------------------------------------------------------------
 // Policy registry
 
@@ -418,17 +415,25 @@ func PolicyNames() []string {
 	return names
 }
 
-// newPolicy resolves a Spec.Policy name ("" = fifo).
+// CheckPolicy rejects a name that is not a registered policy ("" = fifo).
+// It is the one check behind every door that takes a policy name.
+func CheckPolicy(name string) error {
+	if _, ok := policyFactories[name]; ok || name == "" {
+		return nil
+	}
+	return fmt.Errorf("unknown policy %q (have %s)", name, strings.Join(PolicyNames(), "|"))
+}
+
+// newPolicy resolves a Spec.Policy name ("" = fifo). An unknown name is a
+// programming error: every door checks it with CheckPolicy first.
 func newPolicy(name string, c *Cluster) Policy {
+	if err := CheckPolicy(name); err != nil {
+		panic("cluster: " + err.Error())
+	}
 	if name == "" {
 		name = "fifo"
 	}
-	f, ok := policyFactories[name]
-	if !ok {
-		panic(fmt.Sprintf("cluster: unknown scheduling policy %q (have %s)",
-			name, strings.Join(PolicyNames(), ", ")))
-	}
-	return f(c)
+	return policyFactories[name](c)
 }
 
 // ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ func TestPolicyRegistry(t *testing.T) {
 			t.Errorf("PolicyNames() = %v, missing %q", names, want)
 		}
 	}
-	if got := New(Spec{Ranks: 2}).Policy().Name(); got != "fifo" {
+	if got := New(Spec{Ranks: 2}).policy.Name(); got != "fifo" {
 		t.Errorf("default policy %q, want fifo", got)
 	}
 	defer func() {
@@ -29,6 +29,29 @@ func TestPolicyRegistry(t *testing.T) {
 		}
 	}()
 	New(Spec{Ranks: 2, Policy: "nope"})
+}
+
+// TestCheckPolicy: every registered name and "" (fifo) pass; anything else
+// is an error naming it and the registered set.
+func TestCheckPolicy(t *testing.T) {
+	for _, c := range []struct{ name, want string }{
+		{"", ""},
+		{"fifo", ""},
+		{"easy-backfill", ""},
+		{"priority", ""},
+		{"fairshare", ""},
+		{"nope", `unknown policy "nope" (have easy-backfill|fairshare|fifo|priority)`},
+		{"FIFO", `unknown policy "FIFO"`},
+		{" fifo", `unknown policy " fifo"`},
+	} {
+		err := CheckPolicy(c.name)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("CheckPolicy(%q) = %v, want nil", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("CheckPolicy(%q) = %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
 }
 
 // TestBackfillFillsHoleWithoutDelayingHead: on 4 ranks, a 2-wide 10s job

@@ -61,10 +61,8 @@ type Config struct {
 	// ReportIn points the report experiment at a recorded repro.events.v1
 	// log (with any interleaved decision records); ReportSeriesIn adds an
 	// optional repro.series.v1 log. With ReportIn empty the experiment
-	// records a self-demo workload run in a temp dir and reports on that.
+	// reports on a self-demo workload run, folded as it runs.
 	ReportIn, ReportSeriesIn string
-	// ReportTopK bounds the report's slowest-queued-jobs table (0 = 5).
-	ReportTopK int
 }
 
 // Defaults fills unset fields.

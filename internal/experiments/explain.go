@@ -97,16 +97,14 @@ func explainPolicies(spec string) ([]string, error) {
 	if spec == "" {
 		spec = "fifo,easy-backfill"
 	}
-	known := map[string]bool{}
-	for _, p := range cluster.PolicyNames() {
-		known[p] = true
-	}
 	var pols []string
 	for _, p := range strings.Split(spec, ",") {
 		p = strings.TrimSpace(p)
-		if !known[p] {
-			return nil, fmt.Errorf("explain: unknown policy %q in -k (have %s)",
-				p, strings.Join(cluster.PolicyNames(), "|"))
+		if p == "" {
+			return nil, fmt.Errorf("explain: empty policy in -k %q", spec)
+		}
+		if err := cluster.CheckPolicy(p); err != nil {
+			return nil, fmt.Errorf("explain: -k: %w", err)
 		}
 		if slices.Contains(pols, p) {
 			return nil, fmt.Errorf("explain: policy %q given twice in -k", p)

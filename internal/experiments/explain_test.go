@@ -92,6 +92,12 @@ func TestExplainRejectsRepeatedPolicy(t *testing.T) {
 			t.Errorf("-k %s: error %v, want one naming %q", spec, err, dup)
 		}
 	}
+	// CheckPolicy reads "" as fifo; in -k an empty entry is still an error.
+	for _, spec := range []string{"fifo,", ",fifo", "fifo, ,priority"} {
+		if _, err := explainPolicies(spec); err == nil || !strings.Contains(err.Error(), "empty policy") {
+			t.Errorf("-k %q: error %v, want an empty-entry error", spec, err)
+		}
+	}
 	if pols, err := explainPolicies(""); err != nil || strings.Join(pols, ",") != "fifo,easy-backfill" {
 		t.Errorf("default -k: %v, %v", pols, err)
 	}

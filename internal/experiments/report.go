@@ -1,8 +1,7 @@
 package experiments
 
 import (
-	"os"
-	"path/filepath"
+	"io"
 	"strings"
 
 	"repro/internal/obs"
@@ -19,31 +18,37 @@ import (
 // report is a pure function of the log bytes, so reporting the same logs
 // twice prints byte-identical output.
 //
-// With ReportIn empty it is self-demonstrating: it records a small
-// multi-tenant workload run (events + decisions + series) into a temp dir
-// and reports on that, so `ccexp all` and `ccexp report` work out of the
-// box.
+// With ReportIn empty it is self-demonstrating: it runs a small
+// multi-tenant workload with report's fold attached to the tracer (events,
+// decisions and series, folded as they are emitted) and reports on that, so
+// `ccexp all` and `ccexp report` work out of the box.
 func ReportExp(cfg Config) (*Table, error) {
 	cfg = cfg.Defaults()
-	in, seriesIn := cfg.ReportIn, cfg.ReportSeriesIn
-	if in == "" {
-		dir, err := os.MkdirTemp("", "ccexp-report")
-		if err != nil {
-			return nil, err
-		}
-		defer os.RemoveAll(dir)
-		in = filepath.Join(dir, "events.jsonl")
-		seriesIn = filepath.Join(dir, "series.jsonl")
-		if err := recordDemoRun(in, seriesIn); err != nil {
-			return nil, err
+	var d *report.Data
+	var err error
+	if cfg.ReportIn != "" {
+		d, err = report.Load(cfg.ReportIn, cfg.ReportSeriesIn)
+	} else {
+		// The report's header names its source log: the demo's is
+		// events.jsonl. The tracer samples only with a series sink
+		// installed; the fold keeps the points, so the sink's log is
+		// discarded.
+		d = report.New()
+		d.EventsPath = "events.jsonl"
+		ot := obs.New()
+		ot.AddSink(d)
+		ot.SetSeries(obs.NewSeriesSink(io.Discard))
+		ot.EnableDecisions()
+		var tr *workload.Trace
+		if tr, err = workload.Generate(workload.DefaultSpec(7, 1, 120, 48, "fifo")); err == nil {
+			_, _, err = workload.Run(tr, ot)
 		}
 	}
-	d, err := report.Load(in, seriesIn)
 	if err != nil {
 		return nil, err
 	}
 	var b strings.Builder
-	if err := report.Build(d, cfg.ReportTopK).WriteText(&b); err != nil {
+	if err := report.Build(d, 0).WriteText(&b); err != nil {
 		return nil, err
 	}
 	t := &Table{
@@ -55,42 +60,4 @@ func ReportExp(cfg Config) (*Table, error) {
 		t.Notef("self-demo: recorded a quick workload run to a temp dir and reported on it; point -in at a recorded -events log (and -series-in at its -series log) to analyze a real run")
 	}
 	return t, nil
-}
-
-// recordDemoRun records one small deterministic workload run — event log
-// with decision records interleaved, plus the round series — for the
-// self-demo path.
-func recordDemoRun(eventsPath, seriesPath string) error {
-	ef, err := os.Create(eventsPath)
-	if err != nil {
-		return err
-	}
-	sf, err := os.Create(seriesPath)
-	if err != nil {
-		ef.Close()
-		return err
-	}
-	ot := obs.New()
-	sink := obs.NewJSONLSink(ef)
-	ser := obs.NewSeriesSink(sf)
-	ot.AddSink(sink)
-	ot.SetSeries(ser)
-	ot.EnableDecisions()
-	tr, err := workload.Generate(workload.DefaultSpec(7, 1, 120, 48, "fifo"))
-	if err == nil {
-		_, _, err = workload.Run(tr, ot)
-	}
-	if cerr := sink.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := ser.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := ef.Close(); err == nil {
-		err = cerr
-	}
-	if cerr := sf.Close(); err == nil {
-		err = cerr
-	}
-	return err
 }

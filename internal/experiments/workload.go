@@ -62,7 +62,7 @@ func parseWorkloadSpec(spec string) (workloadOpts, error) {
 		case "seed":
 			o.seed, err = strconv.ParseUint(v, 10, 64)
 		case "policy":
-			o.policy = v
+			o.policy, err = v, cluster.CheckPolicy(v)
 		default:
 			return o, fmt.Errorf("workload: unknown spec key %q", k)
 		}

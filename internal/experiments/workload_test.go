@@ -123,6 +123,13 @@ func TestWorkloadSpecString(t *testing.T) {
 		}
 	}
 
+	// An unknown policy is an error at the door that names it, not a panic
+	// inside the cluster.
+	cfg.WorkloadSpec = "jobs=20,rates=1,policy=nope"
+	if _, err := Workload(cfg); err == nil || !strings.Contains(err.Error(), `unknown policy "nope"`) {
+		t.Errorf("spec %q: error %v, want one naming the policy", cfg.WorkloadSpec, err)
+	}
+
 	both := quick
 	both.WorkloadTraceOut = "a"
 	both.WorkloadTraceIn = "b"

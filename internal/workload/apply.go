@@ -108,9 +108,9 @@ func SubmitAll(c *cluster.Cluster, tr *Trace) ([]Submitted, error) {
 }
 
 // Run provisions, submits, and runs a trace end to end, returning the
-// per-submission results: the replay path of ccrun -trace-in and the
-// workload experiment. A job that fails for any reason but its deadline is
-// an error naming the first such job, not a job served.
+// per-submission results: every run of the workload experiment, generated
+// or replayed (ccexp -trace-in). A job that fails for any reason but its
+// deadline is an error naming the first such job, not a job served.
 func Run(tr *Trace, ot *obs.Tracer) (*cluster.Cluster, []Submitted, error) {
 	c, err := Provision(tr, ot)
 	if err != nil {

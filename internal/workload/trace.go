@@ -242,10 +242,7 @@ func checkMachine(m *Machine) error {
 	if m.Ranks < 1 || m.RanksPerNode < 0 {
 		return fmt.Errorf("machine of %d ranks, %d per node", m.Ranks, m.RanksPerNode)
 	}
-	if m.Policy != "" && !slices.Contains(cluster.PolicyNames(), m.Policy) {
-		return fmt.Errorf("unknown policy %q (have %v)", m.Policy, cluster.PolicyNames())
-	}
-	return nil
+	return cluster.CheckPolicy(m.Policy)
 }
 
 // checkJob rejects a job that the machine and datasets declared above it

@@ -8,8 +8,6 @@
 package wrf
 
 import (
-	"fmt"
-
 	"repro/internal/cc"
 	"repro/internal/layout"
 	"repro/internal/ncfile"
@@ -140,27 +138,4 @@ func (d *Dataset) MaxWindTask() Task {
 func (d *Dataset) FullSlab() layout.Slab {
 	v, _ := d.DS.Var(d.SLPVar)
 	return layout.Slab{Start: make([]int64, 3), Count: append([]int64(nil), v.Dims...)}
-}
-
-// SplitTime partitions slab among n ranks along the time dimension.
-func SplitTime(slab layout.Slab, n int) ([]layout.Slab, error) {
-	if slab.Count[0] < int64(n) {
-		return nil, fmt.Errorf("wrf: %d time steps across %d ranks", slab.Count[0], n)
-	}
-	out := make([]layout.Slab, n)
-	per := slab.Count[0] / int64(n)
-	rem := slab.Count[0] % int64(n)
-	pos := slab.Start[0]
-	for i := 0; i < n; i++ {
-		c := per
-		if int64(i) < rem {
-			c++
-		}
-		s := slab.Clone()
-		s.Start[0] = pos
-		s.Count[0] = c
-		out[i] = s
-		pos += c
-	}
-	return out, nil
 }

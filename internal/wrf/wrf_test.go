@@ -6,8 +6,8 @@ import (
 
 	"repro/internal/adio"
 	"repro/internal/cc"
+	"repro/internal/climate"
 	"repro/internal/fabric"
-	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/pfs"
 	"repro/internal/sim"
@@ -89,10 +89,7 @@ func TestTasksMatchBruteForce(t *testing.T) {
 		t.Fatal(err)
 	}
 	comm := w.Comm()
-	slabs, err := SplitTime(d.FullSlab(), n)
-	if err != nil {
-		t.Fatal(err)
-	}
+	slabs := climate.SplitAlongDim(d.FullSlab(), 0, n)
 	results := make(map[string]cc.Result)
 	w.Go(func(r *mpi.Rank) {
 		cl := fs.Client(r.Proc(), r.Rank(), nil)
@@ -124,12 +121,6 @@ func TestTasksMatchBruteForce(t *testing.T) {
 	// The eye should be in the interior of the domain, where the track ends.
 	if gotMin.Coords[0] != storm.NT-1 {
 		t.Errorf("deepest pressure not at final time step: %v", gotMin.Coords)
-	}
-}
-
-func TestSplitTimeErrors(t *testing.T) {
-	if _, err := SplitTime(layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{2, 4, 4}}, 5); err == nil {
-		t.Error("oversplit accepted")
 	}
 }
 
