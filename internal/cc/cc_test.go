@@ -333,6 +333,71 @@ func TestCoordsAtRowMajor(t *testing.T) {
 	}
 }
 
+// TestOpsDoNotRetainSubset: the Subset contract. The runtime lends Absorb a
+// Slab and Data held in its worker's scratch and overwrites both for the next
+// subset. Each built-in operator folds a variable's subsets twice: once from
+// fresh copies, and once from one reused buffer that is filled with garbage
+// after every Absorb. The final states must be equal: value, MinLoc
+// coordinates, PerIndex series and all.
+func TestOpsDoNotRetainSubset(t *testing.T) {
+	dims := []int64{4, 5, 6}
+	nd := len(dims)
+	vals := make([]float64, layout.NumElemsOf(dims))
+	coords := make([]int64, nd)
+	for e := range vals {
+		vals[e] = valueAt(layout.OffsetToCoords(dims, int64(e), coords))
+	}
+	// The subsets of runs of random length that cover the variable, the
+	// way the map cuts an aggregator's buffer.
+	rng := rand.New(rand.NewSource(5))
+	var subs []Subset
+	for off := int64(0); off < int64(len(vals)); {
+		n := min(1+rng.Int63n(40), int64(len(vals))-off)
+		pos := off
+		for _, s := range layout.RunToSlabs(dims, layout.Run{Offset: off, Length: n}, true) {
+			subs = append(subs, Subset{Slab: s, Data: vals[pos : pos+s.NumElems()]})
+			pos += s.NumElems()
+		}
+		off += n
+	}
+
+	window := layout.Slab{Start: []int64{1, 1, 2}, Count: []int64{2, 3, 3}}
+	hist := Histogram{Lo: 0, Hi: 125, Bins: 9}
+	minIdx := PerIndex{Inner: MinLoc{}, Keys: dims[0]}
+	ops := []Op{Sum{}, Count{}, Min{}, Max{}, Mean{}, MinLoc{}, MaxLoc{}, Variance{}, hist,
+		minIdx, WindowOp{Op: Max{}, Window: window}, Fuse{Ops: []Op{MinLoc{}, Mean{}, hist}}}
+	for _, op := range ops {
+		fresh, lent := op.Zero(), op.Zero()
+		start, count, data := make([]int64, nd), make([]int64, nd), make([]float64, 0, len(vals))
+		for _, sub := range subs {
+			fresh = op.Absorb(fresh, Subset{Slab: sub.Slab.Clone(), Data: append([]float64(nil), sub.Data...)})
+
+			copy(start, sub.Slab.Start)
+			copy(count, sub.Slab.Count)
+			data = append(data[:0], sub.Data...)
+			lent = op.Absorb(lent, Subset{Slab: layout.Slab{Start: start, Count: count}, Data: data})
+			for d := range start {
+				start[d], count[d] = 1<<40, 3
+			}
+			for i := range data {
+				data[i] = -1e300
+			}
+		}
+		if !reflect.DeepEqual(fresh, lent) {
+			t.Errorf("%s: state %v folded from lent subsets, want %v", op.Name(), lent, fresh)
+		}
+		if a, b := op.Value(fresh), op.Value(lent); math.Float64bits(a) != math.Float64bits(b) {
+			t.Errorf("%s: value %v folded from lent subsets, want %v", op.Name(), b, a)
+		}
+		if loc, ok := fresh.(Loc); ok && len(loc.Coords) != nd {
+			t.Errorf("%s: coordinates %v, want %d of them", op.Name(), loc.Coords, nd)
+		}
+		if op, ok := op.(PerIndex); ok && !reflect.DeepEqual(op.Series(fresh), op.Series(lent)) {
+			t.Errorf("%s: series %v folded from lent subsets, want %v", op.Name(), op.Series(lent), op.Series(fresh))
+		}
+	}
+}
+
 func TestHistogramClamping(t *testing.T) {
 	h := Histogram{Lo: 0, Hi: 10, Bins: 5}
 	st := h.Absorb(h.Zero(), Subset{Data: []float64{-5, 0, 9.99, 100}})

@@ -21,6 +21,12 @@ type State interface{}
 // Subset is a logical rectangle of the variable together with its values in
 // row-major order — what the map phase operates on after the logical
 // construction of paper Figure 8.
+//
+// A Subset is lent to Absorb: Slab and Data are valid only during the call.
+// The runtime builds them in its host worker's scratch (Slab in the worker's
+// slab list, Data in its value buffer) and overwrites both for the next
+// subset, so an operator copies whatever it keeps, as coordsAt,
+// IntersectSubset and PerIndex do.
 type Subset struct {
 	Slab layout.Slab
 	Data []float64
@@ -41,7 +47,9 @@ type Op interface {
 	Name() string
 	// Zero returns the identity partial result.
 	Zero() State
-	// Absorb folds a logical subset's values into a partial result.
+	// Absorb folds a logical subset's values into a partial result. sub's
+	// Slab and Data are valid only during the call (see Subset): the result
+	// must not alias them.
 	Absorb(s State, sub Subset) State
 	// Merge combines two partial results.
 	Merge(a, b State) State

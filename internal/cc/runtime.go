@@ -421,7 +421,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 				Offset: (pc.Run.Offset - elemBase) / sz,
 				Length: pc.Run.Length / sz,
 			}
-			slabs := layout.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
+			slabs := w.Slabs.RunToSlabs(v.Dims, elemRun, !io.NoCoalesce)
 			// ext is nil exactly when the read is charge-only, in which
 			// case the values do not come from the piece's bytes.
 			var raw []byte

@@ -328,9 +328,10 @@ func TestZeroAllocCCTransformSynthetic(t *testing.T) {
 }
 
 // allocBed is the machine of the allocation bounds: eight ranks on two nodes
-// (two aggregators) over a 512 Ki-element float32 variable — generator-backed,
-// or the same contents held in a MemBackend — each rank reading an eighth of
-// it through 256 KiB collective buffers.
+// (two aggregators) over a 512 Ki-element float32 variable of dims (64 rows
+// of 128 elements, in 64 planes, unless a test changes the row length) —
+// generator-backed, or the same contents held in a MemBackend — each rank
+// reading an eighth of it through 256 KiB collective buffers.
 type allocBed struct {
 	tb    *testbed
 	slabs []layout.Slab
@@ -339,10 +340,11 @@ type allocBed struct {
 
 const allocBedCB = 256 << 10
 
-func newAllocBed(t *testing.T, memBacked bool) *allocBed {
+var allocBedDims = []int64{64, 64, 128}
+
+func newAllocBed(t *testing.T, memBacked bool, dims []int64) *allocBed {
 	t.Helper()
 	const n = 8
-	dims := []int64{64, 64, 128}
 	env := sim.NewEnv()
 	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
 	fs := pfs.New(env, pfs.Params{NumOSTs: 4})
@@ -372,11 +374,11 @@ func newAllocBed(t *testing.T, memBacked bool) *allocBed {
 		slabs: splitSlab(whole, n), elems: uint64(whole.NumElems())}
 }
 
-// steadyAlloc returns the bytes one whole object I/O allocates, measured on
-// the second of two passes so scratches and pooled messages have grown.
-func (b *allocBed) steadyAlloc(t *testing.T, io IO) uint64 {
+// steadyAlloc returns the bytes and the objects one whole object I/O
+// allocates, measured on the second of two passes so scratches and pooled
+// messages have grown.
+func (b *allocBed) steadyAlloc(t *testing.T, io IO) (bytes, mallocs uint64) {
 	t.Helper()
-	var got uint64
 	for i := 0; i < 2; i++ {
 		var before, after runtime.MemStats
 		runtime.GC()
@@ -386,14 +388,19 @@ func (b *allocBed) steadyAlloc(t *testing.T, io IO) uint64 {
 		if res[0].Value == 0 {
 			t.Fatal("empty result")
 		}
-		got = after.TotalAlloc - before.TotalAlloc
+		bytes, mallocs = after.TotalAlloc-before.TotalAlloc, after.Mallocs-before.Mallocs
 	}
-	return got
+	return bytes, mallocs
 }
 
-// allocSlack covers what does not scale with the data: plans, slab lists,
-// messages, the rank goroutines' bookkeeping.
+// allocSlack covers what does not scale with the data: plans, messages, the
+// rank goroutines' bookkeeping.
 const allocSlack = 1 << 20
+
+// mallocSlack covers the objects two runs of one leg may differ by: under
+// the race detector a dropped sync.Pool put is a new shuffle message, and
+// the host workers' goroutines come and go. Measured: within 25 either way.
+const mallocSlack = 64
 
 // overBound reports whether got exceeds bound. Under the race detector it
 // never does: each sync.Pool put the detector drops makes the next adio
@@ -411,16 +418,16 @@ func overBound(got, bound uint64) bool { return !raceEnabled && got > bound }
 // float64 term comes on top.
 func TestTraditionalLegAllocBound(t *testing.T) {
 	io := IO{Block: true, Params: adio.Params{CB: allocBedCB}}
-	b := newAllocBed(t, false)
-	got := b.steadyAlloc(t, io)
+	b := newAllocBed(t, false, allocBedDims)
+	got, _ := b.steadyAlloc(t, io)
 	scratch := 8 * b.elems / uint64(len(b.slabs))
 	if bound := scratch + allocSlack; overBound(got, bound) {
 		t.Errorf("traditional leg over %d generated elements allocated %d B, bound %d B (shared value scratch %d + slack %d); request bytes would add %d",
 			b.elems, got, bound, scratch, allocSlack, 4*b.elems)
 	}
 
-	b = newAllocBed(t, true)
-	got = b.steadyAlloc(t, io)
+	b = newAllocBed(t, true, allocBedDims)
+	got, _ = b.steadyAlloc(t, io)
 	requestBytes := b.elems * 4
 	collective := uint64(2 * allocBedCB) // two aggregators, one buffer each
 	if bound := requestBytes + collective + allocSlack; overBound(got, bound) {
@@ -435,11 +442,30 @@ func TestTraditionalLegAllocBound(t *testing.T) {
 // collective buffers (the pipelined protocol would hold two per aggregator)
 // and no request bytes.
 func TestCCLegSyntheticAllocBound(t *testing.T) {
-	b := newAllocBed(t, false)
-	got := b.steadyAlloc(t, IO{Reduce: AllToOne, Params: adio.Params{CB: allocBedCB, Pipeline: true}})
+	b := newAllocBed(t, false, allocBedDims)
+	got, _ := b.steadyAlloc(t, IO{Reduce: AllToOne, Params: adio.Params{CB: allocBedCB, Pipeline: true}})
 	scratch := uint64(2 * 8 * allocBedCB / 4) // two aggregators, a buffer's worth of float32 elements each
 	if bound := scratch + allocSlack; overBound(got, bound) {
 		t.Fatalf("cc leg over %d elements allocated %d B, bound %d B (value scratch %d + slack %d); materialised extents would add %d",
 			b.elems, got, bound, scratch, allocSlack, 4*allocBedCB)
+	}
+}
+
+// TestCCLegMallocsAllocBound: the objects a collective-computing leg
+// allocates do not grow with the rows per piece. The logical map walks every
+// piece row by row (layout.SlabScratch.RunToSlabs), so anything allocated
+// per row would show here: the bed with rows eight times shorter has eight
+// times the rows in every piece, and the same pieces, subsets and messages.
+func TestCCLegMallocsAllocBound(t *testing.T) {
+	io := IO{Reduce: AllToOne, Params: adio.Params{CB: allocBedCB, Pipeline: true}}
+	long := allocBedDims
+	short := []int64{long[0], long[1] * 8, long[2] / 8}
+	_, base := newAllocBed(t, false, long).steadyAlloc(t, io)
+	_, got := newAllocBed(t, false, short).steadyAlloc(t, io)
+	t.Logf("mallocs: %d rows of %d, %d; %d rows of %d, %d", long[0]*long[1], long[2], base, short[0]*short[1], short[2], got)
+	extraRows := uint64(short[0]*short[1] - long[0]*long[1])
+	if bound := base + mallocSlack; got > bound {
+		t.Errorf("cc leg over %d rows allocated %d objects, bound %d (the leg over %d rows %d + slack %d); a slice per row would add %d",
+			short[0]*short[1], got, bound, long[0]*long[1], base, mallocSlack, extraRows)
 	}
 }

@@ -57,7 +57,7 @@ func ReportExp(cfg Config) (*Table, error) {
 		Chart: b.String(),
 	}
 	if cfg.ReportIn == "" {
-		t.Notef("self-demo: recorded a quick workload run to a temp dir and reported on it; point -in at a recorded -events log (and -series-in at its -series log) to analyze a real run")
+		t.Notef("self-demo: reported on a quick workload run, folded as it ran (nothing is written); point -in at a recorded -events log (and -series-in at its -series log) to analyze a real run")
 	}
 	return t, nil
 }

@@ -257,50 +257,65 @@ func Bounds(runs []Run) (lo, hi int64) {
 // geometry. Each returned slab is a set of whole or partial rows; slabs that
 // are adjacent along one dimension and identical in all others are merged
 // when coalesce is true (the runtime's metadata-reduction optimization).
+// It is SlabScratch.RunToSlabs on a fresh scratch, so the slabs are the
+// caller's.
 func RunToSlabs(dims []int64, r Run, coalesce bool) []Slab {
+	var sc SlabScratch
+	return sc.RunToSlabs(dims, r, coalesce)
+}
+
+// SlabScratch is the reusable storage of RunToSlabs: one caller's slab list
+// and the coordinates behind it, kept from call to call. The zero value is
+// ready to use; a SlabScratch serves one goroutine at a time.
+type SlabScratch struct {
+	coords []int64
+	ints   []int64 // per slab, Start then Count: 2*len(dims) values
+	slabs  []Slab
+}
+
+// RunToSlabs is the package's RunToSlabs into sc: the same slabs, valid
+// until sc's next call. A warm scratch allocates nothing. The run is walked
+// row by row, and each row is merged into the slab before it as it is
+// produced: the one linear merge pass row-ordered slabs need.
+func (sc *SlabScratch) RunToSlabs(dims []int64, r Run, coalesce bool) []Slab {
 	nd := len(dims)
 	if nd == 0 || r.Length <= 0 {
 		return nil
 	}
 	rowLen := dims[nd-1]
-	var slabs []Slab
-	off, remaining := r.Offset, r.Length
-	coords := make([]int64, nd)
-	for remaining > 0 {
-		OffsetToCoords(dims, off, coords)
-		span := rowLen - coords[nd-1]
-		if span > remaining {
-			span = remaining
+	sc.ints, sc.slabs = sc.ints[:0], sc.slabs[:0]
+	var span int64
+	for off, left := r.Offset, r.Length; left > 0; off, left = off+span, left-span {
+		sc.coords = OffsetToCoords(dims, off, sc.coords)
+		span = min(rowLen-sc.coords[nd-1], left)
+		// The row's values go after the last slab's, and stay only if the
+		// row does not merge into it.
+		at := len(sc.ints)
+		sc.ints = append(sc.ints, sc.coords...)
+		for d := 1; d < nd; d++ {
+			sc.ints = append(sc.ints, 1)
 		}
-		s := Slab{Start: append([]int64(nil), coords...), Count: make([]int64, nd)}
-		for d := range s.Count {
-			s.Count[d] = 1
+		sc.ints = append(sc.ints, span)
+		if coalesce && len(sc.slabs) > 0 {
+			last := sc.slabAt(at-2*nd, nd)
+			if tryMerge(&last, sc.slabAt(at, nd)) {
+				sc.ints = sc.ints[:at]
+				continue
+			}
 		}
-		s.Count[nd-1] = span
-		slabs = append(slabs, s)
-		off += span
-		remaining -= span
+		sc.slabs = append(sc.slabs, Slab{})
 	}
-	if coalesce {
-		slabs = CoalesceSlabs(slabs)
+	// The appends may have moved the values: point the slabs at them last.
+	for i := range sc.slabs {
+		sc.slabs[i] = sc.slabAt(2*nd*i, nd)
 	}
-	return slabs
+	return sc.slabs
 }
 
-// CoalesceSlabs merges consecutive slabs that are adjacent along exactly one
-// dimension and identical along all others. A single linear pass suffices
-// for the row-ordered output of RunToSlabs.
-func CoalesceSlabs(slabs []Slab) []Slab {
-	if len(slabs) < 2 {
-		return slabs
-	}
-	out := slabs[:1]
-	for _, s := range slabs[1:] {
-		if !tryMerge(&out[len(out)-1], s) {
-			out = append(out, s)
-		}
-	}
-	return out
+// slabAt is the slab whose Start begins at sc.ints[at], capped so that an
+// append to Start or Count cannot write into its neighbour.
+func (sc *SlabScratch) slabAt(at, nd int) Slab {
+	return Slab{Start: sc.ints[at : at+nd : at+nd], Count: sc.ints[at+nd : at+2*nd : at+2*nd]}
 }
 
 // tryMerge merges b into a if they are adjacent along exactly one dimension

@@ -279,6 +279,105 @@ func TestRunToSlabsProperty(t *testing.T) {
 	}
 }
 
+// oracleRunToSlabs is the logical construction as first written: a freshly
+// allocated slab per row of the run, then one merge pass over the list, each
+// slab merged into the last one kept. SlabScratch must return its slabs.
+func oracleRunToSlabs(dims []int64, r Run, coalesce bool) []Slab {
+	nd := len(dims)
+	if nd == 0 || r.Length <= 0 {
+		return nil
+	}
+	rowLen := dims[nd-1]
+	var slabs []Slab
+	off, remaining := r.Offset, r.Length
+	coords := make([]int64, nd)
+	for remaining > 0 {
+		OffsetToCoords(dims, off, coords)
+		span := rowLen - coords[nd-1]
+		if span > remaining {
+			span = remaining
+		}
+		s := Slab{Start: append([]int64(nil), coords...), Count: make([]int64, nd)}
+		for d := range s.Count {
+			s.Count[d] = 1
+		}
+		s.Count[nd-1] = span
+		slabs = append(slabs, s)
+		off += span
+		remaining -= span
+	}
+	if !coalesce || len(slabs) < 2 {
+		return slabs
+	}
+	out := slabs[:1]
+	for _, s := range slabs[1:] {
+		if !tryMerge(&out[len(out)-1], s) {
+			out = append(out, s)
+		}
+	}
+	return out
+}
+
+// Property: one SlabScratch, reused across random runs over 1–5 dims with
+// and without coalescing, returns the oracle's slabs slab for slab, and no
+// two of them share storage.
+func TestSlabScratchMatchesOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(35))
+	var sc SlabScratch
+	for iter := 0; iter < 3000; iter++ {
+		nd := 1 + rng.Intn(5)
+		dims := make([]int64, nd)
+		for d := range dims {
+			dims[d] = 1 + int64(rng.Intn(5))
+		}
+		total := NumElemsOf(dims)
+		off := rng.Int63n(total)
+		run := Run{off, 1 + rng.Int63n(total-off)}
+		for _, coalesce := range []bool{false, true} {
+			want := oracleRunToSlabs(dims, run, coalesce)
+			got := sc.RunToSlabs(dims, run, coalesce)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("dims %v run %v coalesce=%v: slabs %v, want %v", dims, run, coalesce, got, want)
+			}
+			// Every value written into the slabs must read back.
+			for i, s := range got {
+				for d := range dims {
+					s.Start[d], s.Count[d] = int64(2*nd*i+d), int64(2*nd*i+nd+d)
+				}
+			}
+			for i, s := range got {
+				for d := range dims {
+					if s.Start[d] != int64(2*nd*i+d) || s.Count[d] != int64(2*nd*i+nd+d) {
+						t.Fatalf("dims %v run %v coalesce=%v: slab %d shares storage with another", dims, run, coalesce, i)
+					}
+				}
+			}
+		}
+	}
+}
+
+// A warm SlabScratch allocates nothing, however many rows the run has.
+func TestSlabScratchZeroAlloc(t *testing.T) {
+	dims := []int64{16, 30, 40, 50}
+	runs := []Run{{Offset: 1234, Length: 50_000}, {Offset: 7, Length: 93}, {Offset: 0, Length: NumElemsOf(dims)}}
+	var sc SlabScratch
+	for _, coalesce := range []bool{false, true} {
+		for _, r := range runs {
+			sc.RunToSlabs(dims, r, coalesce) // warm-up grows the scratch
+		}
+		allocs := testing.AllocsPerRun(20, func() {
+			for _, r := range runs {
+				if len(sc.RunToSlabs(dims, r, coalesce)) == 0 {
+					t.Fatal("no slabs")
+				}
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("coalesce=%v: %v allocs per warm pass, want 0", coalesce, allocs)
+		}
+	}
+}
+
 // Coalescing must never produce more slabs, and usually fewer for aligned runs.
 func TestCoalesceSlabsReduces(t *testing.T) {
 	dims := []int64{8, 8}
@@ -339,8 +438,9 @@ func BenchmarkFlatten4D(b *testing.B) {
 func BenchmarkRunToSlabs(b *testing.B) {
 	dims := []int64{1024, 100, 1024, 1024}
 	run := Run{Offset: 123456789, Length: 1 << 20}
+	var sc SlabScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		RunToSlabs(dims, run, true)
+		sc.RunToSlabs(dims, run, true)
 	}
 }

@@ -129,11 +129,14 @@ type Dataset struct {
 	work    host.Pool[Worker]
 }
 
-// Worker is one host worker's scratch for producing a dataset's values: see
-// RunWorkers.
+// Worker is one host worker's scratch for producing a dataset's values and
+// the logical subsets they fill: see RunWorkers.
 type Worker struct {
 	coords []int64   // the generator's row walk
 	vals   []float64 // what WorkerValues returns
+	// Slabs is the worker's slab list: the collective-computing map cuts
+	// its pieces into logical subsets here (Fig. 8).
+	Slabs layout.SlabScratch
 }
 
 // RunWorkers calls body(w, i) once for every i in [0, n) on the host's cores,
