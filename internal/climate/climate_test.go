@@ -2,11 +2,13 @@ package climate
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/adio"
 	"repro/internal/layout"
 	"repro/internal/mpi"
+	"repro/internal/ncfile"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 
@@ -217,3 +219,60 @@ func TestRowGensMatchScalarFns(t *testing.T) {
 		}
 	}
 }
+
+// TestJitterTableIsTheHashResidue pins jitterTable to hashJitter. Entry j
+// must be 2*hashJitter of the one coordinate whose last FNV step multiplies
+// j, and rows at 10^5 seeded random coordinates, with x up to 2^52, must give
+// Temperature3D/4D's bits: the table is indexed by the low 12 bits of h^x
+// (not of x), and the sum keeps the scalar grouping, (base + lon) + jitter.
+func TestJitterTableIsTheHashResidue(t *testing.T) {
+	for j, got := range jitterTable {
+		want := 2 * hashJitter([]int64{int64(fnvBasis ^ uint64(j))})
+		if math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("jitterTable[%d] = %x, scalar = %x", j,
+				math.Float64bits(got), math.Float64bits(want))
+		}
+	}
+	rng := rand.New(rand.NewPCG(36, 4096))
+	out := make([]float64, 8)
+	c := make([]int64, 4)
+	for i := 0; i < 100000; i++ {
+		// Half the rows lie near the datasets' grids, where the base term
+		// crosses zero and so cancels the longitude term: there a sum
+		// regrouped as base + (lon + jitter) rounds lon + jitter visibly.
+		tt, y, z := rng.Int64N(1<<31), rng.Int64N(1<<31), rng.Int64N(1<<31)
+		if i%2 == 0 {
+			tt, y, z = rng.Int64N(1<<16), rng.Int64N(2048), rng.Int64N(128)
+		}
+		x0 := rng.Int64N(1<<52 - int64(len(out)))
+		gen3D{}.FillRow([]int64{tt, y, x0}, out)
+		for k, got := range out {
+			c3 := append(c[:0], tt, y, x0+int64(k))
+			if want := Temperature3D(c3); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("gen3D at %v = %x, scalar = %x", c3,
+					math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+		gen4D{}.FillRow([]int64{tt, y, z, x0}, out)
+		for k, got := range out {
+			c4 := append(c[:0], tt, y, z, x0+int64(k))
+			if want := Temperature4D(c4); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("gen4D at %v = %x, scalar = %x", c4,
+					math.Float64bits(got), math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// benchRow reports a row generator's throughput over one 1024-element row.
+func benchRow(b *testing.B, g ncfile.Gen, c []int64) {
+	out := make([]float64, 1024)
+	for i := 0; i < b.N; i++ {
+		g.FillRow(c, out)
+	}
+	b.ReportMetric(float64(b.N)*float64(len(out))/b.Elapsed().Seconds()/1e6, "Melem/s")
+}
+
+func BenchmarkGen3DRow(b *testing.B) { benchRow(b, gen3D{}, []int64{100, 512, 0}) }
+
+func BenchmarkGen4DRow(b *testing.B) { benchRow(b, gen4D{}, []int64{100, 512, 5, 0}) }

@@ -68,7 +68,7 @@ func (s *Storm) SLP(c []int64) float64 {
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy, dx := float64(c[1])-ey, float64(c[2])-ex
-	d2 := dy*dy + dx*dx
+	d2 := float64(dy*dy) + dx*dx
 	r2 := s.CoreRadius * s.CoreRadius * 9
 	return 1013 - s.Depth*s.intensity(t)*shape(d2, r2)
 }
@@ -79,13 +79,59 @@ func (s *Storm) Wind10(c []int64) float64 {
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy, dx := float64(c[1])-ey, float64(c[2])-ex
-	d2 := dy*dy + dx*dx
+	d2 := float64(dy*dy) + dx*dx
 	r2 := s.CoreRadius * s.CoreRadius
 	// Rankine-like: v ∝ d inside the core, ∝ 1/d outside; smooth rational
 	// form peaking at d = CoreRadius.
 	ratio := d2 / r2
 	prof := 2 * ratio / (1 + ratio*ratio)
 	return s.MaxWind * s.intensity(t) * prof
+}
+
+// slpGen and windGen are the row-batched ncfile.Gen forms of Storm.SLP and
+// Storm.Wind10, which stay as their oracles. What depends only on the row —
+// t, the eye, dy·dy, r2, and the peak times intensity(t), left-associated as
+// the scalar forms compute it — is computed once per row; the per-element
+// arithmetic keeps the scalar forms' grouping and order, so the values are
+// bit-identical. Go lets a compiler fuse x*y+z into one rounding, even across
+// statements (arm64 does; amd64 does not), unless an explicit float64(…)
+// rounds the product first. Each hoisted product is wrapped in one, and so is
+// dy·dy in the scalar forms, so a fused build cannot fuse a product on one
+// side and round it on the other.
+type slpGen struct{ *Storm }
+
+func (g slpGen) FillRow(c []int64, out []float64) {
+	s := g.Storm
+	t := float64(c[0])
+	ey, ex := s.eye(t)
+	dy := float64(c[1]) - ey
+	dy2 := float64(dy * dy)
+	r2 := float64(s.CoreRadius * s.CoreRadius * 9)
+	depth := float64(s.Depth * s.intensity(t))
+	x0 := c[2]
+	for k := range out {
+		dx := float64(x0+int64(k)) - ex
+		out[k] = 1013 - depth*shape(dy2+dx*dx, r2)
+	}
+}
+
+type windGen struct{ *Storm }
+
+func (g windGen) FillRow(c []int64, out []float64) {
+	s := g.Storm
+	t := float64(c[0])
+	ey, ex := s.eye(t)
+	dy := float64(c[1]) - ey
+	dy2 := float64(dy * dy)
+	r2 := float64(s.CoreRadius * s.CoreRadius)
+	peak := float64(s.MaxWind * s.intensity(t))
+	x0 := c[2]
+	for k := range out {
+		dx := float64(x0+int64(k)) - ex
+		ratio := (dy2 + dx*dx) / r2
+		prof := 2 * ratio / (1 + ratio*ratio)
+		out[k] = peak * prof
+	}
 }
 
 // Dataset holds an open WRF-like output file.
@@ -109,8 +155,8 @@ func NewDataset(fs *pfs.FS, storm Storm, stripeCount int, stripeSize int64) (*Da
 	if err != nil {
 		return nil, err
 	}
-	ds, err := ncfile.SynthDataset(fs, "wrfout", &s,
-		[]ncfile.ValueFn{storm.SLP, storm.Wind10}, stripeCount, stripeSize, 0)
+	ds, err := ncfile.SynthDatasetGen(fs, "wrfout", &s,
+		[]ncfile.Gen{slpGen{&storm}, windGen{&storm}}, stripeCount, stripeSize, 0)
 	if err != nil {
 		return nil, err
 	}

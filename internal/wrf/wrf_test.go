@@ -2,6 +2,7 @@ package wrf
 
 import (
 	"math"
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/adio"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/climate"
 	"repro/internal/fabric"
 	"repro/internal/mpi"
+	"repro/internal/ncfile"
 	"repro/internal/pfs"
 	"repro/internal/sim"
 )
@@ -143,3 +145,76 @@ func TestNewDatasetVars(t *testing.T) {
 		t.Fatal("a third variable exists")
 	}
 }
+
+// TestStormRowGensMatchScalarFns pins slpGen and windGen to the scalar
+// Storm.SLP and Storm.Wind10 bit for bit, as climate's TestRowGensMatchScalarFns
+// pins its generators: the storms of fig13's quick, default and paper grids,
+// one whose intensity saturates at 1 a quarter of the way through, rows at
+// seeded random positions (whole and partial) and rows starting past 2^32 and
+// 2^52 on both the y and x axes.
+func TestStormRowGensMatchScalarFns(t *testing.T) {
+	saturating := DefaultStorm(64, 256, 256)
+	saturating.Deepening = 2 / float64(saturating.NT)
+	if saturating.intensity(float64(saturating.NT-1)) != 1 {
+		t.Fatal("the saturating storm does not saturate")
+	}
+	storms := []Storm{
+		DefaultStorm(25, 128, 128), DefaultStorm(50, 128, 128), // -quick
+		DefaultStorm(102, 1024, 1024), DefaultStorm(204, 1024, 1024), DefaultStorm(409, 1024, 1024),
+		DefaultStorm(1024, 1024, 1024), DefaultStorm(2048, 1024, 1024), DefaultStorm(4096, 1024, 1024),
+		saturating,
+	}
+	rng := rand.New(rand.NewPCG(13, 1013))
+	out := make([]float64, 1024)
+	c := make([]int64, 3)
+	check := func(s *Storm, start []int64, n int) {
+		t.Helper()
+		for _, g := range []struct {
+			name string
+			gen  ncfile.Gen
+			fn   func([]int64) float64
+		}{{"slp", slpGen{s}, s.SLP}, {"wind10", windGen{s}, s.Wind10}} {
+			row := out[:n]
+			g.gen.FillRow(start, row)
+			for k, got := range row {
+				at := append(c[:0], start[0], start[1], start[2]+int64(k))
+				if want := g.fn(at); math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s row of storm %+v at %v = %x, scalar = %x", g.name, *s, at,
+						math.Float64bits(got), math.Float64bits(want))
+				}
+			}
+		}
+	}
+	for i := range storms {
+		s := &storms[i]
+		ey, _ := s.eye(float64(s.NT - 1))
+		check(s, []int64{s.NT - 1, int64(ey), 0}, int(s.NX)) // through the last eye
+		for r := 0; r < 64; r++ {
+			x0 := rng.Int64N(s.NX)
+			check(s, []int64{rng.Int64N(s.NT), rng.Int64N(s.NY), x0}, int(s.NX-x0))
+		}
+		for _, far := range []int64{1<<32 + 7, 1<<52 - 40} {
+			check(s, []int64{s.NT / 2, far, far}, 64)
+			check(s, []int64{far, 3, far}, 64)
+		}
+	}
+}
+
+// benchStorm is fig13's largest default-scale storm.
+var benchStorm = DefaultStorm(409, 1024, 1024)
+
+// benchRow reports a row generator's throughput over one 1024-element row of
+// benchStorm, crossing the eye.
+func benchRow(b *testing.B, g ncfile.Gen) {
+	ey, _ := benchStorm.eye(200)
+	c := []int64{200, int64(ey), 0}
+	out := make([]float64, 1024)
+	for i := 0; i < b.N; i++ {
+		g.FillRow(c, out)
+	}
+	b.ReportMetric(float64(b.N)*float64(len(out))/b.Elapsed().Seconds()/1e6, "Melem/s")
+}
+
+func BenchmarkSLPRow(b *testing.B) { benchRow(b, slpGen{&benchStorm}) }
+
+func BenchmarkWindRow(b *testing.B) { benchRow(b, windGen{&benchStorm}) }
