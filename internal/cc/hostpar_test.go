@@ -164,15 +164,20 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 	}
 }
 
-// panicOp panics in Absorb on the subset whose slab starts at row 64 (rank
-// 4's first) of time step 5: a fold on the host phase's workers, not on the
-// rank's goroutine.
+// panicOp panics in Absorb on the subset that holds element (5, 64, 0),
+// rank 4's first of time step 5: on the CC leg a fold on the host phase's
+// workers, on the traditional leg one of rank 4's units, folded by whichever
+// of its host workers holds the fold.
 type panicOp struct{ Sum }
 
 type opPanic struct{ step int64 }
 
 func (panicOp) Absorb(s State, sub Subset) State {
-	if sub.Slab.Start[0] == 5 && sub.Slab.Start[1] == 64 {
+	in := true
+	for d, x := range []int64{5, 64, 0} {
+		in = in && sub.Slab.Start[d] <= x && x < sub.Slab.Start[d]+sub.Slab.Count[d]
+	}
+	if in {
 		panic(opPanic{5})
 	}
 	return Sum{}.Absorb(s, sub)
@@ -181,26 +186,38 @@ func (panicOp) Absorb(s State, sub Subset) State {
 // TestWorkerPanicReachesRunCaller: a panic in an operator's Absorb on a host
 // worker is re-raised on the rank's goroutine, so it unwinds out of Env.Run
 // in Run's caller with its value, as a panic in a process body does, instead
-// of killing the binary from a goroutine nobody can recover on.
+// of killing the binary from a goroutine nobody can recover on — on the CC
+// leg in both reduce modes and on the traditional leg's pipelined fold
+// through either read, where the other workers must not wait for a unit
+// the panicking one will never fold.
 func TestWorkerPanicReachesRunCaller(t *testing.T) {
 	g := parGeometry
-	for _, reduce := range []ReduceMode{AllToOne, AllToAll} {
+	legs := []struct {
+		name string
+		io   IO
+	}{
+		{"cc/all-to-one", IO{Reduce: AllToOne}},
+		{"cc/all-to-all", IO{Reduce: AllToAll}},
+		{"traditional/collective", IO{Block: true}},
+		{"traditional/independent", IO{Mode: Independent}},
+	}
+	for _, leg := range legs {
 		atProcs(4, func() {
 			tb := newValueBed(t, len(g.rows), ncfile.Float32, g.dims, g.stripe, nil, false)
 			slabs := parSlabs()
 			tb.w.Go(func(r *mpi.Rank) {
-				ObjectGetVara(r, tb.c, tb.fs.Client(r.Proc(), r.Rank(), nil), IO{
-					DS: tb.ds, VarID: tb.id, Slab: slabs[r.Rank()], Reduce: reduce,
-					Params: adio.Params{CB: g.cb},
-				}, panicOp{})
+				io := leg.io
+				io.DS, io.VarID, io.Slab = tb.ds, tb.id, slabs[r.Rank()]
+				io.Params = adio.Params{CB: g.cb}
+				ObjectGetVara(r, tb.c, tb.fs.Client(r.Proc(), r.Rank(), nil), io, panicOp{})
 			})
 			defer func() {
 				if r := recover(); r != (opPanic{5}) {
-					t.Errorf("reduce %d: recovered %#v from Run, want %#v", reduce, r, opPanic{5})
+					t.Errorf("%s: recovered %#v from Run, want %#v", leg.name, r, opPanic{5})
 				}
 			}()
 			err := tb.env.Run()
-			t.Errorf("reduce %d: Run returned %v past a panicking operator", reduce, err)
+			t.Errorf("%s: Run returned %v past a panicking operator", leg.name, err)
 		})
 	}
 }

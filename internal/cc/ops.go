@@ -40,8 +40,13 @@ type Subset struct {
 // Zero() on the host's cores (see runCollectiveComputing), so Zero and
 // Absorb may run concurrently on distinct states and must not share mutable
 // state across calls; every operator here, Fuse, WindowOp and PerIndex
-// included, complies. Merge, StateBytes and Value run on the rank's
-// goroutine.
+// included, complies. The traditional leg folds its subset from one state
+// in units as the host workers make them (ncfile.FoldVara), one Absorb at a
+// time but not necessarily on the rank's goroutine; that it gives the
+// one-call answer rests on the left-fold rule: absorbing consecutive
+// row-major sub-rectangles of a rectangle in order, from one state, gives
+// the same bits as absorbing the whole rectangle. Merge, StateBytes and
+// Value run on the rank's goroutine.
 type Op interface {
 	// Name identifies the operator in reports.
 	Name() string

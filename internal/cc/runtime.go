@@ -318,26 +318,22 @@ func runWithConsumers(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (R
 // runTraditional is the paper's Figure 5 baseline: finish the I/O, then
 // compute, then MPI_Reduce.
 func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Result, error) {
-	var vals []float64
-	var err error
-	if io.Mode == Independent {
-		vals, err = io.DS.GetVara(cl, io.VarID, io.Slab, io.Params)
-		if err == nil {
-			// Independent I/O still synchronizes before the reduce.
-			c.Barrier(r)
-		}
-	} else {
-		vals, err = io.DS.GetVaraAllScratch(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params)
-	}
+	// Computation stage: the whole local subset, folded from one state in
+	// the read's units as the host workers make them. The host does the fold
+	// before the rank is charged for it: Absorb moves no virtual time, and
+	// once it has run the values are dead, which is what lets the read hand
+	// them over in a scratch the next rank reuses.
+	f := &tradFold{op: op, st: op.Zero()}
+	independent := io.Mode == Independent
+	err := io.DS.FoldVara(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params, independent, f)
 	if err != nil {
 		return Result{}, err
 	}
-	// Computation stage: the whole local subset at once. The host does the
-	// fold before the rank is charged for it: Absorb moves no virtual time,
-	// and once it has run the values are dead, which is what lets the
-	// collective read above hand them over in a scratch the next rank reuses.
-	elems := int64(len(vals))
-	st := op.Absorb(op.Zero(), Subset{Slab: io.Slab, Data: vals})
+	if independent {
+		// Independent I/O still synchronizes before the reduce.
+		c.Barrier(r)
+	}
+	elems := io.Slab.NumElems()
 	tm0 := r.Now()
 	r.Compute(float64(elems) * io.SecPerElem)
 	if ot := r.World().Obs(); ot != nil {
@@ -348,7 +344,18 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 		io.Stats.MapElements += elems
 		io.Stats.MapSeconds += float64(elems) * io.SecPerElem
 	}
-	return finalReduce(r, c, io, op, st)
+	return finalReduce(r, c, io, op, f.st)
+}
+
+// tradFold is the traditional leg's ncfile.Folder: it absorbs each unit of
+// the rank's subset into st, in order.
+type tradFold struct {
+	op Op
+	st State
+}
+
+func (f *tradFold) Fold(unit layout.Slab, vals []float64) {
+	f.st = f.op.Absorb(f.st, Subset{Slab: unit, Data: vals})
 }
 
 // runCollectiveComputing is the paper's Figure 7 runtime: map inside the

@@ -469,3 +469,37 @@ func TestCCLegMallocsAllocBound(t *testing.T) {
 			short[0]*short[1], got, bound, long[0]*long[1], base, mallocSlack, extraRows)
 	}
 }
+
+// TestTraditionalLegMallocsAllocBound: the objects a traditional leg
+// allocates do not grow with the units its fold is cut into. The bed with
+// eight times the time steps per rank has eight times the units (one time
+// step of 64 rows each), and read through collective buffers eight times as
+// large it has the same pieces and messages; so anything the fold allocated
+// per unit would show here. What Sum allocates itself, a boxed state per
+// Absorb, comes on top and is counted.
+func TestTraditionalLegMallocsAllocBound(t *testing.T) {
+	const grow = 8
+	few := allocBedDims
+	many := []int64{few[0] * grow, few[1], few[2]}
+	io := IO{Block: true, Params: adio.Params{CB: allocBedCB}}
+	_, base := newAllocBed(t, false, few).steadyAlloc(t, io)
+	io.Params.CB *= grow
+	b := newAllocBed(t, false, many)
+	_, got := b.steadyAlloc(t, io)
+
+	// Each rank's eighth of a bed is an eighth of its time steps, of 64x128
+	// elements, one unit each: the ranks together fold a unit per step.
+	extraUnits := uint64(many[0] - few[0])
+	sub := Subset{Slab: b.slabs[0], Data: make([]float64, 64*128)}
+	for i := range sub.Data {
+		sub.Data[i] = 1.5 // a sum the runtime has no preallocated box for
+	}
+	st := Sum{}.Zero()
+	perAbsorb := uint64(testing.AllocsPerRun(100, func() { st = Sum{}.Absorb(st, sub) }) + 0.5)
+	t.Logf("mallocs: %d units, %d; %d units, %d (Sum: %d per Absorb)",
+		few[0], base, many[0], got, perAbsorb)
+	if bound := base + mallocSlack + extraUnits*perAbsorb; got > bound {
+		t.Errorf("traditional leg over %d units allocated %d objects, bound %d (the leg over %d units %d + slack %d + Sum's own %d); an object per unit would add %d",
+			many[0], got, bound, few[0], base, mallocSlack, extraUnits*perAbsorb, extraUnits)
+	}
+}

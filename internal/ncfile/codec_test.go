@@ -111,24 +111,26 @@ func checkCodecMatchesScalar(t *testing.T, ty Type, vals []float64, rawIn []byte
 	sameValues("roundTrip", rt, scalarDecode(ty, want))
 }
 
-// TestCodecMatchesScalarTable: the values where a conversion could go wrong —
-// NaNs with payloads (quiet and signalling, either sign), infinities, signed
-// zeros, denormals of both widths, magnitudes beyond float32 and beyond the
-// integer types — at every length from 0 to 9 and every alignment of the
-// awkward values within the 4-element blocks.
+// awkward holds the values where a conversion could go wrong — NaNs with
+// payloads (quiet and signalling, either sign), infinities, signed zeros,
+// denormals of both widths, magnitudes beyond float32 and beyond the integer
+// types.
+var awkward = []float64{
+	0, math.Copysign(0, -1), 1, -1, 0.1, -1e-3, 1.0000000596046448,
+	math.Inf(1), math.Inf(-1), math.NaN(),
+	math.Float64frombits(0x7ff8000000abcdef), math.Float64frombits(0xfff0000000000001),
+	math.Float64frombits(0x7ff4000000000000), float64(math.Float32frombits(0x7fa00001)),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310,
+	math.SmallestNonzeroFloat32, math.SmallestNonzeroFloat32 / 3, 1e-40, -1e-46,
+	math.MaxFloat32, -math.MaxFloat32, math.MaxFloat32 * 1.0000001, 1e39, math.MaxFloat64,
+	math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, 2147483647.9, -2147483648.9,
+	4294967296, 1e10, -1e10, 9223372036854775807, 9223372036854775808, -9223372036854775808, 1e19, -1e19, 1e300,
+	-0.9, 0.9, 1.5, -1.5, 16777217, -16777217,
+}
+
+// TestCodecMatchesScalarTable: the awkward values at every length from 0 to
+// 9 and every alignment within the 4-element blocks.
 func TestCodecMatchesScalarTable(t *testing.T) {
-	awkward := []float64{
-		0, math.Copysign(0, -1), 1, -1, 0.1, -1e-3, 1.0000000596046448,
-		math.Inf(1), math.Inf(-1), math.NaN(),
-		math.Float64frombits(0x7ff8000000abcdef), math.Float64frombits(0xfff0000000000001),
-		math.Float64frombits(0x7ff4000000000000), float64(math.Float32frombits(0x7fa00001)),
-		math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 1e-310,
-		math.SmallestNonzeroFloat32, math.SmallestNonzeroFloat32 / 3, 1e-40, -1e-46,
-		math.MaxFloat32, -math.MaxFloat32, math.MaxFloat32 * 1.0000001, 1e39, math.MaxFloat64,
-		math.MaxInt32, math.MaxInt32 + 1, math.MinInt32, math.MinInt32 - 1, 2147483647.9, -2147483648.9,
-		4294967296, 1e10, -1e10, 9223372036854775807, 9223372036854775808, -9223372036854775808, 1e19, -1e19, 1e300,
-		-0.9, 0.9, 1.5, -1.5, 16777217, -16777217,
-	}
 	// Raw bytes for decode alone: every byte value appears, so float32 NaN
 	// payloads and sign bits that encode never produces are covered.
 	rawIn := make([]byte, 9*8)
@@ -147,6 +149,57 @@ func TestCodecMatchesScalarTable(t *testing.T) {
 				binary.LittleEndian.PutUint32(rawIn[16+(at%4)*4:], 0xffc12345)
 				binary.LittleEndian.PutUint64(rawIn[32+(at%4)*8:], 0x7ff4000000000001)
 				checkCodecMatchesScalar(t, ty, vals, rawIn[:n*8])
+			}
+		}
+	}
+}
+
+// TestRoundTripMatchesScalarLoop: the unrolled roundTrip gives what the
+// one-element-at-a-time loop gives, bit for bit, for each type, at every
+// length from 0 to 9 from every offset into the awkward values (so each
+// value meets each of the four unrolled slots and the tail), and over a long
+// row of arbitrary bit patterns whose length leaves a tail of three.
+func TestRoundTripMatchesScalarLoop(t *testing.T) {
+	scalar := func(ty Type, vals []float64) {
+		for i, v := range vals {
+			switch ty {
+			case Float32:
+				vals[i] = float64(float32(v))
+			case Int32:
+				vals[i] = float64(int32(v))
+			case Int64:
+				vals[i] = float64(int64(v))
+			}
+		}
+	}
+	long := make([]float64, 4*1000+3)
+	for i := range long {
+		long[i] = math.Float64frombits(mix(uint64(i)))
+		if i%3 == 0 {
+			long[i] = awkward[i%len(awkward)]
+		}
+	}
+	var rows [][]float64
+	for n := 0; n <= 9; n++ {
+		for at := range awkward {
+			row := make([]float64, n)
+			for i := range row {
+				row[i] = awkward[(at+i)%len(awkward)]
+			}
+			rows = append(rows, row)
+		}
+	}
+	rows = append(rows, long)
+	for _, ty := range allTypes {
+		for _, row := range rows {
+			got, want := append([]float64(nil), row...), append([]float64(nil), row...)
+			roundTrip(ty, got)
+			scalar(ty, want)
+			for i := range want {
+				if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+					t.Fatalf("%v roundTrip of %d values: element %d (%v) is %#x, the scalar loop gives %#x",
+						ty, len(row), i, row[i], math.Float64bits(got[i]), math.Float64bits(want[i]))
+				}
 			}
 		}
 	}

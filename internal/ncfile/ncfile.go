@@ -120,13 +120,15 @@ type Dataset struct {
 	file  *pfs.File
 	vars  []Var
 	synth *synth // non-nil for generator-backed datasets (SynthDatasetGen)
-	// decoded is the scratch GetVaraAllScratch returns its values in, and
-	// work the host workers' scratch. Both are shared by every rank reading
-	// this dataset: a dataset lives in one FS and so one sim.Env, whose kernel
-	// runs one process at a time, and no reader yields to the kernel between
-	// filling a scratch and consuming it.
+	// decoded is the scratch FoldVara makes its values in, work the host
+	// workers' scratch, and req the request they are working on. All are
+	// shared by every rank reading this dataset: a dataset lives in one FS
+	// and so one sim.Env, whose kernel runs one process at a time, and no
+	// reader yields to the kernel between filling a scratch and consuming it.
 	decoded []float64
 	work    host.Pool[Worker]
+	req     unitReq
+	unit    func(*Worker, int) // runUnit, bound once (see run)
 }
 
 // Worker is one host worker's scratch for producing a dataset's values and
@@ -142,8 +144,8 @@ type Worker struct {
 // RunWorkers calls body(w, i) once for every i in [0, n) on the host's cores,
 // the way host.Pool.Run does (elems is the work in elements), with w the
 // dataset's scratch of the worker making the call. body must not yield to
-// the simulation kernel, nor call Values, which uses the same workers:
-// WorkerValues is its way to the dataset's values.
+// the simulation kernel, nor call Values or FoldVara, which use the same
+// workers: WorkerValues is its way to the dataset's values.
 func (ds *Dataset) RunWorkers(n int, elems int64, body func(w *Worker, i int)) {
 	ds.work.Run(n, elems, body)
 }
@@ -224,38 +226,13 @@ func EncodeValues(t Type, vals []float64) []byte {
 // member of c must call it. aggrs and p configure the two-phase protocol.
 func (ds *Dataset) GetVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
-	elems, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
+	elems, raw, err := ds.readVara(id, slab, func(rq adio.Request) error {
+		return adio.CollectiveRead(r, c, cl, ds.file, rq, aggrs, p)
+	})
 	if err != nil {
 		return nil, err
 	}
 	return ds.Values(id, elems, raw, nil), nil
-}
-
-// GetVaraAllScratch is GetVaraAll for a caller that consumes the values
-// before it next yields to the simulation kernel (any Compute, Sys, message
-// or I/O call): the returned slice is a per-dataset scratch that the next
-// rank to finish reading the dataset overwrites. In exchange a collective
-// read produces its values in one buffer instead of allocating 8 bytes per
-// element on every rank. From a generator-backed dataset the buffer is
-// filled on the host workers (Values), all of which have stopped when
-// it is returned.
-func (ds *Dataset) GetVaraAllScratch(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
-	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]float64, error) {
-	elems, raw, err := ds.readVaraAll(r, c, cl, id, slab, aggrs, p)
-	if err != nil {
-		return nil, err
-	}
-	// The scratch is picked up here, after the read's last yield.
-	ds.decoded = ds.Values(id, elems, raw, ds.decoded)
-	return ds.decoded, nil
-}
-
-// readVaraAll is readVara with the two-phase collective read.
-func (ds *Dataset) readVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
-	id int, slab layout.Slab, aggrs []int, p adio.Params) ([]layout.Run, []byte, error) {
-	return ds.readVara(id, slab, func(rq adio.Request) error {
-		return adio.CollectiveRead(r, c, cl, ds.file, rq, aggrs, p)
-	})
 }
 
 // readVara performs the hyperslab's read with the given protocol and returns

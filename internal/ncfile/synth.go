@@ -83,41 +83,20 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 	}
 	size := s.Layout()
 	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...)}
-	sy.unit = sy.fillUnit
 	f := fs.Create(name, pfs.NewSynthBackend(size, sy.fill), stripeCount, stripeSize, firstOST)
 	return &Dataset{file: f, vars: s.vars, synth: sy}, nil
 }
 
 // synth is the generator side of a synthetic dataset: the variables in file
 // order (Layout assigns offsets in schema order, so that is id order), their
-// generators, and two sets of scratch, one per dataset for the reason
-// Dataset.work is: the backend fill's coordinates and values, used on a
-// rank's goroutine inside a read; and the request Values is spreading
-// over the host workers, each of which walks its own Worker.coords.
+// generators, and the backend fill's coordinate and value scratch, used on a
+// rank's goroutine inside a read and kept per dataset for the reason
+// Dataset.work is.
 type synth struct {
 	vars   []Var
 	gens   []Gen // by variable id; nil = zeros
 	coords []int64
 	vals   []float64
-
-	req  synthReq
-	cuts []runPos           // where each of req's Grain-element units starts
-	unit func(*Worker, int) // fillUnit, bound once so that a call allocates nothing
-}
-
-// synthReq is one synthValues call on the host workers: out receives the
-// values of v's elements in runs, concatenated, from generator g.
-type synthReq struct {
-	v    *Var
-	g    Gen
-	runs []layout.Run
-	out  []float64
-}
-
-// runPos is element off of run number run.
-type runPos struct {
-	run int
-	off int64
 }
 
 // Synthetic reports whether the dataset is generator-backed, i.e. whether
@@ -126,10 +105,10 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 
 // Values returns the values of the elements of variable id in elemRuns (runs
 // of linear element indices, in order), concatenated, in out's storage when
-// its capacity suffices. It is the one place a generator-backed dataset is
-// told from one holding real bytes, shared by every reader that turns a read
-// into values (GetVara, GetVaraAll, GetVaraAllScratch, and through
-// WorkerValues the collective-computing map):
+// its capacity suffices. It is where a generator-backed dataset is told
+// from one holding real bytes for the readers that turn a read into values
+// (GetVara, GetVaraAll, and through WorkerValues the collective-computing
+// map; FoldVara's units make the same choice in runUnit):
 //
 //   - A Synthetic dataset is immutable and a pure function of (variable,
 //     coordinates), so when and in what form its content is produced is
@@ -183,31 +162,13 @@ func (ds *Dataset) synthValues(w *Worker, id int, elemRuns []layout.Run, out []f
 	case w != nil:
 		fillValues(&w.coords, &ds.vars[id], g, elemRuns, 0, out)
 	default:
-		sy := ds.synth
-		sy.cuts = sy.cuts[:0]
-		var pos int64 // of the current run's first element within out
-		for r, er := range elemRuns {
-			for c := int64(len(sy.cuts)) * host.Grain; c < pos+er.Length; c += host.Grain {
-				sy.cuts = append(sy.cuts, runPos{run: r, off: c - pos})
-			}
-			pos += er.Length
+		q := ds.start(id, elemRuns, g, nil, out)
+		for lo := int64(0); lo < n; lo += host.Grain {
+			q.cut(lo)
 		}
-		// The runs are copied into the dataset's scratch: keeping the
-		// caller's slice would move it to the heap on every call.
-		sy.req = synthReq{v: &ds.vars[id], g: g, runs: append(sy.req.runs[:0], elemRuns...), out: out}
-		ds.work.Run(len(sy.cuts), n, sy.unit)
-		sy.req.out = nil // the caller's, from here on
+		ds.run(n)
 	}
 	return out
-}
-
-// fillUnit fills unit i of the current request.
-func (sy *synth) fillUnit(w *Worker, i int) {
-	q := &sy.req
-	lo := int64(i) * host.Grain
-	hi := min(lo+host.Grain, int64(len(q.out)))
-	c := sy.cuts[i]
-	fillValues(&w.coords, q.v, q.g, q.runs[c.run:], c.off, q.out[lo:hi])
 }
 
 // fillValues fills out with the values of v's elements that start off

@@ -2,6 +2,7 @@ package ncfile
 
 import (
 	"bytes"
+	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -133,9 +134,10 @@ func FuzzSynthValuesMatchBytePath(f *testing.F) {
 }
 
 // checkGetVaraMatchesBytePath is the same contract one layer up: on a
-// generator-backed dataset GetVara, GetVaraAll and GetVaraAllScratch — which
-// issue charge-only reads and generate their values — return what DecodeValues
-// gives for the bytes the backend serves for the slab, bit for bit. Three
+// generator-backed dataset GetVara, GetVaraAll and FoldVara over either
+// protocol — which issue charge-only reads and generate their values —
+// return what DecodeValues gives for the bytes the backend serves for the
+// slab, bit for bit, FoldVara's units concatenated. Three
 // ranks read a random slab each (any start and count per dimension, so rows
 // are partial and a slab is many runs) of every variable of randomSynth(seed).
 func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
@@ -160,7 +162,7 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			slabs[id][me] = sl
 		}
 	}
-	type reads struct{ indep, coll, scratch []float64 }
+	type reads struct{ indep, coll, foldIndep, foldColl []float64 }
 	got := make([][n]reads, len(ds.vars))
 	w.Go(func(r *mpi.Rank) {
 		me := r.Rank()
@@ -175,11 +177,20 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			if g.coll, err = ds.GetVaraAll(r, c, cl, id, slabs[id][me], nil, p); err != nil {
 				t.Error(err)
 			}
-			vals, err := ds.GetVaraAllScratch(r, c, cl, id, slabs[id][me], nil, p)
-			if err != nil {
-				t.Error(err)
+			for _, independent := range []bool{false, true} {
+				var f concat
+				if err := ds.FoldVara(r, c, cl, id, slabs[id][me], nil, p, independent, &f); err != nil {
+					t.Error(err)
+				}
+				if f.bad != "" {
+					t.Error(f.bad)
+				}
+				if independent {
+					g.foldIndep = f.vals
+				} else {
+					g.foldColl = f.vals
+				}
 			}
-			g.scratch = append([]float64(nil), vals...) // before the next yield
 			got[id][me] = g
 		}
 	})
@@ -201,7 +212,8 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			}
 			want := DecodeValues(v.Type, raw, nil)
 			g := got[id][me]
-			for name, vals := range map[string][]float64{"GetVara": g.indep, "GetVaraAll": g.coll, "GetVaraAllScratch": g.scratch} {
+			for name, vals := range map[string][]float64{"GetVara": g.indep, "GetVaraAll": g.coll,
+				"FoldVara/independent": g.foldIndep, "FoldVara/collective": g.foldColl} {
 				if len(vals) != len(want) {
 					t.Fatalf("var %d (%v %v) slab %v: %s returned %d values, the bytes hold %d",
 						id, v.Type, v.Dims, slabs[id][me], name, len(vals), len(want))
@@ -216,6 +228,20 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			}
 		}
 	}
+}
+
+// concat is a Folder that keeps a copy of the units' values, concatenated,
+// and notes a unit whose values are not its slab's element count.
+type concat struct {
+	vals []float64
+	bad  string
+}
+
+func (f *concat) Fold(unit layout.Slab, vals []float64) {
+	if n := unit.NumElems(); n != int64(len(vals)) && f.bad == "" {
+		f.bad = fmt.Sprintf("unit %v of %d elements folded with %d values", unit, n, len(vals))
+	}
+	f.vals = append(f.vals, vals...)
 }
 
 // TestSynthFillWritesEveryByte reads windows of a synthetic file into a
