@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
+	"strconv"
 
 	"repro/internal/adio"
 	"repro/internal/cc"
@@ -71,9 +73,9 @@ type ccMeta struct {
 	// ranks, buffer, block) — also the shared plan-cache key.
 	shapeKey string
 	// memoKey extends shapeKey with the reduce mode and the operator
-	// identity (type + parameters): two jobs with equal memoKey produce
-	// bit-identical results, so one cached cc.Result serves both.
-	memoKey string
+	// identity: two jobs with equal (==) memoKeys produce bit-identical
+	// results, so one cached cc.Result serves both.
+	memoKey memoKey
 	// bytes is the logical data volume the job's read streams — what a memo
 	// hit or coalesce saves.
 	bytes int64
@@ -84,9 +86,71 @@ type ccMeta struct {
 	followers []*JobResult  // coalesced jobs computed by the fused pass
 }
 
+// memoKey is a CC job's semantic identity, compared with ==: the shape key,
+// the reduce mode, and the operator itself. op holds the operator value when
+// it is comparable (its type and parameters then take part in ==, where
+// Name() alone would conflate, e.g., two Histograms with different ranges);
+// an operator that is not (Fuse, WindowOp, any op with a slice field) is
+// represented by its %T%+v text instead.
+type memoKey struct {
+	shape  string
+	reduce cc.ReduceMode
+	op     any
+}
+
+func newMemoKey(shape string, reduce cc.ReduceMode, op cc.Op) memoKey {
+	k := memoKey{shape: shape, reduce: reduce, op: op}
+	if !reflect.ValueOf(op).Comparable() {
+		k.op = fmt.Sprintf("%T%+v", op, op)
+	}
+	return k
+}
+
+// shares reports whether k equals itself. A NaN operator parameter makes a
+// key unequal to every key, its own included, so such a job never shares a
+// result: it is neither cached nor registered as an in-flight donor.
+func (k memoKey) shares() bool { return k == k }
+
+// ccShapeKey renders j's access shape as
+// "cc:<dataset>:v<var>:<start>:<count>:d<split>:r<ranks>:cb<cb>:b<block>",
+// the slab's slices spelled as fmt's %v spells them ("[0 8 8]").
+func ccShapeKey(j *CCJob) string {
+	var buf [128]byte // on the stack: the returned string is the one allocation
+	b := append(buf[:0], "cc:"...)
+	b = append(b, j.Dataset...)
+	b = append(b, ":v"...)
+	b = strconv.AppendInt(b, int64(j.VarID), 10)
+	b = append(b, ':')
+	b = appendInts(b, j.Slab.Start)
+	b = append(b, ':')
+	b = appendInts(b, j.Slab.Count)
+	b = append(b, ":d"...)
+	b = strconv.AppendInt(b, int64(j.SplitDim), 10)
+	b = append(b, ":r"...)
+	b = strconv.AppendInt(b, int64(j.Ranks), 10)
+	b = append(b, ":cb"...)
+	b = strconv.AppendInt(b, j.CB, 10)
+	b = append(b, ":b"...)
+	b = strconv.AppendBool(b, j.Block)
+	return string(b)
+}
+
+// appendInts appends v as fmt's %v prints an []int64: "[a b c]".
+func appendInts(b []byte, v []int64) []byte {
+	b = append(b, '[')
+	for i, x := range v {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, x, 10)
+	}
+	return append(b, ']')
+}
+
 // prepareCC normalizes j and builds the scheduler Job plus the memo
-// metadata shared by SubmitCC and SubmitCCAt.
-func (c *Cluster) prepareCC(j CCJob) (*Job, *CCResult, *ccMeta) {
+// metadata shared by SubmitCC and SubmitCCAt; meta.out is the result the
+// caller returns.
+func (c *Cluster) prepareCC(j CCJob) (Job, *ccMeta) {
 	if j.Op == nil {
 		panic(fmt.Sprintf("cluster: CC job %q has no Op", j.Name))
 	}
@@ -103,19 +167,15 @@ func (c *Cluster) prepareCC(j CCJob) (*Job, *CCResult, *ccMeta) {
 	}
 	// The plan is a pure function of the per-comm-rank requests, so jobs with
 	// identical shapes can share plans even on different world-rank subsets.
-	shape := fmt.Sprintf("cc:%s:v%d:%v:%v:d%d:r%d:cb%d:b%t",
-		j.Dataset, j.VarID, j.Slab.Start, j.Slab.Count, j.SplitDim, j.Ranks, j.CB, j.Block)
+	shape := ccShapeKey(&j)
 	meta := &ccMeta{
 		job:      j,
+		out:      &CCResult{},
 		shapeKey: shape,
-		// %T%+v captures the operator's type and parameters (Name() alone
-		// would conflate, e.g., two Histograms with different ranges).
-		memoKey: fmt.Sprintf("%s:red%d:op%T%+v", shape, j.Reduce, j.Op, j.Op),
-		bytes:   j.Slab.NumElems() * v.Type.Size(),
+		memoKey:  newMemoKey(shape, j.Reduce, j.Op),
+		bytes:    j.Slab.NumElems() * v.Type.Size(),
 	}
-	out := &CCResult{}
-	meta.out = out
-	job := &Job{
+	job := Job{
 		Name:     j.Name,
 		Ranks:    j.Ranks,
 		Deadline: j.Deadline,
@@ -124,6 +184,7 @@ func (c *Cluster) prepareCC(j CCJob) (*Job, *CCResult, *ccMeta) {
 		Class:    j.Class,
 		PlanKey:  shape,
 		Main: func(ctx *JobContext, r *mpi.Rank) error {
+			j := &meta.job
 			comm := ctx.Comm()
 			slabs := climate.SplitAlongDim(j.Slab, j.SplitDim, comm.Size())
 			res, err := cc.ObjectGetVaraSession(ctx, r, cc.IO{
@@ -140,12 +201,12 @@ func (c *Cluster) prepareCC(j CCJob) (*Job, *CCResult, *ccMeta) {
 				return err
 			}
 			if res.Root {
-				out.Res = res
+				meta.out.Res = res
 			}
 			return nil
 		},
 	}
-	return job, out, meta
+	return job, meta
 }
 
 // SubmitCC queues a declarative collective-computing job. Jobs with the same
@@ -154,19 +215,19 @@ func (c *Cluster) prepareCC(j CCJob) (*Job, *CCResult, *ccMeta) {
 // the same full semantic shape additionally share results, and overlapping
 // jobs share one physical pass (see memo.go).
 func (c *Cluster) SubmitCC(j CCJob) *CCResult {
-	job, out, meta := c.prepareCC(j)
-	jr := c.Submit(job)
-	jr.cc = meta
-	out.JobResult = jr
-	return out
+	job, meta := c.prepareCC(j)
+	jr := c.prepare(&job, 0, meta)
+	c.enqueue(jr)
+	meta.out.JobResult = jr
+	return meta.out
 }
 
 // SubmitCCAt queues a declarative collective-computing job arriving at
 // virtual time t > 0 (see SubmitAt).
 func (c *Cluster) SubmitCCAt(t float64, j CCJob) *CCResult {
-	job, out, meta := c.prepareCC(j)
-	jr := c.SubmitAt(t, job)
-	jr.cc = meta
-	out.JobResult = jr
-	return out
+	job, meta := c.prepareCC(j)
+	jr := c.prepare(&job, t, meta)
+	c.enqueueAt(jr)
+	meta.out.JobResult = jr
+	return meta.out
 }

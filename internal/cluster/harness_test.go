@@ -76,18 +76,21 @@ type mixOutcome struct {
 	results  []*JobResult // in mix order
 	makespan float64
 	sched    SchedStats
+	memo     MemoStats
 	events   []byte // JSONL event log; nil unless traced
 }
 
 // mixRun is how one mix is executed: the registered policy, whether the
 // JSONL event log is captured (traced) and whether decision records are
-// interleaved into it (explain), and an optional hook run on the fresh
-// cluster before any submission.
+// interleaved into it (explain), an optional hook run on the fresh cluster
+// before any submission, and, when cc is set, the CC metadata job i carries
+// on a memo cluster (submitMixCC).
 type mixRun struct {
 	policy  string
 	traced  bool
 	explain bool
 	setup   func(*Cluster)
+	cc      []CCJob
 }
 
 // runMix executes mix under the named policy. EstCost is set to the exact
@@ -99,7 +102,7 @@ func runMix(t *testing.T, policy string, mix []mixJob, traced bool) mixOutcome {
 
 func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
 	t.Helper()
-	spec := Spec{Ranks: harnessRanks, RanksPerNode: 4, Policy: run.policy}
+	spec := Spec{Ranks: harnessRanks, RanksPerNode: 4, Policy: run.policy, Memo: run.cc != nil}
 	var buf bytes.Buffer
 	var sink *obs.JSONLSink
 	if run.traced {
@@ -112,15 +115,22 @@ func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
 		spec.Obs = ot
 	}
 	c := New(spec)
+	if run.cc != nil {
+		registerMixDatasets(t, c)
+	}
 	if run.setup != nil {
 		run.setup(c)
 	}
 	sessions := map[string]*Session{
 		"t1": c.Session("t1"), "t2": c.Session("t2"),
 	}
-	for _, mj := range mix {
+	for i, mj := range mix {
 		j := &Job{Name: mj.name, Ranks: mj.width, Deadline: mj.deadline,
 			Priority: mj.prio, EstCost: mj.dur, Main: pureCompute(mj.dur)}
+		if run.cc != nil {
+			submitMixCC(c, sessions[mj.tenant], run.cc[i], j, mj.arrive)
+			continue
+		}
 		switch s := sessions[mj.tenant]; {
 		case s == nil && mj.arrive == 0:
 			c.Submit(j)
@@ -136,7 +146,7 @@ func runMixWith(t *testing.T, mix []mixJob, run mixRun) mixOutcome {
 	if err != nil {
 		t.Fatalf("policy %s: Run: %v", run.policy, err)
 	}
-	out := mixOutcome{results: results, makespan: c.Now(), sched: c.SchedStats()}
+	out := mixOutcome{results: results, makespan: c.Now(), sched: c.SchedStats(), memo: c.MemoStats()}
 	if run.traced {
 		if err := sink.Close(); err != nil {
 			t.Fatal(err)

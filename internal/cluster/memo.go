@@ -53,25 +53,53 @@ const defaultMemoCap = 1 << 16
 // order keeps it deterministic. Cost/size-aware eviction stays a ROADMAP
 // memo-v2 item.
 type memoTable struct {
-	entries map[string]cc.Result  // memoKey -> result
-	order   []string              // memo keys in insertion order
-	cap     int                   // max entries; 0 = unlimited
-	running map[string]*JobResult // memoKey -> admitted donor
-	stats   MemoStats
+	entries map[memoKey]cc.Result  // memoKey -> result
+	order   []memoKey              // memo keys in insertion order
+	cap     int                    // max entries; 0 = unlimited
+	running map[memoKey]*JobResult // memoKey -> admitted donor
+	// byVar lists the CC jobs that entered the pending queue, per (dataset,
+	// var), in arrival order: the only jobs an admitted donor can attach.
+	// A job leaves the queue without being told to its list; the donor walk
+	// drops it lazily (DESIGN.md §11).
+	byVar map[dsVar][]*JobResult
+	// attachWork counts memoAttach calls made by donor walks: the admission
+	// work gate's unit (no metric, no clock), like Cluster.admitWork.
+	attachWork int
+	// sweep, when set, replaces the index walk at donor admission. Only tests
+	// set it, to the full-queue sweep the index is held to.
+	sweep func(c *Cluster, donor *JobResult, now float64)
+	stats MemoStats
+}
+
+// dsVar names one variable of one registered dataset.
+type dsVar struct {
+	dataset string
+	varID   int
 }
 
 func newMemoTable(cap int) *memoTable {
 	return &memoTable{
-		entries: make(map[string]cc.Result),
+		entries: make(map[memoKey]cc.Result),
 		cap:     cap,
-		running: make(map[string]*JobResult),
+		running: make(map[memoKey]*JobResult),
+		byVar:   make(map[dsVar][]*JobResult),
 	}
+}
+
+// track files CC job jr, just queued, under its (dataset, var).
+func (t *memoTable) track(jr *JobResult) {
+	k := dsVar{jr.cc.job.Dataset, jr.cc.job.VarID}
+	t.byVar[k] = append(t.byVar[k], jr)
 }
 
 // insert caches res under key and enforces the count cap. A re-inserted key
 // keeps its original position (it can only re-enter after eviction removed
-// it, so order never holds a key twice).
-func (t *memoTable) insert(key string, res cc.Result) {
+// it, so order never holds a key twice). A key that does not share is not
+// cached: no lookup could find it, and no eviction could delete it.
+func (t *memoTable) insert(key memoKey, res cc.Result) {
+	if !key.shares() {
+		return
+	}
 	if _, live := t.entries[key]; !live {
 		t.order = append(t.order, key)
 	}
@@ -134,22 +162,46 @@ func (c *Cluster) memoTryComplete(jr *JobResult, now float64) bool {
 	return false
 }
 
-// memoAdmit registers jr as an in-flight donor and sweeps the queue for jobs
-// that can share its result (waiters) or its physical pass (coalesced
-// followers). Attached jobs are removed from the queue; followers' operators
-// are fused into the donor's pass via meta.consumers before the donor's
-// ranks start. Called at admission time, after jr was popped from the queue.
+// memoAdmit registers jr as an in-flight donor and walks the pending jobs
+// of its (dataset, var), in arrival order, for jobs that can share its
+// result (waiters) or its physical pass (coalesced followers). A job of
+// another (dataset, var) could do neither, so the walk attaches what a sweep
+// of the whole queue would, in the same order. Attached jobs are removed
+// from the queue; followers' operators are fused into the donor's pass via
+// meta.consumers before the donor's ranks start. Called at admission time,
+// after jr was popped from the queue.
 func (c *Cluster) memoAdmit(jr *JobResult, now float64) {
 	if c.memo == nil || jr.cc == nil {
 		return
 	}
 	meta := jr.cc
-	c.memo.running[meta.memoKey] = jr
+	if meta.memoKey.shares() {
+		c.memo.running[meta.memoKey] = jr
+	}
 	c.memo.stats.Misses++
+	if c.memo.sweep != nil {
+		c.memo.sweep(c, jr, now)
+		return
+	}
 
-	c.pending.sweep(func(p *JobResult) bool {
-		return c.memoAttach(jr, p, now)
-	})
+	// Walk the list, dropping every entry that left the queue — before this
+	// walk or by attaching in it — and compacting the rest in place.
+	k := dsVar{meta.job.Dataset, meta.job.VarID}
+	list := c.memo.byVar[k]
+	keep := list[:0]
+	for _, p := range list {
+		if !c.pending.has(p) {
+			continue
+		}
+		c.memo.attachWork++
+		if c.memoAttach(jr, p, now) {
+			c.pending.remove(p)
+			continue
+		}
+		keep = append(keep, p)
+	}
+	clear(list[len(keep):])
+	c.memo.byVar[k] = keep
 }
 
 // memoAttach tries to attach pending job p to admitted donor jr, returning

@@ -2,12 +2,14 @@ package cluster
 
 import (
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"repro/internal/cc"
 	"repro/internal/climate"
 	"repro/internal/layout"
+	"repro/internal/mpi"
 )
 
 // newMemoCluster builds newCCCluster's machine with the result cache toggled.
@@ -241,5 +243,98 @@ func TestMemoCapEviction(t *testing.T) {
 		if !reflect.DeepEqual(unbounded[i].Res.State, capped[i].Res.State) {
 			t.Fatalf("%s: capped state differs from unbounded", name)
 		}
+	}
+}
+
+// registerMixDatasets registers one small dataset under the three names the
+// harness's CC shapes draw from: memo keys and the donor index tell the
+// names apart, and the mixes' pure-compute bodies read nothing.
+func registerMixDatasets(t *testing.T, c *Cluster) {
+	t.Helper()
+	ds, _, err := climate.NewDataset3D(c.FS(), []int64{16, 32, 32}, 8, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b", "c"} {
+		c.RegisterDataset(name, ds)
+	}
+}
+
+// genCCShapes draws a CC shape for each job of mix from a pool small enough
+// that twins recur: three datasets, nested windows, rank counts 2 and 4,
+// order-sensitive and order-invariant operators, both reduce modes, and a
+// few blocking jobs.
+func genCCShapes(rng *rand.Rand, mix []mixJob) []CCJob {
+	slabs := []layout.Slab{
+		{Start: []int64{0, 0, 0}, Count: []int64{16, 32, 32}},
+		{Start: []int64{4, 8, 8}, Count: []int64{8, 16, 16}},
+		{Start: []int64{6, 8, 8}, Count: []int64{4, 8, 8}},
+	}
+	ops := []cc.Op{cc.Sum{}, cc.Min{}, cc.MinLoc{}, cc.Histogram{Lo: 200, Hi: 320, Bins: 12}}
+	out := make([]CCJob, len(mix))
+	for i := range out {
+		j := CCJob{
+			Dataset: []string{"a", "b", "c"}[rng.Intn(3)],
+			Slab:    slabs[rng.Intn(len(slabs))],
+			Ranks:   2 << rng.Intn(2),
+			Op:      ops[rng.Intn(len(ops))],
+			Block:   rng.Intn(10) == 0,
+		}
+		if rng.Intn(5) == 0 {
+			j.Reduce = cc.AllToAll
+		}
+		out[i] = j
+	}
+	return out
+}
+
+// submitMixCC queues harness job j as CC shape cj with j's name, deadline,
+// priority, estimate and pure-compute body, through the path SubmitCC and
+// SubmitCCAt share: the memo layer sees a CC job, the machine runs no data
+// plane. The job's width is the shape's.
+func submitMixCC(c *Cluster, s *Session, cj CCJob, j *Job, at float64) {
+	cj.Name, cj.Deadline, cj.Priority, cj.EstCost = j.Name, j.Deadline, j.Priority, j.EstCost
+	job, meta := c.prepareCC(cj)
+	job.Main = j.Main
+	jr := c.prepare(&job, at, meta)
+	if at == 0 {
+		c.enqueue(jr)
+	} else {
+		c.enqueueAt(jr)
+	}
+	meta.out.JobResult = jr
+	if s != nil {
+		jr.session = s
+		s.results = append(s.results, jr)
+	}
+}
+
+// TestSubmitCCPathsReachMemoIndex: a SubmitCC job at time 0 and a SubmitCCAt
+// twin both enter the memo layer's (dataset, var) index, in arrival order,
+// where the admitted donor's walk finds the twin.
+func TestSubmitCCPathsReachMemoIndex(t *testing.T) {
+	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{16, 32, 32}}
+	c := newMemoCluster(t, 4, 0, true)
+	var indexed []*JobResult
+	// The blocker holds every rank past the twin's arrival, then reads the
+	// index before any CC job is admitted.
+	c.Submit(&Job{Name: "blocker", Main: func(ctx *JobContext, r *mpi.Rank) error {
+		r.Compute(1)
+		if ctx.Comm().RankOf(r) == 0 {
+			indexed = append(indexed, c.memo.byVar[dsVar{"climate", 0}]...)
+		}
+		return nil
+	}})
+	donor := c.SubmitCC(ccOpJob("donor", cc.Sum{}, cc.AllToOne, whole))
+	twin := c.SubmitCCAt(0.5, ccOpJob("twin", cc.Sum{}, cc.AllToOne, whole))
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(indexed) != 2 || indexed[0] != donor.JobResult || indexed[1] != twin.JobResult {
+		t.Fatalf("index held %d jobs, want [donor twin]", len(indexed))
+	}
+	if twin.CoalescedWith != donor.JobResult || MemoAttachWork(c) != 1 {
+		t.Fatalf("twin.CoalescedWith = %v after %d attach calls, want the donor's walk to take it",
+			twin.CoalescedWith, MemoAttachWork(c))
 	}
 }

@@ -48,11 +48,14 @@ type streamLog struct {
 	dropped   int
 	memo      cluster.MemoStats
 	tenants   int
+	// attachWork is how many memoAttach calls the donor walks made.
+	attachWork int
 }
 
-// runStream runs one variant under the policy — indexed, or its linear-scan
-// oracle — with the event log and decision tracing on.
-func runStream(t *testing.T, policy string, v streamVariant, oracle bool) streamLog {
+// runStream runs one variant under the policy with the event log and
+// decision tracing on; setup, when non-nil, swaps an oracle into the fresh
+// cluster (cluster.InstallOracle, cluster.InstallMemoSweep).
+func runStream(t *testing.T, policy string, v streamVariant, setup func(*cluster.Cluster)) streamLog {
 	t.Helper()
 	const jobs = 520
 	spec := workload.DefaultSpec(7, 40, float64(jobs)/(20*40)*1.3, jobs, policy)
@@ -105,8 +108,8 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 	if err != nil {
 		t.Fatal(err)
 	}
-	if oracle {
-		cluster.InstallOracle(c)
+	if setup != nil {
+		setup(c)
 	}
 	seen := map[string]bool{}
 	for i := range tr.Jobs {
@@ -123,7 +126,7 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 		t.Fatal(err)
 	}
 	out := streamLog{events: buf.Bytes(), decisions: ot.Decisions(),
-		memo: c.MemoStats(), tenants: len(seen)}
+		memo: c.MemoStats(), tenants: len(seen), attachWork: cluster.MemoAttachWork(c)}
 	for _, cs := range workload.Summarize(subs) {
 		out.dropped += cs.Dropped
 	}
@@ -131,7 +134,7 @@ func runStream(t *testing.T, policy string, v streamVariant, oracle bool) stream
 }
 
 // TestIndexedPoliciesMatchOracleOnDeepStreams: on >= 500-job backlogs with
-// the memo layer sweeping jobs out from under the policy, deadlines expiring
+// the memo layer taking jobs out from under the policy, deadlines expiring
 // in the queue, a few tenants at unequal usage, equal-usage tenant ties and
 // out-of-order SubmitAt, the indexed policies' event and decision logs are
 // byte-identical to their oracles'.
@@ -151,22 +154,11 @@ func TestIndexedPoliciesMatchOracleOnDeepStreams(t *testing.T) {
 				continue // priority never looks at the tenant
 			}
 			t.Run(pol+"/"+v.name, func(t *testing.T) {
-				indexed := runStream(t, pol, v, false)
-				oracle := runStream(t, pol, v, true)
+				indexed := runStream(t, pol, v, nil)
+				oracle := runStream(t, pol, v, cluster.InstallOracle)
 				t.Logf("tenants=%d dropped=%d memo=%+v decisions=%d event bytes=%d", indexed.tenants,
 					indexed.dropped, indexed.memo, len(indexed.decisions), len(indexed.events))
-				if !bytes.Equal(indexed.events, oracle.events) {
-					t.Fatalf("event logs differ:\n%s", cluster.FirstLogDiff(indexed.events, oracle.events))
-				}
-				if len(indexed.decisions) != len(oracle.decisions) {
-					t.Fatalf("%d decision records, oracle has %d", len(indexed.decisions), len(oracle.decisions))
-				}
-				for i, rec := range indexed.decisions {
-					if rec != oracle.decisions[i] {
-						t.Fatalf("decision %d differs:\n  indexed: %s\n  oracle:  %s", i,
-							decision.AppendJSON(nil, rec), decision.AppendJSON(nil, oracle.decisions[i]))
-					}
-				}
+				checkStreamLogsEqual(t, indexed, oracle)
 				// Held skips on a deep backlog: the stream expands to a
 				// self-consistent v1 stream (every round's pending count is
 				// the number of skips in force) and attributes to the same
@@ -192,6 +184,65 @@ func TestIndexedPoliciesMatchOracleOnDeepStreams(t *testing.T) {
 	}
 }
 
+// checkStreamLogsEqual fails t unless the two runs wrote the same event log
+// and the same decision records.
+func checkStreamLogsEqual(t *testing.T, indexed, oracle streamLog) {
+	t.Helper()
+	if !bytes.Equal(indexed.events, oracle.events) {
+		t.Fatalf("event logs differ:\n%s", cluster.FirstLogDiff(indexed.events, oracle.events))
+	}
+	if len(indexed.decisions) != len(oracle.decisions) {
+		t.Fatalf("%d decision records, oracle has %d", len(indexed.decisions), len(oracle.decisions))
+	}
+	for i, rec := range indexed.decisions {
+		if rec != oracle.decisions[i] {
+			t.Fatalf("decision %d differs:\n  indexed: %s\n  oracle:  %s", i,
+				decision.AppendJSON(nil, rec), decision.AppendJSON(nil, oracle.decisions[i]))
+		}
+	}
+}
+
+// TestMemoIndexMatchesSweepOnDeepStreams: on the >= 500-job backlogs over
+// the default stream's three datasets, the memo layer's (dataset, var) index
+// walk writes the event and decision logs of the full-queue sweep it
+// replaced, under every policy. It is also the work gate: the index makes at
+// most one memoAttach call per pending job on the donor's (dataset, var),
+// summed over donors, where the sweep makes one per pending job.
+func TestMemoIndexMatchesSweepOnDeepStreams(t *testing.T) {
+	variants := []streamVariant{
+		{name: "many-tenants"},
+		{name: "few-tenants-shuffled", clients: 3, shuffle: true},
+		{name: "many-tenants-shuffled", shuffle: true},
+		{name: "few-tenants", clients: 3},
+	}
+	if testing.Short() {
+		variants = variants[:2]
+	}
+	for _, pol := range cluster.PolicyNames() {
+		for _, v := range variants {
+			t.Run(pol+"/"+v.name, func(t *testing.T) {
+				indexed := runStream(t, pol, v, nil)
+				var tally *cluster.MemoSweepTally
+				swept := runStream(t, pol, v, func(c *cluster.Cluster) { tally = cluster.InstallMemoSweep(c) })
+				checkStreamLogsEqual(t, indexed, swept)
+				t.Logf("memo=%+v attach calls: index %d, sweep %d (same-var depth %d)",
+					indexed.memo, indexed.attachWork, swept.attachWork, tally.SameVar)
+				if ms := indexed.memo; ms.Waiters == 0 || ms.Coalesced == 0 {
+					t.Errorf("stream attached too little to compare walks: %+v", ms)
+				}
+				if indexed.attachWork > tally.SameVar {
+					t.Errorf("index walk made %d attach calls, more than the %d same-(dataset, var) pending jobs",
+						indexed.attachWork, tally.SameVar)
+				}
+				if swept.attachWork != tally.Depth || tally.SameVar >= tally.Depth {
+					t.Errorf("sweep made %d attach calls over a pending depth of %d, %d of it on the donor's variable: the gate cannot tell the walks apart",
+						swept.attachWork, tally.Depth, tally.SameVar)
+				}
+			})
+		}
+	}
+}
+
 // TestStreamLogsIdenticalAcrossHostParallelism: simulated processes switch
 // as coroutines, so the host scheduler orders nothing and a deep stream's
 // event and decision logs are the same bytes at GOMAXPROCS 1, 2 and 8.
@@ -201,7 +252,7 @@ func TestStreamLogsIdenticalAcrossHostParallelism(t *testing.T) {
 	var want streamLog
 	for i, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		got := runStream(t, "fairshare", v, false)
+		got := runStream(t, "fairshare", v, nil)
 		if i == 0 {
 			want = got
 			continue

@@ -202,3 +202,69 @@ func TestAdmissionWorkScalesNLogN(t *testing.T) {
 		}
 	}
 }
+
+// MemoSweepTally is what the memo layer's sweep oracle saw, summed over
+// donor admissions: the pending depth it walked, and how much of it was on
+// the donor's (dataset, var) — all the index walk may visit.
+type MemoSweepTally struct{ Depth, SameVar int }
+
+// InstallMemoSweep replaces c's (dataset, var) index walk at donor admission
+// with the walk it replaced: memoAttach on every pending job in arrival
+// order. Call on a fresh memo cluster, before Run.
+func InstallMemoSweep(c *Cluster) *MemoSweepTally {
+	tally := &MemoSweepTally{}
+	c.memo.sweep = func(c *Cluster, donor *JobResult, now float64) {
+		d := donor.cc.job
+		for p := c.pending.first(); p != nil; {
+			next := c.pending.next(p)
+			tally.Depth++
+			if p.cc != nil && p.cc.job.Dataset == d.Dataset && p.cc.job.VarID == d.VarID {
+				tally.SameVar++
+			}
+			c.memo.attachWork++
+			if c.memoAttach(donor, p, now) {
+				c.pending.remove(p)
+			}
+			p = next
+		}
+	}
+	return tally
+}
+
+// MemoAttachWork returns how many memoAttach calls c's donor walks made.
+func MemoAttachWork(c *Cluster) int { return c.memo.attachWork }
+
+// TestMemoIndexMatchesSweepOnHarnessMixes: over the property harness's 200
+// mixes, each job carrying the CC metadata of a shape drawn from a small
+// pool — so twins, cached results and overlapping windows recur across three
+// datasets — the memo layer's index walk and the sweep oracle produce
+// byte-identical mixed event and decision logs under every policy.
+func TestMemoIndexMatchesSweepOnHarnessMixes(t *testing.T) {
+	nseeds := 200
+	if testing.Short() {
+		nseeds = 50
+	}
+	var shared MemoStats
+	for seed := 0; seed < nseeds; seed++ {
+		mix := genMix(rand.New(rand.NewSource(int64(seed))))
+		shapes := genCCShapes(rand.New(rand.NewSource(int64(seed)+1_000_000)), mix)
+		for _, pol := range PolicyNames() {
+			run := mixRun{policy: pol, traced: true, explain: true, cc: shapes}
+			indexed := runMixWith(t, mix, run)
+			run.setup = func(c *Cluster) { InstallMemoSweep(c) }
+			swept := runMixWith(t, mix, run)
+			if !bytes.Equal(indexed.events, swept.events) {
+				t.Fatalf("seed %d policy %s: index and sweep logs differ:\n%s",
+					seed, pol, FirstLogDiff(indexed.events, swept.events))
+			}
+			st := indexed.memo
+			shared.Hits += st.Hits
+			shared.Waiters += st.Waiters
+			shared.Coalesced += st.Coalesced
+		}
+	}
+	if shared.Hits == 0 || shared.Waiters == 0 || shared.Coalesced == 0 {
+		t.Fatalf("corpus shared too little to compare walks: %+v", shared)
+	}
+	t.Logf("shared over the corpus: %+v", shared)
+}

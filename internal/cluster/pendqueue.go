@@ -59,25 +59,9 @@ func (p *pendQueue) remove(jr *JobResult) {
 	if !p.has(jr) {
 		panic("cluster: pending-queue removal of a job that is not queued")
 	}
-	p.kill(jr)
-	p.settle()
-}
-
-// sweep visits every live job in arrival order and removes those for which
-// drop returns true (the memo layer's admission sweep). drop must not touch
-// the queue.
-func (p *pendQueue) sweep(drop func(*JobResult) bool) {
-	for _, jr := range p.items[p.head:] {
-		if jr != nil && drop(jr) {
-			p.kill(jr)
-		}
-	}
-	p.settle()
-}
-
-func (p *pendQueue) kill(jr *JobResult) {
 	p.items[jr.slot-1], jr.slot = nil, 0
 	p.dead++
+	p.settle()
 }
 
 // settle restores the invariants after removals: head on a live slot, and

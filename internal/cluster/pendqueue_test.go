@@ -56,10 +56,10 @@ func checkPendWalk(t *testing.T, q *pendQueue, m *pendModel, label string) {
 
 // TestPendQueueDifferential drives pendQueue and the splice-slice model with
 // the same random operation stream — pushes, removals by handle from random
-// positions, removeWhere sweeps, arrival drains — dense enough that
-// compaction fires between any two of them, and checks they agree on every
-// observation: Len, the first/next walk, has() of live and removed handles,
-// and the set Arrivals reports. Policies only ever see the queue through
+// positions, arrival drains — dense enough that compaction fires between
+// any two of them, and checks they agree on every observation: Len, the
+// first/next walk, has() of live and removed handles, and the set Arrivals
+// reports. Policies only ever see the queue through
 // these operations, so agreement here is what "byte-identical traces" rests
 // on; in particular a handle taken before a compaction must still remove the
 // right job after it.
@@ -71,7 +71,7 @@ func TestPendQueueDifferential(t *testing.T) {
 		var gone []*JobResult
 		next := 0
 		for op := 0; op < 4000; op++ {
-			switch k := rng.Intn(12); {
+			switch k := rng.Intn(11); {
 			case k < 5: // push
 				jr := newPendJob(next)
 				q.push(jr)
@@ -85,16 +85,7 @@ func TestPendQueueDifferential(t *testing.T) {
 				q.remove(jr)
 				m.remove(jr)
 				gone = append(gone, jr)
-			case k < 10: // sweep (the memo-admission path)
-				mod := 2 + rng.Intn(3)
-				q.sweep(func(jr *JobResult) bool { return jr.pid%mod == 0 })
-				for _, jr := range append([]*JobResult(nil), m.jobs...) {
-					if jr.pid%mod == 0 {
-						m.remove(jr)
-						gone = append(gone, jr)
-					}
-				}
-			case k < 11: // arrivals drain: each still-queued new entry, once, in order
+			case k < 10: // arrivals drain: each still-queued new entry, once, in order
 				want := m.jobs[m.Len()-m.fresh:]
 				i := 0
 				q.arrivals(func(jr *JobResult) {
@@ -203,26 +194,6 @@ func BenchmarkPendingSpliceDrain50k(b *testing.B) {
 		}
 		for m.Len() > 0 {
 			m.remove(m.jobs[0])
-		}
-	}
-}
-
-// Mid-queue removals during an arrival-order walk — the memo/backfill round
-// shape (consider each job, pluck some out of the middle).
-func BenchmarkPendingQueueSweep50k(b *testing.B) {
-	jobs := benchPendJobs()
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		var q pendQueue
-		for _, jr := range jobs {
-			q.push(jr)
-		}
-		for next := q.first(); next != nil; {
-			jr := next
-			next = q.next(jr)
-			if jr.pid%2 == 0 {
-				q.remove(jr)
-			}
 		}
 	}
 }

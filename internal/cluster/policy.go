@@ -30,7 +30,7 @@ import (
 //   - Arrivals are pulled: Queue.Arrivals reports each new pending job once,
 //     in arrival order, so an indexing policy calls it at the top of a round.
 //   - Removals are discovered: a verb removes the handle it is given, and
-//     Admit's memo sweep may remove any number of others behind the policy's
+//     Admit's memo walk may remove any number of others behind the policy's
 //     back. Check Queue.Pending before acting on a held handle and discard
 //     it when false (lazy deletion); a handle never re-enters the queue.
 //   - Keys are static and totally ordered: a job's width, priority, absolute

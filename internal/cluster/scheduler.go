@@ -188,25 +188,42 @@ func (ctx *JobContext) Dataset(name string) *ncfile.Dataset {
 // Submit queues j for execution at virtual time 0. The job definition is
 // copied; the returned result is filled in during Run.
 func (c *Cluster) Submit(j *Job) *JobResult {
-	jr := c.prepare(j, 0)
-	c.pending.push(jr)
+	jr := c.prepare(j, 0, nil)
+	c.enqueue(jr)
 	return jr
 }
 
 // SubmitAt queues j at virtual time t > 0 — an arrival, not a batch. Must
 // be called before Run.
 func (c *Cluster) SubmitAt(t float64, j *Job) *JobResult {
-	jr := c.prepare(j, t)
-	c.futureSubs++
-	c.env.At(t, func() {
-		c.futureSubs--
-		c.pending.push(jr)
-		c.done.Send(doneMsg{}, 0, t) // wake: zero ctx
-	})
+	jr := c.prepare(j, t, nil)
+	c.enqueueAt(jr)
 	return jr
 }
 
-func (c *Cluster) prepare(j *Job, submit float64) *JobResult {
+// enqueue puts jr on the pending queue. It is the one place a job enters
+// the queue, so the memo layer's (dataset, var) index sees every CC job
+// there, its metadata already attached.
+func (c *Cluster) enqueue(jr *JobResult) {
+	c.pending.push(jr)
+	if c.memo != nil && jr.cc != nil {
+		c.memo.track(jr)
+	}
+}
+
+// enqueueAt enqueues jr when the virtual clock reaches its submit time.
+func (c *Cluster) enqueueAt(jr *JobResult) {
+	c.futureSubs++
+	c.env.At(jr.Submit, func() {
+		c.futureSubs--
+		c.enqueue(jr)
+		c.done.Send(doneMsg{}, 0, jr.Submit) // wake: zero ctx
+	})
+}
+
+// prepare validates and copies j into a new result record, submitted at
+// time submit; meta is the job's CC metadata, nil for a plain job.
+func (c *Cluster) prepare(j *Job, submit float64, meta *ccMeta) *JobResult {
 	if c.ran {
 		panic("cluster: Submit after Run")
 	}
@@ -233,7 +250,7 @@ func (c *Cluster) prepare(j *Job, submit float64) *JobResult {
 		}
 	}
 	jr := &JobResult{Job: &cp, Submit: submit, Start: -1, End: -1,
-		pid: len(c.results) + 1}
+		pid: len(c.results) + 1, cc: meta}
 	c.results = append(c.results, jr)
 	return jr
 }
