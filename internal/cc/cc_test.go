@@ -411,6 +411,31 @@ func TestHistogramClamping(t *testing.T) {
 	}
 }
 
+// TestHistogramBinsOutOfRange: Histogram clamps in float before it
+// converts, so every value lands in the same bin on every platform: past the
+// range, infinities and values too large for an int included, in the end
+// bins; NaN in the first, where amd64's conversion put it; and the edges of
+// the range and of each bin where the width says.
+func TestHistogramBinsOutOfRange(t *testing.T) {
+	h := Histogram{Lo: 0, Hi: 1, Bins: 4}
+	for _, c := range []struct {
+		v   float64
+		bin int
+	}{
+		{math.Inf(1), 3}, {1e300, 3}, {math.MaxFloat64, 3}, {1 << 63, 3}, {1, 3}, {1.5, 3},
+		{math.Inf(-1), 0}, {-1e300, 0}, {-(1 << 63), 0}, {-0.5, 0}, {math.Copysign(0, -1), 0},
+		{math.NaN(), 0}, {0, 0}, {0.25, 1}, {0.5, 2}, {0.75, 3}, {math.Nextafter(1, 0), 3},
+		{math.Nextafter(0.25, 0), 0},
+	} {
+		counts := h.Absorb(h.Zero(), Subset{Data: []float64{c.v}}).([]int64)
+		want := make([]int64, h.Bins)
+		want[c.bin] = 1
+		if !reflect.DeepEqual(counts, want) {
+			t.Errorf("Histogram{0, 1, 4} of %v: %v, want %v", c.v, counts, want)
+		}
+	}
+}
+
 func TestMeanEmpty(t *testing.T) {
 	if !math.IsNaN(Mean{}.Value(Mean{}.Zero())) {
 		t.Error("mean of nothing should be NaN")

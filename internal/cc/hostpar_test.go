@@ -1,16 +1,23 @@
 package cc
 
 import (
+	"bytes"
+	"crypto/sha256"
 	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
 	"repro/internal/adio"
+	"repro/internal/climate"
+	"repro/internal/fabric"
 	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
+	"repro/internal/obs"
 	"repro/internal/pfs"
+	"repro/internal/sim"
 )
 
 // parGeometry is the machine of the host-parallelism tests: eight ranks on
@@ -90,13 +97,34 @@ func TestParGeometryTakesTheParallelPath(t *testing.T) {
 	}
 }
 
+// newClimateBed is parGeometry's machine over climate's 3-D field, whose
+// generator scans, in place of newValueBed's: healthy, or with its
+// straggling OST.
+func newClimateBed(t *testing.T, slowOST bool) *testbed {
+	t.Helper()
+	g := parGeometry
+	env := sim.NewEnv()
+	w := mpi.NewWorld(env, len(g.rows), fabric.Params{RanksPerNode: 4})
+	fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: g.stripe})
+	if slowOST {
+		fs.SlowOSTWindow(1, 8, 0, math.Inf(1))
+	}
+	ds, id, err := climate.NewDataset3D(fs, g.dims, 4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id}
+}
+
 // TestHostParallelismMovesNothing is the determinism contract of the map's
-// host phase: with the parallel path taken (GOMAXPROCS 4, parGeometry), every
-// operator, both reduce modes and the traditional leg, over a generator and
-// over its MemBackend twin, healthy and with a straggling OST met by
+// host phase and of the traditional leg's fold beside the simulation: with
+// the parallel paths taken (GOMAXPROCS 4, and 2 for the traditional leg,
+// over parGeometry), every operator, both reduce modes and the traditional
+// leg, over a generator, its MemBackend twin and the climate field (where
+// Sum, Mean and MinLoc scan), healthy and with a straggling OST met by
 // timeout/retry and three rebalanced rounds, give the GOMAXPROCS=1 run's
-// results and consumer results to the bit, its makespan, and every cc.Stats
-// field and fs/fabric counter.
+// results and consumer results to the bit, its makespan, every cc.Stats
+// field and fs/fabric counter, and its event log byte for byte.
 func TestHostParallelismMovesNothing(t *testing.T) {
 	g := parGeometry
 	image := imageOf(newValueBed(t, len(g.rows), ncfile.Float32, g.dims, g.stripe, nil, false))
@@ -105,9 +133,23 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 		PerIndex{Inner: Max{}, Keys: g.dims[0]}, Fuse{Ops: []Op{Sum{}, MaxLoc{}}}}
 	slabs := parSlabs()
 
-	run := func(procs int, image []byte, io IO, op Op, faults, consumers bool) (out twinOutcome) {
+	run := func(procs int, bed string, io IO, op Op, faults, consumers bool) (out twinOutcome) {
 		atProcs(procs, func() {
-			tb := newValueBed(t, len(g.rows), ncfile.Float32, g.dims, g.stripe, image, faults)
+			var tb *testbed
+			switch bed {
+			case "generator":
+				tb = newValueBed(t, len(g.rows), ncfile.Float32, g.dims, g.stripe, nil, faults)
+			case "membackend":
+				tb = newValueBed(t, len(g.rows), ncfile.Float32, g.dims, g.stripe, image, faults)
+			default:
+				tb = newClimateBed(t, faults)
+			}
+			var log bytes.Buffer
+			ot := obs.New()
+			sink := obs.NewJSONLSink(&log)
+			ot.AddSink(sink)
+			tb.w.SetObs(ot)
+			tb.fs.SetObs(ot)
 			io.Stats = &out.stats
 			io.Params.PlanCache = &adio.PlanCache{}
 			if faults {
@@ -123,6 +165,10 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 				}
 			}
 			out.results = runObjectGetVara(t, tb, slabs, io, op)
+			if err := sink.Close(); err != nil {
+				t.Fatal(err)
+			}
+			out.events = sha256.Sum256(log.Bytes())
 			out.makespan = tb.env.Now()
 			out.bytesRead, out.requests = tb.fs.BytesRead, tb.fs.Requests
 			out.timeouts, out.retries = tb.fs.Timeouts, tb.fs.Retries
@@ -133,26 +179,29 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 
 	p := adio.Params{CB: g.cb, Pipeline: true}
 	legs := []struct {
-		name string
-		io   IO
+		name  string
+		io    IO
+		procs []int
 	}{
-		{"cc/all-to-one", IO{Reduce: AllToOne, Params: p}},
-		{"cc/all-to-all", IO{Reduce: AllToAll, Params: p}},
-		{"traditional", IO{Block: true, Params: p}},
+		{"cc/all-to-one", IO{Reduce: AllToOne, Params: p}, []int{4}},
+		{"cc/all-to-all", IO{Reduce: AllToAll, Params: p}, []int{4}},
+		{"traditional", IO{Block: true, Params: p}, []int{2, 4}},
 	}
 	var sawRebalance bool
 	for i, op := range ops {
 		for _, leg := range legs {
 			for _, faults := range []bool{false, true} {
-				for _, img := range [][]byte{nil, image} {
+				for _, bed := range []string{"generator", "membackend", "climate"} {
 					consumers := !leg.io.Block && i == len(ops)-1
-					name := fmt.Sprintf("%s/%s/faults=%v/membackend=%v", op.Name(), leg.name, faults, img != nil)
+					name := fmt.Sprintf("%s/%s/faults=%v/%s", op.Name(), leg.name, faults, bed)
 					io := leg.io
 					io.SecPerElem = 2e-8
-					ref := run(1, img, io, op, faults, consumers)
-					par := run(4, img, io, op, faults, consumers)
-					if diff := par.diff(ref); diff != "" {
-						t.Errorf("%s: GOMAXPROCS=4 vs 1: %s", name, diff)
+					ref := run(1, bed, io, op, faults, consumers)
+					for _, procs := range leg.procs {
+						par := run(procs, bed, io, op, faults, consumers)
+						if diff := par.diff(ref); diff != "" {
+							t.Errorf("%s: GOMAXPROCS=%d vs 1: %s", name, procs, diff)
+						}
 					}
 					sawRebalance = sawRebalance || ref.stats.Rebalances > 0
 				}
@@ -166,8 +215,9 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 
 // panicOp panics in Absorb on the subset that holds element (5, 64, 0),
 // rank 4's first of time step 5: on the CC leg a fold on the host phase's
-// workers, on the traditional leg one of rank 4's units, folded by whichever
-// of its host workers holds the fold.
+// workers, on the traditional leg one of rank 4's units, folded on a
+// goroutine beside the simulation while the rank is charged for it. It
+// embeds Sum, so it has Sum's methods, but not its type: it does not scan.
 type panicOp struct{ Sum }
 
 type opPanic struct{ step int64 }
@@ -184,12 +234,12 @@ func (panicOp) Absorb(s State, sub Subset) State {
 }
 
 // TestWorkerPanicReachesRunCaller: a panic in an operator's Absorb on a host
-// worker is re-raised on the rank's goroutine, so it unwinds out of Env.Run
-// in Run's caller with its value, as a panic in a process body does, instead
-// of killing the binary from a goroutine nobody can recover on — on the CC
-// leg in both reduce modes and on the traditional leg's pipelined fold
-// through either read, where the other workers must not wait for a unit
-// the panicking one will never fold.
+// worker or fold goroutine is re-raised on the rank's goroutine, so it
+// unwinds out of Env.Run in Run's caller with its value, as a panic in a
+// process body does, instead of killing the binary from a goroutine nobody
+// can recover on — on the CC leg in both reduce modes, and on the
+// traditional leg through either read, where the fold is in flight while the
+// rank is charged for it and the panic comes out of the join.
 func TestWorkerPanicReachesRunCaller(t *testing.T) {
 	g := parGeometry
 	legs := []struct {

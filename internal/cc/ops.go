@@ -12,6 +12,7 @@ import (
 	"math"
 
 	"repro/internal/layout"
+	"repro/internal/ncfile"
 )
 
 // State is an operator's partial result. States must be treated as immutable
@@ -40,13 +41,20 @@ type Subset struct {
 // Zero() on the host's cores (see runCollectiveComputing), so Zero and
 // Absorb may run concurrently on distinct states and must not share mutable
 // state across calls; every operator here, Fuse, WindowOp and PerIndex
-// included, complies. The traditional leg folds its subset from one state
-// in units as the host workers make them (ncfile.FoldVara), one Absorb at a
-// time but not necessarily on the rank's goroutine; that it gives the
-// one-call answer rests on the left-fold rule: absorbing consecutive
-// row-major sub-rectangles of a rectangle in order, from one state, gives
-// the same bits as absorbing the whole rectangle. Merge, StateBytes and
-// Value run on the rank's goroutine.
+// included, complies. The traditional leg folds a rank's subset from one
+// state in units, one Absorb at a time, on a host goroutine that runs beside
+// the simulation from the end of the rank's read until its reduce
+// (ncfile.FoldVara); that it gives the one-call answer rests on the
+// left-fold rule: absorbing consecutive row-major sub-rectangles of a
+// rectangle in order, from one state, gives the same bits as absorbing the
+// whole rectangle. Merge, StateBytes and Value run on the rank's goroutine.
+//
+// Sum, Mean, Min, Max, MinLoc and MaxLoc are also folded without Absorb
+// where a generator can scan the variable (ncfile.Scanner): their states map
+// to and from a scan's accumulator, and the scan applies each one's rule to
+// the values in Absorb's order, so the state is Absorb's to the bit. Only
+// these six types take that path; any other Op, one that embeds them
+// included, is folded by its Absorb.
 type Op interface {
 	// Name identifies the operator in reports.
 	Name() string
@@ -240,6 +248,75 @@ func (MaxLoc) Merge(a, b State) State {
 }
 func (MaxLoc) Value(s State) float64 { return s.(Loc).Val }
 
+// scanOp maps a state of an operator a generator's scan can fold for to the
+// scan's accumulator (toAcc) and back: fromAcc returns the state s becomes
+// with a, the accumulator toAcc(s) made, after a scan of n elements of a
+// variable of dims.
+type scanOp interface {
+	toAcc(s State) ncfile.Acc
+	fromAcc(s State, a ncfile.Acc, n int64, dims []int64) State
+}
+
+// scanOf returns op's scanOp when op is one of the operators a scan can fold
+// for, and nil otherwise. It asks for the exact types: a type that embeds one
+// of them has its methods promoted but may have an Absorb of its own.
+func scanOf(op Op) scanOp {
+	switch op.(type) {
+	case Sum, Mean, Min, Max, MinLoc, MaxLoc:
+		return op.(scanOp)
+	}
+	return nil
+}
+
+func (Sum) toAcc(s State) ncfile.Acc { return ncfile.Acc{Kind: ncfile.AccSum, Val: s.(float64)} }
+func (Sum) fromAcc(_ State, a ncfile.Acc, _ int64, _ []int64) State {
+	return a.Val
+}
+
+func (Mean) toAcc(s State) ncfile.Acc {
+	return ncfile.Acc{Kind: ncfile.AccSum, Val: s.(MeanState).Sum}
+}
+func (Mean) fromAcc(s State, a ncfile.Acc, n int64, _ []int64) State {
+	return MeanState{Sum: a.Val, N: s.(MeanState).N + n}
+}
+
+// Min's v < acc is the scan's rule with a value always held.
+func (Min) toAcc(s State) ncfile.Acc {
+	return ncfile.Acc{Kind: ncfile.AccMin, Val: s.(float64), Valid: true}
+}
+func (Min) fromAcc(_ State, a ncfile.Acc, _ int64, _ []int64) State { return a.Val }
+
+func (Max) toAcc(s State) ncfile.Acc {
+	return ncfile.Acc{Kind: ncfile.AccMax, Val: s.(float64), Valid: true}
+}
+func (Max) fromAcc(_ State, a ncfile.Acc, _ int64, _ []int64) State { return a.Val }
+
+func (MinLoc) toAcc(s State) ncfile.Acc { return locAcc(ncfile.AccMin, s.(Loc)) }
+func (MinLoc) fromAcc(s State, a ncfile.Acc, _ int64, dims []int64) State {
+	return accLoc(s.(Loc), a, dims)
+}
+
+func (MaxLoc) toAcc(s State) ncfile.Acc { return locAcc(ncfile.AccMax, s.(Loc)) }
+func (MaxLoc) fromAcc(s State, a ncfile.Acc, _ int64, dims []int64) State {
+	return accLoc(s.(Loc), a, dims)
+}
+
+// locAcc is the accumulator of a Loc: Idx -1 marks that the scan has not
+// moved the best.
+func locAcc(kind ncfile.AccKind, l Loc) ncfile.Acc {
+	return ncfile.Acc{Kind: kind, Val: l.Val, Valid: l.Valid, Idx: -1}
+}
+
+// accLoc is l after a scan that left a: unchanged if the scan never moved
+// the best, and otherwise the best with the coordinates of its element,
+// computed once from its linear index.
+func accLoc(l Loc, a ncfile.Acc, dims []int64) Loc {
+	if a.Idx < 0 {
+		return l
+	}
+	return Loc{Val: a.Val, Valid: true, Coords: layout.OffsetToCoords(dims, a.Idx, make([]int64, len(dims)))}
+}
+
 // Histogram counts elements into Bins equal-width buckets over [Lo, Hi);
 // out-of-range values clamp into the end buckets. Value returns the index of
 // the fullest bucket.
@@ -255,16 +332,24 @@ func (h Histogram) Absorb(s State, sub Subset) State {
 	counts := append([]int64(nil), s.([]int64)...)
 	w := (h.Hi - h.Lo) / float64(h.Bins)
 	for _, v := range sub.Data {
-		b := int((v - h.Lo) / w)
-		if b < 0 {
-			b = 0
-		}
-		if b >= h.Bins {
-			b = h.Bins - 1
-		}
-		counts[b]++
+		counts[h.bin((v-h.Lo)/w)]++
 	}
 	return counts
+}
+
+// bin is the bucket of a value x bucket widths past Lo. It clamps before it
+// converts, since a float outside int's range converts to whatever the
+// platform gives (amd64 gives the least int, which would put +Inf in the
+// first bucket). x ≥ Bins takes the last bucket, x ≤ 0 the first, and so
+// does NaN.
+func (h Histogram) bin(x float64) int {
+	switch {
+	case x >= float64(h.Bins):
+		return h.Bins - 1
+	case x > 0:
+		return int(x)
+	}
+	return 0
 }
 func (h Histogram) Merge(a, b State) State {
 	x, y := a.([]int64), b.([]int64)

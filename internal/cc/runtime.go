@@ -318,17 +318,21 @@ func runWithConsumers(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (R
 // runTraditional is the paper's Figure 5 baseline: finish the I/O, then
 // compute, then MPI_Reduce.
 func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Result, error) {
-	// Computation stage: the whole local subset, folded from one state in
-	// the read's units as the host workers make them. The host does the fold
-	// before the rank is charged for it: Absorb moves no virtual time, and
-	// once it has run the values are dead, which is what lets the read hand
-	// them over in a scratch the next rank reuses.
-	f := &tradFold{op: op, st: op.Zero()}
+	// Computation stage: the whole local subset, folded from one state. The
+	// fold starts on a host slot once the read is done and runs while the
+	// rank is charged for it (FoldVara): Absorb moves no virtual time, so it
+	// may run at any moment before the reduce needs its state.
+	f := newFold(op, io.DS.CanScan(io.VarID), op.Zero())
+	var acc *ncfile.Acc
+	if f.sc != nil {
+		acc = &f.acc
+	}
 	independent := io.Mode == Independent
-	err := io.DS.FoldVara(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params, independent, f)
+	join, err := io.DS.FoldVara(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params, independent, acc, &f)
 	if err != nil {
 		return Result{}, err
 	}
+	defer join.Wait()
 	if independent {
 		// Independent I/O still synchronizes before the reduce.
 		c.Barrier(r)
@@ -344,18 +348,67 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 		io.Stats.MapElements += elems
 		io.Stats.MapSeconds += float64(elems) * io.SecPerElem
 	}
-	return finalReduce(r, c, io, op, f.st)
+	join.Wait()
+	v, _ := io.DS.Var(io.VarID)
+	f.n = elems
+	return finalReduce(r, c, io, op, f.state(v.Dims))
 }
 
-// tradFold is the traditional leg's ncfile.Folder: it absorbs each unit of
-// the rank's subset into st, in order.
-type tradFold struct {
-	op Op
-	st State
+// fold folds a variable's values into one state: by a generator's scan into
+// acc when sc is set, and otherwise by op's Absorb of the values, subset by
+// subset. The CC map runs one per owner group, over its pieces' runs (run),
+// and the traditional leg one per rank, as FoldVara's acc or Folder.
+type fold struct {
+	op  Op
+	sc  scanOp
+	st  State
+	acc ncfile.Acc
+	n   int64 // elements scanned
 }
 
-func (f *tradFold) Fold(unit layout.Slab, vals []float64) {
+// newFold returns a fold of op from st, which scans when op and the
+// variable both allow it.
+func newFold(op Op, canScan bool, st State) fold {
+	f := fold{op: op, st: st}
+	if canScan {
+		f.sc = scanOf(op)
+	}
+	if f.sc != nil {
+		f.acc = f.sc.toAcc(st)
+	}
+	return f
+}
+
+// Fold absorbs a unit of the traditional leg's values (ncfile.Folder).
+func (f *fold) Fold(unit layout.Slab, vals []float64) {
 	f.st = f.op.Absorb(f.st, Subset{Slab: unit, Data: vals})
+}
+
+// run folds the values of elemRun, a run of variable id's elements that
+// slabs tile in order, on host worker w; raw is the run's bytes when the
+// dataset holds bytes.
+func (f *fold) run(w *ncfile.Worker, ds *ncfile.Dataset, id int, elemRun layout.Run, slabs []layout.Slab, raw []byte) {
+	runs := []layout.Run{elemRun}
+	if f.sc != nil {
+		ds.Scan(w, id, runs, &f.acc)
+		f.n += elemRun.Length
+		return
+	}
+	data := ds.WorkerValues(w, id, runs, raw)
+	pos := int64(0)
+	for _, slab := range slabs {
+		n := slab.NumElems()
+		f.st = f.op.Absorb(f.st, Subset{Slab: slab, Data: data[pos : pos+n]})
+		pos += n
+	}
+}
+
+// state is the fold's state, for a variable of dims.
+func (f *fold) state(dims []int64) State {
+	if f.sc != nil {
+		return f.sc.fromAcc(f.st, f.acc, f.n, dims)
+	}
+	return f.st
 }
 
 // runCollectiveComputing is the paper's Figure 7 runtime: map inside the
@@ -406,8 +459,9 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	}
 
 	// The map runs in two phases per iteration. The host phase folds every
-	// owner group on the dataset's host workers (fold): each group from its
-	// own op.Zero(), with the same Absorb calls in the same order as a serial
+	// owner group on the dataset's host workers (mapGroup): each group from
+	// its own op.Zero(), by the generator's scan where it can (fold) and
+	// otherwise with the same Absorb calls in the same order as a serial
 	// fold, so its state cannot depend on the schedule. It moves no virtual
 	// time, does not yield, and writes nothing but its own group and pieces.
 	// The virtual phase then charges the groups for it, merges or ships their
@@ -419,9 +473,10 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		iterNow *adio.Iter
 		extNow  []byte
 	)
-	fold := func(w *ncfile.Worker, gi int) {
+	canScan := io.DS.CanScan(io.VarID)
+	mapGroup := func(w *ncfile.Worker, gi int) {
 		g := &groups[gi]
-		st := op.Zero()
+		f := newFold(op, canScan, op.Zero())
 		for k := g.lo; k < g.hi; k++ {
 			pc := iterNow.Pieces[k]
 			elemRun := layout.Run{
@@ -435,19 +490,13 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 			if extNow != nil {
 				raw = extNow[pc.Run.Offset-iterNow.ReadLo : pc.Run.End()-iterNow.ReadLo]
 			}
-			data := io.DS.WorkerValues(w, io.VarID, []layout.Run{elemRun}, raw)
-			pos := int64(0)
-			for _, slab := range slabs {
-				n := slab.NumElems()
-				st = op.Absorb(st, Subset{Slab: slab, Data: data[pos : pos+n]})
-				pos += n
-			}
+			f.run(w, io.DS, io.VarID, elemRun, slabs, raw)
 			subsets[k] = len(slabs)
 			g.elems += elemRun.Length
 			g.mdBytes += layout.MetadataBytes(slabs)
 			g.subsets += int64(len(slabs))
 		}
-		g.st = st
+		g.st = f.state(v.Dims)
 	}
 
 	transform := func(aggrIdx, iter int, it *adio.Iter, ext []byte) map[int]adio.Payload {
@@ -466,7 +515,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		}
 		subsets = subsets[:len(pieces)]
 		iterNow, extNow = it, ext
-		io.DS.RunWorkers(len(groups), elems, fold)
+		io.DS.RunWorkers(len(groups), elems, mapGroup)
 		iterNow, extNow = nil, nil
 
 		// The virtual phase.

@@ -3,8 +3,12 @@ package cc
 import (
 	"fmt"
 	"math"
+	"reflect"
+	"runtime"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adio"
 	"repro/internal/climate"
@@ -39,19 +43,50 @@ var foldShapes = []struct {
 	{"single row", 1, layout.Slab{Start: []int64{0, 2, 100}, Count: []int64{1, 1, 19000}}, 1},
 }
 
+// foldSource is what a fold bed's variable holds: unroundedAt, from a
+// generator when image is nil and else from a MemBackend holding image
+// (foldImages), or, with climate set, climate's field of its rank, whose
+// generator scans.
+type foldSource struct {
+	image   []byte
+	climate bool
+}
+
+func (s foldSource) String() string {
+	switch {
+	case s.climate:
+		return "climate"
+	case s.image != nil:
+		return "membackend"
+	}
+	return "generator"
+}
+
 // newFoldBed is a one-rank value bed (newValueBed) over foldVars[v], in
-// 64 KiB stripes: generator-backed when image is nil, else a MemBackend
-// holding image (foldImages).
-func newFoldBed(t *testing.T, v int, image []byte) *testbed {
+// 64 KiB stripes, holding src.
+func newFoldBed(t *testing.T, v int, src foldSource) *testbed {
 	t.Helper()
-	return newValueBed(t, 1, ncfile.Float32, foldVars[v], 64<<10, image, false)
+	if !src.climate {
+		return newValueBed(t, 1, ncfile.Float32, foldVars[v], 64<<10, src.image, false)
+	}
+	tb := newValueBed(t, 1, ncfile.Float32, []int64{1}, 64<<10, nil, false)
+	var err error
+	if dims := foldVars[v]; len(dims) == 4 {
+		tb.ds, tb.id, err = climate.NewDataset4D(tb.fs, dims, 4, 0)
+	} else {
+		tb.ds, tb.id, err = climate.NewDataset3D(tb.fs, dims, 4, 0)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tb
 }
 
 // foldImages is the file image of each fold bed (imageOf), by variable.
 func foldImages(t *testing.T) [][]byte {
 	images := make([][]byte, len(foldVars))
 	for v := range foldVars {
-		images[v] = imageOf(newFoldBed(t, v, nil))
+		images[v] = imageOf(newFoldBed(t, v, foldSource{}))
 	}
 	return images
 }
@@ -73,25 +108,26 @@ func foldOps(slab layout.Slab) []Op {
 
 // runFold runs one object I/O of io on a fresh fold bed and returns its
 // result.
-func runFold(t *testing.T, image []byte, v int, slab layout.Slab, io IO, op Op) Result {
+func runFold(t *testing.T, src foldSource, v int, slab layout.Slab, io IO, op Op) Result {
 	t.Helper()
-	tb := newFoldBed(t, v, image)
+	tb := newFoldBed(t, v, src)
 	io.Params.CB = 64 << 10
 	return runObjectGetVara(t, tb, []layout.Slab{slab}, io, op)[0]
 }
 
 // TestTraditionalFoldIsOneAbsorb is the oracle of the traditional leg's
-// pipelined fold: on one rank, its state is, to the bit, the state of one
-// Absorb of the whole slab from Zero() with the values GetVaraAll returns.
-// Every operator, over a generator and over its MemBackend twin, through the
-// collective and the independent read, at GOMAXPROCS 1 and 4 (where every
-// slab of more than one unit is made on several workers), on slabs with
-// leading dimensions of count 1, a ragged last unit, two units and one.
+// fold: on one rank, its state is, to the bit, the state of one Absorb of
+// the whole slab from Zero() with the values GetVaraAll returns. Every
+// operator, over a generator, its MemBackend twin and the climate field
+// (where the six scanning operators scan the slab), through the collective
+// and the independent read, at GOMAXPROCS 1 and 4 (where a slab of host.Grain
+// elements or more is folded on a goroutine beside the simulation), on slabs
+// with leading dimensions of count 1, a ragged last unit, two units and one.
 func TestTraditionalFoldIsOneAbsorb(t *testing.T) {
 	images := foldImages(t)
 	for _, sh := range foldShapes {
-		for _, img := range [][]byte{nil, images[sh.v]} {
-			tb := newFoldBed(t, sh.v, img)
+		for _, src := range []foldSource{{}, {image: images[sh.v]}, {climate: true}} {
+			tb := newFoldBed(t, sh.v, src)
 			var vals []float64
 			tb.w.Go(func(r *mpi.Rank) {
 				var err error
@@ -109,11 +145,11 @@ func TestTraditionalFoldIsOneAbsorb(t *testing.T) {
 					for _, procs := range []int{1, 4} {
 						var res Result
 						atProcs(procs, func() {
-							res = runFold(t, img, sh.v, sh.slab, IO{Block: true, Mode: mode}, op)
+							res = runFold(t, src, sh.v, sh.slab, IO{Block: true, Mode: mode}, op)
 						})
 						if got := fmt.Sprintf("%#v", res.State); got != want {
-							t.Errorf("%s, %s, membackend=%v, mode %d, GOMAXPROCS=%d: state\n%s\nwant one Absorb's\n%s",
-								sh.name, op.Name(), img != nil, mode, procs, got, want)
+							t.Errorf("%s, %s, %v, mode %d, GOMAXPROCS=%d: state\n%s\nwant one Absorb's\n%s",
+								sh.name, op.Name(), src, mode, procs, got, want)
 						}
 					}
 				}
@@ -187,23 +223,23 @@ func (o tileOp) Absorb(s State, sub Subset) State {
 	return tileState{elems: st.elems + u.NumElems(), units: st.units + 1}
 }
 
-// TestTraditionalFoldOneAtATimeInOrder: with the units made on four workers,
-// the traditional leg's Absorb calls never overlap and take the units in
-// row-major order, tiling the slab exactly, in as many units as ncfile's
-// cut gives the shape; over a generator and a MemBackend, collective and
-// independent. Without the fold's one-folder rule two workers fold at once,
-// which this fails (and -race reports on the shared state).
+// TestTraditionalFoldOneAtATimeInOrder: at GOMAXPROCS 4, the traditional
+// leg's Absorb calls never overlap and take the units in row-major order,
+// tiling the slab exactly, in as many units as ncfile's cut gives the shape;
+// over a generator and a MemBackend, collective and independent. Units made
+// on several goroutines and folded as they came would fail it (and -race
+// would report the shared state).
 func TestTraditionalFoldOneAtATimeInOrder(t *testing.T) {
 	images := foldImages(t)
 	atProcs(4, func() {
 		for _, sh := range foldShapes {
-			for _, img := range [][]byte{nil, images[sh.v]} {
+			for _, src := range []foldSource{{}, {image: images[sh.v]}} {
 				for _, mode := range []Mode{Collective, Independent} {
 					op := tileOp{t: t, slab: sh.slab, inflight: new(atomic.Int32)}
-					st := runFold(t, img, sh.v, sh.slab, IO{Block: true, Mode: mode}, op).State.(tileState)
+					st := runFold(t, src, sh.v, sh.slab, IO{Block: true, Mode: mode}, op).State.(tileState)
 					if st.elems != sh.slab.NumElems() || st.units != int64(sh.units) {
-						t.Errorf("%s, membackend=%v, mode %d: %d elements in %d units, want %d in %d",
-							sh.name, img != nil, mode, st.elems, st.units, sh.slab.NumElems(), sh.units)
+						t.Errorf("%s, %v, mode %d: %d elements in %d units, want %d in %d",
+							sh.name, src, mode, st.elems, st.units, sh.slab.NumElems(), sh.units)
 					}
 				}
 			}
@@ -243,5 +279,114 @@ func BenchmarkTraditionalLeg(b *testing.B) {
 		if err := env.Run(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// meetOp is Sum with a rendezvous that proves the traditional fold runs
+// while the other job's map does: its Absorb on the traditional side (trad
+// set) marks the fold started and waits until an Absorb on the CC side has
+// seen that mark. A wait that times out is an error, and the fold goes on.
+type meetOp struct {
+	Sum
+	trad    bool
+	started *atomic.Bool
+	met     chan struct{}
+	once    *sync.Once
+	t       *testing.T
+}
+
+func (o meetOp) Absorb(s State, sub Subset) State {
+	if o.trad {
+		o.started.Store(true)
+		select {
+		case <-o.met:
+		case <-time.After(10 * time.Second):
+			o.t.Error("the CC map never ran while the traditional fold was in flight")
+			o.once.Do(func() { close(o.met) })
+		}
+	} else if o.started.Load() {
+		o.once.Do(func() { close(o.met) })
+	}
+	return o.Sum.Absorb(s, sub)
+}
+
+// TestOneDatasetServesTwoJobsBesideAFold: one dataset serves two jobs at
+// once, a traditional leg on ranks 0-3 and a CC leg on ranks 4-7 that starts
+// once the traditional reads are done and maps while the traditional ranks
+// are charged for their folds, so that those folds run beside the simulation
+// while the other job's map runs on the dataset's host workers (meetOp
+// proves the overlap). Each job's results are its cold run's, alone on a
+// machine of its own, bit for bit: with scanning operators (Sum on one side,
+// MinLoc on the other) and with Sum folded by Absorb. Once Run returns,
+// every goroutine the folds started has ended.
+func TestOneDatasetServesTwoJobsBesideAFold(t *testing.T) {
+	g := parGeometry
+	// Each job is four ranks, each reading one of parGeometry's slabs of at
+	// least host.Grain elements, so that every fold has a goroutine.
+	all := parSlabs()
+	slabs := []layout.Slab{all[1], all[3], all[5], all[6]}
+	cold := func(io IO, op Op) []Result {
+		tb := newClimateBed(t, false)
+		w := mpi.NewWorld(tb.env, 4, fabric.Params{RanksPerNode: 4})
+		tb.w, tb.c = w, w.Comm()
+		return runObjectGetVara(t, tb, slabs, io, op)
+	}
+	const ccStart = 0.5 // s: the traditional reads are done by then
+	trad := IO{Block: true, SecPerElem: 1e-4, Params: adio.Params{CB: g.cb}}
+	ccIO := IO{Reduce: AllToAll, SecPerElem: 2e-8, Params: adio.Params{CB: g.cb, Pipeline: true}}
+	for _, pair := range []struct {
+		name       string
+		tradOp     Op
+		ccOp       Op
+		rendezvous bool
+	}{
+		{"scans", Sum{}, MinLoc{}, false},
+		{"absorb", struct{ Op }{Sum{}}, struct{ Op }{Sum{}}, true},
+	} {
+		atProcs(4, func() {
+			wantTrad, wantCC := cold(trad, pair.tradOp), cold(ccIO, pair.ccOp)
+			tradOp, ccOp := pair.tradOp, pair.ccOp
+			if pair.rendezvous {
+				started, met, once := new(atomic.Bool), make(chan struct{}), new(sync.Once)
+				tradOp = meetOp{trad: true, started: started, met: met, once: once, t: t}
+				ccOp = meetOp{started: started, met: met, once: once, t: t}
+			}
+
+			base := runtime.NumGoroutine()
+			tb := newClimateBed(t, false)
+			comms := []*mpi.Comm{
+				tb.w.SubNS(tb.w.NewNamespace(), []int{0, 1, 2, 3}),
+				tb.w.SubNS(tb.w.NewNamespace(), []int{4, 5, 6, 7}),
+			}
+			results := make([]Result, 8)
+			tb.w.Go(func(r *mpi.Rank) {
+				job, io, op := r.Rank()/4, trad, tradOp
+				if job == 1 {
+					io, op = ccIO, ccOp
+					r.Compute(ccStart)
+				}
+				io.DS, io.VarID, io.Slab = tb.ds, tb.id, slabs[r.Rank()%4]
+				var err error
+				results[r.Rank()], err = ObjectGetVara(r, comms[job], tb.fs.Client(r.Proc(), r.Rank(), nil), io, op)
+				if err != nil {
+					t.Error(err)
+				}
+			})
+			if err := tb.env.Run(); err != nil {
+				t.Fatal(err)
+			}
+			for i, want := range append(wantTrad, wantCC...) {
+				got := results[i]
+				if got.Value != want.Value || got.Root != want.Root || !reflect.DeepEqual(got.State, want.State) {
+					t.Errorf("%s: rank %d: %+v, cold %+v", pair.name, i, got, want)
+				}
+			}
+			for i := 0; runtime.NumGoroutine() > base; i++ {
+				if i == 1000 {
+					t.Fatalf("%s: %d goroutines after Run, %d before", pair.name, runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
 	}
 }

@@ -1,8 +1,10 @@
 // Package host spreads a simulated rank's pure host work — generating,
 // decoding and folding values — over the machine's cores. It is the one place
-// the simulator starts goroutines of its own: the discrete-event kernel runs
-// one process at a time (internal/sim), and everything here runs inside one
-// such process's turn, returning before the process next yields.
+// the simulator starts goroutines of its own. The discrete-event kernel runs
+// one process at a time (internal/sim): Pool runs a loop inside one such
+// process's turn and returns before the process next yields, and Slots runs
+// a job beside the simulation, from one turn of a process until the process
+// joins it, which is why such a job may touch nothing the simulation does.
 package host
 
 import (

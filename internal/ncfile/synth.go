@@ -21,9 +21,11 @@ type ValueFn func(coords []int64) float64
 // synthetic reads spend their time; results must be bit-identical to calling
 // a per-element function once per k.
 //
-// FillRow may run on several host workers at once, each with its own coords
-// and a disjoint out (see host.Pool). It must leave coords as it found them
-// and keep no reference to either slice.
+// FillRow may run on several host workers or fold slots at once, each with
+// its own coords and a disjoint out (see host.Pool, host.Slots). It must
+// leave coords as it found them and keep no reference to either slice. A Gen
+// that is also a Scanner folds rows without storing them, where the variable
+// is Float32 (see CanScan).
 type Gen interface {
 	FillRow(coords []int64, out []float64)
 }
@@ -82,19 +84,25 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 		return nil, fmt.Errorf("ncfile: %d value generators for %d variables", len(gens), len(s.vars))
 	}
 	size := s.Layout()
-	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...)}
+	sy := &synth{vars: s.vars, gens: append([]Gen(nil), gens...), scans: make([]Scanner, len(gens))}
+	for i, g := range gens {
+		if s.vars[i].Type == Float32 {
+			sy.scans[i], _ = g.(Scanner)
+		}
+	}
 	f := fs.Create(name, pfs.NewSynthBackend(size, sy.fill), stripeCount, stripeSize, firstOST)
 	return &Dataset{file: f, vars: s.vars, synth: sy}, nil
 }
 
 // synth is the generator side of a synthetic dataset: the variables in file
 // order (Layout assigns offsets in schema order, so that is id order), their
-// generators, and the backend fill's coordinate and value scratch, used on a
-// rank's goroutine inside a read and kept per dataset for the reason
-// Dataset.work is.
+// generators, the generators that scan a Float32 variable (see CanScan), and
+// the backend fill's coordinate and value scratch, used on a rank's goroutine
+// inside a read and kept per dataset for the reason Dataset.work is.
 type synth struct {
 	vars   []Var
-	gens   []Gen // by variable id; nil = zeros
+	gens   []Gen     // by variable id; nil = zeros
+	scans  []Scanner // by variable id; nil = no scan
 	coords []int64
 	vals   []float64
 }
@@ -108,7 +116,7 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 // its capacity suffices. It is where a generator-backed dataset is told
 // from one holding real bytes for the readers that turn a read into values
 // (GetVara, GetVaraAll, and through WorkerValues the collective-computing
-// map; FoldVara's units make the same choice in runUnit):
+// map; FoldVara's units make the same choice in foldUnits):
 //
 //   - A Synthetic dataset is immutable and a pure function of (variable,
 //     coordinates), so when and in what form its content is produced is
@@ -162,13 +170,65 @@ func (ds *Dataset) synthValues(w *Worker, id int, elemRuns []layout.Run, out []f
 	case w != nil:
 		fillValues(&w.coords, &ds.vars[id], g, elemRuns, 0, out)
 	default:
-		q := ds.start(id, elemRuns, g, nil, out)
+		q := &ds.req
+		q.v, q.g, q.out = &ds.vars[id], g, out
+		q.runs = append(q.runs[:0], elemRuns...)
+		q.cuts = q.cuts[:0]
 		for lo := int64(0); lo < n; lo += host.Grain {
 			q.cut(lo)
 		}
-		ds.run(n)
+		if ds.unit == nil {
+			ds.unit = ds.runUnit // bound once, so that a call allocates nothing
+		}
+		ds.work.Run(len(q.cuts), n, ds.unit)
+		q.out = nil
 	}
 	return out
+}
+
+// unitReq is the request Values' host workers are working on: out receives
+// the values generator g makes for v's elements in runs, concatenated, in the
+// units cuts marks. The runs are copied into the request: keeping the
+// caller's slice would move it to the heap on every call.
+type unitReq struct {
+	v    *Var
+	g    Gen
+	runs []layout.Run
+	out  []float64
+	cuts []unitCut
+}
+
+// unitCut is where a unit starts: element lo of the request, which is
+// element off of run number run.
+type unitCut struct {
+	run     int
+	off, lo int64
+}
+
+// cut starts the request's next unit at element lo, past every unit it
+// has already started.
+func (q *unitReq) cut(lo int64) {
+	r, pos := 0, int64(0) // run r starts at element pos of out
+	if k := len(q.cuts); k > 0 {
+		c := q.cuts[k-1]
+		r, pos = c.run, c.lo-c.off
+	}
+	for lo >= pos+q.runs[r].Length {
+		pos += q.runs[r].Length
+		r++
+	}
+	q.cuts = append(q.cuts, unitCut{run: r, off: lo - pos, lo: lo})
+}
+
+// runUnit makes unit i of the current request.
+func (ds *Dataset) runUnit(w *Worker, i int) {
+	q := &ds.req
+	c := q.cuts[i]
+	hi := int64(len(q.out))
+	if i+1 < len(q.cuts) {
+		hi = q.cuts[i+1].lo
+	}
+	fillValues(&w.coords, q.v, q.g, q.runs[c.run:], c.off, q.out[c.lo:hi])
 }
 
 // fillValues fills out with the values of v's elements that start off

@@ -179,8 +179,11 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			}
 			for _, independent := range []bool{false, true} {
 				var f concat
-				if err := ds.FoldVara(r, c, cl, id, slabs[id][me], nil, p, independent, &f); err != nil {
+				join, err := ds.FoldVara(r, c, cl, id, slabs[id][me], nil, p, independent, nil, &f)
+				if err != nil {
 					t.Error(err)
+				} else {
+					join.Wait()
 				}
 				if f.bad != "" {
 					t.Error(f.bad)

@@ -170,6 +170,9 @@ func OpByCode(code string) (cc.Op, error) {
 		if err1 != nil || err2 != nil || err3 != nil || bins <= 0 || hi <= lo {
 			return nil, fmt.Errorf("workload: bad histogram op %q", code)
 		}
+		if math.IsInf(hi-lo, 0) || math.IsNaN(hi-lo) {
+			return nil, fmt.Errorf("workload: histogram op %q: bounds must be finite, and so must their distance", code)
+		}
 		return cc.Histogram{Lo: lo, Hi: hi, Bins: bins}, nil
 	}
 	return cc.OpByName(code)

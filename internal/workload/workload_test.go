@@ -209,7 +209,8 @@ func TestInterarrivalMeans(t *testing.T) {
 	}
 }
 
-// TestOpByCode covers the histogram codec and rejection of malformed codes.
+// TestOpByCode covers the histogram codec and rejection of malformed codes,
+// non-finite bounds and a range too wide for a float64 among them.
 func TestOpByCode(t *testing.T) {
 	op, err := OpByCode("hist:-40:50:32")
 	if err != nil {
@@ -221,7 +222,9 @@ func TestOpByCode(t *testing.T) {
 	if _, err := OpByCode("sum"); err != nil {
 		t.Fatal(err)
 	}
-	for _, bad := range []string{"hist:1:2", "hist:a:b:c", "hist:5:1:8", "hist:0:1:0", "nosuch"} {
+	for _, bad := range []string{"hist:1:2", "hist:a:b:c", "hist:5:1:8", "hist:0:1:0", "nosuch",
+		"hist:nan:1:4", "hist:0:nan:4", "hist:0:inf:4", "hist:-inf:0:4", "hist:-inf:inf:4",
+		"hist:-1e308:1e308:4"} {
 		if _, err := OpByCode(bad); err == nil {
 			t.Fatalf("OpByCode(%q) accepted", bad)
 		}

@@ -91,47 +91,133 @@ func (s *Storm) Wind10(c []int64) float64 {
 // slpGen and windGen are the row-batched ncfile.Gen forms of Storm.SLP and
 // Storm.Wind10, which stay as their oracles. What depends only on the row —
 // t, the eye, dy·dy, r2, and the peak times intensity(t), left-associated as
-// the scalar forms compute it — is computed once per row; the per-element
-// arithmetic keeps the scalar forms' grouping and order, so the values are
-// bit-identical. Go lets a compiler fuse x*y+z into one rounding, even across
-// statements (arm64 does; amd64 does not), unless an explicit float64(…)
-// rounds the product first. Each hoisted product is wrapped in one, and so is
-// dy·dy in the scalar forms, so a fused build cannot fuse a product on one
-// side and round it on the other.
+// the scalar forms compute it — is computed once per row (slpRow, windRow);
+// the per-element arithmetic, in each row type's at, keeps the scalar forms'
+// grouping and order, so the values are bit-identical. Go lets a compiler
+// fuse x*y+z into one rounding, even across statements (arm64 does; amd64
+// does not), unless an explicit float64(…) rounds the product first. Each
+// hoisted product is wrapped in one, and so is dy·dy in the scalar forms, so
+// a fused build cannot fuse a product on one side and round it on the other.
+// Both are ncfile.Scanners: FillRow and the scans run loops over the row that
+// call its at, so each formula exists once.
 type slpGen struct{ *Storm }
 
-func (g slpGen) FillRow(c []int64, out []float64) {
+func (g slpGen) row(c []int64) slpRow {
 	s := g.Storm
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy := float64(c[1]) - ey
-	dy2 := float64(dy * dy)
-	r2 := float64(s.CoreRadius * s.CoreRadius * 9)
-	depth := float64(s.Depth * s.intensity(t))
-	x0 := c[2]
-	for k := range out {
-		dx := float64(x0+int64(k)) - ex
-		out[k] = 1013 - depth*shape(dy2+dx*dx, r2)
+	return slpRow{
+		ex:    ex,
+		dy2:   float64(dy * dy),
+		r2:    float64(s.CoreRadius * s.CoreRadius * 9),
+		depth: float64(s.Depth * s.intensity(t)),
 	}
+}
+
+func (g slpGen) FillRow(c []int64, out []float64) {
+	r := g.row(c)
+	for k := range out {
+		out[k] = r.at(c[2] + int64(k))
+	}
+}
+
+func (g slpGen) SumRow(c []int64, n int, acc float64) float64 {
+	r := g.row(c)
+	for k := 0; k < n; k++ {
+		acc += ncfile.Float32Round(r.at(c[2] + int64(k)))
+	}
+	return acc
+}
+
+func (g slpGen) MinRow(c []int64, n int, best float64, valid bool) (float64, int) {
+	r, at := g.row(c), -1
+	for k := 0; k < n; k++ {
+		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v < best || !valid {
+			best, valid, at = v, true, k
+		}
+	}
+	return best, at
+}
+
+func (g slpGen) MaxRow(c []int64, n int, best float64, valid bool) (float64, int) {
+	r, at := g.row(c), -1
+	for k := 0; k < n; k++ {
+		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v > best || !valid {
+			best, valid, at = v, true, k
+		}
+	}
+	return best, at
+}
+
+// slpRow is what a row of the pressure field fixes.
+type slpRow struct{ ex, dy2, r2, depth float64 }
+
+// at is the pressure at x, the one element function of slpGen's loops.
+func (r slpRow) at(x int64) float64 {
+	dx := float64(x) - r.ex
+	return 1013 - r.depth*shape(r.dy2+dx*dx, r.r2)
 }
 
 type windGen struct{ *Storm }
 
-func (g windGen) FillRow(c []int64, out []float64) {
+func (g windGen) row(c []int64) windRow {
 	s := g.Storm
 	t := float64(c[0])
 	ey, ex := s.eye(t)
 	dy := float64(c[1]) - ey
-	dy2 := float64(dy * dy)
-	r2 := float64(s.CoreRadius * s.CoreRadius)
-	peak := float64(s.MaxWind * s.intensity(t))
-	x0 := c[2]
-	for k := range out {
-		dx := float64(x0+int64(k)) - ex
-		ratio := (dy2 + dx*dx) / r2
-		prof := 2 * ratio / (1 + ratio*ratio)
-		out[k] = peak * prof
+	return windRow{
+		ex:   ex,
+		dy2:  float64(dy * dy),
+		r2:   float64(s.CoreRadius * s.CoreRadius),
+		peak: float64(s.MaxWind * s.intensity(t)),
 	}
+}
+
+func (g windGen) FillRow(c []int64, out []float64) {
+	r := g.row(c)
+	for k := range out {
+		out[k] = r.at(c[2] + int64(k))
+	}
+}
+
+func (g windGen) SumRow(c []int64, n int, acc float64) float64 {
+	r := g.row(c)
+	for k := 0; k < n; k++ {
+		acc += ncfile.Float32Round(r.at(c[2] + int64(k)))
+	}
+	return acc
+}
+
+func (g windGen) MinRow(c []int64, n int, best float64, valid bool) (float64, int) {
+	r, at := g.row(c), -1
+	for k := 0; k < n; k++ {
+		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v < best || !valid {
+			best, valid, at = v, true, k
+		}
+	}
+	return best, at
+}
+
+func (g windGen) MaxRow(c []int64, n int, best float64, valid bool) (float64, int) {
+	r, at := g.row(c), -1
+	for k := 0; k < n; k++ {
+		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v > best || !valid {
+			best, valid, at = v, true, k
+		}
+	}
+	return best, at
+}
+
+// windRow is what a row of the wind field fixes.
+type windRow struct{ ex, dy2, r2, peak float64 }
+
+// at is the wind speed at x, the one element function of windGen's loops.
+func (r windRow) at(x int64) float64 {
+	dx := float64(x) - r.ex
+	ratio := (r.dy2 + dx*dx) / r.r2
+	prof := 2 * ratio / (1 + ratio*ratio)
+	return r.peak * prof
 }
 
 // Dataset holds an open WRF-like output file.
