@@ -110,7 +110,7 @@ func splitSlab(whole layout.Slab, n int) []layout.Slab {
 }
 
 // runObjectGetVara executes the object I/O on all ranks.
-func runObjectGetVara(t *testing.T, tb *testbed, slabs []layout.Slab, io IO, op Op) []Result {
+func runObjectGetVara(t testing.TB, tb *testbed, slabs []layout.Slab, io IO, op Op) []Result {
 	t.Helper()
 	results := make([]Result, tb.w.Size())
 	errs := make([]error, tb.w.Size())

@@ -1,6 +1,9 @@
 package cc
 
 import (
+	"fmt"
+	"reflect"
+
 	"repro/internal/layout"
 )
 
@@ -157,4 +160,30 @@ type Consumer struct {
 	// OnResult receives the consumer's final result; called on the root rank
 	// only, before ObjectGetVara returns.
 	OnResult func(Result)
+}
+
+// OpKey is an operator's identity, the one rule for when two operators ask
+// the same question: jobs whose operators have equal (==) keys share a cached
+// result (the cluster's memo key holds this key), and consumers of one pass
+// whose operators have equal keys share one fused component. The key is the
+// operator value itself when reflect calls it comparable, so its type and
+// parameters take part in == (where Name alone would conflate, e.g., two
+// Histograms with different ranges); an operator that is not (Fuse, WindowOp,
+// any op with a slice field) is keyed by its %T%+v text.
+//
+// Equal keys mean the same type with the same parameters, so the cold runs
+// agree bit for bit and sharing is safe. Three cases follow from the rule:
+// a ±0 parameter keys equal to its twin under == (every operator here gives
+// the same answer for both) but not in the text; a pointer keys equal only to
+// itself, under == as in the text, which prints a nested pointer as its
+// address; and a NaN parameter of a comparable operator makes its key unequal
+// to every key, its own included, so that operator shares neither a result
+// nor a component — while the text of a NaN is "NaN", so a non-comparable
+// operator holding one, such as Fuse{Ops: {Histogram{Lo: NaN, …}}}, keys
+// equal to itself and its twin and does share.
+func OpKey(op Op) any {
+	if reflect.ValueOf(op).Comparable() {
+		return op
+	}
+	return fmt.Sprintf("%T%+v", op, op)
 }

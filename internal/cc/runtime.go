@@ -278,21 +278,37 @@ func ObjectGetVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Resu
 }
 
 // runWithConsumers executes the object I/O once with op fused against every
-// consumer's operator, then unpacks the per-consumer results on the root.
-// The fold structure per fused component is exactly what each operator's own
-// run would use, so the primary result is unchanged bit for bit, and every
-// eligible consumer's result matches its cold run (see Consumer).
+// distinct consumer operator, then unpacks the per-consumer results on the
+// root. Consumers whose operators have equal OpKeys, the primary's included,
+// read one fused component, which folds the same Absorbs and Merges in the
+// same order as a component of each one's own would. The fold structure per
+// fused component is exactly what each operator's own run would use, so the
+// primary result is unchanged bit for bit, and every eligible consumer's
+// result matches its cold run (see Consumer). The modelled pass is charged
+// per consumer: the map cost and the message size sum over every consumer,
+// whether its component is shared or not.
 func runWithConsumers(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Result, error) {
 	cons := io.Consumers
-	ops := make([]Op, 1+len(cons))
-	ops[0] = op
+	ops := []Op{op}
+	keys := []any{OpKey(op)}
+	comp := make([]int, len(cons)) // consumer i's component
 	fio := io
 	fio.Consumers = nil
+	var fused chargedFuse
 	for i, cs := range cons {
-		ops[1+i] = cs.Op
+		k := OpKey(cs.Op)
+		j := slices.Index(keys, k)
+		if j < 0 {
+			j = len(ops)
+			ops = append(ops, cs.Op)
+			keys = append(keys, k)
+		} else {
+			fused.shared += cs.Op.StateBytes()
+		}
+		comp[i] = j
 		fio.SecPerElem += cs.SecPerElem
 	}
-	fused := Fuse{Ops: ops}
+	fused.Ops = ops
 	if inner := io.LocalState; inner != nil {
 		fio.LocalState = func(st State) { inner(fused.StateOf(st, 0)) }
 	}
@@ -305,7 +321,7 @@ func runWithConsumers(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (R
 	if res.Root {
 		st := res.State
 		for i, cs := range cons {
-			cst := fused.StateOf(st, 1+i)
+			cst := fused.StateOf(st, comp[i])
 			if cs.OnResult != nil {
 				cs.OnResult(Result{Value: cs.Op.Value(cst), State: cst, Root: true})
 			}
@@ -314,6 +330,18 @@ func runWithConsumers(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (R
 	}
 	return res, nil
 }
+
+// chargedFuse is the operator of a coalesced pass: a Fuse of the distinct
+// operators, whose partial result is charged as if no component were shared,
+// the message of one component per consumer. shared is the StateBytes of the
+// consumers that read another's component.
+type chargedFuse struct {
+	Fuse
+	shared int64
+}
+
+// StateBytes implements Op.
+func (f chargedFuse) StateBytes() int64 { return f.Fuse.StateBytes() + f.shared }
 
 // runTraditional is the paper's Figure 5 baseline: finish the I/O, then
 // compute, then MPI_Reduce.

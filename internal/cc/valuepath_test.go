@@ -345,7 +345,7 @@ const allocBedCB = 256 << 10
 
 var allocBedDims = []int64{64, 64, 128}
 
-func newAllocBed(t *testing.T, memBacked bool, dims []int64) *allocBed {
+func newAllocBed(t testing.TB, memBacked bool, dims []int64) *allocBed {
 	t.Helper()
 	const n = 8
 	env := sim.NewEnv()

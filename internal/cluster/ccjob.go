@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"reflect"
 	"strconv"
 
 	"repro/internal/adio"
@@ -87,11 +86,7 @@ type ccMeta struct {
 }
 
 // memoKey is a CC job's semantic identity, compared with ==: the shape key,
-// the reduce mode, and the operator itself. op holds the operator value when
-// it is comparable (its type and parameters then take part in ==, where
-// Name() alone would conflate, e.g., two Histograms with different ranges);
-// an operator that is not (Fuse, WindowOp, any op with a slice field) is
-// represented by its %T%+v text instead.
+// the reduce mode, and the operator's identity, cc.OpKey.
 type memoKey struct {
 	shape  string
 	reduce cc.ReduceMode
@@ -99,16 +94,12 @@ type memoKey struct {
 }
 
 func newMemoKey(shape string, reduce cc.ReduceMode, op cc.Op) memoKey {
-	k := memoKey{shape: shape, reduce: reduce, op: op}
-	if !reflect.ValueOf(op).Comparable() {
-		k.op = fmt.Sprintf("%T%+v", op, op)
-	}
-	return k
+	return memoKey{shape: shape, reduce: reduce, op: cc.OpKey(op)}
 }
 
-// shares reports whether k equals itself. A NaN operator parameter makes a
-// key unequal to every key, its own included, so such a job never shares a
-// result: it is neither cached nor registered as an in-flight donor.
+// shares reports whether k equals itself. A key that does not (see cc.OpKey
+// for when an operator's key is unequal to itself) shares no result: it is
+// neither cached nor registered as an in-flight donor.
 func (k memoKey) shares() bool { return k == k }
 
 // ccShapeKey renders j's access shape as

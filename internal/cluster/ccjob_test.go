@@ -179,6 +179,62 @@ func TestSignedZeroHistogramsShareOneCachedResult(t *testing.T) {
 	}
 }
 
+// TestNaNOperatorsShareByOpKey pins the NaN case of cc.OpKey's rule. A
+// comparable operator with a NaN parameter keys unequal to itself: its job is
+// never cached or joined as a waiter, and its twin rides the pass as a
+// coalesced follower with a component of its own. Wrapped in a Fuse, which is
+// not comparable, the same operator keys by its text, in which NaN equals
+// NaN: the twin waits on the first job's result. Either way every job gets
+// its cold run's bits.
+func TestNaNOperatorsShareByOpKey(t *testing.T) {
+	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{16, 32, 32}}
+	bare := cc.Histogram{Lo: math.NaN(), Hi: 320, Bins: 12}
+	for _, tc := range []struct {
+		name   string
+		op     func() cc.Op
+		shares bool
+	}{
+		{"bare", func() cc.Op { return bare }, false},
+		{"fused", func() cc.Op { return cc.Fuse{Ops: []cc.Op{bare}} }, true},
+	} {
+		jobs := []CCJob{
+			ccOpJob(tc.name, tc.op(), cc.AllToOne, whole),
+			ccOpJob(tc.name+"-twin", tc.op(), cc.AllToOne, whole),
+		}
+		c := newMemoCluster(t, 4, 0, true)
+		_, meta := c.prepareCC(jobs[0])
+		if got := meta.memoKey.shares(); got != tc.shares {
+			t.Errorf("%s: memo key shares() = %v, want %v", tc.name, got, tc.shares)
+		}
+		warm := []*CCResult{c.SubmitCC(jobs[0]), c.SubmitCC(jobs[1])}
+		if _, err := c.Run(); err != nil {
+			t.Fatal(err)
+		}
+		want := MemoStats{Misses: 1, Coalesced: 1}
+		if tc.shares {
+			want = MemoStats{Misses: 1, Waiters: 1}
+		}
+		if st := c.MemoStats(); st.Misses != want.Misses || st.Waiters != want.Waiters || st.Coalesced != want.Coalesced || st.Hits != 0 {
+			t.Errorf("%s: memo stats %+v, want %d miss, %d waiter, %d coalesced", tc.name, st, want.Misses, want.Waiters, want.Coalesced)
+		}
+		for i, j := range jobs {
+			cold := newMemoCluster(t, 4, 0, false)
+			cr := cold.SubmitCC(j)
+			if _, err := cold.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if !cr.Valid() || !warm[i].Valid() {
+				t.Fatalf("%s: cold %v, warm %v", j.Name, cr.Err, warm[i].Err)
+			}
+			if math.Float64bits(warm[i].Res.Value) != math.Float64bits(cr.Res.Value) ||
+				!reflect.DeepEqual(warm[i].Res.State, cr.Res.State) {
+				t.Errorf("%s: shared result %v/%v, cold %v/%v",
+					j.Name, warm[i].Res.Value, warm[i].Res.State, cr.Res.Value, cr.Res.State)
+			}
+		}
+	}
+}
+
 // TestSubmitCCAllocBound: queueing a CC job with a
 // comparable operator costs a fixed handful of allocations — the shape key,
 // the metadata, the result, the body closure, the Job copy and the
