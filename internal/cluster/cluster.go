@@ -89,12 +89,15 @@ type Cluster struct {
 	tenantUse map[string]float64 // rank-seconds of service charged per tenant
 
 	// Dimensional telemetry caches (dimensional.go): labeled-family handles
-	// built once and reused, plus the per-class wait windows behind -series.
+	// built once and reused, plus the per-class wait windows behind -series
+	// and the scratch a series point is built in.
 	tenantMxCache     map[string]*tenantMetrics
 	ostBusyG, ostLatG []*obs.Gauge
 	nicTxG, nicRxG    []*obs.Gauge
 	memoG             *memoGauges
-	classWin          map[string]*waitWindow
+	classWin          []*waitWindow // sorted by class name
+	seriesOST         []float64
+	seriesClasses     []obs.ClassWait
 
 	// Decision tracing (decisions.go); all dormant unless the obs tracer has
 	// decision tracing enabled.

@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"slices"
 	"sort"
 	"strconv"
+	"strings"
 
 	"repro/internal/obs"
 )
@@ -140,12 +142,16 @@ func (c *Cluster) mirrorLabeled(m *obs.Registry) {
 // O(classes) per round regardless of run length.
 const classWinCap = 128
 
-// waitWindow is a fixed-capacity ring of the most recent admission waits.
+// waitWindow is a fixed-capacity ring of one class's most recent admission
+// waits, with its summary as of the last wait that entered it.
 type waitWindow struct {
-	buf  []float64
-	next int
-	n    int
-	tmp  []float64 // reused sort scratch for summaries
+	class    string
+	buf      []float64
+	next     int
+	n        int
+	tmp      []float64 // reused sort scratch for summaries
+	stale    bool      // a wait entered since p50/p99 were taken
+	p50, p99 float64
 }
 
 func (w *waitWindow) add(v float64) {
@@ -157,26 +163,31 @@ func (w *waitWindow) add(v float64) {
 	if w.n < classWinCap {
 		w.n++
 	}
+	w.stale = true
 }
 
-// summary returns the window's size and nearest-rank p50/p99.
+// summary returns the window's size and nearest-rank p50/p99, sorting the
+// window only when a wait entered it since the last call.
 func (w *waitWindow) summary() (n int, p50, p99 float64) {
 	if w.n == 0 {
 		return 0, 0, 0
 	}
-	w.tmp = append(w.tmp[:0], w.buf[:w.n]...)
-	sort.Float64s(w.tmp)
-	rank := func(q float64) float64 {
-		i := int(q*float64(w.n)+0.5) - 1
-		if i < 0 {
-			i = 0
+	if w.stale {
+		w.tmp = append(w.tmp[:0], w.buf[:w.n]...)
+		sort.Float64s(w.tmp)
+		rank := func(q float64) float64 {
+			i := int(q*float64(w.n)+0.5) - 1
+			if i < 0 {
+				i = 0
+			}
+			if i >= w.n {
+				i = w.n - 1
+			}
+			return w.tmp[i]
 		}
-		if i >= w.n {
-			i = w.n - 1
-		}
-		return w.tmp[i]
+		w.p50, w.p99, w.stale = rank(0.50), rank(0.99), false
 	}
-	return w.n, rank(0.50), rank(0.99)
+	return w.n, w.p50, w.p99
 }
 
 // recordClassWait feeds one admission wait into its class's sliding window.
@@ -184,46 +195,40 @@ func (w *waitWindow) summary() (n int, p50, p99 float64) {
 // series sampling.
 func (c *Cluster) recordClassWait(class string, wait float64) {
 	cl := labelOrDefault(class)
-	w := c.classWin[cl]
-	if w == nil {
-		if c.classWin == nil {
-			c.classWin = make(map[string]*waitWindow)
-		}
-		w = &waitWindow{}
-		c.classWin[cl] = w
+	i, ok := slices.BinarySearchFunc(c.classWin, cl, func(w *waitWindow, cl string) int {
+		return strings.Compare(w.class, cl)
+	})
+	if !ok {
+		c.classWin = slices.Insert(c.classWin, i, &waitWindow{class: cl})
 	}
-	w.add(wait)
+	c.classWin[i].add(wait)
 }
 
 // classWaits renders the per-class window summaries sorted by class name —
-// the deterministic Classes section of a series point.
+// the deterministic Classes section of a series point — into the cluster's
+// scratch, valid until the next call.
 func (c *Cluster) classWaits() []obs.ClassWait {
-	if len(c.classWin) == 0 {
-		return nil
+	out := c.seriesClasses[:0]
+	for _, w := range c.classWin {
+		n, p50, p99 := w.summary()
+		out = append(out, obs.ClassWait{Class: w.class, N: n, P50: p50, P99: p99})
 	}
-	names := make([]string, 0, len(c.classWin))
-	for cl := range c.classWin {
-		names = append(names, cl)
-	}
-	sort.Strings(names)
-	out := make([]obs.ClassWait, len(names))
-	for i, cl := range names {
-		n, p50, p99 := c.classWin[cl].summary()
-		out[i] = obs.ClassWait{Class: cl, N: n, P50: p50, P99: p99}
-	}
+	c.seriesClasses = out
 	return out
 }
 
 // sampleSeries records one round-aligned point through the tracer, which
-// hands it to the series sink and to every sink that reads points.
+// hands it to the series sink and to every sink that reads points. The point
+// is built in the cluster's scratch: a sink reads it only during the call.
 func (c *Cluster) sampleSeries(now float64, queueDepth, ranksBusy int) {
+	c.seriesOST = c.fs.AppendOSTBusyTimes(c.seriesOST[:0])
 	c.obs.Sample(obs.SeriesPoint{
 		Round:      c.decRound,
 		T:          now,
 		QueueDepth: queueDepth,
 		RanksBusy:  ranksBusy,
 		RanksTotal: c.spec.Ranks,
-		OSTBusy:    c.fs.OSTBusyTimes(),
+		OSTBusy:    c.seriesOST,
 		Classes:    c.classWaits(),
 	})
 }

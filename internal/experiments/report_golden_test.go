@@ -53,7 +53,7 @@ func jobsFIFOReport(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(loaded.Series) == 0 {
+	if report.Build(loaded, 0).Summary.SeriesPoints == 0 {
 		t.Fatal("the series log recorded no point")
 	}
 	live.EventsPath = eventsPath

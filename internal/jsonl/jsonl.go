@@ -20,6 +20,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"unicode"
 	"unicode/utf16"
@@ -82,6 +83,40 @@ func AppendFloat(dst []byte, v float64) []byte {
 	return strconv.AppendFloat(dst, v, 'g', -1, 64)
 }
 
+// FloatCache renders the float fields of a stream whose values repeat from
+// line to line: slot i remembers the last value appended through it and the
+// text AppendFloat gave it, and renders again only when the value changed.
+// The value is compared by its bits (math.Float64bits), never with ==: -0 and
+// +0 are equal and print "-0" and "0", and a NaN equals nothing. The bytes are
+// AppendFloat's. A nil *FloatCache caches nothing; the zero value is ready to
+// use.
+type FloatCache struct{ slots []floatSlot }
+
+// floatSlot is one cached rendering. n == 0 marks it empty: every rendering
+// has at least one byte.
+type floatSlot struct {
+	bits uint64
+	n    uint8
+	text [32]byte // the longest shortest form, "-2.2250738585072014e-308", is 24
+}
+
+// Append appends v in shortest round-trip form through slot i, growing the
+// cache to hold it.
+func (c *FloatCache) Append(dst []byte, i int, v float64) []byte {
+	if c == nil {
+		return AppendFloat(dst, v)
+	}
+	if i >= len(c.slots) {
+		c.slots = append(c.slots, make([]floatSlot, i+1-len(c.slots))...)
+	}
+	s := &c.slots[i]
+	if b := math.Float64bits(v); s.n == 0 || s.bits != b {
+		s.bits = b
+		s.n = uint8(len(AppendFloat(s.text[:0], v)))
+	}
+	return append(dst, s.text[:s.n]...)
+}
+
 // AppendInt appends v in decimal.
 func AppendInt(dst []byte, v int) []byte {
 	return strconv.AppendInt(dst, int64(v), 10)
@@ -92,9 +127,13 @@ func AppendInt(dst []byte, v int) []byte {
 // are dropped — and Close reports it.
 type Writer struct{ bw *bufio.Writer }
 
+// writerBuf is a Writer's buffer: a run's event log reaches the file in
+// writes of this size.
+const writerBuf = 64 << 10
+
 // NewWriter wraps w and writes the header naming schema.
 func NewWriter(w io.Writer, schema string) *Writer {
-	jw := &Writer{bufio.NewWriter(w)}
+	jw := &Writer{bufio.NewWriterSize(w, writerBuf)}
 	jw.Line(append(AppendString([]byte(`{"schema":`), schema), '}'))
 	return jw
 }

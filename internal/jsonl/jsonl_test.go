@@ -77,6 +77,30 @@ func TestAppendNumbers(t *testing.T) {
 	}
 }
 
+// TestFloatCacheMatchesAppendFloat: a slot renders what AppendFloat renders
+// whatever came through it before — -0 after +0, one NaN payload after
+// another, a value after its repeat — and a nil cache renders the same.
+func TestFloatCacheMatchesAppendFloat(t *testing.T) {
+	pool := []float64{0, math.Copysign(0, -1), math.NaN(), math.Float64frombits(0x7ff8000000000001),
+		math.Inf(1), math.Inf(-1), math.SmallestNonzeroFloat64, -2.2250738585072014e-308, 1, 0.1}
+	r := rand.New(rand.NewSource(7))
+	var c FloatCache
+	for i := 0; i < 20000; i++ {
+		v := pool[r.Intn(len(pool))]
+		if r.Intn(3) == 0 {
+			v = math.Float64frombits(r.Uint64())
+		}
+		slot := r.Intn(4)
+		want := string(AppendFloat([]byte("x"), v))
+		if got := string(c.Append([]byte("x"), slot, v)); got != want {
+			t.Fatalf("slot %d: Append(%x) = %s, want %s", slot, math.Float64bits(v), got, want)
+		}
+		if got := string((*FloatCache)(nil).Append([]byte("x"), slot, v)); got != want {
+			t.Fatalf("nil cache: Append(%x) = %s, want %s", math.Float64bits(v), got, want)
+		}
+	}
+}
+
 // TestStringMatchesJSONUnmarshal: whatever literal encoding/json accepts,
 // Dec reads to the same string — escapes, \u pairs, lone surrogates, invalid
 // UTF-8 — and what it rejects, Dec rejects.

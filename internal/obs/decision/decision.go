@@ -139,11 +139,16 @@ const linePrefix = `{"e":"decision","v":"` + Schema + `","round":`
 // the outcome picks the line's fields, their order is fixed, floats are in
 // shortest round-trip form, optional fields are present exactly when
 // meaningful — so identical decision streams serialize to identical bytes.
-func AppendJSON(dst []byte, r Record) []byte {
+func AppendJSON(dst []byte, r Record) []byte { return AppendJSONCached(dst, &r, nil) }
+
+// AppendJSONCached is AppendJSON rendering "t" through slot 0 of fc (nil
+// caches nothing), the slot an event log's lines render their "t" through:
+// a log interleaving both kinds of line keeps one time cache.
+func AppendJSONCached(dst []byte, r *Record, fc *jsonl.FloatCache) []byte {
 	dst = append(dst, linePrefix...)
 	dst = jsonl.AppendInt(dst, r.Round)
 	dst = append(dst, `,"t":`...)
-	dst = jsonl.AppendFloat(dst, r.T)
+	dst = fc.Append(dst, 0, r.T)
 	dst = append(dst, `,"policy":`...)
 	dst = jsonl.AppendString(dst, r.Policy)
 	if r.Outcome == Round {
@@ -190,7 +195,7 @@ func AppendJSON(dst []byte, r Record) []byte {
 	return append(dst, '}')
 }
 
-func appendFree(dst []byte, r Record) []byte {
+func appendFree(dst []byte, r *Record) []byte {
 	dst = append(dst, `,"free":`...)
 	dst = jsonl.AppendInt(dst, r.Free)
 	dst = append(dst, `,"free_ranks":`...)
@@ -407,27 +412,49 @@ type JobAttribution struct {
 // "hist-4 admitted after 14.2000s queued: 12.1000s insufficient-ranks
 // behind sum-0, 2.1000s head-of-line behind sum-3".
 func (ja JobAttribution) String() string {
-	verb := map[Outcome]string{
-		Admit: "admitted", Drop: "dropped", MemoHit: "served from cache",
-		MemoWait: "attached to in-flight twin", Coalesce: "coalesced onto donor",
-	}[ja.Outcome]
+	var buf [192]byte // a sentence of a few segments builds on the stack
+	return string(ja.Append(buf[:0]))
+}
+
+// Append appends the sentence String renders to b.
+func (ja *JobAttribution) Append(b []byte) []byte {
+	verb := verbs[ja.Outcome]
 	if verb == "" {
 		verb = string(ja.Outcome)
 	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s %s after %.4fs queued", ja.Job, verb, ja.Wait)
+	b = append(b, ja.Job...)
+	b = append(b, ' ')
+	b = append(b, verb...)
+	b = append(b, " after "...)
+	b = appendSeconds(b, ja.Wait)
+	b = append(b, " queued"...)
 	for i, seg := range ja.Segments {
 		if i == 0 {
-			b.WriteString(": ")
+			b = append(b, ": "...)
 		} else {
-			b.WriteString(", ")
+			b = append(b, ", "...)
 		}
-		fmt.Fprintf(&b, "%.4fs %s", seg.Seconds, seg.Reason)
+		b = appendSeconds(b, seg.Seconds)
+		b = append(b, ' ')
+		b = append(b, seg.Reason...)
 		if seg.BlockedBy != "" {
-			fmt.Fprintf(&b, " behind %s", seg.BlockedBy)
+			b = append(b, " behind "...)
+			b = append(b, seg.BlockedBy...)
 		}
 	}
-	return b.String()
+	return b
+}
+
+// verbs names the terminal outcomes in an attribution sentence; any other
+// outcome names itself.
+var verbs = map[Outcome]string{
+	Admit: "admitted", Drop: "dropped", MemoHit: "served from cache",
+	MemoWait: "attached to in-flight twin", Coalesce: "coalesced onto donor",
+}
+
+// appendSeconds appends v as fmt's "%.4fs" renders it.
+func appendSeconds(b []byte, v float64) []byte {
+	return append(strconv.AppendFloat(b, v, 'f', 4, 64), 's')
 }
 
 // segKey identifies a segment cause for merging across rounds.
@@ -445,7 +472,6 @@ type jobFold struct {
 	seg      int // lastKey's index in ja.Segments; -1 until it is first charged
 	haveSkip bool
 	done     bool
-	segIdx   map[segKey]int // cause -> index in ja.Segments; made with the first segment
 }
 
 // Fold is Attribute as a running fold, for readers that do not keep the
@@ -470,21 +496,24 @@ func (st *jobFold) charge(until float64) {
 		return
 	}
 	if st.seg < 0 { // first charge since the cause changed: find its segment
-		i, ok := st.segIdx[st.lastKey]
-		if !ok {
-			if st.segIdx == nil {
-				st.segIdx = map[segKey]int{}
-			}
-			i = len(st.ja.Segments)
-			st.segIdx[st.lastKey] = i
-			st.ja.Segments = append(st.ja.Segments, Segment{
-				Reason: st.lastKey.reason, BlockedBy: st.lastBy,
-				BlockedBySeq: st.lastKey.bySeq,
-			})
-		}
-		st.seg = i
+		st.seg = st.segment()
 	}
 	st.ja.Segments[st.seg].Seconds += dt
+}
+
+// segment returns the index of lastKey's segment, appending it on the
+// cause's first charge. It scans: a job meets at most 77 distinct causes on
+// the streams measured (DESIGN §13), where a scan costs less time and fewer
+// bytes than a map per job.
+func (st *jobFold) segment() int {
+	k := st.lastKey
+	for i, sg := range st.ja.Segments {
+		if sg.Reason == k.reason && sg.BlockedBySeq == k.bySeq {
+			return i
+		}
+	}
+	st.ja.Segments = append(st.ja.Segments, Segment{Reason: k.reason, BlockedBy: st.lastBy, BlockedBySeq: k.bySeq})
+	return len(st.ja.Segments) - 1
 }
 
 // Add folds the next record of the stream in. A Round record charges the
@@ -540,7 +569,6 @@ func (f *Fold) Add(rec *Record) {
 	st.ja.Wait = rec.Wait
 	st.ja.Submit = rec.T - rec.Wait
 	st.done = true
-	st.segIdx = nil
 }
 
 // Records is how many records have been added.

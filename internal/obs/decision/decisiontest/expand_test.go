@@ -1,6 +1,7 @@
 package decisiontest
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -84,5 +85,36 @@ func TestExpandChecksTheStream(t *testing.T) {
 		if _, err := ExpandRecords(c.mutate(stream())); err == nil || !strings.Contains(err.Error(), c.want) {
 			t.Errorf("%s: error %v, want one containing %q", c.name, err, c.want)
 		}
+	}
+}
+
+// TestFoldChargesManyCauses: a job that cycles through many causes — 13
+// blockers under two reasons, each revisited — is charged per cause exactly
+// as the v1 fold charges it.
+func TestFoldChargesManyCauses(t *testing.T) {
+	const rounds = 80
+	var s []decision.Record
+	for i := 1; i <= rounds; i++ {
+		tt := float64(i)
+		s = append(s, decision.Record{Round: i, T: tt, Policy: "fifo", Outcome: decision.Round, BlockedBySeq: -1, Pending: 1})
+		by, reason := (i*7)%13, decision.HeadOfLine
+		if i%3 == 0 {
+			reason = decision.InsufficientRanks
+		}
+		s = append(s, decision.Record{Round: i, T: tt, Policy: "fifo", Job: "w", Seq: 20, Outcome: decision.Skip,
+			Reason: reason, BlockedBy: fmt.Sprintf("b%d", by), BlockedBySeq: by, Width: 4, Wait: tt - 1, Submit: 1})
+	}
+	end := float64(rounds + 1)
+	s = append(s,
+		decision.Record{Round: rounds + 1, T: end, Policy: "fifo", Job: "w", Seq: 20, Outcome: decision.Admit,
+			BlockedBySeq: -1, Width: 4, Wait: end - 1, Free: 4, FreeRanks: "0-3", Ranks: "0-3"},
+		decision.Record{Round: rounds + 1, T: end, Policy: "fifo", Outcome: decision.Round, BlockedBySeq: -1})
+	if _, err := CheckFoldsAgree(s); err != nil {
+		t.Fatal(err)
+	}
+	jobs := decision.Attribute(s)
+	if len(jobs) != 1 || len(jobs[0].Segments) != 26 {
+		t.Fatalf("got %d jobs, the first with %d segments; want 1 job with a segment per (reason, blocker)",
+			len(jobs), len(jobs[0].Segments))
 	}
 }

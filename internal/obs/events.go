@@ -61,7 +61,11 @@ type EventSink interface {
 // field order fixed, floats in shortest round-trip form, attributes as
 // ordered ["k","v"] pairs (an object would lose their order) — so identical
 // event streams serialize to identical bytes.
-func AppendEventJSON(dst []byte, e Event) []byte {
+func AppendEventJSON(dst []byte, e Event) []byte { return appendEvent(dst, &e, nil) }
+
+// appendEvent is AppendEventJSON rendering "t" through slot 0 of fc (nil
+// caches nothing).
+func appendEvent(dst []byte, e *Event, fc *jsonl.FloatCache) []byte {
 	dst = append(dst, `{"e":`...)
 	dst = jsonl.AppendString(dst, e.E)
 	if e.ID != 0 {
@@ -70,7 +74,7 @@ func AppendEventJSON(dst []byte, e Event) []byte {
 	}
 	if e.E != "attr" {
 		dst = append(dst, `,"t":`...)
-		dst = jsonl.AppendFloat(dst, e.T)
+		dst = fc.Append(dst, 0, e.T)
 	}
 	if e.E == "span" {
 		dst = append(dst, `,"dur":`...)
@@ -115,10 +119,12 @@ func AppendEventJSON(dst []byte, e Event) []byte {
 // JSONLSink streams events as JSON Lines through a jsonl.Writer: one header
 // line naming the schema version, then one line per event in emission
 // order. Call Close before reading the output; it reports the first write
-// error.
+// error. Event and decision lines render "t" through one FloatCache slot:
+// consecutive lines mostly share their time.
 type JSONLSink struct {
 	w   *jsonl.Writer
 	buf []byte
+	fc  jsonl.FloatCache
 }
 
 // NewJSONLSink wraps w and writes the schema header immediately.
@@ -128,7 +134,7 @@ func NewJSONLSink(w io.Writer) *JSONLSink {
 
 // Emit implements EventSink.
 func (s *JSONLSink) Emit(e Event) {
-	s.buf = AppendEventJSON(s.buf[:0], e)
+	s.buf = appendEvent(s.buf[:0], &e, &s.fc)
 	s.w.Line(s.buf)
 }
 
@@ -137,7 +143,7 @@ func (s *JSONLSink) Emit(e Event) {
 // repro.decisions.v2 lines (extract them with decision.ReadLog; ReadEvents
 // skips them; ScanLog hands back both).
 func (s *JSONLSink) EmitDecision(rec decision.Record) {
-	s.buf = decision.AppendJSON(s.buf[:0], rec)
+	s.buf = decision.AppendJSONCached(s.buf[:0], &rec, &s.fc)
 	s.w.Line(s.buf)
 }
 

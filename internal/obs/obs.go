@@ -70,10 +70,16 @@ type Tracer struct {
 
 	// Decision tracing (see internal/obs/decision): opt-in, because decision
 	// records land in the event log and default-off keeps existing golden
-	// event logs byte-stable.
+	// event logs byte-stable. The records are kept in decChunk-record chunks,
+	// so recording one copies no earlier one; decFlat is Decisions()' last
+	// flattening of them, and decChunks holds what came after it.
 	decOn     bool
-	decisions []decision.Record
+	decFlat   []decision.Record
+	decChunks [][]decision.Record
 }
+
+// decChunk is how many decision records one chunk of the store holds.
+const decChunk = 256
 
 // New returns an enabled tracer with a fresh metrics registry and no sink.
 func New() *Tracer {
@@ -192,19 +198,36 @@ func (t *Tracer) Decision(rec decision.Record) {
 	if t == nil || !t.decOn {
 		return
 	}
-	t.decisions = append(t.decisions, rec)
+	n := len(t.decChunks)
+	if n == 0 || len(t.decChunks[n-1]) == decChunk {
+		t.decChunks = append(t.decChunks, make([]decision.Record, 0, decChunk))
+		n++
+	}
+	t.decChunks[n-1] = append(t.decChunks[n-1], rec)
 	for _, s := range t.decSinks {
 		s.EmitDecision(rec)
 	}
 }
 
 // Decisions returns the recorded decision stream in emission order. The
-// slice is owned by the tracer; copy before mutating.
+// slice is owned by the tracer; copy before mutating. The records made since
+// the last call are flattened into one slice here, once per call.
 func (t *Tracer) Decisions() []decision.Record {
 	if t == nil {
 		return nil
 	}
-	return t.decisions
+	if len(t.decChunks) > 0 {
+		n := len(t.decFlat)
+		for _, c := range t.decChunks {
+			n += len(c)
+		}
+		flat := append(make([]decision.Record, 0, n), t.decFlat...)
+		for _, c := range t.decChunks {
+			flat = append(flat, c...)
+		}
+		t.decFlat, t.decChunks = flat, nil
+	}
+	return t.decFlat
 }
 
 // Metrics returns the tracer's registry (nil on a nil tracer; the registry's

@@ -3,8 +3,12 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"runtime"
 	"strings"
 	"testing"
+	"unsafe"
+
+	"repro/internal/obs/decision"
 )
 
 func TestNilTracerIsSafe(t *testing.T) {
@@ -85,6 +89,55 @@ func TestTracerKeepsNothing(t *testing.T) {
 	if tr.NumSpans() != 3*1001 {
 		t.Fatalf("NumSpans %d, want %d: spans are counted whatever keeps them", tr.NumSpans(), 3*1001)
 	}
+}
+
+// TestDecisionStoreAllocBound: the decision store grows in fixed chunks and
+// Decisions flattens them once per read, so keeping n records and reading
+// them allocates about twice their bytes — the chunks and the flat copy —
+// where a slice re-grown by append copies each record several times. A read
+// with nothing new allocates nothing, and every read returns the whole
+// stream in order.
+func TestDecisionStoreAllocBound(t *testing.T) {
+	const n = 20000
+	tr := New()
+	tr.EnableDecisions()
+	rec := decision.Record{Policy: "fifo", Job: "sum-1", Seq: 1, Outcome: decision.Skip,
+		Reason: decision.HeadOfLine, BlockedBy: "sum-0", Width: 8}
+	record := func(from, to int) {
+		for i := from; i < to; i++ {
+			rec.Round = i
+			tr.Decision(rec)
+		}
+	}
+	inOrder := func(got []decision.Record, want int) {
+		t.Helper()
+		if len(got) != want {
+			t.Fatalf("Decisions() holds %d records, want %d", len(got), want)
+		}
+		for i := range got {
+			if got[i].Round != i {
+				t.Fatalf("record %d has round %d: the stream is out of order", i, got[i].Round)
+			}
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	record(0, n)
+	got := tr.Decisions()
+	runtime.ReadMemStats(&after)
+	kept := uint64(n * unsafe.Sizeof(rec))
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 2*kept+kept/8 {
+		t.Errorf("keeping %d records (%d bytes) and reading them allocated %d bytes, want <= %d",
+			n, kept, alloc, 2*kept+kept/8)
+	}
+	inOrder(got, n)
+	if allocs := testing.AllocsPerRun(10, func() { got = tr.Decisions() }); allocs != 0 {
+		t.Errorf("a read with no new record allocated %v times, want 0", allocs)
+	}
+	inOrder(got, n)
+	record(n, n+decChunk+1) // past a chunk boundary after a read
+	inOrder(tr.Decisions(), n+decChunk+1)
 }
 
 func TestRankBindingRoutesSpans(t *testing.T) {

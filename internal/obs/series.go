@@ -40,11 +40,15 @@ type SeriesPoint struct {
 // AppendSeriesJSON appends p's canonical JSONL serialization (no trailing
 // newline) to dst: fixed field order, shortest round-trip floats, classes as
 // ordered objects. The byte layout is a pure function of the point.
-func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte {
+func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte { return appendSeries(dst, &p, nil) }
+
+// appendSeries is AppendSeriesJSON rendering "t" through slot 0 of fc and
+// OST i's busy time through slot i+1 (nil caches nothing).
+func appendSeries(dst []byte, p *SeriesPoint, fc *jsonl.FloatCache) []byte {
 	dst = append(dst, `{"e":"pt","round":`...)
 	dst = jsonl.AppendInt(dst, p.Round)
 	dst = append(dst, `,"t":`...)
-	dst = jsonl.AppendFloat(dst, p.T)
+	dst = fc.Append(dst, 0, p.T)
 	dst = append(dst, `,"queue":`...)
 	dst = jsonl.AppendInt(dst, p.QueueDepth)
 	dst = append(dst, `,"busy":`...)
@@ -57,7 +61,7 @@ func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte {
 			if i > 0 {
 				dst = append(dst, ',')
 			}
-			dst = jsonl.AppendFloat(dst, v)
+			dst = fc.Append(dst, i+1, v)
 		}
 		dst = append(dst, ']')
 	}
@@ -84,10 +88,13 @@ func AppendSeriesJSON(dst []byte, p SeriesPoint) []byte {
 
 // SeriesSink streams SeriesPoints as JSON Lines through a jsonl.Writer: one
 // header line naming the schema version, then one line per point. Call
-// Close before reading the output; it reports the first write error.
+// Close before reading the output; it reports the first write error. The
+// cumulative OST busy times barely move between rounds, so each OST renders
+// through its own FloatCache slot, and only the changed ones are formatted.
 type SeriesSink struct {
 	w   *jsonl.Writer
 	buf []byte
+	fc  jsonl.FloatCache
 	n   int
 }
 
@@ -96,13 +103,13 @@ func NewSeriesSink(w io.Writer) *SeriesSink {
 	return &SeriesSink{w: jsonl.NewWriter(w, SeriesSchema)}
 }
 
-// Sample appends one point.
+// Sample appends one point. The point is valid only during the call.
 func (s *SeriesSink) Sample(p SeriesPoint) {
 	if s == nil {
 		return
 	}
 	s.n++
-	s.buf = AppendSeriesJSON(s.buf[:0], p)
+	s.buf = appendSeries(s.buf[:0], &p, &s.fc)
 	s.w.Line(s.buf)
 }
 
@@ -122,10 +129,10 @@ func (s *SeriesSink) Close() error {
 	return s.w.Close()
 }
 
-// decodePoint reads the series line d stands at the start of into p. Keys
-// may come in any order; unknown keys are skipped.
+// decodePoint reads the series line d stands at the start of into p,
+// reusing p's slices. Keys may come in any order; unknown keys are skipped.
 func decodePoint(d *jsonl.Dec, p *SeriesPoint) error {
-	*p = SeriesPoint{}
+	*p = SeriesPoint{OSTBusy: p.OSTBusy[:0], Classes: p.Classes[:0]}
 	for d.Object(); d.NextKey(); {
 		switch string(d.Key()) {
 		case "round":
@@ -139,12 +146,12 @@ func decodePoint(d *jsonl.Dec, p *SeriesPoint) error {
 		case "ranks":
 			p.RanksTotal = d.Int()
 		case "ost_busy":
-			p.OSTBusy = nil
+			p.OSTBusy = p.OSTBusy[:0]
 			for d.Array(); d.More(); {
 				p.OSTBusy = append(p.OSTBusy, d.Float())
 			}
 		case "classes":
-			p.Classes = nil
+			p.Classes = p.Classes[:0]
 			for d.Array(); d.More(); {
 				var c ClassWait
 				for d.Object(); d.NextKey(); {
@@ -170,24 +177,23 @@ func decodePoint(d *jsonl.Dec, p *SeriesPoint) error {
 	return d.End()
 }
 
-// ReadSeries parses a JSONL series file produced by SeriesSink: it validates
-// the schema header and returns the points in file order. Lines with an
-// unknown "e" type are skipped, so a v1 reader tolerates forward-compatible
-// additions; malformed JSON on any line is an error naming the line.
-func ReadSeries(r io.Reader) ([]SeriesPoint, error) {
-	var out []SeriesPoint
-	err := jsonl.Scan(r, "obs: series file", SeriesSchema, func(d *jsonl.Dec, typ string) error {
+// ScanSeries reads a JSONL series file produced by SeriesSink in one pass:
+// it validates the schema header and hands every point to fn in file order.
+// The point is reused for the next line — copy what must outlive the call.
+// Lines with an unknown "e" type are skipped, so a v1 reader tolerates
+// forward-compatible additions; malformed JSON on any line is an error naming
+// the line.
+func ScanSeries(r io.Reader, fn func(*SeriesPoint)) error {
+	var p SeriesPoint
+	return jsonl.Scan(r, "obs: series file", SeriesSchema, func(d *jsonl.Dec, typ string) error {
 		if typ != "pt" {
 			d.Skip()
 			return d.End()
 		}
-		var p SeriesPoint
-		err := decodePoint(d, &p)
-		out = append(out, p)
-		return err
+		if err := decodePoint(d, &p); err != nil {
+			return err
+		}
+		fn(&p)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }

@@ -2,9 +2,33 @@ package obs
 
 import (
 	"bytes"
+	"io"
+	"slices"
 	"strings"
 	"testing"
 )
+
+// ReadSeries parses a JSONL series file produced by SeriesSink and returns
+// the points in file order, each with slices of its own (see ScanSeries for
+// what is skipped and what is an error).
+func ReadSeries(r io.Reader) ([]SeriesPoint, error) {
+	var out []SeriesPoint
+	err := ScanSeries(r, func(p *SeriesPoint) {
+		c := *p
+		c.OSTBusy, c.Classes = nil, nil
+		if len(p.OSTBusy) > 0 {
+			c.OSTBusy = slices.Clone(p.OSTBusy)
+		}
+		if len(p.Classes) > 0 {
+			c.Classes = slices.Clone(p.Classes)
+		}
+		out = append(out, c)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 func sampleSeries() []SeriesPoint {
 	return []SeriesPoint{

@@ -8,17 +8,18 @@
 // identical telemetry surfaces. Every observation is a file written as the
 // run goes or when it ends; nothing is served while it runs.
 //
-// The tracer keeps nothing but decision records (when -explain reads them).
 // Each output is a sink of its own: -events streams to disk, -trace
 // attaches the Perfetto export, the one holder of the run's spans, and
 // -report attaches report's fold, which folds the run as it is emitted:
 // the report reads no log back, and is byte-identical to what `ccexp report
-// -in` renders from the logs. So -events alone logs a run of any length in
-// bounded memory, no output depends on which others are attached, and every
-// flag composes.
+// -in` renders from the logs. -explain prints the wait attributions of that
+// fold, or, without -report, of a decision.Fold of its own. So -events alone
+// logs a run of any length in bounded memory, no output depends on which
+// others are attached, and every flag composes.
 package obscli
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"io"
@@ -98,6 +99,7 @@ type Plane struct {
 	series     *obs.SeriesSink
 	seriesFile *os.File
 	fold       *report.Data // -report's fold, fed as the run emits
+	explain    *explainFold // -explain's fold when no -report fold carries one
 	slo        *obs.SLO
 	stderr     io.Writer
 	ot         *obs.Tracer
@@ -142,6 +144,9 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.fold = report.New()
 		p.fold.EventsPath = f.Events
 		ot.AddSink(p.fold)
+	} else if f.Explain {
+		p.explain = &explainFold{}
+		ot.AddSink(p.explain)
 	}
 	if f.Series != "" {
 		file, err := os.Create(f.Series)
@@ -169,8 +174,9 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 
 // Finish tears the plane down after the run: writes the -trace and -metrics
 // files, flushes and closes the event and series logs, writes the -report
-// file from its fold (nothing is read back), and prints SLO violations to
-// stderr. It returns the violations — the caller decides what -slo-strict
+// file from its fold (nothing is read back), and prints SLO violations and
+// the -explain attributions to stderr through one buffer, flushed before it
+// returns. It returns the violations — the caller decides what -slo-strict
 // means for its exit code — and the first write error.
 func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 	if p == nil {
@@ -201,16 +207,37 @@ func (p *Plane) Finish() ([]obs.SLOViolation, error) {
 		}
 	}
 	viol := p.slo.Violations()
+	w := bufio.NewWriter(p.stderr)
 	for _, v := range viol {
-		fmt.Fprintf(p.stderr, "(%s)\n", v)
+		fmt.Fprintf(w, "(%s)\n", v)
 	}
 	if p.f.Explain {
-		for _, a := range decision.Attribute(p.ot.Decisions()) {
-			fmt.Fprintf(p.stderr, "(explain: %s)\n", a)
+		var jobs []decision.JobAttribution
+		if p.fold != nil {
+			jobs = p.fold.Attributions()
+		} else {
+			jobs = p.explain.Jobs()
+		}
+		const tag = "(explain: "
+		line := []byte(tag)
+		for i := range jobs {
+			line = append(jobs[i].Append(line[:len(tag)]), ")\n"...)
+			w.Write(line)
 		}
 	}
+	w.Flush()
 	return viol, err
 }
+
+// explainFold folds the decision records for -explain when no report fold
+// does; it reads no event.
+type explainFold struct{ decision.Fold }
+
+// Emit implements obs.EventSink.
+func (*explainFold) Emit(obs.Event) {}
+
+// EmitDecision implements decision.Sink.
+func (f *explainFold) EmitDecision(rec decision.Record) { f.Add(&rec) }
 
 // writeTraceAndMetrics writes the Perfetto export into the -trace file and
 // the registry dump into the -metrics file.

@@ -3,6 +3,7 @@ package obscli
 import (
 	"bytes"
 	"flag"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -179,6 +180,22 @@ func TestRetentionFollowsTheReader(t *testing.T) {
 	}
 	if n := bytes.Count(read(evExplain), []byte(`"e":"decision"`)); n != jobs {
 		t.Errorf("-explain: %d decision lines in the event log, want %d", n, jobs)
+	}
+
+	// -explain prints the attributions of a fold fed as the run emits —
+	// -report's when it is attached, its own otherwise — which are those of
+	// the kept records.
+	var want strings.Builder
+	for _, a := range decision.Attribute(ot.Decisions()) {
+		fmt.Fprintf(&want, "(explain: %s)\n", a)
+	}
+	if stderr != want.String() {
+		t.Errorf("-explain printed\n%s\nthe kept records attribute to\n%s", stderr, want.String())
+	}
+	_, stderr = run(Flags{Explain: true, Events: filepath.Join(dir, "explain-report.jsonl"),
+		Report: filepath.Join(dir, "explain.txt")})
+	if _, explained, _ := strings.Cut(stderr, "(explain: "); "(explain: "+explained != want.String() {
+		t.Errorf("-explain -report printed\n%s\nwant, after the report line,\n%s", stderr, want.String())
 	}
 }
 

@@ -219,11 +219,16 @@ func (fs *FS) OSTReadLatency() []float64 {
 
 // OSTBusyTimes returns each OST's cumulative busy time, for load reports.
 func (fs *FS) OSTBusyTimes() []float64 {
-	out := make([]float64, len(fs.osts))
-	for i, o := range fs.osts {
-		out[i] = o.BusyTime
+	return fs.AppendOSTBusyTimes(make([]float64, 0, len(fs.osts)))
+}
+
+// AppendOSTBusyTimes appends each OST's cumulative busy time to dst, so a
+// caller sampling them every round can reuse one slice.
+func (fs *FS) AppendOSTBusyTimes(dst []float64) []float64 {
+	for _, o := range fs.osts {
+		dst = append(dst, o.BusyTime)
 	}
-	return out
+	return dst
 }
 
 // Backend supplies file contents. Offsets are absolute file offsets.

@@ -36,13 +36,13 @@ import (
 
 // Data is one run's telemetry as the report folds it: the phase and
 // per-submission accumulators of the event stream, the per-job span sums,
-// the decision trace's wait attributions, and the series points. It holds no
-// event and no decision record, so its size follows the run's jobs and
-// rounds, not its log's lines. Load feeds it a recorded log; fed live, as a
-// tracer's sink (New), it folds each record as it is emitted.
+// the decision trace's wait attributions, and what the report renders of the
+// series. It holds no event, no decision record and no series point, so its
+// size follows the run's jobs and rounds, not its log's lines. Load feeds it
+// a recorded log; fed live, as a tracer's sink (New), it folds each record
+// as it is emitted.
 type Data struct {
 	EventsPath string
-	Series     []obs.SeriesPoint
 
 	nEvents  int // events folded
 	makespan float64
@@ -53,6 +53,28 @@ type Data struct {
 	spans    map[int]*JobSpans // trace pid -> span sums
 	begins   map[int]openSpan  // event ID -> begin waiting for its end
 	dec      decision.Fold
+	series   seriesFold
+}
+
+// seriesFold is what the report renders of the series: every point's queue
+// depth and busy ranks (the sparklines), the first point's round, and a copy
+// of the last point (the OST heat strip and the class windows).
+type seriesFold struct {
+	depth, busy []float64
+	first       int
+	last        obs.SeriesPoint // its slices are the fold's own
+}
+
+// add folds p in; p is only read during the call.
+func (s *seriesFold) add(p *obs.SeriesPoint) {
+	if len(s.depth) == 0 {
+		s.first = p.Round
+	}
+	s.depth = append(s.depth, float64(p.QueueDepth))
+	s.busy = append(s.busy, float64(p.RanksBusy))
+	ost, cls := append(s.last.OSTBusy[:0], p.OSTBusy...), append(s.last.Classes[:0], p.Classes...)
+	s.last = *p
+	s.last.OSTBusy, s.last.Classes = ost, cls
 }
 
 // New returns an empty Data, ready to be fed.
@@ -66,9 +88,13 @@ func (d *Data) Emit(e obs.Event) { d.add(&e) }
 // EmitDecision implements decision.Sink.
 func (d *Data) EmitDecision(rec decision.Record) { d.dec.Add(&rec) }
 
-// Sample implements obs.PointSink: the point is kept, as Load keeps the
+// Sample implements obs.PointSink: the point is folded, as Load folds the
 // series log's.
-func (d *Data) Sample(p obs.SeriesPoint) { d.Series = append(d.Series, p) }
+func (d *Data) Sample(p obs.SeriesPoint) { d.series.add(&p) }
+
+// Attributions returns the decision trace's per-job wait attributions, ordered
+// by submission sequence (decision.Fold.Jobs).
+func (d *Data) Attributions() []decision.JobAttribution { return d.dec.Jobs() }
 
 // Load reads the event log at eventsPath — events and any interleaved
 // decision records, in one streaming pass that folds each line into Data as
@@ -90,7 +116,7 @@ func Load(eventsPath, seriesPath string) (*Data, error) {
 			return nil, err
 		}
 		defer sf.Close()
-		if d.Series, err = obs.ReadSeries(sf); err != nil {
+		if err := obs.ScanSeries(sf, d.series.add); err != nil {
 			return nil, fmt.Errorf("report: %s: %w", seriesPath, err)
 		}
 	}
@@ -232,7 +258,7 @@ const SummarySchema = "repro.report.v1"
 // Report is one analyzed run, ready to render.
 type Report struct {
 	Summary Summary
-	series  []obs.SeriesPoint
+	series  seriesFold
 	src     string // base name of the event log: the report's bytes do not depend on where it lay
 	alerts  []alert
 	nEvents int
@@ -353,7 +379,7 @@ func Build(d *Data, topK int) *Report {
 	}
 	r := &Report{
 		src: filepath.Base(d.EventsPath), nEvents: d.nEvents, nDecs: d.dec.Records(),
-		series: d.Series, alerts: d.alerts,
+		series: d.series, alerts: d.alerts,
 	}
 
 	// Per-(tenant, class) rollup, sorted by tenant then class. Submissions
@@ -362,7 +388,7 @@ func Build(d *Data, topK int) *Report {
 	rows := map[string]*TenantRow{}
 	var keys []string
 	s := Summary{Schema: SummarySchema, Makespan: d.makespan, Phases: d.phases,
-		SeriesPoints: len(d.Series), Alerts: len(d.alerts)}
+		SeriesPoints: len(d.series.depth), Alerts: len(d.alerts)}
 	for _, tid := range d.tids {
 		j := d.jobs[tid]
 		tn, cl := j.tenant, j.class
@@ -516,18 +542,12 @@ func (r *Report) WriteText(w io.Writer) error {
 		fmt.Fprintf(&b, "\n(no decision records in log; record with -explain for wait blame)\n")
 	}
 
-	if len(r.series) > 0 {
-		depth := make([]float64, len(r.series))
-		busy := make([]float64, len(r.series))
-		for i, p := range r.series {
-			depth[i] = float64(p.QueueDepth)
-			busy[i] = float64(p.RanksBusy)
-		}
-		last := r.series[len(r.series)-1]
+	if ser := &r.series; len(ser.depth) > 0 {
+		last := ser.last
 		fmt.Fprintf(&b, "\n-- series (%d points, rounds %d..%d) --\n",
-			len(r.series), r.series[0].Round, last.Round)
-		fmt.Fprintf(&b, "queue depth %s\n", asciichart.Spark(depth, 48))
-		fmt.Fprintf(&b, "ranks busy  %s\n", asciichart.Spark(busy, 48))
+			len(ser.depth), ser.first, last.Round)
+		fmt.Fprintf(&b, "queue depth %s\n", asciichart.Spark(ser.depth, 48))
+		fmt.Fprintf(&b, "ranks busy  %s\n", asciichart.Spark(ser.busy, 48))
 		if len(last.OSTBusy) > 0 {
 			fmt.Fprintf(&b, "ost busy    %s  (final, %d OSTs)\n",
 				asciichart.Heat(last.OSTBusy, 48), len(last.OSTBusy))
