@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -78,10 +79,11 @@ func TestDeletedFlagsAreParseErrors(t *testing.T) {
 
 // TestQuickAllGolden is "ccexp tables byte-identical unless a PR says why
 // not" as a test: every experiment's quick table, in order, against the
-// committed output, and (nightly: it takes ~10 s) the four cluster
-// experiments at paper scale, whose virtual numbers nothing else pins.
-// Regenerate with UPDATE_QUICK_ALL_GOLDEN=1 or UPDATE_SCALE1_CLUSTER_GOLDEN=1
-// only in a PR that says which table moved and why.
+// committed output, and (nightly) the paper-scale runs whose virtual numbers
+// nothing else pins: the four cluster experiments (~10 s) and the paper's
+// table and figures (~2 min). Regenerate with UPDATE_QUICK_ALL_GOLDEN=1,
+// UPDATE_SCALE1_CLUSTER_GOLDEN=1 or UPDATE_SCALE1_FIGS_GOLDEN=1 only in a
+// change that says which table moved and why.
 func TestQuickAllGolden(t *testing.T) {
 	for _, tc := range []struct {
 		golden, update string
@@ -92,10 +94,12 @@ func TestQuickAllGolden(t *testing.T) {
 			[]string{"-quick", "all"}},
 		{"scale1_cluster.golden.txt", "UPDATE_SCALE1_CLUSTER_GOLDEN", true,
 			[]string{"-scale", "1.0", "jobs", "sched-policies", "multiuser", "workload"}},
+		{"scale1_figs.golden.txt", "UPDATE_SCALE1_FIGS_GOLDEN", true,
+			[]string{"-scale", "1.0", "table1", "fig1", "fig2", "fig3", "fig9", "fig10", "fig11", "fig12", "fig13", "faults"}},
 	} {
 		t.Run(tc.golden, func(t *testing.T) {
 			if tc.nightly && os.Getenv("REPRO_NIGHTLY") == "" {
-				t.Skip("paper-scale cluster experiments; set REPRO_NIGHTLY=1")
+				t.Skip("paper-scale experiments; set REPRO_NIGHTLY=1")
 			}
 			code, out, errb := runCmd(tc.args...)
 			if code != 0 {
@@ -118,17 +122,44 @@ func TestQuickAllGolden(t *testing.T) {
 	}
 }
 
-// firstLineDiff fails t at the first line where got and want part, or on
-// their line counts.
+// firstLineDiff fails t with lineDiff's report.
 func firstLineDiff(t *testing.T, what, got, want string) {
 	t.Helper()
+	t.Fatal(lineDiff(what, got, want))
+}
+
+// lineDiff reports the first line where got and want part, or their line
+// counts, naming the table of the nearest "== <id>: " header of the golden at
+// or above that line.
+func lineDiff(what, got, want string) string {
 	gl, wl := strings.Split(got, "\n"), strings.Split(want, "\n")
+	table := ""
 	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if rest, ok := strings.CutPrefix(wl[i], "== "); ok {
+			if id, _, ok := strings.Cut(rest, ": "); ok {
+				table = " (table " + id + ")"
+			}
+		}
 		if gl[i] != wl[i] {
-			t.Fatalf("%s line %d differs from the golden:\n got: %s\nwant: %s", what, i+1, gl[i], wl[i])
+			return fmt.Sprintf("%s line %d%s differs from the golden:\n got: %s\nwant: %s", what, i+1, table, gl[i], wl[i])
 		}
 	}
-	t.Fatalf("%s has %d lines, golden has %d", what, len(gl), len(wl))
+	return fmt.Sprintf("%s has %d lines, golden has %d%s", what, len(gl), len(wl), table)
+}
+
+// TestLineDiffNamesTheTable: a golden mismatch names the table it falls in.
+func TestLineDiffNamesTheTable(t *testing.T) {
+	want := "== fig1: A ==\nx 1\n\n== fig9: B ==\ny 2\nz 3\n"
+	got := strings.Replace(want, "z 3", "z 4", 1)
+	if d := lineDiff("stdout", got, want); !strings.HasPrefix(d, "stdout line 6 (table fig9) differs") {
+		t.Errorf("diff inside fig9 reported as %q", d)
+	}
+	if d := lineDiff("stdout", strings.TrimSuffix(want, "\n"), want); d != "stdout has 6 lines, golden has 7 (table fig9)" {
+		t.Errorf("length mismatch reported as %q", d)
+	}
+	if d := lineDiff("trace", "a\nb", "a\nc"); d != "trace line 2 differs from the golden:\n got: b\nwant: c" {
+		t.Errorf("headerless diff reported as %q", d)
+	}
 }
 
 // TestReportFileGolden pins the CLI's -report file byte for byte. The file is

@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"repro/internal/cluster"
-	"repro/internal/obs"
-	"repro/internal/pfs"
-)
+import "repro/internal/obs"
 
 // Config scopes the experiments. The paper's runs moved hundreds of GB on a
 // Cray; Scale shrinks the *real* data volume streamed through the simulator
@@ -71,19 +67,4 @@ func (c Config) Defaults() Config {
 		c.Scale = 0.1
 	}
 	return c
-}
-
-// hopperFS returns Lustre-like storage parameters (156 OSTs, 35 GB/s peak).
-func hopperFS() pfs.Params { return pfs.Params{} }
-
-// newCluster builds one simulated Hopper-like machine of nranks ranks at
-// ranksPerNode, with an optional span tracer. Experiments create a fresh
-// machine per measured run so state never leaks between runs.
-func newCluster(nranks, ranksPerNode int, ot *obs.Tracer) *cluster.Cluster {
-	return cluster.New(cluster.Spec{
-		Ranks:        nranks,
-		RanksPerNode: ranksPerNode,
-		FS:           hopperFS(),
-		Obs:          ot,
-	})
 }

@@ -39,43 +39,22 @@ func defaultFaultScenario() faultScenario {
 
 // run executes one Max reduction under the given fault plan and straggler
 // handling (mit's Read and RebalanceRounds), returning the makespan, the
-// reduced value, and the accumulated stats.
+// reduced value, and the accumulated stats. runLeg fails the run unless
+// every rank holds the root's value bit for bit.
 func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit adio.Params) (float64, float64, cc.Stats) {
 	t.Helper()
-	cl := newCluster(sc.nranks, sc.rpn, nil)
-	if plan != nil {
-		plan.Apply(cl.World(), cl.FS())
-	}
-	ds, id, err := climate.NewDataset3D(cl.FS(), sc.dims, sc.stripes, sc.stripeSize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sub := layout.Slab{Start: []int64{0, 0, 0}, Count: sc.dims}
-	slabs := climate.SplitAlongDim(sub, 1, sc.nranks)
-	aggrs := adio.SpreadAggregators(sc.nranks, sc.naggr)
 	p := mit
-	p.CB, p.Pipeline, p.PlanCache = sc.cb, true, &adio.PlanCache{}
-	stats := &cc.Stats{}
-	vals := make([]float64, sc.nranks)
-	mk, err := cl.RunSPMD("faults", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		me := ctx.Comm().RankOf(r)
-		res, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
-			DS: ds, VarID: id, Slab: slabs[me], Block: sc.block, Mode: sc.mode,
-			Reduce: cc.AllToOne, Aggregators: aggrs,
-			Params: p, Stats: stats,
-		}, cc.Max{})
-		vals[me] = res.Value
-		return err
-	})
+	p.CB, p.Pipeline = sc.cb, true
+	run, err := runLeg(leg{name: "faults", nranks: sc.nranks, rpn: sc.rpn, plan: plan,
+		create: climate.NewDataset3D, dims: sc.dims, stripes: sc.stripes, stripeSize: sc.stripeSize,
+		slabs: climate.SplitAlongDim(layout.Slab{Start: []int64{0, 0, 0}, Count: sc.dims}, 1, sc.nranks),
+		io: cc.IO{Block: sc.block, Mode: sc.mode, Reduce: cc.AllToOne,
+			Aggregators: adio.SpreadAggregators(sc.nranks, sc.naggr), Params: p},
+		op: cc.Max{}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for r, v := range vals {
-		if math.Float64bits(v) != math.Float64bits(vals[0]) {
-			t.Fatalf("rank %d value %v != rank 0 value %v", r, v, vals[0])
-		}
-	}
-	return mk, vals[0], *stats
+	return run.makespan, run.root.Value, run.stats
 }
 
 // truth computes the reduction's ground truth directly from the synthetic
@@ -249,8 +228,7 @@ func TestFaultedRunDeterminism(t *testing.T) {
 // two materially different plans for the same rebalanced round.
 func TestPlanCacheFaultEpochStaleness(t *testing.T) {
 	sc := defaultFaultScenario()
-	cl := cluster.New(cluster.Spec{Ranks: sc.nranks, RanksPerNode: sc.rpn,
-		FS: hopperFS(), MaxConcurrent: 1})
+	cl := cluster.New(cluster.Spec{Ranks: sc.nranks, RanksPerNode: sc.rpn, MaxConcurrent: 1})
 	plan := &fault.Plan{Seed: 11, Stragglers: []fault.Straggler{
 		{OST: 3, Factor: 8, Onset: 0, Recovery: 2.0},
 	}}

@@ -2,14 +2,14 @@ package experiments
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"repro/internal/adio"
 	"repro/internal/asciichart"
 	"repro/internal/cc"
 	"repro/internal/climate"
-	"repro/internal/cluster"
-	"repro/internal/mpi"
-	"repro/internal/wrf"
+	"repro/internal/layout"
 )
 
 // Fig13 reproduces the WRF application test (paper Figure 13 / §IV-C):
@@ -38,69 +38,57 @@ func Fig13(cfg Config) (*Table, error) {
 		Headers: []string{"workload (GB)", "traditional (s)", "collective computing (s)", "speedup"},
 	}
 
-	runOne := func(nt int64, block bool, spe float64) (float64, cc.Result, error) {
-		cl := newCluster(nranks, rpn, nil)
-		storm := wrf.DefaultStorm(nt, ny, nx)
-		d, err := wrf.NewDataset(cl.FS(), storm, 40, 4<<20)
-		if err != nil {
-			return 0, cc.Result{}, err
+	ntOf := func(gb float64) int64 { return max(int64(gb*byteScale*(1<<30)/float64(4*ny*nx)), 8) }
+	// legs returns the traditional and CC legs of the analysis over nt time
+	// steps at map cost spe. Unlike the benchmark's, this traditional leg
+	// reads with the pipelined two-phase read (EXPERIMENTS.md, Figure 13).
+	legs := func(nt int64, spe float64) (trad, ccl leg) {
+		dims := []int64{nt, ny, nx}
+		ccl = leg{name: "fig13", nranks: nranks, rpn: rpn,
+			create: stormSLP, dims: dims, stripes: 40, stripeSize: 4 << 20,
+			// Split south-north.
+			slabs: climate.SplitAlongDim(layout.Slab{Start: make([]int64, 3), Count: dims}, 1, nranks),
+			io: cc.IO{Reduce: cc.AllToOne, Aggregators: adio.DefaultAggregators(nranks, rpn),
+				Params: adio.Params{CB: 4 << 20, Pipeline: true}, SecPerElem: spe},
+			op: cc.MinLoc{}, // the Min-SLP task's operator
 		}
-		slabs := climate.SplitAlongDim(d.FullSlab(), 1, nranks) // split south-north
-		task := d.MinSLPTask()
-		cache := &adio.PlanCache{}
-		var rootRes cc.Result
-		makespan, err := cl.RunSPMD("wrf-minslp", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-			res, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
-				DS: d.DS, VarID: task.VarID, Slab: slabs[ctx.Comm().RankOf(r)],
-				Block: block, Reduce: cc.AllToOne,
-				Params:     adio.Params{CB: 4 << 20, Pipeline: true, PlanCache: cache},
-				SecPerElem: spe,
-			}, task.Op)
-			if res.Root {
-				rootRes = res
-			}
-			return err
-		})
-		return makespan, rootRes, err
-	}
-
-	ntOf := func(gb float64) int64 {
-		nt := int64(gb * byteScale * (1 << 30) / float64(4*ny*nx))
-		if nt < 8 {
-			nt = 8
-		}
-		return nt
+		trad = ccl
+		trad.io.Block = true
+		return trad, ccl
 	}
 
 	// Calibrate the analysis cost at the smallest workload: the hurricane
 	// scan is lighter than the climate kernels; fix computation:I/O ≈ 1:2.
 	nt0 := ntOf(sizesGB[0])
-	tIO, _, err := runOne(nt0, true, 0)
+	trad0, _ := legs(nt0, 0)
+	_, speAt, err := calibrate(trad0, nt0*(ny/int64(nranks))*nx)
 	if err != nil {
 		return nil, err
 	}
-	perRankElems := float64(nt0 * (ny / int64(nranks)) * nx)
-	spe := 0.5 * tIO / perRankElems
+	spe := speAt(0.5)
 
 	var sps []float64
 	var barLabels []string
 	var barVals []float64
 	for _, gb := range sizesGB {
-		nt := ntOf(gb)
-		tTrad, _, err := runOne(nt, true, spe)
+		tr, cr, err := compare(legs(ntOf(gb), spe))
 		if err != nil {
 			return nil, err
 		}
-		tCC, res, err := runOne(nt, false, spe)
-		if err != nil {
-			return nil, err
+		// Both legs must find the same eye, bit for bit.
+		trLoc, _ := tr.root.State.(cc.Loc)
+		loc, _ := cr.root.State.(cc.Loc)
+		if !sameLoc(trLoc, loc) {
+			return nil, fmt.Errorf("at %.0f GB the traditional leg found %+v, collective computing %+v",
+				gb, trLoc, loc)
 		}
+		tTrad, tCC := tr.makespan, cr.makespan
 		sp := tTrad / tCC
 		sps = append(sps, sp)
 		t.AddRow(fmt.Sprintf("%.0f", gb), secs(tTrad), secs(tCC), ratio(sp))
 		barLabels = append(barLabels, fmt.Sprintf("MPI %.0fGB", gb), fmt.Sprintf("CC  %.0fGB", gb))
 		barVals = append(barVals, tTrad, tCC)
-		if loc, ok := res.State.(cc.Loc); ok && loc.Valid {
+		if loc.Valid {
 			t.Notef("workload %.0fGB: min SLP %.1f hPa at (t=%d, y=%d, x=%d)",
 				gb, loc.Val, loc.Coords[0], loc.Coords[1], loc.Coords[2])
 		}
@@ -109,6 +97,13 @@ func Fig13(cfg Config) (*Table, error) {
 	t.Notef("mean speedup %.2fx (paper: ~1.45x)", mean(sps))
 	t.Notef("real streamed bytes scaled by %.4g of the paper volumes", byteScale)
 	return t, nil
+}
+
+// sameLoc reports whether a and b are the same location state bit for bit:
+// the value's bits (so a NaN equals itself), Valid and every coordinate.
+func sameLoc(a, b cc.Loc) bool {
+	return math.Float64bits(a.Val) == math.Float64bits(b.Val) && a.Valid == b.Valid &&
+		slices.Equal(a.Coords, b.Coords)
 }
 
 // Runner is one experiment entry in the registry.

@@ -7,130 +7,40 @@ import (
 	"repro/internal/asciichart"
 	"repro/internal/cc"
 	"repro/internal/climate"
-	"repro/internal/cluster"
-	"repro/internal/fault"
 	"repro/internal/layout"
-	"repro/internal/mpi"
-	"repro/internal/pfs"
 )
-
-// ccRunSpec describes one measured climate-benchmark run.
-type ccRunSpec struct {
-	nranks, rpn int
-	naggr       int
-	dims        []int64 // 3-D climate variable (T, Y, X)
-	slabs       []layout.Slab
-	spe         float64 // map cost per element
-	block       bool    // traditional baseline
-	reduce      cc.ReduceMode
-	cb          int64
-	pipeline    bool
-	stats       *cc.Stats
-	stripeCount int
-	stripeSize  int64          // 0 = 4 MB
-	read        pfs.ReadPolicy // straggler handling: read timeout/retry
-	rebalance   int            // and rebalanced read rounds
-	plan        *fault.Plan    // injected faults (nil = healthy cluster)
-}
-
-// runClimate3D executes the spec on a fresh cluster and returns the virtual
-// makespan.
-func runClimate3D(spec ccRunSpec) (float64, error) {
-	return runClimate3DOn(newCluster(spec.nranks, spec.rpn, nil), spec)
-}
-
-// runClimate3DOn is runClimate3D on a fresh cluster the caller keeps, to read
-// the machine's counters after the run.
-func runClimate3DOn(cl *cluster.Cluster, spec ccRunSpec) (float64, error) {
-	if spec.plan != nil {
-		spec.plan.Apply(cl.World(), cl.FS())
-	}
-	stripes := spec.stripeCount
-	if stripes == 0 {
-		stripes = 40
-	}
-	ss := spec.stripeSize
-	if ss == 0 {
-		ss = 4 << 20
-	}
-	ds, id, err := climate.NewDataset3D(cl.FS(), spec.dims, stripes, ss)
-	if err != nil {
-		return 0, err
-	}
-	aggrs := adio.SpreadAggregators(spec.nranks, spec.naggr)
-	cache := &adio.PlanCache{}
-	cb := spec.cb
-	if cb == 0 {
-		cb = 4 << 20
-	}
-	pipeline := spec.pipeline && !spec.block // Figure 5's baseline blocks
-	return cl.RunSPMD("climate3d", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		_, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
-			DS: ds, VarID: id, Slab: spec.slabs[ctx.Comm().RankOf(r)],
-			Block: spec.block, Reduce: spec.reduce,
-			Aggregators: aggrs,
-			Params: adio.Params{CB: cb, Pipeline: pipeline, PlanCache: cache,
-				Read: spec.read, RebalanceRounds: spec.rebalance},
-			SecPerElem: spec.spe,
-			Stats:      spec.stats,
-		}, cc.Sum{})
-		return err
-	})
-}
 
 // benchDims is the 800 GB climate benchmark variable: (T=204800, 1024,
 // 1024) float32 — generated lazily, so the virtual size is free.
 func benchDims() []int64 { return []int64{204800, 1024, 1024} }
 
-// fig9Setup derives the Figure 9/10/11 base geometry from the config.
-type fig9Setup struct {
-	nranks, rpn, naggr int
-	dims               []int64
-	slabs              []layout.Slab
-	perRankElems       int64
-	cb                 int64
-}
-
-func newFig9Setup(cfg Config) fig9Setup {
+// fig9Bench is the Figure 9 benchmark, which faults reuses: 120 processes, 5
+// aggregators, every rank a thin latitude band across many time steps, so each
+// collective-buffer window interleaves all ranks' data — the non-contiguous
+// pattern two-phase I/O exists for.
+func fig9Bench(cfg Config) bench {
 	cfg = cfg.Defaults()
-	s := fig9Setup{nranks: 120, rpn: 24, naggr: 5, dims: benchDims(), cb: 4 << 20}
+	nranks, rpn, naggr, dims, cb := 120, 24, 5, benchDims(), int64(4<<20)
 	steps := int64(200 * cfg.Scale)
 	yTot := int64(960) // divisible by 120: each rank owns a thin Y band
 	if cfg.Quick {
 		// Keep enough collective-buffer iterations for the pipeline to
 		// overlap — CC's benefit vanishes in a single-iteration read.
-		s.nranks, s.rpn, s.naggr = 12, 4, 3
-		s.dims = []int64{256, 128, 128}
-		s.cb = 64 << 10
+		nranks, rpn, naggr = 12, 4, 3
+		dims, cb = []int64{256, 128, 128}, 64<<10
 		steps, yTot = 16, 120
 	}
-	if steps < 4 {
-		steps = 4
-	}
-	// The paper's 3-D subset access: every rank reads a thin latitude band
-	// across many time steps, so each collective-buffer window interleaves
-	// all ranks' data — the non-contiguous pattern two-phase I/O exists for.
-	sub := layout.Slab{
-		Start: []int64{100, 0, 0},
-		Count: []int64{steps, yTot, s.dims[2]},
-	}
-	s.slabs = climate.SplitAlongDim(sub, 1, s.nranks)
-	s.perRankElems = steps * (yTot / int64(s.nranks)) * s.dims[2]
-	return s
+	sub := layout.Slab{Start: []int64{100, 0, 0}, Count: []int64{max(steps, 4), yTot, dims[2]}}
+	return newBench(nranks, rpn, naggr, dims, sub, cb)
 }
 
 // Fig9 reproduces the speedup-vs-computation:I/O-ratio sweep (paper Figure
 // 9): ratios 10:1 … 1:10, 120 processes, 5 aggregators, peak expected near
 // 1:1 and the I/O-heavy side beating the compute-heavy side.
 func Fig9(cfg Config) (*Table, error) {
-	s := newFig9Setup(cfg)
-	base := ccRunSpec{nranks: s.nranks, rpn: s.rpn, naggr: s.naggr,
-		dims: s.dims, slabs: s.slabs, pipeline: true, cb: s.cb}
-
-	// Calibrate the I/O time of the traditional workflow with zero compute.
-	calib := base
-	calib.block = true
-	tIO, err := runClimate3D(calib)
+	b := fig9Bench(cfg)
+	trad, _ := b.legs("fig9", 0)
+	tIO, spe, err := calibrate(trad, b.perRankElems)
 	if err != nil {
 		return nil, err
 	}
@@ -152,23 +62,12 @@ func Fig9(cfg Config) (*Table, error) {
 	var barLabels []string
 	var barVals []float64
 	for _, rt := range ratios {
-		spe := rt.r * tIO / float64(s.perRankElems)
-		trad := base
-		trad.block = true
-		trad.spe = spe
-		tTrad, err := runClimate3D(trad)
+		tr, cr, err := compare(b.legs("fig9", spe(rt.r)))
 		if err != nil {
 			return nil, err
 		}
-		ccRun := base
-		ccRun.spe = spe
-		ccRun.reduce = cc.AllToOne
-		tCC, err := runClimate3D(ccRun)
-		if err != nil {
-			return nil, err
-		}
-		sp := tTrad / tCC
-		t.AddRow(rt.label, secs(tTrad), secs(tCC), ratio(sp))
+		sp := tr.makespan / cr.makespan
+		t.AddRow(rt.label, secs(tr.makespan), secs(cr.makespan), ratio(sp))
 		barLabels = append(barLabels, rt.label)
 		barVals = append(barVals, sp)
 		sum += sp
@@ -205,65 +104,25 @@ func mean(xs []float64) float64 {
 // per-process request size, computation:I/O ratio 1:5, process counts
 // 24..1024; the paper reports speedup growing from 1.42x to 1.7x.
 func Fig10(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
-	procs := []int{24, 48, 120, 240, 480, 1024}
-	rpn := 24
-	if cfg.Quick {
-		procs = []int{4, 8, 16}
-		rpn = 4
-	}
-	dims := benchDims()
-	cb := int64(4 << 20)
-	stepsPerUnit := cfg.Scale // time steps per rank-unit of workload
-	if cfg.Quick {
-		dims = []int64{2048, 128, 128}
-		cb = 64 << 10
-		stepsPerUnit = 0.5
-	}
 	t := &Table{
 		ID:      "fig10",
 		Title:   "Scalability of Collective Computing (weak scaling, ratio 1:5)",
 		Headers: []string{"processes", "traditional (s)", "collective computing (s)", "speedup"},
 	}
 	var speedups []float64
-	for _, p := range procs {
-		// Fixed per-process request: every rank owns a thin Y band across a
-		// time extent that grows with the process count (weak scaling).
-		steps := int64(float64(p) * stepsPerUnit)
-		if steps < 1 {
-			steps = 1
-		}
-		yTot := dims[1] - dims[1]%int64(p)
-		sub := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{steps, yTot, dims[2]}}
-		slabs := climate.SplitAlongDim(sub, 1, p)
-		perRankElems := steps * (yTot / int64(p)) * dims[2]
-		naggr := (p + rpn - 1) / rpn
-		base := ccRunSpec{nranks: p, rpn: rpn, naggr: naggr,
-			dims: dims, slabs: slabs, pipeline: true, cb: cb}
-		calib := base
-		calib.block = true
-		tIO, err := runClimate3D(calib)
+	for _, b := range fig10Points(cfg) {
+		trad, _ := b.legs("fig10", 0)
+		_, spe, err := calibrate(trad, b.perRankElems)
 		if err != nil {
 			return nil, err
 		}
-		spe := 0.2 * tIO / float64(perRankElems)
-		trad := base
-		trad.block = true
-		trad.spe = spe
-		tTrad, err := runClimate3D(trad)
+		tr, cr, err := compare(b.legs("fig10", spe(0.2)))
 		if err != nil {
 			return nil, err
 		}
-		ccRun := base
-		ccRun.spe = spe
-		ccRun.reduce = cc.AllToOne
-		tCC, err := runClimate3D(ccRun)
-		if err != nil {
-			return nil, err
-		}
-		sp := tTrad / tCC
+		sp := tr.makespan / cr.makespan
 		speedups = append(speedups, sp)
-		t.AddRow(fmt.Sprintf("%d", p), secs(tTrad), secs(tCC), ratio(sp))
+		t.AddRow(fmt.Sprintf("%d", b.nranks), secs(tr.makespan), secs(cr.makespan), ratio(sp))
 	}
 	t.Chart = asciichart.Line([]asciichart.Series{{Name: "speedup", Points: speedups}}, 48, 8)
 	t.Notef("speedup across scales: first %.2fx, last %.2fx (paper: 1.42x at 120 -> 1.7x at 1024)",
@@ -271,84 +130,62 @@ func Fig10(cfg Config) (*Table, error) {
 	return t, nil
 }
 
+// fig10Points is Figure 10's sweep, one benchmark per process count: a fixed
+// per-process request, every rank a thin Y band across a time extent that
+// grows with the process count (weak scaling), one aggregator per node.
+func fig10Points(cfg Config) []bench {
+	cfg = cfg.Defaults()
+	procs, rpn := []int{24, 48, 120, 240, 480, 1024}, 24
+	dims, cb := benchDims(), int64(4<<20)
+	stepsPerUnit := cfg.Scale // time steps per rank-unit of workload
+	if cfg.Quick {
+		procs, rpn = []int{4, 8, 16}, 4
+		dims, cb, stepsPerUnit = []int64{2048, 128, 128}, 64<<10, 0.5
+	}
+	var pts []bench
+	for _, p := range procs {
+		steps := max(int64(float64(p)*stepsPerUnit), 1)
+		yTot := dims[1] - dims[1]%int64(p)
+		sub := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{steps, yTot, dims[2]}}
+		pts = append(pts, newBench(p, rpn, (p+rpn-1)/rpn, dims, sub, cb))
+	}
+	return pts
+}
+
 // Fig11 reproduces the overhead analysis (paper Figure 11): the reduction
 // overhead per process — the traditional workflow's analysis+reduce stage
 // vs collective computing's logical construction + local reduction — at
 // 128/256/512 processes with total I/O fixed at (scaled) 40 GB and 80 GB.
 func Fig11(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
-	procs := []int{128, 256, 512}
-	rpn := 24
-	if cfg.Quick {
-		procs = []int{4, 8}
-		rpn = 4
-	}
-	dims := benchDims()
-	if cfg.Quick {
-		dims = []int64{64, 128, 128}
-	}
-	// Total volumes: the paper's 40/80 GB scaled by Scale/10 to keep real
-	// data streaming tractable (documented in EXPERIMENTS.md).
-	vol40 := int64(40 * (1 << 30) * cfg.Scale / 10)
-	if cfg.Quick {
-		vol40 = 8 << 20
-	}
-	vol80 := 2 * vol40
-	// The analysis is a sum; its per-element cost represents the reduction
-	// loop of Figure 5 (lines 5-7).
-	const spe = 2e-8
-
-	measure := func(p int, totalBytes int64, block bool) (float64, error) {
-		steps := totalBytes / (4 * dims[1] * dims[2])
-		if steps < 1 {
-			steps = 1
-		}
-		if steps > dims[0] {
-			steps = dims[0]
-		}
-		sub := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{steps, dims[1], dims[2]}}
-		// Split along Y: process counts exceed the scaled time extent.
-		slabs := climate.SplitAlongDim(sub, 1, p)
-		stats := &cc.Stats{}
-		cb := int64(4 << 20)
-		if cfg.Quick {
-			cb = 64 << 10
-		}
-		spec := ccRunSpec{nranks: p, rpn: rpn, naggr: (p + rpn - 1) / rpn,
-			dims: dims, slabs: slabs, pipeline: true, spe: spe, cb: cb,
-			block: block, reduce: cc.AllToOne, stats: stats}
-		if _, err := runClimate3D(spec); err != nil {
-			return 0, err
-		}
-		if block {
-			// Traditional "reduction": the analysis loop + MPI_Reduce.
-			return (stats.MapSeconds + stats.FinalReduceSeconds) / float64(p), nil
-		}
-		// CC "local reduction": construction + intermediate merging.
-		return (stats.ConstructSeconds + stats.LocalReduceSeconds +
-			stats.FinalReduceSeconds) / float64(spec.naggr), nil
-	}
-
+	pts, vol40 := fig11Points(cfg)
 	t := &Table{
 		ID:      "fig11",
 		Title:   "Overhead Analysis (reduction time per process)",
 		Headers: []string{"processes", "MPI-40G (s)", "CC-40G (s)", "CC-80G (s)"},
 	}
 	var s40m, s40c, s80c []float64
-	for _, p := range procs {
-		m40, err := measure(p, vol40, true)
+	for _, pt := range pts {
+		// The analysis is a sum; its per-element cost represents the
+		// reduction loop of Figure 5 (lines 5-7).
+		const spe = 2e-8
+		mpi40, cc40, err := compare(pt[0].legs("fig11", spe))
 		if err != nil {
 			return nil, err
 		}
-		c40, err := measure(p, vol40, false)
+		_, l80 := pt[1].legs("fig11", spe)
+		cc80, err := runLeg(l80)
 		if err != nil {
 			return nil, err
 		}
-		c80, err := measure(p, vol80, false)
-		if err != nil {
-			return nil, err
+		b := pt[0]
+		// Traditional "reduction": the analysis loop + MPI_Reduce.
+		m40 := (mpi40.stats.MapSeconds + mpi40.stats.FinalReduceSeconds) / float64(b.nranks)
+		// CC "local reduction": construction + intermediate merging.
+		ccOverhead := func(st cc.Stats) float64 {
+			return (st.ConstructSeconds + st.LocalReduceSeconds + st.FinalReduceSeconds) / float64(b.naggr)
 		}
-		t.AddRow(fmt.Sprintf("%d", p), secs(m40), secs(c40), secs(c80))
+		c40, c80 := ccOverhead(cc40.stats), ccOverhead(cc80.stats)
+		t.AddRow(fmt.Sprintf("%d", b.nranks), secs(m40), secs(c40), secs(c80))
 		s40m = append(s40m, m40)
 		s40c = append(s40c, c40)
 		s80c = append(s80c, c80)
@@ -358,31 +195,38 @@ func Fig11(cfg Config) (*Table, error) {
 		{Name: "CC-40G", Points: s40c},
 		{Name: "CC-80G", Points: s80c},
 	}, 48, 8)
-	t.Notef("volumes scaled to %.2f GB / %.2f GB of real streamed data", float64(vol40)/(1<<30), float64(vol80)/(1<<30))
+	t.Notef("volumes scaled to %.2f GB / %.2f GB of real streamed data", float64(vol40)/(1<<30), float64(2*vol40)/(1<<30))
 	t.Notef("paper: overhead decreases with processes, CC-80G > CC-40G, and CC adds no bottleneck vs the ~76s I/O cost")
 	return t, nil
+}
+
+// fig11Points is Figure 11's sweep: per process count, the benchmark reading
+// vol40 and twice vol40 in total, the paper's 40/80 GB scaled by Scale/10 to
+// keep real data streaming tractable (documented in EXPERIMENTS.md). Ranks
+// split the volume along Y: process counts exceed the scaled time extent.
+func fig11Points(cfg Config) (pts [][2]bench, vol40 int64) {
+	cfg = cfg.Defaults()
+	procs, rpn, dims, cb := []int{128, 256, 512}, 24, benchDims(), int64(4<<20)
+	vol40 = int64(40 * (1 << 30) * cfg.Scale / 10)
+	if cfg.Quick {
+		procs, rpn, dims, cb = []int{4, 8}, 4, []int64{64, 128, 128}, 64<<10
+		vol40 = 8 << 20
+	}
+	at := func(p int, totalBytes int64) bench {
+		steps := min(max(totalBytes/(4*dims[1]*dims[2]), 1), dims[0])
+		sub := layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{steps, dims[1], dims[2]}}
+		return newBench(p, rpn, (p+rpn-1)/rpn, dims, sub, cb)
+	}
+	for _, p := range procs {
+		pts = append(pts, [2]bench{at(p, vol40), at(p, 2*vol40)})
+	}
+	return pts, vol40
 }
 
 // Fig12 reproduces the metadata-overhead sweep (paper Figure 12): the
 // intermediate-result coordinate metadata volume vs the MPI collective
 // buffer size, with the optimum around 8-12 MB and no further gain beyond.
 func Fig12(cfg Config) (*Table, error) {
-	cfg = cfg.Defaults()
-	nranks, rpn := 24, 12
-	dims := []int64{64, 8, 1024, 1024} // 4-D variable: (T, Z, Y, X)
-	sub := layout.Slab{Start: []int64{0, 0, 0, 0}, Count: []int64{24, 3, 1024, 1024}}
-	if cfg.Quick {
-		nranks, rpn = 4, 2
-		dims = []int64{8, 4, 256, 256}
-		sub = layout.Slab{Start: []int64{0, 0, 0, 0}, Count: []int64{4, 2, 256, 256}}
-	}
-	slabs := climate.SplitAlongDim(sub, 0, nranks)
-	cbs := []int64{1 << 20, 4 << 20, 8 << 20, 12 << 20, 24 << 20}
-	if cfg.Quick {
-		// Scale the buffer sweep to the shrunken chunk size so the
-		// split-vs-fit transition still happens.
-		cbs = []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	}
 	t := &Table{
 		ID:      "fig12",
 		Title:   "Metadata Overhead vs MPI Collective Buffer Size",
@@ -391,35 +235,50 @@ func Fig12(cfg Config) (*Table, error) {
 	var prev int64 = -1
 	var optimum int64
 	var mdSeries []float64
-	for _, cb := range cbs {
-		cl := newCluster(nranks, rpn, nil)
-		ds, id, err := climate.NewDataset4D(cl.FS(), dims, 40, 4<<20)
+	for _, l := range fig12Legs(cfg) {
+		run, err := runLeg(l)
 		if err != nil {
 			return nil, err
 		}
-		stats := &cc.Stats{}
-		cache := &adio.PlanCache{}
-		if _, err := cl.RunSPMD("fig12", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-			_, err := cc.ObjectGetVara(r, ctx.Comm(), ctx.Client(r), cc.IO{
-				DS: ds, VarID: id, Slab: slabs[ctx.Comm().RankOf(r)],
-				Reduce: cc.AllToOne,
-				Params: adio.Params{CB: cb, Pipeline: true, PlanCache: cache},
-				Stats:  stats,
-			}, cc.Sum{})
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		t.AddRow(fmt.Sprintf("%d", cb>>20), fmt.Sprintf("%.2f", float64(stats.MetadataBytes)/1024),
-			fmt.Sprintf("%d", stats.IntermediateRecords), fmt.Sprintf("%d", stats.Subsets))
-		mdSeries = append(mdSeries, float64(stats.MetadataBytes)/1024)
-		if prev == -1 || stats.MetadataBytes < prev {
+		cb, st := l.io.Params.CB, run.stats
+		t.AddRow(fmt.Sprintf("%d", cb>>20), fmt.Sprintf("%.2f", float64(st.MetadataBytes)/1024),
+			fmt.Sprintf("%d", st.IntermediateRecords), fmt.Sprintf("%d", st.Subsets))
+		mdSeries = append(mdSeries, float64(st.MetadataBytes)/1024)
+		if prev == -1 || st.MetadataBytes < prev {
 			optimum = cb >> 20
 		}
-		prev = stats.MetadataBytes
+		prev = st.MetadataBytes
 	}
 	t.Chart = asciichart.Line([]asciichart.Series{{Name: "metadata (KB)", Points: mdSeries}}, 48, 8)
 	t.Notef("metadata shrinks as the buffer grows, flattening around %d MB (paper: optimum ~8-12 MB)", optimum)
 	t.Notef("absolute bytes scale with the accessed volume; the paper's multi-GB run reports MBs")
 	return t, nil
+}
+
+// fig12Legs is Figure 12's sweep, one CC Sum leg per collective-buffer size:
+// 24 processes, each a run of time steps of a 4-D variable, one aggregator
+// per node.
+func fig12Legs(cfg Config) []leg {
+	nranks, rpn := 24, 12
+	dims := []int64{64, 8, 1024, 1024} // 4-D variable: (T, Z, Y, X)
+	sub := layout.Slab{Start: []int64{0, 0, 0, 0}, Count: []int64{24, 3, 1024, 1024}}
+	cbs := []int64{1 << 20, 4 << 20, 8 << 20, 12 << 20, 24 << 20}
+	if cfg.Quick {
+		nranks, rpn = 4, 2
+		dims = []int64{8, 4, 256, 256}
+		sub = layout.Slab{Start: []int64{0, 0, 0, 0}, Count: []int64{4, 2, 256, 256}}
+		// Scale the buffer sweep to the shrunken chunk size so the
+		// split-vs-fit transition still happens.
+		cbs = []int64{64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
+	}
+	slabs := climate.SplitAlongDim(sub, 0, nranks)
+	aggrs := adio.DefaultAggregators(nranks, rpn)
+	var legs []leg
+	for _, cb := range cbs {
+		legs = append(legs, leg{name: "fig12", nranks: nranks, rpn: rpn,
+			create: climate.NewDataset4D, dims: dims, stripes: 40, stripeSize: 4 << 20, slabs: slabs,
+			io: cc.IO{Reduce: cc.AllToOne, Aggregators: aggrs, Params: adio.Params{CB: cb, Pipeline: true}},
+			op: cc.Sum{}})
+	}
+	return legs
 }

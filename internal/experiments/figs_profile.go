@@ -6,71 +6,53 @@ import (
 
 	"repro/internal/adio"
 	"repro/internal/asciichart"
+	"repro/internal/cc"
 	"repro/internal/climate"
-	"repro/internal/cluster"
-	"repro/internal/layout"
-	"repro/internal/mpi"
-	"repro/internal/ncfile"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 )
 
-// fig1Setup is the Figure 1 configuration: 72 processes on 6 nodes of 12
-// cores, 6 aggregators per node, a 4-D climate dataset striped over 40 OSTs
-// at 4 MB, a 720x10x100x100 (slowest-first) subset split over time, 4 MB
-// collective buffers, non-blocking two-phase reads.
-type fig1Setup struct {
-	nranks, rpn int
-	aggrs       []int
-	dims        []int64
-	perRank     []layout.Slab
-	stripeCount int
-	stripeSize  int64
-	cb          int64
-}
-
-func newFig1Setup(cfg Config) fig1Setup {
+// fig1Leg is the Figure 1 access as a charge-only leg (Figures 1-3 profile
+// what reading costs and never look at the bytes): 72 processes on 6
+// nodes of 12 cores, 6 aggregators per node, a 4-D climate dataset striped
+// over 40 OSTs at 4 MB, a 720x10x100x100 (slowest-first) subset split over
+// time, 4 MB collective buffers, non-blocking two-phase reads. Figures 2 and 3
+// profile its rank time, and Figure 3 issues it as per-rank sieved reads.
+func fig1Leg(cfg Config, id string) leg {
 	cfg = cfg.Defaults()
-	s := fig1Setup{
-		nranks: 72, rpn: 12,
-		dims:        climate.Paper4DDims(),
-		stripeCount: 40, stripeSize: 4 << 20, cb: 4 << 20,
-	}
+	nranks, rpn, stripes := 72, 12, 40
 	sub := climate.Paper4DSubset()
 	// Scale the real data volume through the subset's slowest (time)
 	// extent; the interleaved fastest-dimension split is what defines the
 	// access pattern and stays at paper geometry.
 	steps := int64(float64(sub.Count[0]) * cfg.Scale)
 	if cfg.Quick {
-		s.nranks, s.rpn, s.stripeCount = 12, 4, 8
+		nranks, rpn, stripes = 12, 4, 8
 		sub.Count[3] = 120 // 10 elements per rank, as in the paper
 		steps = 2
 	}
-	if steps < 1 {
-		steps = 1
-	}
-	sub.Count[0] = steps
-	// Each process accesses a 10-element-wide interleaved slice of the
-	// fastest dimension (100x100x10x10 of the subset).
-	s.perRank = climate.SplitAlongDim(sub, 3, s.nranks)
+	sub.Count[0] = max(steps, 1)
 	// "6 are aggregators on each node": the first half of each node's ranks.
-	for r := 0; r < s.nranks; r++ {
-		if r%s.rpn < s.rpn/2 {
-			s.aggrs = append(s.aggrs, r)
+	var aggrs []int
+	for r := 0; r < nranks; r++ {
+		if r%rpn < rpn/2 {
+			aggrs = append(aggrs, r)
 		}
 	}
-	return s
-}
-
-// byteRuns returns each rank's byte runs against the dataset. Figures 1-3
-// profile what reading them costs and never look at the bytes, so their
-// requests are charge-only.
-func (s fig1Setup) byteRuns(ds *ncfile.Dataset, id, rank int) []layout.Run {
-	runs, err := ds.ByteRuns(id, s.perRank[rank])
-	if err != nil {
-		panic(err)
+	l := leg{name: id, nranks: nranks, rpn: rpn, obs: cfg.Obs,
+		create: climate.NewDataset4D, dims: climate.Paper4DDims(), stripes: stripes, stripeSize: 4 << 20,
+		// Each process accesses a 10-element-wide interleaved slice of the
+		// fastest dimension (100x100x10x10 of the subset).
+		slabs:      climate.SplitAlongDim(sub, 3, nranks),
+		io:         cc.IO{Aggregators: aggrs, Params: adio.Params{CB: 4 << 20, Pipeline: true}},
+		chargeOnly: true}
+	switch id {
+	case "fig3":
+		l.io.Mode, l.io.Params = cc.Independent, adio.Params{SieveThreshold: 64 << 10}
+		fallthrough
+	case "fig2":
+		l.profile = true
 	}
-	return runs
+	return l
 }
 
 // iterSample is one aggregated two-phase iteration: mean read and shuffle
@@ -154,20 +136,10 @@ func (is *iterStats) shuffleOverhead() float64 {
 // Fig1 reproduces the per-iteration read/shuffle profile of two-phase
 // collective I/O (paper Figure 1) and its ~20% shuffle-overhead headline.
 func Fig1(cfg Config) (*Table, error) {
-	s := newFig1Setup(cfg)
-	cl := newCluster(s.nranks, s.rpn, cfg.Obs)
-	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
-	if err != nil {
-		return nil, err
-	}
+	l := fig1Leg(cfg, "fig1")
 	iters := newIterStats()
-	cache := &adio.PlanCache{}
-	makespan, err := cl.RunSPMD("fig1", func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		runs := s.byteRuns(ds, id, ctx.Comm().RankOf(r))
-		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), ds.File(),
-			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
-			adio.Params{CB: s.cb, Pipeline: true, Obs: iters, PlanCache: cache})
-	})
+	l.io.Params.Obs = iters
+	run, err := runLeg(l)
 	if err != nil {
 		return nil, err
 	}
@@ -192,48 +164,12 @@ func Fig1(cfg Config) (*Table, error) {
 		{Name: "shuffle (s)", Points: shuffles},
 	}, 64, 10)
 	t.Notef("%d procs, %d aggregators, %d executed iterations, makespan %.2fs",
-		s.nranks, len(s.aggrs), iters.iterations, makespan)
+		l.nranks, len(l.io.Aggregators), iters.iterations, run.makespan)
 	t.Notef("total read %.2fs, total shuffle %.2fs across aggregators",
 		iters.readSeconds, iters.shuffleSeconds)
 	t.Notef("shuffle overhead = %.1f%% of phase time (paper: ~20%%)",
 		100*iters.shuffleOverhead())
 	return t, nil
-}
-
-// rankRead is how one rank reads its byte runs of the Figure 1 pattern.
-type rankRead func(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error
-
-// collectiveRead is Figure 2's access: one non-blocking two-phase read.
-func (s fig1Setup) collectiveRead() rankRead {
-	cache := &adio.PlanCache{}
-	return func(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error {
-		return adio.CollectiveRead(r, ctx.Comm(), ctx.Client(r), f,
-			adio.Request{Runs: runs, ChargeOnly: true}, s.aggrs,
-			adio.Params{CB: s.cb, Pipeline: true, PlanCache: cache})
-	}
-}
-
-// independentRead is Figure 3's access: per-rank sieved reads.
-func independentRead(ctx *cluster.JobContext, r *mpi.Rank, f *pfs.File, runs []layout.Run) error {
-	return adio.IndependentRead(ctx.Client(r), f,
-		adio.Request{Runs: runs, ChargeOnly: true}, adio.Params{SieveThreshold: 64 << 10})
-}
-
-// profiledRead runs the Figure 1 access pattern once through read on a fresh
-// machine with its rank time profiled, and returns the machine and the
-// makespan — Figures 2 and 3 differ only in how the ranks read.
-func (s fig1Setup) profiledRead(name string, ot *obs.Tracer, read rankRead) (*cluster.Cluster, float64, error) {
-	cl := newCluster(s.nranks, s.rpn, ot)
-	ds, id, err := climate.NewDataset4D(cl.FS(), s.dims, s.stripeCount, s.stripeSize)
-	if err != nil {
-		return nil, 0, err
-	}
-	// The renderer strides, so one small bucket serves every scale.
-	cl.ProfileRanks(0.05)
-	makespan, err := cl.RunSPMD(name, func(ctx *cluster.JobContext, r *mpi.Rank) error {
-		return read(ctx, r, ds.File(), s.byteRuns(ds, id, ctx.Comm().RankOf(r)))
-	})
-	return cl, makespan, err
 }
 
 // cpuProfileTable renders a run's rank time as the user/sys/wait rows of the
@@ -267,12 +203,11 @@ func cpuProfileTable(id, title string, rt *obs.RankTime, until float64) *Table {
 // Fig2 reproduces the CPU profile (user/sys/wait) during two-phase
 // collective I/O (paper Figure 2).
 func Fig2(cfg Config) (*Table, error) {
-	s := newFig1Setup(cfg)
-	cl, makespan, err := s.profiledRead("fig2", cfg.Obs, s.collectiveRead())
+	run, err := runLeg(fig1Leg(cfg, "fig2"))
 	if err != nil {
 		return nil, err
 	}
-	t := cpuProfileTable("fig2", "CPU Profiling of Two-Phase Collective I/O", cl.RankTime(), makespan)
+	t := cpuProfileTable("fig2", "CPU Profiling of Two-Phase Collective I/O", run.cl.RankTime(), run.makespan)
 	t.Notef("aggregators stay busy (sys+wait-io) while non-aggregators mostly wait on the shuffle")
 	return t, nil
 }
@@ -281,15 +216,15 @@ func Fig2(cfg Config) (*Table, error) {
 // the same access pattern issued as per-rank sieved reads, dominated by I/O
 // wait under OST contention.
 func Fig3(cfg Config) (*Table, error) {
-	s := newFig1Setup(cfg)
-	cl, makespan, err := s.profiledRead("fig3", cfg.Obs, independentRead)
+	l := fig1Leg(cfg, "fig3")
+	run, err := runLeg(l)
 	if err != nil {
 		return nil, err
 	}
-	rt := cl.RankTime()
-	t := cpuProfileTable("fig3", "CPU Profiling of Independent I/O", rt, makespan)
+	rt := run.cl.RankTime()
+	t := cpuProfileTable("fig3", "CPU Profiling of Independent I/O", rt, run.makespan)
 	waitShare := (rt.Total(obs.WaitIO) + rt.Total(obs.WaitComm)) /
-		(float64(s.nranks) * makespan) * 100
+		(float64(l.nranks) * run.makespan) * 100
 	t.Notef("wait share %.1f%% of core time (paper: independent I/O is wait-dominated)", waitShare)
 	return t, nil
 }

@@ -4,8 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"repro/internal/cc"
-	"repro/internal/cluster"
 	"repro/internal/obs"
 )
 
@@ -66,37 +64,22 @@ var rankTimeMetrics = [obs.NumKinds]string{
 // attaching a span tracer changes no rank's accounting by a bit.
 func TestRankTimeConservation(t *testing.T) {
 	cfg := Config{Quick: true}
-	fig := newFig1Setup(cfg)
-	sum := newFig9Setup(cfg)
-	for _, tc := range []struct {
-		name string
-		run  func(ot *obs.Tracer) (*cluster.Cluster, float64, error)
-	}{
-		{"fig2", func(ot *obs.Tracer) (*cluster.Cluster, float64, error) {
-			return fig.profiledRead("fig2", ot, fig.collectiveRead())
-		}},
-		{"fig3", func(ot *obs.Tracer) (*cluster.Cluster, float64, error) {
-			return fig.profiledRead("fig3", ot, independentRead)
-		}},
-		{"cc-sum", func(ot *obs.Tracer) (*cluster.Cluster, float64, error) {
-			cl := newCluster(sum.nranks, sum.rpn, ot)
-			makespan, err := runClimate3DOn(cl, ccRunSpec{nranks: sum.nranks, rpn: sum.rpn, naggr: sum.naggr,
-				dims: sum.dims, slabs: sum.slabs, pipeline: true, cb: sum.cb, reduce: cc.AllToOne, spe: 2e-8})
-			return cl, makespan, err
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ot := obs.New()
-			cl, makespan, err := tc.run(ot)
+	_, sum := fig9Bench(cfg).legs("cc-sum", 2e-8)
+	for _, l := range []leg{fig1Leg(cfg, "fig2"), fig1Leg(cfg, "fig3"), sum} {
+		t.Run(l.name, func(t *testing.T) {
+			traced := l
+			traced.obs = obs.New()
+			run, err := runLeg(traced)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare, bareMakespan, err := tc.run(nil)
+			bare, err := runLeg(l)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if makespan <= 0 || makespan != bareMakespan {
-				t.Fatalf("makespan %v traced, %v bare", makespan, bareMakespan)
+			cl, makespan, ot := run.cl, run.makespan, traced.obs
+			if makespan <= 0 || makespan != bare.makespan {
+				t.Fatalf("makespan %v traced, %v bare", makespan, bare.makespan)
 			}
 			rt, nranks := cl.RankTime(), cl.World().Size()
 			var busiest float64
@@ -104,7 +87,7 @@ func TestRankTimeConservation(t *testing.T) {
 				var charged float64
 				for k := obs.Kind(0); int(k) < obs.NumKinds; k++ {
 					charged += rt.RankTotal(rank, k)
-					if got, want := rt.RankTotal(rank, k), bare.RankTime().RankTotal(rank, k); got != want {
+					if got, want := rt.RankTotal(rank, k), bare.cl.RankTime().RankTotal(rank, k); got != want {
 						t.Errorf("rank %d kind %d: %v with a span tracer, %v without", rank, k, got, want)
 					}
 				}

@@ -85,7 +85,7 @@ func (s jobsSetup) job(i, ranks int, deadline float64) cluster.CCJob {
 func (s jobsSetup) machine(ranks, maxConc int, ot *obs.Tracer) (*cluster.Cluster, error) {
 	cl := cluster.New(cluster.Spec{
 		Ranks: ranks, RanksPerNode: s.rpn,
-		FS: hopperFS(), MaxConcurrent: maxConc, Obs: ot, Memo: s.memo,
+		MaxConcurrent: maxConc, Obs: ot, Memo: s.memo,
 		Policy: s.policy,
 	})
 	ds, varid, err := climate.NewDataset3D(cl.FS(), s.dims, s.stripes, s.stripeSize)

@@ -92,7 +92,7 @@ func jainIndex(xs []float64) float64 {
 // runSchedPolicy executes the mix under one policy on a fresh machine.
 func runSchedPolicy(policy string, nranks int, mix []schedMixJob, ot *obs.Tracer) (schedOutcome, error) {
 	cl := cluster.New(cluster.Spec{
-		Ranks: nranks, RanksPerNode: 8, FS: hopperFS(), Policy: policy, Obs: ot,
+		Ranks: nranks, RanksPerNode: 8, Policy: policy, Obs: ot,
 	})
 	sessions := map[string]*cluster.Session{}
 	for i, mj := range mix {
