@@ -208,29 +208,38 @@ func readExtent(cl *pfs.Client, f *pfs.File, it *Iter, buf []byte) (ext []byte, 
 }
 
 // exchangeRequests allgathers every rank's offset list (phase 0 of two-phase
-// I/O) and returns the per-comm-rank run lists. The modeled message size is
-// 16 bytes per run, as ROMIO exchanges (offset, length) pairs.
+// I/O) and returns the per-comm-rank run lists: one slice, built once for the
+// call and shared by every rank, which nothing may modify. The modeled
+// message size is 16 bytes per run, as ROMIO exchanges (offset, length)
+// pairs; ROMIO first allgathers the lists' sizes, so that exchange is modeled
+// too.
 func exchangeRequests(r *mpi.Rank, c *mpi.Comm, runs []layout.Run) [][]layout.Run {
-	// ROMIO first allgathers counts, then the lists themselves; both
-	// exchanges are modeled.
-	myBytes := int64(16 * len(runs))
-	all := c.Allgatherv(r, runs, perMemberBytes(c, r, myBytes))
-	out := make([][]layout.Run, c.Size())
-	for i, v := range all {
-		if v != nil {
-			out[i] = v.([]layout.Run)
-		}
-	}
-	return out
+	sizes := mpi.Allgather(c, r, int64(16*len(runs)), 8)
+	return mpi.Allgatherv(c, r, runs, sizes)
 }
 
-// perMemberBytes gathers each member's payload size so Allgatherv can cost
-// messages correctly.
-func perMemberBytes(c *mpi.Comm, r *mpi.Rank, mine int64) []int64 {
-	all := c.Allgather(r, mine, 8)
-	out := make([]int64, len(all))
-	for i, v := range all {
-		out[i] = v.(int64)
+// bandWindows clips every owner's runs to the band [lo, hi): the requests of
+// one round of a rebalanced read, each owner's the layout.Window of its runs
+// (nil when none reach into the band), all of them capped stretches of one
+// exactly sized array.
+func bandWindows(reqs [][]layout.Run, lo, hi int64) [][]layout.Run {
+	n := 0
+	for _, rs := range reqs {
+		n += len(overlapping(rs, lo, hi))
+	}
+	all := make([]layout.Run, 0, n)
+	out := make([][]layout.Run, len(reqs))
+	for o, rs := range reqs {
+		w := overlapping(rs, lo, hi)
+		if len(w) == 0 {
+			continue
+		}
+		start := len(all)
+		all = append(all, w...)
+		first, last := &all[start], &all[len(all)-1]
+		*first, _ = layout.Intersect(*first, lo, hi)
+		*last, _ = layout.Intersect(*last, lo, hi)
+		out[o] = all[start:len(all):len(all)]
 	}
 	return out
 }
@@ -276,17 +285,20 @@ func CollectiveReadHooked(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 		cl.SetReadPolicy(p.Read)
 	}
 	reqs := exchangeRequests(r, c, rq.Runs)
-	lo, hi, empty := hull(reqs)
 	rounds := 1
-	var band int64
-	if p.RebalanceRounds > 1 && !empty {
-		rounds = p.RebalanceRounds
-		if p.Align <= 0 {
-			p.Align = f.StripeSize()
-		}
-		band = (hi - lo + int64(rounds) - 1) / int64(rounds)
-		if rem := band % p.Align; rem != 0 {
-			band += p.Align - rem
+	var lo, hi, width int64
+	if p.RebalanceRounds > 1 {
+		var empty bool
+		lo, hi, empty = hull(reqs)
+		if !empty {
+			rounds = p.RebalanceRounds
+			if p.Align <= 0 {
+				p.Align = f.StripeSize()
+			}
+			width = (hi - lo + int64(rounds) - 1) / int64(rounds)
+			if rem := width % p.Align; rem != 0 {
+				width += p.Align - rem
+			}
 		}
 	}
 	me := c.RankOf(r)
@@ -303,27 +315,27 @@ func CollectiveReadHooked(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 		if j > 0 {
 			key.epoch = c.Allreduce(r, health.Epoch(), 8, maxEpoch).(int64)
 		}
-		breqs, brq := reqs, rq
+		var band *Domain
 		if rounds > 1 {
-			blo := lo + int64(j)*band
-			bhi := min(blo+band, hi)
+			blo := lo + int64(j)*width
+			bhi := min(blo+width, hi)
 			if blo >= bhi {
 				continue
 			}
-			breqs = make([][]layout.Run, len(reqs))
-			for o, rs := range reqs {
-				breqs[o] = layout.Window(rs, blo, bhi)
-			}
+			band = &Domain{blo, bhi}
+		}
+		pl := sharedPlan(cl, f, reqs, band, aggrs, p, key)
+		brq := rq
+		if band != nil {
 			// The bands partition every request in file order, so each
 			// band's bytes are the next stretch of the caller's buffer.
-			brq = Request{Runs: breqs[me], ChargeOnly: rq.ChargeOnly}
+			brq = Request{Runs: pl.reqs[me], ChargeOnly: rq.ChargeOnly}
 			if hooks == nil && !rq.ChargeOnly {
-				n := layout.TotalLength(brq.Runs)
+				n := pl.prefix[me][len(brq.Runs)]
 				brq.Buf = rq.Buf[bufPos : bufPos+n]
 				bufPos += n
 			}
 		}
-		pl := sharedPlan(cl, f, breqs, aggrs, p, key)
 		if err := twoPhaseRead(r, c, cl, f, brq, pl, me, p, hooks); err != nil {
 			return err
 		}
@@ -354,13 +366,18 @@ func (h *Hooks) check(rq Request) error {
 func maxEpoch(a, b interface{}) interface{} { return max(a.(int64), b.(int64)) }
 
 // sharedPlan returns the plan of round key.round, from p.PlanCache when
-// another rank of the call has built it already. From the second round of a
-// rebalanced read on, while some OST is flagged slow, the plan's file domains
-// are weighted by observed cost, and the rank that builds it counts the
-// rebalance on its client.
-func sharedPlan(cl *pfs.Client, f *pfs.File, reqs [][]layout.Run, aggrs []int, p Params, key roundKey) *Plan {
+// another rank of the call has built it already. A non-nil band plans the
+// requests' bytes inside it, a round of a rebalanced read: the rank that
+// builds the plan cuts the band windows, and the others read theirs from the
+// plan. From the second round of a rebalanced read on, while some OST is
+// flagged slow, the plan's file domains are weighted by observed cost, and
+// the rank that builds it counts the rebalance on its client.
+func sharedPlan(cl *pfs.Client, f *pfs.File, reqs [][]layout.Run, band *Domain, aggrs []int, p Params, key roundKey) *Plan {
 	if pl := p.PlanCache.get(key); pl != nil {
 		return pl
+	}
+	if band != nil {
+		reqs = bandWindows(reqs, band.Lo, band.Hi)
 	}
 	var pl *Plan
 	var flagged []int

@@ -130,7 +130,7 @@ func (rc *readCase) run(independent, chargeOnly bool) (*readOutcome, error) {
 	}
 	out.profile = rt.CPUProfile(out.makespan)
 	out.fs = [4]int64{fs.BytesRead, fs.Requests, fs.Timeouts, fs.Retries}
-	out.ostBusy = fs.OSTBusyTimes()
+	out.ostBusy = fs.AppendOSTBusyTimes(nil)
 	net := w.Net()
 	out.net = [4]int64{net.Messages, net.BytesOnWire, net.InterMessages, net.DegradedMessages}
 	return out, nil

@@ -15,10 +15,8 @@
 package adio
 
 import (
-	"cmp"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"repro/internal/layout"
@@ -201,6 +199,7 @@ type Plan struct {
 	Domains []Domain
 
 	reqs   [][]layout.Run // per owner, sorted byte runs
+	runs   int            // offset-list runs across all owners
 	prefix [][]int64      // per owner, prefix sums of run lengths
 	expect [][]expectEntry
 	aggIdx map[int]int // comm rank -> aggregator index
@@ -210,13 +209,7 @@ type Plan struct {
 type Domain struct{ Lo, Hi int64 }
 
 // TotalRuns returns the number of offset-list runs across all owners.
-func (pl *Plan) TotalRuns() int {
-	n := 0
-	for _, rs := range pl.reqs {
-		n += len(rs)
-	}
-	return n
-}
+func (pl *Plan) TotalRuns() int { return pl.runs }
 
 // AggrIndex returns the aggregator index of comm rank r, or -1.
 func (pl *Plan) AggrIndex(r int) int {
@@ -259,6 +252,8 @@ func (pl *Plan) BufPos(o int, fileOff int64) int64 {
 
 // newPlanShell validates inputs, allocates a Plan with its request index,
 // and computes the global hull. empty reports that no data was requested.
+// reqs is kept, not copied: it is the call's exchanged lists, shared by
+// every rank, and nothing may modify it.
 func newPlanShell(reqs [][]layout.Run, aggrs []int, cb int64) (pl *Plan, lo, hi int64, empty bool) {
 	if len(aggrs) == 0 {
 		panic("adio: no aggregators")
@@ -271,15 +266,21 @@ func newPlanShell(reqs [][]layout.Run, aggrs []int, cb int64) (pl *Plan, lo, hi 
 	for i, a := range pl.Aggrs {
 		pl.aggIdx[a] = i
 	}
+	for _, rs := range reqs {
+		pl.runs += len(rs)
+	}
 	// prefix[o][i] = bytes of owner o's request before run i; the final
 	// entry is the owner's total, so ReqBytes reads prefix[o][len(runs)].
+	// Every owner's sums are a capped stretch of one array.
 	pl.prefix = make([][]int64, len(reqs))
+	pf := make([]int64, 0, pl.runs+len(reqs))
 	for o, rs := range reqs {
-		pf := make([]int64, len(rs)+1)
-		for i, r := range rs {
-			pf[i+1] = pf[i] + r.Length
+		start := len(pf)
+		pf = append(pf, 0)
+		for _, r := range rs {
+			pf = append(pf, pf[len(pf)-1]+r.Length)
 		}
-		pl.prefix[o] = pf
+		pl.prefix[o] = pf[start:len(pf):len(pf)]
 	}
 	lo, hi, empty = hull(reqs)
 	na := len(aggrs)
@@ -317,17 +318,23 @@ func BuildPlan(reqs [][]layout.Run, aggrs []int, cb, align int64) *Plan {
 	if empty { // no data requested at all
 		return pl
 	}
-	// Even domain partition of the hull, optionally aligned.
-	na := len(aggrs)
-	span := hi - lo
-	ds := (span + int64(na) - 1) / int64(na)
+	evenDomains(pl.Domains, lo, hi, align)
+	pl.fillIters()
+	return pl
+}
+
+// evenDomains partitions the hull [lo, hi) evenly into len(dst) file
+// domains, each a multiple of align long when align > 0.
+func evenDomains(dst []Domain, lo, hi, align int64) {
+	na := int64(len(dst))
+	ds := (hi - lo + na - 1) / na
 	if align > 0 && ds%align != 0 {
 		ds += align - ds%align
 	}
 	if ds <= 0 {
 		ds = 1
 	}
-	for a := 0; a < na; a++ {
+	for a := range dst {
 		dlo := lo + int64(a)*ds
 		dhi := dlo + ds
 		if dlo > hi {
@@ -336,10 +343,8 @@ func BuildPlan(reqs [][]layout.Run, aggrs []int, cb, align int64) *Plan {
 		if dhi > hi {
 			dhi = hi
 		}
-		pl.Domains[a] = Domain{dlo, dhi}
+		dst[a] = Domain{dlo, dhi}
 	}
-	pl.fillIters()
-	return pl
 }
 
 // buildPlanWeighted is BuildPlan with cost-proportional file domains: the
@@ -353,6 +358,17 @@ func buildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, f *pfs
 	if empty {
 		return pl
 	}
+	weightedDomains(pl.Domains, lo, hi, align, f, h)
+	pl.fillIters()
+	return pl
+}
+
+// weightedDomains places len(dst)-1 monotone cuts of the hull [lo, hi) at
+// align-sized chunk boundaries, each minimizing the distance between the
+// cumulative observed cost and its even-share target. The cut lands *before*
+// a large chunk when that is closer — a greedy always-include rule would hand
+// a whole straggling stripe to one domain.
+func weightedDomains(dst []Domain, lo, hi, align int64, f *pfs.File, h *pfs.Health) {
 	nchunks := int((hi - lo + align - 1) / align)
 	costs := make([]float64, nchunks)
 	var total float64
@@ -361,11 +377,7 @@ func buildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, f *pfs
 		costs[i] = observedCost(f, h, clo, min(clo+align, hi))
 		total += costs[i]
 	}
-	// Place na-1 monotone cuts at chunk boundaries, each minimizing the
-	// distance between the cumulative cost and its even-share target. The
-	// cut lands *before* a large chunk when that is closer — a greedy
-	// always-include rule would hand a whole straggling stripe to one domain.
-	na := len(aggrs)
+	na := len(dst)
 	bounds := make([]int64, na+1)
 	bounds[0], bounds[na] = lo, hi
 	cum := 0.0
@@ -378,11 +390,9 @@ func buildPlanWeighted(reqs [][]layout.Run, aggrs []int, cb, align int64, f *pfs
 		}
 		bounds[a] = min(lo+int64(j)*align, hi)
 	}
-	for a := 0; a < na; a++ {
-		pl.Domains[a] = Domain{bounds[a], bounds[a+1]}
+	for a := range dst {
+		dst[a] = Domain{bounds[a], bounds[a+1]}
 	}
-	pl.fillIters()
-	return pl
 }
 
 // observedCost prices the file range [lo, hi) as its bytes, each weighted by
@@ -398,31 +408,86 @@ func observedCost(f *pfs.File, h *pfs.Health, lo, hi int64) float64 {
 	return ct
 }
 
-// fillIters populates Iters, MaxIters, and the expected-message index from
-// pl.Domains — the domain-independent second half of plan construction.
-func (pl *Plan) fillIters() {
-	reqs, cb, na := pl.reqs, pl.CB, len(pl.Aggrs)
-	type frag struct {
-		it    int
-		owner int
-		run   layout.Run
+// overlapping returns the stretch of sorted, disjoint runs that overlaps
+// [lo, hi), in place: its first and last runs may reach past lo and hi.
+func overlapping(runs []layout.Run, lo, hi int64) []layout.Run {
+	i := sort.Search(len(runs), func(i int) bool { return runs[i].End() > lo })
+	j := i + sort.Search(len(runs)-i, func(k int) bool { return runs[i+k].Offset >= hi })
+	return runs[i:j]
+}
+
+// eachPiece calls visit for every piece of the file domain d: each owner's
+// runs clipped to d and split at the collective-buffer grid anchored at st,
+// with k the piece's iteration. Owners come in order and each owner's runs in
+// file order, so the pieces of any one iteration come in (owner, offset)
+// order.
+func (pl *Plan) eachPiece(d Domain, st int64, visit func(k, owner int, r layout.Run)) {
+	cb := pl.CB
+	for o, rs := range pl.reqs {
+		for _, r := range overlapping(rs, d.Lo, d.Hi) {
+			off, end := max(r.Offset, d.Lo), min(r.End(), d.Hi)
+			for off < end {
+				k := int((off - st) / cb)
+				e := min(end, st+int64(k+1)*cb)
+				visit(k, o, layout.Run{Offset: off, Length: e - off})
+				off = e
+			}
+		}
 	}
-	for a := 0; a < na; a++ {
-		d := pl.Domains[a]
+}
+
+// eachMessage calls visit once for every message of the raw shuffle — one
+// per (iteration, aggregator, owner with pieces in that iteration) — in
+// (iteration, aggregator) order.
+func (pl *Plan) eachMessage(visit func(owner, k, a int)) {
+	for k := 0; k < pl.MaxIters; k++ {
+		for a, its := range pl.Iters {
+			if k >= len(its) {
+				continue
+			}
+			prev := -1
+			for _, pc := range its[k].Pieces {
+				if pc.Owner != prev {
+					visit(pc.Owner, k, a)
+					prev = pc.Owner
+				}
+			}
+		}
+	}
+}
+
+// zeroed returns s resized to n zeros, reusing its storage when it can.
+func zeroed(s []int, n int) []int {
+	if cap(s) < n {
+		return make([]int, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// fillIters populates Iters, MaxIters, and the expected-message index from
+// pl.Domains — the domain-independent second half of plan construction. It
+// counts before it fills, so each aggregator's pieces and the expect index
+// are capped stretches of one exactly sized array each, and it reads each
+// owner's runs in place. Pieces land in their iteration's stretch in the
+// order eachPiece visits them, which is (owner, offset) order: a stable
+// counting sort by iteration, with no sort.
+func (pl *Plan) fillIters() {
+	var cnt []int
+	for a, d := range pl.Domains {
 		if d.Hi <= d.Lo {
 			continue
 		}
-		// Bounds of requested bytes within the domain.
+		// Bounds [st, en) of requested bytes within the domain.
 		var st, en int64
 		var any bool
-		perOwner := make([][]layout.Run, len(reqs))
-		for o, rs := range reqs {
-			w := layout.Window(rs, d.Lo, d.Hi)
-			perOwner[o] = w
+		for _, rs := range pl.reqs {
+			w := overlapping(rs, d.Lo, d.Hi)
 			if len(w) == 0 {
 				continue
 			}
-			l, h := layout.Bounds(w)
+			l, h := max(w[0].Offset, d.Lo), min(w[len(w)-1].End(), d.Hi)
 			if !any || l < st {
 				st = l
 			}
@@ -434,76 +499,47 @@ func (pl *Plan) fillIters() {
 		if !any {
 			continue
 		}
-		ntimes := int((en - st + cb - 1) / cb)
+		ntimes := int((en - st + pl.CB - 1) / pl.CB)
+		cnt = zeroed(cnt, ntimes)
+		total := 0
+		pl.eachPiece(d, st, func(k, _ int, _ layout.Run) { cnt[k]++; total++ })
 		iters := make([]Iter, ntimes)
-		var frags []frag
-		for o, w := range perOwner {
-			for _, r := range w {
-				// Split r at the cb grid anchored at st.
-				off, end := r.Offset, r.End()
-				for off < end {
-					k := int((off - st) / cb)
-					wHi := st + int64(k+1)*cb
-					e := end
-					if wHi < e {
-						e = wHi
-					}
-					frags = append(frags, frag{it: k, owner: o, run: layout.Run{Offset: off, Length: e - off}})
-					off = e
-				}
+		pieces := make([]Piece, total)
+		pos := 0
+		for k, n := range cnt {
+			if n > 0 {
+				iters[k].Pieces = pieces[pos : pos : pos+n]
+				pos += n
 			}
 		}
-		// (iter, owner, offset) is a total order — an owner's fragments are
-		// disjoint — so an unstable sort has one answer.
-		slices.SortFunc(frags, func(x, y frag) int {
-			if c := cmp.Compare(x.it, y.it); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(x.owner, y.owner); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.run.Offset, y.run.Offset)
-		})
-		for _, f := range frags {
-			it := &iters[f.it]
+		pl.eachPiece(d, st, func(k, o int, r layout.Run) {
+			it := &iters[k]
 			if it.Empty() {
-				it.ReadLo, it.ReadHi = f.run.Offset, f.run.End()
+				it.ReadLo, it.ReadHi = r.Offset, r.End()
 			} else {
-				if f.run.Offset < it.ReadLo {
-					it.ReadLo = f.run.Offset
-				}
-				if f.run.End() > it.ReadHi {
-					it.ReadHi = f.run.End()
-				}
+				it.ReadLo, it.ReadHi = min(it.ReadLo, r.Offset), max(it.ReadHi, r.End())
 			}
-			it.Pieces = append(it.Pieces, Piece{Owner: f.owner, Run: f.run})
-		}
-		pl.Iters[a] = iters
-		if ntimes > pl.MaxIters {
-			pl.MaxIters = ntimes
-		}
-		// Expected-message index: one message per (owner, iter) with data.
-		for k := range iters {
-			prevOwner := -1
-			for _, pc := range iters[k].Pieces {
-				if pc.Owner != prevOwner {
-					pl.expect[pc.Owner] = append(pl.expect[pc.Owner], expectEntry{It: k, Aggr: a})
-					prevOwner = pc.Owner
-				}
-			}
-		}
-	}
-	// expect entries must be sorted by iteration (then aggregator) for the
-	// receivers' single pass; they were appended per aggregator, so re-sort.
-	for o := range pl.expect {
-		// One entry per (iteration, aggregator): a total order again.
-		slices.SortFunc(pl.expect[o], func(x, y expectEntry) int {
-			if c := cmp.Compare(x.It, y.It); c != 0 {
-				return c
-			}
-			return cmp.Compare(x.Aggr, y.Aggr)
+			it.Pieces = append(it.Pieces, Piece{Owner: o, Run: r})
 		})
+		pl.Iters[a] = iters
+		pl.MaxIters = max(pl.MaxIters, ntimes)
 	}
+	// Expected-message index, in the (iteration, aggregator) order the
+	// receivers walk it.
+	cnt = zeroed(cnt, len(pl.expect))
+	total := 0
+	pl.eachMessage(func(o, _, _ int) { cnt[o]++; total++ })
+	entries := make([]expectEntry, total)
+	pos := 0
+	for o, n := range cnt {
+		if n > 0 {
+			pl.expect[o] = entries[pos : pos : pos+n]
+			pos += n
+		}
+	}
+	pl.eachMessage(func(o, k, a int) {
+		pl.expect[o] = append(pl.expect[o], expectEntry{It: k, Aggr: a})
+	})
 }
 
 // DefaultAggregators returns one aggregator comm rank per group of

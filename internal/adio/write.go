@@ -23,7 +23,7 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 		aggrs = DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
 	}
 	reqs := exchangeRequests(r, c, rq.Runs)
-	pl := sharedPlan(cl, f, reqs, aggrs, p, roundKey{rounds: 1})
+	pl := sharedPlan(cl, f, reqs, nil, aggrs, p, roundKey{rounds: 1})
 	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
 	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	me := c.RankOf(r)

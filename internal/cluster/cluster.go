@@ -89,11 +89,13 @@ type Cluster struct {
 	tenantUse map[string]float64 // rank-seconds of service charged per tenant
 
 	// Dimensional telemetry caches (dimensional.go): labeled-family handles
-	// built once and reused, plus the per-class wait windows behind -series
-	// and the scratch a series point is built in.
+	// built once and reused, the scratch the per-OST and per-NIC families are
+	// read into, plus the per-class wait windows behind -series and the
+	// scratch a series point is built in.
 	tenantMxCache     map[string]*tenantMetrics
 	ostBusyG, ostLatG []*obs.Gauge
 	nicTxG, nicRxG    []*obs.Gauge
+	hwOST, hwTx, hwRx []float64
 	memoG             *memoGauges
 	classWin          []*waitWindow // sorted by class name
 	seriesOST         []float64

@@ -78,41 +78,43 @@ type memoGauges struct {
 
 // mirrorLabeled syncs the labeled hardware and memo families from their
 // sources; called from mirrorTotals, so every publish point and finishObs
-// see it. Handles are built on first call and reused.
+// see it. Handles are built on first call and reused, and the hardware
+// readings go through the cluster's scratch, so a publish allocates nothing.
 func (c *Cluster) mirrorLabeled(m *obs.Registry) {
-	busy := c.fs.OSTBusyTimes()
+	c.hwOST = c.fs.AppendOSTBusyTimes(c.hwOST[:0])
 	if c.ostBusyG == nil {
 		bv := m.GaugeVec("pfs_ost_busy_seconds", "ost")
 		lv := m.GaugeVec("pfs_ost_read_latency_seconds", "ost")
-		c.ostBusyG = make([]*obs.Gauge, len(busy))
-		c.ostLatG = make([]*obs.Gauge, len(busy))
-		for i := range busy {
+		c.ostBusyG = make([]*obs.Gauge, len(c.hwOST))
+		c.ostLatG = make([]*obs.Gauge, len(c.hwOST))
+		for i := range c.hwOST {
 			id := strconv.Itoa(i)
 			c.ostBusyG[i] = bv.With(id)
 			c.ostLatG[i] = lv.With(id)
 		}
 	}
-	for i, b := range busy {
+	for i, b := range c.hwOST {
 		c.ostBusyG[i].Set(b)
 	}
-	for i, l := range c.fs.OSTReadLatency() {
+	c.hwOST = c.fs.AppendOSTReadLatency(c.hwOST[:0])
+	for i, l := range c.hwOST {
 		c.ostLatG[i].Set(l)
 	}
-	tx, rx := c.w.Net().NICBusyTimes()
+	c.hwTx, c.hwRx = c.w.Net().AppendNICBusyTimes(c.hwTx[:0], c.hwRx[:0])
 	if c.nicTxG == nil {
 		nv := m.GaugeVec("fabric_nic_busy_seconds", "node", "dir")
-		c.nicTxG = make([]*obs.Gauge, len(tx))
-		c.nicRxG = make([]*obs.Gauge, len(rx))
-		for i := range tx {
+		c.nicTxG = make([]*obs.Gauge, len(c.hwTx))
+		c.nicRxG = make([]*obs.Gauge, len(c.hwRx))
+		for i := range c.hwTx {
 			id := strconv.Itoa(i)
 			c.nicTxG[i] = nv.With(id, "tx")
 			c.nicRxG[i] = nv.With(id, "rx")
 		}
 	}
-	for i, b := range tx {
+	for i, b := range c.hwTx {
 		c.nicTxG[i].Set(b)
 	}
-	for i, b := range rx {
+	for i, b := range c.hwRx {
 		c.nicRxG[i].Set(b)
 	}
 	if c.memo != nil {

@@ -116,6 +116,18 @@ func TestSeriesSampleZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestMirrorTotalsZeroAlloc: a publish point reads the per-OST and per-NIC
+// families into the cluster's scratch and sets cached gauge handles, so
+// mirroring the totals allocates nothing once the handles exist.
+func TestMirrorTotalsZeroAlloc(t *testing.T) {
+	ot := obs.New()
+	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot, Memo: true, FS: pfs.Params{NumOSTs: 156}})
+	c.mirrorTotals() // build the handles and grow the scratch
+	if got := testing.AllocsPerRun(500, c.mirrorTotals); got != 0 {
+		t.Errorf("mirroring the totals allocates %v times per publish, want 0", got)
+	}
+}
+
 // TestClassWaitSummaryMatchesFreshSort: a class window re-sorts only when a
 // wait entered it, and its p50/p99 are then those of a fresh sort of the
 // window, however waits and samples interleave across classes.

@@ -120,15 +120,14 @@ func (n *Network) Node(r int) int { return r / n.params.RanksPerNode }
 // Nodes returns the number of nodes in the network.
 func (n *Network) Nodes() int { return len(n.tx) }
 
-// NICBusyTimes returns each node's cumulative injection (tx) and ejection
-// (rx) NIC busy time in virtual seconds, for load reports and the per-NIC
-// telemetry families.
-func (n *Network) NICBusyTimes() (tx, rx []float64) {
-	tx = make([]float64, len(n.tx))
-	rx = make([]float64, len(n.rx))
+// AppendNICBusyTimes appends each node's cumulative injection (tx) and
+// ejection (rx) NIC busy time in virtual seconds to tx and rx, for the
+// per-NIC telemetry families, so a caller publishing them every round can
+// reuse two slices.
+func (n *Network) AppendNICBusyTimes(tx, rx []float64) ([]float64, []float64) {
 	for i := range n.tx {
-		tx[i] = n.tx[i].BusyTime
-		rx[i] = n.rx[i].BusyTime
+		tx = append(tx, n.tx[i].BusyTime)
+		rx = append(rx, n.rx[i].BusyTime)
 	}
 	return tx, rx
 }

@@ -270,20 +270,27 @@ func (c *Comm) Allreduce(r *Rank, data interface{}, bytes int64, op ReduceFn) in
 	return c.Bcast(r, 0, v, bytes)
 }
 
-// Gatherv collects each member's payload at root, indexed by comm rank; it
+// Gatherv collects each member's value at root, indexed by comm rank; it
 // returns the slice at root and nil elsewhere. bytes holds the per-member
-// sizes (indexed by comm rank).
-func (c *Comm) Gatherv(r *Rank, root int, payload interface{}, bytes []int64) []interface{} {
+// message sizes (indexed by comm rank).
+func Gatherv[T any](c *Comm, r *Rank, root int, v T, bytes []int64) []T {
+	return gather(c, r, root, v, bytes[c.mustRank(r)])
+}
+
+// gather is Gatherv given only the caller's own message size: the root learns
+// the others' from their messages, so a uniform-size gather needs no size
+// list.
+func gather[T any](c *Comm, r *Rank, root int, v T, bytes int64) []T {
 	me := c.mustRank(r)
 	tag := c.nextTag(me)
-	sp := c.beginColl(r, "mpi.gatherv", bytes[me])
+	sp := c.beginColl(r, "mpi.gatherv", bytes)
 	defer c.endColl(r, sp)
 	if me != root {
-		c.send(r, root, tag, payload, bytes[me])
+		c.send(r, root, tag, v, bytes)
 		return nil
 	}
-	out := make([]interface{}, c.Size())
-	out[me] = payload
+	out := make([]T, c.Size())
+	out[me] = v
 	// Post all receives, then complete in post order. Each receive matches a
 	// specific source, so the comm index of the k-th request is known at post
 	// time (Wait recycles the request, so its fields must not be read after).
@@ -296,38 +303,30 @@ func (c *Comm) Gatherv(r *Rank, root int, payload interface{}, bytes []int64) []
 		}
 	}
 	for k, q := range reqs {
-		v, _ := r.Wait(q)
-		out[from[k]] = v
+		if x, _ := r.Wait(q); x != nil {
+			out[from[k]] = x.(T)
+		}
 	}
 	return out
 }
 
-// Allgather gathers every member's payload to member 0 and broadcasts the
-// full slice; every member returns it, indexed by comm rank. The modeled
-// bcast volume is the sum of all payload sizes, matching ROMIO's offset-list
-// exchange cost.
-func (c *Comm) Allgather(r *Rank, payload interface{}, bytes int64) []interface{} {
-	all := c.Gatherv(r, 0, payload, repeat(bytes, c.Size()))
-	total := bytes * int64(c.Size())
-	v := c.Bcast(r, 0, all, total)
-	return v.([]interface{})
+// Allgather gathers every member's value (a message of bytes bytes each) to
+// member 0, which broadcasts the slice it built; every member returns that
+// one slice, indexed by comm rank. The modeled bcast volume is the sum of all
+// payload sizes, matching ROMIO's offset-list exchange cost. The result is
+// shared by every member of the call and must not be mutated.
+func Allgather[T any](c *Comm, r *Rank, v T, bytes int64) []T {
+	all := gather(c, r, 0, v, bytes)
+	return c.Bcast(r, 0, all, bytes*int64(c.Size())).([]T)
 }
 
-// Allgatherv is Allgather with per-member sizes.
-func (c *Comm) Allgatherv(r *Rank, payload interface{}, bytes []int64) []interface{} {
-	all := c.Gatherv(r, 0, payload, bytes)
+// Allgatherv is Allgather with per-member sizes. Its result, too, is shared
+// by every member and must not be mutated.
+func Allgatherv[T any](c *Comm, r *Rank, v T, bytes []int64) []T {
+	all := Gatherv(c, r, 0, v, bytes)
 	var total int64
 	for _, b := range bytes {
 		total += b
 	}
-	v := c.Bcast(r, 0, all, total)
-	return v.([]interface{})
-}
-
-func repeat(v int64, n int) []int64 {
-	s := make([]int64, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
+	return c.Bcast(r, 0, all, total).([]T)
 }

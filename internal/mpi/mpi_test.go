@@ -265,15 +265,18 @@ func harnessComm(t *testing.T, n int, main func(c *Comm, r *Rank)) {
 
 func TestGather(t *testing.T) {
 	const n, root = 5, 2
-	var got []interface{}
+	var got []int
 	harnessComm(t, n, func(c *Comm, r *Rank) {
-		out := c.Gatherv(r, root, r.Rank()*r.Rank(), []int64{8, 16, 24, 32, 40})
+		out := Gatherv(c, r, root, r.Rank()*r.Rank(), []int64{8, 16, 24, 32, 40})
 		if r.Rank() == root {
 			got = out
 		} else if out != nil {
 			t.Errorf("non-root got %v", out)
 		}
 	})
+	if len(got) != n {
+		t.Fatalf("root gathered %d values, want %d", len(got), n)
+	}
 	for i, v := range got {
 		if v != i*i {
 			t.Fatalf("got[%d] = %v, want %d", i, v, i*i)
@@ -281,16 +284,26 @@ func TestGather(t *testing.T) {
 	}
 }
 
+// TestAllgather: every member returns the values in comm-rank order, and
+// the one slice the root built, not a copy of its own.
 func TestAllgather(t *testing.T) {
 	const n = 4
-	all := make([][]interface{}, n)
+	all := make([][]string, n)
+	allv := make([][]string, n)
 	harnessComm(t, n, func(c *Comm, r *Rank) {
-		all[r.Rank()] = c.Allgather(r, fmt.Sprintf("r%d", r.Rank()), 16)
+		me := fmt.Sprintf("r%d", r.Rank())
+		all[r.Rank()] = Allgather(c, r, me, 16)
+		allv[r.Rank()] = Allgatherv(c, r, me, []int64{8, 16, 24, 32})
 	})
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if all[i][j] != fmt.Sprintf("r%d", j) {
-				t.Fatalf("all[%d][%d] = %v", i, j, all[i][j])
+	for _, got := range [][][]string{all, allv} {
+		for i := 0; i < n; i++ {
+			for j := 0; j < n; j++ {
+				if got[i][j] != fmt.Sprintf("r%d", j) {
+					t.Fatalf("all[%d][%d] = %v", i, j, got[i][j])
+				}
+			}
+			if &got[i][0] != &got[0][0] {
+				t.Fatalf("member %d returned its own copy of the gathered slice", i)
 			}
 		}
 	}
@@ -364,7 +377,7 @@ func TestCollectivesPropertyRandom(t *testing.T) {
 			want += vals[i]
 		}
 		var reduced, bcasted interface{}
-		gathered := make([][]interface{}, n)
+		gathered := make([][]int, n)
 		env := sim.NewEnv()
 		w := NewWorld(env, n, fabric.Params{RanksPerNode: 1 + rng.Intn(8)})
 		c := w.Comm()
@@ -380,7 +393,7 @@ func TestCollectivesPropertyRandom(t *testing.T) {
 			if v := c.Bcast(r, root, b, 32); me == (root+1)%n {
 				bcasted = v
 			}
-			gathered[me] = c.Allgather(r, vals[me], 8)
+			gathered[me] = Allgather(c, r, vals[me], 8)
 		})
 		if err := env.Run(); err != nil {
 			t.Fatal(err)

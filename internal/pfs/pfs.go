@@ -203,23 +203,20 @@ func (h *Health) Flagged(threshold float64) []int {
 	return out
 }
 
-// OSTReadLatency returns each OST's mean observed read latency (queueing
-// plus service per stripe piece, virtual seconds; 0 for OSTs that served no
-// reads). This is the dashboard heatmap's input: a straggling OST shows up
-// as a hot cell because queueing and the slow factor both stretch its mean.
-func (fs *FS) OSTReadLatency() []float64 {
-	out := make([]float64, len(fs.osts))
-	for i := range out {
-		if fs.ostReads[i] > 0 {
-			out[i] = fs.ostReadSec[i] / float64(fs.ostReads[i])
+// AppendOSTReadLatency appends each OST's mean observed read latency
+// (queueing plus service per stripe piece, virtual seconds; 0 for OSTs that
+// served no reads) to dst, so a caller publishing them every round can reuse
+// one slice. A straggling OST shows up as a hot cell because queueing and the
+// slow factor both stretch its mean.
+func (fs *FS) AppendOSTReadLatency(dst []float64) []float64 {
+	for i, n := range fs.ostReads {
+		var l float64
+		if n > 0 {
+			l = fs.ostReadSec[i] / float64(n)
 		}
+		dst = append(dst, l)
 	}
-	return out
-}
-
-// OSTBusyTimes returns each OST's cumulative busy time, for load reports.
-func (fs *FS) OSTBusyTimes() []float64 {
-	return fs.AppendOSTBusyTimes(make([]float64, 0, len(fs.osts)))
+	return dst
 }
 
 // AppendOSTBusyTimes appends each OST's cumulative busy time to dst, so a

@@ -214,7 +214,7 @@ func TestStripePlacementRoundRobin(t *testing.T) {
 	if err := env.Run(); err != nil {
 		t.Fatal(err)
 	}
-	busy := fs.OSTBusyTimes()
+	busy := fs.AppendOSTBusyTimes(nil)
 	if busy[0] != 0 || busy[3] != 0 {
 		t.Fatalf("OSTs outside the stripe set were used: %v", busy)
 	}

@@ -60,11 +60,11 @@ func TestNoObsNoHistograms(t *testing.T) {
 	}
 }
 
-// OSTReadLatency reports per-OST mean read latency; a straggling OST's mean
+// AppendOSTReadLatency reports per-OST mean read latency; a straggling OST's mean
 // must stand out from its healthy peers.
 func TestOSTReadLatency(t *testing.T) {
 	fs := runRead(t, nil, 0)
-	lat := fs.OSTReadLatency()
+	lat := fs.AppendOSTReadLatency(nil)
 	if len(lat) != 4 {
 		t.Fatalf("%d OSTs, want 4", len(lat))
 	}
@@ -74,7 +74,7 @@ func TestOSTReadLatency(t *testing.T) {
 		}
 	}
 
-	slow := runRead(t, nil, 50).OSTReadLatency()
+	slow := runRead(t, nil, 50).AppendOSTReadLatency(nil)
 	for i, v := range slow {
 		if i == 1 {
 			continue
@@ -88,7 +88,7 @@ func TestOSTReadLatency(t *testing.T) {
 // An FS that never served a read reports zero means, not NaN.
 func TestOSTReadLatencyIdle(t *testing.T) {
 	_, fs := testFS(Params{NumOSTs: 3})
-	for i, v := range fs.OSTReadLatency() {
+	for i, v := range fs.AppendOSTReadLatency(nil) {
 		if v != 0 {
 			t.Fatalf("idle ost %d latency %g, want 0", i, v)
 		}
