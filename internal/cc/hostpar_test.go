@@ -27,8 +27,8 @@ import (
 // owner groups, four times host.Grain each, so the map's host phase runs on
 // worker goroutines whenever GOMAXPROCS allows; the groups differ in size, so
 // charging them in any order but the groups' own would move the clock's
-// rounding. Most ranks' traditional reads are several Grain-element units of
-// Dataset.Values.
+// rounding. Most ranks' traditional slabs are several times host.Grain
+// elements, so their folds run on fold slots beside the simulation.
 var parGeometry = struct {
 	rows   []int64 // of each time step, per rank
 	dims   []int64
@@ -215,7 +215,7 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 
 // panicOp panics in Absorb on the subset that holds element (5, 64, 0),
 // rank 4's first of time step 5: on the CC leg a fold on the host phase's
-// workers, on the traditional leg one of rank 4's units, folded on a
+// workers, on the traditional leg one of rank 4's chunks, folded on a
 // goroutine beside the simulation while the rank is charged for it. It
 // embeds Sum, so it has Sum's methods, but not its type: it does not scan.
 type panicOp struct{ Sum }

@@ -42,9 +42,10 @@ type Subset struct {
 // Absorb may run concurrently on distinct states and must not share mutable
 // state across calls; every operator here, Fuse, WindowOp and PerIndex
 // included, complies. The traditional leg folds a rank's subset from one
-// state in units, one Absorb at a time, on a host goroutine that runs beside
-// the simulation from the end of the rank's read until its reduce
-// (ncfile.FoldVara); that it gives the one-call answer rests on the
+// state with the map's fold and cut: its element runs in chunks, each cut
+// into the map's subsets, one Absorb at a time, on a host goroutine that
+// runs beside the simulation from the end of the rank's read until its
+// reduce (ncfile.FoldVara). That it gives the one-call answer rests on the
 // left-fold rule: absorbing consecutive row-major sub-rectangles of a
 // rectangle in order, from one state, gives the same bits as absorbing the
 // whole rectangle. Merge, StateBytes and Value run on the rank's goroutine.

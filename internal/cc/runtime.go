@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"repro/internal/adio"
+	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/ncfile"
@@ -350,13 +351,13 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 	// fold starts on a host slot once the read is done and runs while the
 	// rank is charged for it (FoldVara): Absorb moves no virtual time, so it
 	// may run at any moment before the reduce needs its state.
+	v, _ := io.DS.Var(io.VarID)
 	f := newFold(op, io.DS.CanScan(io.VarID), op.Zero())
-	var acc *ncfile.Acc
-	if f.sc != nil {
-		acc = &f.acc
-	}
 	independent := io.Mode == Independent
-	join, err := io.DS.FoldVara(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params, independent, acc, &f)
+	join, err := io.DS.FoldVara(r, c, cl, io.VarID, io.Slab, io.Aggregators, io.Params, independent,
+		func(w *ncfile.Worker, elemRuns []layout.Run, raw []byte) {
+			f.slab(w, io.DS, io.VarID, v, elemRuns, raw, !io.NoCoalesce)
+		})
 	if err != nil {
 		return Result{}, err
 	}
@@ -377,15 +378,18 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 		io.Stats.MapSeconds += float64(elems) * io.SecPerElem
 	}
 	join.Wait()
-	v, _ := io.DS.Var(io.VarID)
-	f.n = elems
 	return finalReduce(r, c, io, op, f.state(v.Dims))
 }
+
+// foldChunk is the most elements the traditional leg's fold absorbs at once
+// where it does not scan: the bound on its fold slot's value buffer, a
+// quarter of host.Grain, one time step of a rank's subset in paper_cc.
+const foldChunk = host.Grain / 4
 
 // fold folds a variable's values into one state: by a generator's scan into
 // acc when sc is set, and otherwise by op's Absorb of the values, subset by
 // subset. The CC map runs one per owner group, over its pieces' runs (run),
-// and the traditional leg one per rank, as FoldVara's acc or Folder.
+// and the traditional leg one per rank, over its slab's runs (slab).
 type fold struct {
 	op  Op
 	sc  scanOp
@@ -407,14 +411,9 @@ func newFold(op Op, canScan bool, st State) fold {
 	return f
 }
 
-// Fold absorbs a unit of the traditional leg's values (ncfile.Folder).
-func (f *fold) Fold(unit layout.Slab, vals []float64) {
-	f.st = f.op.Absorb(f.st, Subset{Slab: unit, Data: vals})
-}
-
 // run folds the values of elemRun, a run of variable id's elements that
-// slabs tile in order, on host worker w; raw is the run's bytes when the
-// dataset holds bytes.
+// slabs tile in order, on host worker or fold slot w; raw is the run's bytes
+// when the dataset holds bytes. A scan does not look at slabs.
 func (f *fold) run(w *ncfile.Worker, ds *ncfile.Dataset, id int, elemRun layout.Run, slabs []layout.Slab, raw []byte) {
 	runs := []layout.Run{elemRun}
 	if f.sc != nil {
@@ -428,6 +427,29 @@ func (f *fold) run(w *ncfile.Worker, ds *ncfile.Dataset, id int, elemRun layout.
 		n := slab.NumElems()
 		f.st = f.op.Absorb(f.st, Subset{Slab: slab, Data: data[pos : pos+n]})
 		pos += n
+	}
+}
+
+// slab folds a rank's slab of variable id, v, on fold slot w, in row-major
+// order: elemRuns are the slab's element runs and raw the bytes read, when
+// the dataset holds bytes. A scan takes each run whole. Otherwise each run is
+// cut into chunks of at most foldChunk elements, and the map's cut
+// (RunToSlabs) makes each chunk's subsets.
+func (f *fold) slab(w *ncfile.Worker, ds *ncfile.Dataset, id int, v *ncfile.Var, elemRuns []layout.Run, raw []byte, coalesce bool) {
+	sz := v.Type.Size()
+	for _, run := range elemRuns {
+		if f.sc != nil {
+			f.run(w, ds, id, run, nil, nil)
+			continue
+		}
+		for lo := int64(0); lo < run.Length; lo += foldChunk {
+			chunk := layout.Run{Offset: run.Offset + lo, Length: min(foldChunk, run.Length-lo)}
+			var b []byte
+			if raw != nil {
+				b, raw = raw[:chunk.Length*sz], raw[chunk.Length*sz:]
+			}
+			f.run(w, ds, id, chunk, w.Slabs.RunToSlabs(v.Dims, chunk, coalesce), b)
+		}
 	}
 }
 
@@ -529,6 +551,17 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 
 	transform := func(aggrIdx, iter int, it *adio.Iter, ext []byte) map[int]adio.Payload {
 		pieces := it.Pieces
+		// A group is a run of one owner's pieces. Count them first, so that
+		// the slice is allocated once, at the size of the most groups.
+		ng := 0
+		for k := range pieces {
+			if k == 0 || pieces[k].Owner != pieces[k-1].Owner {
+				ng++
+			}
+		}
+		if cap(groups) < ng {
+			groups = make([]ownerGroup, 0, ng)
+		}
 		groups = groups[:0]
 		var elems int64
 		for k, pc := range pieces {

@@ -21,26 +21,36 @@ import (
 )
 
 // foldVars are the variables of the traditional fold's beds: a 4-D grid of
-// 1024-element rows, and a 3-D variable whose rows are longer than a fold
-// unit, so that a unit can only be a whole row.
-var foldVars = [][]int64{{4, 6, 16, 1024}, {2, 4, 20000}}
+// 1024-element rows, a 3-D variable whose rows are longer than a fold chunk,
+// so that a chunk is part of a row, and a 3-D variable of 1000-element rows,
+// which no chunk boundary falls between.
+var foldVars = [][]int64{{4, 6, 16, 1024}, {2, 4, 20000}, {5, 4, 1000}}
 
 // foldShapes are the slabs the traditional fold is checked on, with the
-// number of units ncfile cuts each into (8,192 elements at most, unless a
-// row is longer; rows are never cut).
+// number of subsets the map's cut makes of them: each element run is cut
+// into chunks of foldChunk (8,192) elements, and each chunk into the
+// coalesced slabs of RunToSlabs.
 var foldShapes = []struct {
-	name  string
-	v     int // index into foldVars
-	slab  layout.Slab
-	units int
+	name    string
+	v       int // index into foldVars
+	slab    layout.Slab
+	subsets int
 }{
-	// Dimensions of count 1 in front: each unit fixes coordinates 0 and 1
-	// and takes 8 of the 16 rows of dimension 2.
+	// Dimensions of count 1 in front: one run of 64 rows, eight chunks of
+	// eight whole rows, one subset each.
 	{"leading unit dims", 0, layout.Slab{Start: []int64{1, 1, 0, 0}, Count: []int64{1, 4, 16, 1024}}, 8},
-	// Partial rows; the 13 rows of dimension 2 go 8 and 5.
-	{"ragged last unit", 0, layout.Slab{Start: []int64{0, 0, 3, 5}, Count: []int64{3, 5, 13, 1000}}, 30},
-	{"2-unit split", 1, layout.Slab{Start: []int64{1, 1, 0}, Count: []int64{1, 2, 20000}}, 2},
-	{"single row", 1, layout.Slab{Start: []int64{0, 2, 100}, Count: []int64{1, 1, 19000}}, 1},
+	// Partial rows: 195 runs of 1000 elements, a chunk and a subset each.
+	{"partial rows", 0, layout.Slab{Start: []int64{0, 0, 3, 5}, Count: []int64{3, 5, 13, 1000}}, 195},
+	// One run of two 20,000-element rows in five chunks; the third holds
+	// the end of one row and the start of the next, two subsets.
+	{"chunks across a row end", 1, layout.Slab{Start: []int64{1, 1, 0}, Count: []int64{1, 2, 20000}}, 6},
+	// One row in three chunks.
+	{"single row", 1, layout.Slab{Start: []int64{0, 2, 100}, Count: []int64{1, 1, 19000}}, 3},
+	// The whole variable, one run of twenty 1000-element rows. Chunk 1 is
+	// the four rows of time step 0, the four of step 1 and a partial row;
+	// chunk 2 a partial row, the last three rows of step 2, the four of
+	// step 3 and a partial row; chunk 3 a partial row and three whole ones.
+	{"chunk boundaries mid-row", 2, layout.Slab{Start: []int64{0, 0, 0}, Count: []int64{5, 4, 1000}}, 9},
 }
 
 // foldSource is what a fold bed's variable holds: unroundedAt, from a
@@ -121,8 +131,8 @@ func runFold(t *testing.T, src foldSource, v int, slab layout.Slab, io IO, op Op
 // operator, over a generator, its MemBackend twin and the climate field
 // (where the six scanning operators scan the slab), through the collective
 // and the independent read, at GOMAXPROCS 1 and 4 (where a slab of host.Grain
-// elements or more is folded on a goroutine beside the simulation), on slabs
-// with leading dimensions of count 1, a ragged last unit, two units and one.
+// elements or more is folded on a goroutine beside the simulation), on every
+// shape of foldShapes.
 func TestTraditionalFoldIsOneAbsorb(t *testing.T) {
 	images := foldImages(t)
 	for _, sh := range foldShapes {
@@ -159,26 +169,26 @@ func TestTraditionalFoldIsOneAbsorb(t *testing.T) {
 }
 
 // tileOp checks the traditional leg's fold from inside Absorb: no two calls
-// run at once (inflight counts the calls under way), and the units arrive in
-// row-major order, each a sub-rectangle of slab whose elements follow on,
-// in the slab's row-major order, from the last unit's, with one value per
-// element. Its state is the number of elements and units folded.
+// run at once (inflight counts the calls under way), and the subsets arrive
+// in row-major order, each a sub-rectangle of slab whose elements follow on,
+// in the slab's row-major order, from the last subset's, with one value per
+// element. Its state is the number of elements and subsets folded.
 type tileOp struct {
 	t        *testing.T
 	slab     layout.Slab
 	inflight *atomic.Int32
 }
 
-type tileState struct{ elems, units int64 }
+type tileState struct{ elems, subsets int64 }
 
 func (o tileOp) Name() string      { return "tile" }
 func (o tileOp) Zero() State       { return tileState{} }
 func (o tileOp) StateBytes() int64 { return 16 }
 func (o tileOp) Merge(a, b State) State {
 	x, y := a.(tileState), b.(tileState)
-	return tileState{x.elems + y.elems, x.units + y.units}
+	return tileState{x.elems + y.elems, x.subsets + y.subsets}
 }
-func (o tileOp) Value(s State) float64 { return float64(s.(tileState).units) }
+func (o tileOp) Value(s State) float64 { return float64(s.(tileState).subsets) }
 
 func (o tileOp) Absorb(s State, sub Subset) State {
 	if n := o.inflight.Add(1); n != 1 {
@@ -187,14 +197,14 @@ func (o tileOp) Absorb(s State, sub Subset) State {
 	defer o.inflight.Add(-1)
 	st := s.(tileState)
 	u, sl := sub.Slab, o.slab
-	// The unit's first element, as an index into the slab in row-major
-	// order. The unit's elements are a run of that order when every
+	// The subset's first element, as an index into the slab in row-major
+	// order. The subset's elements are a run of that order when every
 	// dimension after the first whose count is not 1 is whole.
 	var first int64
 	split := -1
 	for d := range sl.Count {
 		if u.Start[d] < sl.Start[d] || u.Start[d]+u.Count[d] > sl.Start[d]+sl.Count[d] {
-			o.t.Errorf("unit %v outside the slab %v", u, sl)
+			o.t.Errorf("subset %v outside the slab %v", u, sl)
 			return st
 		}
 		first = first*sl.Count[d] + u.Start[d] - sl.Start[d]
@@ -202,14 +212,14 @@ func (o tileOp) Absorb(s State, sub Subset) State {
 		case split < 0 && u.Count[d] != 1:
 			split = d
 		case split >= 0 && d > split && u.Count[d] != sl.Count[d]:
-			o.t.Errorf("unit %v of slab %v is not a run of its row-major order", u, sl)
+			o.t.Errorf("subset %v of slab %v is not a run of its row-major order", u, sl)
 		}
 	}
 	if first != st.elems {
-		o.t.Errorf("unit %d %v starts at element %d of the slab, want %d", st.units, u, first, st.elems)
+		o.t.Errorf("subset %d %v starts at element %d of the slab, want %d", st.subsets, u, first, st.elems)
 	}
 	if int64(len(sub.Data)) != u.NumElems() {
-		o.t.Errorf("unit %v folded with %d values", u, len(sub.Data))
+		o.t.Errorf("subset %v folded with %d values", u, len(sub.Data))
 	}
 	// Work through the values, so that a call lasts long enough for an
 	// overlap to show.
@@ -218,17 +228,18 @@ func (o tileOp) Absorb(s State, sub Subset) State {
 		acc += x
 	}
 	if math.IsNaN(acc) {
-		o.t.Errorf("unit %v has a NaN", u)
+		o.t.Errorf("subset %v has a NaN", u)
 	}
-	return tileState{elems: st.elems + u.NumElems(), units: st.units + 1}
+	return tileState{elems: st.elems + u.NumElems(), subsets: st.subsets + 1}
 }
 
 // TestTraditionalFoldOneAtATimeInOrder: at GOMAXPROCS 4, the traditional
-// leg's Absorb calls never overlap and take the units in row-major order,
-// tiling the slab exactly, in as many units as ncfile's cut gives the shape;
-// over a generator and a MemBackend, collective and independent. Units made
-// on several goroutines and folded as they came would fail it (and -race
-// would report the shared state).
+// leg's Absorb calls never overlap and take the subsets in row-major order,
+// tiling the slab exactly, in as many subsets as the map's cut makes of the
+// shape's chunks; over a generator and a MemBackend, collective and
+// independent. Subsets made on several goroutines and folded as they came
+// would fail it (and -race would report the shared state), as would chunks
+// folded out of order or dropped.
 func TestTraditionalFoldOneAtATimeInOrder(t *testing.T) {
 	images := foldImages(t)
 	atProcs(4, func() {
@@ -237,9 +248,9 @@ func TestTraditionalFoldOneAtATimeInOrder(t *testing.T) {
 				for _, mode := range []Mode{Collective, Independent} {
 					op := tileOp{t: t, slab: sh.slab, inflight: new(atomic.Int32)}
 					st := runFold(t, src, sh.v, sh.slab, IO{Block: true, Mode: mode}, op).State.(tileState)
-					if st.elems != sh.slab.NumElems() || st.units != int64(sh.units) {
-						t.Errorf("%s, %v, mode %d: %d elements in %d units, want %d in %d",
-							sh.name, src, mode, st.elems, st.units, sh.slab.NumElems(), sh.units)
+					if st.elems != sh.slab.NumElems() || st.subsets != int64(sh.subsets) {
+						t.Errorf("%s, %v, mode %d: %d elements in %d subsets, want %d in %d",
+							sh.name, src, mode, st.elems, st.subsets, sh.slab.NumElems(), sh.subsets)
 					}
 				}
 			}
@@ -247,10 +258,33 @@ func TestTraditionalFoldOneAtATimeInOrder(t *testing.T) {
 	})
 }
 
+// TestEmptySlabFoldsToZero: a rank whose slab holds no element (a count of
+// 0 in a dimension after the first) gets its operator's Zero() state, from
+// either leg through either read, for every operator over a generator, its
+// MemBackend twin and the climate field.
+func TestEmptySlabFoldsToZero(t *testing.T) {
+	images := foldImages(t)
+	slab := layout.Slab{Start: []int64{0, 0, 0, 0}, Count: []int64{1, 0, 16, 1024}}
+	for _, src := range []foldSource{{}, {image: images[0]}, {climate: true}} {
+		for _, op := range foldOps(slab) {
+			want := fmt.Sprintf("%#v", op.Zero())
+			for _, block := range []bool{true, false} {
+				for _, mode := range []Mode{Collective, Independent} {
+					res := runFold(t, src, 0, slab, IO{Block: block, Mode: mode}, op)
+					if got := fmt.Sprintf("%#v", res.State); got != want {
+						t.Errorf("%s, %v, block %v, mode %d: state %s, want Zero() %s",
+							op.Name(), src, block, mode, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
 // BenchmarkTraditionalLeg measures one traditional (Block) leg of Sum over
 // the climate generator, in paper_cc's shape: 8 ranks, each reading 8
-// latitude rows of 1024 elements for 32 time steps, so each rank's fold is
-// 32 units. MB/s reads Melem/s.
+// latitude rows of 1024 elements for 32 time steps, which Sum scans. MB/s
+// reads Melem/s.
 func BenchmarkTraditionalLeg(b *testing.B) {
 	const ranks = 8
 	dims := []int64{64, 8 * ranks, 1024}

@@ -414,7 +414,7 @@ func overBound(got, bound uint64) bool { return !raceEnabled && got > bound }
 // TestTraditionalLegAllocBound: a traditional (Block) object I/O over a
 // generator-backed dataset allocates nothing that scales with the data: its
 // reads are charge-only, so there are no request bytes and no collective
-// buffers, and its folds make their units in the dataset's fold slots, whose
+// buffers, and its folds make their chunks in the dataset's fold slots, whose
 // buffers the first pass grew (steadyAlloc). Over a MemBackend — the byte
 // path — the request bytes (every rank's byte buffer) and the aggregators'
 // collective buffers are what a read of real bytes costs, and still no
@@ -473,11 +473,11 @@ func TestCCLegMallocsAllocBound(t *testing.T) {
 }
 
 // TestTraditionalLegMallocsAllocBound: the objects a traditional leg
-// allocates do not grow with the units its fold is cut into. The bed with
-// eight times the time steps per rank has eight times the units (one time
+// allocates do not grow with the chunks its fold is cut into. The bed with
+// eight times the time steps per rank has eight times the chunks (one time
 // step of 64 rows each), and read through collective buffers eight times as
 // large it has the same pieces and messages; so anything the fold allocated
-// per unit would show here. What Sum allocates itself, a boxed state per
+// per chunk would show here. What Sum allocates itself, a boxed state per
 // Absorb, comes on top and is counted.
 func TestTraditionalLegMallocsAllocBound(t *testing.T) {
 	const grow = 8
@@ -490,7 +490,8 @@ func TestTraditionalLegMallocsAllocBound(t *testing.T) {
 	_, got := b.steadyAlloc(t, io)
 
 	// Each rank's eighth of a bed is an eighth of its time steps, of 64x128
-	// elements, one unit each: the ranks together fold a unit per step.
+	// elements, one chunk and subset each: the ranks together fold one per
+	// step.
 	extraUnits := uint64(many[0] - few[0])
 	sub := Subset{Slab: b.slabs[0], Data: make([]float64, 64*128)}
 	for i := range sub.Data {

@@ -13,10 +13,9 @@ import (
 	"sync/atomic"
 )
 
-// Grain is the work, in elements, below which Run starts no goroutine, and
-// the size of the units a caller cuts one long request into. Below it the
-// hand-off costs more than the second core saves; the small windows of a
-// memo-hit job stream stay inline.
+// Grain is the work, in elements, below which Run and Slots.Start start no
+// goroutine. Below it the hand-off costs more than the second core saves;
+// the small windows of a memo-hit job stream stay inline.
 const Grain = 1 << 15
 
 // Pool runs loops on the host's cores, with one S of scratch per worker that

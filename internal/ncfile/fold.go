@@ -8,41 +8,24 @@ import (
 	"repro/internal/pfs"
 )
 
-// foldUnit is the size, in elements, that FoldVara grows its units to: a
-// quarter of host.Grain, one time step of a rank's subset in paper_cc.
-const foldUnit = host.Grain / 4
-
-// Folder consumes a read's values unit by unit (see FoldVara).
-type Folder interface {
-	// Fold receives the values of unit, a sub-rectangle of the slab read, in
-	// row-major order. unit and vals are valid only during the call.
-	Fold(unit layout.Slab, vals []float64)
-}
-
-// FoldVara reads the hyperslab of variable id and starts folding its values
-// beside the simulation. The read is independent, with data sieving, when
-// independent is set, and otherwise collective over c through aggrs, every
-// member of c calling it. Once the read is done the fold starts on one of
-// the dataset's fold slots (host.Slots) and FoldVara returns its Join. The
-// caller may go on, and yield, while the fold runs; it must Wait on the join
-// before it reads what the fold makes, and on every path out.
+// FoldVara reads the hyperslab of variable id and then runs body beside the
+// simulation. The read is independent, with data sieving, when independent
+// is set, and otherwise collective over c through aggrs, every member of c
+// calling it. Once the read is done, body starts on one of the dataset's
+// fold slots (host.Slots) with the slot's worker w, the slab's element runs
+// and raw, the bytes read, concatenated, when the dataset holds bytes (nil
+// when it is Synthetic). FoldVara returns the job's Join. The caller may go
+// on, and yield, while body runs; it must Wait on the join before it reads
+// what body makes, and on every path out.
 //
-// With acc set, the fold scans the slab's values into *acc in row-major
-// order (Scan); acc may be set only where CanScan(id) holds. Otherwise
-// f.Fold gets the values in units, consecutive row-major sub-rectangles of
-// the slab that tile it (see unitShape), in order, one call at a time. Each
-// unit is made in the slot's buffer, decoded from the bytes read when the
-// dataset holds bytes and generated otherwise.
-//
-// The fold runs on a goroutine of its own, at the same time as the
-// simulation, unless it is under host.Grain elements or GOMAXPROCS is 1, when
-// it runs before FoldVara returns. Until the join, the caller must not touch
-// f or acc, and f.Fold must not yield to the simulation kernel or touch
-// anything the simulation does. The fold itself touches only its slot, the
-// schema and generator, which never change, and its own copies of the read's
-// runs, slab and bytes.
+// body runs on a goroutine of its own, at the same time as the simulation,
+// unless the slab is under host.Grain elements or GOMAXPROCS is 1, when it
+// runs before FoldVara returns. It must not yield to the simulation kernel
+// or touch anything the simulation does: w (WorkerValues, Scan, w.Slabs),
+// the schema and generators, which never change, and the runs and bytes it
+// is given are its to use.
 func (ds *Dataset) FoldVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, id int, slab layout.Slab,
-	aggrs []int, p adio.Params, independent bool, acc *Acc, f Folder) (*host.Join, error) {
+	aggrs []int, p adio.Params, independent bool, body func(w *Worker, elemRuns []layout.Run, raw []byte)) (*host.Join, error) {
 	elems, raw, err := ds.readVara(id, slab, func(rq adio.Request) error {
 		if independent {
 			return adio.IndependentRead(cl, ds.file, rq, p)
@@ -52,83 +35,5 @@ func (ds *Dataset) FoldVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, id int, sl
 	if err != nil {
 		return nil, err
 	}
-	v, n := &ds.vars[id], slab.NumElems()
-	if acc != nil {
-		g := ds.synth.scans[id]
-		return ds.folds.Start(n, func(w *Worker) { scan(&w.coords, v, g, elems, acc) }), nil
-	}
-	var g Gen
-	if ds.synth != nil {
-		g = ds.synth.gens[id]
-	}
-	slab = slab.Clone()
-	return ds.folds.Start(n, func(w *Worker) { w.foldUnits(v, g, raw, elems, slab, f) }), nil
-}
-
-// unitShape returns how FoldVara cuts a slab with these counts into units:
-// a unit fixes the coordinates of the dimensions before d, takes span
-// consecutive indices of dimension d (fewer in the last unit along it when
-// span does not divide its count), and all of every dimension after d. d is
-// the first dimension whose inner rectangle — the dimensions after it —
-// holds at most foldUnit elements, and span as many of its indices as fit
-// in foldUnit with that rectangle. A row is never cut: d is at most the
-// next-to-last dimension, so a slab of rows longer than foldUnit is folded
-// a row at a time, and a one-dimensional slab in one unit. A slab of at
-// most foldUnit elements is one unit.
-func unitShape(count []int64) (d int, span int64) {
-	if len(count) == 1 {
-		return 0, count[0]
-	}
-	inner := layout.NumElemsOf(count[1:])
-	for ; d < len(count)-2 && inner > foldUnit; d++ {
-		inner /= count[d+1]
-	}
-	return d, min(max(foldUnit/inner, 1), count[d])
-}
-
-// foldUnits hands f the values of v's elements in slab in units (unitShape),
-// in row-major order, each made in w's value buffer: decoded from raw, the
-// slab's elements' bytes, when raw is set, and otherwise generated by g
-// (zeros when g is nil). runs are the slab's element runs.
-func (w *Worker) foldUnits(v *Var, g Gen, raw []byte, runs []layout.Run, slab layout.Slab, f Folder) {
-	d, span := unitShape(slab.Count)
-	unit := &w.unit
-	unit.Start = append(unit.Start[:0], slab.Start...)
-	unit.Count = append(unit.Count[:0], slab.Count...)
-	inner := layout.NumElemsOf(slab.Count[d+1:])
-	sz := v.Type.Size()
-	var lo, off int64 // the unit's first element: element lo of the slab, element off of runs[0]
-	for o := int64(0); o < layout.NumElemsOf(slab.Count[:d]); o++ {
-		for e, i := d-1, o; e >= 0; e-- {
-			unit.Start[e], unit.Count[e] = slab.Start[e]+i%slab.Count[e], 1
-			i /= slab.Count[e]
-		}
-		for m := int64(0); m < slab.Count[d]; m += span {
-			unit.Start[d], unit.Count[d] = slab.Start[d]+m, min(span, slab.Count[d]-m)
-			n := unit.Count[d] * inner
-			w.vals = resize(w.vals, n)
-			switch {
-			case raw != nil:
-				decode(v.Type, w.vals, raw[lo*sz:(lo+n)*sz])
-			case g != nil:
-				fillValues(&w.coords, v, g, runs, off, w.vals)
-			default:
-				clear(w.vals)
-			}
-			f.Fold(*unit, w.vals)
-			lo += n
-			runs, off = skip(runs, off, n)
-		}
-	}
-}
-
-// skip returns the position n elements past element off of runs[0], as the
-// runs from the one it falls in and the offset into that run.
-func skip(runs []layout.Run, off, n int64) ([]layout.Run, int64) {
-	off += n
-	for len(runs) > 0 && off >= runs[0].Length {
-		off -= runs[0].Length
-		runs = runs[1:]
-	}
-	return runs, off
+	return ds.folds.Start(slab.NumElems(), func(w *Worker) { body(w, elems, raw) }), nil
 }

@@ -120,14 +120,11 @@ type Dataset struct {
 	file  *pfs.File
 	vars  []Var
 	synth *synth // non-nil for generator-backed datasets (SynthDatasetGen)
-	// work is the host workers' scratch, req the request they are working
-	// on for Values, and unit its unit body. They are shared by every rank
-	// reading this dataset: a dataset lives in one FS and so one sim.Env,
-	// whose kernel runs one process at a time, and RunWorkers returns before
-	// the rank that called it next yields.
+	// work is the host workers' scratch. It is shared by every rank reading
+	// this dataset: a dataset lives in one FS and so one sim.Env, whose
+	// kernel runs one process at a time, and RunWorkers returns before the
+	// rank that called it next yields.
 	work host.Pool[Worker]
-	req  unitReq
-	unit func(*Worker, int) // runUnit, bound once (see synthValues)
 	// folds are FoldVara's slots. A fold runs while the simulation goes
 	// on, so it has a slot of its own and shares none of the above.
 	folds host.Slots[Worker]
@@ -137,18 +134,18 @@ type Dataset struct {
 // the logical subsets they fill (see RunWorkers), or one fold slot's (see
 // FoldVara).
 type Worker struct {
-	coords []int64     // the generator's row walk
-	vals   []float64   // what WorkerValues returns, or a fold's unit
-	unit   layout.Slab // the slab of a fold's unit
-	// Slabs is the worker's slab list: the collective-computing map cuts
-	// its pieces into logical subsets here (Fig. 8).
+	coords []int64   // the generator's row walk
+	vals   []float64 // what WorkerValues returns
+	// Slabs is the worker's slab list: the collective-computing map and the
+	// traditional leg's fold cut their runs into logical subsets here
+	// (Fig. 8).
 	Slabs layout.SlabScratch
 }
 
 // RunWorkers calls body(w, i) once for every i in [0, n) on the host's cores,
 // the way host.Pool.Run does (elems is the work in elements), with w the
 // dataset's scratch of the worker making the call. body must not yield to
-// the simulation kernel, nor call Values, which uses the same workers:
+// the simulation kernel, nor call Values, whose scratch is the rank's:
 // WorkerValues and Scan are its ways to the dataset's values.
 func (ds *Dataset) RunWorkers(n int, elems int64, body func(w *Worker, i int)) {
 	ds.work.Run(n, elems, body)

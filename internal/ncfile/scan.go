@@ -57,18 +57,14 @@ func (ds *Dataset) CanScan(id int) bool {
 }
 
 // Scan folds the values of variable id's elements in elemRuns (runs of
-// linear element indices, in order) into acc on host worker w, inside
-// RunWorkers: the fold of what WorkerValues would return, bit for bit, with
-// no value stored. The variable must scan (CanScan).
+// linear element indices, in order) into acc on host worker or fold slot w,
+// walking w's coordinate scratch along the rows: the fold of what
+// WorkerValues would return, bit for bit, with no value stored. The variable
+// must scan (CanScan).
 func (ds *Dataset) Scan(w *Worker, id int, elemRuns []layout.Run, acc *Acc) {
-	scan(&w.coords, &ds.vars[id], ds.synth.scans[id], elemRuns, acc)
-}
-
-// scan folds the values g makes for v's elements in runs into acc, walking
-// coords (scratch) along the rows.
-func scan(coords *[]int64, v *Var, g Scanner, runs []layout.Run, acc *Acc) {
-	for _, r := range runs {
-		rows(v, r.Offset, r.End(), coords, func(e, n int64, c []int64) {
+	v, g := &ds.vars[id], ds.synth.scans[id]
+	for _, r := range elemRuns {
+		rows(v, r.Offset, r.End(), &w.coords, func(e, n int64, c []int64) {
 			switch acc.Kind {
 			case AccSum:
 				acc.Val = g.SumRow(c, int(n), acc.Val)

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/host"
 	"repro/internal/layout"
 	"repro/internal/pfs"
 )
@@ -98,7 +97,8 @@ func SynthDatasetGen(fs *pfs.FS, name string, s *Schema, gens []Gen,
 // order (Layout assigns offsets in schema order, so that is id order), their
 // generators, the generators that scan a Float32 variable (see CanScan), and
 // the backend fill's coordinate and value scratch, used on a rank's goroutine
-// inside a read and kept per dataset for the reason Dataset.work is.
+// inside a read (and by Values) and kept per dataset for the reason
+// Dataset.work is.
 type synth struct {
 	vars   []Var
 	gens   []Gen     // by variable id; nil = zeros
@@ -116,7 +116,7 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 // its capacity suffices. It is where a generator-backed dataset is told
 // from one holding real bytes for the readers that turn a read into values
 // (GetVara, GetVaraAll, and through WorkerValues the collective-computing
-// map; FoldVara's units make the same choice in foldUnits):
+// map and the traditional leg's fold):
 //
 //   - A Synthetic dataset is immutable and a pure function of (variable,
 //     coordinates), so when and in what form its content is produced is
@@ -127,26 +127,27 @@ func (ds *Dataset) Synthetic() bool { return ds.synth != nil }
 //   - Any other dataset is a mutable store whose read observed it at issue:
 //     raw holds the elements' bytes as that read delivered them,
 //     concatenated, and they are decoded.
+//
+// Values makes the values on the calling goroutine, with the coordinate
+// scratch of the backend's fill: like a read, it runs on a rank's goroutine,
+// never on a host worker or a fold slot.
 func (ds *Dataset) Values(id int, elemRuns []layout.Run, raw []byte, out []float64) []float64 {
-	return ds.values(nil, id, elemRuns, raw, out)
-}
-
-// WorkerValues is Values on one host worker, inside RunWorkers: the values
-// land in w's own buffer, valid until w's next WorkerValues call, and are
-// produced on the calling goroutine alone, so that several workers can call
-// it at once.
-func (ds *Dataset) WorkerValues(w *Worker, id int, elemRuns []layout.Run, raw []byte) []float64 {
-	w.vals = ds.values(w, id, elemRuns, raw, w.vals)
-	return w.vals
-}
-
-// values is Values, with a generator-backed dataset's values made on the
-// host workers when w is nil and on w alone otherwise.
-func (ds *Dataset) values(w *Worker, id int, elemRuns []layout.Run, raw []byte, out []float64) []float64 {
 	if ds.synth == nil {
 		return DecodeValues(ds.vars[id].Type, raw, out)
 	}
-	return ds.synthValues(w, id, elemRuns, out)
+	return ds.synthValues(&ds.synth.coords, id, elemRuns, out)
+}
+
+// WorkerValues is Values on one host worker or fold slot: the values land in
+// w's own buffer, valid until w's next WorkerValues call, and are produced
+// with w's scratch alone, so that several workers can call it at once.
+func (ds *Dataset) WorkerValues(w *Worker, id int, elemRuns []layout.Run, raw []byte) []float64 {
+	if ds.synth == nil {
+		w.vals = DecodeValues(ds.vars[id].Type, raw, w.vals)
+	} else {
+		w.vals = ds.synthValues(&w.coords, id, elemRuns, w.vals)
+	}
+	return w.vals
 }
 
 // synthValues returns the values of the elements of variable id in elemRuns,
@@ -154,97 +155,25 @@ func (ds *Dataset) values(w *Worker, id int, elemRuns []layout.Run, raw []byte, 
 // bit, without producing the bytes: the generator writes straight into out
 // (reused when its capacity suffices, as with DecodeValues) and the element
 // type's encode/decode round trip (float64 -> type -> float64) is applied in
-// place. The dataset must be Synthetic and the runs inside the variable.
-//
-// With w set, w alone fills out. Otherwise the elements are cut into units
-// of host.Grain, counted from the first, and the units are filled on the
-// dataset's host workers. Every element is a function of its coordinates
-// alone, so neither the cut nor the schedule can show in out.
-func (ds *Dataset) synthValues(w *Worker, id int, elemRuns []layout.Run, out []float64) []float64 {
-	n := layout.TotalLength(elemRuns)
-	out = resize(out, n)
+// place, walking coords (scratch) along the rows. The dataset must be
+// Synthetic and the runs inside the variable.
+func (ds *Dataset) synthValues(coords *[]int64, id int, elemRuns []layout.Run, out []float64) []float64 {
+	out = resize(out, layout.TotalLength(elemRuns))
 	g := ds.synth.gens[id]
-	switch {
-	case g == nil:
+	if g == nil {
 		clear(out)
-	case w != nil:
-		fillValues(&w.coords, &ds.vars[id], g, elemRuns, 0, out)
-	default:
-		q := &ds.req
-		q.v, q.g, q.out = &ds.vars[id], g, out
-		q.runs = append(q.runs[:0], elemRuns...)
-		q.cuts = q.cuts[:0]
-		for lo := int64(0); lo < n; lo += host.Grain {
-			q.cut(lo)
-		}
-		if ds.unit == nil {
-			ds.unit = ds.runUnit // bound once, so that a call allocates nothing
-		}
-		ds.work.Run(len(q.cuts), n, ds.unit)
-		q.out = nil
+		return out
 	}
-	return out
-}
-
-// unitReq is the request Values' host workers are working on: out receives
-// the values generator g makes for v's elements in runs, concatenated, in the
-// units cuts marks. The runs are copied into the request: keeping the
-// caller's slice would move it to the heap on every call.
-type unitReq struct {
-	v    *Var
-	g    Gen
-	runs []layout.Run
-	out  []float64
-	cuts []unitCut
-}
-
-// unitCut is where a unit starts: element lo of the request, which is
-// element off of run number run.
-type unitCut struct {
-	run     int
-	off, lo int64
-}
-
-// cut starts the request's next unit at element lo, past every unit it
-// has already started.
-func (q *unitReq) cut(lo int64) {
-	r, pos := 0, int64(0) // run r starts at element pos of out
-	if k := len(q.cuts); k > 0 {
-		c := q.cuts[k-1]
-		r, pos = c.run, c.lo-c.off
-	}
-	for lo >= pos+q.runs[r].Length {
-		pos += q.runs[r].Length
-		r++
-	}
-	q.cuts = append(q.cuts, unitCut{run: r, off: lo - pos, lo: lo})
-}
-
-// runUnit makes unit i of the current request.
-func (ds *Dataset) runUnit(w *Worker, i int) {
-	q := &ds.req
-	c := q.cuts[i]
-	hi := int64(len(q.out))
-	if i+1 < len(q.cuts) {
-		hi = q.cuts[i+1].lo
-	}
-	fillValues(&w.coords, q.v, q.g, q.runs[c.run:], c.off, q.out[c.lo:hi])
-}
-
-// fillValues fills out with the values of v's elements that start off
-// elements into runs[0] and go on through the runs after it, generated by g
-// and rounded to v's type, walking coords (scratch) along the rows.
-func fillValues(coords *[]int64, v *Var, g Gen, runs []layout.Run, off int64, out []float64) {
-	for pos := int64(0); pos < int64(len(out)); runs, off = runs[1:], 0 {
-		first := runs[0].Offset + off
-		m := min(runs[0].Length-off, int64(len(out))-pos)
-		rows(v, first, first+m, coords, func(e, n int64, c []int64) {
-			row := out[pos+e-first:][:n]
+	v, pos := &ds.vars[id], int64(0)
+	for _, r := range elemRuns {
+		rows(v, r.Offset, r.End(), coords, func(e, n int64, c []int64) {
+			row := out[pos+e-r.Offset:][:n]
 			g.FillRow(c, row)
 			roundTrip(v.Type, row) // while the row is still in cache
 		})
-		pos += m
+		pos += r.Length
 	}
+	return out
 }
 
 // rows calls fn once per maximal run of elements [e, e+n) of v within

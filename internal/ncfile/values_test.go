@@ -2,7 +2,6 @@ package ncfile
 
 import (
 	"bytes"
-	"fmt"
 	"math"
 	"runtime"
 	"testing"
@@ -137,7 +136,8 @@ func FuzzSynthValuesMatchBytePath(f *testing.F) {
 // generator-backed dataset GetVara, GetVaraAll and FoldVara over either
 // protocol — which issue charge-only reads and generate their values —
 // return what DecodeValues gives for the bytes the backend serves for the
-// slab, bit for bit, FoldVara's units concatenated. Three
+// slab, bit for bit, FoldVara as the values its fold slot makes of the runs
+// and bytes it is handed. Three
 // ranks read a random slab each (any start and count per dimension, so rows
 // are partial and a slab is many runs) of every variable of randomSynth(seed).
 func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
@@ -178,20 +178,20 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 				t.Error(err)
 			}
 			for _, independent := range []bool{false, true} {
-				var f concat
-				join, err := ds.FoldVara(r, c, cl, id, slabs[id][me], nil, p, independent, nil, &f)
+				var vals []float64
+				join, err := ds.FoldVara(r, c, cl, id, slabs[id][me], nil, p, independent,
+					func(w *Worker, elemRuns []layout.Run, raw []byte) {
+						vals = append(vals, ds.WorkerValues(w, id, elemRuns, raw)...)
+					})
 				if err != nil {
 					t.Error(err)
 				} else {
 					join.Wait()
 				}
-				if f.bad != "" {
-					t.Error(f.bad)
-				}
 				if independent {
-					g.foldIndep = f.vals
+					g.foldIndep = vals
 				} else {
-					g.foldColl = f.vals
+					g.foldColl = vals
 				}
 			}
 			got[id][me] = g
@@ -231,20 +231,6 @@ func checkGetVaraMatchesBytePath(t *testing.T, seed, pick uint64) {
 			}
 		}
 	}
-}
-
-// concat is a Folder that keeps a copy of the units' values, concatenated,
-// and notes a unit whose values are not its slab's element count.
-type concat struct {
-	vals []float64
-	bad  string
-}
-
-func (f *concat) Fold(unit layout.Slab, vals []float64) {
-	if n := unit.NumElems(); n != int64(len(vals)) && f.bad == "" {
-		f.bad = fmt.Sprintf("unit %v of %d elements folded with %d values", unit, n, len(vals))
-	}
-	f.vals = append(f.vals, vals...)
 }
 
 // TestSynthFillWritesEveryByte reads windows of a synthetic file into a
@@ -355,11 +341,11 @@ func TestZeroAllocSynthValues(t *testing.T) {
 	}
 }
 
-// TestSynthValuesUnitsMatchBytePath: a request of many partial-row runs, long
-// enough that Values cuts it into host.Grain-element units that start
-// mid-run and mid-row, gives the byte path's values bit for bit, on the host
-// workers and inline alike; and WorkerValues, which fills it on the caller
-// alone, gives the same.
+// TestSynthValuesUnitsMatchBytePath: a long request of many partial-row
+// runs, longer than host.Grain elements many times over, gives the byte
+// path's values bit for bit through Values, which fills it with the
+// dataset's scratch, and through WorkerValues, which fills it with a
+// worker's, at GOMAXPROCS 1 and 4 alike.
 func TestSynthValuesUnitsMatchBytePath(t *testing.T) {
 	var s Schema
 	id, _ := s.AddVar("v", Float32, []int64{5, 300, 301})
@@ -378,7 +364,7 @@ func TestSynthValuesUnitsMatchBytePath(t *testing.T) {
 	}
 	want := DecodeValues(v.Type, raw, nil)
 	if n := int64(len(want)); n < 4*host.Grain {
-		t.Fatalf("%d elements: too few to cut into units", n)
+		t.Fatalf("%d elements: too few to span many rows and runs", n)
 	}
 	for _, procs := range []int{1, 4} {
 		prev := runtime.GOMAXPROCS(procs)
