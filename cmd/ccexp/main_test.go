@@ -376,6 +376,52 @@ func TestStdoutIdenticalAcrossHostParallelism(t *testing.T) {
 	}
 }
 
+// TestTelemetryLogsIdenticalAcrossHostParallelism: the event, decision and
+// series lines render beside the run, one batch at a time in order, on the
+// caller at GOMAXPROCS=1; the logs, stdout and the explain lines are the
+// same bytes at 1, 2 and 8.
+func TestTelemetryLogsIdenticalAcrossHostParallelism(t *testing.T) {
+	var ref []string
+	for _, procs := range []int{1, 2, 8} {
+		dir := t.TempDir()
+		events, series := filepath.Join(dir, "events.jsonl"), filepath.Join(dir, "series.jsonl")
+		prev := runtime.GOMAXPROCS(procs)
+		code, out, errb := runCmd("-quick", "-events", events, "-series", series, "-explain", "jobs")
+		runtime.GOMAXPROCS(prev)
+		if code != 0 {
+			t.Fatalf("GOMAXPROCS=%d: exit %d: %s", procs, code, errb)
+		}
+		got := []string{out, explainLines(errb)}
+		for _, path := range []string{events, series} {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got = append(got, string(b))
+		}
+		if procs == 1 {
+			ref = got
+			continue
+		}
+		for i, name := range []string{"stdout", "explain lines", "event log", "series log"} {
+			if got[i] != ref[i] {
+				firstLineDiff(t, fmt.Sprintf("%s at GOMAXPROCS=%d against GOMAXPROCS=1", name, procs), got[i], ref[i])
+			}
+		}
+	}
+}
+
+// explainLines returns the (explain: …) lines of a run's stderr.
+func explainLines(stderr string) string {
+	var b strings.Builder
+	for _, l := range strings.SplitAfter(stderr, "\n") {
+		if strings.HasPrefix(l, "(explain: ") {
+			b.WriteString(l)
+		}
+	}
+	return b.String()
+}
+
 // TestTraceNeedsOneExperiment pins the -trace/-metrics guard: a trace file
 // must describe exactly one experiment run.
 func TestTraceNeedsOneExperiment(t *testing.T) {

@@ -501,11 +501,13 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 
 	// Owner-side accumulated state (all-to-all, one slot per sending
 	// aggregator so the final fold can run in sender-rank order) and
-	// aggregator-side per-owner accumulation (all-to-one).
+	// aggregator-side per-owner accumulation (all-to-one, on the aggregators
+	// and the root, indexed by the owner's comm rank; an owner with no
+	// records has no state yet).
 	bySender := make(map[int]State)
-	var perOwner map[int]*partialMsg
-	if io.Reduce == AllToOne {
-		perOwner = make(map[int]*partialMsg)
+	var perOwner []partialMsg
+	if io.Reduce == AllToOne && (me == io.Root || slices.Contains(aggrs, me)) {
+		perOwner = make([]partialMsg, c.Size())
 	}
 
 	// The map runs in two phases per iteration. The host phase folds every
@@ -616,10 +618,9 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 			switch io.Reduce {
 			case AllToOne:
 				t0 := r.Now()
-				p := perOwner[g.owner]
-				if p == nil {
-					p = &partialMsg{state: op.Zero()}
-					perOwner[g.owner] = p
+				p := &perOwner[g.owner]
+				if p.records == 0 {
+					p.state = op.Zero()
 				}
 				p.state = op.Merge(p.state, g.st)
 				p.records++
@@ -704,7 +705,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 // the root, which constructs per-process results and performs the final
 // reduce (paper §III-C).
 func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
-	aggrs []int, perOwner map[int]*partialMsg, me int) (Result, error) {
+	aggrs []int, perOwner []partialMsg, me int) (Result, error) {
 	tag := c.ReserveTags(r, 1)
 	rootWorld := c.WorldRank(io.Root)
 	amAggr := slices.Contains(aggrs, me)
@@ -713,15 +714,18 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	if me != io.Root {
 		if amAggr {
 			// One message carrying all my per-owner partials.
-			var bytes int64
-			for _, p := range perOwner {
-				bytes += p.records*op.StateBytes() + p.mdBytes
+			var bytes, owners int64
+			for i := range perOwner {
+				if p := &perOwner[i]; p.records > 0 {
+					bytes += p.records*op.StateBytes() + p.mdBytes
+					owners++
+				}
 			}
 			ts0 := r.Now()
 			r.Send(rootWorld, tag, perOwner, bytes)
 			if ot != nil {
 				ot.SpanRank(r.Rank(), "cc.reduce", "cc", ts0, r.Now(),
-					obs.I("bytes", bytes), obs.I("owners", int64(len(perOwner))))
+					obs.I("bytes", bytes), obs.I("owners", owners))
 				observeReduceMsg(ot, bytes)
 			}
 			if io.Stats != nil {
@@ -733,35 +737,42 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 		return Result{Value: v.(float64)}, nil
 	}
 
-	// Root: merge own partials plus every other aggregator's.
+	// Root: merge its own partials, then every other aggregator's in
+	// aggregator order, into perOwner.
 	t0 := r.Now()
-	merged := make(map[int]State) // per owner
-	absorb := func(po map[int]*partialMsg) {
-		for owner, p := range po {
-			if cur, ok := merged[owner]; ok {
-				merged[owner] = op.Merge(cur, p.state)
-			} else {
-				merged[owner] = p.state
-			}
-			r.Compute(mergeCost * float64(p.records))
-		}
-	}
 	if amAggr {
-		absorb(perOwner)
+		for i := range perOwner {
+			if p := &perOwner[i]; p.records > 0 {
+				r.Compute(mergeCost * float64(p.records))
+			}
+		}
 	}
 	for _, a := range aggrs {
 		if a == me {
 			continue
 		}
 		v, _ := r.Recv(c.WorldRank(a), tag)
-		absorb(v.(map[int]*partialMsg))
+		for owner, p := range v.([]partialMsg) {
+			if p.records == 0 {
+				continue
+			}
+			if cur := &perOwner[owner]; cur.records > 0 {
+				cur.state = op.Merge(cur.state, p.state)
+				cur.records += p.records
+			} else {
+				*cur = p
+			}
+			r.Compute(mergeCost * float64(p.records))
+		}
 	}
 	// Final reduce over the constructed per-process results.
 	final := op.Zero()
-	for owner := 0; owner < c.Size(); owner++ {
-		if st, ok := merged[owner]; ok {
-			final = op.Merge(final, st)
+	var owners int64
+	for i := range perOwner {
+		if p := &perOwner[i]; p.records > 0 {
+			final = op.Merge(final, p.state)
 			r.Compute(mergeCost)
+			owners++
 		}
 	}
 	if io.Stats != nil {
@@ -769,7 +780,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	}
 	if ot != nil {
 		ot.SpanRank(r.Rank(), "cc.reduce", "cc", t0, r.Now(),
-			obs.I("owners", int64(len(merged))))
+			obs.I("owners", owners))
 	}
 	val := op.Value(final)
 	c.Bcast(r, io.Root, val, 8)

@@ -97,11 +97,13 @@ func TestClusterEventLogDeterminism(t *testing.T) {
 }
 
 // TestSeriesSampleZeroAlloc: a series point is built in the cluster's OST and
-// class scratch and rendered into the sink's reused line, so sampling a
+// class scratch and copied into the sink's recycled batch, so sampling a
 // round — a wait entering a class window included — allocates nothing.
 func TestSeriesSampleZeroAlloc(t *testing.T) {
 	ot := obs.New()
-	ot.SetSeries(obs.NewSeriesSink(io.Discard))
+	ser := obs.NewSeriesSink(io.Discard)
+	defer ser.Close()
+	ot.SetSeries(ser)
 	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot, FS: pfs.Params{NumOSTs: 156}})
 	c.recordClassWait("batch", 1.5)
 	c.recordClassWait("", 0.25)

@@ -37,11 +37,15 @@ func ReportExp(cfg Config) (*Table, error) {
 		d.EventsPath = "events.jsonl"
 		ot := obs.New()
 		ot.AddSink(d)
-		ot.SetSeries(obs.NewSeriesSink(io.Discard))
+		ser := obs.NewSeriesSink(io.Discard)
+		ot.SetSeries(ser)
 		ot.EnableDecisions()
 		var tr *workload.Trace
 		if tr, err = workload.Generate(workload.DefaultSpec(7, 1, 120, 48, "fifo")); err == nil {
 			_, _, err = workload.Run(tr, ot)
+		}
+		if cerr := ser.Close(); err == nil {
+			err = cerr
 		}
 	}
 	if err != nil {

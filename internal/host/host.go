@@ -1,10 +1,13 @@
-// Package host spreads a simulated rank's pure host work — generating,
-// decoding and folding values — over the machine's cores. It is the one place
-// the simulator starts goroutines of its own. The discrete-event kernel runs
-// one process at a time (internal/sim): Pool runs a loop inside one such
-// process's turn and returns before the process next yields, and Slots runs
-// a job beside the simulation, from one turn of a process until the process
-// joins it, which is why such a job may touch nothing the simulation does.
+// Package host spreads the simulator's pure host work — generating, decoding
+// and folding values, and rendering telemetry lines — over the machine's
+// cores. It is the one place the simulator starts goroutines of its own. The
+// discrete-event kernel runs one process at a time (internal/sim): Pool runs
+// a loop inside one such process's turn and returns before the process next
+// yields; Slots runs a job beside the simulation, from one turn of a process
+// until the process joins it; and Serial runs a producer's jobs beside it one
+// at a time, in order, each joined before the next starts (the telemetry
+// sinks render their batches of lines on one). A job beside the simulation
+// may touch nothing the simulation does.
 package host
 
 import (

@@ -128,8 +128,11 @@ func AppendInt(dst []byte, v int) []byte {
 type Writer struct{ bw *bufio.Writer }
 
 // writerBuf is a Writer's buffer: a run's event log reaches the file in
-// writes of this size.
-const writerBuf = 64 << 10
+// writes of this size. The telemetry sinks write beside the simulation (see
+// internal/obs), so the write calls a smaller buffer adds cost the run
+// nothing, and the buffer stays a small part of what an observed run
+// allocates.
+const writerBuf = 16 << 10
 
 // NewWriter wraps w and writes the header naming schema.
 func NewWriter(w io.Writer, schema string) *Writer {

@@ -174,14 +174,28 @@ func (ds *Dataset) Var(id int) (*Var, error) {
 }
 
 // ByteRuns flattens a hyperslab of variable id into absolute file byte runs.
+// The runs are made in place from the slab's element runs.
 func (ds *Dataset) ByteRuns(id int, slab layout.Slab) ([]layout.Run, error) {
-	_, runs, err := ds.slabRuns(id, slab)
-	return runs, err
+	v, elems, err := ds.elemRuns(id, slab)
+	if err != nil {
+		return nil, err
+	}
+	return byteRuns(v, elems, elems), nil
 }
 
 // slabRuns flattens a hyperslab of variable id into runs of linear element
 // indices and the absolute file byte runs those elements occupy.
 func (ds *Dataset) slabRuns(id int, slab layout.Slab) (elems, bytes []layout.Run, err error) {
+	v, elems, err := ds.elemRuns(id, slab)
+	if err != nil {
+		return nil, nil, err
+	}
+	return elems, byteRuns(v, make([]layout.Run, len(elems)), elems), nil
+}
+
+// elemRuns checks a hyperslab of variable id and flattens it into runs of
+// linear element indices.
+func (ds *Dataset) elemRuns(id int, slab layout.Slab) (*Var, []layout.Run, error) {
 	v, err := ds.Var(id)
 	if err != nil {
 		return nil, nil, err
@@ -189,13 +203,17 @@ func (ds *Dataset) slabRuns(id int, slab layout.Slab) (elems, bytes []layout.Run
 	if err := layout.Validate(v.Dims, slab); err != nil {
 		return nil, nil, err
 	}
-	elems = layout.Flatten(v.Dims, slab)
+	return v, layout.Flatten(v.Dims, slab), nil
+}
+
+// byteRuns sets dst[i] to the file bytes v's element run elems[i] occupies,
+// and returns dst. dst may be elems.
+func byteRuns(v *Var, dst, elems []layout.Run) []layout.Run {
 	sz := v.Type.Size()
-	bytes = make([]layout.Run, len(elems))
 	for i, r := range elems {
-		bytes[i] = layout.Run{Offset: v.Offset + r.Offset*sz, Length: r.Length * sz}
+		dst[i] = layout.Run{Offset: v.Offset + r.Offset*sz, Length: r.Length * sz}
 	}
-	return elems, bytes, nil
+	return dst
 }
 
 // DecodeValues converts raw little-endian bytes of the variable's type into

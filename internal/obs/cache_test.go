@@ -109,10 +109,15 @@ func cacheRecord(i int, t float64) decision.Record {
 // TestCachedSinksMatchOracles: over random streams of repeating values — ±0,
 // NaN payloads, ±Inf and subnormals among them, in runs, with one OST moving
 // at a time as well as many — the sinks that render through a FloatCache
-// write the bytes of the pure appenders.
+// write the bytes of the pure appenders. Every tenth stream is long enough to
+// cross several of each sink's batches.
 func TestCachedSinksMatchOracles(t *testing.T) {
 	r := rand.New(rand.NewSource(41))
 	for trial := 0; trial < 200; trial++ {
+		steps := 40
+		if trial%10 == 0 {
+			steps = 3 * lineBatchLen
+		}
 		var (
 			pts  []SeriesPoint
 			evs  []Event
@@ -120,7 +125,7 @@ func TestCachedSinksMatchOracles(t *testing.T) {
 			now  float64
 		)
 		ost := make([]float64, 1+r.Intn(12))
-		for i := 0; i < 40; i++ {
+		for i := 0; i < steps; i++ {
 			now = cacheFloat(r, now)
 			switch r.Intn(4) {
 			case 0: // one OST moves

@@ -49,9 +49,11 @@ type Event struct {
 	Attrs []Attr
 }
 
-// EventSink receives mirrored tracer events. Implementations must be cheap:
-// Emit is called synchronously on the simulation's critical path. The
-// event's Attrs are the caller's: a sink may keep them but not change them.
+// EventSink receives mirrored tracer events. Emit is called synchronously
+// on the simulation's critical path, so implementations must be cheap: the
+// log sink (JSONLSink) only copies the event there, and renders it beside
+// the simulation. The event's Attrs are the caller's: a sink may keep them
+// but not change them, and the caller must not change them after the call.
 type EventSink interface {
 	Emit(e Event)
 }
@@ -117,25 +119,76 @@ func appendEvent(dst []byte, e *Event, fc *jsonl.FloatCache) []byte {
 }
 
 // JSONLSink streams events as JSON Lines through a jsonl.Writer: one header
-// line naming the schema version, then one line per event in emission
-// order. Call Close before reading the output; it reports the first write
-// error. Event and decision lines render "t" through one FloatCache slot:
-// consecutive lines mostly share their time.
+// line naming the schema version, then one line per event or decision
+// record in emission order. Emit and EmitDecision copy what they are handed
+// into a batch; full batches render and reach the writer beside the caller,
+// one at a time and in order (lane.go), so the bytes are a pure function of
+// the emitted sequence. Call Close before reading the output; it writes
+// what is left and reports the first write error. Event and decision lines
+// render "t" through one FloatCache slot: consecutive lines mostly share
+// their time.
 type JSONLSink struct {
-	w   *jsonl.Writer
-	buf []byte
-	fc  jsonl.FloatCache
+	lines lane[lineBatch]
+
+	// Owned by whichever render runs: lane serializes them.
+	w        *jsonl.Writer
+	buf      []byte
+	fc       jsonl.FloatCache
+	feeds    []EventSink
+	decFeeds []decision.Sink
+}
+
+// A JSONLSink's batch holds up to lineBatchLen lines, of which up to
+// recBatchLen decision records. A line renders in about a microsecond, and
+// a render's goroutine starts some 40 to 150 µs after its hand-off on a
+// 2-vCPU VM, so a batch must be hundreds of lines for the start to be a
+// small part of it; and few enough that the two batches are a small part of
+// what a run allocates. A record is nearly twice an event's size and the
+// rarer line, so a burst of records fills a batch early rather than sizing
+// both slices for it.
+const (
+	lineBatchLen = 256
+	recBatchLen  = 128
+)
+
+// lineBatch is one batch of a JSONLSink's lines in emission order: line i is
+// the next record of recs when isDec[i], and the next event of events when
+// not. Each slice is allocated at its batch length on first use and kept.
+type lineBatch struct {
+	isDec  []bool
+	events []Event
+	recs   []decision.Record
 }
 
 // NewJSONLSink wraps w and writes the schema header immediately.
 func NewJSONLSink(w io.Writer) *JSONLSink {
-	return &JSONLSink{w: jsonl.NewWriter(w, EventSchema)}
+	s := &JSONLSink{w: jsonl.NewWriter(w, EventSchema)}
+	s.lines.init(s.render)
+	return s
 }
 
-// Emit implements EventSink.
+// Feed makes the sink hand every event to f as well, and every decision
+// record when f is a decision.Sink, in emission order, on the goroutine that
+// renders them: beside the caller, as each line is written. It
+// is how a fold of the log (the run report, the explain attributions) runs
+// beside the simulation. Call it before the first line; read f only after
+// Close.
+func (s *JSONLSink) Feed(f EventSink) {
+	s.feeds = append(s.feeds, f)
+	if d, ok := f.(decision.Sink); ok {
+		s.decFeeds = append(s.decFeeds, d)
+	}
+}
+
+// Emit implements EventSink. It keeps e, its Attrs included, until the line
+// is written.
 func (s *JSONLSink) Emit(e Event) {
-	s.buf = appendEvent(s.buf[:0], &e, &s.fc)
-	s.w.Line(s.buf)
+	b := s.lines.filling()
+	if b.events == nil {
+		b.events = make([]Event, 0, lineBatchLen)
+	}
+	b.events = append(b.events, e)
+	s.added(b, false)
 }
 
 // EmitDecision implements decision.Sink: scheduler decision records land in
@@ -143,12 +196,56 @@ func (s *JSONLSink) Emit(e Event) {
 // repro.decisions.v2 lines (extract them with decision.ReadLog; ReadEvents
 // skips them; ScanLog hands back both).
 func (s *JSONLSink) EmitDecision(rec decision.Record) {
-	s.buf = decision.AppendJSONCached(s.buf[:0], &rec, &s.fc)
-	s.w.Line(s.buf)
+	b := s.lines.filling()
+	if b.recs == nil {
+		b.recs = make([]decision.Record, 0, recBatchLen)
+	}
+	b.recs = append(b.recs, rec)
+	s.added(b, true)
 }
 
-// Close flushes the buffer and returns the first write error.
-func (s *JSONLSink) Close() error { return s.w.Close() }
+// added orders the line just copied into b, and hands b to the lane when it
+// is full: at lineBatchLen lines or recBatchLen records.
+func (s *JSONLSink) added(b *lineBatch, isDec bool) {
+	if b.isDec == nil {
+		b.isDec = make([]bool, 0, lineBatchLen)
+	}
+	b.isDec = append(b.isDec, isDec)
+	if len(b.isDec) == lineBatchLen || len(b.recs) == recBatchLen {
+		s.lines.flip()
+	}
+}
+
+// render writes b's lines, hands each to the feeds, and empties b.
+func (s *JSONLSink) render(b *lineBatch) {
+	var ev, rec int
+	for _, isDec := range b.isDec {
+		if isDec {
+			r := &b.recs[rec]
+			rec++
+			s.buf = decision.AppendJSONCached(s.buf[:0], r, &s.fc)
+			for _, f := range s.decFeeds {
+				f.EmitDecision(*r)
+			}
+		} else {
+			e := &b.events[ev]
+			ev++
+			s.buf = appendEvent(s.buf[:0], e, &s.fc)
+			for _, f := range s.feeds {
+				f.Emit(*e)
+			}
+		}
+		s.w.Line(s.buf)
+	}
+	b.isDec, b.events, b.recs = b.isDec[:0], b.events[:0], b.recs[:0]
+}
+
+// Close writes the lines not yet written, flushes the buffer and returns the
+// first write error. No goroutine of the sink outlives it.
+func (s *JSONLSink) Close() error {
+	s.lines.drain()
+	return s.w.Close()
+}
 
 // decodeEvent reads the line d stands at the start of into e, reusing
 // e.Attrs' backing array. Keys may come in any order; unknown keys are

@@ -122,6 +122,17 @@ func (t *Tracer) AddSink(s EventSink) {
 	}
 }
 
+// AddPointSink attaches a sink of series points alone: it receives every
+// point Sample records, after the PointSinks attached before it, and no
+// event. A fold whose events reach it another way (JSONLSink.Feed) reads its
+// points here.
+func (t *Tracer) AddPointSink(p PointSink) {
+	if t == nil {
+		return
+	}
+	t.pointSinks = append(t.pointSinks, p)
+}
+
 // emit mirrors e into every sink.
 func (t *Tracer) emit(e Event) {
 	for _, s := range t.sinks {

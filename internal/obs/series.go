@@ -2,6 +2,7 @@ package obs
 
 import (
 	"io"
+	"math"
 
 	"repro/internal/jsonl"
 )
@@ -87,30 +88,109 @@ func appendSeries(dst []byte, p *SeriesPoint, fc *jsonl.FloatCache) []byte {
 }
 
 // SeriesSink streams SeriesPoints as JSON Lines through a jsonl.Writer: one
-// header line naming the schema version, then one line per point. Call
-// Close before reading the output; it reports the first write error. The
-// cumulative OST busy times barely move between rounds, so each OST renders
-// through its own FloatCache slot, and only the changed ones are formatted.
+// header line naming the schema version, then one line per point. Sample
+// copies the point into a batch; full batches render and reach the writer
+// beside the caller, one at a time and in order (lane.go). Call Close before
+// reading the output; it writes what is left and reports the first write
+// error. The cumulative OST busy times barely move between rounds, so a
+// batch keeps only the ones that moved, and each OST renders through its own
+// FloatCache slot: only the changed ones are formatted.
 type SeriesSink struct {
+	n       int
+	sampled []float64 // every OST's busy time as of the last point sampled
+	pts     lane[pointBatch]
+
+	// Owned by whichever render runs: lane serializes them.
 	w   *jsonl.Writer
 	buf []byte
 	fc  jsonl.FloatCache
-	n   int
+	ost []float64 // every OST's busy time as of the last point rendered
+}
+
+// pointBatchLen is how many points a SeriesSink's batch holds. A point's line
+// is several times an event's, so fewer make a batch.
+const pointBatchLen = 32
+
+// pointBatch is one batch of a SeriesSink's points. Point i is pts[i] with
+// the first shape[i].osts OST busy times, after the moves up to
+// shape[i].moved, and the classes up to shape[i].classes. pts and shape are
+// allocated at pointBatchLen on first use, classes at pointBatchLen times the
+// first point's classes, and every slice is kept.
+type pointBatch struct {
+	pts     []SeriesPoint // OSTBusy and Classes nil
+	shape   []pointShape
+	moves   []ostMove
+	classes []ClassWait
+}
+
+// pointShape is where a batched point's slices end.
+type pointShape struct{ osts, moved, classes int }
+
+// ostMove sets OST i's busy time to v.
+type ostMove struct {
+	i int
+	v float64
 }
 
 // NewSeriesSink wraps w and writes the schema header immediately.
 func NewSeriesSink(w io.Writer) *SeriesSink {
-	return &SeriesSink{w: jsonl.NewWriter(w, SeriesSchema)}
+	s := &SeriesSink{w: jsonl.NewWriter(w, SeriesSchema)}
+	s.pts.init(s.render)
+	return s
 }
 
-// Sample appends one point. The point is valid only during the call.
+// Sample appends one point. The point is valid only during the call: the
+// sink copies what it renders.
 func (s *SeriesSink) Sample(p SeriesPoint) {
 	if s == nil {
 		return
 	}
 	s.n++
-	s.buf = appendSeries(s.buf[:0], &p, &s.fc)
-	s.w.Line(s.buf)
+	b := s.pts.filling()
+	if b.pts == nil {
+		b.pts = make([]SeriesPoint, 0, pointBatchLen)
+		b.shape = make([]pointShape, 0, pointBatchLen)
+		b.classes = make([]ClassWait, 0, pointBatchLen*len(p.Classes))
+	}
+	// An OST the sink has not seen yet starts at 0 on both sides of the
+	// lane, so it moves when it first is not 0. Bits, not ==, decide: -0
+	// renders apart from 0.
+	if n := len(p.OSTBusy); n > len(s.sampled) {
+		s.sampled = append(s.sampled, make([]float64, n-len(s.sampled))...)
+	}
+	for i, v := range p.OSTBusy {
+		if math.Float64bits(v) != math.Float64bits(s.sampled[i]) {
+			s.sampled[i] = v
+			b.moves = append(b.moves, ostMove{i, v})
+		}
+	}
+	b.classes = append(b.classes, p.Classes...)
+	b.shape = append(b.shape, pointShape{len(p.OSTBusy), len(b.moves), len(b.classes)})
+	p.OSTBusy, p.Classes = nil, nil
+	b.pts = append(b.pts, p)
+	if len(b.pts) == pointBatchLen {
+		s.pts.flip()
+	}
+}
+
+// render writes b's points and empties it.
+func (s *SeriesSink) render(b *pointBatch) {
+	var moved, classes int
+	for i := range b.pts {
+		sh := b.shape[i]
+		if sh.osts > len(s.ost) {
+			s.ost = append(s.ost, make([]float64, sh.osts-len(s.ost))...)
+		}
+		for _, m := range b.moves[moved:sh.moved] {
+			s.ost[m.i] = m.v
+		}
+		p := &b.pts[i]
+		p.OSTBusy, p.Classes = s.ost[:sh.osts], b.classes[classes:sh.classes]
+		s.buf = appendSeries(s.buf[:0], p, &s.fc)
+		s.w.Line(s.buf)
+		moved, classes = sh.moved, sh.classes
+	}
+	b.pts, b.shape, b.moves, b.classes = b.pts[:0], b.shape[:0], b.moves[:0], b.classes[:0]
 }
 
 // Points returns how many points have been sampled.
@@ -121,11 +201,13 @@ func (s *SeriesSink) Points() int {
 	return s.n
 }
 
-// Close flushes and returns the first write error.
+// Close writes the points not yet written, flushes, and returns the first
+// write error. No goroutine of the sink outlives it.
 func (s *SeriesSink) Close() error {
 	if s == nil {
 		return nil
 	}
+	s.pts.drain()
 	return s.w.Close()
 }
 

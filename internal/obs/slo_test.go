@@ -227,12 +227,14 @@ func TestTracerTelemetryAccessors(t *testing.T) {
 	var nilT *Tracer
 	nilT.AddSink(&memSink{})
 	nilT.SetSLO(NewSLO())
-	nilT.SetSeries(NewSeriesSink(&strings.Builder{}))
+	ser := NewSeriesSink(&strings.Builder{})
+	defer ser.Close()
+	nilT.SetSeries(ser)
 	if nilT.SLOEngine() != nil || nilT.Series() != nil {
 		t.Fatal("nil tracer returned telemetry components")
 	}
 	tr := New()
-	s, ser := NewSLO(), NewSeriesSink(&strings.Builder{})
+	s := NewSLO()
 	tr.SetSLO(s)
 	tr.SetSeries(ser)
 	if tr.SLOEngine() != s || tr.Series() != ser {

@@ -13,9 +13,11 @@
 // -report attaches report's fold, which folds the run as it is emitted:
 // the report reads no log back, and is byte-identical to what `ccexp report
 // -in` renders from the logs. -explain prints the wait attributions of that
-// fold, or, without -report, of a decision.Fold of its own. So -events alone
-// logs a run of any length in bounded memory, no output depends on which
-// others are attached, and every flag composes.
+// fold, or, without -report, of a decision.Fold of its own. A fold reads
+// the event log's lines, so with -events it is fed by the log's sink
+// (obs.JSONLSink.Feed) and folds beside the run as the lines render. So
+// -events alone logs a run of any length in bounded memory, no output
+// depends on which others are attached, and every flag composes.
 package obscli
 
 import (
@@ -138,15 +140,22 @@ func (f *Flags) Attach(ot *obs.Tracer, stderr io.Writer) (*Plane, error) {
 		p.sink = obs.NewJSONLSink(file)
 		ot.AddSink(p.sink)
 	}
+	// The folds read the event log's lines: fed by its sink, they fold
+	// beside the run as the lines render. Series points reach the report's
+	// fold only when -series installs the series sink: a report without
+	// -series has no series section.
 	if f.Report != "" {
-		// Series points reach the fold only when -series installs the series
-		// sink: a report without -series has no series section.
 		p.fold = report.New()
 		p.fold.EventsPath = f.Events
-		ot.AddSink(p.fold)
+		p.sink.Feed(p.fold)
+		ot.AddPointSink(p.fold)
 	} else if f.Explain {
 		p.explain = &explainFold{}
-		ot.AddSink(p.explain)
+		if p.sink != nil {
+			p.sink.Feed(p.explain)
+		} else {
+			ot.AddSink(p.explain)
+		}
 	}
 	if f.Series != "" {
 		file, err := os.Create(f.Series)

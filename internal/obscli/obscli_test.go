@@ -2,12 +2,15 @@ package obscli
 
 import (
 	"bytes"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
+	"syscall"
 	"testing"
 
 	"repro/internal/obs"
@@ -244,6 +247,44 @@ func TestAttachFinishWritesSeriesAndReport(t *testing.T) {
 	for _, want := range []string{"run report", "series points: 1", "t0"} {
 		if !strings.Contains(string(rep), want) {
 			t.Fatalf("report missing %q:\n%s", want, rep)
+		}
+	}
+}
+
+// TestFinishReportsTheFirstWriteError: a log whose writes start failing
+// mid-run — a full device — makes Finish return that error, named by its
+// flag, whether the lines rendered beside the run or on it.
+func TestFinishReportsTheFirstWriteError(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full:", err)
+	}
+	for _, procs := range []int{1, 4} {
+		for _, full := range []string{"events", "series"} {
+			dir := t.TempDir()
+			f := Flags{Events: filepath.Join(dir, "ev.jsonl"), Series: filepath.Join(dir, "se.jsonl")}
+			if full == "events" {
+				f.Events = "/dev/full"
+			} else {
+				f.Series = "/dev/full"
+			}
+			prev := runtime.GOMAXPROCS(procs)
+			ot := obs.New()
+			p, err := f.Attach(ot, io.Discard)
+			if err != nil {
+				runtime.GOMAXPROCS(prev)
+				t.Fatal(err)
+			}
+			ost := make([]float64, 32)
+			for i := 0; i < 2000; i++ {
+				ot.Span(0, i%4, "queued", "sched", float64(i), float64(i)+0.5, obs.S("job", fmt.Sprintf("j%d", i)))
+				ost[i%len(ost)] += 0.125
+				ot.Sample(obs.SeriesPoint{Round: i, T: float64(i), RanksTotal: 4, OSTBusy: ost})
+			}
+			_, err = p.Finish()
+			runtime.GOMAXPROCS(prev)
+			if !errors.Is(err, syscall.ENOSPC) || !strings.HasPrefix(err.Error(), full+": ") {
+				t.Errorf("GOMAXPROCS=%d, -%s on a full device: Finish = %v, want %s: ... %v", procs, full, err, full, syscall.ENOSPC)
+			}
 		}
 	}
 }

@@ -37,11 +37,15 @@ func runWithEvents(t *testing.T, tr *Trace) ([]Submitted, []byte) {
 	t.Helper()
 	var buf bytes.Buffer
 	ot := obs.New()
-	ot.AddSink(obs.NewJSONLSink(&buf))
+	sink := obs.NewJSONLSink(&buf)
+	ot.AddSink(sink)
 	ot.EnableDecisions()
 	_, subs, err := Run(tr, ot)
 	if err != nil {
 		t.Fatalf("Run: %v", err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
 	}
 	return subs, buf.Bytes()
 }
