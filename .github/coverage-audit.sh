@@ -8,7 +8,8 @@
 # The golden-driven tests are the ones whose output is compared byte for byte
 # with a committed file: ccexp's quick and paper-scale tables, workload
 # trace, -report file, and SLO violation lines with their -report file,
-# ccrun's stdout, the jobs event, decision and report goldens, obs' event,
+# ccrun's stdout, the jobs event, decision and report goldens, multiuser's
+# event golden (the memo layer's telemetry), obs' event,
 # exposition and Perfetto goldens, and the examples' stdout (run here as
 # covered binaries, their stdout checked against the same goldens).
 set -euo pipefail
@@ -36,7 +37,7 @@ REPRO_NIGHTLY=1 go test "${cov[@]}" -coverprofile="$A/g_ccexp.out" \
 	-run '^(TestQuickAllGolden|TestWorkloadTraceGolden|TestReportFileGolden|TestSLOReportGolden)$/^(quick_all|scale1_cluster)\.golden\.txt$' ./cmd/ccexp >&2
 go test "${cov[@]}" -coverprofile="$A/g_ccrun.out" -run '^TestStdoutGolden$' ./cmd/ccrun >&2
 go test "${cov[@]}" -coverprofile="$A/g_experiments.out" \
-	-run '^(TestFIFOPolicyEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden)$' \
+	-run '^(TestFIFOPolicyEventLogGolden|TestMultiuserEventLogGolden|TestJobsDecisionLogGolden|TestJobsReportGolden)$' \
 	./internal/experiments >&2
 go test "${cov[@]}" -coverprofile="$A/g_obs.out" \
 	-run '^(TestJSONLSinkMatchesGolden|TestExpositionGolden|TestChromeTraceMatchesGolden)$' ./internal/obs >&2

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"sort"
 	"sync/atomic"
 	"testing"
@@ -95,6 +96,116 @@ func TestAllToAllSenderOrderDeterministic(t *testing.T) {
 	}
 	if !multi {
 		t.Fatal("no rank received partials from more than one sender; test is vacuous")
+	}
+}
+
+// pieceTag is one absorbed piece group: the owner whose slab it belongs to
+// and the comm rank of the aggregator that absorbed it.
+type pieceTag struct{ owner, aggr int }
+
+// ownerTagOp is tagOp that also records each piece's owner: the rank whose
+// slab, among those split at the dimension-0 starts in bounds, holds it.
+type ownerTagOp struct {
+	me     int
+	bounds [5]int64 // owner i's slab covers [bounds[i], bounds[i+1]) of dim 0
+}
+
+type ownerTagState []pieceTag
+
+func (o ownerTagOp) Name() string      { return "owner-tag" }
+func (o ownerTagOp) Zero() State       { return ownerTagState(nil) }
+func (o ownerTagOp) StateBytes() int64 { return 8 }
+
+func (o ownerTagOp) Absorb(s State, sub Subset) State {
+	owner := 0
+	for owner+1 < len(o.bounds)-1 && sub.Slab.Start[0] >= o.bounds[owner+1] {
+		owner++
+	}
+	return append(append(ownerTagState(nil), s.(ownerTagState)...), pieceTag{owner, o.me})
+}
+
+func (o ownerTagOp) Merge(a, b State) State {
+	return append(append(ownerTagState(nil), a.(ownerTagState)...), b.(ownerTagState)...)
+}
+
+func (o ownerTagOp) Value(s State) float64 { return float64(len(s.(ownerTagState))) }
+
+// TestAllToOneRootMergeOrder pins the order in which the all-to-one root
+// merges: each owner's partials are constructed from the root's own first,
+// then the other aggregators' in aggregator order, and the final reduce
+// folds the owners' results in ascending owner rank. The root's final state
+// lists every piece by (owner, aggregator) in merge order, so reversing
+// either loop of allToOneFinish reorders it.
+func TestAllToOneRootMergeOrder(t *testing.T) {
+	dims := []int64{8, 6, 10}
+	whole := layout.Slab{Start: []int64{1, 0, 2}, Count: []int64{6, 6, 7}}
+	const n, root = 4, 1
+	aggrs := []int{0, 1, 2, 3}
+	slabs := splitSlab(whole, n)
+	var bounds [n + 1]int64
+	for i, s := range slabs {
+		if s.Count[0] == whole.Count[0] {
+			t.Fatal("the slabs are not split along dimension 0")
+		}
+		bounds[i], bounds[i+1] = s.Start[0], s.Start[0]+s.Count[0]
+	}
+	tb := newTestbed(t, n, ncfile.Float64, dims)
+
+	var final ownerTagState
+	errs := make([]error, n)
+	tb.w.Go(func(r *mpi.Rank) {
+		me := r.Rank()
+		cl := tb.fs.Client(r.Proc(), r.Rank(), nil)
+		io := IO{
+			DS: tb.ds, VarID: tb.id, Slab: slabs[me],
+			Reduce: AllToOne, Root: root, Aggregators: aggrs,
+			Params: adio.Params{CB: 512},
+		}
+		res, err := ObjectGetVara(r, tb.c, cl, io, ownerTagOp{me: me, bounds: bounds})
+		errs[me] = err
+		if res.Root {
+			final = res.State.(ownerTagState)
+		}
+	})
+	if err := tb.env.Run(); err != nil {
+		t.Fatal(err)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("rank %d: %v", i, err)
+		}
+	}
+
+	// The root's own partials come first, then aggregator order.
+	pos := func(aggr int) int {
+		if aggr == root {
+			return -1
+		}
+		return slices.Index(aggrs, aggr)
+	}
+	senders := map[int]map[int]bool{} // owner -> non-root aggregators
+	for i, p := range final {
+		if senders[p.owner] == nil {
+			senders[p.owner] = map[int]bool{}
+		}
+		if p.aggr != root {
+			senders[p.owner][p.aggr] = true
+		}
+		if i == 0 {
+			continue
+		}
+		q := final[i-1]
+		if p.owner < q.owner || p.owner == q.owner && pos(p.aggr) < pos(q.aggr) {
+			t.Fatalf("root merged %+v after %+v: want owners ascending, each from the root's partial, then aggregator order; full order %v",
+				p, q, final)
+		}
+	}
+	multi := false
+	for _, s := range senders {
+		multi = multi || len(s) >= 2
+	}
+	if len(senders) < 2 || !multi {
+		t.Fatalf("merge order %v: the test needs two owners and an owner fed by two non-root aggregators", final)
 	}
 }
 

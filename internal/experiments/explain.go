@@ -11,6 +11,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/obs/decision"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // This file is the decision-trace counterfactual: one contended two-tenant
@@ -32,21 +33,21 @@ const (
 	explainNNarrow = 6
 )
 
-// explainJobs builds the submission list in global submission order. Widths
-// derive from s.nranks; analyses reuse the jobs workload's windows (mod
-// njobs, so every slab stays inside the dataset).
-func explainJobs(s jobsSetup) []cluster.CCJob {
-	var out []cluster.CCJob
+// explainJobs builds the submission list in global submission order: the
+// wide jobs from the batch tenant, then the narrow ones from the interactive
+// tenant. Widths derive from s.nranks; analyses reuse the jobs workload's
+// windows (mod njobs, so every slab stays inside the dataset).
+func explainJobs(s jobsSetup) []workload.Submission {
+	var out []workload.Submission
 	wideW, narrowW := s.nranks*3/8, s.nranks/8
 	for i := 0; i < explainNWide; i++ {
-		j := s.job(i%s.njobs, wideW, 0)
+		j := s.analysis("batch", i%s.njobs, wideW)
 		j.Name = fmt.Sprintf("wide-%d", i)
-		j.Priority = 0
 		j.EstCost = 50
 		out = append(out, j)
 	}
 	for i := 0; i < explainNNarrow; i++ {
-		j := s.job((explainNWide+i)%s.njobs, narrowW, 0)
+		j := s.analysis("interactive", (explainNWide+i)%s.njobs, narrowW)
 		j.Name = fmt.Sprintf("narrow-%d", i)
 		j.Priority = 1
 		j.EstCost = 5
@@ -66,26 +67,9 @@ func runExplain(s jobsSetup, policy string, ot *obs.Tracer) ([]*cluster.CCResult
 	ot.EnableDecisions()
 	nbefore := len(ot.Decisions())
 	s.policy = policy
-	cl, err := s.machine(s.nranks, 0, ot)
+	cl, crs, err := runTrace(s.trace(s.nranks, 0, explainJobs(s)), ot)
 	if err != nil {
-		return nil, nil, 0, err
-	}
-	batch, interactive := cl.Session("batch"), cl.Session("interactive")
-	var crs []*cluster.CCResult
-	for _, j := range explainJobs(s) {
-		sess := batch
-		if strings.HasPrefix(j.Name, "narrow-") {
-			sess = interactive
-		}
-		crs = append(crs, sess.SubmitCC(j))
-	}
-	if _, err := cl.Run(); err != nil {
 		return nil, nil, 0, fmt.Errorf("policy %s: %w", policy, err)
-	}
-	for _, cr := range crs {
-		if !cr.Valid() {
-			return nil, nil, 0, fmt.Errorf("policy %s: %s: %w", policy, cr.Job.Name, cr.Err)
-		}
 	}
 	recs := append([]decision.Record(nil), ot.Decisions()[nbefore:]...)
 	return crs, recs, cl.Now(), nil

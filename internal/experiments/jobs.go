@@ -6,23 +6,22 @@ import (
 	"reflect"
 
 	"repro/internal/cc"
-	"repro/internal/climate"
 	"repro/internal/cluster"
-	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // jobsSetup is the mixed-analysis serving workload: njobs analyses (cycling
 // sum / histogram / minloc) over distinct time windows of one climate
 // variable, each needing nranks/waves ranks so `waves` jobs fit at once.
+// Every serving experiment runs its stream as a workload trace on a machine
+// of this shape (trace).
 type jobsSetup struct {
 	nranks, rpn int
 	jobRanks    int
 	njobs       int
-	stripes     int
-	stripeSize  int64
-	dims        []int64
-	win         int64 // time steps per job window
+	ds          workload.DatasetSpec // the one variable every job reads
+	win         int64                // time steps per job window
 	spe         float64
 	memo        bool   // enable the cluster result cache (Spec.Memo)
 	policy      string // scheduling policy for the queued runs (Spec.Policy)
@@ -32,14 +31,14 @@ func newJobsSetup(cfg Config) jobsSetup {
 	cfg = cfg.Defaults()
 	s := jobsSetup{
 		nranks: 64, rpn: 8, jobRanks: 16, njobs: 8,
-		stripes: 40, stripeSize: 4 << 20,
+		ds:  workload.DatasetSpec{Name: "climate", StripeCount: 40, StripeSize: 4 << 20},
 		spe: 2e-8, memo: cfg.Memo, policy: cfg.Policy,
 	}
 	steps := int64(4096 * cfg.Scale)
 	ny, nx := int64(256), int64(256)
 	if cfg.Quick {
 		s.nranks, s.rpn, s.jobRanks = 16, 4, 4
-		s.stripes, s.stripeSize = 8, 1<<20
+		s.ds.StripeCount, s.ds.StripeSize = 8, 1<<20
 		steps, ny, nx = 256, 128, 128
 	}
 	// Every window must still split across the job's ranks.
@@ -47,56 +46,76 @@ func newJobsSetup(cfg Config) jobsSetup {
 		steps = min
 	}
 	s.win = steps / int64(s.njobs)
-	s.dims = []int64{s.win * int64(s.njobs), ny, nx}
+	s.ds.Dims = []int64{s.win * int64(s.njobs), ny, nx}
 	return s
 }
 
-// kind returns job i's analysis, cycling the two reduce modes for coverage.
-// Both are bit-deterministic under cross-job contention: AllToOne merges at
-// the root in plan order, and AllToAll folds shuffled partials in sender-rank
-// order, so even float64 reductions are bit-identical to their solo runs in
-// either mode.
-func (s jobsSetup) kind(i int) (string, cc.Op, cc.ReduceMode) {
-	switch i % 3 {
-	case 0:
-		return "sum", cc.Sum{}, cc.AllToOne
-	case 1:
-		return "hist", cc.Histogram{Lo: -40, Hi: 60, Bins: 16}, cc.AllToAll
-	default:
-		return "minloc", cc.MinLoc{}, cc.AllToOne
+// mixOps are the analyses the mix cycles through, with the reduce mode each
+// runs in. Both modes are bit-deterministic under cross-job contention:
+// AllToOne merges at the root in plan order, and AllToAll folds shuffled
+// partials in sender-rank order, so even float64 reductions are
+// bit-identical to their solo runs in either mode.
+var mixOps = [3]struct {
+	name, op string
+	reduce   cc.ReduceMode
+}{
+	{"sum", "sum", cc.AllToOne},
+	{"hist", "hist:-40:60:16", cc.AllToAll},
+	{"minloc", "minloc", cc.AllToOne},
+}
+
+// analysis is job i of the mix, submitted at time 0 by tenant on ranks
+// ranks: the mix's i-th analysis over window i of the variable.
+func (s jobsSetup) analysis(tenant string, i, ranks int) workload.Submission {
+	m := mixOps[i%len(mixOps)]
+	return workload.Submission{
+		Tenant: tenant, Name: fmt.Sprintf("%s-%d", m.name, i), Dataset: s.ds.Name,
+		Op:    m.op,
+		Start: []int64{int64(i) * s.win, 0, 0},
+		Count: []int64{s.win, s.ds.Dims[1], s.ds.Dims[2]},
+		Ranks: ranks, Reduce: int(m.reduce), SecPerElem: s.spe,
 	}
 }
 
-func (s jobsSetup) job(i, ranks int, deadline float64) cluster.CCJob {
-	name, op, red := s.kind(i)
-	return cluster.CCJob{
-		Name: fmt.Sprintf("%s-%d", name, i), Ranks: ranks, Deadline: deadline,
-		Dataset: "climate", VarID: 0,
-		Slab: layout.Slab{
-			Start: []int64{int64(i) * s.win, 0, 0},
-			Count: []int64{s.win, s.dims[1], s.dims[2]},
+// mix is the njobs analyses of the mix in order, submitted by tenant on
+// jobRanks ranks each.
+func (s jobsSetup) mix(tenant string) []workload.Submission {
+	jobs := make([]workload.Submission, s.njobs)
+	for i := range jobs {
+		jobs[i] = s.analysis(tenant, i, s.jobRanks)
+	}
+	return jobs
+}
+
+// trace is jobs as a trace on a machine of ranks ranks running at most
+// maxConc jobs at a time (0: no cap), with the mix's dataset.
+func (s jobsSetup) trace(ranks, maxConc int, jobs []workload.Submission) *workload.Trace {
+	return &workload.Trace{
+		Machine: workload.Machine{
+			Ranks: ranks, RanksPerNode: s.rpn, Policy: s.policy,
+			Memo: s.memo, MaxConcurrent: maxConc,
 		},
-		SplitDim: 0, Op: op, Reduce: red, SecPerElem: s.spe,
+		Datasets: []workload.DatasetSpec{s.ds},
+		Jobs:     jobs,
 	}
 }
 
-// machine builds a cluster with the workload's dataset registered; ot (may
-// be nil) installs span tracing on it.
-func (s jobsSetup) machine(ranks, maxConc int, ot *obs.Tracer) (*cluster.Cluster, error) {
-	cl := cluster.New(cluster.Spec{
-		Ranks: ranks, RanksPerNode: s.rpn,
-		MaxConcurrent: maxConc, Obs: ot, Memo: s.memo,
-		Policy: s.policy,
-	})
-	ds, varid, err := climate.NewDataset3D(cl.FS(), s.dims, s.stripes, s.stripeSize)
+// runTrace runs tr on a fresh machine (with ot as its telemetry plane, may
+// be nil) and returns the machine and every job's result in submission
+// order; a job that was not served is an error.
+func runTrace(tr *workload.Trace, ot *obs.Tracer) (*cluster.Cluster, []*cluster.CCResult, error) {
+	cl, subs, err := workload.Run(tr, ot)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	if varid != 0 {
-		return nil, fmt.Errorf("jobs: unexpected varid %d", varid)
+	crs := make([]*cluster.CCResult, len(subs))
+	for i, sub := range subs {
+		if !sub.Res.Valid() {
+			return nil, nil, fmt.Errorf("%s: %w", sub.Sub.Name, sub.Res.Err)
+		}
+		crs[i] = sub.Res
 	}
-	cl.RegisterDataset("climate", ds)
-	return cl, nil
+	return cl, crs, nil
 }
 
 // Jobs measures the cluster runtime's multi-job scheduling: the mixed
@@ -110,43 +129,30 @@ func Jobs(cfg Config) (*Table, error) {
 	// the accounting (the note below asserts zero misses).
 	deadline := 1e6
 
+	stream := s.mix("jobs")
+	for i := range stream {
+		stream[i].Deadline = deadline
+	}
+
 	// Solo baselines: one fresh machine per job, sized to the job.
 	solos := make([]*cluster.CCResult, s.njobs)
 	for i := range solos {
-		cl, err := s.machine(s.jobRanks, 0, nil)
+		_, crs, err := runTrace(s.trace(s.jobRanks, 0, stream[i:i+1]), nil)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("solo: %w", err)
 		}
-		cr := cl.SubmitCC(s.job(i, s.jobRanks, deadline))
-		if _, err := cl.Run(); err != nil {
-			return nil, err
-		}
-		if !cr.Valid() {
-			return nil, fmt.Errorf("solo %s: %w", cr.Job.Name, cr.Err)
-		}
-		solos[i] = cr
+		solos[i] = crs[0]
 	}
 
 	// Queued runs: same machine spec, same submissions; only the concurrency
 	// cap differs.
 	queued := func(maxConc int, ot *obs.Tracer) ([]*cluster.CCResult, float64, int, error) {
-		cl, err := s.machine(s.nranks, maxConc, ot)
+		cl, crs, err := runTrace(s.trace(s.nranks, maxConc, stream), ot)
 		if err != nil {
-			return nil, 0, 0, err
-		}
-		sess := cl.Session("jobs")
-		crs := make([]*cluster.CCResult, s.njobs)
-		for i := range crs {
-			crs[i] = sess.SubmitCC(s.job(i, s.jobRanks, deadline))
-		}
-		if _, err := cl.Run(); err != nil {
 			return nil, 0, 0, err
 		}
 		misses := 0
 		for _, cr := range crs {
-			if !cr.Valid() {
-				return nil, 0, 0, fmt.Errorf("%s: %w", cr.Job.Name, cr.Err)
-			}
 			if cr.DeadlineMiss {
 				misses++
 			}

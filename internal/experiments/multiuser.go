@@ -7,8 +7,8 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cluster"
-	"repro/internal/layout"
 	"repro/internal/obs"
+	"repro/internal/workload"
 )
 
 // Multiuser measures cross-job result memoization and shared-window read
@@ -31,82 +31,52 @@ func Multiuser(cfg Config) (*Table, error) {
 	s := newJobsSetup(cfg)
 	const nwin = 3
 
-	window := func(i int) layout.Slab {
-		return layout.Slab{
-			Start: []int64{int64(i) * s.win, 0, 0},
-			Count: []int64{s.win, s.dims[1], s.dims[2]},
+	// job is a user's analysis of window i, or of the middle half of the
+	// window's time extent (contained, not equal) when half is set.
+	job := func(name, op string, i int, half bool) workload.Submission {
+		j := s.analysis("users", i, s.jobRanks)
+		j.Name = fmt.Sprintf("%s-w%d", name, i)
+		j.Op, j.Reduce = op, int(cc.AllToOne)
+		if half {
+			j.Start[0] += j.Count[0] / 4
+			j.Count[0] /= 2
 		}
+		return j
 	}
-	// The middle half of the window's time extent: contained, not equal.
-	subWindow := func(w layout.Slab) layout.Slab {
-		sub := layout.Slab{
-			Start: append([]int64(nil), w.Start...),
-			Count: append([]int64(nil), w.Count...),
-		}
-		sub.Start[0] += w.Count[0] / 4
-		sub.Count[0] = w.Count[0] / 2
-		return sub
+	var wave1, wave2 []workload.Submission
+	for i := 0; i < nwin; i++ {
+		wave1 = append(wave1, job("u0-sum", "sum", i, false), job("u1-sum", "sum", i, false),
+			job("u1-minloc", "minloc", i, false), job("u2-hist", "hist:-40:60:16", i, true))
+		wave2 = append(wave2, job("u3-sum", "sum", i, false))
 	}
-	opJob := func(name string, op cc.Op, slab layout.Slab) cluster.CCJob {
-		return cluster.CCJob{
-			Name: name, Ranks: s.jobRanks, Dataset: "climate", VarID: 0,
-			Slab: slab, SplitDim: 0, Op: op, Reduce: cc.AllToOne,
-			SecPerElem: s.spe,
-		}
-	}
-	submit := func(cl *cluster.Cluster, t2 float64) []*cluster.CCResult {
-		sess := cl.Session("users")
-		var crs []*cluster.CCResult
-		for i := 0; i < nwin; i++ {
-			w := window(i)
-			crs = append(crs,
-				sess.SubmitCC(opJob(fmt.Sprintf("u0-sum-w%d", i), cc.Sum{}, w)),
-				sess.SubmitCC(opJob(fmt.Sprintf("u1-sum-w%d", i), cc.Sum{}, w)),
-				sess.SubmitCC(opJob(fmt.Sprintf("u1-minloc-w%d", i), cc.MinLoc{}, w)),
-				sess.SubmitCC(opJob(fmt.Sprintf("u2-hist-w%d", i),
-					cc.Histogram{Lo: -40, Hi: 60, Bins: 16}, subWindow(w))),
-			)
-		}
-		for i := 0; t2 > 0 && i < nwin; i++ {
-			crs = append(crs, sess.SubmitCCAt(t2,
-				opJob(fmt.Sprintf("u3-sum-w%d", i), cc.Sum{}, window(i))))
-		}
-		return crs
-	}
-	run := func(memo bool, t2 float64, ot *obs.Tracer) ([]*cluster.CCResult, float64, cluster.MemoStats, error) {
+	run := func(memo bool, jobs []workload.Submission, ot *obs.Tracer) ([]*cluster.CCResult, float64, cluster.MemoStats, error) {
 		sm := s
 		sm.memo = memo
-		cl, err := sm.machine(s.nranks, 0, ot)
+		cl, crs, err := runTrace(sm.trace(s.nranks, 0, jobs), ot)
 		if err != nil {
 			return nil, 0, cluster.MemoStats{}, err
-		}
-		crs := submit(cl, t2)
-		if _, err := cl.Run(); err != nil {
-			return nil, 0, cluster.MemoStats{}, err
-		}
-		for _, cr := range crs {
-			if !cr.Valid() {
-				return nil, 0, cluster.MemoStats{}, fmt.Errorf("%s: %w", cr.Job.Name, cr.Err)
-			}
 		}
 		return crs, cl.Now(), cl.MemoStats(), nil
 	}
 
 	// Probe: first wave only, cold — fixes a deterministic second-wave
 	// arrival time past both measured runs' first waves.
-	_, probeSpan, _, err := run(false, 0, nil)
+	_, probeSpan, _, err := run(false, wave1, nil)
 	if err != nil {
 		return nil, err
 	}
-	t2 := 1.25 * probeSpan
+	for i := range wave2 {
+		wave2[i].T = 1.25 * probeSpan
+	}
+	both := append(wave1, wave2...)
 
-	cold, coldSpan, _, err := run(false, t2, nil)
+	cold, coldSpan, _, err := run(false, both, nil)
 	if err != nil {
 		return nil, err
 	}
 	// Only the warm run is traced: it is the one whose schedule (fused
 	// passes, instant cache hits) the trace is meant to explain.
-	warm, warmSpan, stats, err := run(true, t2, cfg.Obs)
+	warm, warmSpan, stats, err := run(true, both, cfg.Obs)
 	if err != nil {
 		return nil, err
 	}

@@ -23,23 +23,12 @@ func ProfileJobs(cfg Config) (*Table, error) {
 	}
 	fold := report.New()
 	ot.AddSink(fold)
-	cl, err := s.machine(s.nranks, 0, ot)
+	cl, crs, err := runTrace(s.trace(s.nranks, 0, s.mix("profile-jobs")), ot)
 	if err != nil {
-		return nil, err
-	}
-	sess := cl.Session("profile-jobs")
-	crs := make([]*cluster.CCResult, s.njobs)
-	for i := range crs {
-		crs[i] = sess.SubmitCC(s.job(i, s.jobRanks, 0))
-	}
-	if _, err := cl.Run(); err != nil {
 		return nil, err
 	}
 	jrs := make([]*cluster.JobResult, len(crs))
 	for i, cr := range crs {
-		if !cr.Valid() {
-			return nil, fmt.Errorf("%s: %w", cr.Job.Name, cr.Err)
-		}
 		jrs[i] = cr.JobResult
 	}
 

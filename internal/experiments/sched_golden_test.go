@@ -60,3 +60,52 @@ func TestFIFOPolicyEventLogGolden(t *testing.T) {
 		firstLineDiff(t, "fifo event log vs the pre-refactor scheduler's", got, want)
 	}
 }
+
+// TestMultiuserEventLogGolden pins the memo layer's telemetry byte for byte:
+// the event log of `ccexp -quick -explain -events e.jsonl multiuser`, whose
+// warm run serves jobs from the result cache (memo-hit instants), attaches
+// duplicates to an in-flight donor (memo-wait instants, waiter spans) and
+// fuses other operators onto a donor's pass (coalesce-attach instants,
+// coalesced spans), with the decision records of each. The golden was
+// recorded before the serving experiments became workload traces.
+// Regenerate with UPDATE_SCHED_GOLDEN=1 only for an intentional change to
+// the memo layer's scheduling or telemetry.
+func TestMultiuserEventLogGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full multiuser experiment; skipped under -short")
+	}
+	golden := filepath.Join("testdata", "multiuser_quick_events.golden.jsonl")
+	ot := obs.New()
+	var buf bytes.Buffer
+	sink := obs.NewJSONLSink(&buf)
+	ot.AddSink(sink)
+	ot.EnableDecisions()
+	cfg := quick
+	cfg.Obs = ot
+	if _, err := Multiuser(cfg); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := buf.Bytes()
+	for _, name := range []string{`"memo-hit"`, `"memo-wait"`, `"waiter"`, `"coalesce-attach"`, `"coalesced"`} {
+		if !bytes.Contains(got, []byte(`"name":`+name)) {
+			t.Fatalf("the warm run's log has no %s event", name)
+		}
+	}
+	if os.Getenv("UPDATE_SCHED_GOLDEN") != "" {
+		if err := os.WriteFile(golden, got, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden updated: %d bytes", len(got))
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatalf("missing golden (regenerate with UPDATE_SCHED_GOLDEN=1): %v", err)
+	}
+	if !bytes.Equal(got, want) {
+		firstLineDiff(t, "multiuser event log vs the recorded one", got, want)
+	}
+}

@@ -7,8 +7,10 @@ import (
 
 	"repro/internal/cc"
 	"repro/internal/cluster"
+	"repro/internal/layout"
 	"repro/internal/obs"
 	"repro/internal/report"
+	"repro/internal/workload"
 )
 
 // TestStatsAreWhatTheSpansSum: cc.Stats is not a second account of the map.
@@ -19,7 +21,9 @@ func TestStatsAreWhatTheSpansSum(t *testing.T) {
 	s := newJobsSetup(quick)
 	ot, fold := obs.New(), report.New()
 	ot.AddSink(fold)
-	cl, err := s.machine(s.nranks, 0, ot)
+	// A trace has no Block field, so the jobs are submitted by hand on the
+	// trace's machine.
+	cl, err := workload.Provision(s.trace(s.nranks, 0, nil), ot)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,10 +31,17 @@ func TestStatsAreWhatTheSpansSum(t *testing.T) {
 	for _, block := range []bool{false, true} {
 		for _, red := range []cc.ReduceMode{cc.AllToOne, cc.AllToAll} {
 			for i := 0; i < 2; i++ {
-				j := s.job(i, s.jobRanks, 0)
-				j.Name = fmt.Sprintf("%s-block%t-reduce%d", j.Name, block, red)
-				j.Block, j.Reduce = block, red
-				crs[cl.SubmitCC(j)] = block
+				sub := s.analysis("", i, s.jobRanks)
+				op, err := workload.OpByCode(sub.Op)
+				if err != nil {
+					t.Fatal(err)
+				}
+				crs[cl.SubmitCC(cluster.CCJob{
+					Name:  fmt.Sprintf("%s-block%t-reduce%d", sub.Name, block, red),
+					Ranks: sub.Ranks, Dataset: sub.Dataset,
+					Slab: layout.Slab{Start: sub.Start, Count: sub.Count},
+					Op:   op, Reduce: red, Block: block, SecPerElem: sub.SecPerElem,
+				})] = block
 			}
 		}
 	}

@@ -2,9 +2,10 @@
 // datasets the trace names, submit every job at its recorded timestamp
 // through a per-tenant session, and roll the results up per SLO class.
 // Replay is intentionally dumb — no re-sampling, no normalization beyond
-// what cluster.SubmitCCAt itself does — so a recorded stream drives the
-// scheduler exactly as the original generation did, and two runs of the
-// same trace are bit-identical.
+// what cluster.SubmitCC and SubmitCCAt themselves do — so a recorded stream
+// drives the scheduler exactly as the original generation did, and two runs
+// of the same trace are bit-identical. A job at T = 0 goes in with the batch
+// the run starts from, as cluster.SubmitCC queues it; any other arrives at T.
 package workload
 
 import (
@@ -70,10 +71,11 @@ type Submitted struct {
 	Res *cluster.CCResult
 }
 
-// SubmitAll queues every job of the trace on c at its recorded arrival
-// time, through one session per tenant (sessions are created in first-
-// appearance order, which is part of the deterministic contract). Call
-// before c.Run.
+// SubmitAll queues every job of the trace on c through one session per
+// tenant (sessions are created in first-appearance order, which is part of
+// the deterministic contract): a job at T = 0 with Session.SubmitCC, into
+// the batch the run starts from, and any other at its arrival time T with
+// Session.SubmitCCAt. Call before c.Run.
 func SubmitAll(c *cluster.Cluster, tr *Trace) ([]Submitted, error) {
 	sessions := make(map[string]*cluster.Session)
 	out := make([]Submitted, 0, len(tr.Jobs))
@@ -88,7 +90,7 @@ func SubmitAll(c *cluster.Cluster, tr *Trace) ([]Submitted, error) {
 			sess = c.Session(s.Tenant)
 			sessions[s.Tenant] = sess
 		}
-		res := sess.SubmitCCAt(s.T, cluster.CCJob{
+		j := cluster.CCJob{
 			Name:       s.Name,
 			Ranks:      s.Ranks,
 			Deadline:   s.Deadline,
@@ -101,7 +103,13 @@ func SubmitAll(c *cluster.Cluster, tr *Trace) ([]Submitted, error) {
 			Op:         op,
 			Reduce:     reduceMode(s.Reduce),
 			SecPerElem: s.SecPerElem,
-		})
+		}
+		var res *cluster.CCResult
+		if s.T == 0 {
+			res = sess.SubmitCC(j)
+		} else {
+			res = sess.SubmitCCAt(s.T, j)
+		}
 		out = append(out, Submitted{Sub: s, Res: res})
 	}
 	return out, nil

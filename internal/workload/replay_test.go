@@ -3,11 +3,14 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"repro/internal/cc"
 	"repro/internal/cluster"
+	"repro/internal/layout"
 	"repro/internal/obs"
 )
 
@@ -214,5 +217,86 @@ func TestSummarize(t *testing.T) {
 			}
 			prev = cs.Class
 		}
+	}
+}
+
+// TestBatchAtZeroIsSubmitCC: SubmitAll queues a job at T = 0 with the batch
+// the run starts from, exactly as Session.SubmitCC queues it, and a job at
+// T > 0 as an arrival at T (Session.SubmitCCAt). The same jobs submitted by
+// hand through those two calls give every job the same Start and End bits
+// and the same event log, decisions included.
+func TestBatchAtZeroIsSubmitCC(t *testing.T) {
+	type job struct {
+		t            float64
+		tenant, name string
+		op           cc.Op
+		code         string
+		ranks        int
+		win          int64
+	}
+	// Two tenants whose T = 0 jobs cannot all fit at once, then a late one.
+	jobs := []job{
+		{0, "a", "a-sum", cc.Sum{}, "sum", 3, 0},
+		{0, "b", "b-minloc", cc.MinLoc{}, "minloc", 2, 4},
+		{0, "a", "a-hist", cc.Histogram{Lo: -40, Hi: 60, Bins: 4}, "hist:-40:60:4", 2, 8},
+		{0, "b", "b-sum", cc.Sum{}, "sum", 4, 12},
+		{0.004, "a", "a-late", cc.Sum{}, "sum", 2, 4},
+	}
+	tr := &Trace{
+		Machine:  Machine{Ranks: 4, RanksPerNode: 2},
+		Datasets: []DatasetSpec{{Name: "d", Dims: []int64{16, 8, 8}, StripeCount: 2, StripeSize: 1 << 12}},
+	}
+	for _, j := range jobs {
+		tr.Jobs = append(tr.Jobs, Submission{T: j.t, Tenant: j.tenant, Name: j.name, Dataset: "d",
+			Op: j.code, Start: []int64{j.win, 0, 0}, Count: []int64{4, 8, 8}, Ranks: j.ranks,
+			SecPerElem: 1e-4})
+	}
+	subs, got := runWithEvents(t, tr)
+
+	var buf bytes.Buffer
+	ot := obs.New()
+	sink := obs.NewJSONLSink(&buf)
+	ot.AddSink(sink)
+	ot.EnableDecisions()
+	c, err := Provision(tr, ot)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sessions := map[string]*cluster.Session{"a": c.Session("a"), "b": c.Session("b")}
+	crs := make([]*cluster.CCResult, len(jobs))
+	for i, j := range jobs {
+		cj := cluster.CCJob{Name: j.name, Ranks: j.ranks, Dataset: "d",
+			Slab: layout.Slab{Start: []int64{j.win, 0, 0}, Count: []int64{4, 8, 8}},
+			Op:   j.op, SecPerElem: 1e-4}
+		if j.t == 0 {
+			crs[i] = sessions[j.tenant].SubmitCC(cj)
+		} else {
+			crs[i] = sessions[j.tenant].SubmitCCAt(j.t, cj)
+		}
+	}
+	if _, err := c.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Close(); err != nil {
+		t.Fatal(err)
+	}
+	waited := false
+	for i, cr := range crs {
+		r := subs[i].Res
+		if !cr.Valid() || !r.Valid() {
+			t.Fatalf("%s: by hand %v, through the trace %v", jobs[i].name, cr.Err, r.Err)
+		}
+		if r.Submit != jobs[i].t || math.Float64bits(r.Start) != math.Float64bits(cr.Start) ||
+			math.Float64bits(r.End) != math.Float64bits(cr.End) {
+			t.Errorf("%s: through the trace submit %v start %v end %v, by hand submit %v start %v end %v",
+				jobs[i].name, r.Submit, r.Start, r.End, cr.Submit, cr.Start, cr.End)
+		}
+		waited = waited || (jobs[i].t == 0 && r.QueueWait() > 0)
+	}
+	if !waited {
+		t.Fatal("no T = 0 job queued behind another; the test needs contention")
+	}
+	if !bytes.Equal(got, buf.Bytes()) {
+		t.Errorf("event logs differ: %d bytes through the trace, %d by hand", len(got), buf.Len())
 	}
 }
