@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"repro/internal/fabric"
 	"repro/internal/layout"
 	"repro/internal/mpi"
 	"repro/internal/obs"
@@ -400,7 +401,7 @@ func sharedPlan(cl *pfs.Client, f *pfs.File, reqs [][]layout.Run, band *Domain, 
 // ext, or the transformed payloads when hooks are active. Local data (owner
 // == me) bypasses the network. Returns the send requests to wait on.
 func aggShuffle(r *mpi.Rank, c *mpi.Comm, pl *Plan, me int, tag int,
-	it *Iter, ext []byte, rq *Request, p Params, hooks *Hooks,
+	it *Iter, ext []byte, rq *Request, cost *fabric.Params, hooks *Hooks,
 	transformed map[int]Payload) []*mpi.Request {
 	var reqs []*mpi.Request
 	i := 0
@@ -431,12 +432,12 @@ func aggShuffle(r *mpi.Rank, c *mpi.Comm, pl *Plan, me int, tag int,
 					copy(rq.Buf[pl.BufPos(me, pc.Run.Offset):], src)
 				}
 			}
-			r.Sys(float64(total)/p.PackRate + float64(j-i)*p.PieceCost)
+			r.Sys(float64(total)/cost.PackRate + float64(j-i)*cost.PieceCost)
 		} else {
 			msg := getShuffleMsg()
 			packShuffle(msg, it.Pieces[i:j], ext, it.ReadLo)
 			// Pack cost: bytes plus a per-fragment charge.
-			r.Sys(float64(total)/p.PackRate + float64(j-i)*p.PieceCost)
+			r.Sys(float64(total)/cost.PackRate + float64(j-i)*cost.PieceCost)
 			reqs = append(reqs, r.Isend(c.WorldRank(owner), tag, msg, total))
 		}
 		i = j
@@ -449,7 +450,7 @@ func aggShuffle(r *mpi.Rank, c *mpi.Comm, pl *Plan, me int, tag int,
 // hooks.OnRecv. expectPos is the cursor into pl.Expect(me); the updated
 // cursor is returned.
 func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
-	rq *Request, p Params, hooks *Hooks) int {
+	rq *Request, cost *fabric.Params, hooks *Hooks) int {
 	exp := pl.Expect(me)
 	for expectPos < len(exp) && exp[expectPos].It == k {
 		e := exp[expectPos]
@@ -469,7 +470,7 @@ func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
 					copy(rq.Buf[pl.BufPos(me, pc.off):], pc.data)
 				}
 			}
-			r.Sys(float64(n)/p.PackRate + float64(len(msg.pieces))*p.PieceCost)
+			r.Sys(float64(n)/cost.PackRate + float64(len(msg.pieces))*cost.PieceCost)
 			putShuffleMsg(msg)
 		}
 		expectPos++
@@ -485,7 +486,8 @@ func recvIter(r *mpi.Rank, c *mpi.Comm, pl *Plan, me, k, tag, expectPos int,
 // the paper's Figure 1.
 func twoPhaseRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	rq Request, pl *Plan, me int, p Params, hooks *Hooks) error {
-	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
+	cost := r.World().Net().Params()
+	r.Sys(float64(pl.TotalRuns()) * cost.PlanCost)
 	if ot := r.World().Obs(); ot != nil {
 		ot.Metrics().Counter("adio_collective_reads").Inc()
 	}
@@ -557,7 +559,7 @@ func twoPhaseRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 			}
 			tXf := r.Now()
 			if receiving {
-				r.WaitAll(aggShuffle(r, c, pl, me, tag, it, ext, &rq, p, hooks, transformed))
+				r.WaitAll(aggShuffle(r, c, pl, me, tag, it, ext, &rq, &cost, hooks, transformed))
 			}
 			if p.Obs != nil {
 				p.Obs.ObserveIter(aggrIdx, k, tRead-t0, r.Now()-tRead, it.ReadHi-it.ReadLo)
@@ -567,7 +569,7 @@ func twoPhaseRead(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 			}
 		}
 		if receiving {
-			expectPos = recvIter(r, c, pl, me, k, tag, expectPos, &rq, p, hooks)
+			expectPos = recvIter(r, c, pl, me, k, tag, expectPos, &rq, &cost, hooks)
 		}
 	}
 	return nil

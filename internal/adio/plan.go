@@ -23,7 +23,10 @@ import (
 	"repro/internal/pfs"
 )
 
-// Params tunes the I/O protocols. Zero values are defaulted.
+// Params tunes the I/O protocols. Zero values are defaulted. What the
+// protocols cost in CPU time (packing, pieces, planning) is the machine's,
+// not the call's: each call reads it once from the rank's world
+// (fabric.Params).
 type Params struct {
 	// CB is the collective buffer size per aggregator (ROMIO cb_buffer_size;
 	// paper default 4 MB).
@@ -38,17 +41,6 @@ type Params struct {
 	// SieveThreshold is the maximum hole size data sieving will read through
 	// in independent I/O.
 	SieveThreshold int64
-	// PackRate is the memory bandwidth charged for packing/unpacking pieces
-	// (bytes/second of Sys time).
-	PackRate float64
-	// PieceCost is the per-piece CPU cost of packing or placing one
-	// non-contiguous fragment (index arithmetic plus a cache-missing small
-	// memcpy). Fine-grained interleaved patterns are dominated by this, not
-	// by bytes — it is what makes the paper's Figure 1 shuffle expensive.
-	PieceCost float64
-	// PlanCost is the CPU time charged per offset-list run for building the
-	// access plan.
-	PlanCost float64
 	// Obs, when non-nil, receives per-iteration aggregator timings (used to
 	// regenerate the paper's Figure 1 profile).
 	Obs Observer
@@ -145,15 +137,6 @@ func (p Params) Defaults() Params {
 	}
 	if p.SieveThreshold == 0 {
 		p.SieveThreshold = 64 << 10
-	}
-	if p.PackRate == 0 {
-		p.PackRate = 4e9
-	}
-	if p.PlanCost == 0 {
-		p.PlanCost = 50e-9
-	}
-	if p.PieceCost == 0 {
-		p.PieceCost = 0.3e-6
 	}
 	return p
 }

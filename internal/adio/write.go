@@ -24,7 +24,8 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 	}
 	reqs := exchangeRequests(r, c, rq.Runs)
 	pl := sharedPlan(cl, f, reqs, nil, aggrs, p, roundKey{rounds: 1})
-	r.Sys(float64(pl.TotalRuns()) * p.PlanCost)
+	cost := r.World().Net().Params()
+	r.Sys(float64(pl.TotalRuns()) * cost.PlanCost)
 	tagBase := c.ReserveTags(r, pl.MaxIters+1)
 	me := c.RankOf(r)
 	aggrIdx := pl.AggrIndex(me)
@@ -76,7 +77,7 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 				}
 				msg.pieces = append(msg.pieces, shufflePiece{off: pc.Run.Offset, data: data})
 			}
-			r.Sys(float64(msg.bytes) / p.PackRate)
+			r.Sys(float64(msg.bytes) / cost.PackRate)
 			if !remote {
 				// Local: assembled below via pending list.
 				localStash(&pendingLocal, a, msg)
@@ -103,7 +104,7 @@ func CollectiveWrite(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, f *pfs.File,
 					} else {
 						v, n := r.Recv(c.WorldRank(owner), tag)
 						msg = v.(*shuffleMsg)
-						r.Sys(float64(n) / p.PackRate)
+						r.Sys(float64(n) / cost.PackRate)
 					}
 					if msg != nil {
 						for _, pc := range msg.pieces {

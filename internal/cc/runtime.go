@@ -168,13 +168,6 @@ func (s *Stats) Add(o Stats) {
 	s.FlaggedSlowOSTs += o.FlaggedSlowOSTs
 }
 
-// constructCostPerSubset is the CPU cost charged per reconstructed logical
-// subset (coordinate arithmetic + metadata indexing).
-const constructCostPerSubset = 100e-9
-
-// mergeCost is the CPU cost charged per partial-result merge.
-const mergeCost = 150e-9
-
 // reduceMsgBuckets are the histogram bounds (bytes) for the
 // cc_reduce_message_bytes metric — decades from 1 KB to 1 GB.
 var reduceMsgBuckets = []float64{1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9}
@@ -486,9 +479,11 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 		}
 	}
 	io.Params.Align = (io.Params.Align + sz - 1) / sz * sz
+	// The construction and merge costs are the machine's (fabric.Params).
+	cost := r.World().Net().Params()
 	aggrs := io.Aggregators
 	if aggrs == nil {
-		aggrs = adio.DefaultAggregators(c.Size(), r.World().Net().Params().RanksPerNode)
+		aggrs = adio.DefaultAggregators(c.Size(), cost.RanksPerNode)
 	}
 
 	me := c.RankOf(r)
@@ -496,7 +491,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	elemBase := v.Offset
 	par := float64(io.MapParallelism)
 	if par <= 0 {
-		par = float64(r.World().Net().Params().RanksPerNode)
+		par = float64(cost.RanksPerNode)
 	}
 
 	// Owner-side accumulated state (all-to-all, one slot per sending
@@ -592,8 +587,8 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 			t0 := r.Now()
 			for k := g.lo; k < g.hi; k++ {
 				// Construction cost: per subset plus the decode memcopy.
-				r.Sys(float64(subsets[k])*constructCostPerSubset +
-					float64(pieces[k].Run.Length)/io.Params.PackRate)
+				r.Sys(float64(subsets[k])*cost.ConstructCost +
+					float64(pieces[k].Run.Length)/cost.PackRate)
 				t1 := r.Now()
 				if io.Stats != nil {
 					io.Stats.ConstructSeconds += t1 - t0
@@ -625,7 +620,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 				p.state = op.Merge(p.state, g.st)
 				p.records++
 				p.mdBytes += g.mdBytes
-				r.Compute(mergeCost)
+				r.Compute(cost.MergeCost)
 				if io.Stats != nil {
 					io.Stats.LocalReduceSeconds += r.Now() - t0
 				}
@@ -662,7 +657,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 			} else {
 				bySender[src] = msg.state
 			}
-			r.Compute(mergeCost)
+			r.Compute(cost.MergeCost)
 			if io.Stats != nil {
 				io.Stats.LocalReduceSeconds += r.Now() - t0
 			}
@@ -690,7 +685,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 	myState := op.Zero()
 	for _, s := range senders {
 		myState = op.Merge(myState, bySender[s])
-		r.Compute(mergeCost)
+		r.Compute(cost.MergeCost)
 	}
 	if io.Stats != nil {
 		io.Stats.LocalReduceSeconds += r.Now() - tf0
@@ -710,6 +705,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	rootWorld := c.WorldRank(io.Root)
 	amAggr := slices.Contains(aggrs, me)
 	ot := r.World().Obs()
+	merge := r.World().Net().Params().MergeCost
 
 	if me != io.Root {
 		if amAggr {
@@ -743,7 +739,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	if amAggr {
 		for i := range perOwner {
 			if p := &perOwner[i]; p.records > 0 {
-				r.Compute(mergeCost * float64(p.records))
+				r.Compute(merge * float64(p.records))
 			}
 		}
 	}
@@ -762,7 +758,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 			} else {
 				*cur = p
 			}
-			r.Compute(mergeCost * float64(p.records))
+			r.Compute(merge * float64(p.records))
 		}
 	}
 	// Final reduce over the constructed per-process results.
@@ -771,7 +767,7 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 	for i := range perOwner {
 		if p := &perOwner[i]; p.records > 0 {
 			final = op.Merge(final, p.state)
-			r.Compute(mergeCost)
+			r.Compute(merge)
 			owners++
 		}
 	}
@@ -790,9 +786,10 @@ func allToOneFinish(r *mpi.Rank, c *mpi.Comm, io IO, op Op,
 // finalReduce runs the cross-process reduce of local states to the root and
 // broadcasts the scalar result.
 func finalReduce(r *mpi.Rank, c *mpi.Comm, io IO, op Op, st State) (Result, error) {
+	merge := r.World().Net().Params().MergeCost
 	t0 := r.Now()
 	final := c.Reduce(r, io.Root, st, op.StateBytes(), func(a, b interface{}) interface{} {
-		r.Compute(mergeCost)
+		r.Compute(merge)
 		return op.Merge(a, b)
 	})
 	if io.Stats != nil {

@@ -41,9 +41,14 @@ type Spec struct {
 	Ranks int
 	// RanksPerNode sets the fabric topology (0 = fabric default).
 	RanksPerNode int
-	// FS configures the parallel file system (zero value = Lustre-like
-	// defaults: 156 OSTs, 35 GB/s aggregate).
-	FS pfs.Params
+	// TimeUnit is the unit, in seconds, that the machine counts virtual
+	// time in: every constant of its cost model (fabric.Params and
+	// pfs.Params, at their Hopper-like defaults) is scaled by it, times
+	// multiplied and rates divided. 0 means 1. Under a power of two every
+	// virtual time comes out exactly TimeUnit times larger and every ratio
+	// of times is bit-identical, which is what the experiments' time-scale
+	// invariance test checks.
+	TimeUnit float64
 	// MaxConcurrent caps how many jobs run at once; 0 means unlimited
 	// (bounded only by rank-count fit). 1 serializes the queue.
 	MaxConcurrent int
@@ -123,10 +128,14 @@ func New(spec Spec) *Cluster {
 	if spec.Ranks <= 0 {
 		panic(fmt.Sprintf("cluster: Spec.Ranks %d", spec.Ranks))
 	}
+	unit := spec.TimeUnit
+	if unit == 0 {
+		unit = 1
+	}
 	env := sim.NewEnv()
-	w := mpi.NewWorld(env, spec.Ranks, fabric.Params{RanksPerNode: spec.RanksPerNode})
+	w := mpi.NewWorld(env, spec.Ranks, fabric.Params{RanksPerNode: spec.RanksPerNode}.Scale(unit))
 	c := &Cluster{
-		spec: spec, env: env, w: w, fs: pfs.New(env, spec.FS),
+		spec: spec, env: env, w: w, fs: pfs.New(env, pfs.Params{}.Scale(unit)),
 		rt: obs.NewRankTime(spec.Ranks), obs: spec.Obs,
 		datasets:  make(map[string]*ncfile.Dataset),
 		plans:     make(map[string]*adio.PlanCache),

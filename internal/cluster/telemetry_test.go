@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/climate"
 	"repro/internal/obs"
-	"repro/internal/pfs"
 )
 
 // TestMemoGauges runs the memo workload under a tracer and checks the
@@ -104,7 +103,7 @@ func TestSeriesSampleZeroAlloc(t *testing.T) {
 	ser := obs.NewSeriesSink(io.Discard)
 	defer ser.Close()
 	ot.SetSeries(ser)
-	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot, FS: pfs.Params{NumOSTs: 156}})
+	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot})
 	c.recordClassWait("batch", 1.5)
 	c.recordClassWait("", 0.25)
 	c.sampleSeries(1, 3, 4) // grow the scratch and the line buffer
@@ -123,7 +122,7 @@ func TestSeriesSampleZeroAlloc(t *testing.T) {
 // mirroring the totals allocates nothing once the handles exist.
 func TestMirrorTotalsZeroAlloc(t *testing.T) {
 	ot := obs.New()
-	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot, Memo: true, FS: pfs.Params{NumOSTs: 156}})
+	c := New(Spec{Ranks: 8, RanksPerNode: 2, Obs: ot, Memo: true})
 	c.mirrorTotals() // build the handles and grow the scratch
 	if got := testing.AllocsPerRun(500, c.mirrorTotals); got != 0 {
 		t.Errorf("mirroring the totals allocates %v times per publish, want 0", got)

@@ -59,12 +59,22 @@ type Config struct {
 	// optional repro.series.v1 log. With ReportIn empty the experiment
 	// reports on a self-demo workload run, folded as it runs.
 	ReportIn, ReportSeriesIn string
+
+	// timeUnit is the unit the figures' machines count virtual time in
+	// (cluster.Spec.TimeUnit), and the figures' own time inputs with them;
+	// 0 means 1. observe, when set, sees every leg runLeg ran. Only the
+	// time-scale invariance test sets either.
+	timeUnit float64
+	observe  func(leg, legRun)
 }
 
 // Defaults fills unset fields.
 func (c Config) Defaults() Config {
 	if c.Scale <= 0 {
 		c.Scale = 0.1
+	}
+	if c.timeUnit == 0 {
+		c.timeUnit = 1
 	}
 	return c
 }

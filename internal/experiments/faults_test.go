@@ -45,7 +45,7 @@ func (sc faultScenario) run(t *testing.T, plan *fault.Plan, mit adio.Params) (fl
 	t.Helper()
 	p := mit
 	p.CB, p.Pipeline = sc.cb, true
-	run, err := runLeg(leg{name: "faults", nranks: sc.nranks, rpn: sc.rpn, plan: plan,
+	run, err := Config{}.runLeg(leg{name: "faults", nranks: sc.nranks, rpn: sc.rpn, plan: plan,
 		create: climate.NewDataset3D, dims: sc.dims, stripes: sc.stripes, stripeSize: sc.stripeSize,
 		slabs: climate.SplitAlongDim(layout.Slab{Start: []int64{0, 0, 0}, Count: sc.dims}, 1, sc.nranks),
 		io: cc.IO{Block: sc.block, Mode: sc.mode, Reduce: cc.AllToOne,

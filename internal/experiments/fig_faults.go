@@ -35,7 +35,7 @@ func FigFaults(cfg Config) (*Table, error) {
 	for level := 1; level <= 3; level++ {
 		var runs [4]legRun
 		for i, l := range f.level(level) {
-			if runs[i], err = runLeg(l); err != nil {
+			if runs[i], err = cfg.runLeg(l); err != nil {
 				return nil, err
 			}
 		}
@@ -84,19 +84,19 @@ func newFaultSweep(cfg Config) (faultSweep, error) {
 	// Modest computation (ratio 1:2) so the read phase dominates but the
 	// map still overlaps, as in the paper's I/O-heavy regime.
 	trad, _ := b.legs("faults", 0)
-	_, spe, err := calibrate(trad, b.perRankElems)
+	_, spe, err := cfg.calibrate(trad, b.perRankElems)
 	if err != nil {
 		return f, err
 	}
 	f.trad, f.cc = b.legs("faults", spe(0.5))
-	if f.free, err = runLeg(f.cc); err != nil {
+	if f.free, err = cfg.runLeg(f.cc); err != nil {
 		return f, err
 	}
 
-	// Straggler handling sized to the protocol: a piece is at most one stripe
-	// or one collective-buffer window, so time out a request at ~3x its
-	// healthy service time.
-	fsp := pfs.Params{}.Defaults()
+	// Straggler handling sized to the protocol on the legs' machine: a
+	// piece is at most one stripe or one collective-buffer window, so time
+	// out a request at ~3x its healthy service time.
+	fsp := f.free.cl.FS().Params()
 	svc := fsp.OSTLatency + float64(min(b.cb, b.stripeSize))/fsp.OSTBandwidth
 	f.retry = pfs.ReadPolicy{Timeout: 3 * svc, Retries: 4, Backoff: svc / 2}
 	f.rounds = 4
@@ -113,7 +113,7 @@ func newFaultSweep(cfg Config) (faultSweep, error) {
 		Seed:    1,
 		NumOSTs: f.cc.stripes, NumNodes: (b.nranks + b.rpn - 1) / b.rpn, NumRanks: b.nranks,
 		Stragglers: 4, StragglerFactor: 8,
-		Links: 1, LinkFactor: 4, LinkJitter: 20e-6,
+		Links: 1, LinkFactor: 4, LinkJitter: 20e-6 * cfg.timeUnit, // 20 µs, in the machine's unit
 		SlowRanks: 1, SlowRankFactor: 2,
 		Horizon: f.free.makespan,
 		// Transient episodes lasting ~0.5-1.5x the fault-free makespan: the

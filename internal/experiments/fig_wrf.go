@@ -61,7 +61,7 @@ func Fig13(cfg Config) (*Table, error) {
 	// scan is lighter than the climate kernels; fix computation:I/O ≈ 1:2.
 	nt0 := ntOf(sizesGB[0])
 	trad0, _ := legs(nt0, 0)
-	_, speAt, err := calibrate(trad0, nt0*(ny/int64(nranks))*nx)
+	_, speAt, err := cfg.calibrate(trad0, nt0*(ny/int64(nranks))*nx)
 	if err != nil {
 		return nil, err
 	}
@@ -71,7 +71,7 @@ func Fig13(cfg Config) (*Table, error) {
 	var barLabels []string
 	var barVals []float64
 	for _, gb := range sizesGB {
-		tr, cr, err := compare(legs(ntOf(gb), spe))
+		tr, cr, err := cfg.compare(legs(ntOf(gb), spe))
 		if err != nil {
 			return nil, err
 		}

@@ -40,7 +40,7 @@ func fig9Bench(cfg Config) bench {
 func Fig9(cfg Config) (*Table, error) {
 	b := fig9Bench(cfg)
 	trad, _ := b.legs("fig9", 0)
-	tIO, spe, err := calibrate(trad, b.perRankElems)
+	tIO, spe, err := cfg.calibrate(trad, b.perRankElems)
 	if err != nil {
 		return nil, err
 	}
@@ -62,7 +62,7 @@ func Fig9(cfg Config) (*Table, error) {
 	var barLabels []string
 	var barVals []float64
 	for _, rt := range ratios {
-		tr, cr, err := compare(b.legs("fig9", spe(rt.r)))
+		tr, cr, err := cfg.compare(b.legs("fig9", spe(rt.r)))
 		if err != nil {
 			return nil, err
 		}
@@ -112,11 +112,11 @@ func Fig10(cfg Config) (*Table, error) {
 	var speedups []float64
 	for _, b := range fig10Points(cfg) {
 		trad, _ := b.legs("fig10", 0)
-		_, spe, err := calibrate(trad, b.perRankElems)
+		_, spe, err := cfg.calibrate(trad, b.perRankElems)
 		if err != nil {
 			return nil, err
 		}
-		tr, cr, err := compare(b.legs("fig10", spe(0.2)))
+		tr, cr, err := cfg.compare(b.legs("fig10", spe(0.2)))
 		if err != nil {
 			return nil, err
 		}
@@ -157,6 +157,7 @@ func fig10Points(cfg Config) []bench {
 // vs collective computing's logical construction + local reduction — at
 // 128/256/512 processes with total I/O fixed at (scaled) 40 GB and 80 GB.
 func Fig11(cfg Config) (*Table, error) {
+	cfg = cfg.Defaults()
 	pts, vol40 := fig11Points(cfg)
 	t := &Table{
 		ID:      "fig11",
@@ -166,14 +167,15 @@ func Fig11(cfg Config) (*Table, error) {
 	var s40m, s40c, s80c []float64
 	for _, pt := range pts {
 		// The analysis is a sum; its per-element cost represents the
-		// reduction loop of Figure 5 (lines 5-7).
-		const spe = 2e-8
-		mpi40, cc40, err := compare(pt[0].legs("fig11", spe))
+		// reduction loop of Figure 5 (lines 5-7): 20 ns, in the machine's
+		// unit.
+		spe := 2e-8 * cfg.timeUnit
+		mpi40, cc40, err := cfg.compare(pt[0].legs("fig11", spe))
 		if err != nil {
 			return nil, err
 		}
 		_, l80 := pt[1].legs("fig11", spe)
-		cc80, err := runLeg(l80)
+		cc80, err := cfg.runLeg(l80)
 		if err != nil {
 			return nil, err
 		}
@@ -236,7 +238,7 @@ func Fig12(cfg Config) (*Table, error) {
 	var optimum int64
 	var mdSeries []float64
 	for _, l := range fig12Legs(cfg) {
-		run, err := runLeg(l)
+		run, err := cfg.runLeg(l)
 		if err != nil {
 			return nil, err
 		}

@@ -139,7 +139,7 @@ func Fig1(cfg Config) (*Table, error) {
 	l := fig1Leg(cfg, "fig1")
 	iters := newIterStats()
 	l.io.Params.Obs = iters
-	run, err := runLeg(l)
+	run, err := cfg.runLeg(l)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func cpuProfileTable(id, title string, rt *obs.RankTime, until float64) *Table {
 // Fig2 reproduces the CPU profile (user/sys/wait) during two-phase
 // collective I/O (paper Figure 2).
 func Fig2(cfg Config) (*Table, error) {
-	run, err := runLeg(fig1Leg(cfg, "fig2"))
+	run, err := cfg.runLeg(fig1Leg(cfg, "fig2"))
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +217,7 @@ func Fig2(cfg Config) (*Table, error) {
 // wait under OST contention.
 func Fig3(cfg Config) (*Table, error) {
 	l := fig1Leg(cfg, "fig3")
-	run, err := runLeg(l)
+	run, err := cfg.runLeg(l)
 	if err != nil {
 		return nil, err
 	}

@@ -69,11 +69,11 @@ func TestRankTimeConservation(t *testing.T) {
 		t.Run(l.name, func(t *testing.T) {
 			traced := l
 			traced.obs = obs.New()
-			run, err := runLeg(traced)
+			run, err := Config{}.runLeg(traced)
 			if err != nil {
 				t.Fatal(err)
 			}
-			bare, err := runLeg(l)
+			bare, err := Config{}.runLeg(l)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -52,10 +52,11 @@ type legRun struct {
 	cl       *cluster.Cluster
 }
 
-// runLeg runs l on a fresh machine. Every rank must end holding the root's
-// value, bit for bit.
-func runLeg(l leg) (legRun, error) {
-	run := legRun{cl: cluster.New(cluster.Spec{Ranks: l.nranks, RanksPerNode: l.rpn, Obs: l.obs})}
+// runLeg runs l on a fresh machine counting time in cfg's unit. Every rank
+// must end holding the root's value, bit for bit.
+func (cfg Config) runLeg(l leg) (legRun, error) {
+	run := legRun{cl: cluster.New(cluster.Spec{Ranks: l.nranks, RanksPerNode: l.rpn, Obs: l.obs,
+		TimeUnit: cfg.timeUnit})}
 	cl := run.cl
 	if l.plan != nil {
 		l.plan.Apply(cl.World(), cl.FS())
@@ -65,8 +66,10 @@ func runLeg(l leg) (legRun, error) {
 		return run, err
 	}
 	if l.profile {
-		// The renderer strides, so one small bucket serves every scale.
-		cl.ProfileRanks(0.05)
+		// The renderer strides, so one small bucket serves every scale. It
+		// is in the machine's units: 100 requests' latency, 0.05 s on
+		// Hopper.
+		cl.ProfileRanks(100 * cl.FS().Params().OSTLatency)
 	}
 	io := l.io
 	io.DS, io.VarID, io.Stats = ds, id, &run.stats
@@ -102,26 +105,29 @@ func runLeg(l leg) (legRun, error) {
 			return run, fmt.Errorf("%s: rank %d holds %v, the root %v", l.name, rank, v, run.root.Value)
 		}
 	}
+	if cfg.observe != nil {
+		cfg.observe(l, run)
+	}
 	return run, nil
 }
 
 // calibrate runs trad, a blocking leg, with zero compute, and returns its
 // makespan tIO and the map cost per element at which a rank of perRankElems
 // elements computes k·tIO.
-func calibrate(trad leg, perRankElems int64) (float64, func(k float64) float64, error) {
+func (cfg Config) calibrate(trad leg, perRankElems int64) (float64, func(k float64) float64, error) {
 	trad.io.SecPerElem = 0
-	run, err := runLeg(trad)
+	run, err := cfg.runLeg(trad)
 	tIO := run.makespan
 	return tIO, func(k float64) float64 { return k * tIO / float64(perRankElems) }, err
 }
 
 // compare runs a point's traditional leg, then its collective-computing leg.
-func compare(trad, ccl leg) (legRun, legRun, error) {
-	tr, err := runLeg(trad)
+func (cfg Config) compare(trad, ccl leg) (legRun, legRun, error) {
+	tr, err := cfg.runLeg(trad)
 	if err != nil {
 		return tr, legRun{}, err
 	}
-	cr, err := runLeg(ccl)
+	cr, err := cfg.runLeg(ccl)
 	return tr, cr, err
 }
 

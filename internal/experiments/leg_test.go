@@ -35,7 +35,7 @@ func TestFigureLegsAgree(t *testing.T) {
 	} {
 		var want float64
 		for i, l := range fig.legs {
-			run, err := runLeg(l)
+			run, err := Config{}.runLeg(l)
 			if err != nil {
 				t.Fatalf("%s leg %d: %v", fig.id, i, err)
 			}

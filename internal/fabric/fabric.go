@@ -14,8 +14,13 @@ import (
 	"repro/internal/sim"
 )
 
-// Params describes the interconnect. Zero values are replaced by Hopper-like
-// defaults via Defaults.
+// Params is the machine's cost model apart from storage (pfs.Params): the
+// interconnect, and the CPU time a rank spends on each message it sends,
+// each piece it packs, each plan run it indexes, each logical subset it
+// constructs and each partial result it merges. mpi, adio and cc read it
+// through the rank's world (mpi.World.Net().Params()), so every time a layer
+// charges comes from here. Zero values are replaced by Hopper-like defaults
+// via Defaults; Scale changes the unit time is counted in.
 type Params struct {
 	// Latency is the end-to-end per-message latency between nodes (seconds).
 	Latency float64
@@ -32,6 +37,23 @@ type Params struct {
 	// SendOverhead is the CPU time a sender spends injecting a message
 	// (seconds), charged even for non-blocking sends.
 	SendOverhead float64
+	// PackRate is the memory bandwidth charged for packing and unpacking
+	// the two-phase shuffle's pieces, and for the CC map's decode copy
+	// (bytes/second of Sys time).
+	PackRate float64
+	// PieceCost is the per-piece CPU cost of packing or placing one
+	// non-contiguous fragment (index arithmetic plus a cache-missing small
+	// memcpy). Fine-grained interleaved patterns are dominated by this, not
+	// by bytes: it is what makes the paper's Figure 1 shuffle expensive.
+	PieceCost float64
+	// PlanCost is the CPU time charged per offset-list run for building a
+	// two-phase access plan (seconds).
+	PlanCost float64
+	// ConstructCost is the CPU time charged per logical subset the CC map
+	// reconstructs: coordinate arithmetic plus metadata indexing (seconds).
+	ConstructCost float64
+	// MergeCost is the CPU time charged per partial-result merge (seconds).
+	MergeCost float64
 }
 
 // Defaults fills unset fields with values resembling the paper's Cray XE6
@@ -61,6 +83,43 @@ func (p Params) Defaults() Params {
 	if p.SendOverhead == 0 {
 		p.SendOverhead = 5e-7
 	}
+	if p.PackRate == 0 {
+		p.PackRate = 4e9
+	}
+	if p.PieceCost == 0 {
+		p.PieceCost = 0.3e-6
+	}
+	if p.PlanCost == 0 {
+		p.PlanCost = 50e-9
+	}
+	if p.ConstructCost == 0 {
+		p.ConstructCost = 100e-9
+	}
+	if p.MergeCost == 0 {
+		p.MergeCost = 150e-9
+	}
+	return p
+}
+
+// Scale returns p, defaulted, with time counted in units of k seconds:
+// every latency and per-operation cost multiplied by k, every bandwidth and
+// rate divided by k. RanksPerNode is shape, not time, and stays. For k a
+// power of two both are exact, so every virtual time the model yields comes
+// out exactly k times larger and every ratio of them bit-identical (DESIGN
+// §5, §7).
+func (p Params) Scale(k float64) Params {
+	p = p.Defaults()
+	p.Latency *= k
+	p.Bandwidth /= k
+	p.NICBandwidth /= k
+	p.MemLatency *= k
+	p.MemBandwidth /= k
+	p.SendOverhead *= k
+	p.PackRate /= k
+	p.PieceCost *= k
+	p.PlanCost *= k
+	p.ConstructCost *= k
+	p.MergeCost *= k
 	return p
 }
 

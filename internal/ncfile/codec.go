@@ -133,37 +133,20 @@ func Float32Round(v float64) float64 { return float64(float32(v)) }
 
 // roundTrip replaces each value by what decode yields for encode's bytes of
 // it: the same conversions with the little-endian bit moves between them,
-// which change nothing, left out. Unrolled four ways like the kernels above.
+// which change nothing, left out.
 func roundTrip(t Type, vals []float64) {
-	n := len(vals)
-	i := 0
 	switch t {
 	case Float32:
-		for ; i+4 <= n; i += 4 {
-			v := vals[i : i+4 : i+4]
-			v[0], v[1] = Float32Round(v[0]), Float32Round(v[1])
-			v[2], v[3] = Float32Round(v[2]), Float32Round(v[3])
-		}
-		for ; i < n; i++ {
-			vals[i] = Float32Round(vals[i])
+		for i, v := range vals {
+			vals[i] = Float32Round(v)
 		}
 	case Int32:
-		for ; i+4 <= n; i += 4 {
-			v := vals[i : i+4 : i+4]
-			v[0], v[1] = float64(int32(v[0])), float64(int32(v[1]))
-			v[2], v[3] = float64(int32(v[2])), float64(int32(v[3]))
-		}
-		for ; i < n; i++ {
-			vals[i] = float64(int32(vals[i]))
+		for i, v := range vals {
+			vals[i] = float64(int32(v))
 		}
 	case Int64:
-		for ; i+4 <= n; i += 4 {
-			v := vals[i : i+4 : i+4]
-			v[0], v[1] = float64(int64(v[0])), float64(int64(v[1]))
-			v[2], v[3] = float64(int64(v[2])), float64(int64(v[3]))
-		}
-		for ; i < n; i++ {
-			vals[i] = float64(int64(vals[i]))
+		for i, v := range vals {
+			vals[i] = float64(int64(v))
 		}
 	}
 }

@@ -154,11 +154,10 @@ func TestCodecMatchesScalarTable(t *testing.T) {
 	}
 }
 
-// TestRoundTripMatchesScalarLoop: the unrolled roundTrip gives what the
-// one-element-at-a-time loop gives, bit for bit, for each type, at every
-// length from 0 to 9 from every offset into the awkward values (so each
-// value meets each of the four unrolled slots and the tail), and over a long
-// row of arbitrary bit patterns whose length leaves a tail of three.
+// TestRoundTripMatchesScalarLoop: roundTrip gives what the per-type
+// conversions written out element by element give, bit for bit, for each
+// type, at every length from 0 to 9 from every offset into the awkward
+// values, and over a long row of arbitrary bit patterns.
 func TestRoundTripMatchesScalarLoop(t *testing.T) {
 	scalar := func(ty Type, vals []float64) {
 		for i, v := range vals {

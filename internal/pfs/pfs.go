@@ -17,8 +17,10 @@ import (
 	"repro/internal/sim"
 )
 
-// Params describes the storage system. Zero values are replaced by
-// Hopper-like defaults via Defaults.
+// Params describes the storage system: its shape and the storage part of
+// the machine's cost model (the rest is fabric.Params). Zero values are
+// replaced by Hopper-like defaults via Defaults; Scale changes the unit time
+// is counted in.
 type Params struct {
 	// NumOSTs is the number of OSTs in the file system (Hopper: 156).
 	NumOSTs int
@@ -50,6 +52,18 @@ func (p Params) Defaults() Params {
 	if p.DefaultStripeSize == 0 {
 		p.DefaultStripeSize = 4 << 20
 	}
+	return p
+}
+
+// Scale returns p, defaulted, with time counted in units of k seconds: the
+// request latency and the client's per-request cost multiplied by k, the
+// OST bandwidth divided by k. The OST count and the stripe size are shape,
+// not time, and stay. See fabric.Params.Scale, the rest of the model.
+func (p Params) Scale(k float64) Params {
+	p = p.Defaults()
+	p.OSTLatency *= k
+	p.OSTBandwidth /= k
+	p.ClientOverhead *= k
 	return p
 }
 
