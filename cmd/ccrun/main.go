@@ -44,6 +44,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 
 	"repro/internal/adio"
@@ -123,6 +124,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}()
 
+	finite := func(x float64) bool { return !math.IsNaN(x) && !math.IsInf(x, 0) }
+	switch {
+	case *procs < 1:
+		return fail("-procs %d: need at least one rank", *procs)
+	case !finite(*spe) || *spe < 0:
+		return fail("-comp %v: need a finite cost per element of at least 0", *spe)
+	case !finite(*stragFac) || *stragFac < 1:
+		return fail("-straggler-factor %v: need a finite slowdown of at least 1", *stragFac)
+	case !finite(*horizon) || *horizon <= 0:
+		return fail("-fault-horizon %v: need a finite span above 0", *horizon)
+	}
 	if *steps < int64(*procs) && *ny < int64(*procs) {
 		return fail("need steps or ny >= procs to split the domain")
 	}

@@ -41,6 +41,13 @@ func TestBadInputs(t *testing.T) {
 		{[]string{"-op", "nonesuch"}, 1, "nonesuch"},
 		{[]string{"-policy", "nope"}, 1, `-policy: unknown policy "nope"`},
 		{[]string{"-procs", "100", "-steps", "8", "-ny", "64"}, 1, "split the domain"},
+		{[]string{"-procs", "0"}, 1, "-procs 0: need at least one rank"},
+		{[]string{"-procs", "-3"}, 1, "-procs -3: need at least one rank"},
+		{[]string{"-comp", "-1"}, 1, "-comp -1: need a finite cost"},
+		{[]string{"-comp", "NaN"}, 1, "-comp NaN: need a finite cost"},
+		{[]string{"-straggler-factor", "-4"}, 1, "-straggler-factor -4: need a finite slowdown"},
+		{[]string{"-fault-horizon", "-1"}, 1, "-fault-horizon -1: need a finite span"},
+		{[]string{"-fault-horizon", "+Inf"}, 1, "-fault-horizon +Inf: need a finite span"},
 		{[]string{"-memo", "-mode", "independent"}, 1, "no independent mode"},
 		{[]string{"-repeat", "0"}, 1, "-repeat must be >= 1"},
 		{[]string{"-memo", "-read-timeout", "0.01"}, 1, "mitigation"},

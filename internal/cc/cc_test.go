@@ -455,6 +455,17 @@ func TestValidationErrors(t *testing.T) {
 		if _, err := ObjectGetVara(r, tb.c, cl, IO{DS: tb.ds, Root: 5}, Sum{}); err == nil {
 			t.Error("bad root accepted")
 		}
+		for _, spe := range []float64{-1e-8, math.NaN(), math.Inf(1)} {
+			var st Stats
+			io := IO{DS: tb.ds, SecPerElem: spe, Stats: &st}
+			if _, err := ObjectGetVara(r, tb.c, cl, io, Sum{}); err == nil || st != (Stats{}) {
+				t.Errorf("map cost %v: error %v, stats %+v", spe, err, st)
+			}
+			io.SecPerElem, io.Consumers = 0, []Consumer{{Op: Max{}, SecPerElem: spe}}
+			if _, err := ObjectGetVara(r, tb.c, cl, io, Sum{}); err == nil {
+				t.Errorf("consumer map cost %v accepted", spe)
+			}
+		}
 	})
 	if err := tb.env.Run(); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,9 @@ package cc
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"slices"
 	"sort"
-	"sync/atomic"
 	"testing"
 
 	"repro/internal/adio"
@@ -206,191 +204,6 @@ func TestAllToOneRootMergeOrder(t *testing.T) {
 	}
 	if len(senders) < 2 || !multi {
 		t.Fatalf("merge order %v: the test needs two owners and an owner fed by two non-root aggregators", final)
-	}
-}
-
-// TestConsumersBitIdenticalToColdRuns is the coalescing property test at the
-// runtime level: a donor pass with fused consumers must leave the donor's
-// result untouched and produce, for each eligible consumer, exactly the bits
-// its own cold run produces — for an exact-shape order-sensitive operator
-// (MinLoc) and for contained-window order-invariant operators (Histogram,
-// Min).
-func TestConsumersBitIdenticalToColdRuns(t *testing.T) {
-	dims := []int64{8, 6, 10}
-	whole := layout.Slab{Start: []int64{1, 0, 2}, Count: []int64{6, 6, 7}}
-	window := layout.Slab{Start: []int64{2, 1, 3}, Count: []int64{3, 4, 4}}
-	const n = 4
-	wholeSlabs := splitSlab(whole, n)
-	winSlabs := splitSlab(window, n)
-	params := adio.Params{CB: 512, Pipeline: true}
-
-	cold := func(slabs []layout.Slab, op Op) Result {
-		tb := newTestbed(t, n, ncfile.Float64, dims)
-		res := runObjectGetVara(t, tb, slabs,
-			IO{Reduce: AllToOne, Params: params}, op)
-		return res[0]
-	}
-	donorCold := cold(wholeSlabs, Sum{})
-	exactCold := cold(wholeSlabs, MinLoc{})
-	histCold := cold(winSlabs, Histogram{Lo: 0, Hi: 125, Bins: 10})
-	minCold := cold(winSlabs, Min{})
-
-	var exactRes, histRes, minRes Result
-	cons := []Consumer{
-		{Op: MinLoc{}, OnResult: func(r Result) { exactRes = r }},
-		{Op: WindowOp{Op: Histogram{Lo: 0, Hi: 125, Bins: 10}, Window: window},
-			OnResult: func(r Result) { histRes = r }},
-		{Op: WindowOp{Op: Min{}, Window: window},
-			OnResult: func(r Result) { minRes = r }},
-	}
-	tb := newTestbed(t, n, ncfile.Float64, dims)
-	warm := runObjectGetVara(t, tb, wholeSlabs,
-		IO{Reduce: AllToOne, Params: params, Consumers: cons}, Sum{})
-
-	check := func(label string, got, want Result) {
-		t.Helper()
-		if math.Float64bits(got.Value) != math.Float64bits(want.Value) {
-			t.Fatalf("%s: fused value %x != cold value %x", label,
-				math.Float64bits(got.Value), math.Float64bits(want.Value))
-		}
-		if !reflect.DeepEqual(got.State, want.State) {
-			t.Fatalf("%s: fused state %+v != cold state %+v", label, got.State, want.State)
-		}
-	}
-	check("donor sum", warm[0], donorCold)
-	check("exact minloc", exactRes, exactCold)
-	check("windowed histogram", histRes, histCold)
-	check("windowed min", minRes, minCold)
-}
-
-// countingOp is Count with a tally of its Absorb calls. It holds a pointer,
-// so it is comparable: copies that share a tally share an OpKey, and the
-// tally counts the fused components that fold it.
-type countingOp struct {
-	Count
-	calls *atomic.Int64
-}
-
-func (o countingOp) Absorb(s State, sub Subset) State {
-	o.calls.Add(1)
-	return o.Count.Absorb(s, sub)
-}
-
-// chargeOp is Sum whose partial result is a message of bytes: the modelled
-// pass of a fused operator whose components' messages sum to bytes.
-type chargeOp struct {
-	Sum
-	bytes int64
-}
-
-func (o chargeOp) StateBytes() int64 { return o.bytes }
-
-// TestDuplicateConsumersShareOneComponent: consumers whose operators have
-// equal OpKeys fold one component between them, and the pass is still
-// charged per consumer. Every follower of a Sum donor — three Variances, two
-// Histograms, a MinLoc and two windowed Maxes built from distinct window
-// slices — gets the bits of its cold run; a counting operator is absorbed as
-// often under k identical consumers as under one, alone or as the primary's
-// twin; and the pass's Stats and makespan are those of a single operator
-// whose map cost is the sum of every consumer's and whose message is the sum
-// of their StateBytes.
-func TestDuplicateConsumersShareOneComponent(t *testing.T) {
-	dims := []int64{16, 6, 10}
-	whole := layout.Slab{Start: []int64{1, 0, 2}, Count: []int64{12, 6, 7}}
-	window := layout.Slab{Start: []int64{2, 1, 3}, Count: []int64{8, 4, 4}}
-	const n = 8
-	wholeSlabs, winSlabs := splitSlab(whole, n), splitSlab(window, n)
-	io := IO{Reduce: AllToOne, Params: adio.Params{CB: 512, Pipeline: true}, SecPerElem: 0x1p-30}
-	hist := Histogram{Lo: -40, Hi: 50, Bins: 32}
-	run := func(slabs []layout.Slab, io IO, op Op) (Result, float64) {
-		tb := newTestbed(t, n, ncfile.Float64, dims)
-		res := runObjectGetVara(t, tb, slabs, io, op)
-		return res[0], tb.env.Now()
-	}
-
-	followers := []struct {
-		op   Op
-		cold Op
-		win  bool
-	}{
-		{Variance{}, Variance{}, false},
-		{hist, hist, false},
-		{Variance{}, Variance{}, false},
-		{MinLoc{}, MinLoc{}, false},
-		{WindowOp{Op: Max{}, Window: window.Clone()}, Max{}, true},
-		{Histogram{Lo: -40, Hi: 50, Bins: 32}, hist, false},
-		{Variance{}, Variance{}, false},
-		{WindowOp{Op: Max{}, Window: window.Clone()}, Max{}, true},
-	}
-	fused := make([]Result, len(followers))
-	cons := make([]Consumer, len(followers))
-	secPerElem, stateBytes := io.SecPerElem, Sum{}.StateBytes()
-	for i, f := range followers {
-		cons[i] = Consumer{Op: f.op, SecPerElem: float64(i+1) * 0x1p-30,
-			OnResult: func(r Result) { fused[i] = r }}
-		secPerElem += cons[i].SecPerElem
-		stateBytes += f.op.StateBytes()
-	}
-	fio := io
-	fio.Consumers = cons
-	fio.Stats = &Stats{}
-	donor, makespan := run(wholeSlabs, fio, Sum{})
-
-	check := func(label string, got, want Result) {
-		t.Helper()
-		if math.Float64bits(got.Value) != math.Float64bits(want.Value) ||
-			!reflect.DeepEqual(got.State, want.State) {
-			t.Errorf("%s: fused %v/%+v, cold %v/%+v", label, got.Value, got.State, want.Value, want.State)
-		}
-	}
-	donorCold, _ := run(wholeSlabs, io, Sum{})
-	check("donor sum", donor, donorCold)
-	for i, f := range followers {
-		slabs := wholeSlabs
-		if f.win {
-			slabs = winSlabs
-		}
-		cold, _ := run(slabs, io, f.cold)
-		check(fmt.Sprintf("follower %d (%T)", i, f.op), fused[i], cold)
-	}
-
-	// The modelled pass: one operator carrying every consumer's charge.
-	oio := io
-	oio.SecPerElem = secPerElem
-	oio.Stats = &Stats{}
-	_, oracleSpan := run(wholeSlabs, oio, chargeOp{bytes: stateBytes})
-	if *fio.Stats != *oio.Stats {
-		t.Errorf("fused pass stats %+v,\n  per-consumer charge %+v", *fio.Stats, *oio.Stats)
-	}
-	if makespan != oracleSpan {
-		t.Errorf("fused pass makespan %v, per-consumer charge %v", makespan, oracleSpan)
-	}
-
-	calls := func(primary func(countingOp) Op, k int) int64 {
-		var tally atomic.Int64
-		op := countingOp{calls: &tally}
-		cio := io
-		for i := 0; i < k; i++ {
-			cio.Consumers = append(cio.Consumers, Consumer{Op: op})
-		}
-		run(wholeSlabs, cio, primary(op))
-		return tally.Load()
-	}
-	sum := func(countingOp) Op { return Sum{} }
-	self := func(op countingOp) Op { return op }
-	one := calls(sum, 1)
-	if one == 0 {
-		t.Fatal("the counting consumer was never absorbed")
-	}
-	for _, k := range []int{2, 5} {
-		if c := calls(sum, k); c != one {
-			t.Errorf("%d identical consumers absorbed %d times, one consumer %d", k, c, one)
-		}
-	}
-	for _, k := range []int{0, 1, 5} {
-		if c := calls(self, k); c != one {
-			t.Errorf("the primary and %d identical consumers absorbed %d times, one consumer %d", k, c, one)
-		}
 	}
 }
 

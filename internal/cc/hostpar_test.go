@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"math"
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -133,7 +134,7 @@ func TestHostParallelismMovesNothing(t *testing.T) {
 		PerIndex{Inner: Max{}, Keys: g.dims[0]}, Fuse{Ops: []Op{Sum{}, MaxLoc{}}}}
 	slabs := parSlabs()
 
-	run := func(procs int, bed string, io IO, op Op, faults, consumers bool) (out twinOutcome) {
+	run := func(procs int, bed string, io IO, op Op, faults, consumers bool) (out runOutcome) {
 		atProcs(procs, func() {
 			var tb *testbed
 			switch bed {
@@ -270,4 +271,53 @@ func TestWorkerPanicReachesRunCaller(t *testing.T) {
 			t.Errorf("%s: Run returned %v past a panicking operator", leg.name, err)
 		})
 	}
+}
+
+// runOutcome is everything a run exposes that host parallelism must not
+// move.
+type runOutcome struct {
+	results   []Result
+	consumers []Result
+	makespan  float64
+	stats     Stats
+	bytesRead int64
+	requests  int64
+	timeouts  int64
+	retries   int64
+	messages  int64    // fabric: every message sent
+	wireBytes int64    // fabric: inter-node bytes
+	events    [32]byte // the event log's SHA-256, where the run kept one
+}
+
+// diff names the first field in which two outcomes differ, or "".
+func (a runOutcome) diff(b runOutcome) string {
+	sameResult := func(x, y Result) bool {
+		return math.Float64bits(x.Value) == math.Float64bits(y.Value) &&
+			x.Root == y.Root && reflect.DeepEqual(x.State, y.State)
+	}
+	for i := range a.results {
+		if !sameResult(a.results[i], b.results[i]) {
+			return fmt.Sprintf("rank %d result %+v != %+v", i, a.results[i], b.results[i])
+		}
+	}
+	for i := range a.consumers {
+		if !sameResult(a.consumers[i], b.consumers[i]) {
+			return fmt.Sprintf("consumer %d result %+v != %+v", i, a.consumers[i], b.consumers[i])
+		}
+	}
+	switch {
+	case math.Float64bits(a.makespan) != math.Float64bits(b.makespan):
+		return fmt.Sprintf("makespan %v != %v", a.makespan, b.makespan)
+	case a.stats != b.stats:
+		return fmt.Sprintf("stats %+v != %+v", a.stats, b.stats)
+	case a.bytesRead != b.bytesRead || a.requests != b.requests:
+		return fmt.Sprintf("fs read %d B in %d requests != %d B in %d", a.bytesRead, a.requests, b.bytesRead, b.requests)
+	case a.timeouts != b.timeouts || a.retries != b.retries:
+		return fmt.Sprintf("fs timeouts/retries %d/%d != %d/%d", a.timeouts, a.retries, b.timeouts, b.retries)
+	case a.messages != b.messages || a.wireBytes != b.wireBytes:
+		return fmt.Sprintf("fabric %d messages, %d B on the wire != %d, %d B", a.messages, a.wireBytes, b.messages, b.wireBytes)
+	case a.events != b.events:
+		return fmt.Sprintf("event logs differ: SHA-256 %x != %x", a.events, b.events)
+	}
+	return ""
 }

@@ -2,6 +2,7 @@ package cc
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sort"
 
@@ -234,9 +235,17 @@ func ObjectGetVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Resu
 	if io.Root < 0 || io.Root >= c.Size() {
 		return Result{}, fmt.Errorf("cc: root %d out of range", io.Root)
 	}
+	if err := checkCost(io.SecPerElem); err != nil {
+		return Result{}, err
+	}
 	if len(io.Consumers) > 0 {
 		if io.Block || io.Mode == Independent {
 			return Result{}, fmt.Errorf("cc: consumers require the collective-computing path")
+		}
+		for _, cs := range io.Consumers {
+			if err := checkCost(cs.SecPerElem); err != nil {
+				return Result{}, err
+			}
 		}
 		return runWithConsumers(r, c, cl, io, op)
 	}
@@ -269,6 +278,15 @@ func ObjectGetVara(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Resu
 		io.Stats.FlaggedSlowOSTs += cl.Retry.FlaggedSlowOSTs - before.FlaggedSlowOSTs
 	}
 	return res, err
+}
+
+// checkCost rejects a map cost per element that is negative or not finite:
+// booked into Stats and the clock, it would run time backwards.
+func checkCost(secPerElem float64) error {
+	if !(secPerElem >= 0) || math.IsInf(secPerElem, 1) {
+		return fmt.Errorf("cc: map cost %v s per element: need a finite cost of at least 0", secPerElem)
+	}
+	return nil
 }
 
 // runWithConsumers executes the object I/O once with op fused against every

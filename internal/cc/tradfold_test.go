@@ -125,49 +125,6 @@ func runFold(t *testing.T, src foldSource, v int, slab layout.Slab, io IO, op Op
 	return runObjectGetVara(t, tb, []layout.Slab{slab}, io, op)[0]
 }
 
-// TestTraditionalFoldIsOneAbsorb is the oracle of the traditional leg's
-// fold: on one rank, its state is, to the bit, the state of one Absorb of
-// the whole slab from Zero() with the values GetVaraAll returns. Every
-// operator, over a generator, its MemBackend twin and the climate field
-// (where the six scanning operators scan the slab), through the collective
-// and the independent read, at GOMAXPROCS 1 and 4 (where a slab of host.Grain
-// elements or more is folded on a goroutine beside the simulation), on every
-// shape of foldShapes.
-func TestTraditionalFoldIsOneAbsorb(t *testing.T) {
-	images := foldImages(t)
-	for _, sh := range foldShapes {
-		for _, src := range []foldSource{{}, {image: images[sh.v]}, {climate: true}} {
-			tb := newFoldBed(t, sh.v, src)
-			var vals []float64
-			tb.w.Go(func(r *mpi.Rank) {
-				var err error
-				vals, err = tb.ds.GetVaraAll(r, tb.c, tb.fs.Client(r.Proc(), 0, nil), tb.id, sh.slab, nil, adio.Params{})
-				if err != nil {
-					t.Error(err)
-				}
-			})
-			if err := tb.env.Run(); err != nil {
-				t.Fatal(err)
-			}
-			for _, op := range foldOps(sh.slab) {
-				want := fmt.Sprintf("%#v", op.Absorb(op.Zero(), Subset{Slab: sh.slab, Data: vals}))
-				for _, mode := range []Mode{Collective, Independent} {
-					for _, procs := range []int{1, 4} {
-						var res Result
-						atProcs(procs, func() {
-							res = runFold(t, src, sh.v, sh.slab, IO{Block: true, Mode: mode}, op)
-						})
-						if got := fmt.Sprintf("%#v", res.State); got != want {
-							t.Errorf("%s, %s, %v, mode %d, GOMAXPROCS=%d: state\n%s\nwant one Absorb's\n%s",
-								sh.name, op.Name(), src, mode, procs, got, want)
-						}
-					}
-				}
-			}
-		}
-	}
-}
-
 // tileOp checks the traditional leg's fold from inside Absorb: no two calls
 // run at once (inflight counts the calls under way), and the subsets arrive
 // in row-major order, each a sub-rectangle of slab whose elements follow on,

@@ -1,9 +1,7 @@
 package cc
 
 import (
-	"fmt"
 	"math"
-	"reflect"
 	"runtime"
 	"testing"
 
@@ -28,35 +26,12 @@ func unroundedAt(coords []int64) float64 {
 	return float64(h%100003) / 7
 }
 
-// twinGeometry is the machine and file of the value-path differential: six
-// ranks on two nodes (two default aggregators), 256-byte stripes over four
-// OSTs so the 3.7 KB variable spans fifteen stripes, and two access regions
-// inside 8x9x13: one of partial rows, so every run starts and ends mid-row,
-// and one of whole rows, whose five-row runs the 128-element collective-buffer
-// windows cut mid-row into pieces that go on across row ends.
-var twinGeometry = struct {
-	ranks   int
-	ty      ncfile.Type
-	dims    []int64
-	regions []layout.Slab
-	window  layout.Slab
-}{
-	ranks: 6,
-	ty:    ncfile.Float32,
-	dims:  []int64{8, 9, 13},
-	regions: []layout.Slab{
-		{Start: []int64{1, 0, 2}, Count: []int64{6, 9, 9}},
-		{Start: []int64{1, 2, 0}, Count: []int64{6, 5, 13}},
-	},
-	window: layout.Slab{Start: []int64{2, 3, 4}, Count: []int64{3, 4, 5}},
-}
-
-// newTwin builds the twin geometry's machine over a dataset with unroundedAt
-// contents (see newValueBed), in 256-byte stripes.
-func newTwin(t *testing.T, image []byte, slowOST bool) *testbed {
+// newTwin builds six ranks on two nodes (two default aggregators) over an
+// 8x9x13 float32 variable with unroundedAt contents (see newValueBed), in
+// 256-byte stripes, so that the 3.7 KB variable spans fifteen.
+func newTwin(t *testing.T, image []byte) *testbed {
 	t.Helper()
-	g := twinGeometry
-	return newValueBed(t, g.ranks, g.ty, g.dims, 256, image, slowOST)
+	return newValueBed(t, 6, ncfile.Float32, []int64{8, 9, 13}, 256, image, false)
 }
 
 // newValueBed builds n ranks, four per node, over a variable of type ty and
@@ -64,7 +39,7 @@ func newTwin(t *testing.T, image []byte, slowOST bool) *testbed {
 // bytes: served by a generator when image is nil, else from a MemBackend
 // holding image (the same file's bytes, see imageOf). slowOST injects the
 // fault plan's straggler.
-func newValueBed(t *testing.T, n int, ty ncfile.Type, dims []int64, stripe int64, image []byte, slowOST bool) *testbed {
+func newValueBed(t testing.TB, n int, ty ncfile.Type, dims []int64, stripe int64, image []byte, slowOST bool) *testbed {
 	t.Helper()
 	env := sim.NewEnv()
 	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
@@ -93,12 +68,6 @@ func newValueBed(t *testing.T, n int, ty ncfile.Type, dims []int64, stripe int64
 	return &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id}
 }
 
-// synthImage is the twin geometry's file image (see imageOf).
-func synthImage(t *testing.T) []byte {
-	t.Helper()
-	return imageOf(newTwin(t, nil, false))
-}
-
 // imageOf is the bytes of tb's generator-served file, built without the
 // generator path: the value function element by element through
 // EncodeValues. The value path and the synthetic backend share their row
@@ -113,153 +82,6 @@ func imageOf(tb *testbed) []byte {
 	image := make([]byte, tb.ds.File().Size())
 	copy(image[v.Offset:], ncfile.EncodeValues(v.Type, vals))
 	return image
-}
-
-// twinOutcome is everything a run exposes that the choice of value source
-// must not move.
-type twinOutcome struct {
-	results   []Result
-	consumers []Result
-	makespan  float64
-	stats     Stats
-	bytesRead int64
-	requests  int64
-	timeouts  int64
-	retries   int64
-	messages  int64    // fabric: every message sent
-	wireBytes int64    // fabric: inter-node bytes
-	events    [32]byte // the event log's SHA-256, where the run kept one
-}
-
-// TestValuePathMatchesBytePathEndToEnd runs every operator under every way an
-// object I/O reaches its values — collective computing in both reduce modes,
-// the traditional collective read (Block), each blocking and pipelined, and
-// independent sieved reads — with and without a fault plan (a straggling OST
-// met by timeout/retry and rebalanced rounds), once on a generator-backed
-// dataset — the value path: charge-only reads, no extent or request bytes
-// materialised, nothing decoded — and once on a MemBackend copy of the same
-// bytes — the byte path — and demands identical results to the bit, virtual
-// makespan, cc.Stats, and file-system and fabric counters. It fails if
-// ncfile's value path drops the Float32 rounding (the sums differ in the low
-// bits), the clipping of a run to its row (the second region's pieces start
-// mid-row and cross row ends), or the position of a run within a multi-run
-// slab (the first region gives every rank nine partial rows), and if a
-// charge-only read charges anything differently from the read that moves bytes.
-func TestValuePathMatchesBytePathEndToEnd(t *testing.T) {
-	g := twinGeometry
-	image := synthImage(t)
-	hist := Histogram{Lo: -15000, Hi: 15000, Bins: 9}
-	ops := []Op{Sum{}, Mean{}, hist, MinLoc{}, Variance{},
-		PerIndex{Inner: Max{}, Keys: 1}, Fuse{Ops: []Op{Sum{}, MaxLoc{}}}}
-
-	run := func(image []byte, slabs []layout.Slab, io IO, op Op, faults, consumers bool) twinOutcome {
-		tb := newTwin(t, image, faults)
-		var out twinOutcome
-		io.Stats = &out.stats
-		io.Params.PlanCache = &adio.PlanCache{}
-		if faults {
-			io.Params.Read = pfs.ReadPolicy{Timeout: 1e-3, Retries: 2, Backoff: 1e-4}
-			io.Params.RebalanceRounds = 3
-		}
-		if consumers {
-			out.consumers = make([]Result, 2)
-			io.Consumers = []Consumer{
-				{Op: MinLoc{}, OnResult: func(r Result) { out.consumers[0] = r }},
-				{Op: WindowOp{Op: hist, Window: g.window}, SecPerElem: 1e-8,
-					OnResult: func(r Result) { out.consumers[1] = r }},
-			}
-		}
-		out.results = runObjectGetVara(t, tb, slabs, io, op)
-		out.makespan = tb.env.Now()
-		out.bytesRead, out.requests = tb.fs.BytesRead, tb.fs.Requests
-		out.timeouts, out.retries = tb.fs.Timeouts, tb.fs.Retries
-		out.messages, out.wireBytes = tb.w.Net().Messages, tb.w.Net().BytesOnWire
-		return out
-	}
-
-	// The sieve threshold (independent reads only) is below the first
-	// region's 16-byte gaps between partial rows, so the sieve leaves holes.
-	type protocol struct {
-		name string
-		io   IO
-		cc   bool // the collective-computing path: maps in place, takes consumers
-	}
-	var protocols []protocol
-	for _, pipeline := range []bool{true, false} {
-		p := adio.Params{CB: 512, Pipeline: pipeline}
-		for _, reduce := range []ReduceMode{AllToOne, AllToAll} {
-			protocols = append(protocols, protocol{fmt.Sprintf("cc/reduce=%d/pipeline=%v", reduce, pipeline),
-				IO{Reduce: reduce, Params: p}, true})
-		}
-		protocols = append(protocols, protocol{fmt.Sprintf("block/pipeline=%v", pipeline),
-			IO{Block: true, Params: p}, false})
-	}
-	protocols = append(protocols, protocol{"independent",
-		IO{Mode: Independent, Params: adio.Params{SieveThreshold: 8}}, false})
-
-	var sawTimeout, sawRebalance, sawTradTimeout bool
-	for ri, region := range g.regions {
-		slabs := splitSlab(region, g.ranks)
-		for i, op := range ops {
-			for _, pr := range protocols {
-				for _, faults := range []bool{false, true} {
-					// The last operator also carries piggybacked consumers.
-					consumers := pr.cc && i == len(ops)-1
-					name := fmt.Sprintf("region %d/%s/%s/faults=%v", ri, op.Name(), pr.name, faults)
-					io := pr.io
-					io.SecPerElem = 2e-8
-					vals := run(nil, slabs, io, op, faults, consumers)
-					byts := run(image, slabs, io, op, faults, consumers)
-					if diff := vals.diff(byts); diff != "" {
-						t.Errorf("%s: value path vs byte path: %s", name, diff)
-					}
-					if vals.stats.MapElements != region.NumElems() {
-						t.Errorf("%s: mapped %d elements, region has %d", name, vals.stats.MapElements, region.NumElems())
-					}
-					sawTimeout = sawTimeout || vals.timeouts > 0
-					sawRebalance = sawRebalance || vals.stats.Rebalances > 0
-					sawTradTimeout = sawTradTimeout || (!pr.cc && vals.timeouts > 0)
-				}
-			}
-		}
-	}
-	if !sawTimeout || !sawRebalance || !sawTradTimeout {
-		t.Errorf("fault plan never bit: timeouts seen %v (on a traditional read %v), rebalances seen %v",
-			sawTimeout, sawTradTimeout, sawRebalance)
-	}
-}
-
-// diff names the first field in which two outcomes differ, or "".
-func (a twinOutcome) diff(b twinOutcome) string {
-	sameResult := func(x, y Result) bool {
-		return math.Float64bits(x.Value) == math.Float64bits(y.Value) &&
-			x.Root == y.Root && reflect.DeepEqual(x.State, y.State)
-	}
-	for i := range a.results {
-		if !sameResult(a.results[i], b.results[i]) {
-			return fmt.Sprintf("rank %d result %+v != %+v", i, a.results[i], b.results[i])
-		}
-	}
-	for i := range a.consumers {
-		if !sameResult(a.consumers[i], b.consumers[i]) {
-			return fmt.Sprintf("consumer %d result %+v != %+v", i, a.consumers[i], b.consumers[i])
-		}
-	}
-	switch {
-	case math.Float64bits(a.makespan) != math.Float64bits(b.makespan):
-		return fmt.Sprintf("makespan %v != %v", a.makespan, b.makespan)
-	case a.stats != b.stats:
-		return fmt.Sprintf("stats %+v != %+v", a.stats, b.stats)
-	case a.bytesRead != b.bytesRead || a.requests != b.requests:
-		return fmt.Sprintf("fs read %d B in %d requests != %d B in %d", a.bytesRead, a.requests, b.bytesRead, b.requests)
-	case a.timeouts != b.timeouts || a.retries != b.retries:
-		return fmt.Sprintf("fs timeouts/retries %d/%d != %d/%d", a.timeouts, a.retries, b.timeouts, b.retries)
-	case a.messages != b.messages || a.wireBytes != b.wireBytes:
-		return fmt.Sprintf("fabric %d messages, %d B on the wire != %d, %d B", a.messages, a.wireBytes, b.messages, b.wireBytes)
-	case a.events != b.events:
-		return fmt.Sprintf("event logs differ: SHA-256 %x != %x", a.events, b.events)
-	}
-	return ""
 }
 
 // TestMapNeverCutsAnElement: file domains and collective-buffer windows are
@@ -296,9 +118,9 @@ func TestMapNeverCutsAnElement(t *testing.T) {
 // nothing in steady state on a generator-backed dataset (no extent, no decode
 // buffer), and nothing on the byte path either once its scratch has grown.
 func TestZeroAllocCCTransformSynthetic(t *testing.T) {
-	image := synthImage(t)
+	image := imageOf(newTwin(t, nil))
 	for _, img := range [][]byte{nil, image} {
-		tb := newTwin(t, img, false)
+		tb := newTwin(t, img)
 		v, _ := tb.ds.Var(tb.id)
 		synthetic := tb.ds.Synthetic()
 		if synthetic != (img == nil) {
@@ -348,32 +170,12 @@ var allocBedDims = []int64{64, 64, 128}
 func newAllocBed(t testing.TB, memBacked bool, dims []int64) *allocBed {
 	t.Helper()
 	const n = 8
-	env := sim.NewEnv()
-	w := mpi.NewWorld(env, n, fabric.Params{RanksPerNode: 4})
-	fs := pfs.New(env, pfs.Params{NumOSTs: 4})
-	var s ncfile.Schema
-	id, _ := s.AddVar("v", ncfile.Float32, dims)
-	var ds *ncfile.Dataset
-	var err error
+	var image []byte
 	if memBacked {
-		mem := pfs.NewMemBackend(0)
-		if ds, err = ncfile.Create(fs, "data", &s, mem, 4, 0, 0); err == nil {
-			v, _ := ds.Var(id)
-			vals := make([]float64, v.NumElems())
-			coords := make([]int64, len(dims))
-			for e := range vals {
-				vals[e] = unroundedAt(layout.OffsetToCoords(dims, int64(e), coords))
-			}
-			mem.WriteAt(ncfile.EncodeValues(v.Type, vals), v.Offset)
-		}
-	} else {
-		ds, err = ncfile.SynthDataset(fs, "data", &s, []ncfile.ValueFn{unroundedAt}, 4, 0, 0)
-	}
-	if err != nil {
-		t.Fatal(err)
+		image = imageOf(newValueBed(t, n, ncfile.Float32, dims, 0, nil, false))
 	}
 	whole := layout.Slab{Start: []int64{0, 0, 0}, Count: dims}
-	return &allocBed{tb: &testbed{env: env, w: w, c: w.Comm(), fs: fs, ds: ds, id: id},
+	return &allocBed{tb: newValueBed(t, n, ncfile.Float32, dims, 0, image, false),
 		slabs: splitSlab(whole, n), elems: uint64(whole.NumElems())}
 }
 

@@ -177,17 +177,7 @@ func (w *waitWindow) summary() (n int, p50, p99 float64) {
 	if w.stale {
 		w.tmp = append(w.tmp[:0], w.buf[:w.n]...)
 		sort.Float64s(w.tmp)
-		rank := func(q float64) float64 {
-			i := int(q*float64(w.n)+0.5) - 1
-			if i < 0 {
-				i = 0
-			}
-			if i >= w.n {
-				i = w.n - 1
-			}
-			return w.tmp[i]
-		}
-		w.p50, w.p99, w.stale = rank(0.50), rank(0.99), false
+		w.p50, w.p99, w.stale = obs.NearestRank(w.tmp, 0.50), obs.NearestRank(w.tmp, 0.99), false
 	}
 	return w.n, w.p50, w.p99
 }

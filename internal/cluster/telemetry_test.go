@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -130,8 +131,10 @@ func TestMirrorTotalsZeroAlloc(t *testing.T) {
 }
 
 // TestClassWaitSummaryMatchesFreshSort: a class window re-sorts only when a
-// wait entered it, and its p50/p99 are then those of a fresh sort of the
-// window, however waits and samples interleave across classes.
+// wait entered it, and its p50/p99 are then the nearest-rank ones (rank
+// ⌈q·n⌉) of a fresh sort of the window, however waits and samples interleave
+// across classes. A window of 60 waits, where ⌈0.99·60⌉ = 60 and a rounded
+// rank would be 59, has its largest wait as its p99.
 func TestClassWaitSummaryMatchesFreshSort(t *testing.T) {
 	c := New(Spec{Ranks: 4, RanksPerNode: 2})
 	r := rand.New(rand.NewSource(3))
@@ -156,11 +159,18 @@ func TestClassWaitSummaryMatchesFreshSort(t *testing.T) {
 			}
 			win := slices.Sorted(slices.Values(fresh[cw.Class]))
 			rank := func(q float64) float64 {
-				return win[min(max(int(q*float64(len(win))+0.5)-1, 0), len(win)-1)]
+				return win[min(max(int(math.Ceil(q*float64(len(win))))-1, 0), len(win)-1)]
 			}
 			if cw.N != len(win) || cw.P50 != rank(0.50) || cw.P99 != rank(0.99) {
 				t.Fatalf("step %d: %s = %+v, want n=%d p50=%v p99=%v", i, cw.Class, cw, len(win), rank(0.50), rank(0.99))
 			}
 		}
+	}
+	w := New(Spec{Ranks: 4, RanksPerNode: 2})
+	for _, k := range r.Perm(60) {
+		w.recordClassWait("sixty", float64(k))
+	}
+	if cw := w.classWaits()[0]; cw.N != 60 || cw.P50 != 29 || cw.P99 != 59 {
+		t.Errorf("window of the waits 0..59: %+v, want n=60 p50=29 p99=59", cw)
 	}
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -148,7 +147,7 @@ func runSchedPolicy(policy string, nranks int, mix []schedMixJob, ot *obs.Tracer
 	}
 	out.meanWait /= float64(len(waits))
 	sort.Float64s(waits)
-	out.p99Wait = waits[int(math.Ceil(0.99*float64(len(waits))))-1]
+	out.p99Wait = obs.NearestRank(waits, 0.99)
 	tenants := make([]string, 0, len(slow))
 	for tn := range slow {
 		tenants = append(tenants, tn)

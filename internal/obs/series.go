@@ -14,6 +14,19 @@ import (
 // produce identical series files — and the sink retains nothing, so it is
 // bounded-memory at million-job scale, like the event log.
 
+// NearestRank returns the q-quantile of sorted, an ascending slice, by the
+// nearest-rank rule: the element of rank ⌈q·n⌉ (counting from 1), so the p99
+// of fewer than 100 values is the largest of them. It is 0 for an empty
+// slice.
+func NearestRank(sorted []float64, q float64) float64 {
+	n := len(sorted)
+	if n == 0 {
+		return 0
+	}
+	i := int(math.Ceil(q*float64(n))) - 1
+	return sorted[min(max(i, 0), n-1)]
+}
+
 // SeriesSchema is the versioned identifier written in the series header
 // line. Readers reject files whose header names a different schema.
 const SeriesSchema = "repro.series.v1"

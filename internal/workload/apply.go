@@ -182,22 +182,12 @@ func Summarize(subs []Submitted) []ClassStats {
 	}
 	out := make([]ClassStats, 0, len(byClass))
 	for class, cs := range byClass {
-		cs.WaitP50 = quantile(waits[class], 0.50)
-		cs.WaitP99 = quantile(waits[class], 0.99)
+		ws := waits[class]
+		sort.Float64s(ws)
+		cs.WaitP50 = obs.NearestRank(ws, 0.50)
+		cs.WaitP99 = obs.NearestRank(ws, 0.99)
 		out = append(out, *cs)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Class < out[j].Class })
 	return out
-}
-
-// quantile returns the q-quantile of vs (nearest-rank on a sorted copy);
-// 0 for an empty slice.
-func quantile(vs []float64, q float64) float64 {
-	if len(vs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), vs...)
-	sort.Float64s(s)
-	i := int(q * float64(len(s)-1))
-	return s[i]
 }

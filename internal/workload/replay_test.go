@@ -218,6 +218,16 @@ func TestSummarize(t *testing.T) {
 			prev = cs.Class
 		}
 	}
+
+	// Nearest rank: the p99 of two waits is the larger, the p50 the smaller.
+	two := []Submitted{}
+	for _, wait := range []float64{3, 1} {
+		jr := &cluster.JobResult{Submit: 2, Start: 2 + wait, End: 9}
+		two = append(two, Submitted{Sub: &Submission{Class: "pair"}, Res: &cluster.CCResult{JobResult: jr}})
+	}
+	if cs := Summarize(two)[0]; cs.WaitP50 != 1 || cs.WaitP99 != 3 {
+		t.Errorf("waits 3 and 1: p50 %v, p99 %v, want 1 and 3", cs.WaitP50, cs.WaitP99)
+	}
 }
 
 // TestBatchAtZeroIsSubmitCC: SubmitAll queues a job at T = 0 with the batch

@@ -12,6 +12,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"strconv"
 
@@ -249,8 +250,13 @@ func checkMachine(m *Machine) error {
 // cannot run, so that replay would panic or fail it: an undeclared dataset,
 // a window of the wrong rank or outside the dims, a width outside the
 // machine, a split dimension out of range or too short to give every rank a
-// share, or an unknown reduce or operator code.
+// share, or an unknown reduce or operator code. It also rejects an arrival
+// time, map cost or cost estimate that is negative or not finite, which
+// replay would take without complaint and schedule by.
 func (tr *Trace) checkJob(s *Submission) error {
+	if t, spe, est := s.T, s.SecPerElem, s.EstCost; !(t >= 0 && spe >= 0 && est >= 0) || math.IsInf(t+spe+est, 1) {
+		return fmt.Errorf("t %v, spe %v, est %v: each must be finite and at least 0", t, spe, est)
+	}
 	i := tr.dataset(s.Dataset)
 	if i < 0 {
 		return fmt.Errorf("dataset %q not declared", s.Dataset)

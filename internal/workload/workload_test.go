@@ -282,9 +282,11 @@ func TestTraceReadRejects(t *testing.T) {
 
 // TestTraceReadRejectsHostile: a trace whose headers the cluster would
 // refuse, or whose job they cannot run, is an error naming its line — one
-// case per check. Every case but the reduce code panics or fails when the
-// trace is replayed without Read; an unknown reduce code replays as
-// all-to-all, though it names no mode.
+// case per check. Every case but three panics or fails when the trace is
+// replayed without Read: an unknown reduce code replays as all-to-all,
+// though it names no mode, and a negative arrival time or cost estimate
+// replays into a schedule no job could have had (a negative estimate moved
+// the urgent class's waits to 0).
 func TestTraceReadRejectsHostile(t *testing.T) {
 	golden := goldenTrace(t)
 	base, err := Read(bytes.NewReader(golden))
@@ -318,7 +320,12 @@ func TestTraceReadRejectsHostile(t *testing.T) {
 		{"split dim too short", jobLine, "split dim 0", func(tr *Trace) { tr.Jobs[0].Count[0] = 1 }},
 		{"reduce code", jobLine, "reduce code 2", func(tr *Trace) { tr.Jobs[0].Reduce = 2 }},
 		{"operator code", jobLine, `"nosuch"`, func(tr *Trace) { tr.Jobs[0].Op = "nosuch" }},
+		{"negative arrival", jobLine, "t -1,", func(tr *Trace) { tr.Jobs[0].T = -1 }},
+		{"negative map cost", jobLine, "spe -1e-06,", func(tr *Trace) { tr.Jobs[0].SecPerElem = -1e-6 }},
+		{"negative estimate", jobLine, "est -0.5:", func(tr *Trace) { tr.Jobs[0].EstCost = -0.5 }},
 	}
+	// These replay without Read, into a schedule no job could have had.
+	silent := map[string]bool{"reduce code": true, "negative arrival": true, "negative estimate": true}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			tr, err := oracleRead(bytes.NewReader(golden)) // a private copy
@@ -330,7 +337,7 @@ func TestTraceReadRejectsHostile(t *testing.T) {
 			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("line %d: ", c.line)) || !strings.Contains(err.Error(), c.want) {
 				t.Fatalf("Read error %v, want one naming line %d and %q", err, c.line, c.want)
 			}
-			if c.name != "reduce code" && !replayFails(tr) {
+			if !silent[c.name] && !replayFails(tr) {
 				t.Fatal("the trace replays cleanly without Read: the check guards nothing")
 			}
 		})
