@@ -356,14 +356,15 @@ func TestJobsStdoutDeterministic(t *testing.T) {
 	}
 }
 
-// TestStdoutIdenticalAcrossHostParallelism: the map and the synthetic reads
-// run on up to GOMAXPROCS host workers, and virtual time is charged in one
-// order whatever they do, so the tables are the same bytes at 1, 2 and 8.
+// TestStdoutIdenticalAcrossHostParallelism: the map, the synthetic reads and
+// the workload generator's popularity tables run on up to GOMAXPROCS host
+// workers, and virtual time is charged in one order whatever they do, so the
+// tables are the same bytes at 1, 2 and 8.
 func TestStdoutIdenticalAcrossHostParallelism(t *testing.T) {
 	var ref string
 	for _, procs := range []int{1, 2, 8} {
 		prev := runtime.GOMAXPROCS(procs)
-		code, out, errb := runCmd("-quick", "fig9", "fig13", "faults", "jobs")
+		code, out, errb := runCmd("-quick", "fig9", "fig13", "faults", "jobs", "workload")
 		runtime.GOMAXPROCS(prev)
 		if code != 0 {
 			t.Fatalf("GOMAXPROCS=%d: exit %d: %s", procs, code, errb)
@@ -573,6 +574,23 @@ func TestTraceInRejectsHostileTrace(t *testing.T) {
 		code, out, errb := runCmd("-quick", "-trace-in", path, "workload")
 		if code != 1 || !strings.Contains(errb, c.want) || out != "" {
 			t.Errorf("%s: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.to, code, out, errb, c.want)
+		}
+	}
+}
+
+// TestWorkloadRejectsNonFiniteSpec: a NaN or infinite rate, rates entry or
+// horizon exits 1 with the field named instead of generating arrivals until
+// the memory runs out.
+func TestWorkloadRejectsNonFiniteSpec(t *testing.T) {
+	for _, c := range []struct{ spec, want string }{
+		{"horizon=NaN", "horizon must be finite, got NaN"},
+		{"horizon=+Inf", "horizon must be finite, got +Inf"},
+		{"rate=NaN", "rate and rates must be finite and positive"},
+		{"rates=1;NaN", `bad rates entry "NaN"`},
+	} {
+		code, out, errb := runCmd("-quick", "-workload", c.spec, "workload")
+		if code != 1 || !strings.Contains(errb, c.want) || out != "" {
+			t.Errorf("-workload %s: exit %d, stdout %q, stderr %q; want exit 1 and %q", c.spec, code, out, errb, c.want)
 		}
 	}
 }

@@ -275,28 +275,37 @@ func BenchmarkTraditionalLeg(b *testing.B) {
 
 // meetOp is Sum with a rendezvous that proves the traditional fold runs
 // while the other job's map does: its Absorb on the traditional side (trad
-// set) marks the fold started and waits until an Absorb on the CC side has
-// seen that mark. A wait that times out is an error, and the fold goes on.
+// set) marks the fold started and waits until the CC side has seen that
+// mark; the CC side's first Absorb waits for the mark, whichever side the
+// host's scheduler runs first, then lets the fold go on. A wait that times
+// out is an error, and both sides go on.
 type meetOp struct {
 	Sum
-	trad    bool
-	started *atomic.Bool
-	met     chan struct{}
-	once    *sync.Once
-	t       *testing.T
+	trad         bool
+	started, met chan struct{}
+	start, meet  *sync.Once
+	t            *testing.T
+}
+
+// await waits up to 10 s for ch to close and reports an error if it does not.
+func (o meetOp) await(ch chan struct{}, why string) {
+	select {
+	case <-ch:
+	case <-time.After(10 * time.Second):
+		o.t.Error(why)
+	}
 }
 
 func (o meetOp) Absorb(s State, sub Subset) State {
 	if o.trad {
-		o.started.Store(true)
-		select {
-		case <-o.met:
-		case <-time.After(10 * time.Second):
-			o.t.Error("the CC map never ran while the traditional fold was in flight")
-			o.once.Do(func() { close(o.met) })
-		}
-	} else if o.started.Load() {
-		o.once.Do(func() { close(o.met) })
+		o.start.Do(func() { close(o.started) })
+		o.await(o.met, "the CC map never ran while the traditional fold was in flight")
+		o.meet.Do(func() { close(o.met) })
+	} else {
+		o.meet.Do(func() {
+			o.await(o.started, "the traditional fold never started while the CC map ran")
+			close(o.met)
+		})
 	}
 	return o.Sum.Absorb(s, sub)
 }
@@ -338,9 +347,10 @@ func TestOneDatasetServesTwoJobsBesideAFold(t *testing.T) {
 			wantTrad, wantCC := cold(trad, pair.tradOp), cold(ccIO, pair.ccOp)
 			tradOp, ccOp := pair.tradOp, pair.ccOp
 			if pair.rendezvous {
-				started, met, once := new(atomic.Bool), make(chan struct{}), new(sync.Once)
-				tradOp = meetOp{trad: true, started: started, met: met, once: once, t: t}
-				ccOp = meetOp{started: started, met: met, once: once, t: t}
+				m := meetOp{started: make(chan struct{}), met: make(chan struct{}), start: new(sync.Once), meet: new(sync.Once), t: t}
+				ccOp = m
+				m.trad = true
+				tradOp = m
 			}
 
 			base := runtime.NumGoroutine()

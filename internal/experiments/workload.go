@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"strconv"
 	"strings"
@@ -52,8 +53,8 @@ func parseWorkloadSpec(spec string) (workloadOpts, error) {
 			o.sweep = nil
 			for _, m := range strings.Split(v, ";") {
 				f, ferr := strconv.ParseFloat(m, 64)
-				if ferr != nil {
-					return o, fmt.Errorf("workload: bad rates entry %q", m)
+				if ferr != nil || !positive(f) {
+					return o, fmt.Errorf("workload: bad rates entry %q (want a finite multiplier > 0)", m)
 				}
 				o.sweep = append(o.sweep, f)
 			}
@@ -70,11 +71,19 @@ func parseWorkloadSpec(spec string) (workloadOpts, error) {
 			return o, fmt.Errorf("workload: bad spec entry %q: %v", kv, err)
 		}
 	}
-	if o.rateMul <= 0 || len(o.sweep) == 0 {
-		return o, fmt.Errorf("workload: rate and rates must be positive")
+	// A NaN passes every ordered test, and a NaN or infinite rate or horizon
+	// would never end the generator's arrival loop.
+	if !positive(o.rateMul) || len(o.sweep) == 0 {
+		return o, fmt.Errorf("workload: rate and rates must be finite and positive")
+	}
+	if math.IsNaN(o.horizon) || math.IsInf(o.horizon, 0) {
+		return o, fmt.Errorf("workload: horizon must be finite, got %v", o.horizon)
 	}
 	return o, nil
 }
+
+// positive reports whether v is finite and > 0.
+func positive(v float64) bool { return v > 0 && !math.IsInf(v, 1) }
 
 // workloadDigest reduces one run to a canonical per-job transcript —
 // outcome, timing, and analysis value for every submission — the structural

@@ -122,6 +122,13 @@ func TestWorkloadSpecString(t *testing.T) {
 			t.Errorf("spec %q accepted", bad)
 		}
 	}
+	// Non-finite values are parse errors: past the parser they would never
+	// end the generator's arrival loop, so these are not run.
+	for _, bad := range []string{"rate=NaN", "rate=+Inf", "rates=1;NaN", "rates=Inf", "rates=1;-1", "horizon=NaN", "horizon=+Inf", "horizon=-Inf"} {
+		if _, err := parseWorkloadSpec(bad); err == nil {
+			t.Errorf("spec %q parsed", bad)
+		}
+	}
 
 	// An unknown policy is an error at the door that names it, not a panic
 	// inside the cluster.

@@ -1,6 +1,6 @@
 // Package host spreads the simulator's pure host work — generating, decoding
-// and folding values, and rendering telemetry lines — over the machine's
-// cores. It is the one place the simulator starts goroutines of its own. The
+// and folding values, rendering telemetry lines, and weighing the workload
+// generator's Zipf popularity tables — over the machine's cores. It is the one place the simulator starts goroutines of its own. The
 // discrete-event kernel runs one process at a time (internal/sim): Pool runs
 // a loop inside one such process's turn and returns before the process next
 // yields; Slots runs a job beside the simulation, from one turn of a process

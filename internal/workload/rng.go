@@ -1,4 +1,4 @@
-// Deterministic samplers for the generative workload plane. Everything here
+// Deterministic samplers for the generative workload plane. Every draw here
 // is seed-addressed and sequential: the same (seed, call sequence) produces
 // the same draws on every run, which is what lets a generated stream be
 // regenerated instead of stored. No math/rand — the stream layout is part of
@@ -6,7 +6,11 @@
 // library.
 package workload
 
-import "math"
+import (
+	"math"
+
+	"repro/internal/host"
+)
 
 // rng is a splitmix64 generator: tiny state, full 64-bit period per seed,
 // and a closed-form jump (the state is just a counter), which makes
@@ -96,17 +100,31 @@ type zipf struct {
 	cdf []float64 // cumulative weights; cdf[n-1] is the total mass
 }
 
+// zipfBlock is the number of weights one host worker computes per claim.
+const zipfBlock = 1 << 12
+
+// newZipf builds the table in two passes over one slice: the weights
+// 1/(i+1)^s, a block of zipfBlock indices to a call, on the host workers
+// (inline below host.Grain), then their running sum, serially in index
+// order, in place. Each weight is the same pure call whichever worker makes
+// it and the additions are made in the order of the one-pass loop, so the
+// table is that loop's, bit for bit, at any GOMAXPROCS. (A prefix summed
+// block by block and then offset would reassociate the additions.)
 func newZipf(n int, s float64) *zipf {
 	if n <= 0 {
 		panic("workload: zipf over empty domain")
 	}
-	z := &zipf{cdf: make([]float64, n)}
-	sum := 0.0
-	for i := 0; i < n; i++ {
-		sum += math.Pow(float64(i+1), -s)
-		z.cdf[i] = sum
+	cdf := make([]float64, n)
+	var p host.Pool[struct{}]
+	p.Run((n+zipfBlock-1)/zipfBlock, int64(n), func(_ *struct{}, b int) {
+		for i := b * zipfBlock; i < min(n, (b+1)*zipfBlock); i++ {
+			cdf[i] = math.Pow(float64(i+1), -s)
+		}
+	})
+	for i := 1; i < n; i++ {
+		cdf[i] += cdf[i-1]
 	}
-	return z
+	return &zipf{cdf: cdf}
 }
 
 // draw samples one index using r.

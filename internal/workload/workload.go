@@ -216,8 +216,10 @@ func (s *Spec) validate() error {
 	if s.Machine.Ranks <= 0 {
 		return fmt.Errorf("workload: machine needs Ranks > 0")
 	}
-	if s.Horizon <= 0 {
-		return fmt.Errorf("workload: Horizon must be > 0")
+	// A NaN passes every ordered test, and a NaN or infinite Horizon would
+	// never end the arrival loop.
+	if !finite(s.Horizon) || s.Horizon <= 0 {
+		return fmt.Errorf("workload: Horizon must be finite and > 0, got %v", s.Horizon)
 	}
 	if len(s.Datasets) == 0 || len(s.Cohorts) == 0 {
 		return fmt.Errorf("workload: need at least one dataset and one cohort")
@@ -231,6 +233,24 @@ func (s *Spec) validate() error {
 		c := &s.Cohorts[i]
 		if c.Name == "" || strings.ContainsAny(c.Name, "/ \t") {
 			return fmt.Errorf("workload: cohort %d: bad name %q", i, c.Name)
+		}
+		for _, f := range []struct {
+			name string
+			v    float64
+		}{
+			{"Rate", c.Rate}, {"Shape", c.Shape}, {"ClientSkew", c.ClientSkew},
+			{"DatasetSkew", c.DatasetSkew}, {"WindowSkew", c.WindowSkew},
+			{"DeadlineLo", c.DeadlineLo}, {"DeadlineHi", c.DeadlineHi}, {"SecPerElem", c.SecPerElem},
+		} {
+			if !finite(f.v) {
+				return fmt.Errorf("workload: cohort %q: %s must be finite, got %v", c.Name, f.name, f.v)
+			}
+		}
+		for j, term := range c.Envelope {
+			if !finite(term.Period) || !finite(term.Amp) || !finite(term.Phase) || term.Period <= 0 {
+				return fmt.Errorf("workload: cohort %q: envelope term %d %+v: want finite terms and Period > 0",
+					c.Name, j, term)
+			}
 		}
 		if c.Clients <= 0 || c.Rate <= 0 || c.Windows <= 0 || c.WindowLen <= 0 {
 			return fmt.Errorf("workload: cohort %q: Clients, Rate, Windows, WindowLen must be > 0", c.Name)
@@ -265,6 +285,8 @@ func (s *Spec) validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // cohortSub tags a submission with its merge keys.
 type cohortSub struct {

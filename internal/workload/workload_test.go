@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/host"
 )
 
 // smallSpec is a fast spec for unit tests: a few hundred jobs, all three
@@ -147,6 +150,62 @@ func TestZipfSkew(t *testing.T) {
 	}
 	if top := counts[0] + counts[1] + counts[2]; top > 20000/10 {
 		t.Fatalf("zipf(0): top-3 got %d/20000 draws, want ~uniform", top)
+	}
+}
+
+// serialZipf is the one-pass loop newZipf's table must equal.
+func serialZipf(n int, s float64) []float64 {
+	cdf := make([]float64, n)
+	sum := 0.0
+	for i := range cdf {
+		sum += math.Pow(float64(i+1), -s)
+		cdf[i] = sum
+	}
+	return cdf
+}
+
+// BenchmarkZipfTable times the default spec's largest table, the urgent
+// cohort's 800,000 clients at skew 1.3, built by newZipf and by the serial
+// loop.
+func BenchmarkZipfTable(b *testing.B) {
+	b.Run("newZipf", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			newZipf(800_000, 1.3)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			serialZipf(800_000, 1.3)
+		}
+	})
+}
+
+// TestZipfTableMatchesSerialLoop: newZipf's table, whose weights the host
+// workers compute a block at a time, is bit for bit the one-pass serial loop
+// it replaced: at every size around host.Grain and a block boundary, up to
+// the default spec's 800,000 clients, for skews from uniform to steep, at
+// GOMAXPROCS 1 and 4.
+func TestZipfTableMatchesSerialLoop(t *testing.T) {
+	sizes := []int{1, host.Grain - 1, host.Grain, host.Grain + 1,
+		10*zipfBlock - 1, 10 * zipfBlock, 10*zipfBlock + 1, 5_000, 200_000, 800_000}
+	for _, n := range sizes {
+		for _, s := range []float64{0, 0.8, 1.0, 1.1, 1.3, 1.5} {
+			want := serialZipf(n, s)
+			for _, procs := range []int{1, 4} {
+				prev := runtime.GOMAXPROCS(procs)
+				got := newZipf(n, s).cdf
+				runtime.GOMAXPROCS(prev)
+				if len(got) != n {
+					t.Fatalf("n=%d s=%g GOMAXPROCS=%d: table of %d entries", n, s, procs, len(got))
+				}
+				for i := range want {
+					if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("n=%d s=%g GOMAXPROCS=%d: cdf[%d] = %v, serial loop %v",
+							n, s, procs, i, got[i], want[i])
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -407,6 +466,46 @@ func TestValidateRejects(t *testing.T) {
 		mutate(&spec)
 		if _, err := Generate(spec); err == nil {
 			t.Errorf("%s: Generate accepted an invalid spec", name)
+		}
+	}
+	// Non-finite inputs, which pass every ordered test. Each row caps the
+	// stream, so that a spec wrongly accepted ends the arrival loop instead
+	// of hanging the test, and a cohort's error must name the cohort.
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name   string
+		cohort int // -1: a spec-level field
+		mutate func(*Spec)
+	}{
+		{"NaN horizon", -1, func(s *Spec) { s.Horizon = nan }},
+		{"+Inf horizon", -1, func(s *Spec) { s.Horizon = inf }},
+		{"NaN rate", 1, func(s *Spec) { s.Cohorts[1].Rate = nan }},
+		{"+Inf rate", 1, func(s *Spec) { s.Cohorts[1].Rate = inf }},
+		{"NaN gamma shape", 1, func(s *Spec) { s.Cohorts[1].Shape = nan }},
+		{"NaN weibull shape", 2, func(s *Spec) { s.Cohorts[2].Shape = nan }},
+		{"NaN poisson shape", 0, func(s *Spec) { s.Cohorts[0].Shape = nan }},
+		{"NaN client skew", 0, func(s *Spec) { s.Cohorts[0].ClientSkew = nan }},
+		{"-Inf dataset skew", 0, func(s *Spec) { s.Cohorts[0].DatasetSkew = -inf }},
+		{"+Inf window skew", 2, func(s *Spec) { s.Cohorts[2].WindowSkew = inf }},
+		{"NaN deadline lo", 0, func(s *Spec) { s.Cohorts[0].DeadlineLo = nan }},
+		{"NaN deadline hi", 0, func(s *Spec) { s.Cohorts[0].DeadlineHi = nan }},
+		{"+Inf deadline hi", 2, func(s *Spec) { s.Cohorts[2].DeadlineHi = inf }},
+		{"NaN sec per elem", 2, func(s *Spec) { s.Cohorts[2].SecPerElem = nan }},
+		{"NaN envelope amp", 0, func(s *Spec) { s.Cohorts[0].Envelope[1].Amp = nan }},
+		{"+Inf envelope phase", 0, func(s *Spec) { s.Cohorts[0].Envelope[0].Phase = inf }},
+		{"NaN period", 1, func(s *Spec) { s.Cohorts[1].Envelope[0].Period = nan }},
+		{"zero period", 1, func(s *Spec) { s.Cohorts[1].Envelope[0].Period = 0 }},
+		{"negative period", 1, func(s *Spec) { s.Cohorts[1].Envelope[0].Period = -1 }},
+	} {
+		spec := smallSpec(1)
+		spec.MaxJobs = 50
+		tc.mutate(&spec)
+		_, err := Generate(spec)
+		switch {
+		case err == nil:
+			t.Errorf("%s: Generate accepted an invalid spec", tc.name)
+		case tc.cohort >= 0 && !strings.Contains(err.Error(), fmt.Sprintf("cohort %q", spec.Cohorts[tc.cohort].Name)):
+			t.Errorf("%s: error %q does not name cohort %q", tc.name, err, spec.Cohorts[tc.cohort].Name)
 		}
 	}
 }
