@@ -51,11 +51,12 @@ type Subset struct {
 // whole rectangle. Merge, StateBytes and Value run on the rank's goroutine.
 //
 // Sum, Mean, Min, Max, MinLoc and MaxLoc are also folded without Absorb
-// where a generator can scan the variable (ncfile.Scanner): their states map
-// to and from a scan's accumulator, and the scan applies each one's rule to
-// the values in Absorb's order, so the state is Absorb's to the bit. Only
-// these six types take that path; any other Op, one that embeds them
-// included, is folded by its Absorb.
+// where the variable scans (ncfile.Dataset.CanScan: a Float32 variable whose
+// generator is an ncfile.Scanner, or whose bytes are stored and read in
+// place): their states map to and from a scan's accumulator, and the scan
+// applies each one's rule to the values in Absorb's order, so the state is
+// Absorb's to the bit. Only these six types take that path; any other Op,
+// one that embeds them included, is folded by its Absorb.
 type Op interface {
 	// Name identifies the operator in reports.
 	Name() string
@@ -249,10 +250,10 @@ func (MaxLoc) Merge(a, b State) State {
 }
 func (MaxLoc) Value(s State) float64 { return s.(Loc).Val }
 
-// scanOp maps a state of an operator a generator's scan can fold for to the
-// scan's accumulator (toAcc) and back: fromAcc returns the state s becomes
-// with a, the accumulator toAcc(s) made, after a scan of n elements of a
-// variable of dims.
+// scanOp maps a state of an operator a scan (ncfile.Dataset.Scan) can fold
+// for to the scan's accumulator (toAcc) and back: fromAcc returns the state s
+// becomes with a, the accumulator toAcc(s) made, after a scan of n elements
+// of a variable of dims.
 type scanOp interface {
 	toAcc(s State) ncfile.Acc
 	fromAcc(s State, a ncfile.Acc, n int64, dims []int64) State

@@ -22,9 +22,10 @@ import (
 )
 
 // This file is the differential of every way the runtime turns a read into
-// values: a generator's scan, a generator's values, stored bytes decoded, and
-// a coalesced pass shared between jobs. Each case names a content and its
-// backing (the generator, or a MemBackend image of it), an operator, a
+// values: a generator's scan, a generator's values, stored bytes scanned or
+// decoded, and a coalesced pass shared between jobs. Each case names a
+// content and its backing (the generator, or a MemBackend image of it
+// written by PutVaraAll), an operator, a
 // reader path and a sharing mode, and is held to one reference: the
 // operator's opaque twin, struct{ cc.Op }, which neither scans nor shares a
 // component, folded cold over the content's bytes encoded element by element
@@ -34,7 +35,7 @@ import (
 // generator of its bits row by row, which open makes a dataset of, on dims
 // that the content takes. scan
 // lists the grids of the fold layer: short rows, so that runs cross many,
-// and rows longer than 2^32 elements or indexed past 2^32.
+// and rows longer than 2^32 elements (2^53, for WRF) or indexed past 2^32.
 type content struct {
 	name string
 	nd   int
@@ -67,7 +68,10 @@ var contents = []content{
 		}},
 }
 
-var wrfGrids = [][]int64{{16, 64, 64}, {4, 8, 1 << 34}, {4, 1 << 33, 96}}
+// wrfGrids add, for the pressure's closed-form extrema, rows of 2^56
+// elements, along which float64(x) itself rounds past 2^53 and the eye's
+// float32 plateau spans more than a run.
+var wrfGrids = [][]int64{{16, 64, 64}, {4, 8, 1 << 34}, {4, 1 << 33, 96}, {4, 3, 1 << 56}}
 
 // wrfVar opens the pressure (slp) or the wind of a storm sized to dims.
 func wrfVar(slp bool) func(*pfs.FS, []int64, int64) (*ncfile.Dataset, int, ncfile.ValueFn) {
@@ -95,6 +99,13 @@ func encodeRuns(at ncfile.ValueFn, dims []int64, runs []layout.Run) []byte {
 // stored is ds laid out again on fs over a MemBackend holding image: the
 // same variables and striping, with stored bytes for values.
 func stored(fs *pfs.FS, ds *ncfile.Dataset, stripe int64, image []byte) *ncfile.Dataset {
+	mem := pfs.NewMemBackend(0)
+	mem.WriteAt(image, 0)
+	return storedOn(fs, ds, stripe, mem)
+}
+
+// storedOn is stored over the backend mem.
+func storedOn(fs *pfs.FS, ds *ncfile.Dataset, stripe int64, mem *pfs.MemBackend) *ncfile.Dataset {
 	var s ncfile.Schema
 	for i := 0; ; i++ {
 		v, err := ds.Var(i)
@@ -103,8 +114,6 @@ func stored(fs *pfs.FS, ds *ncfile.Dataset, stripe int64, image []byte) *ncfile.
 		}
 		s.AddVar(v.Name, v.Type, v.Dims)
 	}
-	mem := pfs.NewMemBackend(0)
-	mem.WriteAt(image, 0)
 	out, _ := ncfile.Create(fs, "image", &s, mem, 4, stripe, 0)
 	return out
 }
@@ -256,10 +265,48 @@ type differential struct {
 	refs   map[string]outcome
 }
 
+// image is the file image of c's content on c's geometry, made once. The
+// reference's is encoded element by element from the scalar value function;
+// the cases' is written by PutVaraAll, each rank its share of the variable,
+// on a machine of its own at GOMAXPROCS 4, so that a share above host.Grain
+// is encoded in blocks on the host workers.
+func (d *differential) image(c readerCase, written bool) []byte {
+	g := c.geo
+	key := fmt.Sprintf("%s/%s/written=%v", c.ct.name, g.name, written)
+	if img := d.images[key]; img != nil {
+		return img
+	}
+	env := sim.NewEnv()
+	fs := pfs.New(env, pfs.Params{NumOSTs: 4, DefaultStripeSize: g.stripe})
+	dims, _, _ := g.of(c.ct.nd)
+	ds, id, at := c.ct.open(fs, dims, g.stripe)
+	v, _ := ds.Var(id)
+	mem := pfs.NewMemBackend(ds.File().Size())
+	if !written {
+		copy(mem.Bytes()[v.Offset:], encodeRuns(at, v.Dims, []layout.Run{{Length: v.NumElems()}}))
+	} else {
+		img, w := storedOn(fs, ds, g.stripe, mem), mpi.NewWorld(env, g.ranks, fabric.Params{RanksPerNode: 4})
+		slabs := cc.SplitSlab(layout.Slab{Start: make([]int64, len(dims)), Count: dims}, g.ranks)
+		errs, comm := make([]error, g.ranks), w.Comm()
+		w.Go(func(r *mpi.Rank) {
+			slab := slabs[r.Rank()]
+			vals := ncfile.DecodeValues(ncfile.Float32, encodeRuns(at, dims, layout.Flatten(dims, slab)), nil)
+			errs[r.Rank()] = img.PutVaraAll(r, comm, fs.Client(r.Proc(), r.Rank(), nil), id, slab, vals, nil, adio.Params{CB: g.cb})
+		})
+		cc.AtProcs(4, func() {
+			if err := errors.Join(env.Run(), errors.Join(errs...)); err != nil {
+				d.t.Fatalf("%s: writing the image: %v", c, err)
+			}
+		})
+	}
+	d.images[key] = mem.Bytes()
+	return mem.Bytes()
+}
+
 // run is one object I/O of op over slabs, each rank's, on a fresh machine
-// of c's geometry holding c's content, stored when image is set, with c's
-// fault plan.
-func (d *differential) run(c readerCase, image bool, slabs []layout.Slab, io cc.IO, op cc.Op) outcome {
+// of c's geometry holding c's content, stored in image when it is not nil,
+// with c's fault plan.
+func (d *differential) run(c readerCase, image []byte, slabs []layout.Slab, io cc.IO, op cc.Op) outcome {
 	t, g := d.t, c.geo
 	t.Helper()
 	env := sim.NewEnv()
@@ -272,14 +319,9 @@ func (d *differential) run(c readerCase, image bool, slabs []layout.Slab, io cc.
 		io.Params.RebalanceRounds = 3
 	}
 	dims, _, _ := g.of(c.ct.nd)
-	ds, id, at := c.ct.open(fs, dims, g.stripe)
-	if key := c.ct.name + "/" + g.name; image {
-		if d.images[key] == nil {
-			v, _ := ds.Var(id)
-			d.images[key] = make([]byte, ds.File().Size())
-			copy(d.images[key][v.Offset:], encodeRuns(at, v.Dims, []layout.Run{{Length: v.NumElems()}}))
-		}
-		ds = stored(fs, ds, g.stripe, d.images[key])
+	ds, id, _ := c.ct.open(fs, dims, g.stripe)
+	if image != nil {
+		ds = stored(fs, ds, g.stripe, image)
 	}
 	out := outcome{results: make([]cc.Result, g.ranks), consumers: make([]cc.Result, len(io.Consumers))}
 	io.Stats, io.Consumers = &out.stats, slices.Clone(io.Consumers)
@@ -307,7 +349,7 @@ func (d *differential) reference(c readerCase, slabs []layout.Slab, io cc.IO, op
 	key := fmt.Sprintf("%s/%s/%d/%v/%v/%T%+v/%v", c.ct.name, c.geo.name, c.path, c.faults, io.SecPerElem, op, op, slabs)
 	out, ok := d.refs[key]
 	if !ok {
-		cc.AtProcs(1, func() { out = d.run(c, true, slabs, io, struct{ cc.Op }{op}) })
+		cc.AtProcs(1, func() { out = d.run(c, d.image(c, false), slabs, io, struct{ cc.Op }{op}) })
 		d.refs[key] = out
 	}
 	return out
@@ -374,7 +416,11 @@ func (d *differential) check(c readerCase) charges {
 		pass = chargeOp{bytes: bytes}
 	}
 	var got outcome
-	cc.AtProcs(c.procs, func() { got = d.run(c, c.image, slabs, cio, primary) })
+	var image []byte
+	if c.image {
+		image = d.image(c, true)
+	}
+	cc.AtProcs(c.procs, func() { got = d.run(c, image, slabs, cio, primary) })
 
 	want := func(op cc.Op) outcome {
 		if w, ok := op.(cc.WindowOp); ok {
@@ -410,6 +456,14 @@ type scanVar struct {
 	ds   *ncfile.Dataset
 	id   int
 	at   ncfile.ValueFn
+}
+
+// backing is a scan variable's dataset, its generator or a MemBackend twin,
+// and the bytes a fold of it is handed: nil, or the runs' bytes.
+type backing struct {
+	name string
+	ds   *ncfile.Dataset
+	raw  []byte
 }
 
 func scanVars() (vars []scanVar) {
@@ -496,10 +550,10 @@ func startFar(op cc.Op, extreme float64) cc.State {
 // scanLayer is the fold layer: over every scan grid, each operator folds
 // each run list as the CC map folds an owner group's pieces (FoldRuns), from
 // Zero(), from the state the list before ended in and, for the six that scan,
-// from two states far from Zero(). The generator scans for exactly those
+// from two states far from Zero(), over the generator and over the runs'
+// bytes in a MemBackend twin of the variable. Both scan for exactly those
 // six, and every fold gives the reference's state to the bit, Loc.Coords
-// included: the twin's fold of the runs' bytes over a MemBackend twin of the
-// variable.
+// included: the twin's fold of the same bytes.
 func (d *differential) scanLayer() {
 	t := d.t
 	rng := rand.New(rand.NewPCG(39, 2015))
@@ -521,11 +575,13 @@ func (d *differential) scanLayer() {
 					starts = append(starts, startFar(op, 47.5), startFar(op, 1000))
 				}
 				for _, st := range starts {
-					got, scanned := cc.FoldRuns(&w, v.ds, v.id, runs, op, st, nil)
 					want, _ := cc.FoldRuns(&w, img, v.id, runs, struct{ cc.Op }{op}, st, raw)
-					if scanned != slices.Contains(scanOps, op) || render(got) != render(want) {
-						t.Fatalf("%s/scan/%s from %s over runs %v: %s (scanned %v), reference %s",
-							v.name, op.Name(), render(st), runs, render(got), scanned, render(want))
+					for _, b := range []backing{{"generator", v.ds, nil}, {"image", img, raw}} {
+						got, scanned := cc.FoldRuns(&w, b.ds, v.id, runs, op, st, b.raw)
+						if scanned != slices.Contains(scanOps, op) || render(got) != render(want) {
+							t.Fatalf("%s/%s/scan/%s from %s over runs %v: %s (scanned %v), reference %s",
+								v.name, b.name, op.Name(), render(st), runs, render(got), scanned, render(want))
+						}
 					}
 					prev[i] = want
 				}
@@ -589,18 +645,23 @@ func endToEnd(t *testing.T, keep func(readerCase) bool) {
 }
 
 // TestZeroAllocScanRow: a warm scan of one row, by every production
-// generator and every fold, allocates nothing.
+// generator and over the row's bytes in a MemBackend twin, by every fold,
+// allocates nothing.
 func TestZeroAllocScanRow(t *testing.T) {
 	var w ncfile.Worker
 	for _, v := range scanVars() {
 		vr, _ := v.ds.Var(v.id)
 		row := min(vr.Dims[len(vr.Dims)-1], 1024)
 		runs := []layout.Run{{Offset: vr.NumElems() - row, Length: row}}
-		for _, kind := range []ncfile.AccKind{ncfile.AccSum, ncfile.AccMin, ncfile.AccMax} {
-			acc := ncfile.Acc{Kind: kind}
-			v.ds.Scan(&w, v.id, runs, &acc) // warm-up
-			if allocs := testing.AllocsPerRun(100, func() { v.ds.Scan(&w, v.id, runs, &acc) }); allocs != 0 {
-				t.Errorf("%s, fold %d: %v allocs per scan of a row, want 0", v.name, kind, allocs)
+		img := stored(pfs.New(sim.NewEnv(), pfs.Params{NumOSTs: 4}), v.ds, 0, nil)
+		raw := encodeRuns(v.at, vr.Dims, runs)
+		for _, b := range []backing{{"generator", v.ds, nil}, {"image", img, raw}} {
+			for _, kind := range []ncfile.AccKind{ncfile.AccSum, ncfile.AccMin, ncfile.AccMax} {
+				acc := ncfile.Acc{Kind: kind}
+				b.ds.Scan(&w, v.id, runs, b.raw, &acc) // warm-up
+				if allocs := testing.AllocsPerRun(100, func() { b.ds.Scan(&w, v.id, runs, b.raw, &acc) }); allocs != 0 {
+					t.Errorf("%s/%s, fold %d: %v allocs per scan of a row, want 0", v.name, b.name, kind, allocs)
+				}
 			}
 		}
 	}

@@ -397,10 +397,11 @@ func runTraditional(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op Op) (Res
 // quarter of host.Grain, one time step of a rank's subset in paper_cc.
 const foldChunk = host.Grain / 4
 
-// fold folds a variable's values into one state: by a generator's scan into
-// acc when sc is set, and otherwise by op's Absorb of the values, subset by
-// subset. The CC map runs one per owner group, over its pieces' runs (run),
-// and the traditional leg one per rank, over its slab's runs (slab).
+// fold folds a variable's values into one state: by the dataset's scan (of
+// the generator, or of the bytes read) into acc when sc is set, and
+// otherwise by op's Absorb of the values, subset by subset. The CC map runs
+// one per owner group, over its pieces' runs (run), and the traditional leg
+// one per rank, over its slab's runs (slab).
 type fold struct {
 	op  Op
 	sc  scanOp
@@ -428,7 +429,7 @@ func newFold(op Op, canScan bool, st State) fold {
 func (f *fold) run(w *ncfile.Worker, ds *ncfile.Dataset, id int, elemRun layout.Run, slabs []layout.Slab, raw []byte) {
 	runs := []layout.Run{elemRun}
 	if f.sc != nil {
-		ds.Scan(w, id, runs, &f.acc)
+		ds.Scan(w, id, runs, raw, &f.acc)
 		f.n += elemRun.Length
 		return
 	}
@@ -443,23 +444,27 @@ func (f *fold) run(w *ncfile.Worker, ds *ncfile.Dataset, id int, elemRun layout.
 
 // slab folds a rank's slab of variable id, v, on fold slot w, in row-major
 // order: elemRuns are the slab's element runs and raw the bytes read, when
-// the dataset holds bytes. A scan takes each run whole. Otherwise each run is
-// cut into chunks of at most foldChunk elements, and the map's cut
-// (RunToSlabs) makes each chunk's subsets.
+// the dataset holds bytes, each run handed its own. A scan takes each run
+// whole. Otherwise each run is cut into chunks of at most foldChunk
+// elements, and the map's cut (RunToSlabs) makes each chunk's subsets.
 func (f *fold) slab(w *ncfile.Worker, ds *ncfile.Dataset, id int, v *ncfile.Var, elemRuns []layout.Run, raw []byte, coalesce bool) {
 	sz := v.Type.Size()
 	for _, run := range elemRuns {
+		var b []byte
+		if raw != nil {
+			b, raw = raw[:run.Length*sz], raw[run.Length*sz:]
+		}
 		if f.sc != nil {
-			f.run(w, ds, id, run, nil, nil)
+			f.run(w, ds, id, run, nil, b)
 			continue
 		}
 		for lo := int64(0); lo < run.Length; lo += foldChunk {
 			chunk := layout.Run{Offset: run.Offset + lo, Length: min(foldChunk, run.Length-lo)}
-			var b []byte
-			if raw != nil {
-				b, raw = raw[:chunk.Length*sz], raw[chunk.Length*sz:]
+			var cb []byte
+			if b != nil {
+				cb = b[lo*sz : (lo+chunk.Length)*sz]
 			}
-			f.run(w, ds, id, chunk, w.Slabs.RunToSlabs(v.Dims, chunk, coalesce), b)
+			f.run(w, ds, id, chunk, w.Slabs.RunToSlabs(v.Dims, chunk, coalesce), cb)
 		}
 	}
 }
@@ -525,7 +530,7 @@ func runCollectiveComputing(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client, io IO, op 
 
 	// The map runs in two phases per iteration. The host phase folds every
 	// owner group on the dataset's host workers (mapGroup): each group from
-	// its own op.Zero(), by the generator's scan where it can (fold) and
+	// its own op.Zero(), by the dataset's scan where it can (fold) and
 	// otherwise with the same Absorb calls in the same order as a serial
 	// fold, so its state cannot depend on the schedule. It moves no virtual
 	// time, does not yield, and writes nothing but its own group and pieces.

@@ -23,6 +23,7 @@ package cluster
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/adio"
@@ -44,10 +45,11 @@ type Spec struct {
 	// TimeUnit is the unit, in seconds, that the machine counts virtual
 	// time in: every constant of its cost model (fabric.Params and
 	// pfs.Params, at their Hopper-like defaults) is scaled by it, times
-	// multiplied and rates divided. 0 means 1. Under a power of two every
-	// virtual time comes out exactly TimeUnit times larger and every ratio
-	// of times is bit-identical, which is what the experiments' time-scale
-	// invariance test checks.
+	// multiplied and rates divided. 0 means 1; New rejects a negative,
+	// infinite or NaN unit. Under a power of two every virtual time comes
+	// out exactly TimeUnit times larger and every ratio of times is
+	// bit-identical, which is what the experiments' time-scale invariance
+	// test checks.
 	TimeUnit float64
 	// MaxConcurrent caps how many jobs run at once; 0 means unlimited
 	// (bounded only by rank-count fit). 1 serializes the queue.
@@ -129,6 +131,9 @@ func New(spec Spec) *Cluster {
 		panic(fmt.Sprintf("cluster: Spec.Ranks %d", spec.Ranks))
 	}
 	unit := spec.TimeUnit
+	if !(unit >= 0 && unit <= math.MaxFloat64) {
+		panic(fmt.Sprintf("cluster: Spec.TimeUnit %v", unit))
+	}
 	if unit == 0 {
 		unit = 1
 	}

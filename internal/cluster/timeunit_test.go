@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"fmt"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -43,5 +45,22 @@ func TestTimeUnitScalesTheWholeModel(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestNewRejectsBadTimeUnit: a NaN, infinite or negative Spec.TimeUnit is
+// refused at New, naming the field, as Ranks ≤ 0 is. Each was accepted: a
+// NaN unit never ended a run of two barriers around a Compute, a negative
+// one returned a positive makespan and +Inf returned +Inf.
+func TestNewRejectsBadTimeUnit(t *testing.T) {
+	for _, unit := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1, -0.5} {
+		func() {
+			defer func() {
+				if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "Spec.TimeUnit") {
+					t.Errorf("TimeUnit %v: New recovered %v, want a panic naming Spec.TimeUnit", unit, r)
+				}
+			}()
+			New(Spec{Ranks: 4, TimeUnit: unit})
+		}()
 	}
 }

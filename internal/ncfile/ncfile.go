@@ -121,9 +121,9 @@ type Dataset struct {
 	vars  []Var
 	synth *synth // non-nil for generator-backed datasets (SynthDatasetGen)
 	// work is the host workers' scratch. It is shared by every rank reading
-	// this dataset: a dataset lives in one FS and so one sim.Env, whose
-	// kernel runs one process at a time, and RunWorkers returns before the
-	// rank that called it next yields.
+	// or writing this dataset: a dataset lives in one FS and so one sim.Env,
+	// whose kernel runs one process at a time, and RunWorkers returns before
+	// the rank that called it next yields.
 	work host.Pool[Worker]
 	// folds are FoldVara's slots. A fold runs while the simulation goes
 	// on, so it has a slot of its own and shares none of the above.
@@ -284,7 +284,14 @@ func (ds *Dataset) GetVara(cl *pfs.Client, id int, slab layout.Slab, p adio.Para
 	return ds.Values(id, elems, raw, nil), nil
 }
 
-// PutVaraAll collectively writes vals into the hyperslab of variable id.
+// encodeBlock is the most values PutVaraAll encodes in one call on a host
+// worker.
+const encodeBlock = host.Grain / 4
+
+// PutVaraAll collectively writes vals into the hyperslab of variable id. The
+// values are encoded into one buffer in blocks of encodeBlock, on the host
+// workers (RunWorkers): each block writes its own bytes, so the buffer is
+// EncodeValues' whatever the schedule.
 func (ds *Dataset) PutVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	id int, slab layout.Slab, vals []float64, aggrs []int, p adio.Params) error {
 	v, err := ds.Var(id)
@@ -298,6 +305,12 @@ func (ds *Dataset) PutVaraAll(r *mpi.Rank, c *mpi.Comm, cl *pfs.Client,
 	if err != nil {
 		return err
 	}
+	sz := int(v.Type.Size())
+	buf := make([]byte, len(vals)*sz)
+	ds.RunWorkers((len(vals)+encodeBlock-1)/encodeBlock, int64(len(vals)), func(_ *Worker, i int) {
+		lo, hi := i*encodeBlock, min((i+1)*encodeBlock, len(vals))
+		encode(v.Type, buf[lo*sz:hi*sz], vals[lo:hi])
+	})
 	return adio.CollectiveWrite(r, c, cl, ds.file,
-		adio.Request{Runs: runs, Buf: EncodeValues(v.Type, vals), Donated: true}, aggrs, p)
+		adio.Request{Runs: runs, Buf: buf, Donated: true}, aggrs, p)
 }

@@ -1,9 +1,11 @@
 package ncfile
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/adio"
@@ -262,5 +264,50 @@ func TestCreateEmptySchemaFails(t *testing.T) {
 	te := newTestEnv(1)
 	if _, err := Create(te.fs, "f", &Schema{}, pfs.NewMemBackend(0), 1, 0, 0); err == nil {
 		t.Error("empty schema accepted")
+	}
+}
+
+// TestPutVaraAllEncodesAsEncodeValues: the bytes PutVaraAll stores, encoded
+// in blocks on the host workers, are EncodeValues' of the values, for every
+// type, at GOMAXPROCS 1 and 4: each of two ranks writes half of a variable,
+// over host.Grain elements (three whole blocks and a partial one) or under
+// it (one partial block, inline).
+func TestPutVaraAllEncodesAsEncodeValues(t *testing.T) {
+	for _, ty := range []Type{Float32, Float64, Int32, Int64} {
+		for _, half := range []int64{3*encodeBlock + 5, 37} {
+			for _, procs := range []int{1, 4} {
+				te := newTestEnv(2)
+				var s Schema
+				id, _ := s.AddVar("v", ty, []int64{2, half})
+				mem := pfs.NewMemBackend(0)
+				ds, _ := Create(te.fs, "f", &s, mem, 4, 0, 0)
+				c := te.w.Comm()
+				vals := make([]float64, 2*half)
+				for i := range vals {
+					vals[i] = float64(i)*1.1 - 7.3
+				}
+				te.w.Go(func(r *mpi.Rank) {
+					me := int64(r.Rank())
+					slab := layout.Slab{Start: []int64{me, 0}, Count: []int64{1, half}}
+					if err := ds.PutVaraAll(r, c, te.fs.Client(r.Proc(), r.Rank(), nil), id, slab, vals[me*half:(me+1)*half], nil, adio.Params{CB: 1 << 16}); err != nil {
+						t.Error(err)
+					}
+				})
+				prev := runtime.GOMAXPROCS(procs)
+				err := te.env.Run()
+				runtime.GOMAXPROCS(prev)
+				if err != nil {
+					t.Fatal(err)
+				}
+				v, _ := ds.Var(id)
+				if got, want := mem.Bytes()[v.Offset:v.Offset+v.Bytes()], EncodeValues(ty, vals); !bytes.Equal(got, want) {
+					i := 0
+					for got[i] == want[i] {
+						i++
+					}
+					t.Fatalf("%v, %d elements a rank, GOMAXPROCS=%d: stored bytes differ from EncodeValues' first at element %d", ty, half, procs, int64(i)/ty.Size())
+				}
+			}
+		}
 	}
 }

@@ -1,6 +1,11 @@
 package ncfile
 
-import "repro/internal/layout"
+import (
+	"encoding/binary"
+	"math"
+
+	"repro/internal/layout"
+)
 
 // Scanner is a Gen that can fold a row's values into an accumulator as it
 // makes them, each rounded by Float32Round as a Float32 variable's codec
@@ -48,20 +53,33 @@ type Acc struct {
 	Idx int64
 }
 
-// CanScan reports whether variable id's values can be folded where they are
-// generated (Scan): the dataset is generator-backed, the variable Float32,
-// and its generator a Scanner. It is a property of the dataset, fixed when
-// it is made.
+// CanScan reports whether variable id's values can be folded without being
+// stored (Scan): the variable is Float32, and the dataset either holds bytes
+// or is generator-backed with a Scanner for it. It is a property of the
+// dataset, fixed when it is made.
 func (ds *Dataset) CanScan(id int) bool {
-	return ds.synth != nil && ds.synth.scans[id] != nil
+	if ds.synth == nil {
+		return ds.vars[id].Type == Float32
+	}
+	return ds.synth.scans[id] != nil
 }
 
 // Scan folds the values of variable id's elements in elemRuns (runs of
-// linear element indices, in order) into acc on host worker or fold slot w,
-// walking w's coordinate scratch along the rows: the fold of what
-// WorkerValues would return, bit for bit, with no value stored. The variable
-// must scan (CanScan).
-func (ds *Dataset) Scan(w *Worker, id int, elemRuns []layout.Run, acc *Acc) {
+// linear element indices, in order) into acc on host worker or fold slot w:
+// the fold of what WorkerValues would return, bit for bit, with no value
+// stored. raw is the runs' bytes, concatenated, when the dataset holds bytes
+// (each value is read from them as decode reads it), and nil when it is
+// Synthetic (the generator's scan makes each value, walking w's coordinate
+// scratch along the rows). The variable must scan (CanScan).
+func (ds *Dataset) Scan(w *Worker, id int, elemRuns []layout.Run, raw []byte, acc *Acc) {
+	if ds.synth == nil {
+		for _, r := range elemRuns {
+			n := r.Length * 4
+			scanFloat32(raw[:n], r.Offset, acc)
+			raw = raw[n:]
+		}
+		return
+	}
 	v, g := &ds.vars[id], ds.synth.scans[id]
 	for _, r := range elemRuns {
 		rows(v, r.Offset, r.End(), &w.coords, func(e, n int64, c []int64) {
@@ -78,5 +96,41 @@ func (ds *Dataset) Scan(w *Worker, id int, elemRuns []layout.Run, acc *Acc) {
 				}
 			}
 		})
+	}
+}
+
+// scanFloat32 folds the little-endian Float32 elements of b, the first of
+// which is element e, into acc under the rules of Scanner's SumRow, MinRow
+// and MaxRow. The loops advance b rather than index it, which lets the
+// compiler drop the bounds checks.
+func scanFloat32(b []byte, e int64, acc *Acc) {
+	le := binary.LittleEndian
+	if acc.Kind == AccSum {
+		s := acc.Val
+		for len(b) >= 4 {
+			s += float64(math.Float32frombits(le.Uint32(b)))
+			b = b[4:]
+		}
+		acc.Val = s
+		return
+	}
+	best, valid, at := acc.Val, acc.Valid, int64(-1)
+	if acc.Kind == AccMin {
+		for k := int64(0); len(b) >= 4; k++ {
+			if v := float64(math.Float32frombits(le.Uint32(b))); v < best || !valid {
+				best, valid, at = v, true, k
+			}
+			b = b[4:]
+		}
+	} else {
+		for k := int64(0); len(b) >= 4; k++ {
+			if v := float64(math.Float32frombits(le.Uint32(b))); v > best || !valid {
+				best, valid, at = v, true, k
+			}
+			b = b[4:]
+		}
+	}
+	if at >= 0 {
+		acc.Val, acc.Valid, acc.Idx = best, true, e+at
 	}
 }

@@ -8,6 +8,9 @@
 package wrf
 
 import (
+	"fmt"
+	"math"
+
 	"repro/internal/cc"
 	"repro/internal/layout"
 	"repro/internal/ncfile"
@@ -130,24 +133,74 @@ func (g slpGen) SumRow(c []int64, n int, acc float64) float64 {
 	return acc
 }
 
+// MinRow and MaxRow find a pressure row's extremes without scanning it.
+// Along a row only x moves, and each step of slpRow.at is a correctly
+// rounded IEEE operation (a fused multiply-add is one too), monotone in its
+// varying operand: dx = float64(x) − ex rises with x; dx·dx falls while
+// dx ≤ 0 and rises while dx ≥ 0, and so do dy2 + dx·dx and its quotient by
+// r2 > 0; 1 + that too; the reciprocal turns the order over, the product
+// with depth ≥ 0 keeps it, and 1013 − that turns it back; Float32Round keeps
+// it. So the rounded value v(x) is non-increasing for x ≤ ex and
+// non-decreasing for x ≥ ex, and no value is NaN: NewDataset refuses a storm
+// whose depth or r2 could break this (Storm.validate).
+//
+// Under the scan's rule the result is the row's extreme and the first index
+// holding it, or the incoming best and -1 when the extreme does not beat it.
+// The least value is at ⌊ex⌋ or ⌈ex⌉, each clamped into the row, the left
+// one on a tie, and its first index is the first on the falling side that
+// is no greater. The greatest is at an end, the first one on a tie. When
+// the last end is greater, its first index is the first in the row that is
+// no less: every value before the rising side is at most the first one.
+// SumRow scans, because the order of its additions is its result.
 func (g slpGen) MinRow(c []int64, n int, best float64, valid bool) (float64, int) {
-	r, at := g.row(c), -1
-	for k := 0; k < n; k++ {
-		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v < best || !valid {
-			best, valid, at = v, true, k
-		}
+	r, x0, xl := g.row(c), c[2], c[2]+int64(n)-1
+	l, h := clampRow(math.Floor(r.ex), x0, xl), clampRow(math.Ceil(r.ex), x0, xl)
+	m, k := r.rounded(l), l
+	if v := r.rounded(h); v < m {
+		m, k = v, h
 	}
-	return best, at
+	if valid && !(m < best) {
+		return best, -1
+	}
+	return m, int(r.first(x0, k, func(v float64) bool { return v <= m }) - x0)
 }
 
 func (g slpGen) MaxRow(c []int64, n int, best float64, valid bool) (float64, int) {
-	r, at := g.row(c), -1
-	for k := 0; k < n; k++ {
-		if v := ncfile.Float32Round(r.at(c[2] + int64(k))); v > best || !valid {
-			best, valid, at = v, true, k
+	r, x0, xl := g.row(c), c[2], c[2]+int64(n)-1
+	m, k := r.rounded(x0), x0
+	if v := r.rounded(xl); v > m {
+		m, k = v, r.first(x0, xl, func(u float64) bool { return u >= v })
+	}
+	if valid && !(m > best) {
+		return best, -1
+	}
+	return m, int(k - x0)
+}
+
+// clampRow is the element of the row [x0, xl] nearest f, an integral
+// float64 or an infinity.
+func clampRow(f float64, x0, xl int64) int64 {
+	k := xl
+	if f < 0x1p63 {
+		k = math.MinInt64
+		if f >= -0x1p63 {
+			k = int64(f)
 		}
 	}
-	return best, at
+	return min(max(k, x0), xl)
+}
+
+// first is the least x in [lo, hi] whose rounded value meets ok, where ok is
+// false and then true along [lo, hi] and true at hi.
+func (r slpRow) first(lo, hi int64, ok func(float64) bool) int64 {
+	for lo < hi {
+		if mid := lo + (hi-lo)/2; ok(r.rounded(mid)) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
 // slpRow is what a row of the pressure field fixes.
@@ -158,6 +211,9 @@ func (r slpRow) at(x int64) float64 {
 	dx := float64(x) - r.ex
 	return 1013 - r.depth*shape(r.dy2+dx*dx, r.r2)
 }
+
+// rounded is at(x) as a Float32 variable stores it.
+func (r slpRow) rounded(x int64) float64 { return ncfile.Float32Round(r.at(x)) }
 
 type windGen struct{ *Storm }
 
@@ -228,9 +284,33 @@ type Dataset struct {
 	Storm   Storm
 }
 
+// validate refuses a storm whose pressure rows might not fall and then rise
+// (see slpGen.MinRow): the track must be finite, CoreRadius make
+// r2 = CoreRadius²·9 positive and finite, and Depth and Deepening be finite
+// and not negative, which keeps intensity in [0.5, 1] and depth ≥ 0.
+func (s *Storm) validate() error {
+	for _, f := range []struct {
+		name string
+		v    float64
+		min  float64
+	}{{"Y0", s.Y0, math.Inf(-1)}, {"X0", s.X0, math.Inf(-1)}, {"VY", s.VY, math.Inf(-1)}, {"VX", s.VX, math.Inf(-1)},
+		{"Depth", s.Depth, 0}, {"Deepening", s.Deepening, 0}} {
+		if !(f.v >= f.min) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("wrf: Storm.%s %v", f.name, f.v)
+		}
+	}
+	if r2 := s.CoreRadius * s.CoreRadius * 9; !(r2 > 0) || math.IsInf(r2, 0) {
+		return fmt.Errorf("wrf: Storm.CoreRadius %v", s.CoreRadius)
+	}
+	return nil
+}
+
 // NewDataset creates the synthetic WRF output with "slp" and "wind10"
 // float32 variables of shape (NT, NY, NX).
 func NewDataset(fs *pfs.FS, storm Storm, stripeCount int, stripeSize int64) (*Dataset, error) {
+	if err := storm.validate(); err != nil {
+		return nil, err
+	}
 	dims := []int64{storm.NT, storm.NY, storm.NX}
 	var s ncfile.Schema
 	slp, err := s.AddVar("slp", ncfile.Float32, dims)

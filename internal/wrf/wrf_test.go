@@ -3,6 +3,7 @@ package wrf
 import (
 	"math"
 	"math/rand/v2"
+	"strings"
 	"testing"
 
 	"repro/internal/adio"
@@ -218,3 +219,118 @@ func benchRow(b *testing.B, g ncfile.Gen) {
 func BenchmarkSLPRow(b *testing.B) { benchRow(b, slpGen{&benchStorm}) }
 
 func BenchmarkWindRow(b *testing.B) { benchRow(b, windGen{&benchStorm}) }
+
+// scanRow is the loop slpGen's MinRow (least) or MaxRow replaces: the
+// scan's rule applied to the row's rounded values one at a time. It is
+// their oracle.
+func scanRow(r slpRow, x0 int64, n int, best float64, valid, least bool) (float64, int) {
+	at := -1
+	for k := 0; k < n; k++ {
+		v := ncfile.Float32Round(r.at(x0 + int64(k)))
+		if (least && v < best) || (!least && v > best) || !valid {
+			best, valid, at = v, true, k
+		}
+	}
+	return best, at
+}
+
+// TestSLPRowExtremaMatchScan holds slpGen's closed-form MinRow and MaxRow to
+// the scan, bit for bit, with the index: over fig13's default storm and
+// storms whose rows pass 2^20, 2^34 and 2^56 elements, so that the eye's
+// float32 plateau spans thousands of elements or more and float64(x) itself
+// rounds past 2^53; on rows left of the eye, right of it and across it, of
+// one element and more; from no incoming value and from one below, equal to
+// and above the row's extreme, and a NaN. The plateau must cut a row: some
+// row's least value first occurs before ⌊ex⌋ and again after.
+func TestSLPRowExtremaMatchScan(t *testing.T) {
+	storms := []Storm{DefaultStorm(409, 1024, 1024), DefaultStorm(8, 16, 1<<20),
+		DefaultStorm(4, 8, 1<<34), DefaultStorm(4, 8, 1<<56)}
+	rng := rand.New(rand.NewPCG(1, 2015))
+	var sides [3]int // rows left of the eye, across it, right of it
+	plateaus := 0
+	for i := range storms {
+		s := &storms[i]
+		g := slpGen{s}
+		for trial := 0; trial < 300; trial++ {
+			c := []int64{rng.Int64N(s.NT), rng.Int64N(s.NY), 0}
+			r := g.row(c)
+			n := 1 + rng.IntN(1+rng.IntN(int(min(s.NX, 20000))))
+			if trial%10 == 0 {
+				n = 1
+			}
+			ex := int64(min(max(r.ex, 0), float64(s.NX-1)))
+			var x0 int64
+			switch trial % 3 {
+			case 0: // the row ends before the eye
+				x0 = ex - int64(n) - rng.Int64N(3*int64(n)+1)
+			case 1: // the row holds the eye
+				x0 = ex - rng.Int64N(int64(n))
+			default: // the row starts past the eye
+				x0 = ex + 1 + rng.Int64N(3*int64(n)+1)
+			}
+			x0 = min(max(x0, 0), s.NX-int64(n))
+			c[2] = x0
+			switch {
+			case float64(x0+int64(n)-1) < r.ex:
+				sides[0]++
+			case float64(x0) > r.ex:
+				sides[2]++
+			default:
+				sides[1]++
+			}
+			for _, least := range []bool{true, false} {
+				m, k := scanRow(r, x0, n, 0, false, least)
+				if least && k < n-1 && float64(x0+int64(k)) < math.Floor(r.ex) && r.rounded(x0+int64(k)+1) == m {
+					plateaus++
+				}
+				for _, in := range []struct {
+					best  float64
+					valid bool
+				}{{0, false}, {math.NaN(), false}, {math.Nextafter(m, math.Inf(-1)), true}, {m, true},
+					{math.Nextafter(m, math.Inf(1)), true}, {math.Inf(1), true}, {math.Inf(-1), true}, {math.NaN(), true}} {
+					wantV, wantK := scanRow(r, x0, n, in.best, in.valid, least)
+					gotV, gotK := g.MaxRow(c, n, in.best, in.valid)
+					if least {
+						gotV, gotK = g.MinRow(c, n, in.best, in.valid)
+					}
+					if math.Float64bits(gotV) != math.Float64bits(wantV) || gotK != wantK {
+						t.Fatalf("storm %d, row %v of %d (eye at x %v), least %v, from %v (valid %v): got %v at %d, scan %v at %d",
+							i, c, n, r.ex, least, in.best, in.valid, gotV, gotK, wantV, wantK)
+					}
+				}
+			}
+		}
+	}
+	if sides[0] == 0 || sides[1] == 0 || sides[2] == 0 || plateaus == 0 {
+		t.Fatalf("rows left of, across and right of the eye: %v; rows whose least value's plateau starts before the eye: %d", sides, plateaus)
+	}
+}
+
+// TestNewDatasetRejectsUnprovenStorms: a storm whose pressure rows need not
+// fall and then rise, which the closed-form extrema rest on, is refused,
+// naming the field.
+func TestNewDatasetRejectsUnprovenStorms(t *testing.T) {
+	fs := pfs.New(sim.NewEnv(), pfs.Params{})
+	for _, tc := range []struct {
+		field string
+		set   func(*Storm)
+	}{
+		{"Depth", func(s *Storm) { s.Depth = -1 }},
+		{"Depth", func(s *Storm) { s.Depth = math.NaN() }},
+		{"Depth", func(s *Storm) { s.Depth = math.Inf(1) }},
+		{"Deepening", func(s *Storm) { s.Deepening = -0.1 }},
+		{"X0", func(s *Storm) { s.X0 = math.Inf(1) }},
+		{"VY", func(s *Storm) { s.VY = math.NaN() }},
+		{"CoreRadius", func(s *Storm) { s.CoreRadius = 0 }},
+		{"CoreRadius", func(s *Storm) { s.CoreRadius = 1e200 }},
+	} {
+		s := smallStorm()
+		tc.set(&s)
+		if _, err := NewDataset(fs, s, 4, 0); err == nil || !strings.Contains(err.Error(), "Storm."+tc.field) {
+			t.Errorf("%s: NewDataset returned %v, want an error naming Storm.%s", tc.field, err, tc.field)
+		}
+	}
+	if _, err := NewDataset(fs, smallStorm(), 4, 0); err != nil {
+		t.Fatalf("the default storm: %v", err)
+	}
+}
